@@ -60,7 +60,8 @@ Measurement RunOnce(uint64_t total, const std::map<std::string, Relation>& input
   BuildQuery(query, total);
   const auto start = std::chrono::steady_clock::now();
   const auto result =
-      query.Run(inputs, {}, CostModel{}, /*seed=*/42, pool_parallelism);
+      query.Run(inputs, {}, CostModel{}, /*seed=*/42,
+                {.pool_parallelism = pool_parallelism});
   const auto stop = std::chrono::steady_clock::now();
   CONCLAVE_CHECK(result.ok());
   Measurement m;

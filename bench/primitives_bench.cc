@@ -20,7 +20,6 @@
 #include "conclave/mpc/oblivious.h"
 #include "conclave/mpc/protocols.h"
 #include "conclave/mpc/reveal_source.h"
-#include "conclave/relational/expr.h"
 #include "conclave/relational/pipeline.h"
 #include "conclave/relational/spill.h"
 
@@ -206,7 +205,7 @@ void RunKernelSweep(const bench::BenchFilter& filter,
                      {"column_scan", "filter_sel10", "filter_sel50", "filter_sel90",
                       "filter_scalar", "arith_simd", "arith_scalar",
                       "share_ingest", "rng_aesni", "rng_splitmix",
-                      "chain_materialized", "chain_pipelined", "chain_fused",
+                      "chain_materialized", "chain_fused",
                       "chain_peak_rows", "reveal_materialized", "reveal_streamed",
                       "reveal_peak_rows", "sort_in_mem", "sort_external",
                       "groupby_in_mem", "groupby_spill", "spill_peak_rows",
@@ -286,14 +285,13 @@ void RunKernelSweep(const bench::BenchFilter& filter,
       benchmark::DoNotOptimize(words.data());
     }));
 
-    // A/B: the same filter -> project -> arithmetic chain executed three ways —
-    // materializing (one ops.h kernel per node, two full intermediates),
-    // streamed through a BatchPipeline with one operator per node (fused
-    // expressions off), and through the fused expression evaluator (the whole
-    // chain compiled into one register-resident pass per batch, DESIGN.md §13).
-    // chain_peak_rows records the fused pipeline's peak resident rows — the
-    // bounded-memory (peak-RSS) proxy: materializing peaks at O(n) rows, the
-    // pipeline at O(depth x batch), independent of n.
+    // A/B: the same filter -> project -> arithmetic chain executed two ways —
+    // materializing (one ops.h kernel per node, two full intermediates) and
+    // streamed through a BatchPipeline, whose fused expression evaluator
+    // compiles the whole chain into one register-resident pass per batch
+    // (DESIGN.md §13). chain_peak_rows records the pipeline's peak resident
+    // rows — the bounded-memory (peak-RSS) proxy: materializing peaks at O(n)
+    // rows, the pipeline at O(depth x batch), independent of n.
     const FilterPredicate chain_predicate =
         FilterPredicate::ColumnVsLiteral(0, CompareOp::kLt, 500);
     const std::vector<int> chain_columns = {0, 1};
@@ -313,14 +311,6 @@ void RunKernelSweep(const bench::BenchFilter& filter,
     chain_spec.ops.push_back(PipelineOp::Filter(chain_predicate));
     chain_spec.ops.push_back(PipelineOp::Project(chain_columns));
     chain_spec.ops.push_back(PipelineOp::Arithmetic(chain_arith));
-    // The fused-expr knob is read once at BatchPipeline construction, so the
-    // per-node and fused variants are two pipelines built under opposite knobs.
-    const ScopedFusedExpr per_node_scope(false);
-    BatchPipeline chain_pipeline(chain_spec);
-    cells.push_back(timed("chain_pipelined", [&] {
-      benchmark::DoNotOptimize(chain_pipeline.Run(rel, kDefaultBatchRows));
-    }));
-    const ScopedFusedExpr fused_scope(true);
     BatchPipeline fused_pipeline(chain_spec);
     const bool fused_ran = filter.Enabled("chain_fused");
     cells.push_back(timed("chain_fused", [&] {
@@ -344,7 +334,6 @@ void RunKernelSweep(const bench::BenchFilter& filter,
     const SharedRelation shared_rel = ShareRelation(rel, share_rng);
     const mpc::RevealSource one_shot_source(shared_rel);
     const mpc::RevealSource streamed_source(shared_rel);
-    const ScopedFusedExpr reveal_scope(true);
     BatchPipeline reveal_materialized_pipeline(chain_spec);
     cells.push_back(timed("reveal_materialized", [&] {
       const Relation opened = one_shot_source.RevealRows(0, n);

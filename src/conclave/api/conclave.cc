@@ -260,13 +260,9 @@ StatusOr<compiler::PlanCostReport> Query::ExplainPlan(
 StatusOr<backends::ExecutionResult> Query::Run(
     const std::map<std::string, Relation>& inputs,
     const compiler::CompilerOptions& options, CostModel cost_model, uint64_t seed,
-    int pool_parallelism, int shard_count, int64_t batch_rows,
-    std::optional<FaultPlan> fault_plan, int64_t mem_budget_rows,
-    int stream_reveal) {
+    compiler::ExecOptions exec) {
   CONCLAVE_ASSIGN_OR_RETURN(compiler::Compilation compilation, Compile(options));
-  backends::Dispatcher dispatcher(cost_model, seed, pool_parallelism, shard_count,
-                                  batch_rows, std::move(fault_plan),
-                                  mem_budget_rows, stream_reveal);
+  backends::Dispatcher dispatcher(cost_model, seed, std::move(exec));
   return dispatcher.Run(dag_, compilation, inputs);
 }
 

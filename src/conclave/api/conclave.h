@@ -24,7 +24,6 @@
 #define CONCLAVE_API_CONCLAVE_H_
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -144,34 +143,17 @@ class Query {
       compiler::CompilerOptions options = {});
 
   // Compile + dispatch in one step. `inputs` maps table names to relations.
-  // `pool_parallelism` is the executor's thread budget (0 = hardware default,
-  // 1 = serial). `shard_count` is the cleartext data plane's horizontal shard
-  // count (0 = the CONCLAVE_SHARDS env override, else 1 — today's unsharded
-  // execution; backends::Dispatcher::kAutoShardCount = planner-priced decision).
-  // `batch_rows` is the push-based pipeline executor's batch size (0 = the
-  // CONCLAVE_BATCH_ROWS env override, else kDefaultBatchRows; negative =
-  // materialize every operator, disabling fusion). `fault_plan` schedules
-  // deterministic fault injection (net/fault.h, DESIGN.md §11; nullopt = the
-  // CONCLAVE_FAULT_PLAN env override, disabled when unset). `mem_budget_rows`
-  // caps each blocking cleartext operator instance's resident working set
-  // (0 = the CONCLAVE_MEM_BUDGET env override, unbounded when unset; negative
-  // forces unbounded): over-budget sorts/joins/group-bys/distincts spill
-  // through the external kernels in relational/spill.h. `stream_reveal`
-  // controls streaming across the reveal boundary (DESIGN.md §14; 0 = the
-  // CONCLAVE_STREAM_REVEAL env override, on when unset; > 0 forces streaming,
-  // < 0 forces the materializing reveal). Results and virtual time are
-  // identical for every {pool, shard, batch, budget, stream_reveal}
-  // combination — see DESIGN.md §5, §9, §10, §12, and §14; a recoverable
-  // fault plan preserves the results bit for bit and adds exactly its priced
-  // recovery time to the clock, and a budget adds exactly its priced spill
-  // I/O time.
+  // `exec` carries the run options — thread budget, shard count, batch size,
+  // fault plan, memory budget — with unset fields taking their CONCLAVE_*
+  // environment defaults (compiler/exec_options.h). Results and virtual time
+  // are identical for every option combination (DESIGN.md §5, §9, §10, §12); a
+  // recoverable fault plan preserves the results bit for bit and adds exactly
+  // its priced recovery time to the clock, and a budget adds exactly its
+  // priced spill I/O time.
   StatusOr<backends::ExecutionResult> Run(
       const std::map<std::string, Relation>& inputs,
       const compiler::CompilerOptions& options = {}, CostModel cost_model = {},
-      uint64_t seed = 42, int pool_parallelism = 0, int shard_count = 0,
-      int64_t batch_rows = 0,
-      std::optional<FaultPlan> fault_plan = std::nullopt,
-      int64_t mem_budget_rows = 0, int stream_reveal = 0);
+      uint64_t seed = 42, compiler::ExecOptions exec = {});
 
   ir::Dag& dag() { return dag_; }
   int num_parties() const { return static_cast<int>(parties_.size()); }

@@ -14,7 +14,6 @@
 
 #include "conclave/backends/local_backend.h"
 #include "conclave/backends/spark_backend.h"
-#include "conclave/common/env.h"
 #include "conclave/common/logging.h"
 #include "conclave/common/strings.h"
 #include "conclave/compiler/partition.h"
@@ -42,10 +41,9 @@ struct RunState {
   // charge is computed from totals (row counts, byte sizes) that are identical at
   // any shard count, and shards coalesce before anything enters the MPC engines.
   int shard_count = 1;
-  // Batch size of the push-based pipeline executor (<= 0 disables fusion; every
-  // operator then materializes node-at-a-time). Batching, like sharding, changes
-  // wall clock and memory only: fused chains are priced per node from row totals
-  // that are identical at every batch size (DESIGN.md §10).
+  // Batch size of the push-based pipeline executor. Batching, like sharding,
+  // changes wall clock and memory only: fused chains are priced per node from
+  // row totals that are identical at every batch size (DESIGN.md §10).
   int64_t batch_rows = kDefaultBatchRows;
   // Per-operator-instance memory budget of the blocking cleartext kernels
   // (DESIGN.md §12; 0 = unbounded). The physical spill work changes wall clock
@@ -53,13 +51,6 @@ struct RunState {
   // (compiler::NodeSpillSeconds over node-total rows), identical at every
   // {pool, shard, batch} point and added once in the final accounting pass.
   int64_t mem_budget_rows = 0;
-  // Streaming across the reveal boundary (DESIGN.md §14): a shared value whose
-  // sole consumer is a fused chain head becomes a RevealSource and the chain's
-  // per-shard pipelines reconstruct row ranges batch-at-a-time. Like sharding
-  // and batching, this changes wall clock and memory only: the reveal is
-  // charged once for the whole relation at conversion, exactly as the
-  // materializing path charges it.
-  bool stream_reveal = true;
 
   std::vector<MaterializedValue> values;  // Indexed by node id; slots never move.
   std::unordered_map<int, int> node_job;  // node id -> job id
@@ -618,8 +609,7 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
   // Every other CSV create parses eagerly into the usual relation forms.
   const auto& create_params = node->Params<ir::CreateParams>();
   bool stream_csv = false;
-  if (!create_params.csv_path.empty() && state_.batch_rows > 0 &&
-      exec.consumer_uses.size() == 1) {
+  if (!create_params.csv_path.empty() && exec.consumer_uses.size() == 1) {
     const NodeExec& consumer =
         execs_[static_cast<size_t>(exec.consumer_uses[0])];
     stream_csv = consumer.chain_members.size() >= 2 &&
@@ -723,7 +713,6 @@ JobGraphExecutor::AcquiredInputs JobGraphExecutor::AcquireLocalInputs(
       continue;
     }
     if (value.kind == MaterializedValue::Kind::kShared &&
-        state_.stream_reveal && state_.batch_rows > 0 &&
         exec.chain_members.size() >= 2 && node->inputs.size() == 1 &&
         ExecOf(*in).consumer_uses.size() == 1) {
       // Streaming reveal (DESIGN.md §14), decided on the coordinator at the
@@ -731,17 +720,17 @@ JobGraphExecutor::AcquiredInputs JobGraphExecutor::AcquireLocalInputs(
       // shared value's sole consumer is this fused chain head, so the shares
       // stay put and the chain's per-shard pipelines reconstruct their own
       // row ranges. The reveal is charged once for the whole relation, right
-      // here — exactly what the materializing path charges — so clocks and
-      // counters cannot depend on the knob; only the revealed relation's
-      // materialization disappears.
+      // here — exactly what EnsureCleartextAt charges a materializing reveal —
+      // so clocks and counters do not depend on which consumer a value has;
+      // only the revealed relation's materialization disappears.
       const int64_t rows = value.shared.NumRows();
       const int cols = value.shared.NumColumns();
       mpc::ChargeRevealMeters(state_.net, value.shared.NumCells());
       auto source = std::make_shared<mpc::RevealSource>(std::move(value.shared));
       value.shared = SharedRelation{};
       if (state_.fault != nullptr) {
-        // The injector makes the same decisions and charges as the inline
-        // DeliverReveal; detection replays inside RevealSource on the batch
+        // The same decisions and charges as DeliverReveal (which is built on
+        // this call); detection replays inside RevealSource on the batch
         // covering each corrupted row.
         uint64_t nonce = 0;
         std::vector<FaultInjector::RevealCorruption> schedule =
@@ -1388,17 +1377,15 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
   // Pipeline fusion (DESIGN.md §10): stamp each fusible local chain on its
   // head. The chain set comes from the same predicate the planner's explain
   // advice uses (compiler::PipelineChains), so listing and runtime agree.
-  if (state_.batch_rows > 0) {
-    for (const std::vector<const ir::OpNode*>& chain : compiler::PipelineChains(
-             std::span<const ir::OpNode* const>(topo_.data(), topo_.size()),
-             state_.shard_count)) {
-      const int head_topo = TopoIndexOf(chain.front()->id);
-      NodeExec& head = execs_[static_cast<size_t>(head_topo)];
-      for (const ir::OpNode* member : chain) {
-        const int member_topo = TopoIndexOf(member->id);
-        head.chain_members.push_back(member_topo);
-        execs_[static_cast<size_t>(member_topo)].chain_head = head_topo;
-      }
+  for (const std::vector<const ir::OpNode*>& chain : compiler::PipelineChains(
+           std::span<const ir::OpNode* const>(topo_.data(), topo_.size()),
+           state_.shard_count)) {
+    const int head_topo = TopoIndexOf(chain.front()->id);
+    NodeExec& head = execs_[static_cast<size_t>(head_topo)];
+    for (const ir::OpNode* member : chain) {
+      const int member_topo = TopoIndexOf(member->id);
+      head.chain_members.push_back(member_topo);
+      execs_[static_cast<size_t>(member_topo)].chain_head = head_topo;
     }
   }
 
@@ -1639,25 +1626,18 @@ StatusOr<ExecutionResult> JobGraphExecutor::FinalizeAccounting(
 
 }  // namespace
 
-int Dispatcher::DefaultShardCount() {
-  return static_cast<int>(env::Int64Knob("CONCLAVE_SHARDS", 1, 1, 1 << 20,
-                                         {{"auto", kAutoShardCount}}));
-}
-
-bool Dispatcher::DefaultStreamReveal() {
-  return env::BoolKnob("CONCLAVE_STREAM_REVEAL", true);
-}
-
 StatusOr<ExecutionResult> Dispatcher::Run(
     const ir::Dag& dag, const compiler::Compilation& compilation,
     const std::map<std::string, Relation>& inputs) {
+  CONCLAVE_ASSIGN_OR_RETURN(const compiler::ExecOptions exec,
+                            compiler::ResolveExecOptions(exec_));
   const bool use_gc =
       compilation.options.mpc_backend == compiler::MpcBackendKind::kOblivC;
   RunState state(model_, seed_, compilation.num_parties, use_gc,
                  compilation.options.use_spark,
                  compilation.options.malicious_security);
-  int shards = shard_count_ == 0 ? DefaultShardCount() : shard_count_;
-  if (shards == kAutoShardCount) {
+  int shards = exec.shard_count;
+  if (shards == compiler::ExecOptions::kAutoShardCount) {
     int64_t total_rows = 0;
     for (const auto& [name, relation] : inputs) {
       total_rows += relation.NumRows();
@@ -1666,20 +1646,8 @@ StatusOr<ExecutionResult> Dispatcher::Run(
                                         pool().parallelism(), total_rows);
   }
   state.shard_count = std::max(1, shards);
-  // Batch knob: 0 resolves the CONCLAVE_BATCH_ROWS env override; negative
-  // (kMaterializeBatchRows) disables fusion entirely (chain stamping is gated
-  // on batch_rows > 0).
-  state.batch_rows = batch_rows_ == 0 ? DefaultBatchRows() : batch_rows_;
-  // Memory-budget knob: 0 resolves the CONCLAVE_MEM_BUDGET env override;
-  // negative forces unbounded regardless of the environment.
-  state.mem_budget_rows = mem_budget_rows_ == 0
-                              ? DefaultMemBudgetRows()
-                              : std::max<int64_t>(0, mem_budget_rows_);
-  // Stream-reveal knob: 0 resolves the CONCLAVE_STREAM_REVEAL env override
-  // (on when unset), > 0 forces streaming, < 0 forces the materializing
-  // reveal (the differential harness's baseline arm).
-  state.stream_reveal =
-      stream_reveal_ == 0 ? DefaultStreamReveal() : stream_reveal_ > 0;
+  state.batch_rows = exec.batch_rows;
+  state.mem_budget_rows = exec.mem_budget_rows;
 
   for (const compiler::Job& job : compilation.plan.jobs) {
     for (const ir::OpNode* node : job.nodes) {
@@ -1687,18 +1655,10 @@ StatusOr<ExecutionResult> Dispatcher::Run(
     }
   }
 
-  // Fault-injection knob (DESIGN.md §11): an explicit plan wins (a disabled one
-  // forces injection off); otherwise the CONCLAVE_FAULT_PLAN env override
-  // resolves, failing loud on a malformed value.
-  FaultPlan fault_plan;
-  if (fault_plan_.has_value()) {
-    fault_plan = *fault_plan_;
-  } else {
-    CONCLAVE_ASSIGN_OR_RETURN(fault_plan, FaultPlan::FromEnv());
-  }
+  // Fault injection (DESIGN.md §11), armed by the resolved plan.
   std::optional<FaultInjector> injector;
-  if (fault_plan.enabled) {
-    injector.emplace(std::move(fault_plan), model_);
+  if (exec.fault_plan->enabled) {
+    injector.emplace(*exec.fault_plan, model_);
     state.fault = &*injector;
     state.net.set_fault_injector(&*injector);
   }

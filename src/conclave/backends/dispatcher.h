@@ -29,7 +29,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -38,6 +37,7 @@
 #include "conclave/backends/sharemind_backend.h"
 #include "conclave/common/thread_pool.h"
 #include "conclave/compiler/compiler.h"
+#include "conclave/compiler/exec_options.h"
 #include "conclave/net/fault.h"
 
 namespace conclave {
@@ -45,63 +45,20 @@ namespace backends {
 
 class Dispatcher {
  public:
-  // `shard_count` = kAutoShardCount asks the planner for a cost-model-priced
-  // shard-count decision (compiler::ChooseShardCount).
-  static constexpr int kAutoShardCount = -1;
-
-  // `pool_parallelism` sets the executor's thread budget: 0 shares the process-wide
-  // pool (sized to the hardware), 1 runs fully serial, N > 1 creates a dedicated
-  // pool with N lanes. `shard_count` sets the cleartext data plane's horizontal
-  // shard count: 0 resolves the CONCLAVE_SHARDS env override (default 1, today's
-  // single-relation execution), N > 1 runs per-shard operator instances that
-  // coalesce at the MPC frontier, kAutoShardCount defers to the planner.
-  // `batch_rows` sets the push-based pipeline executor's batch size: 0 resolves
-  // the CONCLAVE_BATCH_ROWS env override (default kDefaultBatchRows), N > 0
-  // streams fused local chains in batches of N rows, a negative value
-  // (kMaterializeBatchRows) disables fusion and materializes every operator.
-  // `fault_plan` schedules deterministic fault injection (net/fault.h,
-  // DESIGN.md §11): nullopt resolves the CONCLAVE_FAULT_PLAN env override
-  // (disabled when unset); a disabled plan forces injection off regardless of
-  // the environment. `mem_budget_rows` caps each blocking cleartext operator
-  // instance's resident working set (DESIGN.md §12): 0 resolves the
-  // CONCLAVE_MEM_BUDGET env override (unbounded when unset), N > 0 makes
-  // over-budget sorts/joins/group-bys/distincts run through the spill::
-  // kernels, negative forces unbounded regardless of the environment. Results,
-  // counters, and share bits are identical for every {pool, shard, batch,
-  // budget} combination (DESIGN.md §5, §9, §10, §12), with or without a
-  // recoverable fault plan; under injection the virtual clock additionally
-  // carries exactly the priced recovery time, and under a budget exactly the
-  // priced spill I/O time (compiler::NodeSpillSeconds). `stream_reveal`
-  // controls streaming across the reveal boundary (DESIGN.md §14): 0 resolves
-  // the CONCLAVE_STREAM_REVEAL env override (on when unset), > 0 forces it on,
-  // < 0 forces the materializing reveal. With batching enabled, a shared value
-  // whose sole consumer is a fused chain head reveals batch-at-a-time into the
-  // chain instead of materializing; results, clocks, and counters are
-  // bit-identical either way (the reveal is charged once for the whole
-  // relation in both paths).
-  Dispatcher(CostModel model, uint64_t seed, int pool_parallelism = 0,
-             int shard_count = 0, int64_t batch_rows = 0,
-             std::optional<FaultPlan> fault_plan = std::nullopt,
-             int64_t mem_budget_rows = 0, int stream_reveal = 0)
-      : model_(model),
-        seed_(seed),
-        shard_count_(shard_count),
-        batch_rows_(batch_rows),
-        fault_plan_(std::move(fault_plan)),
-        mem_budget_rows_(mem_budget_rows),
-        stream_reveal_(stream_reveal) {
-    if (pool_parallelism > 0) {
-      owned_pool_ = std::make_unique<ThreadPool>(pool_parallelism);
+  // `exec` carries the run options (compiler/exec_options.h): thread budget,
+  // shard count, batch size, fault plan, and memory budget. Unset fields take
+  // their CONCLAVE_* environment defaults when Run resolves them through
+  // compiler::ResolveExecOptions. Results, counters, and share bits are
+  // identical for every option combination (DESIGN.md §5, §9, §10, §12), with
+  // or without a recoverable fault plan; under injection the virtual clock
+  // additionally carries exactly the priced recovery time, and under a budget
+  // exactly the priced spill I/O time (compiler::NodeSpillSeconds).
+  Dispatcher(CostModel model, uint64_t seed, compiler::ExecOptions exec = {})
+      : model_(model), seed_(seed), exec_(std::move(exec)) {
+    if (exec_.pool_parallelism > 0) {
+      owned_pool_ = std::make_unique<ThreadPool>(exec_.pool_parallelism);
     }
   }
-
-  // CONCLAVE_SHARDS env override ("auto" = kAutoShardCount), else 1. Fails
-  // loud on a malformed value (common/env.h).
-  static int DefaultShardCount();
-
-  // CONCLAVE_STREAM_REVEAL env override, else true. Fails loud on a malformed
-  // value (common/env.h).
-  static bool DefaultStreamReveal();
 
   // Executes the compiled plan. `inputs` maps each Create node's name to the relation
   // its owning party contributes. The DAG must be the one `compilation` was built
@@ -117,11 +74,7 @@ class Dispatcher {
 
   CostModel model_;
   uint64_t seed_;
-  int shard_count_ = 0;
-  int64_t batch_rows_ = 0;
-  std::optional<FaultPlan> fault_plan_;
-  int64_t mem_budget_rows_ = 0;
-  int stream_reveal_ = 0;
+  compiler::ExecOptions exec_;
   std::unique_ptr<ThreadPool> owned_pool_;
 };
 

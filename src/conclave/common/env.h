@@ -1,15 +1,19 @@
 // Centralized parsing for the CONCLAVE_* environment knobs.
 //
-// Every runtime knob (CONCLAVE_BATCH_ROWS, CONCLAVE_SHARDS, CONCLAVE_MEM_BUDGET,
-// CONCLAVE_STREAM_REVEAL, CONCLAVE_THREADS, CONCLAVE_SIMD, CONCLAVE_FUSED_EXPR, ...)
-// goes through the two readers below instead of ad-hoc atoi/atoll at each call
-// site. The core parsers are pure functions over the variable's text and return
-// Status on malformed input — the readers crash with a message naming the
-// variable and the offending value rather than silently coercing garbage to 0.
+// The numeric and boolean runtime knobs go through the two readers below
+// instead of ad-hoc atoi/atoll at each call site:
+//   CONCLAVE_SHARDS, CONCLAVE_BATCH_ROWS, CONCLAVE_MEM_BUDGET — run options,
+//     applied only by compiler::ResolveExecOptions;
+//   CONCLAVE_THREADS — the shared pool's size (common/thread_pool.h);
+//   CONCLAVE_SIMD — the SIMD/scalar kernel switch (common/cpu.h).
+// (CONCLAVE_FAULT_PLAN and CONCLAVE_SPILL_DIR are strings with their own
+// parsers.) The core parsers are pure functions over the variable's text and
+// return Status on malformed input — the readers crash with a message naming
+// the variable and the offending value rather than silently coercing garbage
+// to 0.
 //
-// Integer knobs accept an optional list of named sentinel tokens (e.g.
-// "materialize" for CONCLAVE_BATCH_ROWS, "auto" for CONCLAVE_SHARDS) so the
-// spellings each knob documented before centralization keep working.
+// Integer knobs accept an optional list of named sentinel tokens (e.g. "auto"
+// for CONCLAVE_SHARDS).
 #ifndef CONCLAVE_COMMON_ENV_H_
 #define CONCLAVE_COMMON_ENV_H_
 

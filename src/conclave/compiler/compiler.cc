@@ -5,6 +5,7 @@
 #include "conclave/common/logging.h"
 #include "conclave/common/thread_pool.h"
 #include "conclave/compiler/backend_chooser.h"
+#include "conclave/compiler/exec_options.h"
 #include "conclave/compiler/hybrid_transform.h"
 #include "conclave/compiler/ownership.h"
 #include "conclave/compiler/padding.h"
@@ -13,8 +14,6 @@
 #include "conclave/compiler/sort_elimination.h"
 #include "conclave/compiler/sort_pushup.h"
 #include "conclave/compiler/trust.h"
-#include "conclave/relational/pipeline.h"
-#include "conclave/relational/spill.h"
 
 namespace conclave {
 namespace compiler {
@@ -127,23 +126,20 @@ StatusOr<Compilation> Compile(ir::Dag& dag, const CompilerOptions& options) {
                          : ThreadPool::DefaultParallelism();
     AnnotateShardAdvice(result.cost_report, result.plan,
                         options.planning_cost_model, pool, hinted_rows);
-    // Pipeline-fusion advice at the advised shard count and the configured (or
-    // env-default) batch size; the dispatcher fuses exactly these chains.
+    // The batch, fault, and spill advice describe the run options a default
+    // run resolves (the dispatcher calls the same resolver).
+    CONCLAVE_ASSIGN_OR_RETURN(const ExecOptions exec, ResolveExecOptions({}));
+    // Pipeline-fusion advice at the advised shard count; the dispatcher fuses
+    // exactly these chains.
     AnnotatePipelineAdvice(result.cost_report, dag,
                            result.cost_report.recommended_shard_count,
-                           DefaultBatchRows());
-    // Fault-injection advice from the same CONCLAVE_FAULT_PLAN knob the
-    // dispatcher resolves at run time; a malformed value fails loud there —
-    // explain treats it as off.
-    StatusOr<FaultPlan> fault_plan = FaultPlan::FromEnv();
-    AnnotateFaultAdvice(result.cost_report,
-                        fault_plan.ok() ? *fault_plan : FaultPlan{},
+                           exec.batch_rows);
+    AnnotateFaultAdvice(result.cost_report, *exec.fault_plan,
                         options.planning_cost_model);
-    // Spill advice from the same CONCLAVE_MEM_BUDGET knob the dispatcher
-    // resolves at run time (DESIGN.md §12); with exact cardinalities the
-    // estimate equals the metered spill charge.
+    // With exact cardinalities the spill estimate equals the metered charge
+    // (DESIGN.md §12).
     AnnotateSpillAdvice(result.cost_report, dag, options.planning_cost_model,
-                        DefaultMemBudgetRows(), options.planning_cardinality);
+                        exec.mem_budget_rows, options.planning_cardinality);
   }
 
   CONCLAVE_LOG(kInfo, "compiled query: %zu transformations, %zu jobs",

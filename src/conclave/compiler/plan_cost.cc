@@ -6,12 +6,10 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "conclave/common/env.h"
 #include "conclave/common/strings.h"
 #include "conclave/mpc/garbled/gc_cost.h"
 #include "conclave/mpc/oblivious.h"
 #include "conclave/mpc/protocols.h"
-#include "conclave/relational/expr.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/spill.h"
 
@@ -774,35 +772,19 @@ std::string PlanCostReport::ToString() const {
   out += StrFormat("shard-advice: %d shard(s) (cleartext scan %s)\n",
                    recommended_shard_count,
                    FormatPlanSeconds(cleartext_scan_seconds).c_str());
-  if (pipeline_batch_rows > 0) {
-    out += StrFormat(
-        "pipeline-advice: %d fused chain(s) over %d node(s), longest %d "
-        "(batch %lld rows; resident rows per shard <= depth x batch)\n",
-        fused_pipeline_chains, fused_pipeline_nodes, longest_pipeline_chain,
-        static_cast<long long>(pipeline_batch_rows));
-    if (fused_expr_enabled) {
-      out += StrFormat(
-          "expr-advice: %d fused expression group(s) over %d node(s) (one "
-          "register-resident pass per batch; per-node pricing unchanged)\n",
-          fused_expr_groups, fused_expr_nodes);
-    } else {
-      out +=
-          "expr-advice: fused evaluator off (unset CONCLAVE_FUSED_EXPR=0 to "
-          "re-enable)\n";
-    }
-    if (stream_reveal_enabled) {
-      out += StrFormat(
-          "reveal-advice: %d chain(s) stream their reveal boundary "
-          "(batch-at-a-time reconstruction; boundary charge unchanged)\n",
-          streamed_reveal_chains);
-    } else {
-      out +=
-          "reveal-advice: streaming reveal off (unset CONCLAVE_STREAM_REVEAL=0 "
-          "to re-enable)\n";
-    }
-  } else {
-    out += "pipeline-advice: fusion disabled (materializing operators)\n";
-  }
+  out += StrFormat(
+      "pipeline-advice: %d fused chain(s) over %d node(s), longest %d "
+      "(batch %lld rows; resident rows per shard <= depth x batch)\n",
+      fused_pipeline_chains, fused_pipeline_nodes, longest_pipeline_chain,
+      static_cast<long long>(pipeline_batch_rows));
+  out += StrFormat(
+      "expr-advice: %d fused expression group(s) over %d node(s) (one "
+      "register-resident pass per batch; per-node pricing unchanged)\n",
+      fused_expr_groups, fused_expr_nodes);
+  out += StrFormat(
+      "reveal-advice: %d chain(s) stream their reveal boundary "
+      "(batch-at-a-time reconstruction; boundary charge unchanged)\n",
+      streamed_reveal_chains);
   if (fault_mode) {
     out += StrFormat(
         "fault-advice: injection armed (%s); <=%d retransmissions/send "
@@ -964,18 +946,13 @@ std::vector<std::vector<const ir::OpNode*>> PipelineChains(
 
 void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
                             int shard_count, int64_t batch_rows) {
-  report.pipeline_batch_rows = batch_rows > 0 ? batch_rows : 0;
+  report.pipeline_batch_rows = batch_rows;
   report.fused_pipeline_chains = 0;
   report.fused_pipeline_nodes = 0;
   report.longest_pipeline_chain = 0;
-  report.fused_expr_enabled = FusedExprEnabled();
   report.fused_expr_groups = 0;
   report.fused_expr_nodes = 0;
-  report.stream_reveal_enabled = env::BoolKnob("CONCLAVE_STREAM_REVEAL", true);
   report.streamed_reveal_chains = 0;
-  if (batch_rows <= 0) {
-    return;
-  }
   // Mirrors relational/expr.h's FusibleExprOp at the plan level: the
   // dispatcher's PipelineOps map 1:1 to these node kinds, so counting runs
   // here predicts the executor's slots exactly.
@@ -999,7 +976,7 @@ void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
     report.fused_pipeline_nodes += static_cast<int>(chain.size());
     report.longest_pipeline_chain =
         std::max(report.longest_pipeline_chain, static_cast<int>(chain.size()));
-    if (report.stream_reveal_enabled && chain.front()->inputs.size() == 1) {
+    if (chain.front()->inputs.size() == 1) {
       // Mirrors the executor's eligibility: the head's sole input is an
       // MPC/hybrid value (a shared relation at run time) with no consumer
       // besides this chain — the reveal streams instead of materializing.
@@ -1009,9 +986,6 @@ void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
         ++report.streamed_reveal_chains;
       }
     }
-    if (!report.fused_expr_enabled) {
-      continue;
-    }
     size_t i = 0;
     while (i < chain.size()) {
       size_t end = i + 1;
@@ -1019,8 +993,6 @@ void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
         while (end < chain.size() && expr_fusible(*chain[end])) {
           ++end;
         }
-      }
-      if (end - i >= 2) {
         ++report.fused_expr_groups;
         report.fused_expr_nodes += static_cast<int>(end - i);
       }

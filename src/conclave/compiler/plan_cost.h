@@ -80,27 +80,23 @@ struct PlanCostReport {
   int fused_pipeline_chains = 0;
   int fused_pipeline_nodes = 0;
   int longest_pipeline_chain = 0;
-  int64_t pipeline_batch_rows = 0;  // 0 = fusion disabled (materializing).
+  int64_t pipeline_batch_rows = 0;
 
   // Streaming-reveal advice (DESIGN.md §14, filled alongside the chain
-  // counts): whether the CONCLAVE_STREAM_REVEAL knob is on at explain time,
-  // and how many of the fused chains are headed by the sole consumer of an
-  // MPC/hybrid value — those reveals stream batch-at-a-time into the chain
+  // counts): how many of the fused chains are headed by the sole consumer of
+  // an MPC/hybrid value — those reveals stream batch-at-a-time into the chain
   // instead of materializing. Advisory only: the reveal's boundary charge is
-  // identical in both paths (one whole-relation reveal, charged at
-  // conversion), so the estimate==meter identities are untouched.
-  bool stream_reveal_enabled = false;
+  // one whole-relation reveal either way, so the estimate==meter identities
+  // are untouched.
   int streamed_reveal_chains = 0;
 
   // Fused-expression advice (filled by AnnotatePipelineAdvice alongside the
-  // chain counts): within the fused chains, how many maximal runs of >= 2
+  // chain counts): within the fused chains, how many maximal runs of >= 1
   // adjacent filter / project / arithmetic nodes the executor compiles into
   // single-pass FusedExprPrograms (relational/expr.h), and how many nodes
   // those runs cover. Advisory only — a fused run reports per-node input rows
-  // identical to per-operator execution, so per-node pricing (and the
-  // estimate==meter identities) are unchanged. Reflects the
-  // CONCLAVE_FUSED_EXPR knob at explain time.
-  bool fused_expr_enabled = false;
+  // identical to one-op-at-a-time execution, so per-node pricing (and the
+  // estimate==meter identities) are unchanged.
   int fused_expr_groups = 0;
   int fused_expr_nodes = 0;
 
@@ -180,7 +176,7 @@ std::vector<std::vector<const ir::OpNode*>> PipelineChains(
     std::span<const ir::OpNode* const> topo, int shard_count);
 
 // Fills the report's pipeline-fusion advice from the placed DAG at the given
-// shard count and batch size (batch_rows <= 0 = fusion disabled).
+// shard count and (positive) batch size.
 void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
                             int shard_count, int64_t batch_rows);
 

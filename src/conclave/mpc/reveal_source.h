@@ -13,10 +13,10 @@
 // ranges concurrently with results bit-identical to slicing the one-shot
 // reveal. Boundary charges are NOT applied here — the dispatcher charges
 // mpc::ChargeRevealMeters once for the whole reveal when it converts the value,
-// exactly as the materializing path does, so clocks and counters cannot depend
-// on the knob.
+// exactly as the materializing path does, so clocks and counters do not depend
+// on which path a reveal takes.
 //
-// Under fault injection the corruptions that DeliverReveal would inject inline
+// Under fault injection the corruptions that DeliverReveal checks inline
 // arrive instead as a schedule (net/fault.h DeliverRevealStreamed); the
 // detection moves to the batch that covers each corrupted row: the delivery
 // copy is corrupted, its per-batch commitment (malicious::IncrementalCommitter,

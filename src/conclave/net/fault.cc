@@ -331,74 +331,27 @@ void FaultInjector::OnSend(PartyId from, PartyId to, uint64_t bytes) {
 }
 
 void FaultInjector::DeliverReveal(const Relation& revealed) {
-  const int ordinal = reveal_ordinal_++;
-  if (revealed.NumRows() == 0 || revealed.schema().NumColumns() == 0) {
-    return;  // No payload cells to corrupt.
-  }
-  int times = 0;
-  if (const FaultEvent* event =
-          MatchEvent(FaultEvent::Kind::kCorruptReveal, ordinal)) {
-    times = event->times;
-  } else if (plan_.corrupt_rate > 0 &&
-             UnitDouble(DecisionWord(FaultEvent::Kind::kCorruptReveal,
-                                     static_cast<uint64_t>(ordinal))) <
-                 plan_.corrupt_rate) {
-    times = plan_.corrupt_times;
-  }
-  if (times == 0) {
+  uint64_t nonce = 0;
+  const std::vector<RevealCorruption> schedule = DeliverRevealStreamed(
+      revealed.NumRows(), revealed.schema().NumColumns(), &nonce);
+  if (schedule.empty()) {
     return;
   }
-  Trace(FaultEvent::Kind::kCorruptReveal, ordinal, times, 0);
-  NodeRecovery& recovery = Recovery();
-  report_.injected_corruptions += static_cast<uint64_t>(times);
-  recovery.counts.injected += static_cast<uint64_t>(times);
-
   // End-to-end detection through the malicious-security commitment layer: the
   // sender commits to the revealed relation; every delivery is checked against
   // the commitment, so a corrupted payload never enters the cleartext plane.
-  const uint64_t nonce =
-      plan_.seed ^ (static_cast<uint64_t>(scope_ + 1) * 0x100000001b3ULL +
-                    static_cast<uint64_t>(ordinal));
   const malicious::Commitment commitment =
       malicious::CommitRelation(revealed, nonce);
-  const uint64_t bytes = revealed.ByteSize();
-  const int retried = std::min(times, model_.max_send_retries);
-  for (int k = 0; k < retried; ++k) {
-    // Corrupt one payload cell of a delivery copy; the opening check must fail.
+  for (const RevealCorruption& corruption : schedule) {
     Relation corrupted = revealed;
-    const uint64_t word =
-        DecisionWord(FaultEvent::Kind::kCorruptReveal,
-                     (static_cast<uint64_t>(ordinal) << 8) ^
-                         (0x40 + static_cast<uint64_t>(k)));
-    const int64_t row =
-        static_cast<int64_t>(word % static_cast<uint64_t>(corrupted.NumRows()));
-    const int col = static_cast<int>((word >> 32) %
-                                     static_cast<uint64_t>(
-                                         corrupted.schema().NumColumns()));
-    corrupted.ColumnData(col)[row] ^= 1LL << (word % 63);
+    corrupted.ColumnData(corruption.col)[corruption.row] ^= corruption.bit;
     CONCLAVE_CHECK(!malicious::VerifyOpening(corrupted, nonce, commitment));
-    recovery.seconds += model_.RetrySeconds(k, bytes);
-    ++report_.retried_sends;
-    ++recovery.counts.retried;
-    report_.recovery_bytes += bytes;
   }
-  if (times <= model_.max_send_retries) {
-    CONCLAVE_CHECK(malicious::VerifyOpening(revealed, nonce, commitment));
-    report_.recovered_faults += static_cast<uint64_t>(times);
-    recovery.counts.recovered += static_cast<uint64_t>(times);
-  } else {
-    RaisePendingFailure(StrFormat(
-        "reveal #%d into node #%d corrupted %d time(s) (commitment mismatch), "
-        "exceeding max_send_retries=%d",
-        ordinal, scope_, times, model_.max_send_retries));
-  }
+  CONCLAVE_CHECK(malicious::VerifyOpening(revealed, nonce, commitment));
 }
 
 std::vector<FaultInjector::RevealCorruption> FaultInjector::DeliverRevealStreamed(
     int64_t rows, int cols, uint64_t* nonce_out) {
-  // Mirrors DeliverReveal decision for decision and charge for charge; the two
-  // paths must stay bit-identical on ordinals, clocks, counters, and failure
-  // provenance or the stream_reveal knob would leak into the fault contract.
   const int ordinal = reveal_ordinal_++;
   *nonce_out =
       plan_.seed ^ (static_cast<uint64_t>(scope_ + 1) * 0x100000001b3ULL +

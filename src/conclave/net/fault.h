@@ -186,15 +186,14 @@ class FaultInjector {
     int64_t bit = 0;
   };
 
-  // The streaming twin of DeliverReveal: consumes the same reveal ordinal and
-  // makes identical injection decisions, retry charges, counter updates, and
-  // pending-failure escalations — computed from the reveal's public shape
-  // (rows x cols, ByteSize = rows * cols * 8) without the relation ever
-  // materializing here. Returns the corruption schedule (empty when this reveal
-  // is untouched) and the commitment nonce for the batch-level opening checks;
-  // the detection CHECKs that DeliverReveal runs inline move to the
-  // RevealSource's batch verification. A plan is recoverable through this path
-  // exactly when it is recoverable through DeliverReveal.
+  // The reveal-fault decision routine, for a reveal the caller never
+  // materializes: consumes the next reveal ordinal and makes the injection
+  // decisions, retry charges, counter updates, and pending-failure escalations
+  // from the reveal's public shape (rows x cols, ByteSize = rows * cols * 8).
+  // Returns the corruption schedule (empty when this reveal is untouched) and
+  // the commitment nonce for the opening checks, which mpc::RevealSource runs
+  // per batch. DeliverReveal is this call plus the inline checks, so both
+  // entry points charge and report identically.
   std::vector<RevealCorruption> DeliverRevealStreamed(int64_t rows, int cols,
                                                       uint64_t* nonce_out);
 

@@ -1,37 +1,10 @@
 #include "conclave/relational/expr.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <string>
 
 #include "conclave/common/check.h"
-#include "conclave/common/env.h"
 
 namespace conclave {
-
-// --- Knob -------------------------------------------------------------------
-
-namespace {
-
-int InitFusedExprKnobFromEnv() {
-  return env::BoolKnob("CONCLAVE_FUSED_EXPR", /*fallback=*/true) ? 1 : 0;
-}
-
-std::atomic<int>& FusedExprKnob() {
-  static std::atomic<int> knob(InitFusedExprKnobFromEnv());
-  return knob;
-}
-
-}  // namespace
-
-bool FusedExprEnabled() {
-  return FusedExprKnob().load(std::memory_order_relaxed) != 0;
-}
-
-void SetFusedExprEnabled(bool enabled) {
-  FusedExprKnob().store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 // --- Slot partitioning ------------------------------------------------------
 
@@ -48,21 +21,17 @@ bool FusibleExprOp(const PipelineOp& op) {
   return false;
 }
 
-std::vector<ExprSlot> FuseExprSlots(std::span<const PipelineOp> ops, bool fuse) {
+std::vector<ExprSlot> FuseExprSlots(std::span<const PipelineOp> ops) {
   std::vector<ExprSlot> slots;
   size_t i = 0;
   while (i < ops.size()) {
     size_t end = i + 1;
-    if (fuse && FusibleExprOp(ops[i])) {
+    if (FusibleExprOp(ops[i])) {
       while (end < ops.size() && FusibleExprOp(ops[end])) {
         ++end;
       }
     }
-    if (end - i >= 2) {
-      slots.push_back({i, end});
-    } else {
-      slots.push_back({i, i + 1});
-    }
+    slots.push_back({i, end});
     i = end;
   }
   return slots;

@@ -1,6 +1,6 @@
 // Fused expression evaluator for pipeline chains (DESIGN.md §13).
 //
-// A maximal run (>= 2 ops) of adjacent filter / project / arithmetic pipeline
+// A maximal run (>= 1 op) of adjacent filter / project / arithmetic pipeline
 // ops compiles into one FusedExprProgram: a short instruction list evaluated in
 // a single pass per batch. Arithmetic results live in register-resident scratch
 // columns, filters AND into one progressive byte mask (cpu::CompareMask), and
@@ -23,11 +23,7 @@
 // count that op would have consumed in the unfused execution (the mask
 // popcount after the preceding filters). BatchPipeline feeds these into
 // PipelineStats::op_input_rows, so the dispatcher's estimate == meter identity
-// holds whether or not fusion is enabled.
-//
-// The CONCLAVE_FUSED_EXPR knob (unset or any value other than "0"/"off"/
-// "false" means enabled) mirrors CONCLAVE_SIMD: it never changes results, only
-// whether chains execute fused or one operator at a time.
+// holds for every fused node.
 #ifndef CONCLAVE_RELATIONAL_EXPR_H_
 #define CONCLAVE_RELATIONAL_EXPR_H_
 
@@ -41,46 +37,25 @@
 
 namespace conclave {
 
-// The CONCLAVE_FUSED_EXPR knob. SetFusedExprEnabled overrides the environment
-// for the process; BatchPipeline reads the knob once at construction.
-bool FusedExprEnabled();
-void SetFusedExprEnabled(bool enabled);
-
-// RAII knob override for tests and A/B benches.
-class ScopedFusedExpr {
- public:
-  explicit ScopedFusedExpr(bool enabled) : saved_(FusedExprEnabled()) {
-    SetFusedExprEnabled(enabled);
-  }
-  ~ScopedFusedExpr() { SetFusedExprEnabled(saved_); }
-  ScopedFusedExpr(const ScopedFusedExpr&) = delete;
-  ScopedFusedExpr& operator=(const ScopedFusedExpr&) = delete;
-
- private:
-  bool saved_;
-};
-
 // True for the op kinds the fused evaluator can compile (filter / project /
 // arithmetic). Limit and distinct-on-sorted carry cross-batch state and stay
 // standalone operators.
 bool FusibleExprOp(const PipelineOp& op);
 
-// One executor slot of a pipeline: ops [begin, end) of the spec. end - begin
-// >= 2 means the slot runs as one FusedExprProgram; a singleton slot runs as
-// the op's standalone streaming operator.
+// One executor slot of a pipeline: ops [begin, end) of the spec. A slot of
+// fusible ops runs as one FusedExprProgram; any other slot is a single limit
+// or distinct-on-sorted op running as its standalone streaming operator.
 struct ExprSlot {
   size_t begin = 0;
   size_t end = 0;
 
   size_t size() const { return end - begin; }
-  bool fused() const { return size() >= 2; }
 };
 
-// Partitions an op chain into slots. With `fuse` set, every maximal run of
-// >= 2 adjacent fusible ops becomes one fused slot; everything else (and the
-// whole chain when `fuse` is false) becomes singleton slots. Slots cover
+// Partitions an op chain into slots: every maximal run of >= 1 adjacent
+// fusible ops becomes one slot, every other op a singleton slot. Slots cover
 // [0, ops.size()) exactly, in order.
-std::vector<ExprSlot> FuseExprSlots(std::span<const PipelineOp> ops, bool fuse);
+std::vector<ExprSlot> FuseExprSlots(std::span<const PipelineOp> ops);
 
 // A compiled fused run. Construction resolves every op's column references
 // against the evolving intermediate schema, so evaluation touches only raw

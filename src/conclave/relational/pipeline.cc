@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "conclave/common/cpu.h"
 #include "conclave/common/env.h"
 #include "conclave/mpc/reveal_source.h"
 #include "conclave/relational/csv.h"
@@ -14,12 +13,8 @@
 namespace conclave {
 
 int64_t DefaultBatchRows() {
-  // "materialize" (and its numeric spelling "0") turns fusion off; anything
-  // else must be a positive batch size.
   return env::Int64Knob("CONCLAVE_BATCH_ROWS", kDefaultBatchRows, /*min_value=*/1,
-                        std::numeric_limits<int64_t>::max(),
-                        {{"materialize", kMaterializeBatchRows},
-                         {"0", kMaterializeBatchRows}});
+                        std::numeric_limits<int64_t>::max());
 }
 
 PipelineOp PipelineOp::Filter(const FilterPredicate& predicate) {
@@ -92,22 +87,15 @@ class BatchOperator {
   virtual void Reset() {}
   // Consumes one owned batch, emitting zero or more output batches.
   virtual void Consume(Relation&& batch) = 0;
-  // Consumes rows [lo, hi) of a borrowed source relation. The default
-  // materializes the slice; operators whose kernel can read the source directly
-  // (filter's selection scan, project's column copies) override it to skip the
-  // head-of-pipeline copy.
-  virtual void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) {
-    SelfDeliver(CopySlice(src, lo, hi));
-  }
+  // Consumes rows [lo, hi) of a borrowed source relation, reading the source
+  // directly so the head of the pipeline never copies its input slice.
+  virtual void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) = 0;
   // End of stream. None of the streaming operators buffer whole batches, so the
   // default emits nothing; the hook is the contract's drain point.
   virtual void Flush() {}
 
  protected:
   void Emit(Relation&& batch) { pipeline_->Push(index_ + 1, std::move(batch)); }
-  // Routes a head-of-pipeline slice copy through the pipeline's residency
-  // accounting and back into this operator's Consume.
-  void SelfDeliver(Relation&& batch) { pipeline_->Push(index_, std::move(batch)); }
   // Fused-slot accounting hook (see BatchPipeline::AddOpInputRows).
   void AddOpInputRows(size_t op_index, int64_t rows) {
     pipeline_->AddOpInputRows(op_index, rows);
@@ -120,101 +108,6 @@ class BatchOperator {
 };
 
 namespace {
-
-class FilterOperator : public BatchOperator {
- public:
-  FilterOperator(BatchPipeline* pipeline, size_t index, Schema output_schema,
-                 const FilterPredicate& predicate)
-      : BatchOperator(pipeline, index, std::move(output_schema)),
-        predicate_(predicate) {}
-
-  void Consume(Relation&& batch) override { ConsumeSlice(batch, 0, batch.NumRows()); }
-
-  void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) override {
-    if (hi == lo) {
-      return;
-    }
-    const int64_t* const lhs = src.ColumnSpan(predicate_.column).data();
-    const int64_t* const rhs = predicate_.rhs_is_column
-                                   ? src.ColumnSpan(predicate_.rhs_column).data()
-                                   : nullptr;
-    selected_.resize(static_cast<size_t>(hi - lo));
-    const size_t count = cpu::SelectCompare(
-        static_cast<cpu::Cmp>(predicate_.op), lhs + lo,
-        rhs != nullptr ? rhs + lo : nullptr, predicate_.rhs_literal,
-        /*base=*/lo, static_cast<size_t>(hi - lo), selected_.data());
-    selected_.resize(count);
-    if (!selected_.empty()) {
-      Emit(ops::GatherRows(src, selected_));
-    }
-  }
-
- private:
-  FilterPredicate predicate_;
-  std::vector<int64_t> selected_;  // Reused scratch; O(batch) rows.
-};
-
-class ProjectOperator : public BatchOperator {
- public:
-  ProjectOperator(BatchPipeline* pipeline, size_t index, Schema output_schema,
-                  std::vector<int> columns)
-      : BatchOperator(pipeline, index, std::move(output_schema)),
-        columns_(std::move(columns)) {}
-
-  void Consume(Relation&& batch) override { ConsumeSlice(batch, 0, batch.NumRows()); }
-
-  void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) override {
-    if (hi == lo) {
-      return;
-    }
-    Relation out{output_schema()};
-    out.Resize(hi - lo);
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      const auto column = src.ColumnSpan(columns_[i]);
-      std::copy(column.begin() + lo, column.begin() + hi,
-                out.ColumnData(static_cast<int>(i)));
-    }
-    Emit(std::move(out));
-  }
-
- private:
-  std::vector<int> columns_;
-};
-
-class ArithmeticOperator : public BatchOperator {
- public:
-  ArithmeticOperator(BatchPipeline* pipeline, size_t index, Schema output_schema,
-                     const ArithSpec& spec)
-      : BatchOperator(pipeline, index, std::move(output_schema)), spec_(spec) {}
-
-  void Consume(Relation&& batch) override { ConsumeSlice(batch, 0, batch.NumRows()); }
-
-  void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) override {
-    const int64_t rows = hi - lo;
-    if (rows == 0) {
-      return;
-    }
-    Relation out{output_schema()};
-    out.Resize(rows);
-    for (int c = 0; c < src.NumColumns(); ++c) {
-      const auto column = src.ColumnSpan(c);
-      std::copy(column.begin() + lo, column.begin() + hi, out.ColumnData(c));
-    }
-    // Same kernel as ops::Arithmetic (incl. kDiv's fixed-point scale and
-    // divide-by-zero -> 0), so batch concatenation is bit-identical.
-    const int64_t* const lhs = src.ColumnSpan(spec_.lhs_column).data() + lo;
-    const int64_t* const rhs = spec_.rhs_is_column
-                                   ? src.ColumnSpan(spec_.rhs_column).data() + lo
-                                   : nullptr;
-    cpu::ArithColumn(static_cast<cpu::Arith>(spec_.kind), lhs, rhs,
-                     spec_.rhs_literal, spec_.scale, static_cast<size_t>(rows),
-                     out.ColumnData(src.NumColumns()));
-    Emit(std::move(out));
-  }
-
- private:
-  ArithSpec spec_;
-};
 
 class LimitOperator : public BatchOperator {
  public:
@@ -314,12 +207,12 @@ class DistinctOnSortedOperator : public BatchOperator {
   std::vector<int64_t> selected_;      // Reused scratch; O(batch) rows.
 };
 
-// One executor slot covering a fused run of >= 2 adjacent filter / project /
+// One executor slot covering a maximal run of >= 1 adjacent filter / project /
 // arithmetic ops (relational/expr.h): the whole run evaluates in one
 // register-resident pass per batch. Push attributes the batch's rows to the
 // run's FIRST original op; the interior ops' per-op input rows come from the
-// program's accounting and flow through AddOpInputRows, so op_input_rows is
-// identical to the unfused execution at every batch size.
+// program's accounting and flow through AddOpInputRows, so op_input_rows equals
+// one-op-at-a-time execution's at every batch size.
 class FusedExprOperator : public BatchOperator {
  public:
   FusedExprOperator(BatchPipeline* pipeline, size_t slot, Schema output_schema,
@@ -381,44 +274,32 @@ BatchPipeline::BatchPipeline(const PipelineSpec& spec) {
   using pipeline_internal::BatchOperator;
   num_ops_ = spec.ops.size();
   Schema schema = spec.input_schema;
-  // Knob read once here: a pipeline's slot structure is fixed for its lifetime,
-  // so mid-run knob flips cannot desynchronize slots from operators.
-  const std::vector<ExprSlot> slots = FuseExprSlots(spec.ops, FusedExprEnabled());
-  for (const ExprSlot& slot : slots) {
+  for (const ExprSlot& slot : FuseExprSlots(spec.ops)) {
     const size_t i = operators_.size();  // This slot's executor index.
+    const PipelineOp& op = spec.ops[slot.begin];
     std::unique_ptr<BatchOperator> built;
     Schema out;
-    if (slot.fused()) {
-      FusedExprProgram program(
-          schema, std::span<const PipelineOp>(spec.ops).subspan(
-                      slot.begin, slot.size()));
-      out = program.output_schema();
-      built = std::make_unique<pipeline_internal::FusedExprOperator>(
-          this, i, out, std::move(program), slot.begin);
-    } else {
-      const PipelineOp& op = spec.ops[slot.begin];
-      out = DeriveSchema(schema, op);
-      switch (op.kind) {
-        case PipelineOp::Kind::kFilter:
-          built = std::make_unique<pipeline_internal::FilterOperator>(this, i, out,
-                                                                      op.filter);
-          break;
-        case PipelineOp::Kind::kProject:
-          built = std::make_unique<pipeline_internal::ProjectOperator>(this, i, out,
-                                                                       op.columns);
-          break;
-        case PipelineOp::Kind::kArithmetic:
-          built = std::make_unique<pipeline_internal::ArithmeticOperator>(this, i, out,
-                                                                          op.arith);
-          break;
-        case PipelineOp::Kind::kLimit:
-          built = std::make_unique<pipeline_internal::LimitOperator>(this, i, out,
-                                                                     op.limit_count);
-          break;
-        case PipelineOp::Kind::kDistinctOnSorted:
-          built = std::make_unique<pipeline_internal::DistinctOnSortedOperator>(
-              this, i, out, op.columns);
-          break;
+    switch (op.kind) {
+      case PipelineOp::Kind::kLimit:
+        out = DeriveSchema(schema, op);
+        built = std::make_unique<pipeline_internal::LimitOperator>(this, i, out,
+                                                                   op.limit_count);
+        break;
+      case PipelineOp::Kind::kDistinctOnSorted:
+        out = DeriveSchema(schema, op);
+        built = std::make_unique<pipeline_internal::DistinctOnSortedOperator>(
+            this, i, out, op.columns);
+        break;
+      case PipelineOp::Kind::kFilter:
+      case PipelineOp::Kind::kProject:
+      case PipelineOp::Kind::kArithmetic: {
+        FusedExprProgram program(
+            schema, std::span<const PipelineOp>(spec.ops).subspan(slot.begin,
+                                                                  slot.size()));
+        out = program.output_schema();
+        built = std::make_unique<pipeline_internal::FusedExprOperator>(
+            this, i, out, std::move(program), slot.begin);
+        break;
       }
     }
     operators_.push_back(std::move(built));
@@ -431,25 +312,25 @@ BatchPipeline::BatchPipeline(const PipelineSpec& spec) {
 BatchPipeline::~BatchPipeline() = default;
 
 void BatchPipeline::Push(size_t slot, Relation&& batch) {
+  const int64_t rows = batch.NumRows();
+  ++live_batches_;
+  live_rows_ += rows;
+  stats_.peak_batches_resident = std::max(stats_.peak_batches_resident, live_batches_);
+  stats_.peak_rows_resident = std::max(stats_.peak_rows_resident, live_rows_);
   if (slot == operators_.size()) {
+    // The chain's emitted batch, live until it is appended to the output.
     const int64_t start = output_.NumRows();
-    const int64_t rows = batch.NumRows();
     output_.Resize(start + rows);
     for (int c = 0; c < batch.NumColumns(); ++c) {
       const auto column = batch.ColumnSpan(c);
       std::copy(column.begin(), column.end(), output_.ColumnData(c) + start);
     }
-    return;
+  } else {
+    if (slot > 0) {
+      stats_.op_input_rows[slot_first_op_[slot]] += rows;
+    }
+    operators_[slot]->Consume(std::move(batch));
   }
-  const int64_t rows = batch.NumRows();
-  if (slot > 0) {
-    stats_.op_input_rows[slot_first_op_[slot]] += rows;
-  }
-  ++live_batches_;
-  live_rows_ += rows;
-  stats_.peak_batches_resident = std::max(stats_.peak_batches_resident, live_batches_);
-  stats_.peak_rows_resident = std::max(stats_.peak_rows_resident, live_rows_);
-  operators_[slot]->Consume(std::move(batch));
   --live_batches_;
   live_rows_ -= rows;
 }

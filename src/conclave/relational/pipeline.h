@@ -24,13 +24,13 @@
 // the unfused execution at every batch size.
 //
 // Executor slots: the constructor partitions the op chain into slots (see
-// relational/expr.h). A maximal run of >= 2 adjacent filter / project /
+// relational/expr.h). Every maximal run of >= 1 adjacent filter / project /
 // arithmetic ops becomes ONE operator — a FusedExprProgram evaluated in a
-// single register-resident pass per batch — when the CONCLAVE_FUSED_EXPR knob
-// is on; every other op is its own slot. PipelineStats::op_input_rows stays
-// indexed by ORIGINAL op position regardless: fused slots report their
-// interior ops' per-op input rows through the program's accounting, so the
-// dispatcher's per-node pricing is identical with fusion on or off.
+// single register-resident pass per batch; limit and distinct-on-sorted are
+// slots of their own. PipelineStats::op_input_rows stays indexed by ORIGINAL
+// op position: expression slots report their interior ops' per-op input rows
+// through the program's accounting, so the dispatcher prices every node from
+// the rows one-op-at-a-time execution would have fed it.
 #ifndef CONCLAVE_RELATIONAL_PIPELINE_H_
 #define CONCLAVE_RELATIONAL_PIPELINE_H_
 
@@ -53,12 +53,9 @@ class RevealSource;
 // enough to amortize per-batch overhead, small enough that a fused chain's
 // working set stays cache-resident).
 inline constexpr int64_t kDefaultBatchRows = 4096;
-// Disables pipeline fusion entirely: every operator materializes through ops.h
-// (the pre-pipeline executor, and the differential harness's baseline).
-inline constexpr int64_t kMaterializeBatchRows = -1;
 
-// CONCLAVE_BATCH_ROWS env override: a positive integer sets the batch size,
-// "materialize" (or any non-positive value) disables fusion; unset picks
+// CONCLAVE_BATCH_ROWS env override: a positive integer sets the batch size
+// (anything else aborts with a message naming the knob); unset picks
 // kDefaultBatchRows.
 int64_t DefaultBatchRows();
 
@@ -90,17 +87,19 @@ struct PipelineSpec {
 };
 
 // Instrumentation captured by one BatchPipeline::Run. The peaks are high-water
-// marks over pipeline-owned batches only (the source and the materialized output
-// exist regardless of batching); a non-blocking chain must keep them O(depth x
-// batch_rows), never O(input rows).
+// marks over pipeline-owned batches only — parsed or revealed source batches,
+// batches between slots, and the batch the chain emits into its output — not
+// borrowed source slices or the materialized output, which exist regardless of
+// batching; a non-blocking chain keeps them O(depth x batch_rows), never
+// O(input rows).
 struct PipelineStats {
   int64_t batches_pushed = 0;       // Source batches entering the pipeline.
   int64_t rows_pushed = 0;          // Source rows entering the pipeline.
   int64_t peak_batches_resident = 0;
   int64_t peak_rows_resident = 0;
   // Rows consumed by each operator (index-aligned with the spec's ops). Equals
-  // the materialized intermediate cardinalities of the unfused execution, at
-  // every batch size; the dispatcher prices fused interior nodes from these.
+  // the intermediate cardinalities of running the ops.h kernels one at a time,
+  // at every batch size; the dispatcher prices fused interior nodes from these.
   std::vector<int64_t> op_input_rows;
 };
 
@@ -149,7 +148,7 @@ class BatchPipeline {
   friend class pipeline_internal::BatchOperator;
 
   // Delivers one owned batch to the operator at `slot` (== operators_.size()
-  // appends to the output), tracking batch residency around the consume call.
+  // appends to the output), tracking batch residency around the delivery.
   // Input rows are attributed to the slot's FIRST original op; a fused slot
   // reports its interior ops' rows itself via AddOpInputRows.
   void Push(size_t slot, Relation&& batch);
@@ -162,8 +161,8 @@ class BatchPipeline {
 
   Schema output_schema_;
   std::vector<std::unique_ptr<pipeline_internal::BatchOperator>> operators_;
-  // Original op index each executor slot starts at (operators_ may be shorter
-  // than the spec's op list when runs are fused).
+  // Original op index each executor slot starts at (operators_ is shorter
+  // than the spec's op list wherever an expression run spans several ops).
   std::vector<size_t> slot_first_op_;
   size_t num_ops_ = 0;  // spec.ops.size(); sizes stats_.op_input_rows.
   PipelineStats stats_;

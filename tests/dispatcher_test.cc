@@ -1,14 +1,17 @@
 // Dispatcher-level tests: failure injection (simulated OOM on both MPC backends),
 // cleartext-backend selection, critical-path scheduling of parallel local jobs,
-// retired-node phantom execution, split caching, and the composition of all
-// extension features in one run.
+// retired-node phantom execution, split caching, run-option resolution, and the
+// composition of all extension features in one run.
 #include <gtest/gtest.h>
 
 #include <functional>
 
 #include "conclave/api/conclave.h"
+#include "conclave/compiler/exec_options.h"
 #include "conclave/data/generators.h"
+#include "conclave/relational/pipeline.h"
 #include "conclave/relational/sharded.h"
+#include "test_util.h"
 
 namespace conclave {
 namespace {
@@ -61,7 +64,7 @@ Status RunCreditLikeStatus(
   BuildCreditLike(setup, 400);
   mutate(setup.inputs);
   return setup.query
-      .Run(setup.inputs, {}, model, /*seed=*/42, /*pool_parallelism=*/pool)
+      .Run(setup.inputs, {}, model, /*seed=*/42, {.pool_parallelism = pool})
       .status();
 }
 
@@ -69,7 +72,8 @@ void ExpectPoolStillHealthy(int pool) {
   QuerySetup setup;
   BuildCreditLike(setup, 100);
   const auto result =
-      setup.query.Run(setup.inputs, {}, CostModel{}, /*seed=*/42, pool);
+      setup.query.Run(setup.inputs, {}, CostModel{}, /*seed=*/42,
+                      {.pool_parallelism = pool});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->outputs.at("out").NumRows(), 0);
 }
@@ -274,11 +278,64 @@ TEST(DispatcherTest, ShardedConsumersOfOneValueSplitOnce) {
 
   const int64_t before = ShardedRelation::SplitEvenCalls();
   const auto result = query.Run(inputs, {}, CostModel{}, /*seed=*/42,
-                                /*pool_parallelism=*/2, /*shard_count=*/4);
+                                {.pool_parallelism = 2, .shard_count = 4});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->outputs.at("f").NumRows(), 0);
   EXPECT_GT(result->outputs.at("g").NumRows(), 0);
   EXPECT_EQ(ShardedRelation::SplitEvenCalls() - before, 1);
+}
+
+// The one resolver behind Dispatcher::Run and the explain advice: unset fields
+// take their environment defaults, explicit fields win, and the results are in
+// the documented resolved ranges.
+TEST(ExecOptionsTest, ResolverAppliesEnvDefaultsToUnsetFieldsOnly) {
+  test::ScopedEnvVar shards("CONCLAVE_SHARDS", "auto");
+  test::ScopedEnvVar batch("CONCLAVE_BATCH_ROWS", "96");
+  test::ScopedEnvVar budget("CONCLAVE_MEM_BUDGET", "512");
+  test::ScopedEnvVar faults("CONCLAVE_FAULT_PLAN", "seed=3,drop=0.5");
+
+  const auto from_env = compiler::ResolveExecOptions({});
+  ASSERT_TRUE(from_env.ok()) << from_env.status().ToString();
+  EXPECT_EQ(from_env->pool_parallelism, 0);
+  EXPECT_EQ(from_env->shard_count, compiler::ExecOptions::kAutoShardCount);
+  EXPECT_EQ(from_env->batch_rows, 96);
+  EXPECT_EQ(from_env->mem_budget_rows, 512);
+  ASSERT_TRUE(from_env->fault_plan.has_value());
+  EXPECT_TRUE(from_env->fault_plan->enabled);
+
+  const auto explicit_options = compiler::ResolveExecOptions(
+      {.pool_parallelism = 3, .shard_count = 2, .batch_rows = 7,
+       .fault_plan = FaultPlan{}, .mem_budget_rows = -1});
+  ASSERT_TRUE(explicit_options.ok());
+  EXPECT_EQ(explicit_options->pool_parallelism, 3);
+  EXPECT_EQ(explicit_options->shard_count, 2);
+  EXPECT_EQ(explicit_options->batch_rows, 7);
+  EXPECT_FALSE(explicit_options->fault_plan->enabled);
+  EXPECT_EQ(explicit_options->mem_budget_rows, 0);  // Negative = unbounded.
+}
+
+TEST(ExecOptionsTest, ResolverDefaultsAndRejections) {
+  {
+    test::ScopedEnvVar shards("CONCLAVE_SHARDS", nullptr);
+    test::ScopedEnvVar batch("CONCLAVE_BATCH_ROWS", nullptr);
+    test::ScopedEnvVar budget("CONCLAVE_MEM_BUDGET", nullptr);
+    test::ScopedEnvVar faults("CONCLAVE_FAULT_PLAN", nullptr);
+    const auto defaults = compiler::ResolveExecOptions({});
+    ASSERT_TRUE(defaults.ok());
+    EXPECT_EQ(defaults->shard_count, 1);
+    EXPECT_EQ(defaults->batch_rows, kDefaultBatchRows);
+    EXPECT_EQ(defaults->mem_budget_rows, 0);
+    EXPECT_FALSE(defaults->fault_plan->enabled);
+  }
+  EXPECT_EQ(compiler::ResolveExecOptions({.batch_rows = -1}).status().code(),
+            StatusCode::kInvalidArgument);
+  {
+    test::ScopedEnvVar faults("CONCLAVE_FAULT_PLAN", "nope=1");
+    EXPECT_EQ(compiler::ResolveExecOptions({}).status().code(),
+              StatusCode::kInvalidArgument);
+    // An explicit plan never consults the environment.
+    EXPECT_TRUE(compiler::ResolveExecOptions({.fault_plan = FaultPlan{}}).ok());
+  }
 }
 
 TEST(DispatcherTest, MultipleOutputsDeliverIndependently) {

@@ -479,9 +479,9 @@ TEST(BeyondRamTest, SortJoinGroupBySpillsWithinBudgetBitIdentically) {
   Query unbounded_query;
   std::map<std::string, Relation> inputs;
   build(unbounded_query, inputs);
-  const auto unbounded = unbounded_query.Run(
-      inputs, {}, CostModel{}, /*seed=*/42, /*pool_parallelism=*/0,
-      /*shard_count=*/1, /*batch_rows=*/0, std::nullopt, /*mem_budget_rows=*/-1);
+  const auto unbounded =
+      unbounded_query.Run(inputs, {}, CostModel{}, /*seed=*/42,
+                          {.shard_count = 1, .mem_budget_rows = -1});
   ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
   EXPECT_EQ(unbounded->spill_report.mem_budget_rows, 0);
   EXPECT_EQ(unbounded->spill_report.spill_seconds, 0.0);
@@ -490,10 +490,9 @@ TEST(BeyondRamTest, SortJoinGroupBySpillsWithinBudgetBitIdentically) {
   Query budgeted_query;
   std::map<std::string, Relation> budgeted_inputs;
   build(budgeted_query, budgeted_inputs);
-  const auto budgeted = budgeted_query.Run(
-      budgeted_inputs, {}, CostModel{}, /*seed=*/42, /*pool_parallelism=*/0,
-      /*shard_count=*/1, /*batch_rows=*/0, std::nullopt,
-      /*mem_budget_rows=*/kBudget);
+  const auto budgeted =
+      budgeted_query.Run(budgeted_inputs, {}, CostModel{}, /*seed=*/42,
+                         {.shard_count = 1, .mem_budget_rows = kBudget});
   ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
   EXPECT_TRUE(budgeted->outputs.at("out").RowsEqual(unbounded->outputs.at("out")));
   EXPECT_GT(budgeted->spill_report.spilling_nodes, 0);
@@ -522,41 +521,46 @@ TEST(BeyondRamTest, CsvSourceStreamsThroughFusedChainWithoutMaterializing) {
       file << i << "," << (i % 100) << "\n";
     }
   }
-  const auto build = [&path](Query& query) {
+  const auto build = [&path](Query& query, bool from_csv) {
     Party alice = query.AddParty("alice");
-    Table t = query.NewCsvTable("t", {{"k"}, {"v"}}, alice, path, kRows);
+    Table t = from_csv
+                  ? query.NewCsvTable("t", {{"k"}, {"v"}}, alice, path, kRows)
+                  : query.NewTable("t", {{"k"}, {"v"}}, alice, kRows);
     t.Filter("v", CompareOp::kGt, 50).Project({"k"}).WriteToCsv("out", {alice});
   };
 
   Query streamed_query;
-  build(streamed_query);
-  const auto streamed =
-      streamed_query.Run({}, {}, CostModel{}, /*seed=*/42,
-                         /*pool_parallelism=*/0, /*shard_count=*/1, kBatch);
+  build(streamed_query, /*from_csv=*/true);
+  const auto streamed = streamed_query.Run({}, {}, CostModel{}, /*seed=*/42,
+                                           {.shard_count = 1, .batch_rows = kBatch});
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   // The non-materialization witness: no parse ever produced more than one
   // batch of source rows.
   EXPECT_GT(streamed->csv_peak_parse_rows, 0);
   EXPECT_LE(streamed->csv_peak_parse_rows, kBatch);
 
+  // Baseline: the same rows handed over in memory, with no CSV source.
+  Relation rows{Schema::Of({"k", "v"})};
+  for (int64_t i = 0; i < kRows; ++i) {
+    rows.AppendRow({i, i % 100});
+  }
   Query materialized_query;
-  build(materialized_query);
+  build(materialized_query, /*from_csv=*/false);
   const auto materialized = materialized_query.Run(
-      {}, {}, CostModel{}, /*seed=*/42, /*pool_parallelism=*/0,
-      /*shard_count=*/1, kMaterializeBatchRows);
+      {{"t", rows}}, {}, CostModel{}, /*seed=*/42, {.shard_count = 1});
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  EXPECT_EQ(materialized->csv_peak_parse_rows, 0);  // Eager parse: no source.
+  EXPECT_EQ(materialized->csv_peak_parse_rows, 0);  // No CSV source.
   EXPECT_TRUE(
       streamed->outputs.at("out").RowsEqual(materialized->outputs.at("out")));
-  // The batch axis never moves the clock, streamed ingest included.
+  // Streamed ingest never moves the clock.
   EXPECT_EQ(streamed->virtual_seconds, materialized->virtual_seconds);
 
   // Sharded streaming: per-shard pipelines parse disjoint row ranges.
   Query sharded_query;
-  build(sharded_query);
-  const auto sharded =
-      sharded_query.Run({}, {}, CostModel{}, /*seed=*/42,
-                        /*pool_parallelism=*/4, /*shard_count=*/3, kBatch);
+  build(sharded_query, /*from_csv=*/true);
+  const auto sharded = sharded_query.Run(
+      {}, {}, CostModel{}, /*seed=*/42,
+      {.pool_parallelism = 4, .shard_count = 3, .batch_rows = kBatch});
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   EXPECT_GT(sharded->csv_peak_parse_rows, 0);
   EXPECT_LE(sharded->csv_peak_parse_rows, kBatch);

@@ -51,9 +51,9 @@ backends::ExecutionResult RunCreditLike(std::optional<FaultPlan> plan,
                                         int pool = 1, bool fan_out = false) {
   QuerySetup setup;
   BuildCreditLike(setup, 200, fan_out);
-  auto result = setup.query.Run(setup.inputs, {}, CostModel{}, 42, pool,
-                                /*shard_count=*/1, /*batch_rows=*/0,
-                                std::move(plan));
+  auto result = setup.query.Run(
+      setup.inputs, {}, CostModel{}, 42,
+      {.pool_parallelism = pool, .shard_count = 1, .fault_plan = std::move(plan)});
   CONCLAVE_CHECK(result.ok());
   return std::move(*result);
 }
@@ -259,11 +259,11 @@ TEST(FaultRecoveryTest, MixedFaultLoadRecoversAtEveryPoolSize) {
 
 // --- Streaming across the reveal frontier (DESIGN.md §14) ---------------------------
 
-// A query whose MPC aggregate feeds a pushed-up local arithmetic chain: with
-// streaming on, the reveal is consumed batch-at-a-time, and the scheduled
-// corruptions are detected at the batch covering each corrupted row.
+// A query whose MPC aggregate feeds a pushed-up local arithmetic chain: the
+// reveal is consumed batch-at-a-time, and the scheduled corruptions are
+// detected at the batch covering each corrupted row.
 backends::ExecutionResult RunRevealChain(std::optional<FaultPlan> plan,
-                                         int stream_reveal, int64_t batch_rows) {
+                                         int64_t batch_rows) {
   Query query;
   Party alice = query.AddParty("alice");
   Party bob = query.AddParty("bob");
@@ -277,16 +277,18 @@ backends::ExecutionResult RunRevealChain(std::optional<FaultPlan> plan,
   std::map<std::string, Relation> inputs;
   inputs["left"] = data::UniformInts(500, {"k", "v"}, 300, /*seed=*/41);
   inputs["right"] = data::UniformInts(350, {"k", "w"}, 300, /*seed=*/42);
-  auto result = query.Run(inputs, {}, CostModel{}, 42, /*pool_parallelism=*/2,
-                          /*shard_count=*/1, batch_rows, std::move(plan),
-                          /*mem_budget_rows=*/0, stream_reveal);
+  auto result = query.Run(inputs, {}, CostModel{}, 42,
+                          {.pool_parallelism = 2,
+                           .shard_count = 1,
+                           .batch_rows = batch_rows,
+                           .fault_plan = std::move(plan)});
   CONCLAVE_CHECK(result.ok());
   return std::move(*result);
 }
 
 TEST(FaultRecoveryTest, StreamedRevealCorruptionRetriesBitIdentically) {
   const backends::ExecutionResult base =
-      RunRevealChain(std::nullopt, /*stream_reveal=*/1, /*batch_rows=*/16);
+      RunRevealChain(std::nullopt, /*batch_rows=*/16);
   ASSERT_GT(base.reveal_peak_rows, 0);
   ASSERT_LE(base.reveal_peak_rows, 16);
 
@@ -296,23 +298,50 @@ TEST(FaultRecoveryTest, StreamedRevealCorruptionRetriesBitIdentically) {
   plan.corrupt_rate = 1.0;
   plan.corrupt_times = 1;
   const backends::ExecutionResult streamed =
-      RunRevealChain(plan, /*stream_reveal=*/1, /*batch_rows=*/16);
+      RunRevealChain(plan, /*batch_rows=*/16);
   EXPECT_GT(streamed.fault_report.injected_corruptions, 0u);
   ExpectRecoveredBitIdentical(base, streamed);
   // Detection moved to the covering batch, but the residency bound held even
   // while corrupted batches were re-reconstructed.
   EXPECT_LE(streamed.reveal_peak_rows, 16);
+}
 
-  // The fault path is knob-invariant: the materializing run under the same
-  // plan prices the identical recovery and reconstructs the identical output.
-  const backends::ExecutionResult materializing =
-      RunRevealChain(plan, /*stream_reveal=*/-1, /*batch_rows=*/16);
-  ExpectRecoveredBitIdentical(base, materializing);
-  EXPECT_EQ(streamed.fault_report.recovery_seconds,
-            materializing.fault_report.recovery_seconds);
-  EXPECT_EQ(streamed.fault_report.injected_corruptions,
-            materializing.fault_report.injected_corruptions);
-  EXPECT_EQ(materializing.reveal_peak_rows, 0);
+// The two reveal entry points share one decision routine: delivering a
+// materialized relation and scheduling a streamed reveal of the same shape
+// consume the same ordinals and produce the same report, recoverable or not.
+TEST(FaultPricingTest, RevealEntryPointsReportIdentically) {
+  const CostModel model;
+  const Relation revealed = data::UniformInts(40, {"a", "b", "c"}, 100, /*seed=*/5);
+  for (int times : {1, 2, model.max_send_retries + 1}) {
+    FaultPlan plan;
+    plan.enabled = true;
+    plan.seed = 19;
+    plan.corrupt_rate = 0.5;
+    plan.corrupt_times = times;
+    FaultInjector materialized(plan, model);
+    FaultInjector streamed(plan, model);
+    materialized.EnterScope(5);
+    streamed.EnterScope(5);
+    for (int reveal = 0; reveal < 8; ++reveal) {
+      materialized.DeliverReveal(revealed);
+      uint64_t nonce = 0;
+      const std::vector<FaultInjector::RevealCorruption> schedule =
+          streamed.DeliverRevealStreamed(revealed.NumRows(),
+                                         revealed.NumColumns(), &nonce);
+      EXPECT_LE(schedule.size(), static_cast<size_t>(model.max_send_retries));
+    }
+    EXPECT_EQ(materialized.has_pending_failure(), streamed.has_pending_failure())
+        << "times=" << times;
+    const FaultReport a = materialized.Report({5});
+    const FaultReport b = streamed.Report({5});
+    EXPECT_GT(a.injected_corruptions, 0u) << "times=" << times;
+    EXPECT_EQ(a.ToString(), b.ToString()) << "times=" << times;
+    EXPECT_EQ(a.recovery_seconds, b.recovery_seconds) << "times=" << times;
+    EXPECT_EQ(a.recovery_bytes, b.recovery_bytes) << "times=" << times;
+    EXPECT_EQ(a.retried_sends, b.retried_sends) << "times=" << times;
+    EXPECT_EQ(a.injected_events.size(), b.injected_events.size())
+        << "times=" << times;
+  }
 }
 
 TEST(FaultAbortTest, StreamedRevealCorruptionBeyondRetryCapAborts) {
@@ -325,7 +354,7 @@ TEST(FaultAbortTest, StreamedRevealCorruptionBeyondRetryCapAborts) {
   corrupt.times = model.max_send_retries + 1;  // Unrecoverable by construction.
   plan.events.push_back(corrupt);
   const backends::ExecutionResult result =
-      RunRevealChain(plan, /*stream_reveal=*/1, /*batch_rows=*/16);
+      RunRevealChain(plan, /*batch_rows=*/16);
   EXPECT_TRUE(result.aborted);
   EXPECT_EQ(result.abort_status.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(result.abort_status.message().find("commitment mismatch"),

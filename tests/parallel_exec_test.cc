@@ -41,7 +41,7 @@ backends::ExecutionResult RunAtPoolSize(const compiler::CompilerOptions& options
   QuerySetup setup;
   BuildCreditLike(setup, rows);
   auto result = setup.query.Run(setup.inputs, options, CostModel{}, /*seed=*/42,
-                                pool_parallelism);
+                                {.pool_parallelism = pool_parallelism});
   CONCLAVE_CHECK(result.ok());
   return std::move(*result);
 }
@@ -122,7 +122,8 @@ TEST(ParallelExecTest, DeterministicUnderGarbledCircuitBackend) {
         .WriteToCsv("out", {alice});
     compiler::CompilerOptions options;
     options.mpc_backend = compiler::MpcBackendKind::kOblivC;
-    auto result = query.Run(inputs, options, CostModel{}, 42, pool_sizes[i]);
+    auto result = query.Run(inputs, options, CostModel{}, 42,
+                            {.pool_parallelism = pool_sizes[i]});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     results[i] = std::move(*result);
   }
@@ -137,7 +138,8 @@ TEST(ParallelExecTest, ErrorsSurfaceIdenticallyAcrossPoolSizes) {
     BuildCreditLike(setup, 400);
     CostModel tight;
     tight.ss_memory_limit_bytes = 64 * 1024;
-    const auto result = setup.query.Run(setup.inputs, {}, tight, 42, pool);
+    const auto result = setup.query.Run(setup.inputs, {}, tight, 42,
+                                        {.pool_parallelism = pool});
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
         << "pool size " << pool;
   }
@@ -147,7 +149,8 @@ TEST(ParallelExecTest, MissingInputFailsCleanlyInParallel) {
   QuerySetup setup;
   BuildCreditLike(setup, 200);
   setup.inputs.erase("s2");
-  const auto result = setup.query.Run(setup.inputs, {}, CostModel{}, 42, 4);
+  const auto result = setup.query.Run(setup.inputs, {}, CostModel{}, 42,
+                                      {.pool_parallelism = 4});
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -163,7 +166,8 @@ TEST(ParallelExecTest, EarliestOfSeveralFailuresWinsAtEveryPoolSize) {
     setup.inputs.erase("demo");  // Topo-first Create.
     setup.inputs.erase("s2");    // A later, independent Create.
     const auto result =
-        setup.query.Run(setup.inputs, {}, CostModel{}, 42, pool_sizes[i]);
+        setup.query.Run(setup.inputs, {}, CostModel{}, 42,
+                        {.pool_parallelism = pool_sizes[i]});
     ASSERT_EQ(result.status().code(), StatusCode::kInvalidArgument);
     messages[i] = result.status().message();
   }

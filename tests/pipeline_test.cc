@@ -2,20 +2,21 @@
 // operator against its materializing ops.h kernel across a batch-size grid with
 // boundary edge cases (0-row inputs, 1-row batches, limits cut mid-batch,
 // distinct runs spanning batch boundaries), bounded-memory high-water marks
-// proving O(depth x batch) residency, the CONCLAVE_BATCH_ROWS knob, and
-// end-to-end {batch} invariance of a fused chain feeding a blocking operator
-// through the public Query API.
+// proving O(depth x batch) residency, the CONCLAVE_BATCH_ROWS knob, per-node
+// pricing of fused members, and end-to-end {batch} invariance of a fused chain
+// feeding a blocking operator through the public Query API.
 #include "conclave/relational/pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "conclave/api/conclave.h"
 #include "conclave/common/rng.h"
+#include "conclave/compiler/plan_cost.h"
 #include "conclave/data/generators.h"
 #include "conclave/mpc/reveal_source.h"
 #include "conclave/mpc/share.h"
@@ -50,6 +51,9 @@ Relation RunPipeline(const PipelineSpec& spec, const Relation& input,
 // fall mid-relation both on and off operator-relevant edges, the whole relation
 // in one batch (0), and a batch far larger than any input.
 const int64_t kBatchGrid[] = {1, 2, 3, 4, 7, 0, 1 << 20};
+
+// A batch no test input reaches: every fused chain runs as a single batch.
+constexpr int64_t kOneBatch = std::numeric_limits<int>::max();
 
 void ExpectPipelineMatches(const PipelineSpec& spec, const Relation& input,
                            const Relation& expected) {
@@ -245,18 +249,28 @@ TEST(BatchPipelineTest, ResidencyStaysBoundedByDepthTimesBatch) {
   spec.ops.push_back(PipelineOp::Project({0}));
   spec.ops.push_back(PipelineOp::Arithmetic(arith));
 
-  BatchPipeline pipeline(spec);
-  const Relation got = pipeline.Run(input, kBatch);
-  const PipelineStats& stats = pipeline.stats();
-  EXPECT_GT(got.NumRows(), 0);
-  EXPECT_EQ(stats.rows_pushed, kRows);
-  EXPECT_EQ(stats.batches_pushed, (kRows + kBatch - 1) / kBatch);
-  const int64_t depth = static_cast<int64_t>(spec.ops.size());
-  // One batch may be live per stage plus the one in flight between stages.
-  EXPECT_LE(stats.peak_batches_resident, depth + 1);
-  EXPECT_LE(stats.peak_rows_resident, (depth + 1) * kBatch);
-  // The point of the exercise: peak residency is a tiny fraction of the input.
-  EXPECT_LT(stats.peak_rows_resident, kRows / 10);
+  // The same chain behind a limit: the expression run then consumes owned
+  // batches from the limit instead of borrowed source slices.
+  PipelineSpec limited = spec;
+  limited.ops.insert(limited.ops.begin(), PipelineOp::Limit(kRows - 1));
+
+  for (const PipelineSpec& chain : {spec, limited}) {
+    BatchPipeline pipeline(chain);
+    const Relation got = pipeline.Run(input, kBatch);
+    const PipelineStats& stats = pipeline.stats();
+    EXPECT_GT(got.NumRows(), 0);
+    EXPECT_EQ(stats.rows_pushed, kRows);
+    EXPECT_EQ(stats.batches_pushed, (kRows + kBatch - 1) / kBatch);
+    const int64_t depth = static_cast<int64_t>(chain.ops.size());
+    // One batch may be live per stage plus the one in flight between stages.
+    // The witness must measure something: the emitted batches count too.
+    EXPECT_GT(stats.peak_batches_resident, 0);
+    EXPECT_LE(stats.peak_batches_resident, depth + 1);
+    EXPECT_GT(stats.peak_rows_resident, 0);
+    EXPECT_LE(stats.peak_rows_resident, (depth + 1) * kBatch);
+    // The point of the exercise: peak residency is a tiny fraction of the input.
+    EXPECT_LT(stats.peak_rows_resident, kRows / 10);
+  }
 }
 
 TEST(BatchPipelineTest, SingleBatchRunMaterializesWholeInput) {
@@ -282,17 +296,17 @@ TEST(DefaultBatchRowsTest, EnvKnobParsing) {
     test::ScopedEnvVar env("CONCLAVE_BATCH_ROWS", "100");
     EXPECT_EQ(DefaultBatchRows(), 100);
   }
-  {
-    test::ScopedEnvVar env("CONCLAVE_BATCH_ROWS", "materialize");
-    EXPECT_EQ(DefaultBatchRows(), kMaterializeBatchRows);
-  }
-  {
-    // "0" is an accepted token spelling of "materialize", not a range error.
-    test::ScopedEnvVar env("CONCLAVE_BATCH_ROWS", "0");
-    EXPECT_EQ(DefaultBatchRows(), kMaterializeBatchRows);
-  }
   // Malformed values ("-8", "not-a-number") abort loudly via env::Int64Knob;
   // that contract is covered by the death tests in common_test.cc.
+}
+
+// Fused chains always run: the retired spellings that once switched fusion
+// off ("0", "materialize") are now malformed values that abort naming the knob.
+TEST(DefaultBatchRowsDeathTest, RetiredFusionOffSpellingsAbort) {
+  for (const char* spelling : {"0", "materialize"}) {
+    test::ScopedEnvVar env("CONCLAVE_BATCH_ROWS", spelling);
+    EXPECT_DEATH(DefaultBatchRows(), "CONCLAVE_BATCH_ROWS") << spelling;
+  }
 }
 
 TEST(FusedExprTest, SlotPartitioning) {
@@ -307,54 +321,28 @@ TEST(FusedExprTest, SlotPartitioning) {
   ops.push_back(PipelineOp::Filter(pred));           // 0: fused with 1.
   ops.push_back(PipelineOp::Arithmetic(arith));      // 1.
   ops.push_back(PipelineOp::Limit(10));              // 2: standalone.
-  ops.push_back(PipelineOp::Filter(pred));           // 3: fused with 4, 5.
-  ops.push_back(PipelineOp::Project({0}));           // 4.
-  ops.push_back(PipelineOp::Filter(pred));           // 5.
-  ops.push_back(PipelineOp::DistinctOnSorted({0}));  // 6: standalone.
+  ops.push_back(PipelineOp::Project({0}));           // 3: a singleton run.
+  ops.push_back(PipelineOp::Limit(5));               // 4: standalone.
+  ops.push_back(PipelineOp::Filter(pred));           // 5: fused with 6, 7.
+  ops.push_back(PipelineOp::Project({0}));           // 6.
+  ops.push_back(PipelineOp::Filter(pred));           // 7.
+  ops.push_back(PipelineOp::DistinctOnSorted({0}));  // 8: standalone.
 
-  const std::vector<ExprSlot> fused = FuseExprSlots(ops, /*fuse=*/true);
-  ASSERT_EQ(fused.size(), 4u);
-  EXPECT_EQ(fused[0].begin, 0u);
-  EXPECT_EQ(fused[0].end, 2u);
-  EXPECT_TRUE(fused[0].fused());
-  EXPECT_EQ(fused[1].begin, 2u);
-  EXPECT_FALSE(fused[1].fused());
-  EXPECT_EQ(fused[2].begin, 3u);
-  EXPECT_EQ(fused[2].end, 6u);
-  EXPECT_TRUE(fused[2].fused());
-  EXPECT_EQ(fused[3].begin, 6u);
-  EXPECT_FALSE(fused[3].fused());
-
-  const std::vector<ExprSlot> unfused = FuseExprSlots(ops, /*fuse=*/false);
-  ASSERT_EQ(unfused.size(), ops.size());
-  for (size_t i = 0; i < unfused.size(); ++i) {
-    EXPECT_EQ(unfused[i].begin, i);
-    EXPECT_FALSE(unfused[i].fused());
+  const std::vector<ExprSlot> slots = FuseExprSlots(ops);
+  const std::vector<std::pair<size_t, size_t>> want = {
+      {0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 8}, {8, 9}};
+  ASSERT_EQ(slots.size(), want.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i].begin, want[i].first) << "slot " << i;
+    EXPECT_EQ(slots[i].end, want[i].second) << "slot " << i;
   }
-}
-
-TEST(FusedExprTest, KnobDefaultsOnAndScopedRestores) {
-  // Default-on, unless CONCLAVE_FUSED_EXPR in the environment overrides it
-  // (the scalar-fallback CI leg runs the whole suite with it forced off).
-  const bool baseline = FusedExprEnabled();
-  if (std::getenv("CONCLAVE_FUSED_EXPR") == nullptr) EXPECT_TRUE(baseline);
-  {
-    ScopedFusedExpr off(false);
-    EXPECT_FALSE(FusedExprEnabled());
-    {
-      ScopedFusedExpr on(true);
-      EXPECT_TRUE(FusedExprEnabled());
-    }
-    EXPECT_FALSE(FusedExprEnabled());
-  }
-  EXPECT_EQ(FusedExprEnabled(), baseline);
 }
 
 // The fused evaluator's core contract: a gnarly run — computed columns feeding
 // later filters and divisions, projects reordering computed and source columns,
 // division by zero — produces bit-identical outputs AND per-op input rows to
-// one-operator-at-a-time execution, at every batch size.
-TEST(FusedExprTest, FusedMatchesUnfusedOutputsAndAccounting) {
+// running the ops.h kernels one at a time, at every batch size.
+TEST(FusedExprTest, FusedRunMatchesKernelsOutputsAndAccounting) {
   const Relation input = data::UniformInts(1500, {"a", "b", "c"}, 40, /*seed=*/77);
   ArithSpec sub;  // d = a - b (negatives appear).
   sub.kind = ArithKind::kSub;
@@ -386,21 +374,34 @@ TEST(FusedExprTest, FusedMatchesUnfusedOutputsAndAccounting) {
       FilterPredicate::ColumnVsLiteral(3, CompareOp::kNe, 0)));
   spec.ops.push_back(PipelineOp::Arithmetic(mul));     // [d c a e f]
 
+  // The reference: each op's kernel over the whole relation, in order.
+  std::vector<int64_t> want_rows;
+  Relation want = input;
+  for (const PipelineOp& op : spec.ops) {
+    want_rows.push_back(want.NumRows());
+    switch (op.kind) {
+      case PipelineOp::Kind::kFilter:
+        want = ops::Filter(want, op.filter);
+        break;
+      case PipelineOp::Kind::kProject:
+        want = ops::Project(want, op.columns);
+        break;
+      default:
+        want = ops::Arithmetic(want, op.arith);
+        break;
+    }
+  }
+
   for (int64_t batch_rows : kBatchGrid) {
-    ScopedFusedExpr on(true);
     BatchPipeline fused(spec);
     const Relation got = fused.Run(input, batch_rows);
-    ScopedFusedExpr off(false);
-    BatchPipeline unfused(spec);
-    const Relation want = unfused.Run(input, batch_rows);
     ASSERT_TRUE(got.RowsEqual(want)) << "batch_rows=" << batch_rows;
     EXPECT_EQ(got.schema().ToString(), want.schema().ToString());
-    ASSERT_EQ(fused.stats().op_input_rows.size(), spec.ops.size());
-    EXPECT_EQ(fused.stats().op_input_rows, unfused.stats().op_input_rows)
+    EXPECT_EQ(fused.stats().op_input_rows, want_rows)
         << "batch_rows=" << batch_rows;
-    // Fusion only ever lowers residency: the run holds no inter-op batches.
+    // The run holds no inter-op batches: only the emitted batch is resident.
     EXPECT_LE(fused.stats().peak_rows_resident,
-              unfused.stats().peak_rows_resident)
+              batch_rows > 0 ? batch_rows : input.NumRows())
         << "batch_rows=" << batch_rows;
   }
 }
@@ -428,13 +429,12 @@ TEST(FusedExprTest, FusedRunAfterStandaloneOperator) {
       expected, FilterPredicate::ColumnVsLiteral(1, CompareOp::kLe, 40));
   expected = ops::Arithmetic(expected, add);
   expected = ops::Project(expected, std::vector<int>{2, 0});
-  ScopedFusedExpr on(true);
   ExpectPipelineMatches(spec, input, expected);
 }
 
 // A fused local chain feeding a blocking operator (sort, then an MPC-side
 // aggregate): outputs, virtual clock, and counters must be bit-identical
-// between materializing execution and every batch size, at pool sizes 1 and 4.
+// between one-batch execution and every batch size, at pool sizes 1 and 4.
 TEST(PipelineQueryTest, FusedChainFeedingBlockingOpIsBatchInvariant) {
   auto run = [](int pool, int64_t batch_rows) {
     api::Query query;
@@ -452,18 +452,17 @@ TEST(PipelineQueryTest, FusedChainFeedingBlockingOpIsBatchInvariant) {
     std::map<std::string, Relation> inputs;
     inputs["left"] = data::UniformInts(700, {"k", "v"}, 900, /*seed=*/51);
     inputs["right"] = data::UniformInts(400, {"k", "w"}, 900, /*seed=*/52);
-    auto result = query.Run(inputs, {}, CostModel{}, /*seed=*/42, pool,
-                            /*shard_count=*/1, batch_rows);
+    auto result = query.Run(
+        inputs, {}, CostModel{}, /*seed=*/42,
+        {.pool_parallelism = pool, .shard_count = 1, .batch_rows = batch_rows});
     CONCLAVE_CHECK(result.ok());
     return std::move(*result);
   };
 
-  const backends::ExecutionResult baseline = run(1, kMaterializeBatchRows);
+  const backends::ExecutionResult baseline = run(1, kOneBatch);
   ASSERT_GT(baseline.outputs.at("out").NumRows(), 0);
   for (int pool : {1, 4}) {
-    for (int64_t batch_rows :
-         {int64_t{1}, int64_t{7}, kDefaultBatchRows,
-          int64_t{std::numeric_limits<int>::max()}}) {
+    for (int64_t batch_rows : {int64_t{1}, int64_t{7}, kDefaultBatchRows}) {
       const backends::ExecutionResult got = run(pool, batch_rows);
       EXPECT_TRUE(got.outputs.at("out").RowsEqual(baseline.outputs.at("out")))
           << "pool=" << pool << " batch_rows=" << batch_rows;
@@ -482,7 +481,7 @@ TEST(PipelineQueryTest, FusedChainFeedingBlockingOpIsBatchInvariant) {
 
 // Same invariance with the data plane sharded: fused chains there hold only the
 // per-row operators, executed as one pipeline task per shard.
-TEST(PipelineQueryTest, ShardedFusedChainsMatchMaterializing) {
+TEST(PipelineQueryTest, ShardedFusedChainsMatchOneBatch) {
   auto run = [](int shards, int64_t batch_rows) {
     api::Query query;
     api::Party alice = query.AddParty("alice");
@@ -497,13 +496,14 @@ TEST(PipelineQueryTest, ShardedFusedChainsMatchMaterializing) {
     std::map<std::string, Relation> inputs;
     inputs["left"] = data::UniformInts(900, {"k", "v"}, 800, /*seed=*/61);
     inputs["right"] = data::UniformInts(500, {"k", "w"}, 800, /*seed=*/62);
-    auto result = query.Run(inputs, {}, CostModel{}, /*seed=*/42,
-                            /*pool_parallelism=*/2, shards, batch_rows);
+    auto result = query.Run(
+        inputs, {}, CostModel{}, /*seed=*/42,
+        {.pool_parallelism = 2, .shard_count = shards, .batch_rows = batch_rows});
     CONCLAVE_CHECK(result.ok());
     return std::move(*result);
   };
 
-  const backends::ExecutionResult baseline = run(1, kMaterializeBatchRows);
+  const backends::ExecutionResult baseline = run(1, kOneBatch);
   for (int shards : {1, 3}) {
     for (int64_t batch_rows : {int64_t{1}, int64_t{13}, kDefaultBatchRows}) {
       const backends::ExecutionResult got = run(shards, batch_rows);
@@ -515,6 +515,55 @@ TEST(PipelineQueryTest, ShardedFusedChainsMatchMaterializing) {
                 baseline.counters.cleartext_records)
           << "shards=" << shards << " batch_rows=" << batch_rows;
     }
+  }
+}
+
+// Fused members are priced exactly as if each ran alone: every member's
+// node_seconds is the cost model's scan price of the rows entering it, with
+// those rows computed independently by running the ops.h kernels one at a time.
+TEST(PipelineQueryTest, FusedMembersPricedFromKernelRowCounts) {
+  const Relation input = data::UniformInts(5000, {"a", "b"}, 1000, /*seed=*/71);
+  api::Query query;
+  api::Party alice = query.AddParty("alice");
+  api::Table t = query.NewTable("t", {{"a"}, {"b"}}, alice);
+  const api::Table filtered = t.Filter("a", CompareOp::kLt, 500);
+  const api::Table added = filtered.AddConst("c", "b", 7);
+  const api::Table projected = added.Project({"c", "a"});
+  const api::Table refiltered = projected.Filter("c", CompareOp::kGt, 300);
+  refiltered.WriteToCsv("out", {alice});
+  const auto result = query.Run({{"t", input}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  // The four nodes run as one fused chain.
+  const std::vector<ir::OpNode*> order = query.dag().TopoOrder();
+  const std::vector<const ir::OpNode*> topo(order.begin(), order.end());
+  const auto chains = compiler::PipelineChains(topo, /*shard_count=*/1);
+  ASSERT_EQ(chains.size(), 1u);
+  ASSERT_EQ(chains[0].size(), 4u);
+
+  ArithSpec add;
+  add.kind = ArithKind::kAdd;
+  add.lhs_column = 1;
+  add.rhs_is_column = false;
+  add.rhs_literal = 7;
+  add.result_name = "c";
+  const Relation r1 = ops::Filter(
+      input, FilterPredicate::ColumnVsLiteral(0, CompareOp::kLt, 500));
+  const Relation r2 = ops::Arithmetic(r1, add);
+  const Relation r3 = ops::Project(r2, std::vector<int>{2, 0});
+  const std::pair<const api::Table*, int64_t> members[] = {
+      {&filtered, input.NumRows()},
+      {&added, r1.NumRows()},
+      {&projected, r2.NumRows()},
+      {&refiltered, r3.NumRows()}};
+  const CostModel model;
+  const bool use_spark = compiler::CompilerOptions{}.use_spark;
+  for (const auto& [table, rows] : members) {
+    const int id = table->node()->id;
+    ASSERT_EQ(result->node_seconds.count(id), 1u) << "node #" << id;
+    EXPECT_EQ(result->node_seconds.at(id),
+              model.CleartextScanSeconds(static_cast<uint64_t>(rows), use_spark))
+        << "node #" << id << " rows=" << rows;
   }
 }
 
@@ -656,12 +705,11 @@ TEST(RevealStreamTest, ResidencyStaysAtBatchSize) {
 }
 
 // End-to-end through the public API: an MPC aggregate whose arithmetic tail the
-// compiler pushes up into a local fused chain. With streaming on, the reveal
-// feeds the chain batch-at-a-time (reveal_peak_rows stays at the batch size);
-// with it off, the reveal materializes. Outputs, virtual clock, and counters
-// must be bit-identical across the {stream_reveal, shard, batch} grid.
+// compiler pushes up into a local fused chain. The reveal feeds the chain
+// batch-at-a-time (reveal_peak_rows stays at the batch size). Outputs, virtual
+// clock, and counters must be bit-identical across the {shard, batch} grid.
 TEST(RevealStreamTest, QueryGridBitIdentical) {
-  auto run = [](int stream_reveal, int shards, int64_t batch_rows) {
+  auto run = [](int shards, int64_t batch_rows) {
     api::Query query;
     api::Party alice = query.AddParty("alice");
     api::Party bob = query.AddParty("bob");
@@ -675,45 +723,31 @@ TEST(RevealStreamTest, QueryGridBitIdentical) {
     std::map<std::string, Relation> inputs;
     inputs["left"] = data::UniformInts(600, {"k", "v"}, 500, /*seed=*/21);
     inputs["right"] = data::UniformInts(450, {"k", "w"}, 500, /*seed=*/22);
-    auto result = query.Run(inputs, {}, CostModel{}, /*seed=*/42,
-                            /*pool_parallelism=*/2, shards, batch_rows,
-                            std::nullopt, /*mem_budget_rows=*/0, stream_reveal);
+    auto result = query.Run(
+        inputs, {}, CostModel{}, /*seed=*/42,
+        {.pool_parallelism = 2, .shard_count = shards, .batch_rows = batch_rows});
     CONCLAVE_CHECK(result.ok());
     return std::move(*result);
   };
 
-  const backends::ExecutionResult baseline =
-      run(/*stream_reveal=*/-1, /*shards=*/1, kMaterializeBatchRows);
+  const backends::ExecutionResult baseline = run(/*shards=*/1, kOneBatch);
   ASSERT_GT(baseline.outputs.at("out").NumRows(), 0);
-  EXPECT_EQ(baseline.reveal_peak_rows, 0);
 
-  for (int stream_reveal : {-1, 1}) {
-    for (int shards : {1, 3}) {
-      for (int64_t batch_rows : {int64_t{16}, kDefaultBatchRows}) {
-        const backends::ExecutionResult got =
-            run(stream_reveal, shards, batch_rows);
-        EXPECT_TRUE(got.outputs.at("out").RowsEqual(baseline.outputs.at("out")))
-            << "stream=" << stream_reveal << " shards=" << shards
-            << " batch=" << batch_rows;
-        EXPECT_EQ(got.virtual_seconds, baseline.virtual_seconds)
-            << "stream=" << stream_reveal << " shards=" << shards
-            << " batch=" << batch_rows;
-        EXPECT_EQ(got.counters.network_bytes, baseline.counters.network_bytes)
-            << "stream=" << stream_reveal << " shards=" << shards
-            << " batch=" << batch_rows;
-        EXPECT_EQ(got.node_seconds, baseline.node_seconds)
-            << "stream=" << stream_reveal << " shards=" << shards
-            << " batch=" << batch_rows;
-        if (stream_reveal > 0) {
-          EXPECT_GT(got.reveal_peak_rows, 0)
-              << "shards=" << shards << " batch=" << batch_rows;
-          EXPECT_LE(got.reveal_peak_rows, batch_rows)
-              << "shards=" << shards << " batch=" << batch_rows;
-        } else {
-          EXPECT_EQ(got.reveal_peak_rows, 0)
-              << "shards=" << shards << " batch=" << batch_rows;
-        }
-      }
+  for (int shards : {1, 3}) {
+    for (int64_t batch_rows : {int64_t{16}, kDefaultBatchRows}) {
+      const backends::ExecutionResult got = run(shards, batch_rows);
+      EXPECT_TRUE(got.outputs.at("out").RowsEqual(baseline.outputs.at("out")))
+          << "shards=" << shards << " batch=" << batch_rows;
+      EXPECT_EQ(got.virtual_seconds, baseline.virtual_seconds)
+          << "shards=" << shards << " batch=" << batch_rows;
+      EXPECT_EQ(got.counters.network_bytes, baseline.counters.network_bytes)
+          << "shards=" << shards << " batch=" << batch_rows;
+      EXPECT_EQ(got.node_seconds, baseline.node_seconds)
+          << "shards=" << shards << " batch=" << batch_rows;
+      EXPECT_GT(got.reveal_peak_rows, 0)
+          << "shards=" << shards << " batch=" << batch_rows;
+      EXPECT_LE(got.reveal_peak_rows, batch_rows)
+          << "shards=" << shards << " batch=" << batch_rows;
     }
   }
 }

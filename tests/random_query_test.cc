@@ -17,7 +17,6 @@
 #include "conclave/common/strings.h"
 #include "conclave/data/generators.h"
 #include "conclave/net/fault.h"
-#include "conclave/relational/expr.h"
 #include "conclave/relational/pipeline.h"
 #include "row_major_reference.h"
 
@@ -312,13 +311,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomQueryTest,
 // filters, sorts, distincts, projections, and arithmetic) as a *shrinkable spec*:
 // every op's parameters are raw draws interpreted modulo the schema at build time,
 // so any subsequence of ops is still a valid plan. Each plan executes across a
-// materializing {shard, pool} sweep plus the pipelined batch grid batch_rows in
-// {1, 7, 4096, INT_MAX} x shards in {1, 3} x pool in {1, 4}, and must reproduce
-// the serial materializing baseline (pool=1, shards=1, fusion off) bit for bit:
-// RowsEqual on the revealed output (exact row order, not just set equality) and
-// exact virtual-clock totals. On a failure, a greedy shrinker drops ops and halves
-// tables while the failure reproduces, then prints the minimal failing
-// (plan, seed, batch_rows) triple.
+// {shard 1,2,3,8} x {pool 1,4} sweep at the default batch plus the batch grid
+// batch_rows in {1, 7, INT_MAX} x shards in {1, 3} x pool in {1, 4}, and must
+// reproduce the serial one-batch baseline (pool=1, shards=1, batch INT_MAX) bit
+// for bit: RowsEqual on the revealed output (exact row order, not just set
+// equality) and exact virtual-clock totals. The baseline itself is checked
+// against EvalReference, which runs the uncompiled DAG node by node, so a bug
+// every configuration shares still surfaces. On a failure, a greedy shrinker
+// drops ops and halves tables while the failure reproduces, then prints the
+// minimal failing (plan, seed, config) triple.
 namespace diff {
 
 struct TableSpec {
@@ -539,47 +540,39 @@ struct RunOutcome {
 };
 
 // One point of the differential grid. Beyond the execution-shape axes ({pool,
-// shard, batch}), the raw-speed axes (DESIGN.md §13) ride along: simd toggles
-// the CONCLAVE_SIMD dispatch knob, fused_expr the fused expression evaluator.
-// Both must be invisible in results, virtual clock, and counters at every
-// point — the harness checks every candidate against a default-knob baseline.
+// shard, batch}), the SIMD/scalar kernel axis (DESIGN.md §13) rides along: it
+// must be invisible in results, virtual clock, and counters at every point —
+// the harness checks every candidate against a SIMD-on baseline.
 struct Config {
   int pool;
   int shards;
-  int64_t batch_rows;  // kMaterializeBatchRows = fusion off.
+  int64_t batch_rows;
   bool simd = true;
-  bool fused_expr = true;
-  // Streaming across the reveal frontier (DESIGN.md §14): false forces the
-  // materializing reveal. Like every other axis, must be invisible in results,
-  // clock, and counters.
-  bool stream_reveal = true;
 
   std::string ToString() const {
-    return StrFormat(
-        "{pool=%d, shards=%d, batch=%lld, simd=%s, fused=%s, stream_reveal=%s}",
-        pool, shards, static_cast<long long>(batch_rows), simd ? "on" : "off",
-        fused_expr ? "on" : "off", stream_reveal ? "on" : "off");
+    return StrFormat("{pool=%d, shards=%d, batch=%lld, simd=%s}", pool, shards,
+                     static_cast<long long>(batch_rows), simd ? "on" : "off");
   }
 };
 
-constexpr int64_t kMat = kMaterializeBatchRows;
+constexpr int64_t kBatch = kDefaultBatchRows;
 constexpr int64_t kOneBatch = std::numeric_limits<int>::max();
 
 RunOutcome RunPlan(const PlanSpec& spec, const Config& config,
                    const FaultPlan* fault_plan = nullptr,
                    int64_t mem_budget = 0) {
   const cpu::ScopedSimd simd(config.simd);
-  const ScopedFusedExpr fused(config.fused_expr);
   BuiltPlan built;
   BuildPlan(spec, &built);
   RunOutcome outcome;
-  const auto result =
-      built.query.Run(built.inputs, {}, CostModel{}, /*seed=*/42,
-                      /*pool_parallelism=*/config.pool,
-                      /*shard_count=*/config.shards, config.batch_rows,
-                      fault_plan != nullptr ? std::optional<FaultPlan>(*fault_plan)
-                                            : std::nullopt,
-                      mem_budget, config.stream_reveal ? 1 : -1);
+  const auto result = built.query.Run(
+      built.inputs, {}, CostModel{}, /*seed=*/42,
+      {.pool_parallelism = config.pool,
+       .shard_count = config.shards,
+       .batch_rows = config.batch_rows,
+       .fault_plan = fault_plan != nullptr ? std::optional<FaultPlan>(*fault_plan)
+                                           : std::nullopt,
+       .mem_budget_rows = mem_budget});
   if (!result.ok()) {
     outcome.error = result.status().ToString();
     return outcome;
@@ -601,14 +594,35 @@ RunOutcome RunPlan(const PlanSpec& spec, const Config& config,
 }
 
 RunOutcome RunBaseline(const PlanSpec& spec) {
-  // Serial, unsharded, fusion off, default knobs: the node-at-a-time
-  // materializing executor.
-  return RunPlan(spec, Config{/*pool=*/1, /*shards=*/1, kMat});
+  // Serial, unsharded, every fused chain in one batch.
+  return RunPlan(spec, Config{/*pool=*/1, /*shards=*/1, kOneBatch});
 }
 
-// Empty string = the config reproduces the serial materializing baseline
-// exactly. The baseline depends only on the spec, so sweeps compute it once and
-// reuse it.
+// True when the baseline's rows match the uncompiled DAG evaluated node by node
+// (EvalReference) as a multiset — the compiled plan may order rows
+// differently; otherwise records the failure. A failing baseline has nothing
+// to compare.
+bool BaselineMatchesReference(uint64_t seed, const PlanSpec& spec,
+                              const RunOutcome& baseline) {
+  if (!baseline.ok) {
+    return true;
+  }
+  BuiltPlan reference;
+  BuildPlan(spec, &reference);
+  const Relation expected =
+      EvalReference(reference.query.dag(), reference.inputs, "out");
+  if (UnorderedEqual(baseline.output, expected)) {
+    return true;
+  }
+  ADD_FAILURE() << "baseline diverges from the reference at seed " << seed
+                << "\n" << Describe(spec) << "\nreference\n"
+                << expected.ToString() << "\nbaseline\n"
+                << baseline.output.ToString();
+  return false;
+}
+
+// Empty string = the config reproduces the serial one-batch baseline exactly.
+// The baseline depends only on the spec, so sweeps compute it once and reuse it.
 std::string CheckConfigAgainst(const RunOutcome& baseline, const PlanSpec& spec,
                                const Config& config) {
   const RunOutcome candidate = RunPlan(spec, config);
@@ -643,7 +657,7 @@ std::string CheckConfig(const PlanSpec& spec, const Config& config) {
 }
 
 // Greedy shrink: drop ops (end first), then halve tables, while the same
-// config (including its {simd, fused-expr} axis point) still fails.
+// config (including its simd axis point) still fails.
 PlanSpec ShrinkPlan(PlanSpec spec, const Config& config) {
   const auto fails = [&](const PlanSpec& candidate) {
     return !CheckConfig(candidate, config).empty();
@@ -686,29 +700,20 @@ PlanSpec ShrinkPlan(PlanSpec spec, const Config& config) {
   return spec;
 }
 
-// The sweep grid. Besides {pool, shards, batch_rows} (DESIGN.md §10), every
-// entry carries a {simd, fused-expr} knob point; the axis combos cycle across
-// the grid so each of the four {on,off}^2 points covers every batch size
-// without a full cross-product blow-up. The baseline always runs with default
-// knobs (both on), so every off-entry is also a cross-knob differential.
+// The sweep grid (DESIGN.md §10). The simd axis alternates so every batch
+// size sees both kernel paths; the baseline runs SIMD-on, so every simd-off
+// entry is also a cross-kernel differential.
 constexpr Config kConfigs[] = {
-    // Materializing {shard, pool} sweep (the historical harness). Fused-expr
-    // is inert here (no pipelines), so only the simd axis alternates.
-    {1, 2, kMat}, {1, 3, kMat, false}, {1, 8, kMat}, {4, 1, kMat, false},
-    {4, 2, kMat}, {4, 3, kMat, false}, {4, 8, kMat},
-    // Pipelined batch grid: batch_rows x shards x pool. One row per batch, a
-    // prime that straddles boundaries, the default, and effectively-one-batch.
-    // The four {simd, fused} combos cycle so each batch size sees each combo,
-    // and the stream_reveal axis alternates so every batch size exercises both
-    // the streaming and the materializing reveal (the baseline streams).
-    {1, 1, 1},                  {1, 3, 1, false},
-    {4, 1, 1, true, false, false},   {4, 3, 1, false, false},
-    {1, 1, 7, false, false},    {1, 3, 7, true, true, false},
-    {4, 1, 7, false},           {4, 3, 7, true, false},
-    {1, 1, 4096, true, false},  {1, 3, 4096, false, false, false},
-    {4, 1, 4096},               {4, 3, 4096, false},
-    {1, 1, kOneBatch, false, true, false}, {1, 3, kOneBatch, true, false},
-    {4, 1, kOneBatch, false, false}, {4, 3, kOneBatch, true, true, false},
+    // {shard, pool} sweep at the default batch.
+    {1, 1, kBatch}, {1, 2, kBatch, false}, {1, 3, kBatch}, {1, 8, kBatch, false},
+    {4, 1, kBatch, false}, {4, 2, kBatch}, {4, 3, kBatch, false}, {4, 8, kBatch},
+    // Batch grid: one row per batch, a prime that straddles boundaries, and
+    // one batch, x shards {1, 3} x pool {1, 4}.
+    {1, 1, 1},              {1, 3, 1, false},
+    {4, 1, 1, false},       {4, 3, 1},
+    {1, 1, 7, false},       {1, 3, 7},
+    {4, 1, 7},              {4, 3, 7, false},
+    {1, 3, kOneBatch, false}, {4, 1, kOneBatch}, {4, 3, kOneBatch, false},
 };
 
 // Runs one seeded plan through the full config sweep; on failure, shrinks and
@@ -717,6 +722,9 @@ constexpr Config kConfigs[] = {
 void CheckSeed(uint64_t seed) {
   const PlanSpec spec = GeneratePlan(seed);
   const RunOutcome baseline = RunBaseline(spec);
+  if (!BaselineMatchesReference(seed, spec, baseline)) {
+    return;
+  }
   for (const Config& config : kConfigs) {
     const std::string failure = CheckConfigAgainst(baseline, spec, config);
     if (failure.empty()) {
@@ -902,15 +910,13 @@ void ShrinkChaos(PlanSpec& spec, FaultPlan& fault_plan, const Config& config) {
   }
 }
 
-// The chaos grid: {pool 1,4} x {shard 1,3} materializing, plus batch-grid
-// points so the fault axis composes with pipeline fusion — and knob-off points
-// so recovery identities also hold on the scalar / per-node / materializing-
-// reveal paths. The stream_reveal axis rides on the fused points, where the
-// corrupted-reveal schedule lands mid-stream (DESIGN.md §14).
+// The chaos grid: {pool 1,4} x {shard 1,3} at the default batch, plus
+// small-batch and one-batch points so corrupted-reveal schedules land
+// mid-stream (DESIGN.md §14), and simd-off points so recovery identities also
+// hold on the scalar kernels.
 constexpr Config kChaosConfigs[] = {
-    {1, 1, kMat}, {1, 3, kMat, false}, {4, 1, kMat}, {4, 3, kMat},
-    {1, 3, 7, false, true}, {4, 1, 4096, true, false},
-    {4, 3, 7, true, true, false}, {1, 1, 4096, true, true, false},
+    {1, 1, kBatch}, {1, 3, kBatch, false}, {4, 1, kBatch}, {4, 3, kBatch},
+    {1, 3, 7, false}, {4, 1, 1}, {4, 3, 7}, {1, 1, kOneBatch, false},
 };
 
 // Runs one seeded (plan, fault plan) pair through the chaos grid; on failure,
@@ -920,6 +926,9 @@ void CheckChaosSeed(uint64_t seed) {
   const PlanSpec spec = GeneratePlan(seed);
   const FaultPlan fault_plan = GenerateFaultPlan(seed);
   const RunOutcome baseline = RunBaseline(spec);
+  if (!BaselineMatchesReference(seed, spec, baseline)) {
+    return;
+  }
   for (const Config& config : kChaosConfigs) {
     const std::string failure =
         CheckChaosConfigAgainst(baseline, spec, fault_plan, config);
@@ -957,7 +966,7 @@ int ChaosSeedCount() {
 // unbounded even when CONCLAVE_MEM_BUDGET is set in the environment, so the
 // identity below stays meaningful under the CI tight-budget re-runs).
 RunOutcome RunUnboundedBaseline(const PlanSpec& spec) {
-  return RunPlan(spec, Config{/*pool=*/1, /*shards=*/1, kMat},
+  return RunPlan(spec, Config{/*pool=*/1, /*shards=*/1, kOneBatch},
                  /*fault_plan=*/nullptr, /*mem_budget=*/-1);
 }
 
@@ -1060,28 +1069,25 @@ PlanSpec ShrinkSpill(PlanSpec spec, const Config& config, int64_t mem_budget) {
   return spec;
 }
 
-// The spill grid: the budget axis crossed with materializing and fused points
-// of the {pool, shard, batch} grid. Budget 3 forces multi-level merges and
-// deep Grace recursion on the corpus's 0–80-row tables; 16 exercises the
-// single-pass boundary region.
+// The spill grid: the budget axis crossed with points of the {pool, shard,
+// batch} grid. Budget 3 forces multi-level merges and deep Grace recursion on
+// the corpus's 0–80-row tables; 16 exercises the single-pass boundary region.
 struct SpillConfig {
   Config config;
   int64_t mem_budget;
 };
 
 constexpr SpillConfig kSpillConfigs[] = {
-    // Budget 3 at default knobs, then budget 16 with the {simd, fused} axis
-    // cycled so spilling also composes with the scalar / per-node paths, and
-    // the stream_reveal axis flipped on two fused points so spilling composes
-    // with both reveal paths.
-    {{1, 1, kMat}, 3},
-    {{4, 3, kMat}, 3},
+    // Budget 3 with SIMD on, then budget 16 with the simd axis alternating so
+    // spilling also composes with the scalar kernels.
+    {{1, 1, kBatch}, 3},
+    {{4, 3, kBatch}, 3},
     {{1, 3, 7}, 3},
-    {{4, 1, 4096, true, true, false}, 3},
-    {{1, 1, kMat, false}, 16},
-    {{4, 3, kMat}, 16},
-    {{1, 3, 7, false, false, false}, 16},
-    {{4, 1, 4096, true, false}, 16},
+    {{4, 1, 1}, 3},
+    {{1, 1, kBatch, false}, 16},
+    {{4, 3, kBatch}, 16},
+    {{1, 3, 7, false}, 16},
+    {{4, 1, kOneBatch}, 16},
 };
 
 // Runs one seeded plan through the spill grid; on failure, shrinks and reports
@@ -1089,6 +1095,9 @@ constexpr SpillConfig kSpillConfigs[] = {
 void CheckSpillSeed(uint64_t seed) {
   const PlanSpec spec = GeneratePlan(seed);
   const RunOutcome baseline = RunUnboundedBaseline(spec);
+  if (!BaselineMatchesReference(seed, spec, baseline)) {
+    return;
+  }
   for (const SpillConfig& sc : kSpillConfigs) {
     const std::string failure =
         CheckSpillConfigAgainst(baseline, spec, sc.config, sc.mem_budget);
@@ -1119,7 +1128,8 @@ int SpillSeedCount() {
 }  // namespace diff
 
 // Fixed seed list: every plan must be bit-identical (rows and virtual clock) to
-// the serial materializing baseline at every {pool, shard, batch} configuration.
+// the serial one-batch baseline at every {pool, shard, batch} configuration,
+// and that baseline must match the node-by-node reference.
 // CI runs the default 200 seeds; CONCLAVE_DIFF_SEEDS overrides.
 TEST(DifferentialShardHarness, SeededPlansMatchBaselineAtEveryConfig) {
   const int seeds = diff::FixedSeedCount();
@@ -1179,7 +1189,7 @@ TEST(ChaosDifferentialHarness, SeededFaultPlansRecoverBitIdentically) {
     const FaultPlan sample_plan = diff::GenerateFaultPlan(seed);
     const diff::RunOutcome sample =
         diff::RunPlan(diff::GeneratePlan(seed),
-                      diff::Config{/*pool=*/4, /*shards=*/3, diff::kMat},
+                      diff::Config{/*pool=*/4, /*shards=*/3, diff::kBatch},
                       &sample_plan);
     injected += sample.fault_report.injected_drops +
                 sample.fault_report.injected_corruptions +
@@ -1209,7 +1219,7 @@ TEST(SpillDifferentialHarness, SeededPlansMatchUnboundedAtEveryBudget) {
     // by always fitting in budget.
     const diff::RunOutcome sample = diff::RunPlan(
         diff::GeneratePlan(seed),
-        diff::Config{/*pool=*/4, /*shards=*/3, diff::kMat},
+        diff::Config{/*pool=*/4, /*shards=*/3, diff::kBatch},
         /*fault_plan=*/nullptr, /*mem_budget=*/3);
     spilling_nodes += sample.spill_report.spilling_nodes;
     physical_spilled_rows += sample.spill_report.stats.spilled_rows;
@@ -1233,7 +1243,7 @@ TEST(ChaosDifferentialHarness, UnrecoverablePlansAbortGracefully) {
   plan.crash_rate = 1.0;
   plan.crash_times = plan.job_retries + 1;  // One rollback past the budget.
   const diff::RunOutcome outcome = diff::RunPlan(
-      spec, diff::Config{/*pool=*/1, /*shards=*/1, diff::kMat}, &plan);
+      spec, diff::Config{/*pool=*/1, /*shards=*/1, diff::kBatch}, &plan);
   EXPECT_FALSE(outcome.ok);
   EXPECT_TRUE(outcome.aborted);
   EXPECT_NE(outcome.error.find("fault recovery budget exhausted"),
@@ -1244,7 +1254,7 @@ TEST(ChaosDifferentialHarness, UnrecoverablePlansAbortGracefully) {
   EXPECT_GE(outcome.fault_report.first_failure_node, 0);
   // The abort itself must be deterministic: same provenance at pool 4.
   const diff::RunOutcome parallel = diff::RunPlan(
-      spec, diff::Config{/*pool=*/4, /*shards=*/1, diff::kMat}, &plan);
+      spec, diff::Config{/*pool=*/4, /*shards=*/1, diff::kBatch}, &plan);
   EXPECT_TRUE(parallel.aborted);
   EXPECT_EQ(parallel.error, outcome.error);
   EXPECT_EQ(parallel.fault_report.first_failure_node,

@@ -399,8 +399,8 @@ TEST(ChooseShardCountTest, AutoRunMatchesUnshardedBitForBit) {
   api::Query auto_query = MakeTwoPartyQuery(&auto_inputs, 120);
   const auto with_auto =
       auto_query.Run(auto_inputs, {}, CostModel{}, /*seed=*/42,
-                     /*pool_parallelism=*/4,
-                     backends::Dispatcher::kAutoShardCount);
+                     {.pool_parallelism = 4,
+                      .shard_count = compiler::ExecOptions::kAutoShardCount});
   ASSERT_TRUE(with_auto.ok());
   EXPECT_TRUE(with_auto->outputs.at("out").RowsEqual(baseline->outputs.at("out")));
   EXPECT_EQ(with_auto->virtual_seconds, baseline->virtual_seconds);
@@ -419,28 +419,14 @@ TEST(ChooseShardCountTest, ExplainReportsShardAdvice) {
 TEST(ChooseShardCountTest, ExplainReportsFusedExprAdvice) {
   std::map<std::string, Relation> inputs;
   api::Query query = MakeTwoPartyQuery(&inputs, 100);
-  {
-    ScopedFusedExpr on(true);
-    const auto report = query.ExplainPlan();
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->fused_expr_enabled);
-    EXPECT_NE(report->ToString().find("expr-advice:"), std::string::npos)
-        << report->ToString();
-    // Every expression group lives inside a fused chain, so its node count is
-    // bounded by the chains' and a group needs at least two nodes.
-    EXPECT_LE(report->fused_expr_nodes, report->fused_pipeline_nodes);
-    EXPECT_GE(report->fused_expr_nodes, 2 * report->fused_expr_groups);
-  }
-  {
-    ScopedFusedExpr off(false);
-    const auto report = query.ExplainPlan();
-    ASSERT_TRUE(report.ok());
-    EXPECT_FALSE(report->fused_expr_enabled);
-    EXPECT_EQ(report->fused_expr_groups, 0);
-    EXPECT_NE(report->ToString().find("expr-advice: fused evaluator off"),
-              std::string::npos)
-        << report->ToString();
-  }
+  const auto report = query.ExplainPlan();
+  ASSERT_TRUE(report.ok());
+  EXPECT_NE(report->ToString().find("expr-advice:"), std::string::npos)
+      << report->ToString();
+  // Every expression group lives inside a fused chain, so its node count is
+  // bounded by the chains' and a group needs at least one node.
+  EXPECT_LE(report->fused_expr_nodes, report->fused_pipeline_nodes);
+  EXPECT_GE(report->fused_expr_nodes, report->fused_expr_groups);
 }
 
 }  // namespace
