@@ -96,22 +96,6 @@ void CoalesceShards(MaterializedValue& value) {
 
 Status EnsureSecure(RunState& state, MaterializedValue& value) {
   CoalesceShards(value);
-  if (value.phantom_shared && !state.use_gc_backend &&
-      value.kind == MaterializedValue::Kind::kCleartext) {
-    // A retired node already charged this value's ingest and consistency phase
-    // (the phantom path below); share the payload for real without re-charging,
-    // exactly as if the shares had existed since then.
-    std::vector<SharedColumn> columns;
-    columns.reserve(static_cast<size_t>(value.clear.NumColumns()));
-    for (int c = 0; c < value.clear.NumColumns(); ++c) {
-      columns.push_back(state.sharemind.engine().ShareColumn(value.clear, c));
-    }
-    value.shared = SharedRelation(value.clear.schema(), std::move(columns));
-    value.clear = Relation{};
-    value.kind = MaterializedValue::Kind::kShared;
-    value.phantom_shared = false;
-    return Status::Ok();
-  }
   if (state.malicious && value.kind == MaterializedValue::Kind::kCleartext) {
     const PartyId owner = value.location == kNoParty ? 0 : value.location;
     CONCLAVE_RETURN_IF_ERROR(malicious::InputConsistencyPhase(
@@ -142,21 +126,6 @@ Status EnsureSecure(RunState& state, MaterializedValue& value) {
 // EnsureLocalInputAt instead, which keeps shards intact.
 void EnsureCleartextAt(RunState& state, MaterializedValue& value, PartyId party) {
   CoalesceShards(value);
-  if (value.phantom_shared &&
-      value.kind == MaterializedValue::Kind::kCleartext) {
-    // Phantom reveal (retired-node compatibility, DESIGN.md §14): the payload
-    // never left the clear, but the retired consumer charged its ingest as if
-    // it had — so this crossing charges the reveal exactly as the shared form
-    // would, keeping the clock identical to the pre-prune execution.
-    mpc::ChargeRevealMeters(state.net, static_cast<uint64_t>(
-        value.clear.NumRows() * value.clear.NumColumns()));
-    if (state.fault != nullptr) {
-      state.fault->DeliverReveal(value.clear);
-    }
-    value.phantom_shared = false;
-    value.location = party;
-    return;
-  }
   switch (value.kind) {
     case MaterializedValue::Kind::kShared:
       value.clear = state.sharemind.Reveal(value.shared);
@@ -371,10 +340,6 @@ class JobGraphExecutor {
   // stores the output value — everything RunLaneNode may have to replay after an
   // injected crash. Metering/materialization stay with the caller.
   Status ExecuteLaneOnce(NodeExec& exec);
-  // Lane attempt of a retired node (ir::OpNode::retired): charges everything
-  // the pre-prune execution charged but shares nothing and materializes an
-  // empty value; the inputs stay cleartext, flagged phantom_shared.
-  Status ExecutePhantomRetired(NodeExec& exec);
 
   // Frontier checkpoint for lane-node crash recovery (DESIGN.md §11): enough
   // coordinator state to re-execute the node bit-identically — the network
@@ -1176,11 +1141,6 @@ Status JobGraphExecutor::RunLaneNode(NodeExec& exec) {
 
 Status JobGraphExecutor::ExecuteLaneOnce(NodeExec& exec) {
   const ir::OpNode* node = exec.node;
-  if (node->retired && !state_.use_gc_backend &&
-      !(node->kind == ir::OpKind::kConcat &&
-        !node->Params<ir::ConcatParams>().merge_columns.empty())) {
-    return ExecutePhantomRetired(exec);
-  }
   if (state_.use_gc_backend) {
     std::vector<const Relation*> rels;
     rels.reserve(node->inputs.size());
@@ -1211,50 +1171,6 @@ Status JobGraphExecutor::ExecuteLaneOnce(NodeExec& exec) {
     value.shared = std::move(out);
     state_.values[static_cast<size_t>(node->id)] = std::move(value);
   }
-  return Status::Ok();
-}
-
-// A retired node (no remaining consumers after a push-down rewrite) used to run
-// for real: its cleartext inputs were shared into the MPC — consistency phase,
-// ingest meters, AND the Sharemind working-set check, which could OOM a query
-// on a node whose output nobody reads. The phantom keeps every virtual-clock
-// charge and nonce consumption of that execution (the compatibility contract:
-// goldens stay bit-identical) but moves no payload: inputs stay cleartext with
-// phantom_shared set, so a later cleartext consumer charges the reveal boundary
-// as if the shares existed and a later real MPC consumer shares without
-// re-charging — and the working-set check that only guarded dead work is gone.
-Status JobGraphExecutor::ExecutePhantomRetired(NodeExec& exec) {
-  const ir::OpNode* node = exec.node;
-  CONCLAVE_CHECK(node->outputs.empty());
-  for (const ir::OpNode* in : node->inputs) {
-    MaterializedValue& value = state_.values[static_cast<size_t>(in->id)];
-    CoalesceShards(value);
-    if (value.kind != MaterializedValue::Kind::kCleartext ||
-        value.phantom_shared) {
-      continue;  // Already shared (really or phantom): no charges, as before.
-    }
-    if (state_.malicious) {
-      // The real consistency phase: identical charges by construction, and it
-      // consumes the same nonce the pre-prune execution consumed.
-      const PartyId owner = value.location == kNoParty ? 0 : value.location;
-      CONCLAVE_RETURN_IF_ERROR(malicious::InputConsistencyPhase(
-          state_.net, value.clear, owner, state_.num_parties,
-          state_.seed ^ (0x9e3779b97f4a7c15ULL + state_.next_nonce++)));
-    }
-    // Ingest meters exactly as mpc::InputRelation charges them — minus the
-    // sharing itself and the working-set check.
-    const SsCharge charge =
-        state_.net.model().SsChargeFor(SsPrimitive::kRecordIngest);
-    const uint64_t rows = static_cast<uint64_t>(value.clear.NumRows());
-    const uint64_t cells = rows * static_cast<uint64_t>(value.clear.NumColumns());
-    state_.net.CpuSeconds(static_cast<double>(rows) * charge.seconds);
-    state_.net.CountAggregateBytes(cells * charge.bytes);
-    state_.net.Rounds(charge.rounds);
-    value.phantom_shared = true;
-  }
-  AdvanceAcquisition(exec);
-  // An empty value: the node has no consumers, nothing must materialize.
-  state_.values[static_cast<size_t>(node->id)] = MaterializedValue{};
   return Status::Ok();
 }
 

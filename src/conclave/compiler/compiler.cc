@@ -115,17 +115,15 @@ StatusOr<Compilation> Compile(ir::Dag& dag, const CompilerOptions& options) {
       GenerateCode(result.plan, result.options.mpc_backend, options.use_spark);
   if (result.has_cost_report) {
     // Sharding advice for the explain listing: priced from the Create nodes' row
-    // hints (the planner's compile-time input knowledge) at the configured or
-    // hardware-default pool.
+    // hints (the planner's compile-time input knowledge) at the hardware-default
+    // pool.
     int64_t hinted_rows = 0;
     for (const ir::OpNode* create : dag.Creates()) {
       hinted_rows += create->Params<ir::CreateParams>().num_rows_hint;
     }
-    const int pool = options.planning_pool_parallelism > 0
-                         ? options.planning_pool_parallelism
-                         : ThreadPool::DefaultParallelism();
     AnnotateShardAdvice(result.cost_report, result.plan,
-                        options.planning_cost_model, pool, hinted_rows);
+                        options.planning_cost_model,
+                        ThreadPool::DefaultParallelism(), hinted_rows);
     // The batch, fault, and spill advice describe the run options a default
     // run resolves (the dispatcher calls the same resolver).
     CONCLAVE_ASSIGN_OR_RETURN(const ExecOptions exec, ResolveExecOptions({}));

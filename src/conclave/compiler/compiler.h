@@ -53,11 +53,6 @@ struct CompilerOptions {
   bool explain_plan = false;
   // Cardinality knobs feeding the plan-cost estimate (selectivities, default rows).
   CardinalityOptions planning_cardinality;
-  // Pool parallelism assumed by the explain report's shard-count advice
-  // (PlanCostReport::recommended_shard_count). 0 = this machine's hardware
-  // default; set explicitly to make explain output machine-independent (e.g. in
-  // golden tests).
-  int planning_pool_parallelism = 0;
   // Adaptive padding (§9 extension): pad every local relation entering an MPC join /
   // grouped aggregation / window to the next power of two, hiding data-dependent
   // cardinalities on the MPC boundary behind log2 buckets. Off by default — padding

@@ -49,16 +49,14 @@ bool PushThroughConcat(ir::Dag& dag, ir::OpNode* node, std::vector<std::string>*
 
   const auto new_concat = dag.AddConcat(per_branch);
   CONCLAVE_CHECK(new_concat.ok());
-  // Rewire all consumers of `node` to the new concat, then retire node and the old
-  // concat.
+  // Rewire all consumers of `node` to the new concat, then detach node and the
+  // old concat: the per-branch clones replace the concat's inputs, so nothing
+  // downstream (placement, costing, execution) ever sees it again.
   for (ir::OpNode* consumer : std::vector<ir::OpNode*>(node->outputs)) {
     dag.ReplaceInput(consumer, node, *new_concat);
   }
   dag.Detach(node);
-  // The old concat keeps its input edges but has no consumers left; mark it
-  // retired so the executor charges it as a phantom instead of sharing its
-  // (possibly huge) inputs into the MPC for nothing.
-  concat->retired = true;
+  dag.Detach(concat);
   log->push_back(StrFormat("push-down: moved %s #%d below concat #%d (%zu branches)",
                            ir::OpKindName(node->kind), node->id, concat->id,
                            per_branch.size()));
@@ -109,8 +107,7 @@ bool SplitAggregate(ir::Dag& dag, ir::OpNode* node, bool allow_cardinality_leak,
     dag.ReplaceInput(consumer, node, *combine);
   }
   dag.Detach(node);
-  // As in PushThroughConcat: the old concat is consumer-less from here on.
-  concat->retired = true;
+  dag.Detach(concat);  // As in PushThroughConcat.
   log->push_back(StrFormat(
       "push-down: split %s aggregation #%d into %zu local pre-aggregations + MPC "
       "combine%s",

@@ -187,11 +187,7 @@ struct OpNode {
   std::vector<std::string> sorted_by;  // Columns the output is known sorted by.
   bool assume_sorted = false;          // Oblivious sort elided by sort-elimination.
 
-  // Set by rewrites that strand this node with no remaining consumers (the
-  // concat a push-down hollowed out). A retired node stays in the DAG — its
-  // inputs' acquisition order and its virtual-clock charges are part of the
-  // plan's contract — but the executor runs it as a phantom: every meter is
-  // charged, no payload is shared or materialized.
+  // Never set by any pass; kept only because bench/e2e/trace.cc still reads it.
   bool retired = false;
 
   template <typename T>

@@ -571,6 +571,21 @@ TEST(CompileTest, ReportsNumParties) {
   EXPECT_EQ(compilation->num_parties, 3);
 }
 
+// Push-down detaches the concats it hollows out, so the compiled plan holds no
+// dead node: everything but a Collect feeds some consumer.
+TEST(CompileTest, EveryRewriteLeavesNoConsumerlessNode) {
+  MarketQuery q;
+  const auto compilation = Compile(q.dag, CompilerOptions{});
+  ASSERT_TRUE(compilation.ok());
+  EXPECT_TRUE(q.concat->inputs.empty());  // The original concat is detached.
+  for (const OpNode* node : q.dag.TopoOrder()) {
+    EXPECT_NE(node, q.concat);
+    if (node->kind != OpKind::kCollect) {
+      EXPECT_FALSE(node->outputs.empty()) << node->ToString();
+    }
+  }
+}
+
 // --- Window operator through the compiler passes -------------------------------------
 
 // Two hospitals' diagnosis logs; patient id + timestamp annotated trust={0} so the

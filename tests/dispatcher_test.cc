@@ -1,10 +1,11 @@
 // Dispatcher-level tests: failure injection (simulated OOM on both MPC backends),
 // cleartext-backend selection, critical-path scheduling of parallel local jobs,
-// retired-node phantom execution, split caching, run-option resolution, and the
-// composition of all extension features in one run.
+// push-down keeping dropped rows out of both MPC backends, split caching,
+// run-option resolution, and the composition of all extension features in one run.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 
 #include "conclave/api/conclave.h"
 #include "conclave/compiler/exec_options.h"
@@ -219,49 +220,90 @@ TEST(DispatcherTest, AllExtensionsComposeInOneRun) {
   }
 }
 
-// Regression for the dead concat that push-down used to leave running: moving a
-// distributive op below a cross-party concat strands the old concat with zero
-// consumers, yet it still executed as an MPC node — sharing its full create
-// inputs into the VM for nothing. It now runs as a phantom (identical meter
-// charges, no sharing, no working-set check), so a VM limit far below the raw
-// create sizes no longer aborts the run. Under the old behavior this query
-// returns kResourceExhausted; the limit is sized so the test fails if the
-// retired node ever shares its inputs again.
-TEST(DispatcherTest, RetiredConcatNoLongerSharesItsInputs) {
-  auto run = [](const CostModel& model) {
-    Query query;
-    Party regulator = query.AddParty("regulator");
-    Party bank1 = query.AddParty("bank1");
-    Party bank2 = query.AddParty("bank2");
-    Table s1 = query.NewTable("s1", {{"k"}, {"v"}}, bank1);
-    Table s2 = query.NewTable("s2", {{"k"}, {"v"}}, bank2);
-    // Selective filter: push-down runs it per branch at each bank, so only a
-    // handful of rows ever cross into the MPC.
-    query.Concat({s1, s2})
-        .Filter("v", CompareOp::kLt, 5)
-        .Aggregate("total", AggKind::kSum, {"k"}, "v")
-        .WriteToCsv("out", {regulator});
-    std::map<std::string, Relation> inputs;
-    inputs["s1"] = data::UniformInts(3000, {"k", "v"}, 1000, /*seed=*/81);
-    inputs["s2"] = data::UniformInts(3000, {"k", "v"}, 1000, /*seed=*/82);
-    return query.Run(inputs, {}, model);
-  };
+// Push-down runs a selective filter at each bank, below the cross-party concat,
+// and detaches the concat it hollowed out. Rows the filter drops therefore never
+// reach the MPC: padding both banks' inputs with such rows must leave every
+// MPC-side meter unchanged, and a VM limit far below the raw creates' size must
+// not abort the run. A concat left in the plan would ingest (under Obliv-C,
+// garble) the full creates, and both checks would fail.
 
-  const auto generous = run(CostModel{});
-  ASSERT_TRUE(generous.ok()) << generous.status().ToString();
-  ASSERT_GT(generous->outputs.at("out").NumRows(), 0);
+// `base` plus `rows` rows the filter `v < 5` drops.
+Relation PadWithDroppedRows(Relation base, int64_t rows, uint64_t seed) {
+  const Relation pad = data::UniformInts(rows, {"k", "v"}, 1000, seed);
+  for (int64_t r = 0; r < pad.NumRows(); ++r) {
+    base.AppendRow({pad.At(r, 0), 5 + pad.At(r, 1)});
+  }
+  return base;
+}
 
-  CostModel tight;
-  // Far below the 2 x 6000-cell (~4 MB resident) working set the dead concat
-  // used to share, far above what the few filtered rows need (~80 KB).
-  tight.ss_memory_limit_bytes = 1 << 20;
-  const auto bounded = run(tight);
+// sum(v) by k over concat(bank1, bank2) filtered to v < 5, with `pad_rows`
+// dropped rows added to each bank. Two-party queries have no regulator, so
+// bank1 receives the output.
+StatusOr<backends::ExecutionResult> RunPushedDownFilter(
+    compiler::MpcBackendKind backend, const CostModel& model, int64_t pad_rows) {
+  Query query;
+  std::optional<Party> regulator;
+  if (backend != compiler::MpcBackendKind::kOblivC) {
+    regulator = query.AddParty("regulator");
+  }
+  Party bank1 = query.AddParty("bank1");
+  Party bank2 = query.AddParty("bank2");
+  Table s1 = query.NewTable("s1", {{"k"}, {"v"}}, bank1);
+  Table s2 = query.NewTable("s2", {{"k"}, {"v"}}, bank2);
+  query.Concat({s1, s2})
+      .Filter("v", CompareOp::kLt, 5)
+      .Aggregate("total", AggKind::kSum, {"k"}, "v")
+      .WriteToCsv("out", {regulator.value_or(bank1)});
+  std::map<std::string, Relation> inputs;
+  inputs["s1"] = PadWithDroppedRows(data::UniformInts(400, {"k", "v"}, 50, 81),
+                                    pad_rows, 84);
+  inputs["s2"] = PadWithDroppedRows(data::UniformInts(400, {"k", "v"}, 50, 82),
+                                    pad_rows, 85);
+  compiler::CompilerOptions options;
+  options.mpc_backend = backend;
+  return query.Run(inputs, options, model);
+}
+
+void ExpectSameMpcMeters(const backends::ExecutionResult& a,
+                         const backends::ExecutionResult& b) {
+  EXPECT_TRUE(a.outputs.at("out").RowsEqual(b.outputs.at("out")));
+  EXPECT_EQ(a.counters.network_bytes, b.counters.network_bytes);
+  EXPECT_EQ(a.counters.network_rounds, b.counters.network_rounds);
+  EXPECT_EQ(a.counters.mpc_multiplications, b.counters.mpc_multiplications);
+  EXPECT_EQ(a.counters.mpc_comparisons, b.counters.mpc_comparisons);
+  EXPECT_EQ(a.counters.gc_and_gates, b.counters.gc_and_gates);
+  EXPECT_EQ(a.mpc_seconds, b.mpc_seconds);
+}
+
+void ExpectDroppedRowsNeverEnterTheMpc(compiler::MpcBackendKind backend,
+                                       const CostModel& tight) {
+  const auto plain = RunPushedDownFilter(backend, CostModel{}, 0);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_GT(plain->outputs.at("out").NumRows(), 0);
+  const auto padded = RunPushedDownFilter(backend, CostModel{}, 3000);
+  ASSERT_TRUE(padded.ok()) << padded.status().ToString();
+  ExpectSameMpcMeters(*plain, *padded);
+
+  // The limit admits the filtered rows but not one padded create.
+  const auto bounded = RunPushedDownFilter(backend, tight, 3000);
   ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
-  // The phantom's compatibility charges keep the clock identical to a run that
-  // never hits the limit.
-  EXPECT_TRUE(bounded->outputs.at("out").RowsEqual(generous->outputs.at("out")));
-  EXPECT_EQ(bounded->virtual_seconds, generous->virtual_seconds);
-  EXPECT_EQ(bounded->node_seconds, generous->node_seconds);
+  EXPECT_TRUE(bounded->outputs.at("out").RowsEqual(padded->outputs.at("out")));
+  EXPECT_EQ(bounded->virtual_seconds, padded->virtual_seconds);
+  EXPECT_EQ(bounded->node_seconds, padded->node_seconds);
+}
+
+TEST(DispatcherTest, PushedDownFilterKeepsDroppedRowsOutOfSharemind) {
+  CostModel tight;
+  // 3400 x 2 cells x 350 B = 2.3 MiB per padded create.
+  tight.ss_memory_limit_bytes = 1 << 20;
+  ExpectDroppedRowsNeverEnterTheMpc(compiler::MpcBackendKind::kSharemind, tight);
+}
+
+TEST(DispatcherTest, PushedDownFilterKeepsDroppedRowsOutOfOblivC) {
+  CostModel tight;
+  // 3400 x 2 x 64 bits x 200 B = 83 MiB of live labels per padded create.
+  tight.gc_memory_limit_bytes = 32 << 20;
+  ExpectDroppedRowsNeverEnterTheMpc(compiler::MpcBackendKind::kOblivC, tight);
 }
 
 // N sharded consumers of one cleartext value used to take one task-owned

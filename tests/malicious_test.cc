@@ -214,6 +214,46 @@ TEST(MaliciousEndToEndTest, SameAnswersProofsCountedAndMpcScaled) {
   EXPECT_GT(active.virtual_seconds, passive.virtual_seconds);
 }
 
+// Push-down runs the filter and a partial aggregation at each bank, so only the
+// per-bank partials enter the MPC. Each entering value costs one consistency
+// proof; the raw creates never enter and must not be proven.
+TEST(MaliciousEndToEndTest, PushDownProvesOnlyValuesEnteringTheMpc) {
+  api::Query query;
+  api::Party regulator = query.AddParty("regulator");
+  api::Party bank1 = query.AddParty("bank1");
+  api::Party bank2 = query.AddParty("bank2");
+  api::Table s1 = query.NewTable("s1", {{"k"}, {"v"}}, bank1);
+  api::Table s2 = query.NewTable("s2", {{"k"}, {"v"}}, bank2);
+  query.Concat({s1, s2})
+      .Filter("v", CompareOp::kLt, 20)
+      .Aggregate("total", AggKind::kSum, {"k"}, "v")
+      .WriteToCsv("out", {regulator});
+  std::map<std::string, Relation> inputs;
+  inputs["s1"] = data::UniformInts(500, {"k", "v"}, 100, 11);
+  inputs["s2"] = data::UniformInts(500, {"k", "v"}, 100, 12);
+
+  compiler::CompilerOptions options;
+  options.malicious_security = true;
+  const auto result = query.Run(inputs, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  // Distinct cleartext values an MPC node reads.
+  std::set<int> entering;
+  for (const ir::OpNode* node : query.dag().TopoOrder()) {
+    if (node->exec_mode != ir::ExecMode::kMpc || node->IsLeafOutput()) {
+      continue;
+    }
+    for (const ir::OpNode* in : node->inputs) {
+      if (in->exec_mode == ir::ExecMode::kLocal) {
+        EXPECT_NE(in->kind, ir::OpKind::kCreate) << in->ToString();
+        entering.insert(in->id);
+      }
+    }
+  }
+  EXPECT_EQ(entering.size(), 2u);  // One partial aggregate per bank.
+  EXPECT_EQ(result->counters.zk_proofs, entering.size());
+}
+
 }  // namespace
 }  // namespace malicious
 }  // namespace conclave

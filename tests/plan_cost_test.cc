@@ -85,15 +85,16 @@ CompilerOptions NoPassOptions(MpcBackendKind backend) {
   return options;
 }
 
-// Runs `build`'s query under `backend` and asserts that every explain node's
-// estimate equals the dispatcher's meter for that node.
+// Runs `build`'s query compiled with `options` (explain on) and asserts that
+// every explain node's estimate equals the dispatcher's meter for that node.
 template <typename BuildFn>
 void ExpectEstimatesMatchMeters(BuildFn build,
                                 const std::map<std::string, Relation>& inputs,
-                                MpcBackendKind backend) {
+                                const CompilerOptions& options) {
+  const MpcBackendKind backend = options.mpc_backend;
   api::Query query;
   build(query);
-  const auto compilation = query.Compile(NoPassOptions(backend));
+  const auto compilation = query.Compile(options);
   ASSERT_TRUE(compilation.ok()) << compilation.status().ToString();
   ASSERT_TRUE(compilation->has_cost_report);
   ASSERT_FALSE(compilation->cost_report.nodes.empty());
@@ -124,8 +125,8 @@ TEST(PlanCostTest, ConcatSortEstimateMatchesMeteredRun) {
   std::map<std::string, Relation> inputs;
   inputs["a"] = SequentialKeys(100, {"k", "v"});
   inputs["b"] = SequentialKeys(60, {"k", "v"});
-  ExpectEstimatesMatchMeters(build, inputs, MpcBackendKind::kSharemind);
-  ExpectEstimatesMatchMeters(build, inputs, MpcBackendKind::kOblivC);
+  ExpectEstimatesMatchMeters(build, inputs, NoPassOptions(MpcBackendKind::kSharemind));
+  ExpectEstimatesMatchMeters(build, inputs, NoPassOptions(MpcBackendKind::kOblivC));
 }
 
 TEST(PlanCostTest, JoinAggregateEstimateMatchesMeteredRun) {
@@ -141,8 +142,8 @@ TEST(PlanCostTest, JoinAggregateEstimateMatchesMeteredRun) {
   std::map<std::string, Relation> inputs;
   inputs["a"] = SequentialKeys(80, {"k", "v"});
   inputs["b"] = SequentialKeys(80, {"k", "w"});
-  ExpectEstimatesMatchMeters(build, inputs, MpcBackendKind::kSharemind);
-  ExpectEstimatesMatchMeters(build, inputs, MpcBackendKind::kOblivC);
+  ExpectEstimatesMatchMeters(build, inputs, NoPassOptions(MpcBackendKind::kSharemind));
+  ExpectEstimatesMatchMeters(build, inputs, NoPassOptions(MpcBackendKind::kOblivC));
 }
 
 TEST(PlanCostTest, FilterArithmeticEstimateMatchesMeteredRun) {
@@ -204,7 +205,7 @@ TEST(PlanCostTest, SharedInputIngestedOnce) {
   std::map<std::string, Relation> inputs;
   inputs["a"] = SequentialKeys(50, {"k", "v"});
   inputs["b"] = SequentialKeys(50, {"k", "w"});
-  ExpectEstimatesMatchMeters(build, inputs, MpcBackendKind::kSharemind);
+  ExpectEstimatesMatchMeters(build, inputs, NoPassOptions(MpcBackendKind::kSharemind));
 
   api::Query query;
   build(query);
@@ -277,45 +278,75 @@ PlanCostReport ExpectChoosesMeasuredCheapest(
   return report;
 }
 
-// Figure 4: the market-concentration (HHI) query, three parties. Obliv-C is a
-// two-party protocol, so the chooser must keep the query on secret sharing.
-TEST(FigureShapeTest, Fig4MarketConcentration) {
-  const int64_t rows_per_party = 100;
-  const auto build = [&](api::Query& query) {
-    auto pa = query.AddParty("a");
-    auto pb = query.AddParty("b");
-    auto pc = query.AddParty("c");
-    std::vector<api::ColumnSpec> columns{{"companyID"}, {"price"}};
-    auto ta = query.NewTable("inputA", columns, pa, rows_per_party);
-    auto tb = query.NewTable("inputB", columns, pb, rows_per_party);
-    auto tc = query.NewTable("inputC", columns, pc, rows_per_party);
-    auto rev = query.Concat({ta, tb, tc})
-                   .Filter("price", CompareOp::kGt, 0)
-                   .Aggregate("local_rev", AggKind::kSum, {"companyID"}, "price");
-    auto keyed = rev.MultiplyConst("zero", "local_rev", 0).AddConst("one", "zero", 1);
-    auto market_size =
-        keyed.Aggregate("total_rev", AggKind::kSum, {"one"}, "local_rev");
-    keyed.Join(market_size, {"one"}, {"one"})
-        .Divide("m_share", "local_rev", "total_rev", 10000)
-        .Multiply("ms_squared", "m_share", "m_share")
-        .Aggregate("hhi", AggKind::kSum, {}, "ms_squared")
-        .WriteToCsv("hhi", {pa});
-  };
+// Figure 4: the market-concentration (HHI) query, three parties.
+void BuildHhi(api::Query& query, int64_t rows_per_party) {
+  auto pa = query.AddParty("a");
+  auto pb = query.AddParty("b");
+  auto pc = query.AddParty("c");
+  std::vector<api::ColumnSpec> columns{{"companyID"}, {"price"}};
+  auto ta = query.NewTable("inputA", columns, pa, rows_per_party);
+  auto tb = query.NewTable("inputB", columns, pb, rows_per_party);
+  auto tc = query.NewTable("inputC", columns, pc, rows_per_party);
+  auto rev = query.Concat({ta, tb, tc})
+                 .Filter("price", CompareOp::kGt, 0)
+                 .Aggregate("local_rev", AggKind::kSum, {"companyID"}, "price");
+  auto keyed = rev.MultiplyConst("zero", "local_rev", 0).AddConst("one", "zero", 1);
+  auto market_size =
+      keyed.Aggregate("total_rev", AggKind::kSum, {"one"}, "local_rev");
+  keyed.Join(market_size, {"one"}, {"one"})
+      .Divide("m_share", "local_rev", "total_rev", 10000)
+      .Multiply("ms_squared", "m_share", "m_share")
+      .Aggregate("hhi", AggKind::kSum, {}, "ms_squared")
+      .WriteToCsv("hhi", {pa});
+}
+
+// Each party's taxi trips under company `party`. `exact_cardinalities` puts
+// every party in company 0 and drops the zero fares instead, so a filter keeps
+// every row and each aggregation has one group.
+std::map<std::string, Relation> HhiInputs(int64_t rows_per_party,
+                                          bool exact_cardinalities = false) {
   std::map<std::string, Relation> inputs;
   const char* names[] = {"inputA", "inputB", "inputC"};
   for (int party = 0; party < 3; ++party) {
     data::TaxiConfig config;
     config.rows = rows_per_party;
-    config.company_id = party;
+    if (exact_cardinalities) {
+      config.zero_fare_fraction = 0;
+    } else {
+      config.company_id = party;
+    }
     config.seed = static_cast<uint64_t>(party) + 17;
     inputs[names[party]] = data::TaxiTrips(config);
   }
+  return inputs;
+}
 
-  const PlanCostReport report = ExpectChoosesMeasuredCheapest(build, inputs);
+// Obliv-C is a two-party protocol, so the chooser must keep the query on secret
+// sharing.
+TEST(FigureShapeTest, Fig4MarketConcentration) {
+  const int64_t rows_per_party = 100;
+  const auto build = [&](api::Query& query) { BuildHhi(query, rows_per_party); };
+  const PlanCostReport report =
+      ExpectChoosesMeasuredCheapest(build, HhiInputs(rows_per_party));
   EXPECT_EQ(report.cheapest, MpcBackendKind::kSharemind);
   EXPECT_TRUE(std::isinf(report.oblivc_seconds));
   EXPECT_FALSE(report.nodes.empty());
   EXPECT_NE(report.ToString().find("plan-cost:"), std::string::npos);
+}
+
+// The push-down plan of Fig. 4: a per-party filter and partial aggregation, then
+// the MPC combine. With exact cardinalities each node's estimate must equal its
+// meter — including the ingest of the per-party partials, the only values that
+// enter the MPC.
+TEST(FigureShapeTest, Fig4PushDownEstimateMatchesMeteredRun) {
+  const int64_t rows_per_party = 100;
+  const auto build = [&](api::Query& query) { BuildHhi(query, rows_per_party); };
+  CompilerOptions options = NoPassOptions(MpcBackendKind::kSharemind);
+  options.push_down = true;
+  options.planning_cardinality.filter_selectivity = 1.0;
+  options.planning_cardinality.distinct_fraction = 1.0 / rows_per_party;
+  ExpectEstimatesMatchMeters(
+      build, HhiInputs(rows_per_party, /*exact_cardinalities=*/true), options);
 }
 
 // Figure 5a/6: the credit-card regulation query with trust-annotated keys, three
@@ -552,8 +583,8 @@ TEST(PlanCostTest, SingleRowRelationsMatchMeters) {
   std::map<std::string, Relation> inputs;
   inputs["a"] = SequentialKeys(1, {"k", "v"});
   inputs["b"] = SequentialKeys(1, {"k", "w"});
-  ExpectEstimatesMatchMeters(build, inputs, MpcBackendKind::kSharemind);
-  ExpectEstimatesMatchMeters(build, inputs, MpcBackendKind::kOblivC);
+  ExpectEstimatesMatchMeters(build, inputs, NoPassOptions(MpcBackendKind::kSharemind));
+  ExpectEstimatesMatchMeters(build, inputs, NoPassOptions(MpcBackendKind::kOblivC));
 }
 
 // --- The explain surface --------------------------------------------------------------
