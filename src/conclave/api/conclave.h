@@ -143,10 +143,10 @@ class Query {
       compiler::CompilerOptions options = {});
 
   // Compile + dispatch in one step. `inputs` maps table names to relations.
-  // `exec` carries the run options — thread budget, shard count, batch size,
-  // fault plan, memory budget — with unset fields taking their CONCLAVE_*
-  // environment defaults (compiler/exec_options.h). Results and virtual time
-  // are identical for every option combination (DESIGN.md §5, §9, §10, §12); a
+  // `exec` carries the run options — thread budget, batch size, fault plan,
+  // memory budget — with unset fields taking their CONCLAVE_* environment
+  // defaults (compiler/exec_options.h). Results and virtual time are
+  // identical for every option combination (DESIGN.md §5, §10, §12); a
   // recoverable fault plan preserves the results bit for bit and adds exactly
   // its priced recovery time to the clock, and a budget adds exactly its
   // priced spill I/O time.

@@ -1,17 +1,14 @@
 // Shared execution-time types for the backends and the dispatcher.
 //
-// During plan execution every DAG node materializes to one of four value kinds,
+// During plan execution every DAG node materializes to one of three value kinds,
 // mirroring where the data lives in a real deployment:
 //   * kCleartext — a relation held in the clear by one party (local jobs);
-//   * kShardedClear — the same cleartext domain, horizontally sharded for the
-//                  data-parallel executor (shard_count > 1 runs); coalesces back
-//                  into one kCleartext relation at the MPC frontier and at
-//                  Collects, so the engines always see the single-relation
-//                  contract (see relational/sharded.h);
 //   * kShared    — a secret-shared relation inside the Sharemind-style backend;
 //   * kGarbled   — a relation inside the garbled-circuit backend (payload evaluated
 //                  in the ideal model, costs and memory fully accounted; see
 //                  mpc/garbled/gc_engine.h).
+// Two streaming forms stand in for a cleartext relation that is never built
+// (kCsvSource, kRevealSource; see MaterializedValue).
 #ifndef CONCLAVE_BACKENDS_BACKEND_H_
 #define CONCLAVE_BACKENDS_BACKEND_H_
 
@@ -27,7 +24,6 @@
 #include "conclave/net/fault.h"
 #include "conclave/relational/csv.h"
 #include "conclave/relational/relation.h"
-#include "conclave/relational/sharded.h"
 #include "conclave/relational/spill.h"
 
 namespace conclave {
@@ -36,15 +32,13 @@ namespace backends {
 struct MaterializedValue {
   // kCsvSource is the streaming-ingest form (DESIGN.md §12): a CSV-backed
   // Create whose sole consumer is a fused local chain materializes only the
-  // indexed raw text; the chain's per-shard pipelines parse row ranges
-  // batch-at-a-time and the source relation never exists in memory.
-  // kRevealSource is its reveal-boundary twin (DESIGN.md §14): a shared value
-  // whose sole consumer is a fused local chain keeps its shares; the chain's
-  // per-shard pipelines reconstruct row ranges batch-at-a-time and the
-  // revealed relation never exists in memory.
+  // indexed raw text; the chain's pipeline parses row ranges batch-at-a-time
+  // and the source relation never exists in memory. kRevealSource is its
+  // reveal-boundary twin (DESIGN.md §14): a shared value whose sole consumer is
+  // a fused local chain keeps its shares; the chain's pipeline reconstructs row
+  // ranges batch-at-a-time and the revealed relation never exists in memory.
   enum class Kind {
     kCleartext,
-    kShardedClear,
     kShared,
     kGarbled,
     kCsvSource,
@@ -53,24 +47,16 @@ struct MaterializedValue {
 
   Kind kind = Kind::kCleartext;
   Relation clear;          // kCleartext / kGarbled payload.
-  PartyId location = kNoParty;  // kCleartext / kShardedClear / k*Source: holder.
+  PartyId location = kNoParty;  // kCleartext / k*Source: holder.
   SharedRelation shared;   // kShared.
-  ShardedRelation sharded;  // kShardedClear.
   std::shared_ptr<CsvSource> csv;  // kCsvSource (shared with in-flight tasks).
   // kRevealSource (shared with in-flight tasks).
   std::shared_ptr<mpc::RevealSource> reveal;
-
-  // One lazily-built split per (value, shard_count): N sharded consumers of a
-  // revealed value reuse this instead of each cutting a task-owned copy
-  // (coordinator-built, then only read by tasks).
-  std::shared_ptr<const ShardedRelation> cached_split;
 
   int64_t NumRows() const {
     switch (kind) {
       case Kind::kShared:
         return shared.NumRows();
-      case Kind::kShardedClear:
-        return sharded.NumRows();
       case Kind::kCsvSource:
         return csv->NumRows();
       case Kind::kRevealSource:
@@ -83,9 +69,8 @@ struct MaterializedValue {
 
 // Beyond-RAM execution outcome (DESIGN.md §12). The priced fields are closed
 // forms over node-total row counts (compiler::NodeSpillSeconds), identical at
-// every {pool, shard, batch_rows} grid point; `stats` carries the physical
-// spill counters, whose layout varies with shard/batch structure and which are
-// therefore reported for observability only.
+// every {pool, batch_rows} grid point; `stats` carries the physical spill
+// counters, reported for observability only.
 struct SpillReport {
   int64_t mem_budget_rows = 0;  // Resolved per-operator budget (0 = unbounded).
   int spilling_nodes = 0;       // Nodes whose priced charge was non-zero.

@@ -1,7 +1,6 @@
 #include "conclave/backends/dispatcher.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <memory>
@@ -36,20 +35,15 @@ struct RunState {
   int num_parties;
   uint64_t seed;
   uint64_t next_nonce = 0;
-  // Horizontal shard count of the cleartext data plane (1 = unsharded, the
-  // historical executor). Sharding changes wall clock only: every virtual-time
-  // charge is computed from totals (row counts, byte sizes) that are identical at
-  // any shard count, and shards coalesce before anything enters the MPC engines.
-  int shard_count = 1;
-  // Batch size of the push-based pipeline executor. Batching, like sharding,
-  // changes wall clock and memory only: fused chains are priced per node from
-  // row totals that are identical at every batch size (DESIGN.md §10).
+  // Batch size of the push-based pipeline executor. Batching changes wall clock
+  // and memory only: fused chains are priced per node from row totals that are
+  // identical at every batch size (DESIGN.md §10).
   int64_t batch_rows = kDefaultBatchRows;
   // Per-operator-instance memory budget of the blocking cleartext kernels
   // (DESIGN.md §12; 0 = unbounded). The physical spill work changes wall clock
   // and disk only; the virtual clock carries the priced closed form
   // (compiler::NodeSpillSeconds over node-total rows), identical at every
-  // {pool, shard, batch} point and added once in the final accounting pass.
+  // {pool, batch} point and added once in the final accounting pass.
   int64_t mem_budget_rows = 0;
 
   std::vector<MaterializedValue> values;  // Indexed by node id; slots never move.
@@ -81,21 +75,10 @@ struct RunState {
 // Moves a value into the secure domain (inputToMPC), charging ingest on the engine.
 // Under malicious security, every cleartext relation entering the MPC first runs the
 // Appendix-A.5 commit + ZK-consistency phase; a rejected proof aborts the query.
-// Coalesces a sharded cleartext value back into the single-relation form (the MPC
-// frontier and Collect contract). Callers must hold exclusive access to the value
-// (no concurrent shard readers) — the executor guarantees this by treating lane
-// and collect acquisitions as payload-overwriting.
-void CoalesceShards(MaterializedValue& value) {
-  if (value.kind != MaterializedValue::Kind::kShardedClear) {
-    return;
-  }
-  value.clear = value.sharded.Coalesce();
-  value.sharded = ShardedRelation{};
-  value.kind = MaterializedValue::Kind::kCleartext;
-}
-
+// Callers must hold exclusive access to the value (no concurrent pool readers) —
+// the executor guarantees this by treating lane acquisitions as
+// payload-overwriting.
 Status EnsureSecure(RunState& state, MaterializedValue& value) {
-  CoalesceShards(value);
   if (state.malicious && value.kind == MaterializedValue::Kind::kCleartext) {
     const PartyId owner = value.location == kNoParty ? 0 : value.location;
     CONCLAVE_RETURN_IF_ERROR(malicious::InputConsistencyPhase(
@@ -121,11 +104,8 @@ Status EnsureSecure(RunState& state, MaterializedValue& value) {
   return Status::Ok();
 }
 
-// Moves a value into the clear at `party` (reveal / party-to-party transfer),
-// coalescing sharded values first. Local-compute input acquisition uses
-// EnsureLocalInputAt instead, which keeps shards intact.
+// Moves a value into the clear at `party` (reveal / party-to-party transfer).
 void EnsureCleartextAt(RunState& state, MaterializedValue& value, PartyId party) {
-  CoalesceShards(value);
   switch (value.kind) {
     case MaterializedValue::Kind::kShared:
       value.clear = state.sharemind.Reveal(value.shared);
@@ -152,8 +132,6 @@ void EnsureCleartextAt(RunState& state, MaterializedValue& value, PartyId party)
         value.location = party;
       }
       break;
-    case MaterializedValue::Kind::kShardedClear:
-      break;  // Unreachable: coalesced above.
     case MaterializedValue::Kind::kCsvSource:
     case MaterializedValue::Kind::kRevealSource:
       // Unreachable: a streaming source is produced only when its sole consumer
@@ -162,21 +140,6 @@ void EnsureCleartextAt(RunState& state, MaterializedValue& value, PartyId party)
       CONCLAVE_CHECK(false);
       break;
   }
-}
-
-// Local-compute input acquisition: like EnsureCleartextAt but keeps sharded values
-// sharded (the per-party transfer charge uses the shard total, which equals the
-// coalesced relation's byte size — virtual time is shard-count-invariant).
-void EnsureLocalInputAt(RunState& state, MaterializedValue& value, PartyId party) {
-  if (value.kind == MaterializedValue::Kind::kShardedClear) {
-    if (value.location != party && value.location != kNoParty) {
-      state.net.Send(value.location, party, value.sharded.ByteSize());
-      state.net.Rounds(1);
-      value.location = party;
-    }
-    return;
-  }
-  EnsureCleartextAt(state, value, party);
 }
 
 // Cost-model seconds a cleartext backend spends processing `records` input records
@@ -250,8 +213,8 @@ class JobGraphExecutor {
     // Priced beyond-RAM spill charge for this node (DESIGN.md §12): the
     // closed-form compiler::NodeSpillSeconds over the node's TOTAL input rows,
     // computed on the coordinator at acquisition (or, for fused interior
-    // members, from the chain's summed per-op rows) — never from physical
-    // shard/batch layout, so the charge is grid-invariant. Folded into
+    // members, from the chain's per-op rows) — never from physical batch
+    // layout, so the charge is grid-invariant. Folded into
     // virtual_seconds once, in the final accounting pass; node_seconds stays
     // spill-free so the per-node estimate==meter identities are untouched.
     double spill_priced_seconds = 0;
@@ -261,7 +224,7 @@ class JobGraphExecutor {
     spill::SpillStats spill_stats;
     // Pipeline fusion (DESIGN.md §10): topo indices of this chain's members in
     // chain order (filled on the head only; length >= 2). Members execute as one
-    // BatchPipeline per shard inside the head's dispatch; only the tail's output
+    // BatchPipeline inside the head's dispatch; only the tail's output
     // materializes.
     std::vector<int> chain_members;
     // Topo index of the owning chain's head (-1 = not fused). The head points at
@@ -273,11 +236,9 @@ class JobGraphExecutor {
     int topo_index = 0;
     Status status;
     Relation output;
-    ShardedRelation sharded_output;  // Valid when is_sharded.
-    bool is_sharded = false;
-    // Fused-chain completions: rows consumed by each chain member (summed over
-    // shards). Equals the unfused execution's per-node input cardinalities at
-    // every batch size; DrainCompletions prices interior members from these.
+    // Fused-chain completions: rows consumed by each chain member. Equals the
+    // unfused execution's per-node input cardinalities at every batch size;
+    // DrainCompletions prices interior members from these.
     std::vector<int64_t> chain_op_rows;
     // Physical spill counters from the task's kernels (zero when nothing
     // spilled).
@@ -299,19 +260,12 @@ class JobGraphExecutor {
   // stay at the call sites because the target form differs per node class.
   void AdvanceAcquisition(NodeExec& exec);
 
-  // Cleartext input forms acquired for a local-compute dispatch (unsharded
-  // pointer list, or per-input shard pointer lists plus the cached splits
-  // keeping them alive).
+  // Cleartext input forms acquired for a local-compute dispatch.
   struct AcquiredInputs {
     std::vector<const Relation*> rels;
-    std::vector<std::vector<const Relation*>> shard_rels;
-    // Keeps the per-value cached splits alive for the task however often the
-    // std::function wrapper is moved or copied (one split per value, built
-    // lazily on the coordinator and shared by every sharded consumer).
-    std::vector<std::shared_ptr<const ShardedRelation>> cached_splits;
     uint64_t records = 0;
-    // Total rows per DAG input, in input order (shard- and batch-invariant);
-    // the spill pricing's cardinality source.
+    // Total rows per DAG input, in input order (batch-invariant); the spill
+    // pricing's cardinality source.
     std::vector<int64_t> input_rows;
     // Non-null when the (sole) input is a streaming CSV source: the chain
     // head pulls parsed row-range batches instead of reading a relation.
@@ -323,16 +277,16 @@ class JobGraphExecutor {
   };
 
   void DispatchCreate(NodeExec& exec);
-  // Acquires `exec`'s inputs at its party (frontier transitions + shard splits),
-  // advances the acquisition cursors, and charges the node's boundary and
-  // cleartext-compute attributions — the shared front half of every
-  // local-compute dispatch, fused or not.
+  // Acquires `exec`'s inputs at its party (frontier transitions), advances the
+  // acquisition cursors, and charges the node's boundary and cleartext-compute
+  // attributions — the shared front half of every local-compute dispatch, fused
+  // or not.
   AcquiredInputs AcquireLocalInputs(NodeExec& exec);
   void DispatchLocalCompute(NodeExec& exec);
   // Dispatches a fused chain (exec is the head): resolves the streaming
   // operator specs against the runtime input schema, then submits one
-  // BatchPipeline task per shard; the completion is posted once, under the
-  // head's topo index, carrying the tail's output.
+  // BatchPipeline task; its completion is posted under the head's topo index,
+  // carrying the tail's output.
   void DispatchChain(NodeExec& exec);
   Status RunCollect(NodeExec& exec, ExecutionResult& result);
   Status RunLaneNode(NodeExec& exec);
@@ -415,10 +369,9 @@ class JobGraphExecutor {
 
 bool JobGraphExecutor::CanAcquireInputs(const NodeExec& exec) const {
   const int my_topo = TopoIndexOf(exec.node->id);
-  // inputToMPC moves the cleartext payload, and Collects coalesce sharded values
-  // in place; neither may overlap with pool tasks still reading the old payload.
-  const bool overwrites_payload =
-      exec.klass == NodeClass::kLane || exec.klass == NodeClass::kCollect;
+  // inputToMPC moves the cleartext payload into the engine; it may not overlap
+  // with pool tasks still reading the old payload.
+  const bool overwrites_payload = exec.klass == NodeClass::kLane;
   for (const ir::OpNode* in : exec.node->inputs) {
     const NodeExec& producer = execs_[TopoIndexOf(in->id)];
     if (!producer.materialized) {
@@ -566,12 +519,11 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
   exec.dispatched = true;
   ++in_flight_;
   const int my_topo = TopoIndexOf(node->id);
-  const int shard_count = state_.shard_count;
   // Streaming-ingest eligibility (DESIGN.md §12), decided on the coordinator so
   // the choice is pool-size-independent: a CSV-backed Create whose sole
   // consumer is a fused chain head at the owning party materializes only the
-  // indexed source text; the chain's pipelines parse row ranges themselves.
-  // Every other CSV create parses eagerly into the usual relation forms.
+  // indexed source text; the chain's pipeline parses row ranges itself. Every
+  // other CSV create parses eagerly into one relation.
   const auto& create_params = node->Params<ir::CreateParams>();
   bool stream_csv = false;
   if (!create_params.csv_path.empty() && exec.consumer_uses.size() == 1) {
@@ -580,7 +532,7 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
     stream_csv = consumer.chain_members.size() >= 2 &&
                  consumer.node->exec_party == create_params.party;
   }
-  pool_.Submit([this, node, my_topo, shard_count, stream_csv] {
+  pool_.Submit([this, node, my_topo, stream_csv] {
     Completion completion;
     completion.topo_index = my_topo;
     try {
@@ -597,28 +549,6 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
         } else if (stream_csv) {
           completion.csv_output =
               std::make_shared<CsvSource>(std::move(*source));
-        } else if (shard_count > 1) {
-          // Sharded ingest: parse contiguous row ranges straight into shards
-          // (same boundaries as SplitEven); the earliest shard's parse error
-          // is the canonical one.
-          const int64_t rows = source->NumRows();
-          ShardedRelation out{source->schema()};
-          Status status;
-          for (int s = 0; s < shard_count && status.ok(); ++s) {
-            StatusOr<Relation> shard = source->ParseRows(
-                rows * s / shard_count, rows * (s + 1) / shard_count);
-            if (shard.ok()) {
-              out.AddShard(std::move(*shard));
-            } else {
-              status = shard.status();
-            }
-          }
-          if (status.ok()) {
-            completion.sharded_output = std::move(out);
-            completion.is_sharded = true;
-          } else {
-            completion.status = std::move(status);
-          }
         } else {
           StatusOr<Relation> all = source->ParseRows(0, source->NumRows());
           if (all.ok()) {
@@ -636,12 +566,6 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
             "input '%s' schema %s does not match declared schema %s",
             params.name.c_str(), it->second.schema().ToString().c_str(),
             node->schema.ToString().c_str()));
-      } else if (shard_count > 1) {
-        // Sharded ingest: partition the input into contiguous shards as it enters
-        // the data plane (the per-shard range copies run in parallel).
-        completion.sharded_output =
-            ShardedRelation::SplitEven(it->second, shard_count);
-        completion.is_sharded = true;
       } else {
         completion.output = it->second;
       }
@@ -660,15 +584,14 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
 JobGraphExecutor::AcquiredInputs JobGraphExecutor::AcquireLocalInputs(
     NodeExec& exec) {
   const ir::OpNode* node = exec.node;
-  const bool sharded = state_.shard_count > 1;
   AcquiredInputs acquired;
   acquired.rels.reserve(node->inputs.size());
   for (const ir::OpNode* in : node->inputs) {
     MaterializedValue& value = state_.values[static_cast<size_t>(in->id)];
     if (value.kind == MaterializedValue::Kind::kCsvSource) {
       // Streaming CSV head (DESIGN.md §12): produced only for a sole-consumer
-      // fused chain at the owning party, so no transfer and no split — the
-      // chain's per-shard pipelines parse their own row ranges.
+      // fused chain at the owning party, so no transfer — the chain's
+      // pipeline parses the row ranges itself.
       CONCLAVE_CHECK(value.location == node->exec_party ||
                      value.location == kNoParty);
       acquired.csv = value.csv;
@@ -683,8 +606,8 @@ JobGraphExecutor::AcquiredInputs JobGraphExecutor::AcquireLocalInputs(
       // Streaming reveal (DESIGN.md §14), decided on the coordinator at the
       // head's acquisition turn so the choice is pool-size-independent: the
       // shared value's sole consumer is this fused chain head, so the shares
-      // stay put and the chain's per-shard pipelines reconstruct their own
-      // row ranges. The reveal is charged once for the whole relation, right
+      // stay put and the chain's pipeline reconstructs the row ranges
+      // itself. The reveal is charged once for the whole relation, right
       // here — exactly what EnsureCleartextAt charges a materializing reveal —
       // so clocks and counters do not depend on which consumer a value has;
       // only the revealed relation's materialization disappears.
@@ -711,32 +634,8 @@ JobGraphExecutor::AcquiredInputs JobGraphExecutor::AcquireLocalInputs(
       ++ExecOf(*in).active_readers;
       continue;
     }
-    if (sharded) {
-      // Shards flow straight into the shard-aware kernels. Values that arrive as
-      // single relations — MPC reveals and party transfers — are re-split so the
-      // local chain downstream of a frontier crossing still runs data-parallel.
-      // The split is built once per value and cached on it (coordinator-built,
-      // read-only afterwards); every sharded consumer shares the one copy.
-      EnsureLocalInputAt(state_, value, node->exec_party);
-      if (value.kind != MaterializedValue::Kind::kShardedClear &&
-          value.clear.NumRows() > 0) {
-        if (value.cached_split == nullptr) {
-          value.cached_split = std::make_shared<const ShardedRelation>(
-              ShardedRelation::SplitEven(value.clear, state_.shard_count));
-        }
-        acquired.cached_splits.push_back(value.cached_split);
-      }
-      if (value.kind == MaterializedValue::Kind::kShardedClear) {
-        acquired.shard_rels.push_back(value.sharded.ShardPtrs());
-      } else if (value.clear.NumRows() > 0) {
-        acquired.shard_rels.push_back(acquired.cached_splits.back()->ShardPtrs());
-      } else {
-        acquired.shard_rels.push_back({&value.clear});
-      }
-    } else {
-      EnsureCleartextAt(state_, value, node->exec_party);
-      acquired.rels.push_back(&value.clear);
-    }
+    EnsureCleartextAt(state_, value, node->exec_party);
+    acquired.rels.push_back(&value.clear);
     acquired.records += static_cast<uint64_t>(value.NumRows());
     acquired.input_rows.push_back(value.NumRows());
     ++ExecOf(*in).active_readers;
@@ -785,34 +684,20 @@ void JobGraphExecutor::DispatchLocalCompute(NodeExec& exec) {
   exec.dispatched = true;
   ++in_flight_;
   const int my_topo = TopoIndexOf(node->id);
-  const int shard_count = state_.shard_count;
   const int64_t mem_budget_rows = state_.mem_budget_rows;
-  pool_.Submit([this, node, my_topo, shard_count, mem_budget_rows,
-                rels = std::move(acquired.rels),
-                shard_rels = std::move(acquired.shard_rels),
-                cached_splits = std::move(acquired.cached_splits)] {
+  pool_.Submit([this, node, my_topo, mem_budget_rows,
+                rels = std::move(acquired.rels)] {
     Completion completion;
     completion.topo_index = my_topo;
     try {
       LocalExecOptions options;
       options.mem_budget_rows = mem_budget_rows;
       options.spill_stats = &completion.spill_stats;
-      if (shard_count > 1) {
-        StatusOr<ShardedRelation> out =
-            ExecuteLocalSharded(*node, shard_rels, shard_count, options);
-        if (out.ok()) {
-          completion.sharded_output = std::move(*out);
-          completion.is_sharded = true;
-        } else {
-          completion.status = out.status();
-        }
+      StatusOr<Relation> out = ExecuteLocal(*node, rels, options);
+      if (out.ok()) {
+        completion.output = std::move(*out);
       } else {
-        StatusOr<Relation> out = ExecuteLocal(*node, rels, options);
-        if (out.ok()) {
-          completion.output = std::move(*out);
-        } else {
-          completion.status = out.status();
-        }
+        completion.status = out.status();
       }
     } catch (const std::exception& e) {
       // See DispatchCreate: escaping exceptions must not reach WorkerLoop.
@@ -826,7 +711,6 @@ void JobGraphExecutor::DispatchLocalCompute(NodeExec& exec) {
 }
 
 void JobGraphExecutor::DispatchChain(NodeExec& exec) {
-  const bool sharded = state_.shard_count > 1;
   if (!PrepareJobFaults(exec)) {
     return;
   }
@@ -854,12 +738,11 @@ void JobGraphExecutor::DispatchChain(NodeExec& exec) {
   // Resolve every member against the runtime schema flowing through the chain.
   // A resolution failure is attributed to the failing member's topo index —
   // the canonical error a sequential unfused walk would report.
-  auto spec = std::make_shared<PipelineSpec>();
-  spec->input_schema = acquired.csv != nullptr      ? acquired.csv->schema()
-                       : acquired.reveal != nullptr ? acquired.reveal->schema()
-                       : sharded ? acquired.shard_rels[0][0]->schema()
-                                 : acquired.rels[0]->schema();
-  Schema schema = spec->input_schema;
+  PipelineSpec spec;
+  spec.input_schema = acquired.csv != nullptr      ? acquired.csv->schema()
+                      : acquired.reveal != nullptr ? acquired.reveal->schema()
+                                                   : acquired.rels[0]->schema();
+  Schema schema = spec.input_schema;
   for (int member_topo : exec.chain_members) {
     const ir::OpNode& member = *execs_[static_cast<size_t>(member_topo)].node;
     StatusOr<PipelineOp> op = ResolvePipelineOp(schema, member);
@@ -872,174 +755,50 @@ void JobGraphExecutor::DispatchChain(NodeExec& exec) {
       return;
     }
     schema = BatchPipeline::DeriveSchema(schema, *op);
-    spec->ops.push_back(std::move(*op));
+    spec.ops.push_back(std::move(*op));
   }
 
   ++in_flight_;
   const int my_topo = TopoIndexOf(exec.node->id);
   const int64_t batch_rows = state_.batch_rows;
 
-  if (!sharded) {
-    pool_.Submit([this, my_topo, batch_rows, spec, csv = acquired.csv,
-                  reveal = acquired.reveal, rels = std::move(acquired.rels),
-                  cached_splits = std::move(acquired.cached_splits)] {
-      Completion completion;
-      completion.topo_index = my_topo;
-      try {
-        BatchPipeline pipeline(*spec);
-        if (csv != nullptr) {
-          // Streaming source (DESIGN.md §12): parse-and-push batch-at-a-time;
-          // the source relation never materializes.
-          StatusOr<Relation> out =
-              pipeline.RunFromCsv(*csv, 0, csv->NumRows(), batch_rows);
-          if (out.ok()) {
-            completion.output = std::move(*out);
-            completion.chain_op_rows = pipeline.stats().op_input_rows;
-          } else {
-            completion.status = out.status();
-          }
-        } else if (reveal != nullptr) {
-          // Streaming reveal (DESIGN.md §14): reconstruct-and-push
-          // batch-at-a-time; the revealed relation never materializes.
-          completion.output =
-              pipeline.RunFromReveal(*reveal, 0, reveal->NumRows(), batch_rows);
+  pool_.Submit([this, my_topo, batch_rows, spec = std::move(spec),
+                csv = acquired.csv, reveal = acquired.reveal,
+                rels = std::move(acquired.rels)] {
+    Completion completion;
+    completion.topo_index = my_topo;
+    try {
+      BatchPipeline pipeline(spec);
+      if (csv != nullptr) {
+        // Streaming source (DESIGN.md §12): parse-and-push batch-at-a-time;
+        // the source relation never materializes.
+        StatusOr<Relation> out =
+            pipeline.RunFromCsv(*csv, 0, csv->NumRows(), batch_rows);
+        if (out.ok()) {
+          completion.output = std::move(*out);
           completion.chain_op_rows = pipeline.stats().op_input_rows;
         } else {
-          completion.output = pipeline.Run(*rels[0], batch_rows);
-          completion.chain_op_rows = pipeline.stats().op_input_rows;
+          completion.status = out.status();
         }
-      } catch (const std::exception& e) {
-        // See DispatchCreate: escaping exceptions must not reach WorkerLoop.
-        completion.status =
-            InternalError(StrFormat("fused chain task threw: %s", e.what()));
+      } else if (reveal != nullptr) {
+        // Streaming reveal (DESIGN.md §14): reconstruct-and-push
+        // batch-at-a-time; the revealed relation never materializes.
+        completion.output =
+            pipeline.RunFromReveal(*reveal, 0, reveal->NumRows(), batch_rows);
+        completion.chain_op_rows = pipeline.stats().op_input_rows;
+      } else {
+        completion.output = pipeline.Run(*rels[0], batch_rows);
+        completion.chain_op_rows = pipeline.stats().op_input_rows;
       }
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(std::move(completion));
-      completions_cv_.notify_all();
-    });
-    return;
-  }
-
-  // Sharded: one pipeline task per shard (sharded chains hold only per-row ops,
-  // which commute with sharding), all writing shard-indexed slots of a shared
-  // state. Whichever task finishes last assembles the output, sums the per-op
-  // row counts, and posts the single completion — everything folds in shard
-  // order, so the result is independent of task finishing order.
-  struct ChainShardState {
-    Schema output_schema;
-    std::vector<Relation> outputs;
-    std::vector<std::vector<int64_t>> op_rows;
-    std::vector<Status> statuses;
-    std::atomic<int> remaining{0};
-  };
-  const bool streamed = acquired.csv != nullptr || acquired.reveal != nullptr;
-  const std::vector<const Relation*> shards =
-      streamed ? std::vector<const Relation*>{}
-               : std::move(acquired.shard_rels[0]);
-  // A 0-row streamed reveal mirrors the materializing path's single-shard
-  // layout for empty revealed values ({&value.clear}); CSV sources always cut
-  // shard_count ranges, like the sharded eager parse.
-  const int num_shards =
-      acquired.csv != nullptr ? state_.shard_count
-      : acquired.reveal != nullptr
-          ? (acquired.reveal->NumRows() == 0 ? 1 : state_.shard_count)
-          : static_cast<int>(shards.size());
-  // A fused tail limit keeps each shard's local `count`-prefix — a superset of
-  // that shard's slice of the global prefix (shards concatenate in canonical
-  // order). The last finisher trims the assembled shards to the global prefix,
-  // reproducing ops::ShardedLimit's layout exactly.
-  int64_t tail_limit = -1;
-  {
-    const ir::OpNode& tail =
-        *execs_[static_cast<size_t>(exec.chain_members.back())].node;
-    if (tail.kind == ir::OpKind::kLimit) {
-      tail_limit = std::max<int64_t>(0, tail.Params<ir::LimitParams>().count);
+    } catch (const std::exception& e) {
+      // See DispatchCreate: escaping exceptions must not reach WorkerLoop.
+      completion.status =
+          InternalError(StrFormat("fused chain task threw: %s", e.what()));
     }
-  }
-  auto shared = std::make_shared<ChainShardState>();
-  shared->output_schema = schema;
-  shared->outputs.resize(static_cast<size_t>(num_shards));
-  shared->op_rows.resize(static_cast<size_t>(num_shards));
-  shared->statuses.assign(static_cast<size_t>(num_shards), Status::Ok());
-  shared->remaining.store(num_shards, std::memory_order_relaxed);
-  for (int s = 0; s < num_shards; ++s) {
-    const Relation* shard = streamed ? nullptr : shards[static_cast<size_t>(s)];
-    pool_.Submit([this, my_topo, batch_rows, spec, shared, shard, s, num_shards,
-                  tail_limit, csv = acquired.csv, reveal = acquired.reveal,
-                  cached_splits = acquired.cached_splits] {
-      try {
-        BatchPipeline pipeline(*spec);
-        if (csv != nullptr) {
-          // Streaming source, shard slice [rows*s/n, rows*(s+1)/n) — the same
-          // contiguous boundaries SplitEven materializes.
-          const int64_t rows = csv->NumRows();
-          StatusOr<Relation> out = pipeline.RunFromCsv(
-              *csv, rows * s / num_shards, rows * (s + 1) / num_shards,
-              batch_rows);
-          if (out.ok()) {
-            shared->outputs[static_cast<size_t>(s)] = std::move(*out);
-            shared->op_rows[static_cast<size_t>(s)] =
-                pipeline.stats().op_input_rows;
-          } else {
-            shared->statuses[static_cast<size_t>(s)] = out.status();
-          }
-        } else if (reveal != nullptr) {
-          // Streaming reveal, same contiguous shard boundaries; ranges are
-          // independent share sums, so shard tasks reconstruct concurrently.
-          const int64_t rows = reveal->NumRows();
-          shared->outputs[static_cast<size_t>(s)] = pipeline.RunFromReveal(
-              *reveal, rows * s / num_shards, rows * (s + 1) / num_shards,
-              batch_rows);
-          shared->op_rows[static_cast<size_t>(s)] =
-              pipeline.stats().op_input_rows;
-        } else {
-          shared->outputs[static_cast<size_t>(s)] =
-              pipeline.Run(*shard, batch_rows);
-          shared->op_rows[static_cast<size_t>(s)] =
-              pipeline.stats().op_input_rows;
-        }
-      } catch (const std::exception& e) {
-        shared->statuses[static_cast<size_t>(s)] = InternalError(
-            StrFormat("fused chain shard task threw: %s", e.what()));
-      }
-      if (shared->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-        return;  // Not the last shard; the last finisher posts the completion.
-      }
-      Completion completion;
-      completion.topo_index = my_topo;
-      for (Status& status : shared->statuses) {
-        if (!status.ok()) {
-          completion.status = std::move(status);
-          break;
-        }
-      }
-      if (completion.status.ok()) {
-        if (tail_limit >= 0) {
-          int64_t remaining_rows = tail_limit;
-          for (Relation& relation : shared->outputs) {
-            const int64_t take = std::min(remaining_rows, relation.NumRows());
-            relation.Resize(take);
-            remaining_rows -= take;
-          }
-        }
-        ShardedRelation out{shared->output_schema};
-        for (Relation& relation : shared->outputs) {
-          out.AddShard(std::move(relation));
-        }
-        completion.sharded_output = std::move(out);
-        completion.is_sharded = true;
-        completion.chain_op_rows.assign(spec->ops.size(), 0);
-        for (const std::vector<int64_t>& rows : shared->op_rows) {
-          for (size_t k = 0; k < rows.size(); ++k) {
-            completion.chain_op_rows[k] += rows[k];
-          }
-        }
-      }
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(std::move(completion));
-      completions_cv_.notify_all();
-    });
-  }
+    std::lock_guard<std::mutex> lock(completions_mu_);
+    completions_.push_back(std::move(completion));
+    completions_cv_.notify_all();
+  });
 }
 
 Status JobGraphExecutor::RunCollect(NodeExec& exec, ExecutionResult& result) {
@@ -1198,9 +957,6 @@ void JobGraphExecutor::DrainCompletions(bool wait) {
     if (completion.csv_output != nullptr) {
       value.kind = MaterializedValue::Kind::kCsvSource;
       value.csv = std::move(completion.csv_output);
-    } else if (completion.is_sharded) {
-      value.kind = MaterializedValue::Kind::kShardedClear;
-      value.sharded = std::move(completion.sharded_output);
     } else {
       value.kind = MaterializedValue::Kind::kCleartext;
       value.clear = std::move(completion.output);
@@ -1235,7 +991,7 @@ void JobGraphExecutor::DrainCompletions(bool wait) {
           // Each restart of the head's job re-ran the whole fused chain; the
           // interior members' compute joins the head's (already counted)
           // restarts. The charge is a pure function of the chain's row totals,
-          // so it is identical at every pool/shard/batch configuration.
+          // so it is identical at every pool/batch configuration.
           state_.fault->AddRecoverySeconds(
               exec.node->id, static_cast<double>(exec.fault_crashes) *
                                  member.local_compute_seconds);
@@ -1294,8 +1050,7 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
   // head. The chain set comes from the same predicate the planner's explain
   // advice uses (compiler::PipelineChains), so listing and runtime agree.
   for (const std::vector<const ir::OpNode*>& chain : compiler::PipelineChains(
-           std::span<const ir::OpNode* const>(topo_.data(), topo_.size()),
-           state_.shard_count)) {
+           std::span<const ir::OpNode* const>(topo_.data(), topo_.size()))) {
     const int head_topo = TopoIndexOf(chain.front()->id);
     NodeExec& head = execs_[static_cast<size_t>(head_topo)];
     for (const ir::OpNode* member : chain) {
@@ -1514,7 +1269,7 @@ StatusOr<ExecutionResult> JobGraphExecutor::FinalizeAccounting(
   // node_seconds or the meter — so with a budget the total is exactly the
   // unbounded run's clock plus spill_seconds; with none, the report stays zero
   // and the clock is untouched. Physical SpillStats merge alongside for
-  // observability (their layout varies with shard/batch structure).
+  // observability.
   result.spill_report.mem_budget_rows = state_.mem_budget_rows;
   for (const NodeExec& exec : execs_) {
     if (exec.spill_priced_seconds > 0) {
@@ -1552,16 +1307,6 @@ StatusOr<ExecutionResult> Dispatcher::Run(
   RunState state(model_, seed_, compilation.num_parties, use_gc,
                  compilation.options.use_spark,
                  compilation.options.malicious_security);
-  int shards = exec.shard_count;
-  if (shards == compiler::ExecOptions::kAutoShardCount) {
-    int64_t total_rows = 0;
-    for (const auto& [name, relation] : inputs) {
-      total_rows += relation.NumRows();
-    }
-    shards = compiler::ChooseShardCount(compilation.plan, model_,
-                                        pool().parallelism(), total_rows);
-  }
-  state.shard_count = std::max(1, shards);
   state.batch_rows = exec.batch_rows;
   state.mem_budget_rows = exec.mem_budget_rows;
 

@@ -46,10 +46,10 @@ namespace backends {
 class Dispatcher {
  public:
   // `exec` carries the run options (compiler/exec_options.h): thread budget,
-  // shard count, batch size, fault plan, and memory budget. Unset fields take
-  // their CONCLAVE_* environment defaults when Run resolves them through
+  // batch size, fault plan, and memory budget. Unset fields take their
+  // CONCLAVE_* environment defaults when Run resolves them through
   // compiler::ResolveExecOptions. Results, counters, and share bits are
-  // identical for every option combination (DESIGN.md §5, §9, §10, §12), with
+  // identical for every option combination (DESIGN.md §5, §10, §12), with
   // or without a recoverable fault plan; under injection the virtual clock
   // additionally carries exactly the priced recovery time, and under a budget
   // exactly the priced spill I/O time (compiler::NodeSpillSeconds).

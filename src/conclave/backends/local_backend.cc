@@ -1,10 +1,7 @@
 #include "conclave/backends/local_backend.h"
 
-#include <deque>
-
 #include "conclave/common/strings.h"
 #include "conclave/relational/ops.h"
-#include "conclave/relational/shard_ops.h"
 
 namespace conclave {
 namespace backends {
@@ -136,148 +133,6 @@ StatusOr<Relation> ExecuteLocal(const ir::OpNode& node,
       return *inputs[0];
   }
   return InternalError("unhandled op kind in local execution");
-}
-
-namespace {
-
-// Borrows the coalesced view of a shard list without copying the single-shard
-// case. Non-copyable/non-movable: `relation_` may point into this object's own
-// storage, so a defaulted copy/move would dangle (callers hold views in a
-// pre-reserved container).
-class CoalescedView {
- public:
-  explicit CoalescedView(std::span<const Relation* const> shards) {
-    if (shards.size() == 1) {
-      relation_ = shards[0];
-    } else {
-      storage_ = ops::Concat(shards);
-      relation_ = &storage_;
-    }
-  }
-  CoalescedView(const CoalescedView&) = delete;
-  CoalescedView& operator=(const CoalescedView&) = delete;
-
-  const Relation& get() const { return *relation_; }
-
- private:
-  Relation storage_;
-  const Relation* relation_ = nullptr;
-};
-
-}  // namespace
-
-StatusOr<ShardedRelation> ExecuteLocalSharded(
-    const ir::OpNode& node,
-    const std::vector<std::vector<const Relation*>>& inputs, int shard_count,
-    const LocalExecOptions& options) {
-  switch (node.kind) {
-    case ir::OpKind::kCreate:
-      return InternalError("create nodes materialize from provided inputs");
-    case ir::OpKind::kCollect:
-      // Collects run on the coordinator (Dispatcher::RunCollect), never here.
-      return InternalError("collect nodes run on the dispatcher coordinator");
-    default:
-      break;
-  }
-  CONCLAVE_CHECK(!inputs.empty());
-  const Schema& schema = inputs[0][0]->schema();
-  switch (node.kind) {
-    case ir::OpKind::kConcat: {
-      // The combined shard list, in input order, is already the canonical split of
-      // the concatenated relation; sorting (merge_columns) runs shard-aware.
-      std::vector<const Relation*> combined;
-      for (const auto& input : inputs) {
-        for (const Relation* shard : input) {
-          CONCLAVE_CHECK(schema.NamesMatch(shard->schema()));
-          combined.push_back(shard);
-        }
-      }
-      const auto& params = node.Params<ir::ConcatParams>();
-      if (!params.merge_columns.empty()) {
-        CONCLAVE_ASSIGN_OR_RETURN(std::vector<int> columns,
-                                  schema.IndicesOf(params.merge_columns));
-        return ops::ShardedSortBy(combined, columns, /*ascending=*/true,
-                                  shard_count);
-      }
-      // Rebalance into shard_count contiguous shards (the shard list would
-      // otherwise grow by a factor of the input count at every concat).
-      return ops::ShardedRebalance(combined, shard_count);
-    }
-    case ir::OpKind::kProject: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          std::vector<int> columns,
-          schema.IndicesOf(node.Params<ir::ProjectParams>().columns));
-      return ops::ShardedProject(inputs[0], columns);
-    }
-    case ir::OpKind::kFilter: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          FilterPredicate predicate,
-          ResolveFilter(schema, node.Params<ir::FilterParams>()));
-      return ops::ShardedFilter(inputs[0], predicate);
-    }
-    case ir::OpKind::kJoin: {
-      const auto& params = node.Params<ir::JoinParams>();
-      CONCLAVE_ASSIGN_OR_RETURN(std::vector<int> lk,
-                                schema.IndicesOf(params.left_keys));
-      CONCLAVE_ASSIGN_OR_RETURN(std::vector<int> rk,
-                                inputs[1][0]->schema().IndicesOf(params.right_keys));
-      return ops::ShardedJoin(inputs[0], inputs[1], lk, rk, shard_count,
-                              options.mem_budget_rows, options.spill_stats);
-    }
-    case ir::OpKind::kAggregate: {
-      const auto& params = node.Params<ir::AggregateParams>();
-      CONCLAVE_ASSIGN_OR_RETURN(std::vector<int> group,
-                                schema.IndicesOf(params.group_columns));
-      int agg_column = 0;
-      if (params.kind != AggKind::kCount) {
-        CONCLAVE_ASSIGN_OR_RETURN(agg_column, schema.IndexOf(params.agg_column));
-      }
-      return ops::ShardedAggregate(inputs[0], group, params.kind, agg_column,
-                                   params.output_name, shard_count,
-                                   options.mem_budget_rows, options.spill_stats);
-    }
-    case ir::OpKind::kArithmetic: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          ArithSpec spec,
-          ResolveArith(schema, node.Params<ir::ArithmeticParams>()));
-      return ops::ShardedArithmetic(inputs[0], spec);
-    }
-    case ir::OpKind::kSortBy: {
-      const auto& params = node.Params<ir::SortByParams>();
-      CONCLAVE_ASSIGN_OR_RETURN(std::vector<int> columns,
-                                schema.IndicesOf(params.columns));
-      return ops::ShardedSortBy(inputs[0], columns, params.ascending, shard_count,
-                                options.mem_budget_rows, options.spill_stats);
-    }
-    case ir::OpKind::kDistinct: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          std::vector<int> columns,
-          schema.IndicesOf(node.Params<ir::DistinctParams>().columns));
-      return ops::ShardedDistinct(inputs[0], columns, shard_count,
-                                  options.mem_budget_rows, options.spill_stats);
-    }
-    case ir::OpKind::kLimit:
-      return ops::ShardedLimit(inputs[0], node.Params<ir::LimitParams>().count);
-    case ir::OpKind::kWindow:
-    case ir::OpKind::kPad: {
-      // No sharded kernel (window's running-state scan is sequential; pad sits
-      // on the MPC frontier): coalesce, run unsharded, re-split.
-      // (deque: CoalescedView is intentionally non-movable.)
-      std::vector<const Relation*> rels;
-      std::deque<CoalescedView> views;
-      for (const auto& input : inputs) {
-        views.emplace_back(std::span<const Relation* const>(input));
-      }
-      for (const CoalescedView& view : views) {
-        rels.push_back(&view.get());
-      }
-      CONCLAVE_ASSIGN_OR_RETURN(Relation out, ExecuteLocal(node, rels, options));
-      return ShardedRelation::SplitEven(out, shard_count);
-    }
-    default:
-      break;  // kCreate / kCollect: rejected above.
-  }
-  return InternalError("unhandled op kind in sharded local execution");
 }
 
 StatusOr<PipelineOp> ResolvePipelineOp(const Schema& input_schema,

@@ -12,7 +12,6 @@
 #include "conclave/ir/op.h"
 #include "conclave/relational/pipeline.h"
 #include "conclave/relational/relation.h"
-#include "conclave/relational/sharded.h"
 #include "conclave/relational/spill.h"
 
 namespace conclave {
@@ -25,7 +24,7 @@ struct LocalExecOptions {
   // spill:: kernels. Window, pad, and concat's merge step stay materializing.
   int64_t mem_budget_rows = 0;
   // Physical spill counters for this node, filled when non-null. Reported for
-  // observability only — layout varies with shard/batch structure.
+  // observability only.
   spill::SpillStats* spill_stats = nullptr;
 };
 
@@ -33,17 +32,6 @@ struct LocalExecOptions {
 StatusOr<Relation> ExecuteLocal(const ir::OpNode& node,
                                 const std::vector<const Relation*>& inputs,
                                 const LocalExecOptions& options = {});
-
-// Shard-aware variant: each DAG input arrives as a non-owning shard pointer list
-// (a one-entry list for unsharded values) and the output is a sharded relation
-// honoring the canonical-order invariant — coalescing it yields exactly what
-// ExecuteLocal returns on the coalesced inputs. Operators without a sharded kernel
-// (window, pad) coalesce, execute unsharded, and re-split into `shard_count`
-// shards.
-StatusOr<ShardedRelation> ExecuteLocalSharded(
-    const ir::OpNode& node,
-    const std::vector<std::vector<const Relation*>>& inputs, int shard_count,
-    const LocalExecOptions& options = {});
 
 // Resolves one pipeline-fusible node (compiler::PipelineFusibleOp) into a
 // streaming operator against its runtime input schema. Name resolution mirrors

@@ -19,13 +19,7 @@ namespace {
 }  // namespace
 
 StatusOr<int64_t> ParseInt64Knob(const std::string& name, const std::string& text,
-                                 int64_t min_value, int64_t max_value,
-                                 const std::vector<KnobToken>& tokens) {
-  for (const KnobToken& token : tokens) {
-    if (text == token.spelling) {
-      return token.value;
-    }
-  }
+                                 int64_t min_value, int64_t max_value) {
   if (text.empty()) {
     return InvalidArgumentError(
         StrFormat("%s is set but empty; expected an integer", name.c_str()));
@@ -63,12 +57,12 @@ StatusOr<bool> ParseBoolKnob(const std::string& name, const std::string& text) {
 }
 
 int64_t Int64Knob(const char* name, int64_t fallback, int64_t min_value,
-                  int64_t max_value, const std::vector<KnobToken>& tokens) {
+                  int64_t max_value) {
   const char* text = std::getenv(name);
   if (text == nullptr) {
     return fallback;
   }
-  StatusOr<int64_t> parsed = ParseInt64Knob(name, text, min_value, max_value, tokens);
+  StatusOr<int64_t> parsed = ParseInt64Knob(name, text, min_value, max_value);
   if (!parsed.ok()) {
     KnobFailed(parsed.status());
   }

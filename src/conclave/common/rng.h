@@ -29,9 +29,8 @@ class SplitMix64 {
 };
 
 // One SplitMix64 absorption step: folds `value` into the running hash `h`. The
-// single definition behind every multi-word key hash in the repo — the join
-// kernels' key maps (ops.cc) and the exchange step's bucket placement
-// (shard_ops.cc) must agree bit for bit, so they all chain this helper.
+// single definition behind every multi-word key hash in the repo, so every key
+// map hashes a key tuple identically.
 inline uint64_t HashChainStep(uint64_t h, uint64_t value) {
   uint64_t z = value + 0x9e3779b97f4a7c15ULL + h;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "conclave/common/logging.h"
-#include "conclave/common/thread_pool.h"
 #include "conclave/compiler/backend_chooser.h"
 #include "conclave/compiler/exec_options.h"
 #include "conclave/compiler/hybrid_transform.h"
@@ -114,24 +113,11 @@ StatusOr<Compilation> Compile(ir::Dag& dag, const CompilerOptions& options) {
   result.generated_code =
       GenerateCode(result.plan, result.options.mpc_backend, options.use_spark);
   if (result.has_cost_report) {
-    // Sharding advice for the explain listing: priced from the Create nodes' row
-    // hints (the planner's compile-time input knowledge) at the hardware-default
-    // pool.
-    int64_t hinted_rows = 0;
-    for (const ir::OpNode* create : dag.Creates()) {
-      hinted_rows += create->Params<ir::CreateParams>().num_rows_hint;
-    }
-    AnnotateShardAdvice(result.cost_report, result.plan,
-                        options.planning_cost_model,
-                        ThreadPool::DefaultParallelism(), hinted_rows);
     // The batch, fault, and spill advice describe the run options a default
     // run resolves (the dispatcher calls the same resolver).
     CONCLAVE_ASSIGN_OR_RETURN(const ExecOptions exec, ResolveExecOptions({}));
-    // Pipeline-fusion advice at the advised shard count; the dispatcher fuses
-    // exactly these chains.
-    AnnotatePipelineAdvice(result.cost_report, dag,
-                           result.cost_report.recommended_shard_count,
-                           exec.batch_rows);
+    // Pipeline-fusion advice; the dispatcher fuses exactly these chains.
+    AnnotatePipelineAdvice(result.cost_report, dag, exec.batch_rows);
     AnnotateFaultAdvice(result.cost_report, *exec.fault_plan,
                         options.planning_cost_model);
     // With exact cardinalities the spill estimate equals the metered charge

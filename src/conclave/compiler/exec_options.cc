@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "conclave/common/env.h"
 #include "conclave/common/strings.h"
 #include "conclave/relational/pipeline.h"
 #include "conclave/relational/spill.h"
@@ -11,10 +10,10 @@ namespace conclave {
 namespace compiler {
 
 StatusOr<ExecOptions> ResolveExecOptions(ExecOptions options) {
-  if (options.shard_count == 0) {
-    options.shard_count = static_cast<int>(
-        env::Int64Knob("CONCLAVE_SHARDS", 1, 1, 1 << 20,
-                       {{"auto", ExecOptions::kAutoShardCount}}));
+  if (options.pool_parallelism < 0) {
+    return InvalidArgumentError(StrFormat(
+        "pool_parallelism=%d must not be negative (0 = the shared pool)",
+        options.pool_parallelism));
   }
   if (options.batch_rows < 0) {
     return InvalidArgumentError(

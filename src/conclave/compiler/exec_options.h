@@ -4,7 +4,7 @@
 // so the listing describes the configuration a run would use.
 //
 // None of these options changes a result, a counter, or a share bit (DESIGN.md
-// §5, §9, §10, §12). Two add priced virtual time and nothing else: a
+// §5, §10, §12). Two add priced virtual time and nothing else: a
 // recoverable fault plan adds exactly its recovery time (§11), and a memory
 // budget adds exactly its spill I/O time (§12).
 #ifndef CONCLAVE_COMPILER_EXEC_OPTIONS_H_
@@ -20,18 +20,10 @@ namespace conclave {
 namespace compiler {
 
 struct ExecOptions {
-  // `shard_count` value that defers to the planner's cost-model-priced
-  // decision (compiler::ChooseShardCount over the run's input sizes).
-  static constexpr int kAutoShardCount = -1;
-
   // Executor thread budget: 0 shares the process-wide pool (CONCLAVE_THREADS,
   // else the hardware), 1 runs fully serial, N > 1 creates a dedicated pool
-  // with N lanes.
+  // with N lanes; negative is an error.
   int pool_parallelism = 0;
-  // Horizontal shard count of the cleartext data plane: 0 = CONCLAVE_SHARDS
-  // (else 1), N > 1 runs per-shard operator instances that coalesce at the MPC
-  // frontier, kAutoShardCount defers to the planner.
-  int shard_count = 0;
   // Rows per batch of the fused local chains (DESIGN.md §10): 0 =
   // CONCLAVE_BATCH_ROWS (else kDefaultBatchRows); negative is an error.
   int64_t batch_rows = 0;
@@ -46,10 +38,11 @@ struct ExecOptions {
 };
 
 // Applies the environment defaults to every unset field. The result has
-// shard_count >= 1 or kAutoShardCount, batch_rows > 0, fault_plan set, and
-// mem_budget_rows >= 0 (0 = unbounded); pool_parallelism passes through. A
-// negative batch_rows or a malformed CONCLAVE_FAULT_PLAN is InvalidArgument;
-// malformed numeric knobs abort naming the variable (common/env.h).
+// batch_rows > 0, fault_plan set, and mem_budget_rows >= 0 (0 = unbounded);
+// pool_parallelism passes through (0 still means the shared pool). A negative
+// pool_parallelism or batch_rows, or a malformed CONCLAVE_FAULT_PLAN, is
+// InvalidArgument; malformed numeric knobs abort naming the variable
+// (common/env.h).
 StatusOr<ExecOptions> ResolveExecOptions(ExecOptions options);
 
 }  // namespace compiler

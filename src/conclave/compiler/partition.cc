@@ -1,6 +1,5 @@
 #include "conclave/compiler/partition.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "conclave/common/strings.h"
@@ -140,25 +139,6 @@ ExecutionPlan PartitionDag(const ir::Dag& dag) {
     plan.jobs[static_cast<size_t>(it->second)].nodes.push_back(node);
   }
   return plan;
-}
-
-int ChooseShardCount(const ExecutionPlan& plan, const CostModel& model,
-                     int pool_parallelism, int64_t total_input_rows) {
-  if (plan.CountJobs(JobKind::kLocal) == 0 || total_input_rows <= 1 ||
-      pool_parallelism <= 1) {
-    return 1;
-  }
-  // Price the cleartext portion the way the dispatcher will charge it (sequential
-  // scan pricing: the conservative lower bound on per-record local work).
-  const double scan_seconds = model.CleartextScanSeconds(
-      static_cast<uint64_t>(total_input_rows), /*use_spark=*/false);
-  if (scan_seconds < kMinShardedScanSeconds) {
-    return 1;
-  }
-  const int64_t cap =
-      std::min<int64_t>(std::min(pool_parallelism, kMaxAutoShards),
-                        total_input_rows);
-  return static_cast<int>(std::max<int64_t>(1, cap));
 }
 
 }  // namespace compiler

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "conclave/ir/dag.h"
-#include "conclave/net/cost_model.h"
 
 namespace conclave {
 namespace compiler {
@@ -42,23 +41,6 @@ struct ExecutionPlan {
 };
 
 ExecutionPlan PartitionDag(const ir::Dag& dag);
-
-// Cleartext scan seconds below which sharding cannot pay for its exchange/merge
-// copies (priced with CostModel::CleartextScanSeconds, the same formula the
-// dispatcher charges local jobs).
-inline constexpr double kMinShardedScanSeconds = 0.05;
-// Upper bound on the automatic shard-count decision; explicit shard_count settings
-// are not capped.
-inline constexpr int kMaxAutoShards = 8;
-
-// The shard-count decision for the cleartext data plane, priced with the shared
-// cost model: 1 when the plan has no local jobs or the priced scan work over
-// `total_input_rows` is too small to amortize the per-shard task and exchange
-// overhead, else min(pool_parallelism, kMaxAutoShards, total_input_rows).
-// Deterministic in its arguments; sharding never changes results or virtual time,
-// so this is purely a wall-clock decision.
-int ChooseShardCount(const ExecutionPlan& plan, const CostModel& model,
-                     int pool_parallelism, int64_t total_input_rows);
 
 }  // namespace compiler
 }  // namespace conclave

@@ -769,12 +769,9 @@ std::string PlanCostReport::ToString() const {
                      FormatSeconds(node.sharemind).c_str(),
                      FormatSeconds(node.oblivc).c_str());
   }
-  out += StrFormat("shard-advice: %d shard(s) (cleartext scan %s)\n",
-                   recommended_shard_count,
-                   FormatPlanSeconds(cleartext_scan_seconds).c_str());
   out += StrFormat(
       "pipeline-advice: %d fused chain(s) over %d node(s), longest %d "
-      "(batch %lld rows; resident rows per shard <= depth x batch)\n",
+      "(batch %lld rows; resident rows per chain <= depth x batch)\n",
       fused_pipeline_chains, fused_pipeline_nodes, longest_pipeline_chain,
       static_cast<long long>(pipeline_batch_rows));
   out += StrFormat(
@@ -812,17 +809,7 @@ std::string PlanCostReport::ToString() const {
   return out;
 }
 
-void AnnotateShardAdvice(PlanCostReport& report, const ExecutionPlan& plan,
-                         const CostModel& model, int pool_parallelism,
-                         int64_t total_input_rows) {
-  report.cleartext_scan_seconds = model.CleartextScanSeconds(
-      total_input_rows < 0 ? 0 : static_cast<uint64_t>(total_input_rows),
-      /*use_spark=*/false);
-  report.recommended_shard_count =
-      ChooseShardCount(plan, model, pool_parallelism, total_input_rows);
-}
-
-bool PipelineFusibleOp(const ir::OpNode& node, int shard_count) {
+bool PipelineFusibleOp(const ir::OpNode& node) {
   if (node.exec_mode != ir::ExecMode::kLocal || node.inputs.size() != 1) {
     return false;
   }
@@ -830,19 +817,9 @@ bool PipelineFusibleOp(const ir::OpNode& node, int shard_count) {
     case ir::OpKind::kFilter:
     case ir::OpKind::kProject:
     case ir::OpKind::kArithmetic:
-      return true;
     case ir::OpKind::kLimit:
-      // Unsharded, the streaming cursor is the whole-relation prefix. Sharded,
-      // each shard's cursor keeps its local `count`-row prefix — a superset of
-      // the global prefix, since shards concatenate in canonical order — and
-      // the chain's assembly trims the concatenation to the global prefix. The
-      // trim needs the materialized per-shard outputs, so a sharded limit can
-      // only ever be the TAIL of a chain (PipelineChains enforces this).
       return true;
     case ir::OpKind::kDistinct: {
-      if (shard_count > 1) {
-        return false;  // Dedup is cross-shard; keep the exchange-based kernel.
-      }
       // Streaming adjacent-run dedup needs the input sorted ascending by a
       // column list the distinct columns prefix. Walk upstream through the
       // order-preserving single-input ops — filter and limit drop rows but
@@ -890,15 +867,8 @@ bool PipelineFusibleOp(const ir::OpNode& node, int shard_count) {
   }
 }
 
-// True when `node` may join a fused chain only as its last member: the sharded
-// limit's global-prefix trim runs at assembly, over the finished per-shard
-// outputs, so nothing can stream past it.
-static bool PipelineChainTerminator(const ir::OpNode& node, int shard_count) {
-  return node.kind == ir::OpKind::kLimit && shard_count > 1;
-}
-
 std::vector<std::vector<const ir::OpNode*>> PipelineChains(
-    std::span<const ir::OpNode* const> topo, int shard_count) {
+    std::span<const ir::OpNode* const> topo) {
   // Consuming-edge counts and the unique consumer, within `topo` only (detached
   // consumers never execute, so they do not pin a value as materialized).
   std::unordered_map<int, int> uses;
@@ -915,19 +885,18 @@ std::vector<std::vector<const ir::OpNode*>> PipelineChains(
   std::vector<std::vector<const ir::OpNode*>> chains;
   std::unordered_set<int> claimed;
   for (const ir::OpNode* node : topo) {
-    if (claimed.count(node->id) != 0 || !PipelineFusibleOp(*node, shard_count)) {
+    if (claimed.count(node->id) != 0 || !PipelineFusibleOp(*node)) {
       continue;
     }
     std::vector<const ir::OpNode*> chain{node};
     const ir::OpNode* tail = node;
-    while (!PipelineChainTerminator(*tail, shard_count)) {
+    for (;;) {
       const auto it = sole_consumer.find(tail->id);
       if (it == sole_consumer.end()) {
         break;  // Zero or several consuming edges: the value must materialize.
       }
       const ir::OpNode* next = it->second;
-      if (!PipelineFusibleOp(*next, shard_count) ||
-          next->exec_party != tail->exec_party) {
+      if (!PipelineFusibleOp(*next) || next->exec_party != tail->exec_party) {
         break;
       }
       chain.push_back(next);
@@ -945,7 +914,7 @@ std::vector<std::vector<const ir::OpNode*>> PipelineChains(
 }
 
 void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
-                            int shard_count, int64_t batch_rows) {
+                            int64_t batch_rows) {
   report.pipeline_batch_rows = batch_rows;
   report.fused_pipeline_chains = 0;
   report.fused_pipeline_nodes = 0;
@@ -971,7 +940,7 @@ void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
       ++uses[in->id];
     }
   }
-  for (const auto& chain : PipelineChains(topo, shard_count)) {
+  for (const auto& chain : PipelineChains(topo)) {
     ++report.fused_pipeline_chains;
     report.fused_pipeline_nodes += static_cast<int>(chain.size());
     report.longest_pipeline_chain =

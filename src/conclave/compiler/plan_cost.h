@@ -21,7 +21,6 @@
 
 #include "conclave/compiler/cardinality.h"
 #include "conclave/compiler/codegen.h"
-#include "conclave/compiler/partition.h"
 #include "conclave/ir/dag.h"
 #include "conclave/net/cost_model.h"
 #include "conclave/net/fault.h"
@@ -62,13 +61,6 @@ struct PlanCostReport {
   // it is the only backend that can attempt every operator, and the runtime then
   // surfaces the predicted OOM as a typed status.
   MpcBackendKind cheapest = MpcBackendKind::kSharemind;
-
-  // Sharding advice for the cleartext data plane (filled by AnnotateShardAdvice
-  // after partitioning): the shard count compiler::ChooseShardCount picks for this
-  // plan and the priced cleartext scan seconds that justified it. Advisory only —
-  // sharding changes wall clock, never results or virtual time.
-  int recommended_shard_count = 1;
-  double cleartext_scan_seconds = 0;
 
   // Pipeline-fusion advice (filled by AnnotatePipelineAdvice): how many local
   // operator chains the executor fuses into push-based batch pipelines, and the
@@ -125,8 +117,8 @@ struct PlanCostReport {
   double spill_seconds = 0;
 
   // The explain listing: one header line ("plan-cost: ...") plus one line per node
-  // with estimated rows and per-backend seconds, and trailing shard-advice and
-  // pipeline-advice lines.
+  // with estimated rows and per-backend seconds, and trailing advice lines
+  // (pipeline, expr, reveal, fault, spill).
   std::string ToString() const;
 };
 
@@ -142,43 +134,30 @@ PlanCostReport EstimatePlanCost(const ir::Dag& dag, const CostModel& model,
                                 int num_parties,
                                 const CardinalityOptions& cardinality = {});
 
-// Fills the report's sharding advice from the partitioned plan: prices the
-// cleartext portion with the shared cost model and records the shard count
-// ChooseShardCount would pick at `pool_parallelism`. `total_input_rows` is the
-// planner's input-size knowledge (the Create nodes' row hints at compile time, or
-// the actual input sizes when the dispatcher decides at run time).
-void AnnotateShardAdvice(PlanCostReport& report, const ExecutionPlan& plan,
-                         const CostModel& model, int pool_parallelism,
-                         int64_t total_input_rows);
-
 // --- Pipeline fusion (push-based batch pipelines, DESIGN.md §10) --------------------
 
 // True when `node` can be a member of a fused streaming chain: a single-input
 // cleartext-local operator whose kernel consumes and emits batches without
-// materializing. A sharded limit (shard_count > 1) fuses only as a chain's
-// TAIL: each shard streams its local count-row prefix and the assembly trims
-// the concatenation to the global prefix (PipelineChains enforces the
-// tail-only rule). Sharded distinct (cross-shard dedup) keeps its
-// exchange-based kernel and breaks chains; unsharded distinct fuses when an
-// upstream walk through order-preserving ops (filter / limit / project /
-// arithmetic that does not shadow a distinct column) reaches an ascending sort
-// whose column list the distinct columns prefix — the sortedness proof for the
-// streaming adjacent-run dedup.
-bool PipelineFusibleOp(const ir::OpNode& node, int shard_count);
+// materializing. Filter, project, arithmetic and limit always fuse; distinct
+// fuses when an upstream walk through order-preserving ops (filter / limit /
+// project / arithmetic that does not shadow a distinct column) reaches an
+// ascending sort whose column list the distinct columns prefix — the
+// sortedness proof for the streaming adjacent-run dedup.
+bool PipelineFusibleOp(const ir::OpNode& node);
 
 // Maximal chains (length >= 2) of fusible nodes within `topo`, where every
 // interior link is the producer's only consuming edge inside `topo` and both
 // ends run at the same party. The dispatcher executes exactly these chains as
-// one BatchPipeline per shard; the explain annotation prices the same chains —
-// one decision procedure, two callers, so the planner can never disagree with
-// the runtime about what fuses.
+// one BatchPipeline each; the explain annotation prices the same chains — one
+// decision procedure, two callers, so the planner can never disagree with the
+// runtime about what fuses.
 std::vector<std::vector<const ir::OpNode*>> PipelineChains(
-    std::span<const ir::OpNode* const> topo, int shard_count);
+    std::span<const ir::OpNode* const> topo);
 
 // Fills the report's pipeline-fusion advice from the placed DAG at the given
-// shard count and (positive) batch size.
+// (positive) batch size.
 void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
-                            int shard_count, int64_t batch_rows);
+                            int64_t batch_rows);
 
 // Fills the report's fault-injection advice from the resolved FaultPlan (the
 // dispatcher resolves the same CONCLAVE_FAULT_PLAN knob at run time) and the
@@ -192,8 +171,8 @@ void AnnotateFaultAdvice(PlanCostReport& report, const FaultPlan& plan,
 // node-TOTAL input cardinalities and per-instance memory budget. Zero when the
 // budget is unbounded (<= 0), the node is not a blocking local operator, or the
 // inputs fit. The formula is closed over (rows, budget, schema widths) only —
-// never physical shard or batch layout — so the charge is identical at every
-// {pool, shard, batch_rows} grid point. The dispatcher meters this exact function;
+// never physical batch layout — so the charge is identical at every
+// {pool, batch_rows} grid point. The dispatcher meters this exact function;
 // the planner estimates it; with exact cardinalities the two are equal.
 double NodeSpillSeconds(const ir::OpNode& node, double in_rows, double right_rows,
                         const CostModel& model, int64_t mem_budget_rows);

@@ -12,7 +12,7 @@ namespace {
 // Per-batch commitment nonce: the reveal's delivery nonce tweaked by the
 // batch's begin row, so every batch of one streamed reveal commits under a
 // distinct domain while staying a pure function of (plan seed, node, ordinal,
-// begin) — deterministic across pools, shards, and replays.
+// begin) — deterministic across pools, batch sizes, and replays.
 uint64_t BatchNonce(uint64_t reveal_nonce, int64_t begin) {
   return reveal_nonce ^ (static_cast<uint64_t>(begin) * 0x9e3779b97f4a7c15ULL);
 }
@@ -39,8 +39,7 @@ Relation RevealSource::ReconstructRange(int64_t begin, int64_t end) const {
   batch.Resize(end - begin);
   // Shares and relation cells are both column-major: the ranged reconstruction
   // is one contiguous share-sum pass per column, straight into the column
-  // buffer. No morsel parallelism — ranges are batch-sized and the surrounding
-  // shard tasks already run concurrently.
+  // buffer. No morsel parallelism — ranges are batch-sized.
   for (int c = 0; c < shared_.NumColumns(); ++c) {
     const SharedColumn& column = shared_.Column(c);
     cpu::Add3U64(column.shares[0].data() + begin,
@@ -83,7 +82,7 @@ Relation RevealSource::RevealRows(int64_t begin, int64_t end) const {
       verified_corruptions_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  // Relaxed CAS-max: concurrent shard reveals race only on this witness value.
+  // Relaxed CAS-max: concurrent reveals race only on this witness value.
   int64_t seen = max_materialized_rows_.load(std::memory_order_relaxed);
   while (end - begin > seen &&
          !max_materialized_rows_.compare_exchange_weak(

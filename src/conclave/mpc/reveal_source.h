@@ -9,12 +9,11 @@
 // materialization on the hot path (DESIGN.md §14).
 //
 // Reconstruction is a pure share sum per cell, so row ranges are independent:
-// RevealRows is const and thread-safe, and sharded chains reveal disjoint
-// ranges concurrently with results bit-identical to slicing the one-shot
-// reveal. Boundary charges are NOT applied here — the dispatcher charges
-// mpc::ChargeRevealMeters once for the whole reveal when it converts the value,
-// exactly as the materializing path does, so clocks and counters do not depend
-// on which path a reveal takes.
+// RevealRows is const and thread-safe, and any row range is bit-identical to
+// the same slice of the one-shot reveal. Boundary charges are NOT applied
+// here — the dispatcher charges mpc::ChargeRevealMeters once for the whole
+// reveal when it converts the value, exactly as the materializing path does,
+// so clocks and counters do not depend on which path a reveal takes.
 //
 // Under fault injection the corruptions that DeliverReveal checks inline
 // arrive instead as a schedule (net/fault.h DeliverRevealStreamed); the

@@ -8,7 +8,7 @@
 // which vary with pool-size interleaving. Each node's step runs sequentially on
 // the coordinator thread, so its ordinals are a pure function of the plan and the
 // query, and the whole schedule replays bit-identically at every
-// {pool, shard, batch} configuration.
+// {pool, batch} configuration.
 //
 // Recovery is priced, not free: every retransmission, backoff wait, wasted crashed
 // attempt, and restart penalty accrues in injector-owned per-node accumulators,
@@ -60,7 +60,7 @@ std::string FormatFaultEvents(const std::vector<FaultEvent>& events);
 // A deterministic fault schedule: explicit events for targeted tests, plus seeded
 // random rates for chaos sweeps. Random decisions are pure functions of
 // (plan seed, node, attempt, ordinal) via CounterRng, so a plan injects the same
-// faults at every pool/shard/batch configuration.
+// faults at every pool/batch configuration.
 //
 // A plan is *recoverable* by construction when every drop/corruption count stays
 // within CostModel::max_send_retries and every crash count within job_retries;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "conclave/common/strings.h"
-#include "conclave/common/thread_pool.h"
 
 namespace conclave {
 namespace {
@@ -227,60 +226,13 @@ StatusOr<Relation> CsvSource::ParseRows(int64_t begin, int64_t end) const {
       relation.ColumnData(c)[r - begin] = value;
     }
   }
-  // Relaxed CAS-max: concurrent shard parses race only on this witness value.
+  // Relaxed CAS-max: concurrent parses race only on this witness value.
   int64_t seen = max_materialized_rows_.load(std::memory_order_relaxed);
   while (end - begin > seen &&
          !max_materialized_rows_.compare_exchange_weak(
              seen, end - begin, std::memory_order_relaxed)) {
   }
   return relation;
-}
-
-StatusOr<ShardedRelation> ParseCsvSharded(const std::string& text,
-                                          int shard_count) {
-  if (shard_count <= 0) {
-    return InvalidArgumentError("shard_count must be positive");
-  }
-  CONCLAVE_ASSIGN_OR_RETURN(CsvSource source, CsvSource::FromText(text));
-
-  // Parse shard-parallel: shard boundaries are the SplitEven row ranges, so the
-  // shard layout matches the canonical contiguous split.
-  const int64_t rows = source.NumRows();
-  ShardedRelation sharded{source.schema()};
-  std::vector<Relation> shards(static_cast<size_t>(shard_count),
-                               Relation{source.schema()});
-  std::vector<Status> shard_status(static_cast<size_t>(shard_count), Status::Ok());
-  ParallelFor(0, shard_count, [&](int64_t lo, int64_t hi) {
-    for (int64_t s = lo; s < hi; ++s) {
-      StatusOr<Relation> shard = source.ParseRows(rows * s / shard_count,
-                                                  rows * (s + 1) / shard_count);
-      if (!shard.ok()) {
-        shard_status[static_cast<size_t>(s)] = shard.status();
-        return;
-      }
-      shards[static_cast<size_t>(s)] = std::move(*shard);
-    }
-  }, /*grain=*/1);
-  // Earliest shard's error wins: shards cover ascending line ranges, so this is
-  // the error the sequential parser reports.
-  for (const Status& status : shard_status) {
-    CONCLAVE_RETURN_IF_ERROR(status);
-  }
-  for (Relation& shard : shards) {
-    sharded.AddShard(std::move(shard));
-  }
-  return sharded;
-}
-
-StatusOr<ShardedRelation> ReadCsvSharded(const std::string& path,
-                                         int shard_count) {
-  std::ifstream file(path);
-  if (!file) {
-    return NotFoundError(StrFormat("cannot open '%s' for reading", path.c_str()));
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return ParseCsvSharded(buffer.str(), shard_count);
 }
 
 StatusOr<Relation> ReadCsv(const std::string& path) {

@@ -14,7 +14,6 @@
 #include "conclave/common/status.h"
 #include "conclave/relational/relation.h"
 #include "conclave/relational/schema.h"
-#include "conclave/relational/sharded.h"
 
 namespace conclave {
 
@@ -30,10 +29,9 @@ std::string ToCsv(const Relation& relation);
 // indexes line boundaries only — no cell materializes until ParseRows. This is
 // the streaming pipeline head of DESIGN.md §12: a fused chain pulls
 // batch-at-a-time row ranges and the source relation never exists in memory.
-// ParseRows is const and thread-safe, so sharded chains parse disjoint ranges
-// concurrently. Row-range parses are bit-identical to the same rows of
-// ParseCsv(text), including which malformed-cell error is reported (errors carry
-// the original 1-based line numbers).
+// ParseRows is const and thread-safe. Row-range parses are bit-identical to the
+// same rows of ParseCsv(text), including which malformed-cell error is reported
+// (errors carry the original 1-based line numbers).
 class CsvSource {
  public:
   static StatusOr<CsvSource> FromText(std::string text);
@@ -70,13 +68,6 @@ class CsvSource {
   std::vector<DataLine> lines_;
   mutable std::atomic<int64_t> max_materialized_rows_{0};
 };
-
-// Sharded ingest: parses the data lines into `shard_count` contiguous shards, one
-// parallel parse task per shard. Bit-identical to
-// ShardedRelation::SplitEven(ParseCsv(text), shard_count), including which error
-// is reported on malformed input (the earliest line wins).
-StatusOr<ShardedRelation> ParseCsvSharded(const std::string& text, int shard_count);
-StatusOr<ShardedRelation> ReadCsvSharded(const std::string& path, int shard_count);
 
 }  // namespace conclave
 

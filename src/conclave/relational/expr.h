@@ -61,8 +61,8 @@ std::vector<ExprSlot> FuseExprSlots(std::span<const PipelineOp> ops);
 // against the evolving intermediate schema, so evaluation touches only raw
 // column pointers. The program owns reusable per-batch scratch (the arithmetic
 // value columns, the filter mask, the survivor index list); Eval is therefore
-// not const and a program must not be shared across threads — sharded
-// execution builds one BatchPipeline (and thus one program) per shard.
+// not const and a program must not be shared across threads — each
+// BatchPipeline builds its own.
 class FusedExprProgram {
  public:
   // Compiles `ops` (all FusibleExprOp, size >= 1) against `input`.

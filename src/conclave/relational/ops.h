@@ -124,9 +124,8 @@ Relation Join(const Relation& left, const Relation& right,
 
 // The matching (left row, right row) pairs of the inner equi-join, in exactly the
 // order Join materializes rows: left-scan order, ascending right row within each
-// match set. Join is a gather over this pair stream; the sharded partitioned join
-// (shard_ops.h) consumes it per bucket so it can merge bucket outputs back into the
-// unsharded order by row provenance.
+// match set. Join is a gather over this pair stream; the spilling join
+// (spill.h) consumes it per Grace bucket.
 void JoinRowPairs(const Relation& left, const Relation& right,
                   std::span<const int> left_keys, std::span<const int> right_keys,
                   std::vector<int64_t>* left_rows, std::vector<int64_t>* right_rows);

@@ -14,8 +14,8 @@
 // one row per batch and the whole relation in one batch), the concatenation of the
 // emitted batches is bit-identical — values AND row order — to the corresponding
 // materializing kernel in ops.h applied to the concatenated input. The dispatcher
-// relies on this to extend the {pool, shard} determinism contract with a batch
-// axis (DESIGN.md §10); blocking operators (sort, join, aggregate, window, pad)
+// relies on this to extend the {pool} determinism contract with a batch axis
+// (DESIGN.md §10); blocking operators (sort, join, aggregate, window, pad)
 // never enter a pipeline and keep materializing through ops.h.
 //
 // Streaming limit deliberately does NOT early-exit: upstream operators consume
@@ -80,7 +80,7 @@ struct PipelineOp {
 };
 
 // A fully resolved pipeline: the source schema plus the operator chain. Cheap to
-// copy — sharded execution builds one BatchPipeline per shard from one spec.
+// copy.
 struct PipelineSpec {
   Schema input_schema;
   std::vector<PipelineOp> ops;

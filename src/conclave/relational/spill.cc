@@ -205,9 +205,9 @@ Relation CopySlice(const Relation& src, int64_t lo, int64_t hi) {
 
 // --- K-way merge over spilled runs -------------------------------------------------
 //
-// Same discipline as shard_ops.cc's KWayMerge: a binary heap keyed on each
-// stream's current head row, ties resolving to the lower stream index, so
-// merging contiguous stable-sorted runs reproduces the global stable sort.
+// A binary heap keyed on each stream's current head row, ties resolving to the
+// lower stream index, so merging contiguous stable-sorted runs reproduces the
+// global stable sort.
 
 struct MergeSource {
   std::unique_ptr<SpillRunReader> reader;
@@ -830,16 +830,13 @@ void SolveGraceBucket(SpillRun left, SpillRun right, const Schema& schema,
   }
 }
 
-}  // namespace
-
-void JoinRowPairs(const Relation& left, const Relation& right,
-                  std::span<const int> left_keys, std::span<const int> right_keys,
-                  int64_t budget, SpillStats* stats,
-                  std::vector<int64_t>* left_rows, std::vector<int64_t>* right_rows) {
-  if (budget <= 0 || right.NumRows() <= budget) {
-    ops::JoinRowPairs(left, right, left_keys, right_keys, left_rows, right_rows);
-    return;
-  }
+// The join's (left row, right row) pair stream in exactly ops::JoinRowPairs
+// order, Grace-partitioned because the build (right) side exceeds the budget.
+void GraceJoinRowPairs(const Relation& left, const Relation& right,
+                       std::span<const int> left_keys,
+                       std::span<const int> right_keys, int64_t budget,
+                       SpillStats* stats, std::vector<int64_t>* left_rows,
+                       std::vector<int64_t>* right_rows) {
   ResidencyMeter meter(stats);
   TempDir dir;
   int sequence = 0;
@@ -858,8 +855,7 @@ void JoinRowPairs(const Relation& left, const Relation& right,
   }
   // Every left gid lives in exactly one leaf, so a k-way merge by (left gid,
   // right gid) across the leaf pair vectors reproduces ops::JoinRowPairs'
-  // order — the same provenance merge ShardedJoin applies to its buckets. The
-  // pair vectors are output-sized and, like the output, sit outside the
+  // order. The pair vectors are output-sized and, like the output, sit outside the
   // residency meter.
   size_t total = 0;
   for (const auto& pairs : leaf_pairs) {
@@ -897,6 +893,8 @@ void JoinRowPairs(const Relation& left, const Relation& right,
   }
 }
 
+}  // namespace
+
 Relation Join(const Relation& left, const Relation& right,
               std::span<const int> left_keys, std::span<const int> right_keys,
               int64_t budget, SpillStats* stats) {
@@ -905,8 +903,8 @@ Relation Join(const Relation& left, const Relation& right,
   }
   std::vector<int64_t> left_rows;
   std::vector<int64_t> right_rows;
-  JoinRowPairs(left, right, left_keys, right_keys, budget, stats, &left_rows,
-               &right_rows);
+  GraceJoinRowPairs(left, right, left_keys, right_keys, budget, stats,
+                    &left_rows, &right_rows);
   // Assemble exactly as ops::Join does: keys and left non-keys gathered from the
   // left, right non-keys from the right, in JoinOutputSchema order.
   std::vector<int> left_rest;

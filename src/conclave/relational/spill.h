@@ -3,9 +3,9 @@
 // A memory budget of `mem_budget_rows` bounds the rows any single blocking
 // operator instance keeps resident at once. When an input exceeds the budget,
 // the kernels here spill sorted runs / hash partitions to RAII-owned temp files
-// (common/tempfile.h) and merge them back with exactly the PR 5 merge
-// discipline (shard_ops.cc's KWayMerge: ties resolve to the lower stream), so
-// every result is bit-identical to the in-memory ops:: kernel:
+// (common/tempfile.h) and merge them back with a stable k-way merge (ties
+// resolve to the lower stream), so every result is bit-identical to the
+// in-memory ops:: kernel:
 //
 //  * SortBy    — external merge sort: contiguous <=budget-row chunks, each
 //                stable-sorted by ops::SortBy, k-way merged with lower-run-index
@@ -29,9 +29,8 @@
 //
 // Merges use fan-in kSpillMergeFanIn; more runs than that forces multi-level
 // merges. SpillMergePasses is the closed-form pass count the cost model prices
-// (compiler/plan_cost) — it depends only on (total rows, budget), never on
-// shard structure, so priced charges are invariant across the {pool, shard,
-// batch_rows} grid even though the physical spill layout is not.
+// (compiler/plan_cost) — it depends only on (total rows, budget), so priced
+// charges are invariant across the {pool, batch_rows} grid.
 #ifndef CONCLAVE_RELATIONAL_SPILL_H_
 #define CONCLAVE_RELATIONAL_SPILL_H_
 
@@ -63,9 +62,8 @@ inline constexpr int64_t kSpillMergeFanIn = 8;
 // and the dispatcher meter.
 int64_t SpillMergePasses(int64_t rows, int64_t budget);
 
-// Observability counters for one operator instance (or one shard's instance).
-// Physical layout varies with shard/batch structure, so these are reported but
-// deliberately excluded from the determinism contract.
+// Observability counters for one operator instance. Reported, but deliberately
+// excluded from the determinism contract.
 struct SpillStats {
   int64_t spilled_rows = 0;       // Rows written to run/partition files.
   int64_t spilled_bytes = 0;      // Bytes written to run/partition files.
@@ -99,14 +97,6 @@ Relation Join(const Relation& left, const Relation& right,
               std::span<const int> left_keys, std::span<const int> right_keys,
               int64_t budget, SpillStats* stats);
 
-// The join's (left row, right row) pair stream in exactly ops::JoinRowPairs
-// order, Grace-partitioned when the build (right) side exceeds the budget. The
-// sharded partitioned join consumes this per bucket, exactly as it consumes
-// ops::JoinRowPairs today.
-void JoinRowPairs(const Relation& left, const Relation& right,
-                  std::span<const int> left_keys, std::span<const int> right_keys,
-                  int64_t budget, SpillStats* stats,
-                  std::vector<int64_t>* left_rows, std::vector<int64_t>* right_rows);
 
 }  // namespace spill
 }  // namespace conclave

@@ -304,14 +304,6 @@ TEST(EnvKnobTest, ParseInt64Accepts) {
             kI64Max);
 }
 
-TEST(EnvKnobTest, ParseInt64TokensBeatRange) {
-  // A token spelling is accepted even when its value lies outside the range —
-  // "auto" for CONCLAVE_SHARDS maps to a negative sentinel under min=1.
-  const std::vector<env::KnobToken> tokens = {{"auto", -1}};
-  EXPECT_EQ(env::ParseInt64Knob("K", "auto", 1, kI64Max, tokens).value(), -1);
-  EXPECT_EQ(env::ParseInt64Knob("K", "2", 1, kI64Max, tokens).value(), 2);
-}
-
 TEST(EnvKnobTest, ParseInt64RejectsMalformed) {
   EXPECT_FALSE(env::ParseInt64Knob("K", "", 0, kI64Max).ok());
   EXPECT_FALSE(env::ParseInt64Knob("K", "not-a-number", 0, kI64Max).ok());

@@ -11,7 +11,6 @@
 #include "conclave/compiler/exec_options.h"
 #include "conclave/data/generators.h"
 #include "conclave/relational/pipeline.h"
-#include "conclave/relational/sharded.h"
 #include "test_util.h"
 
 namespace conclave {
@@ -306,32 +305,10 @@ TEST(DispatcherTest, PushedDownFilterKeepsDroppedRowsOutOfOblivC) {
   ExpectDroppedRowsNeverEnterTheMpc(compiler::MpcBackendKind::kOblivC, tight);
 }
 
-// N sharded consumers of one cleartext value used to take one task-owned
-// SplitEven copy each; the split is now cached per value, so both consumers
-// reuse a single split.
-TEST(DispatcherTest, ShardedConsumersOfOneValueSplitOnce) {
-  Query query;
-  Party alice = query.AddParty("alice");
-  Table t = query.NewTable("t", {{"a"}, {"b"}}, alice);
-  t.Filter("a", CompareOp::kLt, 500).WriteToCsv("f", {alice});
-  t.AddConst("c", "b", 1).WriteToCsv("g", {alice});
-  std::map<std::string, Relation> inputs;
-  inputs["t"] = data::UniformInts(1200, {"a", "b"}, 1000, /*seed=*/83);
-
-  const int64_t before = ShardedRelation::SplitEvenCalls();
-  const auto result = query.Run(inputs, {}, CostModel{}, /*seed=*/42,
-                                {.pool_parallelism = 2, .shard_count = 4});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->outputs.at("f").NumRows(), 0);
-  EXPECT_GT(result->outputs.at("g").NumRows(), 0);
-  EXPECT_EQ(ShardedRelation::SplitEvenCalls() - before, 1);
-}
-
 // The one resolver behind Dispatcher::Run and the explain advice: unset fields
 // take their environment defaults, explicit fields win, and the results are in
 // the documented resolved ranges.
 TEST(ExecOptionsTest, ResolverAppliesEnvDefaultsToUnsetFieldsOnly) {
-  test::ScopedEnvVar shards("CONCLAVE_SHARDS", "auto");
   test::ScopedEnvVar batch("CONCLAVE_BATCH_ROWS", "96");
   test::ScopedEnvVar budget("CONCLAVE_MEM_BUDGET", "512");
   test::ScopedEnvVar faults("CONCLAVE_FAULT_PLAN", "seed=3,drop=0.5");
@@ -339,18 +316,16 @@ TEST(ExecOptionsTest, ResolverAppliesEnvDefaultsToUnsetFieldsOnly) {
   const auto from_env = compiler::ResolveExecOptions({});
   ASSERT_TRUE(from_env.ok()) << from_env.status().ToString();
   EXPECT_EQ(from_env->pool_parallelism, 0);
-  EXPECT_EQ(from_env->shard_count, compiler::ExecOptions::kAutoShardCount);
   EXPECT_EQ(from_env->batch_rows, 96);
   EXPECT_EQ(from_env->mem_budget_rows, 512);
   ASSERT_TRUE(from_env->fault_plan.has_value());
   EXPECT_TRUE(from_env->fault_plan->enabled);
 
   const auto explicit_options = compiler::ResolveExecOptions(
-      {.pool_parallelism = 3, .shard_count = 2, .batch_rows = 7,
-       .fault_plan = FaultPlan{}, .mem_budget_rows = -1});
+      {.pool_parallelism = 3, .batch_rows = 7, .fault_plan = FaultPlan{},
+       .mem_budget_rows = -1});
   ASSERT_TRUE(explicit_options.ok());
   EXPECT_EQ(explicit_options->pool_parallelism, 3);
-  EXPECT_EQ(explicit_options->shard_count, 2);
   EXPECT_EQ(explicit_options->batch_rows, 7);
   EXPECT_FALSE(explicit_options->fault_plan->enabled);
   EXPECT_EQ(explicit_options->mem_budget_rows, 0);  // Negative = unbounded.
@@ -358,19 +333,31 @@ TEST(ExecOptionsTest, ResolverAppliesEnvDefaultsToUnsetFieldsOnly) {
 
 TEST(ExecOptionsTest, ResolverDefaultsAndRejections) {
   {
-    test::ScopedEnvVar shards("CONCLAVE_SHARDS", nullptr);
     test::ScopedEnvVar batch("CONCLAVE_BATCH_ROWS", nullptr);
     test::ScopedEnvVar budget("CONCLAVE_MEM_BUDGET", nullptr);
     test::ScopedEnvVar faults("CONCLAVE_FAULT_PLAN", nullptr);
     const auto defaults = compiler::ResolveExecOptions({});
     ASSERT_TRUE(defaults.ok());
-    EXPECT_EQ(defaults->shard_count, 1);
     EXPECT_EQ(defaults->batch_rows, kDefaultBatchRows);
     EXPECT_EQ(defaults->mem_budget_rows, 0);
     EXPECT_FALSE(defaults->fault_plan->enabled);
   }
   EXPECT_EQ(compiler::ResolveExecOptions({.batch_rows = -1}).status().code(),
             StatusCode::kInvalidArgument);
+  // A negative pool must not quietly fall back to the shared pool, and a run
+  // given one fails instead of executing.
+  EXPECT_EQ(
+      compiler::ResolveExecOptions({.pool_parallelism = -1}).status().code(),
+      StatusCode::kInvalidArgument);
+  {
+    Query query;
+    Party alice = query.AddParty("alice");
+    query.NewTable("t", {{"a"}}, alice).WriteToCsv("out", {alice});
+    const auto result =
+        query.Run({{"t", data::UniformInts(4, {"a"}, 10, /*seed=*/1)}}, {},
+                  CostModel{}, /*seed=*/42, {.pool_parallelism = -2});
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
   {
     test::ScopedEnvVar faults("CONCLAVE_FAULT_PLAN", "nope=1");
     EXPECT_EQ(compiler::ResolveExecOptions({}).status().code(),

@@ -481,7 +481,7 @@ TEST(BeyondRamTest, SortJoinGroupBySpillsWithinBudgetBitIdentically) {
   build(unbounded_query, inputs);
   const auto unbounded =
       unbounded_query.Run(inputs, {}, CostModel{}, /*seed=*/42,
-                          {.shard_count = 1, .mem_budget_rows = -1});
+                          {.mem_budget_rows = -1});
   ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
   EXPECT_EQ(unbounded->spill_report.mem_budget_rows, 0);
   EXPECT_EQ(unbounded->spill_report.spill_seconds, 0.0);
@@ -492,7 +492,7 @@ TEST(BeyondRamTest, SortJoinGroupBySpillsWithinBudgetBitIdentically) {
   build(budgeted_query, budgeted_inputs);
   const auto budgeted =
       budgeted_query.Run(budgeted_inputs, {}, CostModel{}, /*seed=*/42,
-                         {.shard_count = 1, .mem_budget_rows = kBudget});
+                         {.mem_budget_rows = kBudget});
   ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
   EXPECT_TRUE(budgeted->outputs.at("out").RowsEqual(unbounded->outputs.at("out")));
   EXPECT_GT(budgeted->spill_report.spilling_nodes, 0);
@@ -532,7 +532,7 @@ TEST(BeyondRamTest, CsvSourceStreamsThroughFusedChainWithoutMaterializing) {
   Query streamed_query;
   build(streamed_query, /*from_csv=*/true);
   const auto streamed = streamed_query.Run({}, {}, CostModel{}, /*seed=*/42,
-                                           {.shard_count = 1, .batch_rows = kBatch});
+                                           {.batch_rows = kBatch});
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   // The non-materialization witness: no parse ever produced more than one
   // batch of source rows.
@@ -547,26 +547,13 @@ TEST(BeyondRamTest, CsvSourceStreamsThroughFusedChainWithoutMaterializing) {
   Query materialized_query;
   build(materialized_query, /*from_csv=*/false);
   const auto materialized = materialized_query.Run(
-      {{"t", rows}}, {}, CostModel{}, /*seed=*/42, {.shard_count = 1});
+      {{"t", rows}}, {}, CostModel{}, /*seed=*/42);
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
   EXPECT_EQ(materialized->csv_peak_parse_rows, 0);  // No CSV source.
   EXPECT_TRUE(
       streamed->outputs.at("out").RowsEqual(materialized->outputs.at("out")));
   // Streamed ingest never moves the clock.
   EXPECT_EQ(streamed->virtual_seconds, materialized->virtual_seconds);
-
-  // Sharded streaming: per-shard pipelines parse disjoint row ranges.
-  Query sharded_query;
-  build(sharded_query, /*from_csv=*/true);
-  const auto sharded = sharded_query.Run(
-      {}, {}, CostModel{}, /*seed=*/42,
-      {.pool_parallelism = 4, .shard_count = 3, .batch_rows = kBatch});
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_GT(sharded->csv_peak_parse_rows, 0);
-  EXPECT_LE(sharded->csv_peak_parse_rows, kBatch);
-  EXPECT_TRUE(
-      sharded->outputs.at("out").RowsEqual(materialized->outputs.at("out")));
-  EXPECT_EQ(sharded->virtual_seconds, materialized->virtual_seconds);
 
   const int64_t expected_rows = kRows - (kRows / 100) * 51;  // v in [51, 99].
   EXPECT_EQ(streamed->outputs.at("out").NumRows(), expected_rows);

@@ -53,7 +53,7 @@ backends::ExecutionResult RunCreditLike(std::optional<FaultPlan> plan,
   BuildCreditLike(setup, 200, fan_out);
   auto result = setup.query.Run(
       setup.inputs, {}, CostModel{}, 42,
-      {.pool_parallelism = pool, .shard_count = 1, .fault_plan = std::move(plan)});
+      {.pool_parallelism = pool, .fault_plan = std::move(plan)});
   CONCLAVE_CHECK(result.ok());
   return std::move(*result);
 }
@@ -279,7 +279,6 @@ backends::ExecutionResult RunRevealChain(std::optional<FaultPlan> plan,
   inputs["right"] = data::UniformInts(350, {"k", "w"}, 300, /*seed=*/42);
   auto result = query.Run(inputs, {}, CostModel{}, 42,
                           {.pool_parallelism = 2,
-                           .shard_count = 1,
                            .batch_rows = batch_rows,
                            .fault_plan = std::move(plan)});
   CONCLAVE_CHECK(result.ok());

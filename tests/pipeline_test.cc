@@ -3,14 +3,20 @@
 // boundary edge cases (0-row inputs, 1-row batches, limits cut mid-batch,
 // distinct runs spanning batch boundaries), bounded-memory high-water marks
 // proving O(depth x batch) residency, the CONCLAVE_BATCH_ROWS knob, per-node
-// pricing of fused members, and end-to-end {batch} invariance of a fused chain
-// feeding a blocking operator through the public Query API.
+// pricing of fused members, end-to-end {pool, batch} invariance of a fused
+// chain feeding a blocking operator through the public Query API, and
+// single-party plans whose limit, distinct and window run on the cleartext
+// executor, checked against the row-major reference.
 #include "conclave/relational/pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <optional>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,6 +29,7 @@
 #include "conclave/relational/expr.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/relation.h"
+#include "row_major_reference.h"
 #include "test_util.h"
 
 namespace conclave {
@@ -454,7 +461,7 @@ TEST(PipelineQueryTest, FusedChainFeedingBlockingOpIsBatchInvariant) {
     inputs["right"] = data::UniformInts(400, {"k", "w"}, 900, /*seed=*/52);
     auto result = query.Run(
         inputs, {}, CostModel{}, /*seed=*/42,
-        {.pool_parallelism = pool, .shard_count = 1, .batch_rows = batch_rows});
+        {.pool_parallelism = pool, .batch_rows = batch_rows});
     CONCLAVE_CHECK(result.ok());
     return std::move(*result);
   };
@@ -462,7 +469,8 @@ TEST(PipelineQueryTest, FusedChainFeedingBlockingOpIsBatchInvariant) {
   const backends::ExecutionResult baseline = run(1, kOneBatch);
   ASSERT_GT(baseline.outputs.at("out").NumRows(), 0);
   for (int pool : {1, 4}) {
-    for (int64_t batch_rows : {int64_t{1}, int64_t{7}, kDefaultBatchRows}) {
+    for (int64_t batch_rows :
+         {int64_t{1}, int64_t{7}, int64_t{13}, kDefaultBatchRows}) {
       const backends::ExecutionResult got = run(pool, batch_rows);
       EXPECT_TRUE(got.outputs.at("out").RowsEqual(baseline.outputs.at("out")))
           << "pool=" << pool << " batch_rows=" << batch_rows;
@@ -475,45 +483,6 @@ TEST(PipelineQueryTest, FusedChainFeedingBlockingOpIsBatchInvariant) {
           << "pool=" << pool << " batch_rows=" << batch_rows;
       EXPECT_EQ(got.counters.network_bytes, baseline.counters.network_bytes)
           << "pool=" << pool << " batch_rows=" << batch_rows;
-    }
-  }
-}
-
-// Same invariance with the data plane sharded: fused chains there hold only the
-// per-row operators, executed as one pipeline task per shard.
-TEST(PipelineQueryTest, ShardedFusedChainsMatchOneBatch) {
-  auto run = [](int shards, int64_t batch_rows) {
-    api::Query query;
-    api::Party alice = query.AddParty("alice");
-    api::Party bob = query.AddParty("bob");
-    api::Table left = query.NewTable("left", {{"k"}, {"v"}}, alice);
-    api::Table right = query.NewTable("right", {{"k"}, {"w"}}, bob);
-    left.Filter("v", CompareOp::kLt, 600)
-        .AddConst("v2", "v", 11)
-        .Join(right, {"k"}, {"k"})
-        .Aggregate("total", AggKind::kSum, {"k"}, "v2")
-        .WriteToCsv("out", {alice});
-    std::map<std::string, Relation> inputs;
-    inputs["left"] = data::UniformInts(900, {"k", "v"}, 800, /*seed=*/61);
-    inputs["right"] = data::UniformInts(500, {"k", "w"}, 800, /*seed=*/62);
-    auto result = query.Run(
-        inputs, {}, CostModel{}, /*seed=*/42,
-        {.pool_parallelism = 2, .shard_count = shards, .batch_rows = batch_rows});
-    CONCLAVE_CHECK(result.ok());
-    return std::move(*result);
-  };
-
-  const backends::ExecutionResult baseline = run(1, kOneBatch);
-  for (int shards : {1, 3}) {
-    for (int64_t batch_rows : {int64_t{1}, int64_t{13}, kDefaultBatchRows}) {
-      const backends::ExecutionResult got = run(shards, batch_rows);
-      EXPECT_TRUE(got.outputs.at("out").RowsEqual(baseline.outputs.at("out")))
-          << "shards=" << shards << " batch_rows=" << batch_rows;
-      EXPECT_EQ(got.virtual_seconds, baseline.virtual_seconds)
-          << "shards=" << shards << " batch_rows=" << batch_rows;
-      EXPECT_EQ(got.counters.cleartext_records,
-                baseline.counters.cleartext_records)
-          << "shards=" << shards << " batch_rows=" << batch_rows;
     }
   }
 }
@@ -537,7 +506,7 @@ TEST(PipelineQueryTest, FusedMembersPricedFromKernelRowCounts) {
   // The four nodes run as one fused chain.
   const std::vector<ir::OpNode*> order = query.dag().TopoOrder();
   const std::vector<const ir::OpNode*> topo(order.begin(), order.end());
-  const auto chains = compiler::PipelineChains(topo, /*shard_count=*/1);
+  const auto chains = compiler::PipelineChains(topo);
   ASSERT_EQ(chains.size(), 1u);
   ASSERT_EQ(chains[0].size(), 4u);
 
@@ -564,6 +533,156 @@ TEST(PipelineQueryTest, FusedMembersPricedFromKernelRowCounts) {
     EXPECT_EQ(result->node_seconds.at(id),
               model.CleartextScanSeconds(static_cast<uint64_t>(rows), use_spark))
         << "node #" << id << " rows=" << rows;
+  }
+}
+
+// --- Single-party plans: limit, distinct and window on the cleartext path -----
+
+// The plan fuzzer's queries start from a cross-party concat, which keeps
+// limit, distinct and window under MPC. With one party nothing crosses the
+// frontier, so these operators run on the cleartext executor: limit and
+// distinct inside fused chains, window as a standalone local job.
+using SinglePartyBuild =
+    std::function<void(const api::Table& t, const api::Party& owner)>;
+
+// 600 rows: k in [0, 7) (repeated partition and distinct keys), v a
+// permutation of [0, 600) (no ties in window order), w uniform in [0, 100).
+Relation SinglePartyInput() {
+  Relation rel{Schema::Of({"k", "v", "w"})};
+  Rng rng(/*seed=*/91);
+  for (int64_t i = 0; i < 600; ++i) {
+    rel.AppendRow({i % 7, (i * 37) % 600, static_cast<int64_t>(rng.NextBelow(100))});
+  }
+  return rel;
+}
+
+void BuildSinglePartyPlan(api::Query& query, const SinglePartyBuild& build) {
+  const api::Party alice = query.AddParty("alice");
+  build(query.NewTable("t", {{"k"}, {"v"}, {"w"}}, alice), alice);
+}
+
+// Evaluates a freshly built (uncompiled) instance of the plan node by node
+// with the row-major reference, which shares no kernels with the engine.
+Relation RowMajorReference(const SinglePartyBuild& build, const Relation& input) {
+  api::Query query;
+  BuildSinglePartyPlan(query, build);
+  std::unordered_map<int, rowmajor::RowMajorRelation> values;
+  rowmajor::RowMajorRelation output;
+  for (const ir::OpNode* node : query.dag().TopoOrder()) {
+    if (node->kind == ir::OpKind::kCreate) {
+      values[node->id] = rowmajor::RowMajorRelation::FromColumnar(input);
+      continue;
+    }
+    std::vector<const rowmajor::RowMajorRelation*> rels;
+    for (const ir::OpNode* in : node->inputs) {
+      rels.push_back(&values.at(in->id));
+    }
+    auto result = rowmajor::ref::ExecuteLocal(*node, rels);
+    CONCLAVE_CHECK(result.ok());
+    values[node->id] = *std::move(result);
+    if (node->kind == ir::OpKind::kCollect) {
+      output = values[node->id];
+    }
+  }
+  return output.ToColumnar();
+}
+
+// Runs the plan at every {pool 1, 4} x {batch 1, 7, default, one batch} point:
+// each output must equal the row-major reference, and the virtual clock and
+// per-node meters must equal the first point's. `chains` receives the op kinds
+// of the compiled plan's fused chains (compiler::PipelineChains).
+void ExpectSinglePartyGridMatchesReference(
+    const SinglePartyBuild& build, const std::string& label,
+    std::vector<std::vector<ir::OpKind>>* chains) {
+  const Relation input = SinglePartyInput();
+  const Relation expected = RowMajorReference(build, input);
+  ASSERT_GT(expected.NumRows(), 0) << label;
+  std::optional<backends::ExecutionResult> first;
+  for (int pool : {1, 4}) {
+    for (int64_t batch_rows :
+         {int64_t{1}, int64_t{7}, kDefaultBatchRows, kOneBatch}) {
+      api::Query query;
+      BuildSinglePartyPlan(query, build);
+      auto result = query.Run({{"t", input}}, {}, CostModel{}, /*seed=*/42,
+                              {.pool_parallelism = pool, .batch_rows = batch_rows});
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      const std::string where = label + " pool=" + std::to_string(pool) +
+                                " batch_rows=" + std::to_string(batch_rows);
+      const Relation& got = result->outputs.at("out");
+      EXPECT_TRUE(got.RowsEqual(expected))
+          << where << "\nwant\n" << expected.ToString() << "\ngot\n"
+          << got.ToString();
+      EXPECT_EQ(got.schema().ToString(), expected.schema().ToString()) << where;
+      if (!first.has_value()) {
+        first = std::move(*result);
+      } else {
+        EXPECT_EQ(result->virtual_seconds, first->virtual_seconds) << where;
+        EXPECT_EQ(result->node_seconds, first->node_seconds) << where;
+        EXPECT_EQ(result->counters.cleartext_records,
+                  first->counters.cleartext_records)
+            << where;
+      }
+      const std::vector<ir::OpNode*> order = query.dag().TopoOrder();
+      for (const ir::OpNode* node : order) {
+        EXPECT_EQ(node->exec_mode, ir::ExecMode::kLocal)
+            << where << " node #" << node->id;
+      }
+      chains->clear();
+      for (const auto& chain : compiler::PipelineChains(
+               std::vector<const ir::OpNode*>(order.begin(), order.end()))) {
+        std::vector<ir::OpKind>& kinds = chains->emplace_back();
+        for (const ir::OpNode* member : chain) {
+          kinds.push_back(member->kind);
+        }
+      }
+    }
+  }
+}
+
+TEST(SinglePartyQueryTest, LimitInsideAFusedChain) {
+  const SinglePartyBuild build = [](const api::Table& t, const api::Party& owner) {
+    t.Filter("v", CompareOp::kGt, 50)
+        .Limit(250)
+        .AddConst("x", "w", 3)
+        .Filter("x", CompareOp::kLt, 60)
+        .WriteToCsv("out", {owner});
+  };
+  std::vector<std::vector<ir::OpKind>> chains;
+  ExpectSinglePartyGridMatchesReference(build, "limit", &chains);
+  // One chain of all four operators, the limit second.
+  const std::vector<std::vector<ir::OpKind>> want = {
+      {ir::OpKind::kFilter, ir::OpKind::kLimit, ir::OpKind::kArithmetic,
+       ir::OpKind::kFilter}};
+  EXPECT_EQ(chains, want);
+}
+
+TEST(SinglePartyQueryTest, DistinctHeadsAChainAfterASort) {
+  const SinglePartyBuild build = [](const api::Table& t, const api::Party& owner) {
+    t.SortBy({"k", "w"})
+        .Distinct({"k", "w"})
+        .AddConst("x", "w", 1)
+        .Filter("x", CompareOp::kGt, 20)
+        .WriteToCsv("out", {owner});
+  };
+  std::vector<std::vector<ir::OpKind>> chains;
+  ExpectSinglePartyGridMatchesReference(build, "distinct", &chains);
+  // The sort materializes; the streaming dedup heads the chain after it.
+  const std::vector<std::vector<ir::OpKind>> want = {
+      {ir::OpKind::kDistinct, ir::OpKind::kArithmetic, ir::OpKind::kFilter}};
+  EXPECT_EQ(chains, want);
+}
+
+TEST(SinglePartyQueryTest, EveryWindowFunctionRunsLocally) {
+  for (WindowFn fn :
+       {WindowFn::kRowNumber, WindowFn::kLag, WindowFn::kRunningSum}) {
+    const SinglePartyBuild build = [fn](const api::Table& t,
+                                        const api::Party& owner) {
+      t.Window("r", fn, {"k"}, "v", fn == WindowFn::kRowNumber ? "" : "w")
+          .WriteToCsv("out", {owner});
+    };
+    std::vector<std::vector<ir::OpKind>> chains;
+    ExpectSinglePartyGridMatchesReference(build, WindowFnName(fn), &chains);
+    EXPECT_TRUE(chains.empty()) << WindowFnName(fn);  // Window never fuses.
   }
 }
 
@@ -650,10 +769,9 @@ TEST(RevealStreamTest, LimitAndDistinctTails) {
   }
 }
 
-// Sharded chains reveal disjoint row ranges; the concatenation of the per-shard
-// streams must equal slicing one whole-relation reveal with SplitEven's
-// boundaries.
-TEST(RevealStreamTest, RangedRevealsMatchSplitBoundaries) {
+// Row ranges reveal independently: cutting a reveal into disjoint contiguous
+// ranges and concatenating them must equal one whole-relation reveal.
+TEST(RevealStreamTest, DisjointRangesConcatenateToWholeReveal) {
   const Relation input = data::UniformInts(101, {"a", "b"}, 300, /*seed=*/12);
   Rng rng(/*seed=*/13);
   const mpc::RevealSource source(ShareRelation(input, rng));
@@ -661,12 +779,12 @@ TEST(RevealStreamTest, RangedRevealsMatchSplitBoundaries) {
   EXPECT_TRUE(whole.RowsEqual(input));
 
   const int64_t rows = input.NumRows();
-  for (int shards : {1, 3, 8}) {
+  for (int ranges : {1, 3, 8}) {
     std::vector<Relation> parts;
-    parts.reserve(static_cast<size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      const int64_t begin = rows * s / shards;
-      const int64_t end = rows * (s + 1) / shards;
+    parts.reserve(static_cast<size_t>(ranges));
+    for (int r = 0; r < ranges; ++r) {
+      const int64_t begin = rows * r / ranges;
+      const int64_t end = rows * (r + 1) / ranges;
       parts.push_back(source.RevealRows(begin, end));
     }
     std::vector<const Relation*> part_ptrs;
@@ -674,7 +792,7 @@ TEST(RevealStreamTest, RangedRevealsMatchSplitBoundaries) {
       part_ptrs.push_back(&part);
     }
     const Relation assembled = ops::Concat(part_ptrs);
-    EXPECT_TRUE(assembled.RowsEqual(whole)) << "shards=" << shards;
+    EXPECT_TRUE(assembled.RowsEqual(whole)) << "ranges=" << ranges;
   }
 }
 
@@ -707,9 +825,9 @@ TEST(RevealStreamTest, ResidencyStaysAtBatchSize) {
 // End-to-end through the public API: an MPC aggregate whose arithmetic tail the
 // compiler pushes up into a local fused chain. The reveal feeds the chain
 // batch-at-a-time (reveal_peak_rows stays at the batch size). Outputs, virtual
-// clock, and counters must be bit-identical across the {shard, batch} grid.
+// clock, and counters must be bit-identical across the {pool, batch} grid.
 TEST(RevealStreamTest, QueryGridBitIdentical) {
-  auto run = [](int shards, int64_t batch_rows) {
+  auto run = [](int pool, int64_t batch_rows) {
     api::Query query;
     api::Party alice = query.AddParty("alice");
     api::Party bob = query.AddParty("bob");
@@ -725,29 +843,29 @@ TEST(RevealStreamTest, QueryGridBitIdentical) {
     inputs["right"] = data::UniformInts(450, {"k", "w"}, 500, /*seed=*/22);
     auto result = query.Run(
         inputs, {}, CostModel{}, /*seed=*/42,
-        {.pool_parallelism = 2, .shard_count = shards, .batch_rows = batch_rows});
+        {.pool_parallelism = pool, .batch_rows = batch_rows});
     CONCLAVE_CHECK(result.ok());
     return std::move(*result);
   };
 
-  const backends::ExecutionResult baseline = run(/*shards=*/1, kOneBatch);
+  const backends::ExecutionResult baseline = run(/*pool=*/1, kOneBatch);
   ASSERT_GT(baseline.outputs.at("out").NumRows(), 0);
 
-  for (int shards : {1, 3}) {
+  for (int pool : {1, 4}) {
     for (int64_t batch_rows : {int64_t{16}, kDefaultBatchRows}) {
-      const backends::ExecutionResult got = run(shards, batch_rows);
+      const backends::ExecutionResult got = run(pool, batch_rows);
       EXPECT_TRUE(got.outputs.at("out").RowsEqual(baseline.outputs.at("out")))
-          << "shards=" << shards << " batch=" << batch_rows;
+          << "pool=" << pool << " batch=" << batch_rows;
       EXPECT_EQ(got.virtual_seconds, baseline.virtual_seconds)
-          << "shards=" << shards << " batch=" << batch_rows;
+          << "pool=" << pool << " batch=" << batch_rows;
       EXPECT_EQ(got.counters.network_bytes, baseline.counters.network_bytes)
-          << "shards=" << shards << " batch=" << batch_rows;
+          << "pool=" << pool << " batch=" << batch_rows;
       EXPECT_EQ(got.node_seconds, baseline.node_seconds)
-          << "shards=" << shards << " batch=" << batch_rows;
+          << "pool=" << pool << " batch=" << batch_rows;
       EXPECT_GT(got.reveal_peak_rows, 0)
-          << "shards=" << shards << " batch=" << batch_rows;
+          << "pool=" << pool << " batch=" << batch_rows;
       EXPECT_LE(got.reveal_peak_rows, batch_rows)
-          << "shards=" << shards << " batch=" << batch_rows;
+          << "pool=" << pool << " batch=" << batch_rows;
     }
   }
 }

@@ -607,6 +607,53 @@ TEST(PlanCostTest, ExplainListsNodesAndDecision) {
   EXPECT_NE(listing.find("obliv-c"), std::string::npos);
 }
 
+TEST(PlanCostTest, ExplainReportsFusedExprAdvice) {
+  api::Query query;
+  auto a = query.AddParty("a");
+  auto b = query.AddParty("b");
+  auto ta = query.NewTable("ta", {{"k"}, {"v"}}, a, 100);
+  auto tb = query.NewTable("tb", {{"k"}, {"v"}}, b, 100);
+  query.Concat({ta, tb})
+      .Filter("v", CompareOp::kGe, 10)
+      .Aggregate("total", AggKind::kSum, {"k"}, "v")
+      .WriteToCsv("out", {a});
+  const auto report = query.ExplainPlan();
+  ASSERT_TRUE(report.ok());
+  EXPECT_NE(report->ToString().find("expr-advice:"), std::string::npos)
+      << report->ToString();
+  // Every expression group lives inside a fused chain, so its node count is
+  // bounded by the chains' and a group needs at least one node.
+  EXPECT_LE(report->fused_expr_nodes, report->fused_pipeline_nodes);
+  EXPECT_GE(report->fused_expr_nodes, report->fused_expr_groups);
+}
+
+// The pipeline advice lists exactly the chains a run fuses, however large the
+// row hints: a sorted distinct heads a chain and a limit fuses mid-chain.
+TEST(PlanCostTest, ExplainListsTheChainsARunFuses) {
+  api::Query query;
+  auto alice = query.AddParty("alice");
+  auto t = query.NewTable("t", {{"k"}, {"v"}}, alice, 100'000'000);
+  t.SortBy({"k"})
+      .Distinct({"k"})
+      .AddConst("x", "k", 1)
+      .Limit(10)
+      .Filter("x", CompareOp::kGt, 3)
+      .WriteToCsv("out", {alice});
+  CompilerOptions options;
+  options.explain_plan = true;
+  const auto compilation = query.Compile(options);
+  ASSERT_TRUE(compilation.ok()) << compilation.status().ToString();
+  const PlanCostReport& report = compilation->cost_report;
+  const std::vector<ir::OpNode*> order = query.dag().TopoOrder();
+  const auto chains = PipelineChains(
+      std::vector<const ir::OpNode*>(order.begin(), order.end()));
+  ASSERT_EQ(chains.size(), 1u);
+  EXPECT_EQ(chains[0].size(), 4u);
+  EXPECT_EQ(report.fused_pipeline_chains, 1);
+  EXPECT_EQ(report.fused_pipeline_nodes, 4);
+  EXPECT_EQ(report.longest_pipeline_chain, 4);
+}
+
 TEST(PlanCostTest, ExplainNotComputedWithoutFlag) {
   api::Query query;
   auto alice = query.AddParty("alice");

@@ -304,17 +304,16 @@ TEST_P(RandomQueryTest, CompiledDagInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomQueryTest,
                          ::testing::Range<uint64_t>(1, 26));
 
-// ===== Property-based differential shard/pool/batch harness =========================
+// ===== Property-based differential pool/batch harness ===============================
 //
 // A seeded plan generator draws a random query (multi-party tables with uniform /
 // skewed / duplicate-heavy key distributions, then a chain of joins, aggregates,
 // filters, sorts, distincts, projections, and arithmetic) as a *shrinkable spec*:
 // every op's parameters are raw draws interpreted modulo the schema at build time,
-// so any subsequence of ops is still a valid plan. Each plan executes across a
-// {shard 1,2,3,8} x {pool 1,4} sweep at the default batch plus the batch grid
-// batch_rows in {1, 7, INT_MAX} x shards in {1, 3} x pool in {1, 4}, and must
-// reproduce the serial one-batch baseline (pool=1, shards=1, batch INT_MAX) bit
-// for bit: RowsEqual on the revealed output (exact row order, not just set
+// so any subsequence of ops is still a valid plan. Each plan executes at pool in
+// {1, 4} x batch_rows in {1, 7, default, INT_MAX}, with the SIMD kernels on and
+// off, and must reproduce the serial one-batch baseline (pool=1, batch INT_MAX)
+// bit for bit: RowsEqual on the revealed output (exact row order, not just set
 // equality) and exact virtual-clock totals. The baseline itself is checked
 // against EvalReference, which runs the uncompiled DAG node by node, so a bug
 // every configuration shares still surfaces. On a failure, a greedy shrinker
@@ -540,17 +539,16 @@ struct RunOutcome {
 };
 
 // One point of the differential grid. Beyond the execution-shape axes ({pool,
-// shard, batch}), the SIMD/scalar kernel axis (DESIGN.md §13) rides along: it
+// batch}), the SIMD/scalar kernel axis (DESIGN.md §13) rides along: it
 // must be invisible in results, virtual clock, and counters at every point —
 // the harness checks every candidate against a SIMD-on baseline.
 struct Config {
   int pool;
-  int shards;
   int64_t batch_rows;
   bool simd = true;
 
   std::string ToString() const {
-    return StrFormat("{pool=%d, shards=%d, batch=%lld, simd=%s}", pool, shards,
+    return StrFormat("{pool=%d, batch=%lld, simd=%s}", pool,
                      static_cast<long long>(batch_rows), simd ? "on" : "off");
   }
 };
@@ -568,7 +566,6 @@ RunOutcome RunPlan(const PlanSpec& spec, const Config& config,
   const auto result = built.query.Run(
       built.inputs, {}, CostModel{}, /*seed=*/42,
       {.pool_parallelism = config.pool,
-       .shard_count = config.shards,
        .batch_rows = config.batch_rows,
        .fault_plan = fault_plan != nullptr ? std::optional<FaultPlan>(*fault_plan)
                                            : std::nullopt,
@@ -594,8 +591,8 @@ RunOutcome RunPlan(const PlanSpec& spec, const Config& config,
 }
 
 RunOutcome RunBaseline(const PlanSpec& spec) {
-  // Serial, unsharded, every fused chain in one batch.
-  return RunPlan(spec, Config{/*pool=*/1, /*shards=*/1, kOneBatch});
+  // Serial, every fused chain in one batch.
+  return RunPlan(spec, Config{/*pool=*/1, kOneBatch});
 }
 
 // True when the baseline's rows match the uncompiled DAG evaluated node by node
@@ -700,20 +697,15 @@ PlanSpec ShrinkPlan(PlanSpec spec, const Config& config) {
   return spec;
 }
 
-// The sweep grid (DESIGN.md §10). The simd axis alternates so every batch
-// size sees both kernel paths; the baseline runs SIMD-on, so every simd-off
-// entry is also a cross-kernel differential.
+// The sweep grid (DESIGN.md §10): pool {1, 4} x batch {one row per batch, a
+// prime that straddles boundaries, the default, one batch}, each with SIMD on
+// and off — minus the SIMD-on serial one-batch point, which is the baseline.
+// Every simd-off entry is also a cross-kernel differential.
 constexpr Config kConfigs[] = {
-    // {shard, pool} sweep at the default batch.
-    {1, 1, kBatch}, {1, 2, kBatch, false}, {1, 3, kBatch}, {1, 8, kBatch, false},
-    {4, 1, kBatch, false}, {4, 2, kBatch}, {4, 3, kBatch, false}, {4, 8, kBatch},
-    // Batch grid: one row per batch, a prime that straddles boundaries, and
-    // one batch, x shards {1, 3} x pool {1, 4}.
-    {1, 1, 1},              {1, 3, 1, false},
-    {4, 1, 1, false},       {4, 3, 1},
-    {1, 1, 7, false},       {1, 3, 7},
-    {4, 1, 7},              {4, 3, 7, false},
-    {1, 3, kOneBatch, false}, {4, 1, kOneBatch}, {4, 3, kOneBatch, false},
+    {1, kBatch},    {1, kBatch, false}, {4, kBatch},    {4, kBatch, false},
+    {1, 1},         {1, 1, false},      {4, 1},         {4, 1, false},
+    {1, 7},         {1, 7, false},      {4, 7},         {4, 7, false},
+    {1, kOneBatch, false},              {4, kOneBatch}, {4, kOneBatch, false},
 };
 
 // Runs one seeded plan through the full config sweep; on failure, shrinks and
@@ -910,13 +902,13 @@ void ShrinkChaos(PlanSpec& spec, FaultPlan& fault_plan, const Config& config) {
   }
 }
 
-// The chaos grid: {pool 1,4} x {shard 1,3} at the default batch, plus
-// small-batch and one-batch points so corrupted-reveal schedules land
-// mid-stream (DESIGN.md §14), and simd-off points so recovery identities also
-// hold on the scalar kernels.
+// The chaos grid: pool {1, 4} at the default batch, plus small-batch and
+// one-batch points so corrupted-reveal schedules land mid-stream (DESIGN.md
+// §14), and simd-off points so recovery identities also hold on the scalar
+// kernels.
 constexpr Config kChaosConfigs[] = {
-    {1, 1, kBatch}, {1, 3, kBatch, false}, {4, 1, kBatch}, {4, 3, kBatch},
-    {1, 3, 7, false}, {4, 1, 1}, {4, 3, 7}, {1, 1, kOneBatch, false},
+    {1, kBatch}, {1, kBatch, false}, {4, kBatch},           {1, 7, false},
+    {4, 1},      {4, 7},             {1, kOneBatch, false},
 };
 
 // Runs one seeded (plan, fault plan) pair through the chaos grid; on failure,
@@ -966,8 +958,8 @@ int ChaosSeedCount() {
 // unbounded even when CONCLAVE_MEM_BUDGET is set in the environment, so the
 // identity below stays meaningful under the CI tight-budget re-runs).
 RunOutcome RunUnboundedBaseline(const PlanSpec& spec) {
-  return RunPlan(spec, Config{/*pool=*/1, /*shards=*/1, kOneBatch},
-                 /*fault_plan=*/nullptr, /*mem_budget=*/-1);
+  return RunPlan(spec, Config{/*pool=*/1, kOneBatch}, /*fault_plan=*/nullptr,
+                 /*mem_budget=*/-1);
 }
 
 // Empty string = the budgeted run reproduces the unbounded serial baseline bit
@@ -975,7 +967,7 @@ RunOutcome RunUnboundedBaseline(const PlanSpec& spec) {
 // the priced spill I/O (double equality, no tolerance: the charge is a closed
 // form over node-total rows, folded into the clock once after everything else,
 // so budgeted_clock == unbounded_clock + spill_seconds holds bit for bit at
-// every {pool, shard, batch} point; DESIGN.md §12).
+// every {pool, batch} point; DESIGN.md §12).
 std::string CheckSpillConfigAgainst(const RunOutcome& baseline,
                                     const PlanSpec& spec, const Config& config,
                                     int64_t mem_budget) {
@@ -1069,8 +1061,8 @@ PlanSpec ShrinkSpill(PlanSpec spec, const Config& config, int64_t mem_budget) {
   return spec;
 }
 
-// The spill grid: the budget axis crossed with points of the {pool, shard,
-// batch} grid. Budget 3 forces multi-level merges and deep Grace recursion on
+// The spill grid: the budget axis crossed with points of the {pool, batch}
+// grid. Budget 3 forces multi-level merges and deep Grace recursion on
 // the corpus's 0–80-row tables; 16 exercises the single-pass boundary region.
 struct SpillConfig {
   Config config;
@@ -1080,14 +1072,14 @@ struct SpillConfig {
 constexpr SpillConfig kSpillConfigs[] = {
     // Budget 3 with SIMD on, then budget 16 with the simd axis alternating so
     // spilling also composes with the scalar kernels.
-    {{1, 1, kBatch}, 3},
-    {{4, 3, kBatch}, 3},
-    {{1, 3, 7}, 3},
-    {{4, 1, 1}, 3},
-    {{1, 1, kBatch, false}, 16},
-    {{4, 3, kBatch}, 16},
-    {{1, 3, 7, false}, 16},
-    {{4, 1, kOneBatch}, 16},
+    {{1, kBatch}, 3},
+    {{4, kBatch}, 3},
+    {{1, 7}, 3},
+    {{4, 1}, 3},
+    {{1, kBatch, false}, 16},
+    {{4, kBatch}, 16},
+    {{1, 7, false}, 16},
+    {{4, kOneBatch}, 16},
 };
 
 // Runs one seeded plan through the spill grid; on failure, shrinks and reports
@@ -1128,10 +1120,10 @@ int SpillSeedCount() {
 }  // namespace diff
 
 // Fixed seed list: every plan must be bit-identical (rows and virtual clock) to
-// the serial one-batch baseline at every {pool, shard, batch} configuration,
+// the serial one-batch baseline at every {pool, batch} configuration,
 // and that baseline must match the node-by-node reference.
 // CI runs the default 200 seeds; CONCLAVE_DIFF_SEEDS overrides.
-TEST(DifferentialShardHarness, SeededPlansMatchBaselineAtEveryConfig) {
+TEST(DifferentialHarness, SeededPlansMatchBaselineAtEveryConfig) {
   const int seeds = diff::FixedSeedCount();
   for (uint64_t seed = 1; seed <= static_cast<uint64_t>(seeds); ++seed) {
     diff::CheckSeed(seed);
@@ -1143,7 +1135,7 @@ TEST(DifferentialShardHarness, SeededPlansMatchBaselineAtEveryConfig) {
 
 // Time-boxed random sweep for the nightly sanitizer jobs: draws fresh seeds until
 // the CONCLAVE_DIFF_RANDOM_SECONDS budget expires (skipped when unset).
-TEST(DifferentialShardHarness, RandomSweepWithinTimeBudget) {
+TEST(DifferentialHarness, RandomSweepWithinTimeBudget) {
   const char* env = std::getenv("CONCLAVE_DIFF_RANDOM_SECONDS");
   const double budget = env != nullptr ? std::atof(env) : 0;
   if (budget <= 0) {
@@ -1189,7 +1181,7 @@ TEST(ChaosDifferentialHarness, SeededFaultPlansRecoverBitIdentically) {
     const FaultPlan sample_plan = diff::GenerateFaultPlan(seed);
     const diff::RunOutcome sample =
         diff::RunPlan(diff::GeneratePlan(seed),
-                      diff::Config{/*pool=*/4, /*shards=*/3, diff::kBatch},
+                      diff::Config{/*pool=*/4, diff::kBatch},
                       &sample_plan);
     injected += sample.fault_report.injected_drops +
                 sample.fault_report.injected_corruptions +
@@ -1219,7 +1211,7 @@ TEST(SpillDifferentialHarness, SeededPlansMatchUnboundedAtEveryBudget) {
     // by always fitting in budget.
     const diff::RunOutcome sample = diff::RunPlan(
         diff::GeneratePlan(seed),
-        diff::Config{/*pool=*/4, /*shards=*/3, diff::kBatch},
+        diff::Config{/*pool=*/4, diff::kBatch},
         /*fault_plan=*/nullptr, /*mem_budget=*/3);
     spilling_nodes += sample.spill_report.spilling_nodes;
     physical_spilled_rows += sample.spill_report.stats.spilled_rows;
@@ -1243,7 +1235,7 @@ TEST(ChaosDifferentialHarness, UnrecoverablePlansAbortGracefully) {
   plan.crash_rate = 1.0;
   plan.crash_times = plan.job_retries + 1;  // One rollback past the budget.
   const diff::RunOutcome outcome = diff::RunPlan(
-      spec, diff::Config{/*pool=*/1, /*shards=*/1, diff::kBatch}, &plan);
+      spec, diff::Config{/*pool=*/1, diff::kBatch}, &plan);
   EXPECT_FALSE(outcome.ok);
   EXPECT_TRUE(outcome.aborted);
   EXPECT_NE(outcome.error.find("fault recovery budget exhausted"),
@@ -1254,7 +1246,7 @@ TEST(ChaosDifferentialHarness, UnrecoverablePlansAbortGracefully) {
   EXPECT_GE(outcome.fault_report.first_failure_node, 0);
   // The abort itself must be deterministic: same provenance at pool 4.
   const diff::RunOutcome parallel = diff::RunPlan(
-      spec, diff::Config{/*pool=*/4, /*shards=*/1, diff::kBatch}, &plan);
+      spec, diff::Config{/*pool=*/4, diff::kBatch}, &plan);
   EXPECT_TRUE(parallel.aborted);
   EXPECT_EQ(parallel.error, outcome.error);
   EXPECT_EQ(parallel.fault_report.first_failure_node,

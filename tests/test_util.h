@@ -10,13 +10,13 @@ namespace conclave {
 namespace test {
 
 // RAII guard for process environment variables. Tests that set executor knobs
-// (CONCLAVE_SHARDS, CONCLAVE_THREADS, CONCLAVE_BATCH_ROWS, ...) must use this
+// (CONCLAVE_THREADS, CONCLAVE_BATCH_ROWS, CONCLAVE_MEM_BUDGET, ...) must use this
 // so a failing assertion cannot leak the override into later tests in the same
 // binary — under `ctest -j` every binary is its own process, but within a
 // binary gtest runs cases sequentially and environment state persists.
 //
-//   ScopedEnvVar shards("CONCLAVE_SHARDS", "3");   // set for this scope
-//   ScopedEnvVar none("CONCLAVE_SHARDS", nullptr); // force-unset for this scope
+//   ScopedEnvVar batch("CONCLAVE_BATCH_ROWS", "64");    // set for this scope
+//   ScopedEnvVar none("CONCLAVE_BATCH_ROWS", nullptr);  // force-unset for this scope
 //
 // The destructor restores exactly the prior state (previous value, or unset).
 class ScopedEnvVar {
