@@ -324,7 +324,8 @@ void RunKernelSweep(const bench::BenchFilter& filter,
     // A/B (DESIGN.md §14): the same chain consuming an MPC reveal two ways —
     // reveal the whole shared relation in one shot and push the materialized
     // rows through the pipeline, vs. stream the reconstruction batch-at-a-time
-    // straight into the chain via RunFromReveal. Results are bit-identical
+    // straight into the chain via BatchPipeline::Run(source, batch_rows).
+    // Results are bit-identical
     // (the grid tests assert it); reveal_peak_rows records the streamed
     // path's peak reconstructed-row residency — O(batch), not O(n), so a
     // reveal-heavy chain's cleartext footprint stops growing with the data.
@@ -336,15 +337,15 @@ void RunKernelSweep(const bench::BenchFilter& filter,
     const mpc::RevealSource streamed_source(shared_rel);
     BatchPipeline reveal_materialized_pipeline(chain_spec);
     cells.push_back(timed("reveal_materialized", [&] {
-      const Relation opened = one_shot_source.RevealRows(0, n);
+      const Relation opened = one_shot_source.Rows(0, n).value();
       benchmark::DoNotOptimize(
           reveal_materialized_pipeline.Run(opened, kDefaultBatchRows));
     }));
     BatchPipeline reveal_streamed_pipeline(chain_spec);
     const bool reveal_ran = filter.Enabled("reveal_streamed");
     cells.push_back(timed("reveal_streamed", [&] {
-      benchmark::DoNotOptimize(reveal_streamed_pipeline.RunFromReveal(
-          streamed_source, 0, n, kDefaultBatchRows));
+      benchmark::DoNotOptimize(
+          reveal_streamed_pipeline.Run(streamed_source, kDefaultBatchRows));
     }));
     cells.push_back(reveal_ran
                         ? bench::Cell::Seconds(static_cast<double>(

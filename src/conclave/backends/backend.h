@@ -1,14 +1,15 @@
 // Shared execution-time types for the backends and the dispatcher.
 //
-// During plan execution every DAG node materializes to one of three value kinds,
+// During plan execution every DAG node materializes to one of four value kinds,
 // mirroring where the data lives in a real deployment:
 //   * kCleartext — a relation held in the clear by one party (local jobs);
 //   * kShared    — a secret-shared relation inside the Sharemind-style backend;
 //   * kGarbled   — a relation inside the garbled-circuit backend (payload evaluated
 //                  in the ideal model, costs and memory fully accounted; see
-//                  mpc/garbled/gc_engine.h).
-// Two streaming forms stand in for a cleartext relation that is never built
-// (kCsvSource, kRevealSource; see MaterializedValue).
+//                  mpc/garbled/gc_engine.h);
+//   * kSource    — a cleartext relation not yet materialized (a RowSource: a
+//                  party's CSV file or an opened reveal) that a fused chain
+//                  streams batch-at-a-time (see MaterializedValue).
 #ifndef CONCLAVE_BACKENDS_BACKEND_H_
 #define CONCLAVE_BACKENDS_BACKEND_H_
 
@@ -19,48 +20,35 @@
 #include "conclave/common/party.h"
 #include "conclave/common/status.h"
 #include "conclave/common/virtual_clock.h"
-#include "conclave/mpc/reveal_source.h"
 #include "conclave/mpc/share.h"
 #include "conclave/net/fault.h"
-#include "conclave/relational/csv.h"
 #include "conclave/relational/relation.h"
+#include "conclave/relational/row_source.h"
 #include "conclave/relational/spill.h"
 
 namespace conclave {
 namespace backends {
 
 struct MaterializedValue {
-  // kCsvSource is the streaming-ingest form (DESIGN.md §12): a CSV-backed
-  // Create whose sole consumer is a fused local chain materializes only the
-  // indexed raw text; the chain's pipeline parses row ranges batch-at-a-time
-  // and the source relation never exists in memory. kRevealSource is its
-  // reveal-boundary twin (DESIGN.md §14): a shared value whose sole consumer is
-  // a fused local chain keeps its shares; the chain's pipeline reconstructs row
-  // ranges batch-at-a-time and the revealed relation never exists in memory.
-  enum class Kind {
-    kCleartext,
-    kShared,
-    kGarbled,
-    kCsvSource,
-    kRevealSource
-  };
+  // kSource is the streaming form (DESIGN.md §12, §14): when compiler::
+  // PipelineChains marks a fused chain as streaming its input, the input's
+  // value stays a RowSource — a CSV-backed Create keeps only its indexed text,
+  // a shared value keeps its shares — and the chain's pipeline pulls row
+  // ranges batch-at-a-time, so the relation never exists in memory.
+  enum class Kind { kCleartext, kShared, kGarbled, kSource };
 
   Kind kind = Kind::kCleartext;
   Relation clear;          // kCleartext / kGarbled payload.
-  PartyId location = kNoParty;  // kCleartext / k*Source: holder.
+  PartyId location = kNoParty;  // kCleartext / kSource: holder.
   SharedRelation shared;   // kShared.
-  std::shared_ptr<CsvSource> csv;  // kCsvSource (shared with in-flight tasks).
-  // kRevealSource (shared with in-flight tasks).
-  std::shared_ptr<mpc::RevealSource> reveal;
+  std::shared_ptr<const RowSource> source;  // kSource (shared with in-flight tasks).
 
   int64_t NumRows() const {
     switch (kind) {
       case Kind::kShared:
         return shared.NumRows();
-      case Kind::kCsvSource:
-        return csv->NumRows();
-      case Kind::kRevealSource:
-        return reveal->NumRows();
+      case Kind::kSource:
+        return source->NumRows();
       default:
         return clear.NumRows();
     }
@@ -104,16 +92,11 @@ struct ExecutionResult {
   // virtual_seconds equals the unbounded run's total plus
   // spill_report.spill_seconds, exactly; results stay bit-identical.
   SpillReport spill_report;
-  // Streaming-ingest residency witness (DESIGN.md §12): the largest row range
-  // any CSV source parsed at once. For a streamed source this is at most one
-  // pipeline batch — the proof the source relation never materialized; 0 when
-  // no Create streamed.
-  int64_t csv_peak_parse_rows = 0;
-  // Reveal-boundary residency witness (DESIGN.md §14): the largest row range
-  // any streaming reveal reconstructed at once. At most one pipeline batch —
-  // the proof the revealed relation never materialized; 0 when no reveal
-  // streamed.
-  int64_t reveal_peak_rows = 0;
+  // Streaming residency witness (DESIGN.md §12, §14): the largest row range
+  // any streamed source (a CSV file or a reveal feeding a fused chain)
+  // materialized at once. At most one pipeline batch — the proof the source
+  // relation never materialized; 0 when nothing streamed.
+  int64_t source_peak_rows = 0;
   // Graceful degradation: when the fault-recovery budget is exhausted, Run returns
   // ok() with aborted = true, abort_status carrying the canonical (earliest node
   // in topological order) failure provenance, and no outputs — a structured abort

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -12,12 +13,13 @@
 #include <vector>
 
 #include "conclave/backends/local_backend.h"
-#include "conclave/backends/spark_backend.h"
 #include "conclave/common/logging.h"
 #include "conclave/common/strings.h"
 #include "conclave/compiler/partition.h"
 #include "conclave/compiler/plan_cost.h"
 #include "conclave/mpc/malicious/commitment.h"
+#include "conclave/mpc/reveal_source.h"
+#include "conclave/relational/csv.h"
 #include "conclave/relational/pipeline.h"
 
 namespace conclave {
@@ -104,20 +106,38 @@ Status EnsureSecure(RunState& state, MaterializedValue& value) {
   return Status::Ok();
 }
 
+// Opens a shared value for reading in the clear (DESIGN.md §14): charges the
+// reveal's meters once for the whole relation and, under fault injection,
+// schedules its corruptions, which the source detects as pulls reach the
+// corrupted rows. Materializing and streaming consumers both open through
+// here, so clocks, counters and fault reports do not depend on which one a
+// value has.
+std::shared_ptr<const RowSource> OpenReveal(RunState& state, SharedRelation shared) {
+  mpc::ChargeRevealMeters(state.net, shared.NumCells());
+  uint64_t nonce = 0;
+  std::vector<FaultInjector::RevealCorruption> schedule;
+  if (state.fault != nullptr) {
+    schedule = state.fault->ScheduleRevealFaults(shared.NumRows(),
+                                                 shared.NumColumns(), &nonce);
+  }
+  return std::make_shared<mpc::RevealSource>(std::move(shared), nonce,
+                                             std::move(schedule));
+}
+
 // Moves a value into the clear at `party` (reveal / party-to-party transfer).
 void EnsureCleartextAt(RunState& state, MaterializedValue& value, PartyId party) {
   switch (value.kind) {
-    case MaterializedValue::Kind::kShared:
-      value.clear = state.sharemind.Reveal(value.shared);
-      if (state.fault != nullptr) {
-        // Reveal-path integrity under injection: corrupted deliveries are
-        // detected by the commitment opening check and retransmitted.
-        state.fault->DeliverReveal(value.clear);
-      }
+    case MaterializedValue::Kind::kShared: {
+      // A materializing reveal: the whole-range pull of the source a
+      // streaming chain head would pull batch by batch. Reveals never fail.
+      const std::shared_ptr<const RowSource> source =
+          OpenReveal(state, std::move(value.shared));
+      value.clear = source->Rows(0, source->NumRows()).value();
       value.shared = SharedRelation{};
       value.kind = MaterializedValue::Kind::kCleartext;
       value.location = party;
       break;
+    }
     case MaterializedValue::Kind::kGarbled:
       // Output labels decode at both parties; transfer of decoded rows is cheap.
       state.net.CountAggregateBytes(value.clear.ByteSize());
@@ -132,11 +152,9 @@ void EnsureCleartextAt(RunState& state, MaterializedValue& value, PartyId party)
         value.location = party;
       }
       break;
-    case MaterializedValue::Kind::kCsvSource:
-    case MaterializedValue::Kind::kRevealSource:
-      // Unreachable: a streaming source is produced only when its sole consumer
-      // is a fused chain head at the owning party, which acquires through
-      // AcquireLocalInputs without any frontier transition.
+    case MaterializedValue::Kind::kSource:
+      // Unreachable: a value stays a source only for its sole consumer, a
+      // streaming chain head, which reads it without a frontier transition.
       CONCLAVE_CHECK(false);
       break;
   }
@@ -148,6 +166,17 @@ void EnsureCleartextAt(RunState& state, MaterializedValue& value, PartyId party)
 // in the final accounting pass.
 double LocalComputeSeconds(const RunState& state, uint64_t records) {
   return state.net.model().CleartextScanSeconds(records, state.use_spark);
+}
+
+// A Create's input must arrive with the column names it declares.
+Status CheckInputSchema(const std::string& name, const Schema& schema,
+                        const ir::OpNode& create) {
+  if (schema.NamesMatch(create.schema)) {
+    return Status::Ok();
+  }
+  return InvalidArgumentError(StrFormat(
+      "input '%s' schema %s does not match declared schema %s", name.c_str(),
+      schema.ToString().c_str(), create.schema.ToString().c_str()));
 }
 
 // How the executor treats a node: pool-executed cleartext work vs. coordinator-run
@@ -230,6 +259,9 @@ class JobGraphExecutor {
     // Topo index of the owning chain's head (-1 = not fused). The head points at
     // itself.
     int chain_head = -1;
+    // The head's compile-time streaming mark (compiler::PipelineChain): its
+    // sole input stays a RowSource the chain pulls batch-at-a-time.
+    bool streams_input = false;
   };
 
   struct Completion {
@@ -245,7 +277,7 @@ class JobGraphExecutor {
     spill::SpillStats spill_stats;
     // Streaming CSV ingest (DESIGN.md §12): a Create completing as an indexed
     // source instead of a materialized relation.
-    std::shared_ptr<CsvSource> csv_output;
+    std::shared_ptr<const RowSource> source_output;
   };
 
   int TopoIndexOf(int node_id) const { return topo_index_.at(node_id); }
@@ -267,14 +299,20 @@ class JobGraphExecutor {
     // Total rows per DAG input, in input order (batch-invariant); the spill
     // pricing's cardinality source.
     std::vector<int64_t> input_rows;
-    // Non-null when the (sole) input is a streaming CSV source: the chain
-    // head pulls parsed row-range batches instead of reading a relation.
-    std::shared_ptr<CsvSource> csv;
-    // Non-null when the (sole) input is a streaming reveal (DESIGN.md §14):
-    // the chain head reconstructs revealed row-range batches instead of
-    // reading a materialized relation.
-    std::shared_ptr<mpc::RevealSource> reveal;
+    // Non-null when `exec` streams its (sole) input: the chain head pulls
+    // row-range batches from it instead of reading a relation.
+    std::shared_ptr<const RowSource> source;
   };
+
+  // Submits `body` as a pool task whose completion is posted under
+  // `topo_index`. A non-OK Status or an escaping exception (which would
+  // otherwise terminate the process from WorkerLoop) becomes the completion's
+  // status; `what` names the task in the exception's message.
+  void SubmitTask(int topo_index, const char* what,
+                  std::function<Status(Completion&)> body);
+  // Drops the reader registrations AcquireLocalInputs made for `exec`'s
+  // inputs: on completion, or when a dispatch is abandoned before submitting.
+  void ReleaseReaders(const NodeExec& exec);
 
   void DispatchCreate(NodeExec& exec);
   // Acquires `exec`'s inputs at its party (frontier transitions), advances the
@@ -504,6 +542,31 @@ void JobGraphExecutor::RestoreLaneCheckpoint(const LaneCheckpoint& checkpoint) {
   }
 }
 
+void JobGraphExecutor::SubmitTask(int topo_index, const char* what,
+                                  std::function<Status(Completion&)> body) {
+  ++in_flight_;
+  const int node_id = execs_[static_cast<size_t>(topo_index)].node->id;
+  pool_.Submit([this, topo_index, what, node_id, body = std::move(body)] {
+    Completion completion;
+    completion.topo_index = topo_index;
+    try {
+      completion.status = body(completion);
+    } catch (const std::exception& e) {
+      completion.status = InternalError(
+          StrFormat("%s for node #%d threw: %s", what, node_id, e.what()));
+    }
+    std::lock_guard<std::mutex> lock(completions_mu_);
+    completions_.push_back(std::move(completion));
+    completions_cv_.notify_all();
+  });
+}
+
+void JobGraphExecutor::ReleaseReaders(const NodeExec& exec) {
+  for (const ir::OpNode* in : exec.node->inputs) {
+    --ExecOf(*in).active_readers;
+  }
+}
+
 void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
   const ir::OpNode* node = exec.node;
   if (!PrepareJobFaults(exec)) {
@@ -517,68 +580,40 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
     }
   }
   exec.dispatched = true;
-  ++in_flight_;
-  const int my_topo = TopoIndexOf(node->id);
-  // Streaming-ingest eligibility (DESIGN.md §12), decided on the coordinator so
-  // the choice is pool-size-independent: a CSV-backed Create whose sole
-  // consumer is a fused chain head at the owning party materializes only the
-  // indexed source text; the chain's pipeline parses row ranges itself. Every
-  // other CSV create parses eagerly into one relation.
-  const auto& create_params = node->Params<ir::CreateParams>();
-  bool stream_csv = false;
-  if (!create_params.csv_path.empty() && exec.consumer_uses.size() == 1) {
-    const NodeExec& consumer =
-        execs_[static_cast<size_t>(exec.consumer_uses[0])];
-    stream_csv = consumer.chain_members.size() >= 2 &&
-                 consumer.node->exec_party == create_params.party;
-  }
-  pool_.Submit([this, node, my_topo, stream_csv] {
-    Completion completion;
-    completion.topo_index = my_topo;
-    try {
-      const auto& params = node->Params<ir::CreateParams>();
-      if (!params.csv_path.empty()) {
-        StatusOr<CsvSource> source = CsvSource::FromFile(params.csv_path);
-        if (!source.ok()) {
-          completion.status = source.status();
-        } else if (!source->schema().NamesMatch(node->schema)) {
-          completion.status = InvalidArgumentError(StrFormat(
-              "input '%s' schema %s does not match declared schema %s",
-              params.name.c_str(), source->schema().ToString().c_str(),
-              node->schema.ToString().c_str()));
-        } else if (stream_csv) {
-          completion.csv_output =
-              std::make_shared<CsvSource>(std::move(*source));
-        } else {
-          StatusOr<Relation> all = source->ParseRows(0, source->NumRows());
-          if (all.ok()) {
-            completion.output = std::move(*all);
-          } else {
-            completion.status = all.status();
-          }
-        }
-      } else if (const auto it = inputs_.find(params.name);
-                 it == inputs_.end()) {
-        completion.status = InvalidArgumentError(
-            StrFormat("no input relation provided for '%s'", params.name.c_str()));
-      } else if (!it->second.schema().NamesMatch(node->schema)) {
-        completion.status = InvalidArgumentError(StrFormat(
-            "input '%s' schema %s does not match declared schema %s",
-            params.name.c_str(), it->second.schema().ToString().c_str(),
-            node->schema.ToString().c_str()));
-      } else {
-        completion.output = it->second;
-      }
-    } catch (const std::exception& e) {
-      // An escaping exception would terminate the process from a worker thread;
-      // surface it as a Status like every other node failure.
-      completion.status =
-          InternalError(StrFormat("create task threw: %s", e.what()));
-    }
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    completions_.push_back(std::move(completion));
-    completions_cv_.notify_all();
-  });
+  // Streaming ingest (DESIGN.md §12): when the sole consumer's chain is marked
+  // as streaming its input, the Create completes as its indexed source text
+  // and the chain's pipeline parses row ranges itself. Every other CSV create
+  // parses eagerly into one relation.
+  const bool stream = exec.consumer_uses.size() == 1 &&
+                      execs_[static_cast<size_t>(exec.consumer_uses[0])].streams_input;
+  CONCLAVE_CHECK(!stream || !node->Params<ir::CreateParams>().csv_path.empty());
+  SubmitTask(TopoIndexOf(node->id), "create task",
+             [this, node, stream](Completion& completion) -> Status {
+               const auto& params = node->Params<ir::CreateParams>();
+               if (params.csv_path.empty()) {
+                 const auto it = inputs_.find(params.name);
+                 if (it == inputs_.end()) {
+                   return InvalidArgumentError(StrFormat(
+                       "no input relation provided for '%s'", params.name.c_str()));
+                 }
+                 CONCLAVE_RETURN_IF_ERROR(
+                     CheckInputSchema(params.name, it->second.schema(), *node));
+                 completion.output = it->second;
+                 return Status::Ok();
+               }
+               CONCLAVE_ASSIGN_OR_RETURN(CsvSource source,
+                                         CsvSource::FromFile(params.csv_path));
+               CONCLAVE_RETURN_IF_ERROR(
+                   CheckInputSchema(params.name, source.schema(), *node));
+               if (stream) {
+                 completion.source_output =
+                     std::make_shared<CsvSource>(std::move(source));
+                 return Status::Ok();
+               }
+               CONCLAVE_ASSIGN_OR_RETURN(completion.output,
+                                         source.Rows(0, source.NumRows()));
+               return Status::Ok();
+             });
 }
 
 JobGraphExecutor::AcquiredInputs JobGraphExecutor::AcquireLocalInputs(
@@ -588,54 +623,24 @@ JobGraphExecutor::AcquiredInputs JobGraphExecutor::AcquireLocalInputs(
   acquired.rels.reserve(node->inputs.size());
   for (const ir::OpNode* in : node->inputs) {
     MaterializedValue& value = state_.values[static_cast<size_t>(in->id)];
-    if (value.kind == MaterializedValue::Kind::kCsvSource) {
-      // Streaming CSV head (DESIGN.md §12): produced only for a sole-consumer
-      // fused chain at the owning party, so no transfer — the chain's
-      // pipeline parses the row ranges itself.
-      CONCLAVE_CHECK(value.location == node->exec_party ||
-                     value.location == kNoParty);
-      acquired.csv = value.csv;
-      acquired.records += static_cast<uint64_t>(value.NumRows());
-      acquired.input_rows.push_back(value.NumRows());
-      ++ExecOf(*in).active_readers;
-      continue;
-    }
-    if (value.kind == MaterializedValue::Kind::kShared &&
-        exec.chain_members.size() >= 2 && node->inputs.size() == 1 &&
-        ExecOf(*in).consumer_uses.size() == 1) {
-      // Streaming reveal (DESIGN.md §14), decided on the coordinator at the
-      // head's acquisition turn so the choice is pool-size-independent: the
-      // shared value's sole consumer is this fused chain head, so the shares
-      // stay put and the chain's pipeline reconstructs the row ranges
-      // itself. The reveal is charged once for the whole relation, right
-      // here — exactly what EnsureCleartextAt charges a materializing reveal —
-      // so clocks and counters do not depend on which consumer a value has;
-      // only the revealed relation's materialization disappears.
-      const int64_t rows = value.shared.NumRows();
-      const int cols = value.shared.NumColumns();
-      mpc::ChargeRevealMeters(state_.net, value.shared.NumCells());
-      auto source = std::make_shared<mpc::RevealSource>(std::move(value.shared));
-      value.shared = SharedRelation{};
-      if (state_.fault != nullptr) {
-        // The same decisions and charges as DeliverReveal (which is built on
-        // this call); detection replays inside RevealSource on the batch
-        // covering each corrupted row.
-        uint64_t nonce = 0;
-        std::vector<FaultInjector::RevealCorruption> schedule =
-            state_.fault->DeliverRevealStreamed(rows, cols, &nonce);
-        source->InstallFaultSchedule(nonce, std::move(schedule));
+    if (exec.streams_input) {
+      // A streaming chain head (DESIGN.md §12, §14), marked at compile time.
+      // A shared input opens here, on the coordinator at the head's
+      // acquisition turn, and keeps its shares: the chain's pipeline
+      // reconstructs the row ranges itself. A CSV input completed as a source.
+      if (value.kind == MaterializedValue::Kind::kShared) {
+        value.source = OpenReveal(state_, std::move(value.shared));
+        value.shared = SharedRelation{};
+        value.kind = MaterializedValue::Kind::kSource;
+        value.location = node->exec_party;
       }
-      value.kind = MaterializedValue::Kind::kRevealSource;
-      value.reveal = source;
-      value.location = node->exec_party;
-      acquired.reveal = std::move(source);
-      acquired.records += static_cast<uint64_t>(rows);
-      acquired.input_rows.push_back(rows);
-      ++ExecOf(*in).active_readers;
-      continue;
+      CONCLAVE_CHECK(value.kind == MaterializedValue::Kind::kSource &&
+                     value.location == node->exec_party);
+      acquired.source = value.source;
+    } else {
+      EnsureCleartextAt(state_, value, node->exec_party);
+      acquired.rels.push_back(&value.clear);
     }
-    EnsureCleartextAt(state_, value, node->exec_party);
-    acquired.rels.push_back(&value.clear);
     acquired.records += static_cast<uint64_t>(value.NumRows());
     acquired.input_rows.push_back(value.NumRows());
     ++ExecOf(*in).active_readers;
@@ -674,40 +679,22 @@ void JobGraphExecutor::DispatchLocalCompute(NodeExec& exec) {
   }
   AcquiredInputs acquired = AcquireLocalInputs(exec);
   if (!CommitJobFaults(exec)) {
-    // No task was submitted: release the readers acquisition registered.
-    for (const ir::OpNode* in : node->inputs) {
-      --ExecOf(*in).active_readers;
-    }
+    ReleaseReaders(exec);  // No task was submitted.
     return;
   }
 
   exec.dispatched = true;
-  ++in_flight_;
-  const int my_topo = TopoIndexOf(node->id);
   const int64_t mem_budget_rows = state_.mem_budget_rows;
-  pool_.Submit([this, node, my_topo, mem_budget_rows,
-                rels = std::move(acquired.rels)] {
-    Completion completion;
-    completion.topo_index = my_topo;
-    try {
-      LocalExecOptions options;
-      options.mem_budget_rows = mem_budget_rows;
-      options.spill_stats = &completion.spill_stats;
-      StatusOr<Relation> out = ExecuteLocal(*node, rels, options);
-      if (out.ok()) {
-        completion.output = std::move(*out);
-      } else {
-        completion.status = out.status();
-      }
-    } catch (const std::exception& e) {
-      // See DispatchCreate: escaping exceptions must not reach WorkerLoop.
-      completion.status = InternalError(
-          StrFormat("local job for node #%d threw: %s", node->id, e.what()));
-    }
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    completions_.push_back(std::move(completion));
-    completions_cv_.notify_all();
-  });
+  SubmitTask(TopoIndexOf(node->id), "local job",
+             [node, mem_budget_rows,
+              rels = std::move(acquired.rels)](Completion& completion) -> Status {
+               LocalExecOptions options;
+               options.mem_budget_rows = mem_budget_rows;
+               options.spill_stats = &completion.spill_stats;
+               CONCLAVE_ASSIGN_OR_RETURN(completion.output,
+                                         ExecuteLocal(*node, rels, options));
+               return Status::Ok();
+             });
 }
 
 void JobGraphExecutor::DispatchChain(NodeExec& exec) {
@@ -717,10 +704,8 @@ void JobGraphExecutor::DispatchChain(NodeExec& exec) {
   AcquiredInputs acquired = AcquireLocalInputs(exec);
   if (!CommitJobFaults(exec)) {
     // Crash restarts priced so far cover the head's compute; the interior
-    // members never price (the run aborts). Release the acquisition's readers.
-    for (const ir::OpNode* in : exec.node->inputs) {
-      --ExecOf(*in).active_readers;
-    }
+    // members never price (the run aborts).
+    ReleaseReaders(exec);
     return;
   }
   // All members are spoken for the moment the head dispatches: the acquisition
@@ -739,18 +724,14 @@ void JobGraphExecutor::DispatchChain(NodeExec& exec) {
   // A resolution failure is attributed to the failing member's topo index —
   // the canonical error a sequential unfused walk would report.
   PipelineSpec spec;
-  spec.input_schema = acquired.csv != nullptr      ? acquired.csv->schema()
-                      : acquired.reveal != nullptr ? acquired.reveal->schema()
-                                                   : acquired.rels[0]->schema();
+  spec.input_schema = acquired.source != nullptr ? acquired.source->schema()
+                                                 : acquired.rels[0]->schema();
   Schema schema = spec.input_schema;
   for (int member_topo : exec.chain_members) {
     const ir::OpNode& member = *execs_[static_cast<size_t>(member_topo)].node;
     StatusOr<PipelineOp> op = ResolvePipelineOp(schema, member);
     if (!op.ok()) {
-      // No task was submitted: release the head's input readers here.
-      for (const ir::OpNode* in : exec.node->inputs) {
-        --ExecOf(*in).active_readers;
-      }
+      ReleaseReaders(exec);  // No task was submitted.
       RecordFailure(member_topo, op.status());
       return;
     }
@@ -758,47 +739,21 @@ void JobGraphExecutor::DispatchChain(NodeExec& exec) {
     spec.ops.push_back(std::move(*op));
   }
 
-  ++in_flight_;
-  const int my_topo = TopoIndexOf(exec.node->id);
   const int64_t batch_rows = state_.batch_rows;
-
-  pool_.Submit([this, my_topo, batch_rows, spec = std::move(spec),
-                csv = acquired.csv, reveal = acquired.reveal,
-                rels = std::move(acquired.rels)] {
-    Completion completion;
-    completion.topo_index = my_topo;
-    try {
-      BatchPipeline pipeline(spec);
-      if (csv != nullptr) {
-        // Streaming source (DESIGN.md §12): parse-and-push batch-at-a-time;
-        // the source relation never materializes.
-        StatusOr<Relation> out =
-            pipeline.RunFromCsv(*csv, 0, csv->NumRows(), batch_rows);
-        if (out.ok()) {
-          completion.output = std::move(*out);
-          completion.chain_op_rows = pipeline.stats().op_input_rows;
-        } else {
-          completion.status = out.status();
-        }
-      } else if (reveal != nullptr) {
-        // Streaming reveal (DESIGN.md §14): reconstruct-and-push
-        // batch-at-a-time; the revealed relation never materializes.
-        completion.output =
-            pipeline.RunFromReveal(*reveal, 0, reveal->NumRows(), batch_rows);
-        completion.chain_op_rows = pipeline.stats().op_input_rows;
-      } else {
-        completion.output = pipeline.Run(*rels[0], batch_rows);
-        completion.chain_op_rows = pipeline.stats().op_input_rows;
-      }
-    } catch (const std::exception& e) {
-      // See DispatchCreate: escaping exceptions must not reach WorkerLoop.
-      completion.status =
-          InternalError(StrFormat("fused chain task threw: %s", e.what()));
-    }
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    completions_.push_back(std::move(completion));
-    completions_cv_.notify_all();
-  });
+  SubmitTask(TopoIndexOf(exec.node->id), "fused chain task",
+             [batch_rows, spec = std::move(spec), source = acquired.source,
+              rels = std::move(acquired.rels)](Completion& completion) -> Status {
+               // A streamed input is pulled batch-at-a-time and never
+               // materializes (DESIGN.md §12, §14); an in-memory one is read
+               // through borrowed slices.
+               BatchPipeline pipeline(spec);
+               CONCLAVE_ASSIGN_OR_RETURN(
+                   completion.output,
+                   source != nullptr ? pipeline.Run(*source, batch_rows)
+                                     : pipeline.Run(*rels[0], batch_rows));
+               completion.chain_op_rows = pipeline.stats().op_input_rows;
+               return Status::Ok();
+             });
 }
 
 Status JobGraphExecutor::RunCollect(NodeExec& exec, ExecutionResult& result) {
@@ -945,18 +900,16 @@ void JobGraphExecutor::DrainCompletions(bool wait) {
   for (Completion& completion : drained) {
     --in_flight_;
     NodeExec& exec = execs_[static_cast<size_t>(completion.topo_index)];
-    for (const ir::OpNode* in : exec.node->inputs) {
-      --ExecOf(*in).active_readers;
-    }
+    ReleaseReaders(exec);
     if (!completion.status.ok()) {
       RecordFailure(completion.topo_index, std::move(completion.status));
       continue;
     }
     exec.spill_stats = completion.spill_stats;
     MaterializedValue value;
-    if (completion.csv_output != nullptr) {
-      value.kind = MaterializedValue::Kind::kCsvSource;
-      value.csv = std::move(completion.csv_output);
+    if (completion.source_output != nullptr) {
+      value.kind = MaterializedValue::Kind::kSource;
+      value.source = std::move(completion.source_output);
     } else {
       value.kind = MaterializedValue::Kind::kCleartext;
       value.clear = std::move(completion.output);
@@ -1046,14 +999,17 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
     std::sort(exec.consumer_uses.begin(), exec.consumer_uses.end());
   }
 
-  // Pipeline fusion (DESIGN.md §10): stamp each fusible local chain on its
-  // head. The chain set comes from the same predicate the planner's explain
-  // advice uses (compiler::PipelineChains), so listing and runtime agree.
-  for (const std::vector<const ir::OpNode*>& chain : compiler::PipelineChains(
-           std::span<const ir::OpNode* const>(topo_.data(), topo_.size()))) {
-    const int head_topo = TopoIndexOf(chain.front()->id);
+  // Pipeline fusion (DESIGN.md §10): stamp each fusible local chain, and its
+  // streaming mark, on its head. The chains and marks come from the same
+  // procedure the planner's explain advice uses (compiler::PipelineChains), so
+  // listing and runtime agree.
+  for (const compiler::PipelineChain& chain : compiler::PipelineChains(
+           std::span<const ir::OpNode* const>(topo_.data(), topo_.size()),
+           compilation_.options.mpc_backend)) {
+    const int head_topo = TopoIndexOf(chain.nodes.front()->id);
     NodeExec& head = execs_[static_cast<size_t>(head_topo)];
-    for (const ir::OpNode* member : chain) {
+    head.streams_input = chain.streams_input;
+    for (const ir::OpNode* member : chain.nodes) {
       const int member_topo = TopoIndexOf(member->id);
       head.chain_members.push_back(member_topo);
       execs_[static_cast<size_t>(member_topo)].chain_head = head_topo;
@@ -1281,15 +1237,9 @@ StatusOr<ExecutionResult> JobGraphExecutor::FinalizeAccounting(
   }
   result.virtual_seconds += result.spill_report.spill_seconds;
   for (const MaterializedValue& value : state_.values) {
-    if (value.kind == MaterializedValue::Kind::kCsvSource &&
-        value.csv != nullptr) {
-      result.csv_peak_parse_rows =
-          std::max(result.csv_peak_parse_rows, value.csv->MaxMaterializedRows());
-    }
-    if (value.kind == MaterializedValue::Kind::kRevealSource &&
-        value.reveal != nullptr) {
-      result.reveal_peak_rows = std::max(result.reveal_peak_rows,
-                                         value.reveal->MaxMaterializedRows());
+    if (value.kind == MaterializedValue::Kind::kSource) {
+      result.source_peak_rows = std::max(result.source_peak_rows,
+                                         value.source->MaxMaterializedRows());
     }
   }
   return result;

@@ -5,39 +5,6 @@
 
 namespace conclave {
 namespace backends {
-namespace {
-
-StatusOr<FilterPredicate> ResolveFilter(const Schema& schema,
-                                        const ir::FilterParams& params) {
-  FilterPredicate predicate;
-  CONCLAVE_ASSIGN_OR_RETURN(predicate.column, schema.IndexOf(params.column));
-  predicate.op = params.op;
-  predicate.rhs_is_column = params.rhs_is_column;
-  if (params.rhs_is_column) {
-    CONCLAVE_ASSIGN_OR_RETURN(predicate.rhs_column, schema.IndexOf(params.rhs_column));
-  } else {
-    predicate.rhs_literal = params.literal;
-  }
-  return predicate;
-}
-
-StatusOr<ArithSpec> ResolveArith(const Schema& schema,
-                                 const ir::ArithmeticParams& params) {
-  ArithSpec spec;
-  spec.kind = params.kind;
-  CONCLAVE_ASSIGN_OR_RETURN(spec.lhs_column, schema.IndexOf(params.lhs_column));
-  spec.rhs_is_column = params.rhs_is_column;
-  if (params.rhs_is_column) {
-    CONCLAVE_ASSIGN_OR_RETURN(spec.rhs_column, schema.IndexOf(params.rhs_column));
-  } else {
-    spec.rhs_literal = params.literal;
-  }
-  spec.result_name = params.output_name;
-  spec.scale = params.scale;
-  return spec;
-}
-
-}  // namespace
 
 StatusOr<Relation> ExecuteLocal(const ir::OpNode& node,
                                 const std::vector<const Relation*>& inputs,
@@ -64,7 +31,7 @@ StatusOr<Relation> ExecuteLocal(const ir::OpNode& node,
     case ir::OpKind::kFilter: {
       CONCLAVE_ASSIGN_OR_RETURN(
           FilterPredicate predicate,
-          ResolveFilter(inputs[0]->schema(), node.Params<ir::FilterParams>()));
+          ir::ResolveFilter(inputs[0]->schema(), node.Params<ir::FilterParams>()));
       return ops::Filter(*inputs[0], predicate);
     }
     case ir::OpKind::kJoin: {
@@ -92,7 +59,7 @@ StatusOr<Relation> ExecuteLocal(const ir::OpNode& node,
     case ir::OpKind::kArithmetic: {
       CONCLAVE_ASSIGN_OR_RETURN(
           ArithSpec spec,
-          ResolveArith(inputs[0]->schema(), node.Params<ir::ArithmeticParams>()));
+          ir::ResolveArith(inputs[0]->schema(), node.Params<ir::ArithmeticParams>()));
       return ops::Arithmetic(*inputs[0], spec);
     }
     case ir::OpKind::kWindow: {
@@ -141,7 +108,7 @@ StatusOr<PipelineOp> ResolvePipelineOp(const Schema& input_schema,
     case ir::OpKind::kFilter: {
       CONCLAVE_ASSIGN_OR_RETURN(
           FilterPredicate predicate,
-          ResolveFilter(input_schema, node.Params<ir::FilterParams>()));
+          ir::ResolveFilter(input_schema, node.Params<ir::FilterParams>()));
       return PipelineOp::Filter(predicate);
     }
     case ir::OpKind::kProject: {
@@ -153,7 +120,7 @@ StatusOr<PipelineOp> ResolvePipelineOp(const Schema& input_schema,
     case ir::OpKind::kArithmetic: {
       CONCLAVE_ASSIGN_OR_RETURN(
           ArithSpec spec,
-          ResolveArith(input_schema, node.Params<ir::ArithmeticParams>()));
+          ir::ResolveArith(input_schema, node.Params<ir::ArithmeticParams>()));
       return PipelineOp::Arithmetic(spec);
     }
     case ir::OpKind::kLimit:

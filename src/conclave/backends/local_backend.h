@@ -2,7 +2,7 @@
 //
 // Pure operator semantics live in relational/ops.h; this backend resolves column
 // names against runtime schemas and dispatches. Cost accounting (Python vs. Spark) is
-// the dispatcher's job, advised by spark_backend.h.
+// the dispatcher's job, priced by CostModel::CleartextScanSeconds.
 #ifndef CONCLAVE_BACKENDS_LOCAL_BACKEND_H_
 #define CONCLAVE_BACKENDS_LOCAL_BACKEND_H_
 

@@ -34,18 +34,9 @@ StatusOr<Relation> OblivcBackend::Execute(
       return engine_.Project(*inputs[0], columns);
     }
     case ir::OpKind::kFilter: {
-      const auto& params = node.Params<ir::FilterParams>();
-      FilterPredicate predicate;
-      CONCLAVE_ASSIGN_OR_RETURN(predicate.column,
-                                inputs[0]->schema().IndexOf(params.column));
-      predicate.op = params.op;
-      predicate.rhs_is_column = params.rhs_is_column;
-      if (params.rhs_is_column) {
-        CONCLAVE_ASSIGN_OR_RETURN(predicate.rhs_column,
-                                  inputs[0]->schema().IndexOf(params.rhs_column));
-      } else {
-        predicate.rhs_literal = params.literal;
-      }
+      CONCLAVE_ASSIGN_OR_RETURN(
+          FilterPredicate predicate,
+          ir::ResolveFilter(inputs[0]->schema(), node.Params<ir::FilterParams>()));
       return engine_.Filter(*inputs[0], predicate);
     }
     case ir::OpKind::kJoin: {
@@ -69,20 +60,9 @@ StatusOr<Relation> OblivcBackend::Execute(
                                params.output_name, node.assume_sorted);
     }
     case ir::OpKind::kArithmetic: {
-      const auto& params = node.Params<ir::ArithmeticParams>();
-      ArithSpec spec;
-      spec.kind = params.kind;
-      CONCLAVE_ASSIGN_OR_RETURN(spec.lhs_column,
-                                inputs[0]->schema().IndexOf(params.lhs_column));
-      spec.rhs_is_column = params.rhs_is_column;
-      if (params.rhs_is_column) {
-        CONCLAVE_ASSIGN_OR_RETURN(spec.rhs_column,
-                                  inputs[0]->schema().IndexOf(params.rhs_column));
-      } else {
-        spec.rhs_literal = params.literal;
-      }
-      spec.result_name = params.output_name;
-      spec.scale = params.scale;
+      CONCLAVE_ASSIGN_OR_RETURN(
+          ArithSpec spec,
+          ir::ResolveArith(inputs[0]->schema(), node.Params<ir::ArithmeticParams>()));
       return engine_.Arithmetic(*inputs[0], spec);
     }
     case ir::OpKind::kWindow: {

@@ -7,25 +7,6 @@
 
 namespace conclave {
 namespace backends {
-namespace {
-
-StatusOr<ArithSpec> ResolveArith(const Schema& schema,
-                                 const ir::ArithmeticParams& params) {
-  ArithSpec spec;
-  spec.kind = params.kind;
-  CONCLAVE_ASSIGN_OR_RETURN(spec.lhs_column, schema.IndexOf(params.lhs_column));
-  spec.rhs_is_column = params.rhs_is_column;
-  if (params.rhs_is_column) {
-    CONCLAVE_ASSIGN_OR_RETURN(spec.rhs_column, schema.IndexOf(params.rhs_column));
-  } else {
-    spec.rhs_literal = params.literal;
-  }
-  spec.result_name = params.output_name;
-  spec.scale = params.scale;
-  return spec;
-}
-
-}  // namespace
 
 StatusOr<SharedRelation> SharemindBackend::Execute(
     const ir::OpNode& node, const std::vector<const SharedRelation*>& inputs) {
@@ -56,18 +37,9 @@ StatusOr<SharedRelation> SharemindBackend::Execute(
       return mpc::Project(*inputs[0], columns);
     }
     case ir::OpKind::kFilter: {
-      const auto& params = node.Params<ir::FilterParams>();
-      FilterPredicate predicate;
-      CONCLAVE_ASSIGN_OR_RETURN(predicate.column,
-                                inputs[0]->schema().IndexOf(params.column));
-      predicate.op = params.op;
-      predicate.rhs_is_column = params.rhs_is_column;
-      if (params.rhs_is_column) {
-        CONCLAVE_ASSIGN_OR_RETURN(predicate.rhs_column,
-                                  inputs[0]->schema().IndexOf(params.rhs_column));
-      } else {
-        predicate.rhs_literal = params.literal;
-      }
+      CONCLAVE_ASSIGN_OR_RETURN(
+          FilterPredicate predicate,
+          ir::ResolveFilter(inputs[0]->schema(), node.Params<ir::FilterParams>()));
       return mpc::Filter(engine_, *inputs[0], predicate);
     }
     case ir::OpKind::kJoin: {
@@ -107,7 +79,7 @@ StatusOr<SharedRelation> SharemindBackend::Execute(
     case ir::OpKind::kArithmetic: {
       CONCLAVE_ASSIGN_OR_RETURN(
           ArithSpec spec,
-          ResolveArith(inputs[0]->schema(), node.Params<ir::ArithmeticParams>()));
+          ir::ResolveArith(inputs[0]->schema(), node.Params<ir::ArithmeticParams>()));
       return mpc::Arithmetic(engine_, *inputs[0], spec);
     }
     case ir::OpKind::kWindow: {

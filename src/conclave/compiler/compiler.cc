@@ -117,7 +117,8 @@ StatusOr<Compilation> Compile(ir::Dag& dag, const CompilerOptions& options) {
     // run resolves (the dispatcher calls the same resolver).
     CONCLAVE_ASSIGN_OR_RETURN(const ExecOptions exec, ResolveExecOptions({}));
     // Pipeline-fusion advice; the dispatcher fuses exactly these chains.
-    AnnotatePipelineAdvice(result.cost_report, dag, exec.batch_rows);
+    AnnotatePipelineAdvice(result.cost_report, dag, exec.batch_rows,
+                           result.options.mpc_backend);
     AnnotateFaultAdvice(result.cost_report, *exec.fault_plan,
                         options.planning_cost_model);
     // With exact cardinalities the spill estimate equals the metered charge

@@ -867,8 +867,8 @@ bool PipelineFusibleOp(const ir::OpNode& node) {
   }
 }
 
-std::vector<std::vector<const ir::OpNode*>> PipelineChains(
-    std::span<const ir::OpNode* const> topo) {
+std::vector<PipelineChain> PipelineChains(std::span<const ir::OpNode* const> topo,
+                                          MpcBackendKind backend) {
   // Consuming-edge counts and the unique consumer, within `topo` only (detached
   // consumers never execute, so they do not pin a value as materialized).
   std::unordered_map<int, int> uses;
@@ -882,13 +882,13 @@ std::vector<std::vector<const ir::OpNode*>> PipelineChains(
       }
     }
   }
-  std::vector<std::vector<const ir::OpNode*>> chains;
+  std::vector<PipelineChain> chains;
   std::unordered_set<int> claimed;
   for (const ir::OpNode* node : topo) {
     if (claimed.count(node->id) != 0 || !PipelineFusibleOp(*node)) {
       continue;
     }
-    std::vector<const ir::OpNode*> chain{node};
+    PipelineChain chain{{node}};
     const ir::OpNode* tail = node;
     for (;;) {
       const auto it = sole_consumer.find(tail->id);
@@ -899,14 +899,26 @@ std::vector<std::vector<const ir::OpNode*>> PipelineChains(
       if (!PipelineFusibleOp(*next) || next->exec_party != tail->exec_party) {
         break;
       }
-      chain.push_back(next);
+      chain.nodes.push_back(next);
       tail = next;
     }
-    if (chain.size() < 2) {
+    if (chain.nodes.size() < 2) {
       continue;  // A lone streaming op materializes its output anyway.
     }
-    for (const ir::OpNode* member : chain) {
+    for (const ir::OpNode* member : chain.nodes) {
       claimed.insert(member->id);
+    }
+    // Fusible nodes have exactly one input.
+    const ir::OpNode* producer = node->inputs[0];
+    if (uses[producer->id] == 1) {
+      if (producer->kind == ir::OpKind::kCreate) {
+        const auto& create = producer->Params<ir::CreateParams>();
+        chain.streams_input =
+            !create.csv_path.empty() && create.party == node->exec_party;
+      } else {
+        chain.streams_input = producer->exec_mode != ir::ExecMode::kLocal &&
+                              backend == MpcBackendKind::kSharemind;
+      }
     }
     chains.push_back(std::move(chain));
   }
@@ -914,7 +926,7 @@ std::vector<std::vector<const ir::OpNode*>> PipelineChains(
 }
 
 void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
-                            int64_t batch_rows) {
+                            int64_t batch_rows, MpcBackendKind backend) {
   report.pipeline_batch_rows = batch_rows;
   report.fused_pipeline_chains = 0;
   report.fused_pipeline_nodes = 0;
@@ -932,28 +944,15 @@ void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
   };
   const std::vector<ir::OpNode*> order = dag.TopoOrder();
   const std::vector<const ir::OpNode*> topo(order.begin(), order.end());
-  // Consuming-edge counts, for the streamed-reveal mirror of the dispatcher's
-  // sole-consumer eligibility.
-  std::unordered_map<int, int> uses;
-  for (const ir::OpNode* node : topo) {
-    for (const ir::OpNode* in : node->inputs) {
-      ++uses[in->id];
-    }
-  }
-  for (const auto& chain : PipelineChains(topo)) {
+  for (const PipelineChain& pipeline : PipelineChains(topo, backend)) {
+    const std::vector<const ir::OpNode*>& chain = pipeline.nodes;
     ++report.fused_pipeline_chains;
     report.fused_pipeline_nodes += static_cast<int>(chain.size());
     report.longest_pipeline_chain =
         std::max(report.longest_pipeline_chain, static_cast<int>(chain.size()));
-    if (chain.front()->inputs.size() == 1) {
-      // Mirrors the executor's eligibility: the head's sole input is an
-      // MPC/hybrid value (a shared relation at run time) with no consumer
-      // besides this chain — the reveal streams instead of materializing.
-      const ir::OpNode* producer = chain.front()->inputs[0];
-      if (producer->exec_mode != ir::ExecMode::kLocal &&
-          producer->kind != ir::OpKind::kCreate && uses[producer->id] == 1) {
-        ++report.streamed_reveal_chains;
-      }
+    if (pipeline.streams_input &&
+        chain.front()->inputs[0]->kind != ir::OpKind::kCreate) {
+      ++report.streamed_reveal_chains;
     }
     size_t i = 0;
     while (i < chain.size()) {

@@ -75,8 +75,8 @@ struct PlanCostReport {
   int64_t pipeline_batch_rows = 0;
 
   // Streaming-reveal advice (DESIGN.md §14, filled alongside the chain
-  // counts): how many of the fused chains are headed by the sole consumer of
-  // an MPC/hybrid value — those reveals stream batch-at-a-time into the chain
+  // counts): how many of the fused chains PipelineChains marks as streaming
+  // an MPC/hybrid input — those reveals stream batch-at-a-time into the chain
   // instead of materializing. Advisory only: the reveal's boundary charge is
   // one whole-relation reveal either way, so the estimate==meter identities
   // are untouched.
@@ -145,19 +145,33 @@ PlanCostReport EstimatePlanCost(const ir::Dag& dag, const CostModel& model,
 // sortedness proof for the streaming adjacent-run dedup.
 bool PipelineFusibleOp(const ir::OpNode& node);
 
+// One fused chain: its members in chain order, and whether its head streams
+// its input.
+struct PipelineChain {
+  std::vector<const ir::OpNode*> nodes;
+  // The one streaming rule (DESIGN.md §12, §14): the head pulls its input
+  // batch-at-a-time from a RowSource, so the input never materializes, when
+  // the head is the sole consumer of either
+  //   * a CSV-backed Create at the head's own party, or
+  //   * an MPC or hybrid node under secret sharing (the reveal streams;
+  //     Obliv-C's garbled outputs decode whole).
+  bool streams_input = false;
+};
+
 // Maximal chains (length >= 2) of fusible nodes within `topo`, where every
 // interior link is the producer's only consuming edge inside `topo` and both
-// ends run at the same party. The dispatcher executes exactly these chains as
-// one BatchPipeline each; the explain annotation prices the same chains — one
-// decision procedure, two callers, so the planner can never disagree with the
-// runtime about what fuses.
-std::vector<std::vector<const ir::OpNode*>> PipelineChains(
-    std::span<const ir::OpNode* const> topo);
+// ends run at the same party, each marked by the streaming rule under
+// `backend`. The dispatcher executes exactly these chains as one BatchPipeline
+// each and streams exactly the marked heads; the explain annotation counts
+// the same chains and marks — one decision procedure, two callers, so the
+// planner can never disagree with the runtime about what fuses or streams.
+std::vector<PipelineChain> PipelineChains(std::span<const ir::OpNode* const> topo,
+                                          MpcBackendKind backend);
 
 // Fills the report's pipeline-fusion advice from the placed DAG at the given
-// (positive) batch size.
+// (positive) batch size, for a run on `backend`.
 void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
-                            int64_t batch_rows);
+                            int64_t batch_rows, MpcBackendKind backend);
 
 // Fills the report's fault-injection advice from the resolved FaultPlan (the
 // dispatcher resolves the same CONCLAVE_FAULT_PLAN knob at run time) and the

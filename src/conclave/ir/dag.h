@@ -64,9 +64,6 @@ class Dag {
   std::vector<OpNode*> TopoOrder() const;
   std::vector<OpNode*> Creates() const;
   std::vector<OpNode*> Collects() const;
-  int64_t NumReachableNodes() const {
-    return static_cast<int64_t>(TopoOrder().size());
-  }
 
   // Multi-line rendering of the (reachable) DAG in topological order.
   std::string ToString() const;

@@ -37,6 +37,36 @@ const char* OpKindName(OpKind kind) {
   return "?";
 }
 
+StatusOr<FilterPredicate> ResolveFilter(const Schema& schema,
+                                        const FilterParams& params) {
+  FilterPredicate predicate;
+  CONCLAVE_ASSIGN_OR_RETURN(predicate.column, schema.IndexOf(params.column));
+  predicate.op = params.op;
+  predicate.rhs_is_column = params.rhs_is_column;
+  if (params.rhs_is_column) {
+    CONCLAVE_ASSIGN_OR_RETURN(predicate.rhs_column, schema.IndexOf(params.rhs_column));
+  } else {
+    predicate.rhs_literal = params.literal;
+  }
+  return predicate;
+}
+
+StatusOr<ArithSpec> ResolveArith(const Schema& schema,
+                                 const ArithmeticParams& params) {
+  ArithSpec spec;
+  spec.kind = params.kind;
+  CONCLAVE_ASSIGN_OR_RETURN(spec.lhs_column, schema.IndexOf(params.lhs_column));
+  spec.rhs_is_column = params.rhs_is_column;
+  if (params.rhs_is_column) {
+    CONCLAVE_ASSIGN_OR_RETURN(spec.rhs_column, schema.IndexOf(params.rhs_column));
+  } else {
+    spec.rhs_literal = params.literal;
+  }
+  spec.result_name = params.output_name;
+  spec.scale = params.scale;
+  return spec;
+}
+
 const char* ExecModeName(ExecMode mode) {
   switch (mode) {
     case ExecMode::kLocal:

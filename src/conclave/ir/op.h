@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "conclave/common/party.h"
+#include "conclave/common/status.h"
 #include "conclave/dp/mechanism.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/schema.h"
@@ -112,6 +113,15 @@ struct ArithmeticParams {
   std::string output_name;
   int64_t scale = 1;  // Fixed-point numerator scale for kDiv.
 };
+
+// Resolve a filter's / an arithmetic node's column names against a runtime
+// schema into the kernel spec every backend runs (cleartext, fused pipeline,
+// secret-shared, garbled), so a bad column name fails with the same Status on
+// each.
+StatusOr<FilterPredicate> ResolveFilter(const Schema& schema,
+                                        const FilterParams& params);
+StatusOr<ArithSpec> ResolveArith(const Schema& schema,
+                                 const ArithmeticParams& params);
 
 struct WindowParams {
   std::vector<std::string> partition_columns;

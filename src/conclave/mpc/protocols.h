@@ -40,9 +40,9 @@ StatusOr<SharedRelation> InputRelation(SecretShareEngine& engine,
 // Opens a shared relation to the computing parties (end of an MPC step).
 Relation RevealRelation(SecretShareEngine& engine, const SharedRelation& input);
 
-// The meters one reveal of `cells` shared cells charges, shared by the
-// materializing RevealRelation and the streaming RevealSource boundary so the
-// two paths are bit-identical on the virtual clock and counters.
+// The meters one reveal of `cells` shared cells charges, shared by
+// RevealRelation and the dispatcher's reveals (opened as RevealSources), so
+// every reveal charges alike however its rows are then pulled.
 void ChargeRevealMeters(SimNetwork& network, uint64_t cells);
 
 // Column selection/reordering: share-local, no protocol cost.

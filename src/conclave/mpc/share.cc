@@ -40,15 +40,18 @@ SharedColumn ShareValues(std::span<const int64_t> values, const AesCounterRng& r
   return column;
 }
 
-void ReconstructInto(const SharedColumn& column, int64_t* out) {
+void ReconstructInto(const SharedColumn& column, int64_t begin, int64_t end,
+                     int64_t* out) {
+  CONCLAVE_CHECK(begin >= 0 && begin <= end &&
+                 end <= static_cast<int64_t>(column.size()));
   const Ring* const s0 = column.shares[0].data();
   const Ring* const s1 = column.shares[1].data();
   const Ring* const s2 = column.shares[2].data();
   ParallelFor(
-      0, static_cast<int64_t>(column.size()),
+      begin, end,
       [&](int64_t lo, int64_t hi) {
         cpu::Add3U64(s0 + lo, s1 + lo, s2 + lo, static_cast<size_t>(hi - lo),
-                     reinterpret_cast<uint64_t*>(out) + lo);
+                     reinterpret_cast<uint64_t*>(out) + (lo - begin));
       },
       kMpcGrainRows);
 }

@@ -94,9 +94,14 @@ inline SharedColumn ShareColumn(const Relation& relation, int col,
 // Recombines shares into cleartext values.
 std::vector<int64_t> ReconstructValues(const SharedColumn& column);
 
-// Reconstructs into a caller-owned buffer of column.size() elements (no allocation;
-// the engine points this at arena scratch).
-void ReconstructInto(const SharedColumn& column, int64_t* out);
+// Reconstructs elements [begin, end) into a caller-owned buffer of end - begin
+// elements (no allocation; the engine points this at arena scratch), one
+// morsel-parallel pass.
+void ReconstructInto(const SharedColumn& column, int64_t begin, int64_t end,
+                     int64_t* out);
+inline void ReconstructInto(const SharedColumn& column, int64_t* out) {
+  ReconstructInto(column, 0, static_cast<int64_t>(column.size()), out);
+}
 
 // Fixed-order chunked sum of one share vector: per-morsel partials folded in chunk
 // order. Ring addition commutes mod 2^64, but the fixed fold order is the documented

@@ -5,8 +5,6 @@
 
 #include "conclave/common/rng.h"
 #include "conclave/common/strings.h"
-#include "conclave/mpc/malicious/commitment.h"
-#include "conclave/relational/relation.h"
 
 namespace conclave {
 namespace {
@@ -330,27 +328,7 @@ void FaultInjector::OnSend(PartyId from, PartyId to, uint64_t bytes) {
   }
 }
 
-void FaultInjector::DeliverReveal(const Relation& revealed) {
-  uint64_t nonce = 0;
-  const std::vector<RevealCorruption> schedule = DeliverRevealStreamed(
-      revealed.NumRows(), revealed.schema().NumColumns(), &nonce);
-  if (schedule.empty()) {
-    return;
-  }
-  // End-to-end detection through the malicious-security commitment layer: the
-  // sender commits to the revealed relation; every delivery is checked against
-  // the commitment, so a corrupted payload never enters the cleartext plane.
-  const malicious::Commitment commitment =
-      malicious::CommitRelation(revealed, nonce);
-  for (const RevealCorruption& corruption : schedule) {
-    Relation corrupted = revealed;
-    corrupted.ColumnData(corruption.col)[corruption.row] ^= corruption.bit;
-    CONCLAVE_CHECK(!malicious::VerifyOpening(corrupted, nonce, commitment));
-  }
-  CONCLAVE_CHECK(malicious::VerifyOpening(revealed, nonce, commitment));
-}
-
-std::vector<FaultInjector::RevealCorruption> FaultInjector::DeliverRevealStreamed(
+std::vector<FaultInjector::RevealCorruption> FaultInjector::ScheduleRevealFaults(
     int64_t rows, int cols, uint64_t* nonce_out) {
   const int ordinal = reveal_ordinal_++;
   *nonce_out =

@@ -32,8 +32,6 @@
 
 namespace conclave {
 
-class Relation;
-
 // One scheduled (or, in a FaultReport trace, realized) fault.
 struct FaultEvent {
   enum class Kind {
@@ -169,33 +167,25 @@ class FaultInjector {
   // Drops beyond CostModel::max_send_retries raise a pending failure.
   void OnSend(PartyId from, PartyId to, uint64_t bytes);
 
-  // Delivers one revealed relation for the current scope's next reveal ordinal:
-  // each injected corruption is detected end-to-end by a commitment opening check
-  // (mpc/malicious) and retransmitted with backoff. Corruption beyond
-  // max_send_retries raises a pending failure; the true relation always reaches
-  // the caller (an aborted run discards outputs anyway).
-  void DeliverReveal(const Relation& revealed);
-
-  // One scheduled corruption of a streamed reveal: flip `bit` in cell
-  // (row, col) of the k-th delivery attempt. Produced by DeliverRevealStreamed,
-  // consumed by mpc::RevealSource, which performs the commitment-mismatch
-  // detection per batch as the stream reaches the corrupted row.
+  // One scheduled corruption of a reveal: flip `bit` in cell (row, col) of
+  // the k-th delivery attempt. Produced by ScheduleRevealFaults, consumed by
+  // mpc::RevealSource, which performs the commitment-mismatch detection when a
+  // pull reaches the corrupted row.
   struct RevealCorruption {
     int64_t row = 0;
     int col = 0;
     int64_t bit = 0;
   };
 
-  // The reveal-fault decision routine, for a reveal the caller never
-  // materializes: consumes the next reveal ordinal and makes the injection
-  // decisions, retry charges, counter updates, and pending-failure escalations
-  // from the reveal's public shape (rows x cols, ByteSize = rows * cols * 8).
-  // Returns the corruption schedule (empty when this reveal is untouched) and
-  // the commitment nonce for the opening checks, which mpc::RevealSource runs
-  // per batch. DeliverReveal is this call plus the inline checks, so both
-  // entry points charge and report identically.
-  std::vector<RevealCorruption> DeliverRevealStreamed(int64_t rows, int cols,
-                                                      uint64_t* nonce_out);
+  // The one reveal-fault entry point: consumes the next reveal ordinal of the
+  // current scope and makes the injection decisions, retry charges (with
+  // backoff), counter updates, and pending-failure escalations from the
+  // reveal's public shape (rows x cols, ByteSize = rows * cols * 8).
+  // Corruption beyond max_send_retries raises a pending failure. Returns the
+  // corruption schedule (empty when this reveal is untouched) and the
+  // commitment nonce for the opening checks mpc::RevealSource runs.
+  std::vector<RevealCorruption> ScheduleRevealFaults(int64_t rows, int cols,
+                                                     uint64_t* nonce_out);
 
   // Crash injections scheduled for `node_id`'s job, consulted at dispatch (counts
   // the injections; the caller executes/prices the restarts). Counts beyond

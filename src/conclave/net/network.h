@@ -71,14 +71,6 @@ class SimNetwork {
     return taken;
   }
 
-  // Bytes counted without advancing the clock — used by primitives whose amortized
-  // per-op seconds already include their traffic (see CostModel commentary).
-  void CountBytes(PartyId from, PartyId to, uint64_t bytes) {
-    CONCLAVE_CHECK_NE(from, to);
-    counters_.network_bytes += bytes;
-    bytes_matrix_[Index(from)][Index(to)] += bytes;
-  }
-
   // Aggregate byte count for symmetric batched primitives (e.g., Beaver openings),
   // where traffic is spread evenly across all party pairs and the per-op amortized
   // seconds already cover transfer time.

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "conclave/common/strings.h"
@@ -11,7 +13,7 @@
 namespace conclave {
 namespace {
 
-std::vector<std::string> SplitLine(const std::string& line) {
+std::vector<std::string> SplitLine(std::string_view line) {
   std::vector<std::string> fields;
   std::string field;
   for (char c : line) {
@@ -60,71 +62,6 @@ StatusOr<int64_t> ParseInt(const std::string& text, size_t line_number) {
 
 }  // namespace
 
-StatusOr<Relation> ParseCsv(const std::string& text) {
-  std::istringstream stream(text);
-  std::string line;
-  if (!std::getline(stream, line)) {
-    return InvalidArgumentError("CSV input is empty (missing header)");
-  }
-  std::vector<ColumnDef> defs;
-  for (const auto& name : SplitLine(line)) {
-    if (name.empty()) {
-      return InvalidArgumentError("CSV header contains an empty column name");
-    }
-    defs.emplace_back(name);
-  }
-  Relation relation{Schema(std::move(defs))};
-  const int cols = relation.NumColumns();
-
-  // First pass: count data lines so the column buffers size once. getline strips
-  // the '\n' but not '\r'; "\r" alone is a 1-field line (matching SplitLine), so
-  // only truly empty lines are skipped — the same rule the parse loop applies.
-  const size_t header_end = text.find('\n');
-  int64_t data_rows = 0;
-  if (header_end != std::string::npos) {
-    bool line_empty = true;
-    for (size_t i = header_end + 1; i < text.size(); ++i) {
-      if (text[i] == '\n') {
-        data_rows += line_empty ? 0 : 1;
-        line_empty = true;
-      } else {
-        line_empty = false;
-      }
-    }
-    data_rows += line_empty ? 0 : 1;  // Final line without a trailing newline.
-  }
-  relation.Resize(data_rows);
-  std::vector<int64_t*> column_data(static_cast<size_t>(cols));
-  for (int c = 0; c < cols; ++c) {
-    column_data[static_cast<size_t>(c)] = relation.ColumnData(c);
-  }
-
-  // Second pass: parse straight into the column buffers (no per-row AppendRow).
-  size_t line_number = 1;
-  int64_t row = 0;
-  while (std::getline(stream, line)) {
-    ++line_number;
-    if (line.empty()) {
-      continue;
-    }
-    const auto fields = SplitLine(line);
-    if (static_cast<int>(fields.size()) != cols) {
-      return InvalidArgumentError(
-          StrFormat("line %zu has %zu fields, expected %d", line_number,
-                    fields.size(), cols));
-    }
-    CONCLAVE_CHECK_LT(row, data_rows);
-    for (int c = 0; c < cols; ++c) {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          int64_t value, ParseInt(fields[static_cast<size_t>(c)], line_number));
-      column_data[static_cast<size_t>(c)][row] = value;
-    }
-    ++row;
-  }
-  CONCLAVE_CHECK_EQ(row, data_rows);
-  return relation;
-}
-
 std::string ToCsv(const Relation& relation) {
   std::string out;
   std::vector<std::string> names;
@@ -149,8 +86,8 @@ StatusOr<CsvSource> CsvSource::FromText(std::string text) {
     return InvalidArgumentError("CSV input is empty (missing header)");
   }
   const size_t header_end = text.find('\n');
-  const std::string header =
-      header_end == std::string::npos ? text : text.substr(0, header_end);
+  const std::string_view header =
+      std::string_view(text).substr(0, header_end);
   std::vector<ColumnDef> defs;
   for (const auto& name : SplitLine(header)) {
     if (name.empty()) {
@@ -161,8 +98,9 @@ StatusOr<CsvSource> CsvSource::FromText(std::string text) {
   CsvSource source;
   source.schema_ = Schema(std::move(defs));
   source.text_ = std::move(text);
-  // Index the non-empty data lines (byte range + original line number, so error
-  // messages match the eager parsers exactly).
+  // Index the non-empty data lines (byte range + original line number, so a
+  // range's errors name the same lines as the whole-range pull's). "\r" alone
+  // is a one-field line, so only truly empty lines are skipped.
   if (header_end != std::string::npos) {
     size_t line_start = header_end + 1;
     size_t line_number = 2;
@@ -189,32 +127,14 @@ StatusOr<CsvSource> CsvSource::FromFile(const std::string& path) {
   return FromText(buffer.str());
 }
 
-CsvSource::CsvSource(CsvSource&& other) noexcept
-    : text_(std::move(other.text_)),
-      schema_(std::move(other.schema_)),
-      lines_(std::move(other.lines_)),
-      max_materialized_rows_(
-          other.max_materialized_rows_.load(std::memory_order_relaxed)) {}
-
-CsvSource& CsvSource::operator=(CsvSource&& other) noexcept {
-  text_ = std::move(other.text_);
-  schema_ = std::move(other.schema_);
-  lines_ = std::move(other.lines_);
-  max_materialized_rows_.store(
-      other.max_materialized_rows_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  return *this;
-}
-
-StatusOr<Relation> CsvSource::ParseRows(int64_t begin, int64_t end) const {
-  CONCLAVE_CHECK(begin >= 0 && begin <= end && end <= NumRows());
+StatusOr<Relation> CsvSource::ReadRows(int64_t begin, int64_t end) const {
   const int cols = schema_.NumColumns();
   Relation relation{schema_};
   relation.Resize(end - begin);
   for (int64_t r = begin; r < end; ++r) {
     const DataLine& line = lines_[static_cast<size_t>(r)];
-    const auto fields =
-        SplitLine(text_.substr(line.begin, line.end - line.begin));
+    const auto fields = SplitLine(
+        std::string_view(text_).substr(line.begin, line.end - line.begin));
     if (static_cast<int>(fields.size()) != cols) {
       return InvalidArgumentError(
           StrFormat("line %zu has %zu fields, expected %d", line.line_number,
@@ -226,23 +146,18 @@ StatusOr<Relation> CsvSource::ParseRows(int64_t begin, int64_t end) const {
       relation.ColumnData(c)[r - begin] = value;
     }
   }
-  // Relaxed CAS-max: concurrent parses race only on this witness value.
-  int64_t seen = max_materialized_rows_.load(std::memory_order_relaxed);
-  while (end - begin > seen &&
-         !max_materialized_rows_.compare_exchange_weak(
-             seen, end - begin, std::memory_order_relaxed)) {
-  }
   return relation;
 }
 
 StatusOr<Relation> ReadCsv(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return NotFoundError(StrFormat("cannot open '%s' for reading", path.c_str()));
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return ParseCsv(buffer.str());
+  CONCLAVE_ASSIGN_OR_RETURN(const CsvSource source, CsvSource::FromFile(path));
+  return source.Rows(0, source.NumRows());
+}
+
+StatusOr<Relation> ParseCsv(std::string text) {
+  CONCLAVE_ASSIGN_OR_RETURN(const CsvSource source,
+                            CsvSource::FromText(std::move(text)));
+  return source.Rows(0, source.NumRows());
 }
 
 Status WriteCsv(const Relation& relation, const std::string& path) {

@@ -628,12 +628,16 @@ Relation Distinct(const Relation& input, std::span<const int> columns) {
 
 Relation Limit(const Relation& input, int64_t count) {
   CONCLAVE_CHECK_GE(count, 0);
+  return Slice(input, 0, std::min(count, input.NumRows()));
+}
+
+Relation Slice(const Relation& input, int64_t begin, int64_t end) {
+  CONCLAVE_CHECK(begin >= 0 && begin <= end && end <= input.NumRows());
   Relation output{input.schema()};
-  const int64_t rows = std::min(count, input.NumRows());
-  output.Resize(rows);
+  output.Resize(end - begin);
   for (int c = 0; c < input.NumColumns(); ++c) {
     const auto src = input.ColumnSpan(c);
-    std::copy(src.begin(), src.begin() + rows, output.ColumnData(c));
+    std::copy(src.begin() + begin, src.begin() + end, output.ColumnData(c));
   }
   return output;
 }

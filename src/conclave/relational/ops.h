@@ -153,6 +153,9 @@ Relation Distinct(const Relation& input, std::span<const int> columns);
 
 Relation Limit(const Relation& input, int64_t count);
 
+// Copies rows [begin, end) of `input` (0 <= begin <= end <= NumRows()).
+Relation Slice(const Relation& input, int64_t begin, int64_t end);
+
 Relation Arithmetic(const Relation& input, const ArithSpec& spec);
 
 // Appends a 0-based row-index column named `index_name`. The hybrid protocols use the

@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "conclave/common/env.h"
-#include "conclave/mpc/reveal_source.h"
-#include "conclave/relational/csv.h"
 #include "conclave/relational/expr.h"
 
 namespace conclave {
@@ -51,21 +49,6 @@ PipelineOp PipelineOp::DistinctOnSorted(std::vector<int> columns) {
   op.columns = std::move(columns);
   return op;
 }
-
-namespace {
-
-// Materializes rows [lo, hi) of `src` as an owned batch.
-Relation CopySlice(const Relation& src, int64_t lo, int64_t hi) {
-  Relation batch{src.schema()};
-  batch.Resize(hi - lo);
-  for (int c = 0; c < src.NumColumns(); ++c) {
-    const auto column = src.ColumnSpan(c);
-    std::copy(column.begin() + lo, column.begin() + hi, batch.ColumnData(c));
-  }
-  return batch;
-}
-
-}  // namespace
 
 namespace pipeline_internal {
 
@@ -128,7 +111,7 @@ class LimitOperator : public BatchOperator {
     if (take == batch.NumRows()) {
       Emit(std::move(batch));
     } else {
-      Emit(CopySlice(batch, 0, take));
+      Emit(ops::Slice(batch, 0, take));
     }
   }
 
@@ -136,7 +119,7 @@ class LimitOperator : public BatchOperator {
     const int64_t take = std::min(remaining_, hi - lo);
     remaining_ -= take;
     if (take > 0) {
-      Emit(CopySlice(src, lo, lo + take));
+      Emit(ops::Slice(src, lo, lo + take));
     }
   }
 
@@ -335,105 +318,59 @@ void BatchPipeline::Push(size_t slot, Relation&& batch) {
   live_rows_ -= rows;
 }
 
-Relation BatchPipeline::Run(const Relation& input, int64_t batch_rows) {
+Status BatchPipeline::RunBatches(
+    int64_t rows, int64_t batch_rows,
+    const std::function<Status(int64_t lo, int64_t hi)>& push_head) {
   stats_ = PipelineStats{};
   stats_.op_input_rows.assign(num_ops_, 0);
   live_batches_ = 0;
   live_rows_ = 0;
   for (auto& op : operators_) {
     op->Reset();
+  }
+  if (operators_.empty()) {
+    return Status::Ok();  // The callers return the input itself.
   }
   output_ = Relation{output_schema_};
   // Every streaming operator's output is at most its input, so the source row
   // count bounds the output: one reservation, no quadratic regrowth on append.
-  output_.Reserve(input.NumRows());
-
-  const int64_t rows = input.NumRows();
-  const int64_t step = batch_rows <= 0 ? std::max<int64_t>(rows, 1) : batch_rows;
-  if (!operators_.empty()) {
-    for (int64_t lo = 0; lo < rows; lo += step) {
-      const int64_t hi = std::min(rows, lo + step);
-      ++stats_.batches_pushed;
-      stats_.rows_pushed += hi - lo;
-      stats_.op_input_rows[0] += hi - lo;
-      operators_[0]->ConsumeSlice(input, lo, hi);
-    }
-    for (auto& op : operators_) {
-      op->Flush();
-    }
-  } else {
-    output_ = input;
-  }
-  return std::move(output_);
-}
-
-StatusOr<Relation> BatchPipeline::RunFromCsv(const CsvSource& source,
-                                             int64_t begin, int64_t end,
-                                             int64_t batch_rows) {
-  stats_ = PipelineStats{};
-  stats_.op_input_rows.assign(num_ops_, 0);
-  live_batches_ = 0;
-  live_rows_ = 0;
-  for (auto& op : operators_) {
-    op->Reset();
-  }
-  output_ = Relation{output_schema_};
-  const int64_t rows = end - begin;
   output_.Reserve(rows);
 
   const int64_t step = batch_rows <= 0 ? std::max<int64_t>(rows, 1) : batch_rows;
-  if (!operators_.empty()) {
-    for (int64_t lo = begin; lo < end; lo += step) {
-      const int64_t hi = std::min(end, lo + step);
-      CONCLAVE_ASSIGN_OR_RETURN(Relation batch, source.ParseRows(lo, hi));
-      ++stats_.batches_pushed;
-      stats_.rows_pushed += hi - lo;
-      stats_.op_input_rows[0] += hi - lo;
-      // Unlike Run's borrowed source slices, the parsed batch is
-      // pipeline-owned memory: route it through Push so the residency
-      // high-water counts it.
-      Push(0, std::move(batch));
-    }
-    for (auto& op : operators_) {
-      op->Flush();
-    }
-  } else {
-    CONCLAVE_ASSIGN_OR_RETURN(output_, source.ParseRows(begin, end));
+  for (int64_t lo = 0; lo < rows; lo += step) {
+    const int64_t hi = std::min(rows, lo + step);
+    ++stats_.batches_pushed;
+    stats_.rows_pushed += hi - lo;
+    stats_.op_input_rows[0] += hi - lo;
+    CONCLAVE_RETURN_IF_ERROR(push_head(lo, hi));
   }
-  return std::move(output_);
+  for (auto& op : operators_) {
+    op->Flush();
+  }
+  return Status::Ok();
 }
 
-Relation BatchPipeline::RunFromReveal(const mpc::RevealSource& source,
-                                      int64_t begin, int64_t end,
-                                      int64_t batch_rows) {
-  stats_ = PipelineStats{};
-  stats_.op_input_rows.assign(num_ops_, 0);
-  live_batches_ = 0;
-  live_rows_ = 0;
-  for (auto& op : operators_) {
-    op->Reset();
-  }
-  output_ = Relation{output_schema_};
-  const int64_t rows = end - begin;
-  output_.Reserve(rows);
+Relation BatchPipeline::Run(const Relation& input, int64_t batch_rows) {
+  const Status status =
+      RunBatches(input.NumRows(), batch_rows, [&](int64_t lo, int64_t hi) {
+        operators_[0]->ConsumeSlice(input, lo, hi);
+        return Status::Ok();
+      });
+  CONCLAVE_CHECK(status.ok());  // Borrowed slices cannot fail.
+  return operators_.empty() ? input : std::move(output_);
+}
 
-  const int64_t step = batch_rows <= 0 ? std::max<int64_t>(rows, 1) : batch_rows;
-  if (!operators_.empty()) {
-    for (int64_t lo = begin; lo < end; lo += step) {
-      const int64_t hi = std::min(end, lo + step);
-      Relation batch = source.RevealRows(lo, hi);
-      ++stats_.batches_pushed;
-      stats_.rows_pushed += hi - lo;
-      stats_.op_input_rows[0] += hi - lo;
-      // Like RunFromCsv's parsed batches, the revealed batch is pipeline-owned
-      // memory: route it through Push so the residency high-water counts it.
-      Push(0, std::move(batch));
-    }
-    for (auto& op : operators_) {
-      op->Flush();
-    }
-  } else {
-    output_ = source.RevealRows(begin, end);
+StatusOr<Relation> BatchPipeline::Run(const RowSource& source, int64_t batch_rows) {
+  CONCLAVE_RETURN_IF_ERROR(RunBatches(
+      source.NumRows(), batch_rows, [&](int64_t lo, int64_t hi) -> Status {
+        CONCLAVE_ASSIGN_OR_RETURN(Relation batch, source.Rows(lo, hi));
+        // Unlike Run's borrowed slices, a pulled batch is pipeline-owned
+        // memory: Push counts it in the residency high-water mark.
+        Push(0, std::move(batch));
+        return Status::Ok();
+      }));
+  if (operators_.empty()) {
+    return source.Rows(0, source.NumRows());
   }
   return std::move(output_);
 }

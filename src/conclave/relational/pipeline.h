@@ -1,8 +1,9 @@
 // Push-based batch pipeline for fused chains of non-blocking cleartext operators.
 //
-// A BatchPipeline streams fixed-size row batches from a materialized source
-// relation through a chain of streaming operators (filter / project / arithmetic /
-// limit / distinct-on-sorted), materializing only the chain's final output. Each
+// A BatchPipeline streams fixed-size row batches from its input — a materialized
+// relation, or a RowSource pulled batch-at-a-time — through a chain of streaming
+// operators (filter / project / arithmetic / limit / distinct-on-sorted),
+// materializing only the chain's final output. Each
 // operator implements a Carnot-style consume/flush contract: it receives one input
 // batch at a time, emits zero or more output batches downstream, and may hold only
 // O(1) rows of cross-batch state (the limit cursor, the last distinct row). The
@@ -35,19 +36,16 @@
 #define CONCLAVE_RELATIONAL_PIPELINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "conclave/common/status.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/relation.h"
+#include "conclave/relational/row_source.h"
 
 namespace conclave {
-
-class CsvSource;
-namespace mpc {
-class RevealSource;
-}  // namespace mpc
 
 // Default rows per batch of the push-based pipeline executor (~4k rows: large
 // enough to amortize per-batch overhead, small enough that a fused chain's
@@ -118,24 +116,18 @@ class BatchPipeline {
 
   // Streams `input` through the chain in batches of at most `batch_rows` rows
   // (<= 0 streams the whole relation as one batch) and returns the materialized
-  // result. Resets operator state and stats first, so a pipeline may run again.
+  // result. The head reads borrowed slices of `input`, so no source row is
+  // copied. Resets operator state and stats first, so a pipeline may run again.
   Relation Run(const Relation& input, int64_t batch_rows);
 
-  // Source-driven variant (DESIGN.md §12): parses rows [begin, end) of `source`
-  // batch-at-a-time and pushes each parsed batch through the chain, so the
-  // source relation never materializes — at most one batch of parsed source
-  // rows is live at a time (it enters the pipeline's residency accounting,
-  // unlike Run's borrowed slices). Bit-identical to
-  // Run(*source.ParseRows(begin, end), batch_rows) at every batch size.
-  StatusOr<Relation> RunFromCsv(const CsvSource& source, int64_t begin,
-                                int64_t end, int64_t batch_rows);
-
-  // Reveal-boundary variant (DESIGN.md §14): reconstructs rows [begin, end) of
-  // a streaming reveal batch-at-a-time and pushes each revealed batch through
-  // the chain, so the revealed relation never materializes. Bit-identical to
-  // Run(source.RevealRows(begin, end), batch_rows) at every batch size.
-  Relation RunFromReveal(const mpc::RevealSource& source, int64_t begin,
-                         int64_t end, int64_t batch_rows);
+  // Source-driven variant (DESIGN.md §12, §14): pulls `source` batch-at-a-time
+  // and pushes each pulled batch through the chain, so the source relation
+  // never materializes — at most one batch of source rows is live at a time
+  // (it enters the pipeline's residency accounting, unlike Run's borrowed
+  // slices). Bit-identical to Run(*source.Rows(0, source.NumRows()),
+  // batch_rows) at every batch size; a failing pull (a malformed CSV line)
+  // returns its error.
+  StatusOr<Relation> Run(const RowSource& source, int64_t batch_rows);
 
   // Stats of the most recent Run.
   const PipelineStats& stats() const { return stats_; }
@@ -146,6 +138,13 @@ class BatchPipeline {
 
  private:
   friend class pipeline_internal::BatchOperator;
+
+  // The batch loop both Run overloads share: resets operator state and stats,
+  // then hands each [lo, hi) range of a `rows`-row input to `push_head`, which
+  // feeds it to the head operator. Stops at the first failing push. An empty
+  // chain pushes nothing; its callers return the input itself.
+  Status RunBatches(int64_t rows, int64_t batch_rows,
+                    const std::function<Status(int64_t lo, int64_t hi)>& push_head);
 
   // Delivers one owned batch to the operator at `slot` (== operators_.size()
   // appends to the output), tracking batch residency around the delivery.

@@ -9,6 +9,7 @@
 
 #include "conclave/common/check.h"
 #include "conclave/common/env.h"
+#include "conclave/common/rng.h"
 #include "conclave/common/strings.h"
 #include "conclave/common/tempfile.h"
 
@@ -41,15 +42,6 @@ namespace {
 // shrink (one key carrying more than `budget` duplicates) builds in memory at the
 // cap rather than recursing forever.
 constexpr int kMaxGraceDepth = 6;
-
-// SplitMix64 finalizer — same mixer family as ops.cc's KeyHash, salted per
-// recursion level so a bucket re-partitions under an independent hash.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Tracks the operator's own resident rows (runs being formed, merge heads,
 // probe batches) and records the high-water mark into SpillStats. Borrowed
@@ -191,17 +183,6 @@ class SpillRunReader {
   int64_t remaining_;
   std::vector<int64_t> scratch_;
 };
-
-// Copies rows [lo, hi) of `src` as an owned chunk (the run-formation slice).
-Relation CopySlice(const Relation& src, int64_t lo, int64_t hi) {
-  Relation chunk{src.schema()};
-  chunk.Resize(hi - lo);
-  for (int c = 0; c < src.NumColumns(); ++c) {
-    const auto column = src.ColumnSpan(c);
-    std::copy(column.begin() + lo, column.begin() + hi, chunk.ColumnData(c));
-  }
-  return chunk;
-}
 
 // --- K-way merge over spilled runs -------------------------------------------------
 //
@@ -509,7 +490,7 @@ Relation SortBy(const Relation& input, std::span<const int> columns, bool ascend
   for (int64_t lo = 0; lo < rows; lo += budget) {
     const int64_t hi = std::min(rows, lo + budget);
     meter.Add(hi - lo);
-    Relation chunk = CopySlice(input, lo, hi);
+    Relation chunk = ops::Slice(input, lo, hi);
     meter.Add(hi - lo);  // Sorted copy coexists with the slice: 2x chunk peak.
     Relation sorted = ops::SortBy(chunk, columns, ascending);
     SpillRunWriter writer(dir, static_cast<int>(runs.size()), input.NumColumns(),
@@ -544,7 +525,7 @@ Relation Distinct(const Relation& input, std::span<const int> columns,
   for (int64_t lo = 0; lo < rows; lo += budget) {
     const int64_t hi = std::min(rows, lo + budget);
     meter.Add(hi - lo);
-    Relation chunk = CopySlice(input, lo, hi);
+    Relation chunk = ops::Slice(input, lo, hi);
     meter.Add(hi - lo);
     // Each run is ops::Distinct of its chunk: projected, sorted, deduped.
     Relation run = ops::Distinct(chunk, columns);
@@ -591,7 +572,7 @@ Relation Aggregate(const Relation& input, std::span<const int> group_columns,
   for (int64_t lo = 0; lo < rows; lo += budget) {
     const int64_t hi = std::min(rows, lo + budget);
     meter.Add(hi - lo);
-    Relation chunk = CopySlice(input, lo, hi);
+    Relation chunk = ops::Slice(input, lo, hi);
     meter.Add(hi - lo);  // Partial map output coexists with the chunk.
     Relation partial;
     if (is_mean) {
@@ -668,7 +649,10 @@ uint64_t GraceHashRow(const std::vector<std::span<const int64_t>>& key_cols,
                       int64_t row, int level) {
   uint64_t h = 0x436f6e636c617665ULL ^ (0x9e3779b97f4a7c15ULL * (level + 1));
   for (const auto& col : key_cols) {
-    h = SplitMix64(h ^ static_cast<uint64_t>(col[row]));
+    // One SplitMix64 step (same mixer family as ops.cc's KeyHash), salted per
+    // recursion level so a bucket re-partitions under an independent hash.
+    h = SplitMixFinalize((h ^ static_cast<uint64_t>(col[row])) +
+                         0x9e3779b97f4a7c15ULL);
   }
   return h;
 }

@@ -536,8 +536,8 @@ TEST(BeyondRamTest, CsvSourceStreamsThroughFusedChainWithoutMaterializing) {
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   // The non-materialization witness: no parse ever produced more than one
   // batch of source rows.
-  EXPECT_GT(streamed->csv_peak_parse_rows, 0);
-  EXPECT_LE(streamed->csv_peak_parse_rows, kBatch);
+  EXPECT_GT(streamed->source_peak_rows, 0);
+  EXPECT_LE(streamed->source_peak_rows, kBatch);
 
   // Baseline: the same rows handed over in memory, with no CSV source.
   Relation rows{Schema::Of({"k", "v"})};
@@ -549,7 +549,7 @@ TEST(BeyondRamTest, CsvSourceStreamsThroughFusedChainWithoutMaterializing) {
   const auto materialized = materialized_query.Run(
       {{"t", rows}}, {}, CostModel{}, /*seed=*/42);
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  EXPECT_EQ(materialized->csv_peak_parse_rows, 0);  // No CSV source.
+  EXPECT_EQ(materialized->source_peak_rows, 0);  // No CSV source.
   EXPECT_TRUE(
       streamed->outputs.at("out").RowsEqual(materialized->outputs.at("out")));
   // Streamed ingest never moves the clock.

@@ -506,9 +506,10 @@ TEST(PipelineQueryTest, FusedMembersPricedFromKernelRowCounts) {
   // The four nodes run as one fused chain.
   const std::vector<ir::OpNode*> order = query.dag().TopoOrder();
   const std::vector<const ir::OpNode*> topo(order.begin(), order.end());
-  const auto chains = compiler::PipelineChains(topo);
+  const auto chains =
+      compiler::PipelineChains(topo, compiler::MpcBackendKind::kSharemind);
   ASSERT_EQ(chains.size(), 1u);
-  ASSERT_EQ(chains[0].size(), 4u);
+  ASSERT_EQ(chains[0].nodes.size(), 4u);
 
   ArithSpec add;
   add.kind = ArithKind::kAdd;
@@ -629,9 +630,10 @@ void ExpectSinglePartyGridMatchesReference(
       }
       chains->clear();
       for (const auto& chain : compiler::PipelineChains(
-               std::vector<const ir::OpNode*>(order.begin(), order.end()))) {
+               std::vector<const ir::OpNode*>(order.begin(), order.end()),
+               compiler::MpcBackendKind::kSharemind)) {
         std::vector<ir::OpKind>& kinds = chains->emplace_back();
-        for (const ir::OpNode* member : chain) {
+        for (const ir::OpNode* member : chain.nodes) {
           kinds.push_back(member->kind);
         }
       }
@@ -688,9 +690,9 @@ TEST(SinglePartyQueryTest, EveryWindowFunctionRunsLocally) {
 
 // --- Streaming across the reveal frontier (DESIGN.md §14) --------------------
 
-// RunFromReveal must be bit-identical to revealing everything and running the
-// chain on the materialized relation, at every batch size — including 0-row
-// and 1-row reveals.
+// Streaming a reveal through Run must be bit-identical to revealing everything
+// and running the chain on the materialized relation, at every batch size —
+// including 0-row and 1-row reveals.
 TEST(RevealStreamTest, MatchesMaterializingAcrossBatchGrid) {
   for (int64_t rows : {int64_t{0}, int64_t{1}, int64_t{533}}) {
     const Relation input = data::UniformInts(rows, {"a", "b"}, 200, /*seed=*/77);
@@ -713,11 +715,10 @@ TEST(RevealStreamTest, MatchesMaterializingAcrossBatchGrid) {
 
     BatchPipeline materializing(spec);
     const Relation expected =
-        materializing.Run(source.RevealRows(0, rows), kDefaultBatchRows);
+        materializing.Run(source.Rows(0, rows).value(), kDefaultBatchRows);
     for (int64_t batch_rows : kBatchGrid) {
       BatchPipeline streaming(spec);
-      const Relation got =
-          streaming.RunFromReveal(source, 0, rows, batch_rows);
+      const Relation got = streaming.Run(source, batch_rows).value();
       EXPECT_TRUE(got.RowsEqual(expected))
           << "rows=" << rows << " batch_rows=" << batch_rows;
       EXPECT_EQ(got.schema().ToString(), expected.schema().ToString());
@@ -743,11 +744,10 @@ TEST(RevealStreamTest, LimitAndDistinctTails) {
     spec.ops.push_back(PipelineOp::Limit(37));
     BatchPipeline materializing(spec);
     const Relation expected =
-        materializing.Run(source.RevealRows(0, input.NumRows()), 0);
+        materializing.Run(source.Rows(0, input.NumRows()).value(), 0);
     for (int64_t batch_rows : kBatchGrid) {
       BatchPipeline streaming(spec);
-      const Relation got =
-          streaming.RunFromReveal(source, 0, input.NumRows(), batch_rows);
+      const Relation got = streaming.Run(source, batch_rows).value();
       EXPECT_TRUE(got.RowsEqual(expected)) << "limit batch=" << batch_rows;
     }
   }
@@ -759,11 +759,10 @@ TEST(RevealStreamTest, LimitAndDistinctTails) {
     spec.ops.push_back(PipelineOp::DistinctOnSorted({0}));
     BatchPipeline materializing(spec);
     const Relation expected =
-        materializing.Run(source.RevealRows(0, input.NumRows()), 0);
+        materializing.Run(source.Rows(0, input.NumRows()).value(), 0);
     for (int64_t batch_rows : kBatchGrid) {
       BatchPipeline streaming(spec);
-      const Relation got =
-          streaming.RunFromReveal(source, 0, input.NumRows(), batch_rows);
+      const Relation got = streaming.Run(source, batch_rows).value();
       EXPECT_TRUE(got.RowsEqual(expected)) << "distinct batch=" << batch_rows;
     }
   }
@@ -775,7 +774,7 @@ TEST(RevealStreamTest, DisjointRangesConcatenateToWholeReveal) {
   const Relation input = data::UniformInts(101, {"a", "b"}, 300, /*seed=*/12);
   Rng rng(/*seed=*/13);
   const mpc::RevealSource source(ShareRelation(input, rng));
-  const Relation whole = source.RevealRows(0, input.NumRows());
+  const Relation whole = source.Rows(0, input.NumRows()).value();
   EXPECT_TRUE(whole.RowsEqual(input));
 
   const int64_t rows = input.NumRows();
@@ -785,7 +784,7 @@ TEST(RevealStreamTest, DisjointRangesConcatenateToWholeReveal) {
     for (int r = 0; r < ranges; ++r) {
       const int64_t begin = rows * r / ranges;
       const int64_t end = rows * (r + 1) / ranges;
-      parts.push_back(source.RevealRows(begin, end));
+      parts.push_back(source.Rows(begin, end).value());
     }
     std::vector<const Relation*> part_ptrs;
     for (const Relation& part : parts) {
@@ -817,14 +816,14 @@ TEST(RevealStreamTest, ResidencyStaysAtBatchSize) {
   spec.ops.push_back(PipelineOp::Arithmetic(add));
 
   BatchPipeline pipeline(spec);
-  const Relation got = pipeline.RunFromReveal(source, 0, input.NumRows(), 256);
+  const Relation got = pipeline.Run(source, 256).value();
   EXPECT_GT(got.NumRows(), 0);
   EXPECT_EQ(source.MaxMaterializedRows(), 256);
 }
 
 // End-to-end through the public API: an MPC aggregate whose arithmetic tail the
 // compiler pushes up into a local fused chain. The reveal feeds the chain
-// batch-at-a-time (reveal_peak_rows stays at the batch size). Outputs, virtual
+// batch-at-a-time (source_peak_rows stays at the batch size). Outputs, virtual
 // clock, and counters must be bit-identical across the {pool, batch} grid.
 TEST(RevealStreamTest, QueryGridBitIdentical) {
   auto run = [](int pool, int64_t batch_rows) {
@@ -862,9 +861,9 @@ TEST(RevealStreamTest, QueryGridBitIdentical) {
           << "pool=" << pool << " batch=" << batch_rows;
       EXPECT_EQ(got.node_seconds, baseline.node_seconds)
           << "pool=" << pool << " batch=" << batch_rows;
-      EXPECT_GT(got.reveal_peak_rows, 0)
+      EXPECT_GT(got.source_peak_rows, 0)
           << "pool=" << pool << " batch=" << batch_rows;
-      EXPECT_LE(got.reveal_peak_rows, batch_rows)
+      EXPECT_LE(got.source_peak_rows, batch_rows)
           << "pool=" << pool << " batch=" << batch_rows;
     }
   }

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "conclave/api/conclave.h"
+#include "conclave/common/tempfile.h"
 #include "conclave/compiler/compiler.h"
 #include "conclave/compiler/ownership.h"
 #include "conclave/compiler/plan_cost.h"
@@ -645,13 +648,111 @@ TEST(PlanCostTest, ExplainListsTheChainsARunFuses) {
   ASSERT_TRUE(compilation.ok()) << compilation.status().ToString();
   const PlanCostReport& report = compilation->cost_report;
   const std::vector<ir::OpNode*> order = query.dag().TopoOrder();
-  const auto chains = PipelineChains(
-      std::vector<const ir::OpNode*>(order.begin(), order.end()));
+  const auto chains =
+      PipelineChains(std::vector<const ir::OpNode*>(order.begin(), order.end()),
+                     MpcBackendKind::kSharemind);
   ASSERT_EQ(chains.size(), 1u);
-  EXPECT_EQ(chains[0].size(), 4u);
+  EXPECT_EQ(chains[0].nodes.size(), 4u);
   EXPECT_EQ(report.fused_pipeline_chains, 1);
   EXPECT_EQ(report.fused_pipeline_nodes, 4);
   EXPECT_EQ(report.longest_pipeline_chain, 4);
+}
+
+// Explain and run agree on streaming by construction. For each query and MPC
+// backend, compiler::PipelineChains marks a chain as streaming exactly when
+// the run streams a source (source_peak_rows > 0, at most one batch), and the
+// explain's reveal-advice counts the marked chains fed by an MPC node. Under
+// Obliv-C a revealed value decodes whole, so nothing streams and explain says
+// so; a CSV table with a second consumer parses eagerly on both backends.
+TEST(PlanCostTest, ExplainStreamingMatchesTheRun) {
+  constexpr int64_t kBatch = 16;
+  TempDir dir;
+  const std::string path = dir.path() + "/t.csv";
+  {
+    std::ofstream file(path);
+    file << "k,v\n";
+    for (int64_t i = 0; i < 300; ++i) {
+      file << i << "," << (i % 40) << "\n";
+    }
+  }
+  struct Case {
+    const char* label;
+    std::function<void(api::Query&)> build;
+    bool streams_under_sharemind;
+    bool streams_under_oblivc;
+  };
+  const Case cases[] = {
+      {"join-aggregate-arithmetic reveal",
+       [](api::Query& query) {
+         auto alice = query.AddParty("alice");
+         auto bob = query.AddParty("bob");
+         auto left = query.NewTable("left", {{"k"}, {"v"}}, alice);
+         auto right = query.NewTable("right", {{"k"}, {"w"}}, bob);
+         left.Join(right, {"k"}, {"k"})
+             .Aggregate("total", AggKind::kSum, {"k"}, "v")
+             .MultiplyConst("scaled", "total", 3)
+             .AddConst("biased", "scaled", 7)
+             .WriteToCsv("out", {alice});
+       },
+       true, false},
+      {"csv filter-project",
+       [&path](api::Query& query) {
+         auto alice = query.AddParty("alice");
+         auto t = query.NewCsvTable("t", {{"k"}, {"v"}}, alice, path);
+         t.Filter("v", CompareOp::kGt, 10).Project({"k"}).WriteToCsv("out", {alice});
+       },
+       true, true},
+      {"csv with a second consumer",
+       [&path](api::Query& query) {
+         auto alice = query.AddParty("alice");
+         auto t = query.NewCsvTable("t", {{"k"}, {"v"}}, alice, path);
+         t.Filter("v", CompareOp::kGt, 10).Project({"k"}).WriteToCsv("out", {alice});
+         t.Aggregate("n", AggKind::kCount, {"v"}, "").WriteToCsv("counts", {alice});
+       },
+       false, false},
+  };
+  const std::map<std::string, Relation> inputs = {
+      {"left", data::UniformInts(200, {"k", "v"}, 150, /*seed=*/41)},
+      {"right", data::UniformInts(150, {"k", "w"}, 150, /*seed=*/42)}};
+  for (MpcBackendKind backend :
+       {MpcBackendKind::kSharemind, MpcBackendKind::kOblivC}) {
+    for (const Case& c : cases) {
+      const std::string where =
+          std::string(c.label) + " on " + MpcBackendName(backend);
+      CompilerOptions options;
+      options.mpc_backend = backend;
+      api::Query explained;
+      c.build(explained);
+      const auto report = explained.ExplainPlan(options);
+      ASSERT_TRUE(report.ok()) << where << ": " << report.status().ToString();
+
+      api::Query run;
+      c.build(run);
+      const auto result =
+          run.Run(inputs, options, CostModel{}, /*seed=*/42, {.batch_rows = kBatch});
+      ASSERT_TRUE(result.ok()) << where << ": " << result.status().ToString();
+      const std::vector<ir::OpNode*> order = run.dag().TopoOrder();
+      int streaming = 0;
+      int streamed_reveals = 0;
+      for (const PipelineChain& chain : PipelineChains(
+               std::vector<const ir::OpNode*>(order.begin(), order.end()),
+               backend)) {
+        if (chain.streams_input) {
+          ++streaming;
+          if (chain.nodes.front()->inputs[0]->exec_mode != ir::ExecMode::kLocal) {
+            ++streamed_reveals;
+          }
+        }
+      }
+      EXPECT_EQ(streaming > 0, result->source_peak_rows > 0) << where;
+      EXPECT_LE(result->source_peak_rows, kBatch) << where;
+      EXPECT_EQ(report->streamed_reveal_chains, streamed_reveals) << where;
+      EXPECT_EQ(streaming > 0, backend == MpcBackendKind::kSharemind
+                                   ? c.streams_under_sharemind
+                                   : c.streams_under_oblivc)
+          << where;
+    }
+  }
 }
 
 TEST(PlanCostTest, ExplainNotComputedWithoutFlag) {
