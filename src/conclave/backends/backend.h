@@ -56,9 +56,10 @@ struct MaterializedValue {
 };
 
 // Beyond-RAM execution outcome (DESIGN.md §12). The priced fields are closed
-// forms over node-total row counts (compiler::NodeSpillSeconds), identical at
-// every {pool, batch_rows} grid point; `stats` carries the physical spill
-// counters, reported for observability only.
+// forms over node-total row counts (compiler::NodeSpillSeconds), priced by the
+// dispatcher's accounting pass and identical at every {pool, batch_rows} grid
+// point; `stats` carries the physical spill counters, reported for
+// observability only.
 struct SpillReport {
   int64_t mem_budget_rows = 0;  // Resolved per-operator budget (0 = unbounded).
   int spilling_nodes = 0;       // Nodes whose priced charge was non-zero.
@@ -79,10 +80,11 @@ struct ExecutionResult {
   double dp_epsilon_spent = 0;
   CostCounters counters;
   // Measured virtual seconds per DAG node id: the node's metered engine/boundary
-  // charges (x the malicious-security scale) plus its cleartext compute time. The
+  // charges (x the malicious-security scale) plus, for a local node, the
+  // cleartext compute the accounting pass prices from the rows it read. The
   // runtime half of the plan-cost contract — tests compare these meters against
-  // compiler::PlanCostReport estimates. Deterministic across pool sizes (folded in
-  // topo order, like every other total).
+  // compiler::PlanCostReport estimates. Deterministic across pool sizes (priced
+  // in topo order, like every other total).
   std::map<int, double> node_seconds;
   // Fault-injection outcome (net/fault.h; fault_mode is false for runs without an
   // active FaultPlan). Under injection, virtual_seconds equals the fault-free

@@ -60,7 +60,7 @@ struct RunState {
            bool spark, bool malicious_mode)
       : net(model),
         sharemind(&net, run_seed, parties),
-        oblivc(&net, /*oblivm_mode=*/false),
+        oblivc(&net),
         use_gc_backend(gc),
         use_spark(spark),
         malicious(malicious_mode),
@@ -230,38 +230,39 @@ class JobGraphExecutor {
     // replay identically regardless of pool size.
     std::vector<int> consumer_uses;
     int acquired_uses = 0;
-    // Deterministic per-node virtual-time attribution, merged in topo order by the
-    // final accounting pass.
+    // Facts execution records for the accounting pass (PriceNodes), which
+    // prices them in topo order, never in completion order.
     double boundary_scaled_seconds = 0;  // Reveal/transfer/ingest/MPC, x MpcScale.
-    double local_compute_seconds = 0;    // Cost-model cleartext compute.
     double dp_epsilon = 0;
-    bool charged_local = false;          // Participates in the Spark startup charge.
-    // Injected crash count for this node's job (fault mode; decided once at
-    // dispatch on the coordinator so the schedule is pool-size-independent).
+    // Rows a local node read from each DAG input: recorded at acquisition for
+    // a job's head and from the pipeline's per-op meters for a fused member,
+    // so they equal the unfused execution's input cardinalities at every
+    // {pool, batch} point. Empty = the node's work never ran.
+    std::vector<int64_t> input_rows;
+    // Crash restarts of the pool task this node heads (fault mode): decided at
+    // dispatch on the coordinator, so the schedule is pool-size-independent,
+    // and kept only once the job goes ahead (an escalating job aborts instead).
     int fault_crashes = 0;
-    // Priced beyond-RAM spill charge for this node (DESIGN.md §12): the
-    // closed-form compiler::NodeSpillSeconds over the node's TOTAL input rows,
-    // computed on the coordinator at acquisition (or, for fused interior
-    // members, from the chain's per-op rows) — never from physical batch
-    // layout, so the charge is grid-invariant. Folded into
-    // virtual_seconds once, in the final accounting pass; node_seconds stays
-    // spill-free so the per-node estimate==meter identities are untouched.
-    double spill_priced_seconds = 0;
-    int64_t spill_passes = 0;
     // Physical spill counters this node's kernels reported (observability
     // only; layout-dependent).
     spill::SpillStats spill_stats;
-    // Pipeline fusion (DESIGN.md §10): topo indices of this chain's members in
-    // chain order (filled on the head only; length >= 2). Members execute as one
-    // BatchPipeline inside the head's dispatch; only the tail's output
-    // materializes.
+    // The local job this node heads (DESIGN.md §10): topo indices of its
+    // members in chain order. A lone local node is a one-member job; a fused
+    // chain's members execute as one BatchPipeline and only the tail's output
+    // materializes. Empty on interior members and on every non-local node.
     std::vector<int> chain_members;
-    // Topo index of the owning chain's head (-1 = not fused). The head points at
-    // itself.
-    int chain_head = -1;
     // The head's compile-time streaming mark (compiler::PipelineChain): its
     // sole input stays a RowSource the chain pulls batch-at-a-time.
     bool streams_input = false;
+
+    // The cleartext records the node is priced on.
+    uint64_t Records() const {
+      uint64_t records = 0;
+      for (int64_t rows : input_rows) {
+        records += static_cast<uint64_t>(rows);
+      }
+      return records;
+    }
   };
 
   struct Completion {
@@ -270,7 +271,7 @@ class JobGraphExecutor {
     Relation output;
     // Fused-chain completions: rows consumed by each chain member. Equals the
     // unfused execution's per-node input cardinalities at every batch size;
-    // DrainCompletions prices interior members from these.
+    // DrainCompletions records the interior members' input rows from these.
     std::vector<int64_t> chain_op_rows;
     // Physical spill counters from the task's kernels (zero when nothing
     // spilled).
@@ -280,8 +281,15 @@ class JobGraphExecutor {
     std::shared_ptr<const RowSource> source_output;
   };
 
-  int TopoIndexOf(int node_id) const { return topo_index_.at(node_id); }
-  NodeExec& ExecOf(const ir::OpNode& node) { return execs_[TopoIndexOf(node.id)]; }
+  // A fault escalation (net/fault.h): the node whose step exhausted a recovery
+  // budget, and why.
+  struct FaultEscalation {
+    int node_id = -1;
+    std::string provenance;
+  };
+
+  int TopoIndex(int node_id) const { return topo_index_.at(node_id); }
+  NodeExec& ExecOf(const ir::OpNode& node) { return execs_[TopoIndex(node.id)]; }
 
   // True when every input value may be acquired by `exec` right now: inputs are
   // materialized, this node is the next acquirer of each, and payload-overwriting
@@ -292,40 +300,24 @@ class JobGraphExecutor {
   // stay at the call sites because the target form differs per node class.
   void AdvanceAcquisition(NodeExec& exec);
 
-  // Cleartext input forms acquired for a local-compute dispatch.
-  struct AcquiredInputs {
-    std::vector<const Relation*> rels;
-    uint64_t records = 0;
-    // Total rows per DAG input, in input order (batch-invariant); the spill
-    // pricing's cardinality source.
-    std::vector<int64_t> input_rows;
-    // Non-null when `exec` streams its (sole) input: the chain head pulls
-    // row-range batches from it instead of reading a relation.
-    std::shared_ptr<const RowSource> source;
-  };
-
   // Submits `body` as a pool task whose completion is posted under
   // `topo_index`. A non-OK Status or an escaping exception (which would
   // otherwise terminate the process from WorkerLoop) becomes the completion's
   // status; `what` names the task in the exception's message.
   void SubmitTask(int topo_index, const char* what,
                   std::function<Status(Completion&)> body);
-  // Drops the reader registrations AcquireLocalInputs made for `exec`'s
-  // inputs: on completion, or when a dispatch is abandoned before submitting.
+  // Drops the reader registrations DispatchLocalJob made for `exec`'s inputs:
+  // on completion, or when a dispatch is abandoned before submitting.
   void ReleaseReaders(const NodeExec& exec);
 
   void DispatchCreate(NodeExec& exec);
-  // Acquires `exec`'s inputs at its party (frontier transitions), advances the
-  // acquisition cursors, and charges the node's boundary and cleartext-compute
-  // attributions — the shared front half of every local-compute dispatch, fused
-  // or not.
-  AcquiredInputs AcquireLocalInputs(NodeExec& exec);
-  void DispatchLocalCompute(NodeExec& exec);
-  // Dispatches a fused chain (exec is the head): resolves the streaming
-  // operator specs against the runtime input schema, then submits one
-  // BatchPipeline task; its completion is posted under the head's topo index,
-  // carrying the tail's output.
-  void DispatchChain(NodeExec& exec);
+  // Dispatches the local job `exec` heads, lone node or fused chain: acquires
+  // its inputs at its party (frontier transitions), records the rows it reads,
+  // resolves a chain's operators against the runtime input schema, and
+  // submits one pool task, which runs ExecuteLocal for a lone node and one
+  // BatchPipeline for a chain. The completion is posted under the head's topo
+  // index and carries the tail's output.
+  void DispatchLocalJob(NodeExec& exec);
   Status RunCollect(NodeExec& exec, ExecutionResult& result);
   Status RunLaneNode(NodeExec& exec);
   // One execution attempt of a lane node: secures inputs, runs the engine, and
@@ -348,32 +340,31 @@ class JobGraphExecutor {
   LaneCheckpoint TakeLaneCheckpoint(const NodeExec& exec);
   void RestoreLaneCheckpoint(const LaneCheckpoint& checkpoint);
 
-  // Fault-mode job dispatch, front half: enters the node's injector scope and
-  // takes the scheduled crash count. False = the crash budget is exhausted (the
-  // fault failure is recorded and the caller abandons the dispatch, before any
+  // Fault-mode pool-job dispatch: enters the node's injector scope and records
+  // its scheduled crash count. False = the crash budget is exhausted (the
+  // escalation is recorded and the caller abandons the dispatch, before any
   // input acquisition).
   bool PrepareJobFaults(NodeExec& exec);
-  // Fault-mode job dispatch, back half (after acquisition): escalates
-  // unrecoverable send faults raised during acquisition and prices the job's
-  // modeled crash restarts. Pool tasks are pure functions of their inputs (the
-  // determinism contract the chaos fuzzer enforces), so a crashed task re-runs
-  // to the same bits — the restart is priced, not physically re-executed; lane
-  // nodes, whose execution mutates engine state, ARE physically replayed
-  // (RunLaneNode). False = fault failure recorded; the caller releases its
-  // readers and abandons the dispatch.
-  bool CommitJobFaults(NodeExec& exec);
-  // Canonicalizes a pending injector failure to the earliest topo index, the
-  // fault-path mirror of RecordFailure.
-  void RecordFaultFailure(int topo_index);
-  // Topo gate for dispatch: nothing at or past the earliest failure (regular or
-  // fault) may start.
-  int FailureGate() const;
+  // Polls the injector after a coordinator step of `exec`: an unrecoverable
+  // injection escalates into RecordFailure with its node and provenance, and
+  // the step is abandoned, its job taking no restarts. True = escalated.
+  bool EscalatePendingFault(NodeExec& exec);
   std::vector<int> TopoNodeIds() const;
 
   void MarkMaterialized(NodeExec& exec);
-  void RecordFailure(int topo_index, Status status);
+  // Records a failure at `topo_index`; `fault` is set for a fault escalation,
+  // which ends the run in a structured abort rather than an error. Keeps the
+  // earliest failure in topo order (the one a sequential walk meets first);
+  // at an equal index a fault escalation wins, since the injected fault is what
+  // made the step fail.
+  void RecordFailure(int topo_index, Status status,
+                     std::optional<FaultEscalation> fault = std::nullopt);
   void DrainCompletions(bool wait);
 
+  // The accounting pass's pricing half: prices, in topo order, the facts
+  // execution recorded for each node into node_seconds, the cleartext_records
+  // counter, the spill report and the injector's recovery accumulators.
+  void PriceNodes(ExecutionResult& result);
   StatusOr<ExecutionResult> FinalizeAccounting(ExecutionResult result);
 
   RunState& state_;
@@ -389,16 +380,11 @@ class JobGraphExecutor {
   size_t materialized_count_ = 0;
   int in_flight_ = 0;
 
-  int first_failed_topo_ = -1;
+  // The run's one failure record (RecordFailure). Nothing at or past
+  // failed_topo_ may dispatch.
+  int failed_topo_ = -1;
   Status failure_;
-
-  // Fault-injection failures (exhausted recovery budgets) are tracked separately
-  // from regular Status failures: they end in a structured abort, not an error.
-  // Canonicalized to the earliest topo index, like failure_; at the same index
-  // the fault abort wins (the fault caused the step to fail).
-  int fault_failed_topo_ = -1;
-  std::string fault_failure_text_;
-  int fault_failure_node_ = -1;
+  std::optional<FaultEscalation> failure_fault_;
 
   std::mutex completions_mu_;
   std::condition_variable completions_cv_;
@@ -406,12 +392,12 @@ class JobGraphExecutor {
 };
 
 bool JobGraphExecutor::CanAcquireInputs(const NodeExec& exec) const {
-  const int my_topo = TopoIndexOf(exec.node->id);
+  const int my_topo = TopoIndex(exec.node->id);
   // inputToMPC moves the cleartext payload into the engine; it may not overlap
   // with pool tasks still reading the old payload.
   const bool overwrites_payload = exec.klass == NodeClass::kLane;
   for (const ir::OpNode* in : exec.node->inputs) {
-    const NodeExec& producer = execs_[TopoIndexOf(in->id)];
+    const NodeExec& producer = execs_[TopoIndex(in->id)];
     if (!producer.materialized) {
       return false;
     }
@@ -427,9 +413,9 @@ bool JobGraphExecutor::CanAcquireInputs(const NodeExec& exec) const {
 }
 
 void JobGraphExecutor::AdvanceAcquisition(NodeExec& exec) {
-  const int my_topo = TopoIndexOf(exec.node->id);
+  const int my_topo = TopoIndex(exec.node->id);
   for (const ir::OpNode* in : exec.node->inputs) {
-    NodeExec& producer = execs_[static_cast<size_t>(TopoIndexOf(in->id))];
+    NodeExec& producer = execs_[static_cast<size_t>(TopoIndex(in->id))];
     // A node consuming the same value through several edges holds adjacent entries
     // in the (sorted) use list; each edge advances the cursor once.
     CONCLAVE_CHECK_EQ(
@@ -451,29 +437,15 @@ void JobGraphExecutor::MarkMaterialized(NodeExec& exec) {
   }
 }
 
-void JobGraphExecutor::RecordFailure(int topo_index, Status status) {
-  if (first_failed_topo_ < 0 || topo_index < first_failed_topo_) {
-    first_failed_topo_ = topo_index;
+void JobGraphExecutor::RecordFailure(int topo_index, Status status,
+                                     std::optional<FaultEscalation> fault) {
+  const bool fault_wins_tie = topo_index == failed_topo_ && fault.has_value() &&
+                              !failure_fault_.has_value();
+  if (failed_topo_ < 0 || topo_index < failed_topo_ || fault_wins_tie) {
+    failed_topo_ = topo_index;
     failure_ = std::move(status);
+    failure_fault_ = std::move(fault);
   }
-}
-
-void JobGraphExecutor::RecordFaultFailure(int topo_index) {
-  int node_id = -1;
-  std::string text = state_.fault->TakePendingFailure(&node_id);
-  if (fault_failed_topo_ < 0 || topo_index < fault_failed_topo_) {
-    fault_failed_topo_ = topo_index;
-    fault_failure_text_ = std::move(text);
-    fault_failure_node_ = node_id;
-  }
-}
-
-int JobGraphExecutor::FailureGate() const {
-  int gate = first_failed_topo_;
-  if (fault_failed_topo_ >= 0 && (gate < 0 || fault_failed_topo_ < gate)) {
-    gate = fault_failed_topo_;
-  }
-  return gate;
 }
 
 std::vector<int> JobGraphExecutor::TopoNodeIds() const {
@@ -491,26 +463,21 @@ bool JobGraphExecutor::PrepareJobFaults(NodeExec& exec) {
   }
   state_.fault->EnterScope(exec.node->id);
   exec.fault_crashes = state_.fault->JobCrashes(exec.node->id);
-  if (state_.fault->has_pending_failure()) {
-    exec.dispatched = true;
-    RecordFaultFailure(TopoIndexOf(exec.node->id));
-    return false;
-  }
-  return true;
+  return !EscalatePendingFault(exec);
 }
 
-bool JobGraphExecutor::CommitJobFaults(NodeExec& exec) {
-  if (state_.fault == nullptr) {
-    return true;
-  }
-  if (state_.fault->has_pending_failure()) {
-    exec.dispatched = true;
-    RecordFaultFailure(TopoIndexOf(exec.node->id));
+bool JobGraphExecutor::EscalatePendingFault(NodeExec& exec) {
+  if (state_.fault == nullptr || !state_.fault->has_pending_failure()) {
     return false;
   }
-  for (int k = 0; k < exec.fault_crashes; ++k) {
-    state_.fault->ChargeJobRestart(exec.node->id, exec.local_compute_seconds);
-  }
+  FaultEscalation fault;
+  fault.provenance = state_.fault->TakePendingFailure(&fault.node_id);
+  Status status = ResourceExhaustedError(
+      StrFormat("fault recovery budget exhausted at node #%d: %s", fault.node_id,
+                fault.provenance.c_str()));
+  exec.dispatched = true;
+  exec.fault_crashes = 0;
+  RecordFailure(TopoIndex(exec.node->id), std::move(status), std::move(fault));
   return true;
 }
 
@@ -523,7 +490,7 @@ JobGraphExecutor::LaneCheckpoint JobGraphExecutor::TakeLaneCheckpoint(
   for (const ir::OpNode* in : exec.node->inputs) {
     checkpoint.inputs.emplace_back(in->id,
                                    state_.values[static_cast<size_t>(in->id)]);
-    const int producer_topo = TopoIndexOf(in->id);
+    const int producer_topo = TopoIndex(in->id);
     checkpoint.acquired.emplace_back(
         producer_topo, execs_[static_cast<size_t>(producer_topo)].acquired_uses);
   }
@@ -572,13 +539,6 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
   if (!PrepareJobFaults(exec)) {
     return;
   }
-  if (state_.fault != nullptr) {
-    // Create tasks charge no cost-model compute; a crashed ingest re-runs for
-    // free and pays only the restart penalty.
-    for (int k = 0; k < exec.fault_crashes; ++k) {
-      state_.fault->ChargeJobRestart(node->id, /*wasted_seconds=*/0);
-    }
-  }
   exec.dispatched = true;
   // Streaming ingest (DESIGN.md §12): when the sole consumer's chain is marked
   // as streaming its input, the Create completes as its indexed source text
@@ -587,7 +547,7 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
   const bool stream = exec.consumer_uses.size() == 1 &&
                       execs_[static_cast<size_t>(exec.consumer_uses[0])].streams_input;
   CONCLAVE_CHECK(!stream || !node->Params<ir::CreateParams>().csv_path.empty());
-  SubmitTask(TopoIndexOf(node->id), "create task",
+  SubmitTask(TopoIndex(node->id), "create task",
              [this, node, stream](Completion& completion) -> Status {
                const auto& params = node->Params<ir::CreateParams>();
                if (params.csv_path.empty()) {
@@ -616,11 +576,13 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
              });
 }
 
-JobGraphExecutor::AcquiredInputs JobGraphExecutor::AcquireLocalInputs(
-    NodeExec& exec) {
+void JobGraphExecutor::DispatchLocalJob(NodeExec& exec) {
   const ir::OpNode* node = exec.node;
-  AcquiredInputs acquired;
-  acquired.rels.reserve(node->inputs.size());
+  if (!PrepareJobFaults(exec)) {
+    return;
+  }
+  std::vector<const Relation*> rels;
+  std::shared_ptr<const RowSource> source;
   for (const ir::OpNode* in : node->inputs) {
     MaterializedValue& value = state_.values[static_cast<size_t>(in->id)];
     if (exec.streams_input) {
@@ -636,113 +598,63 @@ JobGraphExecutor::AcquiredInputs JobGraphExecutor::AcquireLocalInputs(
       }
       CONCLAVE_CHECK(value.kind == MaterializedValue::Kind::kSource &&
                      value.location == node->exec_party);
-      acquired.source = value.source;
+      source = value.source;
     } else {
       EnsureCleartextAt(state_, value, node->exec_party);
-      acquired.rels.push_back(&value.clear);
+      rels.push_back(&value.clear);
     }
-    acquired.records += static_cast<uint64_t>(value.NumRows());
-    acquired.input_rows.push_back(value.NumRows());
+    exec.input_rows.push_back(value.NumRows());
     ++ExecOf(*in).active_readers;
   }
   AdvanceAcquisition(exec);
   // Reveal/transfer time for this node's frontier inputs.
   exec.boundary_scaled_seconds = state_.net.TakeMeterSeconds() * state_.MpcScale();
-  exec.local_compute_seconds = LocalComputeSeconds(state_, acquired.records);
-  exec.charged_local = true;
-  state_.net.mutable_counters().cleartext_records += acquired.records;
-  // Priced spill charge from the node-total input cardinalities (0 when the
-  // budget is unbounded or the inputs fit; fused chains price their interior
-  // members in DrainCompletions from the summed per-op rows instead).
-  if (state_.mem_budget_rows > 0) {
-    const double in_rows =
-        acquired.input_rows.empty() ? 0 : static_cast<double>(acquired.input_rows[0]);
-    const double right_rows = acquired.input_rows.size() > 1
-                                  ? static_cast<double>(acquired.input_rows[1])
-                                  : 0;
-    exec.spill_priced_seconds = compiler::NodeSpillSeconds(
-        *node, in_rows, right_rows, state_.net.model(), state_.mem_budget_rows);
-    if (exec.spill_priced_seconds > 0) {
-      exec.spill_passes = spill::SpillMergePasses(
-          node->kind == ir::OpKind::kJoin ? static_cast<int64_t>(right_rows)
-                                          : static_cast<int64_t>(in_rows),
-          state_.mem_budget_rows);
-    }
-  }
-  return acquired;
-}
-
-void JobGraphExecutor::DispatchLocalCompute(NodeExec& exec) {
-  const ir::OpNode* node = exec.node;
-  if (!PrepareJobFaults(exec)) {
-    return;
-  }
-  AcquiredInputs acquired = AcquireLocalInputs(exec);
-  if (!CommitJobFaults(exec)) {
+  if (EscalatePendingFault(exec)) {
     ReleaseReaders(exec);  // No task was submitted.
     return;
   }
-
-  exec.dispatched = true;
-  const int64_t mem_budget_rows = state_.mem_budget_rows;
-  SubmitTask(TopoIndexOf(node->id), "local job",
-             [node, mem_budget_rows,
-              rels = std::move(acquired.rels)](Completion& completion) -> Status {
-               LocalExecOptions options;
-               options.mem_budget_rows = mem_budget_rows;
-               options.spill_stats = &completion.spill_stats;
-               CONCLAVE_ASSIGN_OR_RETURN(completion.output,
-                                         ExecuteLocal(*node, rels, options));
-               return Status::Ok();
-             });
-}
-
-void JobGraphExecutor::DispatchChain(NodeExec& exec) {
-  if (!PrepareJobFaults(exec)) {
-    return;
-  }
-  AcquiredInputs acquired = AcquireLocalInputs(exec);
-  if (!CommitJobFaults(exec)) {
-    // Crash restarts priced so far cover the head's compute; the interior
-    // members never price (the run aborts).
-    ReleaseReaders(exec);
-    return;
-  }
-  // All members are spoken for the moment the head dispatches: the acquisition
+  // Every member is spoken for the moment the job dispatches: the acquisition
   // cursors have advanced, so nothing may re-dispatch any member — including on
   // the resolution-failure path below.
-  exec.dispatched = true;
   for (int member_topo : exec.chain_members) {
-    NodeExec& member = execs_[static_cast<size_t>(member_topo)];
-    member.dispatched = true;
-    // Interior members cross no frontier (boundary stays 0), but each fused
-    // node still participates in its job's Spark startup charge, as unfused.
-    member.charged_local = true;
+    execs_[static_cast<size_t>(member_topo)].dispatched = true;
   }
 
-  // Resolve every member against the runtime schema flowing through the chain.
-  // A resolution failure is attributed to the failing member's topo index —
-  // the canonical error a sequential unfused walk would report.
+  // Resolve a fused chain's members against the runtime schema flowing
+  // through it. A resolution failure is attributed to the failing member's
+  // topo index — the canonical error a sequential unfused walk would report.
+  const bool fused = exec.chain_members.size() > 1;
   PipelineSpec spec;
-  spec.input_schema = acquired.source != nullptr ? acquired.source->schema()
-                                                 : acquired.rels[0]->schema();
-  Schema schema = spec.input_schema;
-  for (int member_topo : exec.chain_members) {
-    const ir::OpNode& member = *execs_[static_cast<size_t>(member_topo)].node;
-    StatusOr<PipelineOp> op = ResolvePipelineOp(schema, member);
-    if (!op.ok()) {
-      ReleaseReaders(exec);  // No task was submitted.
-      RecordFailure(member_topo, op.status());
-      return;
+  if (fused) {
+    spec.input_schema = source != nullptr ? source->schema() : rels[0]->schema();
+    Schema schema = spec.input_schema;
+    for (int member_topo : exec.chain_members) {
+      const ir::OpNode& member = *execs_[static_cast<size_t>(member_topo)].node;
+      StatusOr<PipelineOp> op = ResolvePipelineOp(schema, member);
+      if (!op.ok()) {
+        ReleaseReaders(exec);  // No task was submitted.
+        RecordFailure(member_topo, op.status());
+        return;
+      }
+      schema = BatchPipeline::DeriveSchema(schema, *op);
+      spec.ops.push_back(std::move(*op));
     }
-    schema = BatchPipeline::DeriveSchema(schema, *op);
-    spec.ops.push_back(std::move(*op));
   }
 
   const int64_t batch_rows = state_.batch_rows;
-  SubmitTask(TopoIndexOf(exec.node->id), "fused chain task",
-             [batch_rows, spec = std::move(spec), source = acquired.source,
-              rels = std::move(acquired.rels)](Completion& completion) -> Status {
+  const int64_t mem_budget_rows = state_.mem_budget_rows;
+  SubmitTask(TopoIndex(node->id), fused ? "fused chain task" : "local job",
+             [node, batch_rows, mem_budget_rows, spec = std::move(spec),
+              source = std::move(source),
+              rels = std::move(rels)](Completion& completion) -> Status {
+               if (spec.ops.empty()) {
+                 LocalExecOptions options;
+                 options.mem_budget_rows = mem_budget_rows;
+                 options.spill_stats = &completion.spill_stats;
+                 CONCLAVE_ASSIGN_OR_RETURN(completion.output,
+                                           ExecuteLocal(*node, rels, options));
+                 return Status::Ok();
+               }
                // A streamed input is pulled batch-at-a-time and never
                // materializes (DESIGN.md §12, §14); an in-memory one is read
                // through borrowed slices.
@@ -791,11 +703,9 @@ Status JobGraphExecutor::RunCollect(NodeExec& exec, ExecutionResult& result) {
   result.outputs[params.name] = std::move(output);
   exec.boundary_scaled_seconds = state_.net.TakeMeterSeconds() * state_.MpcScale();
   MarkMaterialized(exec);
-  if (state_.fault != nullptr && state_.fault->has_pending_failure()) {
-    // An unrecoverable drop/corruption during the reveal or fan-out; the abort
-    // discards this Collect's (already stored) output.
-    RecordFaultFailure(TopoIndexOf(node->id));
-  }
+  // An unrecoverable drop/corruption during the reveal or fan-out escalates;
+  // the abort discards this Collect's (already stored) output.
+  EscalatePendingFault(exec);
   return Status::Ok();
 }
 
@@ -809,10 +719,8 @@ Status JobGraphExecutor::RunLaneNode(NodeExec& exec) {
   if (fault != nullptr) {
     fault->EnterScope(node->id);
     crashes = fault->JobCrashes(node->id);
-    if (fault->has_pending_failure()) {
-      // Crash budget exhausted: structured abort, nothing materializes.
-      RecordFaultFailure(TopoIndexOf(node->id));
-      return Status::Ok();
+    if (EscalatePendingFault(exec)) {
+      return Status::Ok();  // Crash budget exhausted: nothing materializes.
     }
   }
 
@@ -828,11 +736,10 @@ Status JobGraphExecutor::RunLaneNode(NodeExec& exec) {
       fault->BeginAttempt(attempt);
     }
     CONCLAVE_RETURN_IF_ERROR(ExecuteLaneOnce(exec));
-    if (fault != nullptr && fault->has_pending_failure()) {
-      // Unrecoverable send loss inside this attempt: structured abort. Drain
-      // the attempt's meter so no charge leaks into a later step.
+    if (EscalatePendingFault(exec)) {
+      // Unrecoverable send loss inside this attempt. Drain the attempt's meter
+      // so no charge leaks into a later step.
       state_.net.TakeMeterSeconds();
-      RecordFaultFailure(TopoIndexOf(node->id));
       return Status::Ok();
     }
     if (!crash_after) {
@@ -914,60 +821,28 @@ void JobGraphExecutor::DrainCompletions(bool wait) {
       value.kind = MaterializedValue::Kind::kCleartext;
       value.clear = std::move(completion.output);
     }
-    if (exec.chain_members.size() >= 2) {
-      // Fused chain: price interior members from the per-op input rows the
-      // pipeline metered (equal to the unfused intermediate cardinalities at
-      // every batch size — streaming limits consume their whole input), store
-      // the tail's output, and materialize every member in chain order.
-      // chain_op_rows[0] is the head's input, already charged at acquisition.
-      for (size_t k = 1; k < exec.chain_members.size(); ++k) {
-        NodeExec& member = execs_[static_cast<size_t>(exec.chain_members[k])];
-        const uint64_t records =
-            static_cast<uint64_t>(completion.chain_op_rows[k]);
-        member.local_compute_seconds = LocalComputeSeconds(state_, records);
-        state_.net.mutable_counters().cleartext_records += records;
-        // Fused blocking members (a distinct-on-sorted tail) carry the same
-        // priced spill charge the unfused executor would: the charge is a
-        // function of the member's total input rows, which the pipeline
-        // metered batch-invariantly — the clock stays grid-invariant whether
-        // the member fuses or materializes.
-        if (state_.mem_budget_rows > 0) {
-          member.spill_priced_seconds = compiler::NodeSpillSeconds(
-              *member.node, static_cast<double>(completion.chain_op_rows[k]),
-              /*right_rows=*/0, state_.net.model(), state_.mem_budget_rows);
-          if (member.spill_priced_seconds > 0) {
-            member.spill_passes = spill::SpillMergePasses(
-                completion.chain_op_rows[k], state_.mem_budget_rows);
-          }
-        }
-        if (state_.fault != nullptr && exec.fault_crashes > 0) {
-          // Each restart of the head's job re-ran the whole fused chain; the
-          // interior members' compute joins the head's (already counted)
-          // restarts. The charge is a pure function of the chain's row totals,
-          // so it is identical at every pool/batch configuration.
-          state_.fault->AddRecoverySeconds(
-              exec.node->id, static_cast<double>(exec.fault_crashes) *
-                                 member.local_compute_seconds);
-        }
-      }
-      const NodeExec& tail =
-          execs_[static_cast<size_t>(exec.chain_members.back())];
-      value.location = tail.node->exec_party;
-      state_.values[static_cast<size_t>(tail.node->id)] = std::move(value);
-      MarkMaterialized(exec);
-      for (size_t k = 1; k < exec.chain_members.size(); ++k) {
-        NodeExec& member = execs_[static_cast<size_t>(exec.chain_members[k])];
-        // Each member's sole use of its predecessor's (never-stored) value.
-        AdvanceAcquisition(member);
-        MarkMaterialized(member);
-      }
-      continue;
-    }
+    // A job stores its tail's output: the node itself for a Create or a lone
+    // node.
+    const NodeExec& tail =
+        exec.chain_members.empty()
+            ? exec
+            : execs_[static_cast<size_t>(exec.chain_members.back())];
     value.location = exec.klass == NodeClass::kCreate
                          ? exec.node->Params<ir::CreateParams>().party
-                         : exec.node->exec_party;
-    state_.values[static_cast<size_t>(exec.node->id)] = std::move(value);
+                         : tail.node->exec_party;
+    state_.values[static_cast<size_t>(tail.node->id)] = std::move(value);
     MarkMaterialized(exec);
+    // Fused members, in chain order, record the rows the pipeline metered for
+    // them (equal to the unfused intermediate cardinalities at every batch
+    // size: streaming limits consume their whole input; chain_op_rows[0] is
+    // the head's input, recorded at acquisition) and materialize.
+    for (size_t k = 1; k < exec.chain_members.size(); ++k) {
+      NodeExec& member = execs_[static_cast<size_t>(exec.chain_members[k])];
+      member.input_rows = {completion.chain_op_rows[k]};
+      // Each member's sole use of its predecessor's (never-stored) value.
+      AdvanceAcquisition(member);
+      MarkMaterialized(member);
+    }
   }
 }
 
@@ -987,11 +862,13 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
     exec.remaining_inputs = static_cast<int>(topo_[i]->inputs.size());
     if (exec.klass == NodeClass::kLane) {
       lane_.push_back(static_cast<int>(i));
+    } else if (exec.klass == NodeClass::kLocalCompute) {
+      exec.chain_members = {static_cast<int>(i)};  // Until a chain claims it.
     }
   }
   for (size_t i = 0; i < topo_.size(); ++i) {
     for (const ir::OpNode* in : topo_[i]->inputs) {
-      execs_[static_cast<size_t>(TopoIndexOf(in->id))].consumer_uses.push_back(
+      execs_[static_cast<size_t>(TopoIndex(in->id))].consumer_uses.push_back(
           static_cast<int>(i));
     }
   }
@@ -999,21 +876,22 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
     std::sort(exec.consumer_uses.begin(), exec.consumer_uses.end());
   }
 
-  // Pipeline fusion (DESIGN.md §10): stamp each fusible local chain, and its
-  // streaming mark, on its head. The chains and marks come from the same
-  // procedure the planner's explain advice uses (compiler::PipelineChains), so
-  // listing and runtime agree.
+  // Pipeline fusion (DESIGN.md §10): each fusible local chain is one job on
+  // its head, which carries the chain's streaming mark; every other local node
+  // stays a one-member job. The chains and marks come from the same procedure
+  // the planner's explain advice uses (compiler::PipelineChains), so listing
+  // and runtime agree.
   for (const compiler::PipelineChain& chain : compiler::PipelineChains(
            std::span<const ir::OpNode* const>(topo_.data(), topo_.size()),
            compilation_.options.mpc_backend)) {
-    const int head_topo = TopoIndexOf(chain.nodes.front()->id);
-    NodeExec& head = execs_[static_cast<size_t>(head_topo)];
-    head.streams_input = chain.streams_input;
+    std::vector<int> members;
     for (const ir::OpNode* member : chain.nodes) {
-      const int member_topo = TopoIndexOf(member->id);
-      head.chain_members.push_back(member_topo);
-      execs_[static_cast<size_t>(member_topo)].chain_head = head_topo;
+      members.push_back(TopoIndex(member->id));
+      execs_[static_cast<size_t>(members.back())].chain_members.clear();
     }
+    NodeExec& head = execs_[static_cast<size_t>(members.front())];
+    head.chain_members = std::move(members);
+    head.streams_input = chain.streams_input;
   }
 
   ExecutionResult result;
@@ -1029,8 +907,7 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
   for (;;) {
     bool dispatched_any = false;
     for (size_t i = 0; i < execs_.size(); ++i) {
-      const int gate = FailureGate();
-      if (gate >= 0 && static_cast<int>(i) >= gate) {
+      if (failed_topo_ >= 0 && static_cast<int>(i) >= failed_topo_) {
         break;  // execs_ is topo-ordered; nothing past the failure may dispatch.
       }
       NodeExec& exec = execs_[i];
@@ -1044,11 +921,7 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
           break;
         case NodeClass::kLocalCompute:
           if (CanAcquireInputs(exec)) {
-            if (exec.chain_members.size() >= 2) {
-              DispatchChain(exec);
-            } else {
-              DispatchLocalCompute(exec);
-            }
+            DispatchLocalJob(exec);
             dispatched_any = true;
           }
           break;
@@ -1083,25 +956,22 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
     break;  // Quiescent: everything runnable (below any failure) has finished.
   }
 
-  // Graceful degradation: an exhausted fault-recovery budget ends in a
-  // structured abort (ok() + aborted + FaultReport), not a bare error. At the
-  // same topo index the fault abort wins — the injected fault is what made the
-  // step fail; a regular failure at a strictly earlier index is the canonical
-  // outcome a fault-free run reports, so it takes precedence.
-  const bool fault_abort =
-      fault_failed_topo_ >= 0 &&
-      (first_failed_topo_ < 0 || fault_failed_topo_ <= first_failed_topo_);
-  if (fault_abort) {
-    state_.fault->RecordFirstFailure(fault_failure_node_, fault_failure_text_);
+  // Graceful degradation: a fault escalation that is the run's first failure
+  // (an exhausted recovery budget) ends in a structured abort (ok() + aborted
+  // + FaultReport), not a bare error. Its report carries the restarts of the
+  // work that ran before the abort, priced by the same pass as a completed
+  // run's; the pass's other totals are discarded with the run.
+  if (failure_fault_.has_value()) {
+    PriceNodes(result);
+    state_.fault->RecordFirstFailure(failure_fault_->node_id,
+                                     std::move(failure_fault_->provenance));
     ExecutionResult aborted;
     aborted.aborted = true;
-    aborted.abort_status = ResourceExhaustedError(
-        StrFormat("fault recovery budget exhausted at node #%d: %s",
-                  fault_failure_node_, fault_failure_text_.c_str()));
+    aborted.abort_status = std::move(failure_);
     aborted.fault_report = state_.fault->Report(TopoNodeIds());
     return aborted;
   }
-  if (first_failed_topo_ >= 0) {
+  if (failed_topo_ >= 0) {
     return failure_;
   }
   // No failure: quiescence with unmaterialized nodes would be a plan bug.
@@ -1109,20 +979,71 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
   return FinalizeAccounting(std::move(result));
 }
 
+void JobGraphExecutor::PriceNodes(ExecutionResult& result) {
+  const CostModel& model = state_.net.model();
+  const int64_t budget = state_.mem_budget_rows;
+  result.spill_report.mem_budget_rows = budget;
+  for (const NodeExec& exec : execs_) {
+    const ir::OpNode& node = *exec.node;
+    double compute_seconds = 0;
+    if (exec.klass == NodeClass::kLocalCompute && !exec.input_rows.empty()) {
+      const uint64_t records = exec.Records();
+      compute_seconds = LocalComputeSeconds(state_, records);
+      state_.net.mutable_counters().cleartext_records += records;
+      // Beyond-RAM spill (DESIGN.md §12): the closed form over the node-total
+      // input rows, never physical batch layout, so the charge is
+      // grid-invariant; 0 when the budget is unbounded or the inputs fit.
+      // It joins the clock once, through spill_seconds — never through
+      // node_seconds, so the per-node estimate==meter identities hold.
+      const int64_t in_rows = exec.input_rows[0];
+      const int64_t right_rows = exec.input_rows.size() > 1 ? exec.input_rows[1] : 0;
+      const double spill_seconds = compiler::NodeSpillSeconds(
+          node, static_cast<double>(in_rows), static_cast<double>(right_rows), model,
+          budget);
+      if (spill_seconds > 0) {
+        ++result.spill_report.spilling_nodes;
+        result.spill_report.spill_passes += spill::SpillMergePasses(
+            node.kind == ir::OpKind::kJoin ? right_rows : in_rows, budget);
+        result.spill_report.spill_seconds += spill_seconds;
+      }
+    }
+    // Pool-task crash restarts (DESIGN.md §11). A pool task is a pure function
+    // of its inputs, so a crashed one re-runs to the same bits: each restart is
+    // priced (the wasted compute plus the restart penalty), not re-executed. A
+    // Create's ingest charges no compute. Each restart of a fused chain re-ran
+    // every member, so the members' compute joins the head's restarts. Lane
+    // nodes replay their crashes physically instead (RunLaneNode).
+    if (exec.fault_crashes > 0) {
+      for (int k = 0; k < exec.fault_crashes; ++k) {
+        state_.fault->ChargeJobRestart(node.id, compute_seconds);
+      }
+      for (size_t k = 1; k < exec.chain_members.size(); ++k) {
+        const NodeExec& member = execs_[static_cast<size_t>(exec.chain_members[k])];
+        if (!member.input_rows.empty()) {  // The chain completed.
+          state_.fault->AddRecoverySeconds(
+              node.id, static_cast<double>(exec.fault_crashes) *
+                           LocalComputeSeconds(state_, member.Records()));
+        }
+      }
+    }
+    result.node_seconds[node.id] = exec.boundary_scaled_seconds + compute_seconds;
+    result.spill_report.stats.Merge(exec.spill_stats);
+  }
+}
+
 StatusOr<ExecutionResult> JobGraphExecutor::FinalizeAccounting(
     ExecutionResult result) {
-  // All floating-point totals are folded here, in topo/job order, from the per-node
-  // attributions recorded during execution — never in completion order, which is
+  // All floating-point totals are folded here, in topo/job order, from the facts
+  // recorded during execution — never in completion order, which is
   // scheduling-dependent. This is what keeps every reported number bit-identical
   // across pool sizes.
+  PriceNodes(result);
   std::unordered_map<int, double> job_duration;
   std::unordered_set<int> jobs_started;  // Spark startup charged once per job.
   for (const NodeExec& exec : execs_) {
     const int job = state_.node_job.at(exec.node->id);
-    result.node_seconds[exec.node->id] =
-        exec.boundary_scaled_seconds + exec.local_compute_seconds;
-    double seconds = exec.boundary_scaled_seconds + exec.local_compute_seconds;
-    if (exec.charged_local && state_.use_spark &&
+    double seconds = result.node_seconds.at(exec.node->id);
+    if (exec.klass == NodeClass::kLocalCompute && state_.use_spark &&
         jobs_started.insert(job).second) {
       seconds += state_.net.model().spark_job_startup_seconds;
     }
@@ -1220,21 +1141,10 @@ StatusOr<ExecutionResult> JobGraphExecutor::FinalizeAccounting(
     result.fault_report = state_.fault->Report(TopoNodeIds());
     result.virtual_seconds += result.fault_report.recovery_seconds;
   }
-  // Beyond-RAM accounting (DESIGN.md §12), folded in topo order like every
-  // other total. The priced charge joins the clock once, here — never through
-  // node_seconds or the meter — so with a budget the total is exactly the
-  // unbounded run's clock plus spill_seconds; with none, the report stays zero
-  // and the clock is untouched. Physical SpillStats merge alongside for
-  // observability.
-  result.spill_report.mem_budget_rows = state_.mem_budget_rows;
-  for (const NodeExec& exec : execs_) {
-    if (exec.spill_priced_seconds > 0) {
-      ++result.spill_report.spilling_nodes;
-      result.spill_report.spill_passes += exec.spill_passes;
-      result.spill_report.spill_seconds += exec.spill_priced_seconds;
-    }
-    result.spill_report.stats.Merge(exec.spill_stats);
-  }
+  // Beyond-RAM accounting (DESIGN.md §12): the priced spill charge joins the
+  // clock once, here — never through node_seconds or the meter — so with a
+  // budget the total is exactly the unbounded run's clock plus spill_seconds;
+  // with none, the report stays zero and the clock is untouched.
   result.virtual_seconds += result.spill_report.spill_seconds;
   for (const MaterializedValue& value : state_.values) {
     if (value.kind == MaterializedValue::Kind::kSource) {

@@ -19,11 +19,20 @@
 // randomness and fixed morsel summation order keep every sharing bit-identical at
 // any pool size (DESIGN.md §5).
 //
-// Virtual time is job-scheduled and independent of the pool size: each job gets a
+// Virtual time is job-scheduled and independent of the pool size. Execution only
+// records facts per node (metered engine/boundary charges, the rows each local
+// node read, how often its pool task crashed); one accounting pass then prices
+// them in topo order (cleartext compute, spill, crash restarts), each job gets a
 // duration (cost-model time for local jobs, engine-measured time for MPC/hybrid
-// jobs) and the total is the critical path over the job dependency graph. The
+// jobs), and the total is the critical path over the job dependency graph. The
 // determinism contract (same results and virtual-clock totals for every pool size,
 // bit for bit) is spelled out in DESIGN.md §5.
+//
+// Cleartext work dispatches through one path: every local node belongs to one
+// local job, a fused chain (DESIGN.md §10) or a lone node as a one-member job,
+// and each job is one pool task. A failure, including a fault escalation that
+// ends in a structured abort (DESIGN.md §11), lands in one record that keeps the
+// earliest failing node in topo order.
 #ifndef CONCLAVE_BACKENDS_DISPATCHER_H_
 #define CONCLAVE_BACKENDS_DISPATCHER_H_
 

@@ -9,88 +9,42 @@ namespace backends {
 StatusOr<Relation> ExecuteLocal(const ir::OpNode& node,
                                 const std::vector<const Relation*>& inputs,
                                 const LocalExecOptions& options) {
+  CONCLAVE_ASSIGN_OR_RETURN(const ir::ResolvedOp op,
+                            ir::ResolveOp(node, ir::SchemasOf(inputs)));
   switch (node.kind) {
     case ir::OpKind::kCreate:
       return InternalError("create nodes materialize from provided inputs");
     case ir::OpKind::kConcat: {
       Relation merged = ops::Concat(inputs);
-      const auto& params = node.Params<ir::ConcatParams>();
-      if (!params.merge_columns.empty()) {
-        CONCLAVE_ASSIGN_OR_RETURN(std::vector<int> columns,
-                                  merged.schema().IndicesOf(params.merge_columns));
-        merged = ops::SortBy(merged, columns);
+      if (!op.columns.empty()) {
+        merged = ops::SortBy(merged, op.columns);
       }
       return merged;
     }
-    case ir::OpKind::kProject: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          std::vector<int> columns,
-          inputs[0]->schema().IndicesOf(node.Params<ir::ProjectParams>().columns));
-      return ops::Project(*inputs[0], columns);
-    }
-    case ir::OpKind::kFilter: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          FilterPredicate predicate,
-          ir::ResolveFilter(inputs[0]->schema(), node.Params<ir::FilterParams>()));
-      return ops::Filter(*inputs[0], predicate);
-    }
-    case ir::OpKind::kJoin: {
-      const auto& params = node.Params<ir::JoinParams>();
-      CONCLAVE_ASSIGN_OR_RETURN(std::vector<int> lk,
-                                inputs[0]->schema().IndicesOf(params.left_keys));
-      CONCLAVE_ASSIGN_OR_RETURN(std::vector<int> rk,
-                                inputs[1]->schema().IndicesOf(params.right_keys));
-      return spill::Join(*inputs[0], *inputs[1], lk, rk, options.mem_budget_rows,
-                         options.spill_stats);
-    }
+    case ir::OpKind::kProject:
+      return ops::Project(*inputs[0], op.columns);
+    case ir::OpKind::kFilter:
+      return ops::Filter(*inputs[0], op.filter);
+    case ir::OpKind::kJoin:
+      return spill::Join(*inputs[0], *inputs[1], op.columns, op.right_keys,
+                         options.mem_budget_rows, options.spill_stats);
     case ir::OpKind::kAggregate: {
       const auto& params = node.Params<ir::AggregateParams>();
-      CONCLAVE_ASSIGN_OR_RETURN(std::vector<int> group,
-                                inputs[0]->schema().IndicesOf(params.group_columns));
-      int agg_column = 0;
-      if (params.kind != AggKind::kCount) {
-        CONCLAVE_ASSIGN_OR_RETURN(agg_column,
-                                  inputs[0]->schema().IndexOf(params.agg_column));
-      }
-      return spill::Aggregate(*inputs[0], group, params.kind, agg_column,
+      return spill::Aggregate(*inputs[0], op.columns, params.kind, op.agg_column,
                               params.output_name, options.mem_budget_rows,
                               options.spill_stats);
     }
-    case ir::OpKind::kArithmetic: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          ArithSpec spec,
-          ir::ResolveArith(inputs[0]->schema(), node.Params<ir::ArithmeticParams>()));
-      return ops::Arithmetic(*inputs[0], spec);
-    }
-    case ir::OpKind::kWindow: {
-      const auto& params = node.Params<ir::WindowParams>();
-      WindowSpec spec;
-      CONCLAVE_ASSIGN_OR_RETURN(spec.partition_columns,
-                                inputs[0]->schema().IndicesOf(params.partition_columns));
-      CONCLAVE_ASSIGN_OR_RETURN(spec.order_column,
-                                inputs[0]->schema().IndexOf(params.order_column));
-      spec.fn = params.fn;
-      if (params.fn != WindowFn::kRowNumber) {
-        CONCLAVE_ASSIGN_OR_RETURN(spec.value_column,
-                                  inputs[0]->schema().IndexOf(params.value_column));
-      }
-      spec.output_name = params.output_name;
-      return ops::Window(*inputs[0], spec);
-    }
-    case ir::OpKind::kSortBy: {
-      const auto& params = node.Params<ir::SortByParams>();
-      CONCLAVE_ASSIGN_OR_RETURN(std::vector<int> columns,
-                                inputs[0]->schema().IndicesOf(params.columns));
-      return spill::SortBy(*inputs[0], columns, params.ascending,
+    case ir::OpKind::kArithmetic:
+      return ops::Arithmetic(*inputs[0], op.arith);
+    case ir::OpKind::kWindow:
+      return ops::Window(*inputs[0], op.window);
+    case ir::OpKind::kSortBy:
+      return spill::SortBy(*inputs[0], op.columns,
+                           node.Params<ir::SortByParams>().ascending,
                            options.mem_budget_rows, options.spill_stats);
-    }
-    case ir::OpKind::kDistinct: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          std::vector<int> columns,
-          inputs[0]->schema().IndicesOf(node.Params<ir::DistinctParams>().columns));
-      return spill::Distinct(*inputs[0], columns, options.mem_budget_rows,
+    case ir::OpKind::kDistinct:
+      return spill::Distinct(*inputs[0], op.columns, options.mem_budget_rows,
                              options.spill_stats);
-    }
     case ir::OpKind::kPad:
       return ops::PadToPowerOfTwo(*inputs[0],
                                   node.Params<ir::PadParams>().sentinel_stream);
@@ -104,33 +58,18 @@ StatusOr<Relation> ExecuteLocal(const ir::OpNode& node,
 
 StatusOr<PipelineOp> ResolvePipelineOp(const Schema& input_schema,
                                        const ir::OpNode& node) {
+  CONCLAVE_ASSIGN_OR_RETURN(ir::ResolvedOp op, ir::ResolveOp(node, {&input_schema}));
   switch (node.kind) {
-    case ir::OpKind::kFilter: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          FilterPredicate predicate,
-          ir::ResolveFilter(input_schema, node.Params<ir::FilterParams>()));
-      return PipelineOp::Filter(predicate);
-    }
-    case ir::OpKind::kProject: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          std::vector<int> columns,
-          input_schema.IndicesOf(node.Params<ir::ProjectParams>().columns));
-      return PipelineOp::Project(std::move(columns));
-    }
-    case ir::OpKind::kArithmetic: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          ArithSpec spec,
-          ir::ResolveArith(input_schema, node.Params<ir::ArithmeticParams>()));
-      return PipelineOp::Arithmetic(spec);
-    }
+    case ir::OpKind::kFilter:
+      return PipelineOp::Filter(op.filter);
+    case ir::OpKind::kProject:
+      return PipelineOp::Project(std::move(op.columns));
+    case ir::OpKind::kArithmetic:
+      return PipelineOp::Arithmetic(op.arith);
     case ir::OpKind::kLimit:
       return PipelineOp::Limit(node.Params<ir::LimitParams>().count);
-    case ir::OpKind::kDistinct: {
-      CONCLAVE_ASSIGN_OR_RETURN(
-          std::vector<int> columns,
-          input_schema.IndicesOf(node.Params<ir::DistinctParams>().columns));
-      return PipelineOp::DistinctOnSorted(std::move(columns));
-    }
+    case ir::OpKind::kDistinct:
+      return PipelineOp::DistinctOnSorted(std::move(op.columns));
     default:
       return InternalError(
           StrFormat("op kind %s is not pipeline-fusible", ir::OpKindName(node.kind)));

@@ -1,8 +1,10 @@
 // Cleartext execution of DAG nodes (the sequential-Python agent of §4.1).
 //
-// Pure operator semantics live in relational/ops.h; this backend resolves column
-// names against runtime schemas and dispatches. Cost accounting (Python vs. Spark) is
-// the dispatcher's job, priced by CostModel::CleartextScanSeconds.
+// Pure operator semantics live in relational/ops.h; this backend resolves a node's
+// column names against its runtime input schemas (ir::ResolveOp, shared with the MPC
+// backends) and dispatches. Cost accounting (Python vs. Spark) is the dispatcher's
+// job: its accounting pass prices the rows each node read with
+// CostModel::CleartextScanSeconds.
 #ifndef CONCLAVE_BACKENDS_LOCAL_BACKEND_H_
 #define CONCLAVE_BACKENDS_LOCAL_BACKEND_H_
 
@@ -34,10 +36,10 @@ StatusOr<Relation> ExecuteLocal(const ir::OpNode& node,
                                 const LocalExecOptions& options = {});
 
 // Resolves one pipeline-fusible node (compiler::PipelineFusibleOp) into a
-// streaming operator against its runtime input schema. Name resolution mirrors
-// ExecuteLocal's per-kind resolution exactly, so a failure carries the same
-// status the unfused execution of the node would report. The stage's output
-// schema is BatchPipeline::DeriveSchema(input_schema, op).
+// streaming operator against its runtime input schema. Name resolution is
+// ExecuteLocal's (ir::ResolveOp), so a failure carries the same status the
+// unfused execution of the node would report. The stage's output schema is
+// BatchPipeline::DeriveSchema(input_schema, op).
 StatusOr<PipelineOp> ResolvePipelineOp(const Schema& input_schema,
                                        const ir::OpNode& node);
 

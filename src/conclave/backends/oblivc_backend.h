@@ -18,16 +18,12 @@ namespace backends {
 
 class OblivcBackend {
  public:
-  // `oblivm_mode` selects the ObliVM (SMCQL backend) cost profile.
-  OblivcBackend(SimNetwork* network, bool oblivm_mode = false)
-      : engine_(network, oblivm_mode) {}
+  explicit OblivcBackend(SimNetwork* network) : engine_(network) {}
 
   Status Input(const Relation& relation) { return engine_.ChargeInput(relation); }
 
   StatusOr<Relation> Execute(const ir::OpNode& node,
                              const std::vector<const Relation*>& inputs);
-
-  gc::GcEngine& engine() { return engine_; }
 
  private:
   gc::GcEngine engine_;

@@ -33,7 +33,12 @@ struct Job {
 };
 
 struct ExecutionPlan {
-  std::vector<Job> jobs;  // Topologically ordered.
+  // Numbered by each job's first node in DAG topological order, which is not a
+  // topological order of the job graph: with A@p0 -> B[mpc] -> D[mpc] <- C@p1,
+  // the MPC job {B, D} gets id 1 and C's job id 2, yet the MPC job waits on C.
+  // Walks that need dependency order (the dispatcher's critical-path schedule)
+  // follow the job edges instead.
+  std::vector<Job> jobs;
 
   int CountJobs(JobKind kind) const;
   // "5 jobs: 3 local, 1 mpc, 1 hybrid" plus one line per job.

@@ -37,36 +37,6 @@ const char* OpKindName(OpKind kind) {
   return "?";
 }
 
-StatusOr<FilterPredicate> ResolveFilter(const Schema& schema,
-                                        const FilterParams& params) {
-  FilterPredicate predicate;
-  CONCLAVE_ASSIGN_OR_RETURN(predicate.column, schema.IndexOf(params.column));
-  predicate.op = params.op;
-  predicate.rhs_is_column = params.rhs_is_column;
-  if (params.rhs_is_column) {
-    CONCLAVE_ASSIGN_OR_RETURN(predicate.rhs_column, schema.IndexOf(params.rhs_column));
-  } else {
-    predicate.rhs_literal = params.literal;
-  }
-  return predicate;
-}
-
-StatusOr<ArithSpec> ResolveArith(const Schema& schema,
-                                 const ArithmeticParams& params) {
-  ArithSpec spec;
-  spec.kind = params.kind;
-  CONCLAVE_ASSIGN_OR_RETURN(spec.lhs_column, schema.IndexOf(params.lhs_column));
-  spec.rhs_is_column = params.rhs_is_column;
-  if (params.rhs_is_column) {
-    CONCLAVE_ASSIGN_OR_RETURN(spec.rhs_column, schema.IndexOf(params.rhs_column));
-  } else {
-    spec.rhs_literal = params.literal;
-  }
-  spec.result_name = params.output_name;
-  spec.scale = params.scale;
-  return spec;
-}
-
 const char* ExecModeName(ExecMode mode) {
   switch (mode) {
     case ExecMode::kLocal:
@@ -147,6 +117,96 @@ std::string OpNode::ToString() const {
     out += StrFormat(" owner=%d", owner);
   }
   return out;
+}
+
+StatusOr<ResolvedOp> ResolveOp(const OpNode& node,
+                               const std::vector<const Schema*>& inputs) {
+  ResolvedOp op;
+  switch (node.kind) {
+    case OpKind::kConcat: {
+      CONCLAVE_ASSIGN_OR_RETURN(
+          op.columns, inputs[0]->IndicesOf(node.Params<ConcatParams>().merge_columns));
+      break;
+    }
+    case OpKind::kProject: {
+      CONCLAVE_ASSIGN_OR_RETURN(
+          op.columns, inputs[0]->IndicesOf(node.Params<ProjectParams>().columns));
+      break;
+    }
+    case OpKind::kFilter: {
+      const auto& params = node.Params<FilterParams>();
+      CONCLAVE_ASSIGN_OR_RETURN(op.filter.column, inputs[0]->IndexOf(params.column));
+      op.filter.op = params.op;
+      op.filter.rhs_is_column = params.rhs_is_column;
+      if (params.rhs_is_column) {
+        CONCLAVE_ASSIGN_OR_RETURN(op.filter.rhs_column,
+                                  inputs[0]->IndexOf(params.rhs_column));
+      } else {
+        op.filter.rhs_literal = params.literal;
+      }
+      break;
+    }
+    case OpKind::kJoin: {
+      const auto& params = node.Params<JoinParams>();
+      CONCLAVE_ASSIGN_OR_RETURN(op.columns, inputs[0]->IndicesOf(params.left_keys));
+      CONCLAVE_ASSIGN_OR_RETURN(op.right_keys, inputs[1]->IndicesOf(params.right_keys));
+      break;
+    }
+    case OpKind::kAggregate: {
+      const auto& params = node.Params<AggregateParams>();
+      CONCLAVE_ASSIGN_OR_RETURN(op.columns, inputs[0]->IndicesOf(params.group_columns));
+      if (params.kind != AggKind::kCount) {
+        CONCLAVE_ASSIGN_OR_RETURN(op.agg_column, inputs[0]->IndexOf(params.agg_column));
+      }
+      break;
+    }
+    case OpKind::kArithmetic: {
+      const auto& params = node.Params<ArithmeticParams>();
+      op.arith.kind = params.kind;
+      CONCLAVE_ASSIGN_OR_RETURN(op.arith.lhs_column,
+                                inputs[0]->IndexOf(params.lhs_column));
+      op.arith.rhs_is_column = params.rhs_is_column;
+      if (params.rhs_is_column) {
+        CONCLAVE_ASSIGN_OR_RETURN(op.arith.rhs_column,
+                                  inputs[0]->IndexOf(params.rhs_column));
+      } else {
+        op.arith.rhs_literal = params.literal;
+      }
+      op.arith.result_name = params.output_name;
+      op.arith.scale = params.scale;
+      break;
+    }
+    case OpKind::kWindow: {
+      const auto& params = node.Params<WindowParams>();
+      CONCLAVE_ASSIGN_OR_RETURN(op.window.partition_columns,
+                                inputs[0]->IndicesOf(params.partition_columns));
+      CONCLAVE_ASSIGN_OR_RETURN(op.window.order_column,
+                                inputs[0]->IndexOf(params.order_column));
+      op.window.fn = params.fn;
+      if (params.fn != WindowFn::kRowNumber) {
+        CONCLAVE_ASSIGN_OR_RETURN(op.window.value_column,
+                                  inputs[0]->IndexOf(params.value_column));
+      }
+      op.window.output_name = params.output_name;
+      break;
+    }
+    case OpKind::kSortBy: {
+      CONCLAVE_ASSIGN_OR_RETURN(
+          op.columns, inputs[0]->IndicesOf(node.Params<SortByParams>().columns));
+      break;
+    }
+    case OpKind::kDistinct: {
+      CONCLAVE_ASSIGN_OR_RETURN(
+          op.columns, inputs[0]->IndicesOf(node.Params<DistinctParams>().columns));
+      break;
+    }
+    case OpKind::kCreate:
+    case OpKind::kPad:
+    case OpKind::kLimit:
+    case OpKind::kCollect:
+      break;  // No column references.
+  }
+  return op;
 }
 
 }  // namespace ir

@@ -114,15 +114,6 @@ struct ArithmeticParams {
   int64_t scale = 1;  // Fixed-point numerator scale for kDiv.
 };
 
-// Resolve a filter's / an arithmetic node's column names against a runtime
-// schema into the kernel spec every backend runs (cleartext, fused pipeline,
-// secret-shared, garbled), so a bad column name fails with the same Status on
-// each.
-StatusOr<FilterPredicate> ResolveFilter(const Schema& schema,
-                                        const FilterParams& params);
-StatusOr<ArithSpec> ResolveArith(const Schema& schema,
-                                 const ArithmeticParams& params);
-
 struct WindowParams {
   std::vector<std::string> partition_columns;
   std::string order_column;
@@ -213,6 +204,42 @@ struct OpNode {
   // One-line rendering: "#4 join[mpc,hybrid-join,stp=0] keys=(ssn|ssn)".
   std::string ToString() const;
 };
+
+// --- Runtime resolution -------------------------------------------------------------
+
+// A node's column names resolved against its runtime input schemas into the
+// indices and specs the kernels take. Only the fields of the node's kind are
+// set.
+struct ResolvedOp {
+  // Project / distinct / sort_by columns, the aggregate's group columns, a
+  // sorted-merge concat's merge columns, or a join's left keys.
+  std::vector<int> columns;
+  std::vector<int> right_keys;  // Join.
+  int agg_column = 0;           // Aggregate; left 0 for kCount.
+  FilterPredicate filter;       // Filter.
+  ArithSpec arith;              // Arithmetic.
+  WindowSpec window;            // Window; value_column left 0 for kRowNumber.
+};
+
+// The one name resolution every backend runs (cleartext, fused pipeline,
+// secret-shared, garbled), so a bad column name fails with the same Status on
+// each: the lookup error of the first missing column, in the order the kind's
+// params list them. `inputs` holds the node's input schemas in input order; a
+// join reads two, every other kind only the first.
+StatusOr<ResolvedOp> ResolveOp(const OpNode& node,
+                               const std::vector<const Schema*>& inputs);
+
+// The schemas of `relations` (Relation or SharedRelation pointers), in order:
+// ResolveOp's `inputs` for a backend holding its node's input relations.
+template <typename R>
+std::vector<const Schema*> SchemasOf(const std::vector<const R*>& relations) {
+  std::vector<const Schema*> schemas;
+  schemas.reserve(relations.size());
+  for (const R* relation : relations) {
+    schemas.push_back(&relation->schema());
+  }
+  return schemas;
+}
 
 }  // namespace ir
 }  // namespace conclave

@@ -10,6 +10,7 @@
 #include "conclave/data/generators.h"
 #include "conclave/net/fault.h"
 #include "conclave/net/network.h"
+#include "conclave/relational/pipeline.h"
 
 namespace conclave {
 namespace {
@@ -255,6 +256,121 @@ TEST(FaultRecoveryTest, MixedFaultLoadRecoversAtEveryPoolSize) {
             parallel.fault_report.injected_crashes);
   EXPECT_EQ(serial.fault_report.recovery_seconds,
             parallel.fault_report.recovery_seconds);
+}
+
+// A query whose crash targets are pool tasks reading same-party inputs, so each
+// one's boundary charge is 0 and its node_seconds is exactly its cleartext
+// compute: alice's Create, the fused filter -> arithmetic -> project chain on
+// it, and the lone (blocking) aggregate after the chain. The MPC aggregate
+// across alice and bob ends in one revealing Collect, topo-last.
+struct CrashPricingQuery {
+  Query query;
+  std::map<std::string, Relation> inputs;
+  int create = -1;
+  std::vector<int> chain;  // Head first.
+  int lone = -1;
+  int collect = -1;
+};
+
+void BuildCrashPricingQuery(CrashPricingQuery& q) {
+  Party alice = q.query.AddParty("alice");
+  Party bob = q.query.AddParty("bob");
+  Table a = q.query.NewTable("a", {{"k"}, {"v"}}, alice);
+  Table filtered = a.Filter("v", CompareOp::kGt, 10);
+  Table scaled = filtered.MultiplyConst("w", "v", 3);
+  Table projected = scaled.Project({"k", "w"});
+  Table lone = projected.Aggregate("total", AggKind::kSum, {"k"}, "w");
+  Table b = q.query.NewTable("b", {{"k"}, {"total"}}, bob);
+  q.query.Concat({lone, b})
+      .Aggregate("sum", AggKind::kSum, {"k"}, "total")
+      .WriteToCsv("out", {alice});
+  q.inputs["a"] = data::UniformInts(300, {"k", "v"}, 40, /*seed=*/51);
+  q.inputs["b"] = data::UniformInts(200, {"k", "total"}, 40, /*seed=*/52);
+  q.create = a.node()->id;
+  q.chain = {filtered.node()->id, scaled.node()->id, projected.node()->id};
+  q.lone = lone.node()->id;
+  q.collect = q.query.dag().Collects().at(0)->id;
+}
+
+backends::ExecutionResult RunCrashPricing(bool crash, bool corrupt, int pool,
+                                          int64_t batch_rows) {
+  CrashPricingQuery q;
+  BuildCrashPricingQuery(q);
+  std::optional<FaultPlan> plan;
+  if (crash || corrupt) {
+    plan.emplace();
+    plan->enabled = true;
+  }
+  if (crash) {
+    for (int node_id : {q.create, q.lone, q.chain.front()}) {
+      FaultEvent event;
+      event.kind = FaultEvent::Kind::kCrashJob;
+      event.node_id = node_id;
+      event.times = 1;
+      plan->events.push_back(event);
+    }
+  }
+  if (corrupt) {
+    FaultEvent event;
+    event.kind = FaultEvent::Kind::kCorruptReveal;
+    event.node_id = q.collect;
+    event.ordinal = 0;
+    event.times = CostModel{}.max_send_retries + 1;  // Unrecoverable.
+    plan->events.push_back(event);
+  }
+  auto result = q.query.Run(q.inputs, {}, CostModel{}, 42,
+                            {.pool_parallelism = pool,
+                             .batch_rows = batch_rows,
+                             .fault_plan = std::move(plan)});
+  CONCLAVE_CHECK(result.ok());
+  return std::move(*result);
+}
+
+// A crashed pool task re-runs to the same bits, so its restarts are priced,
+// not re-executed: each crash charges the restart penalty plus the job's
+// wasted compute (none for a Create's ingest; every member's for a fused
+// chain). The chaos identity (clock = fault-free clock + recovery) holds
+// whatever the recovery is, so this pins the charge's value, at every {pool,
+// batch} point and in a structured abort's report.
+TEST(FaultRecoveryTest, PoolTaskCrashesPriceComputeAndRestart) {
+  const CostModel model;
+  CrashPricingQuery ids;
+  BuildCrashPricingQuery(ids);
+  for (int pool : {1, 4}) {
+    for (int64_t batch_rows : {int64_t{16}, kDefaultBatchRows}) {
+      SCOPED_TRACE(testing::Message() << "pool=" << pool << " batch=" << batch_rows);
+      const backends::ExecutionResult base =
+          RunCrashPricing(/*crash=*/false, /*corrupt=*/false, pool, batch_rows);
+      double expected = 3 * model.crash_restart_seconds +
+                        base.node_seconds.at(ids.lone);
+      for (int member : ids.chain) {
+        ASSERT_GT(base.node_seconds.at(member), 0.0);
+        expected += base.node_seconds.at(member);
+      }
+      EXPECT_EQ(base.node_seconds.at(ids.create), 0.0);
+
+      const backends::ExecutionResult crashed =
+          RunCrashPricing(/*crash=*/true, /*corrupt=*/false, pool, batch_rows);
+      ExpectRecoveredBitIdentical(base, crashed);
+      EXPECT_EQ(crashed.fault_report.injected_crashes, 3u);
+      EXPECT_EQ(crashed.fault_report.job_restarts, 3u);
+      EXPECT_DOUBLE_EQ(crashed.fault_report.recovery_seconds, expected);
+
+      // An unrecoverable corruption of the topo-last reveal aborts the run
+      // after every crashed job ran: the abort's report carries the same
+      // restart charges on top of the corruption's own retries.
+      const backends::ExecutionResult corrupt_only =
+          RunCrashPricing(/*crash=*/false, /*corrupt=*/true, pool, batch_rows);
+      ASSERT_TRUE(corrupt_only.aborted);
+      const backends::ExecutionResult aborted =
+          RunCrashPricing(/*crash=*/true, /*corrupt=*/true, pool, batch_rows);
+      ASSERT_TRUE(aborted.aborted);
+      EXPECT_EQ(aborted.fault_report.first_failure_node, ids.collect);
+      EXPECT_EQ(aborted.fault_report.job_restarts, 3u);
+      EXPECT_DOUBLE_EQ(aborted.fault_report.recovery_seconds,
+                       expected + corrupt_only.fault_report.recovery_seconds);
+    }
+  }
 }
 
 // --- Streaming across the reveal frontier (DESIGN.md §14) ---------------------------

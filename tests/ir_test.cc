@@ -203,6 +203,131 @@ TEST(DagTest, SortByDescendingStored) {
   EXPECT_FALSE(sort->Params<SortByParams>().ascending);
 }
 
+// One row of the ResolveOp table: a node of `kind` with `params` over the
+// inputs (a, b, c) and (x, y). `missing` empty = resolution succeeds with
+// `expected`; otherwise it fails with the lookup Status of `missing` in the
+// input schema that lists it (the right input's for a join's right keys).
+struct ResolveCase {
+  OpKind kind;
+  OpParams params;
+  ResolvedOp expected;
+  std::string missing;
+  bool missing_on_right = false;
+};
+
+void ExpectResolvedEq(const ResolvedOp& got, const ResolvedOp& want) {
+  EXPECT_EQ(got.columns, want.columns);
+  EXPECT_EQ(got.right_keys, want.right_keys);
+  EXPECT_EQ(got.agg_column, want.agg_column);
+  EXPECT_EQ(got.filter.column, want.filter.column);
+  EXPECT_EQ(got.filter.op, want.filter.op);
+  EXPECT_EQ(got.filter.rhs_is_column, want.filter.rhs_is_column);
+  EXPECT_EQ(got.filter.rhs_column, want.filter.rhs_column);
+  EXPECT_EQ(got.filter.rhs_literal, want.filter.rhs_literal);
+  EXPECT_EQ(got.arith.kind, want.arith.kind);
+  EXPECT_EQ(got.arith.lhs_column, want.arith.lhs_column);
+  EXPECT_EQ(got.arith.rhs_is_column, want.arith.rhs_is_column);
+  EXPECT_EQ(got.arith.rhs_column, want.arith.rhs_column);
+  EXPECT_EQ(got.arith.rhs_literal, want.arith.rhs_literal);
+  EXPECT_EQ(got.arith.result_name, want.arith.result_name);
+  EXPECT_EQ(got.arith.scale, want.arith.scale);
+  EXPECT_EQ(got.window.partition_columns, want.window.partition_columns);
+  EXPECT_EQ(got.window.order_column, want.window.order_column);
+  EXPECT_EQ(got.window.fn, want.window.fn);
+  EXPECT_EQ(got.window.value_column, want.window.value_column);
+  EXPECT_EQ(got.window.output_name, want.window.output_name);
+}
+
+TEST(ResolveOpTest, ResolvesEveryKindAgainstItsInputSchemas) {
+  const Schema left = Schema::Of({"a", "b", "c"});
+  const Schema right = Schema::Of({"x", "y"});
+  const auto columns = [](std::vector<int> indices) {
+    ResolvedOp op;
+    op.columns = std::move(indices);
+    return op;
+  };
+  ResolvedOp join;
+  join.columns = {2, 0};
+  join.right_keys = {1, 0};
+  ResolvedOp sum;
+  sum.columns = {1};
+  sum.agg_column = 2;
+  ResolvedOp count;
+  count.columns = {0};  // kCount never looks its (bogus) column up.
+  ResolvedOp filter;
+  filter.filter = FilterPredicate::ColumnVsColumn(1, CompareOp::kLt, 2);
+  ResolvedOp filter_literal;
+  filter_literal.filter = FilterPredicate::ColumnVsLiteral(0, CompareOp::kGe, 9);
+  ResolvedOp arith;
+  arith.arith = {ArithKind::kDiv, 2, true, 0, 0, "ratio", 100};
+  ResolvedOp arith_literal;
+  arith_literal.arith = {ArithKind::kAdd, 1, false, 0, 5, "plus", 1};
+  ResolvedOp lag;
+  lag.window = {{0}, 1, WindowFn::kLag, 2, "prev"};
+  ResolvedOp row_number;
+  row_number.window = {{2}, 0, WindowFn::kRowNumber, 0, "rank"};  // Skips the value.
+
+  const std::vector<ResolveCase> cases = {
+      {OpKind::kCreate, CreateParams{}, {}, ""},
+      {OpKind::kConcat, ConcatParams{{"c", "a"}}, columns({2, 0}), ""},
+      {OpKind::kConcat, ConcatParams{}, {}, ""},
+      {OpKind::kConcat, ConcatParams{{"a", "zz"}}, {}, "zz"},
+      {OpKind::kProject, ProjectParams{{"b", "a"}}, columns({1, 0}), ""},
+      {OpKind::kProject, ProjectParams{{"a", "p", "q"}}, {}, "p"},
+      {OpKind::kFilter, FilterParams{"b", CompareOp::kLt, true, "c", 0}, filter, ""},
+      {OpKind::kFilter, FilterParams{"a", CompareOp::kGe, false, "zz", 9},
+       filter_literal, ""},
+      {OpKind::kFilter, FilterParams{"p", CompareOp::kEq, true, "q", 0}, {}, "p"},
+      {OpKind::kFilter, FilterParams{"a", CompareOp::kEq, true, "q", 0}, {}, "q"},
+      {OpKind::kJoin, JoinParams{{"c", "a"}, {"y", "x"}}, join, ""},
+      {OpKind::kJoin, JoinParams{{"p"}, {"q"}}, {}, "p"},
+      {OpKind::kJoin, JoinParams{{"a"}, {"a"}}, {}, "a", /*missing_on_right=*/true},
+      {OpKind::kAggregate, AggregateParams{{"b"}, AggKind::kSum, "c", "s"}, sum, ""},
+      {OpKind::kAggregate, AggregateParams{{"a"}, AggKind::kCount, "zz", "n"}, count,
+       ""},
+      {OpKind::kAggregate, AggregateParams{{"p"}, AggKind::kSum, "q", "s"}, {}, "p"},
+      {OpKind::kAggregate, AggregateParams{{"a"}, AggKind::kMean, "q", "m"}, {}, "q"},
+      {OpKind::kArithmetic,
+       ArithmeticParams{ArithKind::kDiv, "c", true, "a", 0, "ratio", 100}, arith, ""},
+      {OpKind::kArithmetic,
+       ArithmeticParams{ArithKind::kAdd, "b", false, "zz", 5, "plus", 1},
+       arith_literal, ""},
+      {OpKind::kArithmetic,
+       ArithmeticParams{ArithKind::kMul, "p", true, "q", 0, "m", 1}, {}, "p"},
+      {OpKind::kWindow, WindowParams{{"a"}, "b", WindowFn::kLag, "c", "prev"}, lag, ""},
+      {OpKind::kWindow, WindowParams{{"c"}, "a", WindowFn::kRowNumber, "zz", "rank"},
+       row_number, ""},
+      {OpKind::kWindow, WindowParams{{"a"}, "p", WindowFn::kRunningSum, "q", "r"}, {},
+       "p"},
+      {OpKind::kWindow, WindowParams{{"a"}, "b", WindowFn::kRunningSum, "q", "r"}, {},
+       "q"},
+      {OpKind::kPad, PadParams{}, {}, ""},
+      {OpKind::kSortBy, SortByParams{{"c", "b"}, false}, columns({2, 1}), ""},
+      {OpKind::kSortBy, SortByParams{{"p"}, true}, {}, "p"},
+      {OpKind::kDistinct, DistinctParams{{"b"}}, columns({1}), ""},
+      {OpKind::kDistinct, DistinctParams{{"b", "q"}}, {}, "q"},
+      {OpKind::kLimit, LimitParams{3}, {}, ""},
+      {OpKind::kCollect, CollectParams{}, {}, ""},
+  };
+  for (const ResolveCase& c : cases) {
+    OpNode node;
+    node.kind = c.kind;
+    node.params = c.params;
+    SCOPED_TRACE(testing::Message() << OpKindName(c.kind) << " missing='"
+                                    << c.missing << "'");
+    const StatusOr<ResolvedOp> got = ResolveOp(node, {&left, &right});
+    if (c.missing.empty()) {
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectResolvedEq(*got, c.expected);
+      continue;
+    }
+    const Status want = (c.missing_on_right ? right : left).IndexOf(c.missing).status();
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(got.status().message(), want.message());
+  }
+}
+
 TEST(DagTest, ReinferSchemaAfterRewire) {
   Dag dag;
   OpNode* a = *dag.AddCreate("a", Schema::Of({"k", "v", "w"}), 0);
