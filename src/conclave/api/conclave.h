@@ -142,7 +142,9 @@ class Query {
   StatusOr<compiler::PlanCostReport> ExplainPlan(
       compiler::CompilerOptions options = {});
 
-  // Compile + dispatch in one step. `inputs` maps table names to relations.
+  // Compile + dispatch in one step. `inputs` maps table names to relations,
+  // which the run borrows in place instead of copying: they must outlive the
+  // call, and the run never writes them.
   // `exec` carries the run options — thread budget, batch size, fault plan,
   // memory budget — with unset fields taking their CONCLAVE_* environment
   // defaults (compiler/exec_options.h). Results and virtual time are

@@ -2,7 +2,9 @@
 //
 // During plan execution every DAG node materializes to one of four value kinds,
 // mirroring where the data lives in a real deployment:
-//   * kCleartext — a relation held in the clear by one party (local jobs);
+//   * kCleartext — a relation held in the clear by one party (local jobs),
+//                  behind one immutable shared handle; an in-memory Create's
+//                  handle borrows the caller's input relation;
 //   * kShared    — a secret-shared relation inside the Sharemind-style backend;
 //   * kGarbled   — a relation inside the garbled-circuit backend (payload evaluated
 //                  in the ideal model, costs and memory fully accounted; see
@@ -38,7 +40,12 @@ struct MaterializedValue {
   enum class Kind { kCleartext, kShared, kGarbled, kSource };
 
   Kind kind = Kind::kCleartext;
-  Relation clear;          // kCleartext / kGarbled payload.
+  // kCleartext / kGarbled payload, one immutable handle that every reader
+  // (local jobs, inputToMPC, reveals, lane checkpoints) reads in place. An
+  // in-memory Create's handle borrows the caller's relation: it aliases the
+  // entry of Dispatcher::Run's `inputs`, which outlive the run and are never
+  // written.
+  std::shared_ptr<const Relation> clear;
   PartyId location = kNoParty;  // kCleartext / kSource: holder.
   SharedRelation shared;   // kShared.
   std::shared_ptr<const RowSource> source;  // kSource (shared with in-flight tasks).
@@ -50,7 +57,7 @@ struct MaterializedValue {
       case Kind::kSource:
         return source->NumRows();
       default:
-        return clear.NumRows();
+        return clear->NumRows();
     }
   }
 };

@@ -84,7 +84,7 @@ Status EnsureSecure(RunState& state, MaterializedValue& value) {
   if (state.malicious && value.kind == MaterializedValue::Kind::kCleartext) {
     const PartyId owner = value.location == kNoParty ? 0 : value.location;
     CONCLAVE_RETURN_IF_ERROR(malicious::InputConsistencyPhase(
-        state.net, value.clear, owner, state.num_parties,
+        state.net, *value.clear, owner, state.num_parties,
         state.seed ^ (0x9e3779b97f4a7c15ULL + state.next_nonce++)));
   }
   if (state.use_gc_backend) {
@@ -92,7 +92,7 @@ Status EnsureSecure(RunState& state, MaterializedValue& value) {
       return Status::Ok();
     }
     CONCLAVE_CHECK(value.kind == MaterializedValue::Kind::kCleartext);
-    CONCLAVE_RETURN_IF_ERROR(state.oblivc.Input(value.clear));
+    CONCLAVE_RETURN_IF_ERROR(state.oblivc.Input(*value.clear));
     value.kind = MaterializedValue::Kind::kGarbled;
     return Status::Ok();
   }
@@ -100,8 +100,8 @@ Status EnsureSecure(RunState& state, MaterializedValue& value) {
     return Status::Ok();
   }
   CONCLAVE_CHECK(value.kind == MaterializedValue::Kind::kCleartext);
-  CONCLAVE_ASSIGN_OR_RETURN(value.shared, state.sharemind.Input(value.clear));
-  value.clear = Relation{};
+  CONCLAVE_ASSIGN_OR_RETURN(value.shared, state.sharemind.Input(*value.clear));
+  value.clear.reset();
   value.kind = MaterializedValue::Kind::kShared;
   return Status::Ok();
 }
@@ -132,7 +132,8 @@ void EnsureCleartextAt(RunState& state, MaterializedValue& value, PartyId party)
       // streaming chain head would pull batch by batch. Reveals never fail.
       const std::shared_ptr<const RowSource> source =
           OpenReveal(state, std::move(value.shared));
-      value.clear = source->Rows(0, source->NumRows()).value();
+      value.clear =
+          std::make_shared<const Relation>(source->Rows(0, source->NumRows()).value());
       value.shared = SharedRelation{};
       value.kind = MaterializedValue::Kind::kCleartext;
       value.location = party;
@@ -140,14 +141,14 @@ void EnsureCleartextAt(RunState& state, MaterializedValue& value, PartyId party)
     }
     case MaterializedValue::Kind::kGarbled:
       // Output labels decode at both parties; transfer of decoded rows is cheap.
-      state.net.CountAggregateBytes(value.clear.ByteSize());
+      state.net.CountAggregateBytes(value.clear->ByteSize());
       state.net.Rounds(1);
       value.kind = MaterializedValue::Kind::kCleartext;
       value.location = party;
       break;
     case MaterializedValue::Kind::kCleartext:
       if (value.location != party && value.location != kNoParty) {
-        state.net.Send(value.location, party, value.clear.ByteSize());
+        state.net.Send(value.location, party, value.clear->ByteSize());
         state.net.Rounds(1);
         value.location = party;
       }
@@ -268,7 +269,7 @@ class JobGraphExecutor {
   struct Completion {
     int topo_index = 0;
     Status status;
-    Relation output;
+    std::shared_ptr<const Relation> output;
     // Fused-chain completions: rows consumed by each chain member. Equals the
     // unfused execution's per-node input cardinalities at every batch size;
     // DrainCompletions records the interior members' input rows from these.
@@ -328,8 +329,8 @@ class JobGraphExecutor {
   // Frontier checkpoint for lane-node crash recovery (DESIGN.md §11): enough
   // coordinator state to re-execute the node bit-identically — the network
   // snapshot, the engine's randomness cursors, the malicious-input nonce, copies
-  // of the node's input values (EnsureSecure consumes cleartext payloads), and
-  // the producers' acquisition cursors.
+  // of the node's input values (EnsureSecure drops cleartext handles; a copy
+  // shares the handle, not the rows), and the producers' acquisition cursors.
   struct LaneCheckpoint {
     SimNetwork::Snapshot net;
     SecretShareEngine::ReplayCheckpoint engine;
@@ -558,7 +559,9 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
                  }
                  CONCLAVE_RETURN_IF_ERROR(
                      CheckInputSchema(params.name, it->second.schema(), *node));
-                 completion.output = it->second;
+                 // Borrowed, not copied: the caller's inputs outlive the run.
+                 completion.output = std::shared_ptr<const Relation>(
+                     std::shared_ptr<const Relation>(), &it->second);
                  return Status::Ok();
                }
                CONCLAVE_ASSIGN_OR_RETURN(CsvSource source,
@@ -570,8 +573,9 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
                      std::make_shared<CsvSource>(std::move(source));
                  return Status::Ok();
                }
-               CONCLAVE_ASSIGN_OR_RETURN(completion.output,
+               CONCLAVE_ASSIGN_OR_RETURN(Relation rows,
                                          source.Rows(0, source.NumRows()));
+               completion.output = std::make_shared<const Relation>(std::move(rows));
                return Status::Ok();
              });
 }
@@ -601,7 +605,7 @@ void JobGraphExecutor::DispatchLocalJob(NodeExec& exec) {
       source = value.source;
     } else {
       EnsureCleartextAt(state_, value, node->exec_party);
-      rels.push_back(&value.clear);
+      rels.push_back(value.clear.get());
     }
     exec.input_rows.push_back(value.NumRows());
     ++ExecOf(*in).active_readers;
@@ -625,6 +629,7 @@ void JobGraphExecutor::DispatchLocalJob(NodeExec& exec) {
   // topo index — the canonical error a sequential unfused walk would report.
   const bool fused = exec.chain_members.size() > 1;
   PipelineSpec spec;
+  spec.mem_budget_rows = state_.mem_budget_rows;
   if (fused) {
     spec.input_schema = source != nullptr ? source->schema() : rels[0]->schema();
     Schema schema = spec.input_schema;
@@ -642,17 +647,16 @@ void JobGraphExecutor::DispatchLocalJob(NodeExec& exec) {
   }
 
   const int64_t batch_rows = state_.batch_rows;
-  const int64_t mem_budget_rows = state_.mem_budget_rows;
   SubmitTask(TopoIndex(node->id), fused ? "fused chain task" : "local job",
-             [node, batch_rows, mem_budget_rows, spec = std::move(spec),
-              source = std::move(source),
+             [node, batch_rows, spec = std::move(spec), source = std::move(source),
               rels = std::move(rels)](Completion& completion) -> Status {
                if (spec.ops.empty()) {
                  LocalExecOptions options;
-                 options.mem_budget_rows = mem_budget_rows;
+                 options.mem_budget_rows = spec.mem_budget_rows;
                  options.spill_stats = &completion.spill_stats;
-                 CONCLAVE_ASSIGN_OR_RETURN(completion.output,
+                 CONCLAVE_ASSIGN_OR_RETURN(Relation output,
                                            ExecuteLocal(*node, rels, options));
+                 completion.output = std::make_shared<const Relation>(std::move(output));
                  return Status::Ok();
                }
                // A streamed input is pulled batch-at-a-time and never
@@ -660,10 +664,12 @@ void JobGraphExecutor::DispatchLocalJob(NodeExec& exec) {
                // through borrowed slices.
                BatchPipeline pipeline(spec);
                CONCLAVE_ASSIGN_OR_RETURN(
-                   completion.output,
+                   Relation output,
                    source != nullptr ? pipeline.Run(*source, batch_rows)
                                      : pipeline.Run(*rels[0], batch_rows));
+               completion.output = std::make_shared<const Relation>(std::move(output));
                completion.chain_op_rows = pipeline.stats().op_input_rows;
+               completion.spill_stats = pipeline.stats().spill;
                return Status::Ok();
              });
 }
@@ -684,14 +690,13 @@ Status JobGraphExecutor::RunCollect(NodeExec& exec, ExecutionResult& result) {
   // Fan out to the remaining recipients.
   for (PartyId p : params.recipients.ToVector()) {
     if (p != input.location) {
-      state_.net.Send(input.location, p, input.clear.ByteSize());
+      state_.net.Send(input.location, p, input.clear->ByteSize());
     }
   }
-  Relation output = input.clear;
-  if (compilation_.options.pad_mpc_inputs) {
-    // Recipients drop the sentinel rows that adaptive padding introduced.
-    output = ops::StripSentinelRows(output);
-  }
+  // Recipients drop the sentinel rows that adaptive padding introduced.
+  Relation output = compilation_.options.pad_mpc_inputs
+                        ? ops::StripSentinelRows(*input.clear)
+                        : *input.clear;
   if (params.dp.enabled) {
     // Recipients perturb locally; each noisy output consumes its epsilon
     // (sequential composition).
@@ -768,13 +773,13 @@ Status JobGraphExecutor::ExecuteLaneOnce(NodeExec& exec) {
     for (const ir::OpNode* in : node->inputs) {
       MaterializedValue& value = state_.values[static_cast<size_t>(in->id)];
       CONCLAVE_RETURN_IF_ERROR(EnsureSecure(state_, value));
-      rels.push_back(&value.clear);
+      rels.push_back(value.clear.get());
     }
     AdvanceAcquisition(exec);
     CONCLAVE_ASSIGN_OR_RETURN(Relation out, state_.oblivc.Execute(*node, rels));
     MaterializedValue value;
     value.kind = MaterializedValue::Kind::kGarbled;
-    value.clear = std::move(out);
+    value.clear = std::make_shared<const Relation>(std::move(out));
     state_.values[static_cast<size_t>(node->id)] = std::move(value);
   } else {
     std::vector<const SharedRelation*> rels;
@@ -812,7 +817,6 @@ void JobGraphExecutor::DrainCompletions(bool wait) {
       RecordFailure(completion.topo_index, std::move(completion.status));
       continue;
     }
-    exec.spill_stats = completion.spill_stats;
     MaterializedValue value;
     if (completion.source_output != nullptr) {
       value.kind = MaterializedValue::Kind::kSource;
@@ -823,10 +827,11 @@ void JobGraphExecutor::DrainCompletions(bool wait) {
     }
     // A job stores its tail's output: the node itself for a Create or a lone
     // node.
-    const NodeExec& tail =
-        exec.chain_members.empty()
-            ? exec
-            : execs_[static_cast<size_t>(exec.chain_members.back())];
+    NodeExec& tail = exec.chain_members.empty()
+                         ? exec
+                         : execs_[static_cast<size_t>(exec.chain_members.back())];
+    // Only a job's tail spills: a lone blocking node or a chain's aggregate.
+    tail.spill_stats = completion.spill_stats;
     value.location = exec.klass == NodeClass::kCreate
                          ? exec.node->Params<ir::CreateParams>().party
                          : tail.node->exec_party;

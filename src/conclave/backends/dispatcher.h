@@ -71,7 +71,9 @@ class Dispatcher {
 
   // Executes the compiled plan. `inputs` maps each Create node's name to the relation
   // its owning party contributes. The DAG must be the one `compilation` was built
-  // from.
+  // from. Creates borrow their relations rather than copy them (backend.h's
+  // MaterializedValue): `inputs` must outlive the call, and the run never
+  // writes them.
   StatusOr<ExecutionResult> Run(const ir::Dag& dag,
                                 const compiler::Compilation& compilation,
                                 const std::map<std::string, Relation>& inputs);

@@ -70,6 +70,11 @@ StatusOr<PipelineOp> ResolvePipelineOp(const Schema& input_schema,
       return PipelineOp::Limit(node.Params<ir::LimitParams>().count);
     case ir::OpKind::kDistinct:
       return PipelineOp::DistinctOnSorted(std::move(op.columns));
+    case ir::OpKind::kAggregate: {
+      const auto& params = node.Params<ir::AggregateParams>();
+      return PipelineOp::Aggregate(std::move(op.columns), params.kind, op.agg_column,
+                                   params.output_name);
+    }
     default:
       return InternalError(
           StrFormat("op kind %s is not pipeline-fusible", ir::OpKindName(node.kind)));

@@ -35,8 +35,9 @@ StatusOr<Relation> ExecuteLocal(const ir::OpNode& node,
                                 const std::vector<const Relation*>& inputs,
                                 const LocalExecOptions& options = {});
 
-// Resolves one pipeline-fusible node (compiler::PipelineFusibleOp) into a
-// streaming operator against its runtime input schema. Name resolution is
+// Resolves one member of a fused chain (compiler::PipelineChains: a
+// compiler::PipelineFusibleOp, or the chain's aggregate tail) into a pipeline
+// operator against its runtime input schema. Name resolution is
 // ExecuteLocal's (ir::ResolveOp), so a failure carries the same status the
 // unfused execution of the node would report. The stage's output schema is
 // BatchPipeline::DeriveSchema(input_schema, op).

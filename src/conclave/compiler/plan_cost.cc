@@ -771,7 +771,8 @@ std::string PlanCostReport::ToString() const {
   }
   out += StrFormat(
       "pipeline-advice: %d fused chain(s) over %d node(s), longest %d "
-      "(batch %lld rows; resident rows per chain <= depth x batch)\n",
+      "(batch %lld rows; resident rows per chain <= depth x batch + an "
+      "aggregate tail's groups)\n",
       fused_pipeline_chains, fused_pipeline_nodes, longest_pipeline_chain,
       static_cast<long long>(pipeline_batch_rows));
   out += StrFormat(
@@ -896,7 +897,15 @@ std::vector<PipelineChain> PipelineChains(std::span<const ir::OpNode* const> top
         break;  // Zero or several consuming edges: the value must materialize.
       }
       const ir::OpNode* next = it->second;
-      if (!PipelineFusibleOp(*next) || next->exec_party != tail->exec_party) {
+      if (next->exec_party != tail->exec_party) {
+        break;
+      }
+      if (next->kind == ir::OpKind::kAggregate &&
+          next->exec_mode == ir::ExecMode::kLocal && next->inputs.size() == 1) {
+        chain.nodes.push_back(next);  // A hash aggregate ends the chain.
+        break;
+      }
+      if (!PipelineFusibleOp(*next)) {
         break;
       }
       chain.nodes.push_back(next);

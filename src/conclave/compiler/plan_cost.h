@@ -136,9 +136,9 @@ PlanCostReport EstimatePlanCost(const ir::Dag& dag, const CostModel& model,
 
 // --- Pipeline fusion (push-based batch pipelines, DESIGN.md §10) --------------------
 
-// True when `node` can be a member of a fused streaming chain: a single-input
+// True when `node` can be a streaming member of a fused chain: a single-input
 // cleartext-local operator whose kernel consumes and emits batches without
-// materializing. Filter, project, arithmetic and limit always fuse; distinct
+// materializing (an aggregate can only end a chain; see PipelineChains). Filter, project, arithmetic and limit always fuse; distinct
 // fuses when an upstream walk through order-preserving ops (filter / limit /
 // project / arithmetic that does not shadow a distinct column) reaches an
 // ascending sort whose column list the distinct columns prefix — the
@@ -161,10 +161,13 @@ struct PipelineChain {
 // Maximal chains (length >= 2) of fusible nodes within `topo`, where every
 // interior link is the producer's only consuming edge inside `topo` and both
 // ends run at the same party, each marked by the streaming rule under
-// `backend`. The dispatcher executes exactly these chains as one BatchPipeline
-// each and streams exactly the marked heads; the explain annotation counts
-// the same chains and marks — one decision procedure, two callers, so the
-// planner can never disagree with the runtime about what fuses or streams.
+// `backend`. A local single-input aggregate that is the tail's sole consumer
+// at the tail's party joins as the chain's last member; it never heads one, so
+// a chain always has a streaming op ahead of its aggregate. The dispatcher
+// executes exactly these chains as one BatchPipeline each and streams exactly
+// the marked heads; the explain annotation counts the same chains and marks —
+// one decision procedure, two callers, so the planner can never disagree with
+// the runtime about what fuses or streams.
 std::vector<PipelineChain> PipelineChains(std::span<const ir::OpNode* const> topo,
                                           MpcBackendKind backend);
 

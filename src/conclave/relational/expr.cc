@@ -16,6 +16,7 @@ bool FusibleExprOp(const PipelineOp& op) {
       return true;
     case PipelineOp::Kind::kLimit:
     case PipelineOp::Kind::kDistinctOnSorted:
+    case PipelineOp::Kind::kAggregate:
       return false;
   }
   return false;

@@ -1,14 +1,13 @@
 #include "conclave/relational/ops.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <unordered_map>
 
 #include "conclave/common/cpu.h"
-#include "conclave/common/rng.h"
 #include "conclave/common/strings.h"
 #include "conclave/common/thread_pool.h"
+#include "conclave/relational/aggregate.h"
 
 namespace conclave {
 
@@ -106,17 +105,6 @@ const char* ArithKindName(ArithKind kind) {
 
 namespace ops {
 namespace {
-
-// Mixes a multi-column key into one hash (SplitMix64 finalizer per word).
-struct KeyHash {
-  size_t operator()(const std::vector<int64_t>& key) const {
-    uint64_t h = kHashChainSeed;
-    for (int64_t v : key) {
-      h = HashChainStep(h, static_cast<uint64_t>(v));
-    }
-    return static_cast<size_t>(h);
-  }
-};
 
 // Base pointers of the given columns; hoists the per-access column lookup out of
 // row loops (comparators, key extraction).
@@ -315,7 +303,7 @@ JoinPairs JoinPairsMultiKey(const Relation& left, const Relation& right,
                             std::span<const int> left_keys,
                             std::span<const int> right_keys) {
   JoinPairs pairs;
-  std::unordered_map<std::vector<int64_t>, std::vector<int64_t>, KeyHash> index;
+  std::unordered_map<std::vector<int64_t>, std::vector<int64_t>, GroupKeyHash> index;
   index.reserve(static_cast<size_t>(right.NumRows()));
   const auto right_cols = ColumnPtrs(right, right_keys);
   for (int64_t r = 0; r < right.NumRows(); ++r) {
@@ -373,184 +361,12 @@ Relation Join(const Relation& left, const Relation& right,
   return output;
 }
 
-namespace {
-
-struct Accumulator {
-  int64_t sum = 0;
-  int64_t count = 0;
-  int64_t min = std::numeric_limits<int64_t>::max();
-  int64_t max = std::numeric_limits<int64_t>::min();
-
-  void Merge(const Accumulator& other) {
-    sum += other.sum;
-    count += other.count;
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-};
-
-int64_t Finalize(const Accumulator& acc, AggKind kind) {
-  switch (kind) {
-    case AggKind::kSum:
-      return acc.sum;
-    case AggKind::kCount:
-      return acc.count;
-    case AggKind::kMin:
-      return acc.min;
-    case AggKind::kMax:
-      return acc.max;
-    case AggKind::kMean:
-      return acc.count == 0 ? 0 : acc.sum / acc.count;
-  }
-  return 0;
-}
-
-Schema AggregateOutputSchema(const Relation& input,
-                             std::span<const int> group_columns,
-                             const std::string& output_name) {
-  std::vector<ColumnDef> defs;
-  for (int c : group_columns) {
-    defs.push_back(input.schema().Column(c));
-  }
-  defs.emplace_back(output_name);
-  return Schema(std::move(defs));
-}
-
-// Single group column fast path: int64-keyed maps, key columns scanned
-// contiguously, output written per column.
-Relation AggregateSingleKey(const Relation& input, int group_column, AggKind kind,
-                            int agg_column, const std::string& output_name) {
-  using GroupMap = std::unordered_map<int64_t, Accumulator>;
-  const int64_t rows = input.NumRows();
-  const int64_t grain = kDefaultGrainRows;
-  const int64_t num_chunks = rows == 0 ? 0 : (rows + grain - 1) / grain;
-  std::vector<GroupMap> partials(static_cast<size_t>(num_chunks));
-  const int64_t* const keys = rows == 0 ? nullptr : input.ColumnSpan(group_column).data();
-  const int64_t* const vals =
-      (rows == 0 || kind == AggKind::kCount) ? nullptr
-                                             : input.ColumnSpan(agg_column).data();
-  ParallelFor(0, rows, [&](int64_t lo, int64_t hi) {
-    GroupMap& local = partials[static_cast<size_t>(lo / grain)];
-    const size_t n = static_cast<size_t>(hi - lo);
-    // Sorted or low-cardinality inputs often present whole morsels of one
-    // group: collapse those to vector reductions (same wrap-sum and min/max
-    // as the per-row updates, so the result bits cannot differ).
-    if (cpu::AllEqual(keys + lo, n)) {
-      auto& acc = local[keys[lo]];
-      acc.count += hi - lo;
-      if (vals != nullptr) {
-        acc.sum += cpu::SumWrap(vals + lo, n);
-        acc.min = std::min(acc.min, cpu::MinOf(vals + lo, n));
-        acc.max = std::max(acc.max, cpu::MaxOf(vals + lo, n));
-      }
-      return;
-    }
-    for (int64_t r = lo; r < hi; ++r) {
-      auto& acc = local[keys[r]];
-      acc.count += 1;
-      if (vals != nullptr) {
-        const int64_t v = vals[r];
-        acc.sum += v;
-        acc.min = std::min(acc.min, v);
-        acc.max = std::max(acc.max, v);
-      }
-    }
-  }, grain);
-  GroupMap groups;
-  if (!partials.empty()) {
-    groups = std::move(partials.front());
-    for (size_t i = 1; i < partials.size(); ++i) {
-      for (auto& [key, partial] : partials[i]) {
-        groups[key].Merge(partial);
-      }
-    }
-  }
-
-  std::vector<std::pair<int64_t, Accumulator>> entries(groups.begin(), groups.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  const int group_cols[] = {group_column};
-  Relation output{AggregateOutputSchema(input, group_cols, output_name)};
-  output.Resize(static_cast<int64_t>(entries.size()));
-  int64_t* const out_keys = output.ColumnData(0);
-  int64_t* const out_vals = output.ColumnData(1);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    out_keys[i] = entries[i].first;
-    out_vals[i] = Finalize(entries[i].second, kind);
-  }
-  return output;
-}
-
-}  // namespace
-
 Relation Aggregate(const Relation& input, std::span<const int> group_columns,
                    AggKind kind, int agg_column, const std::string& output_name) {
-  if (group_columns.size() == 1) {
-    return AggregateSingleKey(input, group_columns[0], kind, agg_column,
-                              output_name);
-  }
-
-  // Pre-combine morsels: each row range aggregates into a private hash map, and the
-  // partial maps merge in range order. Accumulator merge is associative and the
-  // output is sorted by group key below, so the result is identical to a serial
-  // scan for any thread count.
-  using GroupMap = std::unordered_map<std::vector<int64_t>, Accumulator, KeyHash>;
-  const int64_t rows = input.NumRows();
-  const int64_t grain = kDefaultGrainRows;
-  const int64_t num_chunks = rows == 0 ? 0 : (rows + grain - 1) / grain;
-  std::vector<GroupMap> partials(static_cast<size_t>(num_chunks));
-  const auto group_cols = ColumnPtrs(input, group_columns);
-  const int64_t* const vals =
-      (rows == 0 || kind == AggKind::kCount) ? nullptr
-                                             : input.ColumnSpan(agg_column).data();
-  ParallelFor(0, rows, [&](int64_t lo, int64_t hi) {
-    GroupMap& local = partials[static_cast<size_t>(lo / grain)];
-    for (int64_t r = lo; r < hi; ++r) {
-      auto& acc = local[ExtractKey(group_cols, r)];
-      acc.count += 1;
-      if (vals != nullptr) {
-        const int64_t v = vals[r];
-        acc.sum += v;
-        acc.min = std::min(acc.min, v);
-        acc.max = std::max(acc.max, v);
-      }
-    }
-  }, grain);
-  GroupMap groups;
-  if (!partials.empty()) {
-    groups = std::move(partials.front());
-    for (size_t i = 1; i < partials.size(); ++i) {
-      for (auto& [key, partial] : partials[i]) {
-        groups[key].Merge(partial);
-      }
-    }
-  }
-
-  Relation output{AggregateOutputSchema(input, group_columns, output_name)};
-
-  // Sort group keys for a deterministic output order.
-  std::vector<const std::pair<const std::vector<int64_t>, Accumulator>*> entries;
-  entries.reserve(groups.size());
-  for (const auto& entry : groups) {
-    entries.push_back(&entry);
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-
-  output.Resize(static_cast<int64_t>(entries.size()));
-  const int num_group_cols = static_cast<int>(group_columns.size());
-  for (int c = 0; c < num_group_cols; ++c) {
-    int64_t* const out = output.ColumnData(c);
-    for (size_t i = 0; i < entries.size(); ++i) {
-      out[i] = entries[i]->first[static_cast<size_t>(c)];
-    }
-  }
-  int64_t* const out_vals = output.ColumnData(num_group_cols);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    out_vals[i] = Finalize(entries[i]->second, kind);
-  }
-  return output;
+  GroupAggregator aggregator(input.schema(), group_columns, kind, agg_column,
+                             output_name);
+  aggregator.Consume(input, 0, input.NumRows());
+  return aggregator.Finish();
 }
 
 Relation Concat(std::span<const Relation> inputs) {

@@ -50,6 +50,17 @@ PipelineOp PipelineOp::DistinctOnSorted(std::vector<int> columns) {
   return op;
 }
 
+PipelineOp PipelineOp::Aggregate(std::vector<int> group_columns, AggKind kind,
+                                 int agg_column, std::string output_name) {
+  PipelineOp op;
+  op.kind = Kind::kAggregate;
+  op.columns = std::move(group_columns);
+  op.agg_kind = kind;
+  op.agg_column = agg_column;
+  op.output_name = std::move(output_name);
+  return op;
+}
+
 namespace pipeline_internal {
 
 // The consume/flush operator contract. An operator receives owned batches (or,
@@ -236,11 +247,15 @@ Schema BatchPipeline::DeriveSchema(const Schema& input, const PipelineOp& op) {
     case PipelineOp::Kind::kLimit:
       return input;
     case PipelineOp::Kind::kProject:
-    case PipelineOp::Kind::kDistinctOnSorted: {
+    case PipelineOp::Kind::kDistinctOnSorted:
+    case PipelineOp::Kind::kAggregate: {
       std::vector<ColumnDef> defs;
-      defs.reserve(op.columns.size());
+      defs.reserve(op.columns.size() + 1);
       for (int c : op.columns) {
         defs.push_back(input.Column(c));
+      }
+      if (op.kind == PipelineOp::Kind::kAggregate) {
+        defs.emplace_back(op.output_name);  // ops::Aggregate's output schema.
       }
       return Schema(std::move(defs));
     }
@@ -253,11 +268,17 @@ Schema BatchPipeline::DeriveSchema(const Schema& input, const PipelineOp& op) {
   return input;
 }
 
-BatchPipeline::BatchPipeline(const PipelineSpec& spec) {
+BatchPipeline::BatchPipeline(const PipelineSpec& spec)
+    : num_ops_(spec.ops.size()), mem_budget_rows_(spec.mem_budget_rows) {
   using pipeline_internal::BatchOperator;
-  num_ops_ = spec.ops.size();
+  std::span<const PipelineOp> streaming(spec.ops);
+  if (!spec.ops.empty() && spec.ops.back().kind == PipelineOp::Kind::kAggregate) {
+    tail_op_ = spec.ops.back();
+    streaming = streaming.first(spec.ops.size() - 1);
+    CONCLAVE_CHECK(!streaming.empty());  // A chain, not a lone aggregate.
+  }
   Schema schema = spec.input_schema;
-  for (const ExprSlot& slot : FuseExprSlots(spec.ops)) {
+  for (const ExprSlot& slot : FuseExprSlots(streaming)) {
     const size_t i = operators_.size();  // This slot's executor index.
     const PipelineOp& op = spec.ops[slot.begin];
     std::unique_ptr<BatchOperator> built;
@@ -273,12 +294,13 @@ BatchPipeline::BatchPipeline(const PipelineSpec& spec) {
         built = std::make_unique<pipeline_internal::DistinctOnSortedOperator>(
             this, i, out, op.columns);
         break;
+      case PipelineOp::Kind::kAggregate:
+        CONCLAVE_CHECK(false);  // Only as the tail, split off above.
+        break;
       case PipelineOp::Kind::kFilter:
       case PipelineOp::Kind::kProject:
       case PipelineOp::Kind::kArithmetic: {
-        FusedExprProgram program(
-            schema, std::span<const PipelineOp>(spec.ops).subspan(slot.begin,
-                                                                  slot.size()));
+        FusedExprProgram program(schema, streaming.subspan(slot.begin, slot.size()));
         out = program.output_schema();
         built = std::make_unique<pipeline_internal::FusedExprOperator>(
             this, i, out, std::move(program), slot.begin);
@@ -288,6 +310,10 @@ BatchPipeline::BatchPipeline(const PipelineSpec& spec) {
     operators_.push_back(std::move(built));
     slot_first_op_.push_back(slot.begin);
     schema = std::move(out);
+  }
+  if (tail_op_.has_value()) {
+    tail_input_schema_ = schema;
+    schema = DeriveSchema(schema, *tail_op_);
   }
   output_schema_ = std::move(schema);
 }
@@ -300,7 +326,11 @@ void BatchPipeline::Push(size_t slot, Relation&& batch) {
   live_rows_ += rows;
   stats_.peak_batches_resident = std::max(stats_.peak_batches_resident, live_batches_);
   stats_.peak_rows_resident = std::max(stats_.peak_rows_resident, live_rows_);
-  if (slot == operators_.size()) {
+  if (slot == operators_.size() && tail_ != nullptr) {
+    // The chain's emitted batch, consumed in place by the aggregate tail.
+    stats_.op_input_rows[num_ops_ - 1] += rows;
+    tail_->Consume(batch, 0, rows);
+  } else if (slot == operators_.size()) {
     // The chain's emitted batch, live until it is appended to the output.
     const int64_t start = output_.NumRows();
     output_.Resize(start + rows);
@@ -332,9 +362,18 @@ Status BatchPipeline::RunBatches(
     return Status::Ok();  // The callers return the input itself.
   }
   output_ = Relation{output_schema_};
-  // Every streaming operator's output is at most its input, so the source row
-  // count bounds the output: one reservation, no quadratic regrowth on append.
-  output_.Reserve(rows);
+  if (tail_op_.has_value()) {
+    const PipelineOp& op = *tail_op_;
+    tail_ = std::make_unique<spill::Aggregator>(tail_input_schema_, op.columns,
+                                                op.agg_kind, op.agg_column,
+                                                op.output_name, mem_budget_rows_,
+                                                &stats_.spill);
+  } else {
+    // Every streaming operator's output is at most its input, so the source
+    // row count bounds the output: one reservation, no quadratic regrowth on
+    // append.
+    output_.Reserve(rows);
+  }
 
   const int64_t step = batch_rows <= 0 ? std::max<int64_t>(rows, 1) : batch_rows;
   for (int64_t lo = 0; lo < rows; lo += step) {
@@ -346,6 +385,10 @@ Status BatchPipeline::RunBatches(
   }
   for (auto& op : operators_) {
     op->Flush();
+  }
+  if (tail_ != nullptr) {
+    output_ = tail_->Finish();
+    tail_.reset();
   }
   return Status::Ok();
 }

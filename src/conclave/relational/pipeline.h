@@ -1,23 +1,33 @@
-// Push-based batch pipeline for fused chains of non-blocking cleartext operators.
+// Push-based batch pipeline for fused chains of cleartext operators.
 //
 // A BatchPipeline streams fixed-size row batches from its input — a materialized
 // relation, or a RowSource pulled batch-at-a-time — through a chain of streaming
 // operators (filter / project / arithmetic / limit / distinct-on-sorted),
-// materializing only the chain's final output. Each
-// operator implements a Carnot-style consume/flush contract: it receives one input
-// batch at a time, emits zero or more output batches downstream, and may hold only
-// O(1) rows of cross-batch state (the limit cursor, the last distinct row). The
-// pipeline therefore holds O(pipeline depth x batch_rows) rows of intermediate
-// state regardless of input size — the high-water marks in PipelineStats record
-// exactly that, and tests assert it.
+// optionally ending in a hash aggregate. Each streaming operator implements a
+// Carnot-style consume/flush contract: it receives one input batch at a time,
+// emits zero or more output batches downstream, and may hold only O(1) rows of
+// cross-batch state (the limit cursor, the last distinct row). The pipeline
+// therefore holds O(pipeline depth x batch_rows) rows of intermediate state
+// regardless of input size, plus an aggregate tail's group state — the
+// high-water marks in PipelineStats record the batches, and tests assert it.
+//
+// The aggregate tail is the one blocking operator a pipeline admits, and only
+// as its last op after at least one streaming op. The chain's emitted batches
+// go to it (spill::Aggregator) instead of into a materialized output, so its
+// group state replaces the chain's output: a filter -> aggregate chain reads
+// its input once and never materializes the filtered rows. Under a memory
+// budget the tail cuts the same sorted partial runs, at the same consumed-row
+// boundaries, as spill::Aggregate over the materialized prefix output.
 //
 // Batch-invariance contract: for every operator and every batch size (including
 // one row per batch and the whole relation in one batch), the concatenation of the
 // emitted batches is bit-identical — values AND row order — to the corresponding
-// materializing kernel in ops.h applied to the concatenated input. The dispatcher
-// relies on this to extend the {pool} determinism contract with a batch axis
-// (DESIGN.md §10); blocking operators (sort, join, aggregate, window, pad)
-// never enter a pipeline and keep materializing through ops.h.
+// materializing kernel in ops.h applied to the concatenated input, and the
+// aggregate tail's output is ops::Aggregate's over that concatenation. The
+// dispatcher relies on this to extend the {pool} determinism contract with a
+// batch axis (DESIGN.md §10). The other blocking operators (sort, join, window,
+// pad, and an aggregate that is not a chain's tail) never enter a pipeline and
+// keep materializing through ops.h.
 //
 // Streaming limit deliberately does NOT early-exit: upstream operators consume
 // every batch even after the limit is satisfied, so per-operator row counts — and
@@ -29,21 +39,25 @@
 // arithmetic ops becomes ONE operator — a FusedExprProgram evaluated in a
 // single register-resident pass per batch; limit and distinct-on-sorted are
 // slots of their own. PipelineStats::op_input_rows stays indexed by ORIGINAL
-// op position: expression slots report their interior ops' per-op input rows
-// through the program's accounting, so the dispatcher prices every node from
-// the rows one-op-at-a-time execution would have fed it.
+// op position, the aggregate tail's entry included: expression slots report
+// their interior ops' per-op input rows through the program's accounting, so
+// the dispatcher prices every node from the rows one-op-at-a-time execution
+// would have fed it.
 #ifndef CONCLAVE_RELATIONAL_PIPELINE_H_
 #define CONCLAVE_RELATIONAL_PIPELINE_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "conclave/common/status.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/relation.h"
 #include "conclave/relational/row_source.h"
+#include "conclave/relational/spill.h"
 
 namespace conclave {
 
@@ -60,13 +74,24 @@ int64_t DefaultBatchRows();
 // One resolved streaming operator of a pipeline (column references are
 // pre-resolved indices against the stage's input schema, as in ops.h).
 struct PipelineOp {
-  enum class Kind { kFilter, kProject, kArithmetic, kLimit, kDistinctOnSorted };
+  enum class Kind {
+    kFilter,
+    kProject,
+    kArithmetic,
+    kLimit,
+    kDistinctOnSorted,
+    kAggregate,
+  };
 
   Kind kind = Kind::kFilter;
   FilterPredicate filter;         // kFilter.
-  std::vector<int> columns;       // kProject / kDistinctOnSorted.
+  // kProject / kDistinctOnSorted; kAggregate: the group columns.
+  std::vector<int> columns;
   ArithSpec arith;                // kArithmetic.
   int64_t limit_count = 0;        // kLimit.
+  AggKind agg_kind = AggKind::kSum;  // kAggregate, as in ops::Aggregate.
+  int agg_column = 0;
+  std::string output_name;
 
   static PipelineOp Filter(const FilterPredicate& predicate);
   static PipelineOp Project(std::vector<int> columns);
@@ -75,6 +100,9 @@ struct PipelineOp {
   // Requires the pipeline's input at this stage to be sorted ascending
   // (lexicographically) by a column list of which `columns` is a prefix.
   static PipelineOp DistinctOnSorted(std::vector<int> columns);
+  // Only as the last op, after at least one streaming op.
+  static PipelineOp Aggregate(std::vector<int> group_columns, AggKind kind,
+                              int agg_column, std::string output_name);
 };
 
 // A fully resolved pipeline: the source schema plus the operator chain. Cheap to
@@ -82,6 +110,8 @@ struct PipelineOp {
 struct PipelineSpec {
   Schema input_schema;
   std::vector<PipelineOp> ops;
+  // Memory budget of an aggregate tail (spill.h; 0 = unbounded).
+  int64_t mem_budget_rows = 0;
 };
 
 // Instrumentation captured by one BatchPipeline::Run. The peaks are high-water
@@ -95,10 +125,13 @@ struct PipelineStats {
   int64_t rows_pushed = 0;          // Source rows entering the pipeline.
   int64_t peak_batches_resident = 0;
   int64_t peak_rows_resident = 0;
-  // Rows consumed by each operator (index-aligned with the spec's ops). Equals
-  // the intermediate cardinalities of running the ops.h kernels one at a time,
-  // at every batch size; the dispatcher prices fused interior nodes from these.
+  // Rows consumed by each operator (index-aligned with the spec's ops, an
+  // aggregate tail included). Equals the intermediate cardinalities of running
+  // the ops.h kernels one at a time, at every batch size; the dispatcher
+  // prices fused interior nodes from these.
   std::vector<int64_t> op_input_rows;
+  // Physical spill counters of an aggregate tail (zero when nothing spilled).
+  spill::SpillStats spill;
 };
 
 namespace pipeline_internal {
@@ -147,7 +180,8 @@ class BatchPipeline {
                     const std::function<Status(int64_t lo, int64_t hi)>& push_head);
 
   // Delivers one owned batch to the operator at `slot` (== operators_.size()
-  // appends to the output), tracking batch residency around the delivery.
+  // feeds the aggregate tail, or else appends to the output), tracking batch
+  // residency around the delivery.
   // Input rows are attributed to the slot's FIRST original op; a fused slot
   // reports its interior ops' rows itself via AddOpInputRows.
   void Push(size_t slot, Relation&& batch);
@@ -164,6 +198,12 @@ class BatchPipeline {
   // than the spec's op list wherever an expression run spans several ops).
   std::vector<size_t> slot_first_op_;
   size_t num_ops_ = 0;  // spec.ops.size(); sizes stats_.op_input_rows.
+  // The aggregate tail's op, its input schema and the spec's budget; the
+  // aggregator itself is rebuilt by every run.
+  std::optional<PipelineOp> tail_op_;
+  Schema tail_input_schema_;
+  int64_t mem_budget_rows_ = 0;
+  std::unique_ptr<spill::Aggregator> tail_;
   PipelineStats stats_;
   int64_t live_batches_ = 0;
   int64_t live_rows_ = 0;

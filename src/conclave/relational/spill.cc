@@ -385,92 +385,62 @@ class DedupProcessor {
 };
 
 // Combines adjacent equal-key rows (external aggregate). Rows carry the group
-// key in columns [0, group_cols) and one or two accumulator columns after it:
-// (sum, count) for kMean runs, a single partial otherwise. `finalize_mean`
-// turns the (sum, count) pair into the quotient on the FINAL level only.
+// key in columns [0, group_cols) and one group's AggAccumulator partial after
+// it; the final level finalizes each group, intermediate levels keep the
+// partial layout.
 class CombineProcessor {
  public:
-  CombineProcessor(RowSink* sink, int group_cols, int agg_cols, AggKind kind,
-                   bool finalize_mean)
+  CombineProcessor(RowSink* sink, int group_cols, AggKind kind, bool finalize)
       : sink_(sink),
         group_cols_(group_cols),
-        agg_cols_(agg_cols),
         kind_(kind),
-        finalize_mean_(finalize_mean),
-        current_(group_cols + agg_cols),
-        row_(group_cols + agg_cols) {}
+        finalize_(finalize),
+        row_(static_cast<size_t>(group_cols + AggAccumulator::PartialWidth(kind))) {}
 
   void Row(const MergeSource& s) {
-    for (size_t c = 0; c < row_.size(); ++c) {
-      row_[c] = s.Cell(static_cast<int>(c));
+    bool same = has_current_;
+    for (int c = 0; same && c < group_cols_; ++c) {
+      same = s.Cell(c) == row_[static_cast<size_t>(c)];
     }
-    if (has_current_) {
-      bool same = true;
-      for (int c = 0; c < group_cols_; ++c) {
-        if (row_[c] != current_[c]) {
-          same = false;
-          break;
-        }
-      }
-      if (same) {
-        Combine(row_);
-        return;
-      }
-      Emit();
+    int64_t cells[2] = {0, 0};
+    for (int a = 0; a < AggAccumulator::PartialWidth(kind_); ++a) {
+      cells[a] = s.Cell(group_cols_ + a);
     }
-    current_ = row_;
+    const AggAccumulator partial = AggAccumulator::FromPartial(kind_, cells);
+    if (same) {
+      current_.Merge(partial);
+      return;
+    }
+    Finish();
+    for (int c = 0; c < group_cols_; ++c) {
+      row_[static_cast<size_t>(c)] = s.Cell(c);
+    }
+    current_ = partial;
     has_current_ = true;
   }
 
   void Finish() {
-    if (has_current_) {
-      Emit();
-      has_current_ = false;
+    if (!has_current_) {
+      return;
+    }
+    has_current_ = false;
+    if (finalize_) {
+      row_[static_cast<size_t>(group_cols_)] = current_.Finalize(kind_);
+      sink_->Append(std::span<const int64_t>(row_.data(),
+                                             static_cast<size_t>(group_cols_) + 1));
+    } else {
+      current_.ToPartial(kind_, row_.data() + group_cols_);
+      sink_->Append(row_);
     }
   }
 
  private:
-  void Combine(const std::vector<int64_t>& row) {
-    for (int a = 0; a < agg_cols_; ++a) {
-      int64_t& acc = current_[group_cols_ + a];
-      const int64_t v = row[group_cols_ + a];
-      switch (kind_) {
-        case AggKind::kSum:
-        case AggKind::kCount:
-        case AggKind::kMean:  // Both the sum and the count column add.
-          acc += v;
-          break;
-        case AggKind::kMin:
-          acc = std::min(acc, v);
-          break;
-        case AggKind::kMax:
-          acc = std::max(acc, v);
-          break;
-      }
-    }
-  }
-
-  void Emit() {
-    if (finalize_mean_) {
-      // Same truncating division as ops.cc's Accumulator::Finalize; the exact
-      // (sum, count) totals make the quotient chunking-invariant.
-      const int64_t sum = current_[group_cols_];
-      const int64_t count = current_[group_cols_ + 1];
-      current_[group_cols_] = count == 0 ? 0 : sum / count;
-      sink_->Append(std::span<const int64_t>(current_.data(),
-                                             static_cast<size_t>(group_cols_) + 1));
-    } else {
-      sink_->Append(current_);
-    }
-  }
-
   RowSink* sink_;
   int group_cols_;
-  int agg_cols_;
   AggKind kind_;
-  bool finalize_mean_;
-  std::vector<int64_t> current_;
-  std::vector<int64_t> row_;
+  bool finalize_;
+  std::vector<int64_t> row_;  // The current group's key, then its output cells.
+  AggAccumulator current_;
   bool has_current_ = false;
 };
 
@@ -554,86 +524,86 @@ Relation Distinct(const Relation& input, std::span<const int> columns,
 
 // --- External (partial-spill) aggregate --------------------------------------------
 
-Relation Aggregate(const Relation& input, std::span<const int> group_columns,
-                   AggKind kind, int agg_column, const std::string& output_name,
-                   int64_t budget, SpillStats* stats) {
-  const int64_t rows = input.NumRows();
-  if (budget <= 0 || rows <= budget) {
-    return ops::Aggregate(input, group_columns, kind, agg_column, output_name);
-  }
-  ResidencyMeter meter(stats);
+struct Aggregator::Runs {
+  explicit Runs(SpillStats* stats) : meter(stats) {}
+
+  ResidencyMeter meter;
   TempDir dir;
-  const int group_cols = static_cast<int>(group_columns.size());
-  const bool is_mean = kind == AggKind::kMean;
-  const int agg_cols = is_mean ? 2 : 1;
-  std::vector<SpillRun> runs;
-  Schema run_schema;
-  Schema out_schema;
-  for (int64_t lo = 0; lo < rows; lo += budget) {
-    const int64_t hi = std::min(rows, lo + budget);
-    meter.Add(hi - lo);
-    Relation chunk = ops::Slice(input, lo, hi);
-    meter.Add(hi - lo);  // Partial map output coexists with the chunk.
-    Relation partial;
-    if (is_mean) {
-      // kMean spills exact (sum, count) partials — the quotient is taken once,
-      // after the merge, exactly as the in-memory accumulator finalizes.
-      Relation sums =
-          ops::Aggregate(chunk, group_columns, AggKind::kSum, agg_column, output_name);
-      Relation counts = ops::Aggregate(chunk, group_columns, AggKind::kCount,
-                                       agg_column, output_name);
-      // Both partials enumerate the same groups sorted the same way; zip them.
-      CONCLAVE_CHECK_EQ(sums.NumRows(), counts.NumRows());
-      std::vector<ColumnDef> defs = sums.schema().columns();
-      defs.emplace_back("__spill_count");
-      partial = Relation{Schema(std::move(defs))};
-      partial.Resize(sums.NumRows());
-      for (int c = 0; c <= group_cols; ++c) {
-        const auto column = sums.ColumnSpan(c);
-        std::copy(column.begin(), column.end(), partial.ColumnData(c));
-      }
-      const auto count_col = counts.ColumnSpan(group_cols);
-      std::copy(count_col.begin(), count_col.end(),
-                partial.ColumnData(group_cols + 1));
-      if (runs.empty()) {
-        out_schema = sums.schema();
-      }
-    } else {
-      // Per-chunk partials under the partial kind; kCount partials combine by
-      // addition, everything else under its own kind (all associative).
-      partial = ops::Aggregate(chunk, group_columns, kind, agg_column, output_name);
-      if (runs.empty()) {
-        out_schema = partial.schema();
-      }
+  std::vector<SpillRun> files;
+};
+
+Aggregator::Aggregator(const Schema& input_schema, std::span<const int> group_columns,
+                       AggKind kind, int agg_column, const std::string& output_name,
+                       int64_t budget, SpillStats* stats)
+    : groups_(input_schema, group_columns, kind, agg_column, output_name),
+      budget_(budget),
+      stats_(stats) {}
+
+Aggregator::~Aggregator() = default;
+
+void Aggregator::Consume(const Relation& input, int64_t lo, int64_t hi) {
+  while (lo < hi) {
+    if (budget_ > 0 && chunk_rows_ == budget_) {
+      CutRun();
     }
-    if (runs.empty()) {
-      run_schema = partial.schema();
-    }
-    SpillRunWriter writer(dir, static_cast<int>(runs.size()), partial.NumColumns(),
-                          stats);
-    writer.Append(partial);
-    runs.push_back(writer.Finish());
-    meter.Sub(2 * (hi - lo));
+    const int64_t take =
+        budget_ > 0 ? std::min(hi - lo, budget_ - chunk_rows_) : hi - lo;
+    groups_.Consume(input, lo, lo + take);
+    chunk_rows_ += take;
+    lo += take;
   }
+}
+
+void Aggregator::CutRun() {
+  if (runs_ == nullptr) {
+    runs_ = std::make_unique<Runs>(stats_);
+  }
+  // The chunk's group map and its sorted partial coexist while the run forms.
+  const int64_t groups = groups_.NumGroups();
+  runs_->meter.Add(2 * groups);
+  const Relation partial = groups_.FinishPartial();
+  SpillRunWriter writer(runs_->dir, static_cast<int>(runs_->files.size()),
+                        partial.NumColumns(), stats_);
+  writer.Append(partial);
+  runs_->files.push_back(writer.Finish());
+  runs_->meter.Sub(2 * groups);
+  chunk_rows_ = 0;
+}
+
+Relation Aggregator::Finish() {
+  if (runs_ == nullptr) {
+    return groups_.Finish();  // Within budget: the in-memory aggregate.
+  }
+  CutRun();  // The last chunk, never empty: a cut waits for a further row.
+  const int group_cols = groups_.output_schema().NumColumns() - 1;
   std::vector<int> key_columns(static_cast<size_t>(group_cols));
   for (int c = 0; c < group_cols; ++c) {
     key_columns[static_cast<size_t>(c)] = c;
   }
   // Intermediate merge levels combine partials but keep the run layout; only
-  // the final level (into `out`) finalizes kMean's quotient. MultiLevelMerge
-  // hands FileSinks to intermediate levels and the RelationSink last, so the
-  // processor distinguishes them by sink identity.
-  Relation out{out_schema};
-  const AggKind combine_kind = kind == AggKind::kCount ? AggKind::kSum : kind;
-  MultiLevelMerge(std::move(runs), dir, run_schema, key_columns,
-                  /*ascending=*/true, budget, stats, meter, &out,
-                  [&](RowSink* sink) {
+  // the final level (into `out`) finalizes. MultiLevelMerge hands FileSinks to
+  // intermediate levels and the RelationSink last, so the processor
+  // distinguishes them by sink identity.
+  Relation out{groups_.output_schema()};
+  const AggKind kind = groups_.kind();
+  MultiLevelMerge(std::move(runs_->files), runs_->dir, groups_.partial_schema(),
+                  key_columns, /*ascending=*/true, budget_, stats_, runs_->meter,
+                  &out, [&](RowSink* sink) {
                     const bool is_final = dynamic_cast<RelationSink*>(sink) != nullptr;
-                    return std::make_unique<CombineProcessor>(
-                        sink, group_cols, agg_cols, combine_kind,
-                        /*finalize_mean=*/is_mean && is_final);
+                    return std::make_unique<CombineProcessor>(sink, group_cols, kind,
+                                                              is_final);
                   });
+  runs_.reset();
   return out;
+}
+
+Relation Aggregate(const Relation& input, std::span<const int> group_columns,
+                   AggKind kind, int agg_column, const std::string& output_name,
+                   int64_t budget, SpillStats* stats) {
+  Aggregator aggregator(input.schema(), group_columns, kind, agg_column, output_name,
+                        budget, stats);
+  aggregator.Consume(input, 0, input.NumRows());
+  return aggregator.Finish();
 }
 
 // --- Grace hash join ---------------------------------------------------------------

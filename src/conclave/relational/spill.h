@@ -11,9 +11,11 @@
 //                stable-sorted by ops::SortBy, k-way merged with lower-run-index
 //                tie-break == std::stable_sort of the whole input.
 //  * Distinct  — per-chunk project+dedup runs, k-way merged with dedup.
-//  * Aggregate — per-chunk partial aggregates (kMean splits into kSum + kCount
+//  * Aggregate — per-chunk partial aggregates (kMean keeps exact (sum, count)
 //                partials), runs merged by group key combining equal keys;
 //                sum/count/min/max are associative, so chunking is invisible.
+//                Aggregator is the same kernel as a consume/finish operator,
+//                which a fused chain's aggregate tail feeds batch by batch.
 //  * Join      — Grace-style: both sides hash-partitioned on the key into
 //                bucket files holding (key columns, global row id) only,
 //                level-salted rehash recursion for skewed buckets, per-bucket
@@ -36,10 +38,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "conclave/relational/aggregate.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/relation.h"
 
@@ -96,6 +100,40 @@ Relation Aggregate(const Relation& input, std::span<const int> group_columns,
 Relation Join(const Relation& left, const Relation& right,
               std::span<const int> left_keys, std::span<const int> right_keys,
               int64_t budget, SpillStats* stats);
+
+// Aggregate as a consume/finish operator. Rows arrive in input order through
+// Consume; every `budget` consumed rows (Aggregate's chunk boundaries) become
+// one sorted partial run, cut only when a further row arrives, so an input of
+// at most `budget` rows never spills. Finish returns ops::Aggregate's output
+// over every consumed row. Aggregate drives it over one relation and a fused chain's
+// aggregate tail batch by batch (relational/pipeline.h): the same rows give the
+// same runs, bytes and merge passes however they are batched.
+class Aggregator {
+ public:
+  Aggregator(const Schema& input_schema, std::span<const int> group_columns,
+             AggKind kind, int agg_column, const std::string& output_name,
+             int64_t budget, SpillStats* stats);
+  ~Aggregator();
+  Aggregator(const Aggregator&) = delete;
+  Aggregator& operator=(const Aggregator&) = delete;
+
+  // Consumes rows [lo, hi) of `input`, whose schema is the constructor's.
+  void Consume(const Relation& input, int64_t lo, int64_t hi);
+  // Call once, after the last Consume.
+  Relation Finish();
+
+ private:
+  struct Runs;  // The spill directory, run files and residency meter.
+
+  // Writes the current chunk's groups as one sorted partial run.
+  void CutRun();
+
+  GroupAggregator groups_;
+  int64_t budget_;
+  SpillStats* stats_;
+  int64_t chunk_rows_ = 0;       // Rows consumed since the last cut.
+  std::unique_ptr<Runs> runs_;   // Created by the first cut.
+};
 
 
 }  // namespace spill

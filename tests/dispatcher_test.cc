@@ -1,7 +1,8 @@
 // Dispatcher-level tests: failure injection (simulated OOM on both MPC backends),
 // cleartext-backend selection, critical-path scheduling of parallel local jobs,
 // push-down keeping dropped rows out of both MPC backends, split caching,
-// run-option resolution, and the composition of all extension features in one run.
+// run-option resolution, the composition of all extension features in one run,
+// and borrowed Create inputs that no run writes.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -394,6 +395,111 @@ TEST(DispatcherTest, MultipleOutputsDeliverIndependently) {
   EXPECT_TRUE(UnorderedEqual(result->outputs.at("counts"),
                              ops::Aggregate(joined_ref, group, AggKind::kCount, 0,
                                             "cnt")));
+}
+
+// --- Borrowed inputs ------------------------------------------------------------
+
+// sum(v) by k over concat(bank1, bank2) filtered to v < 30, collected by the
+// regulator (or bank1 when there is none). `second_consumer` gives bank1's
+// table a local aggregate of its own as well. Returns the concat's node id.
+int BuildBorrowingQuery(Query& query, bool with_regulator, bool second_consumer) {
+  std::optional<Party> regulator;
+  if (with_regulator) {
+    regulator = query.AddParty("regulator");
+  }
+  Party bank1 = query.AddParty("bank1");
+  Party bank2 = query.AddParty("bank2");
+  Table s1 = query.NewTable("s1", {{"k"}, {"v"}}, bank1);
+  Table s2 = query.NewTable("s2", {{"k"}, {"v"}}, bank2);
+  Table merged = query.Concat({s1, s2});
+  merged.Filter("v", CompareOp::kLt, 30)
+      .Aggregate("total", AggKind::kSum, {"k"}, "v")
+      .WriteToCsv("out", {regulator.value_or(bank1)});
+  if (second_consumer) {
+    s1.Count("cnt", {"k"}).WriteToCsv("mine", {bank1});
+  }
+  return merged.node()->id;
+}
+
+// A Create borrows the caller's relation instead of copying it, so nothing in
+// a run may write it. Runs the query twice on the same inputs: after each run
+// every input equals the copy taken before the first, and the second run's
+// outputs equal the first's.
+void ExpectInputsNeverWritten(bool with_regulator, bool second_consumer,
+                              const compiler::CompilerOptions& options,
+                              bool crash_concat = false) {
+  std::map<std::string, Relation> inputs;
+  inputs["s1"] = data::UniformInts(500, {"k", "v"}, 50, /*seed=*/91);
+  inputs["s2"] = data::UniformInts(400, {"k", "v"}, 50, /*seed=*/92);
+  const std::map<std::string, Relation> copies = inputs;
+  std::optional<backends::ExecutionResult> first;
+  for (int run = 0; run < 2; ++run) {
+    Query query;
+    const int concat = BuildBorrowingQuery(query, with_regulator, second_consumer);
+    compiler::ExecOptions exec;
+    if (crash_concat) {
+      FaultEvent crash;
+      crash.kind = FaultEvent::Kind::kCrashJob;
+      crash.node_id = concat;
+      exec.fault_plan.emplace();
+      exec.fault_plan->enabled = true;
+      exec.fault_plan->events.push_back(crash);
+    }
+    auto result = query.Run(inputs, options, CostModel{}, /*seed=*/42, exec);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_FALSE(result->aborted) << result->abort_status.ToString();
+    if (crash_concat) {
+      EXPECT_EQ(result->fault_report.injected_crashes, 1u);
+    }
+    ASSERT_GT(result->outputs.at("out").NumRows(), 0);
+    for (const auto& [name, copy] : copies) {
+      EXPECT_TRUE(inputs.at(name).RowsEqual(copy)) << name << " after run " << run;
+    }
+    if (!first.has_value()) {
+      first = std::move(*result);
+      continue;
+    }
+    ASSERT_EQ(result->outputs.size(), first->outputs.size());
+    for (const auto& [name, output] : first->outputs) {
+      EXPECT_TRUE(result->outputs.at(name).RowsEqual(output)) << name;
+    }
+  }
+}
+
+TEST(BorrowedInputsTest, SharemindRunLeavesInputsUnwritten) {
+  ExpectInputsNeverWritten(/*with_regulator=*/true, /*second_consumer=*/false, {});
+}
+
+// Without push-down the MPC concat consumes both Creates directly: the
+// garbled value keeps the borrowed handle as its payload, and the malicious
+// input-consistency phase reads it.
+TEST(BorrowedInputsTest, OblivCRunLeavesInputsUnwritten) {
+  compiler::CompilerOptions options;
+  options.mpc_backend = compiler::MpcBackendKind::kOblivC;
+  options.push_down = false;
+  ExpectInputsNeverWritten(/*with_regulator=*/false, /*second_consumer=*/false,
+                           options);
+}
+
+TEST(BorrowedInputsTest, MaliciousRunLeavesInputsUnwritten) {
+  compiler::CompilerOptions options;
+  options.malicious_security = true;
+  options.push_down = false;
+  ExpectInputsNeverWritten(/*with_regulator=*/true, /*second_consumer=*/false,
+                           options);
+}
+
+// The MPC concat's crash replays from a frontier checkpoint holding the
+// borrowed handles of both Creates.
+TEST(BorrowedInputsTest, LaneCheckpointReplayLeavesInputsUnwritten) {
+  compiler::CompilerOptions options;
+  options.push_down = false;
+  ExpectInputsNeverWritten(/*with_regulator=*/true, /*second_consumer=*/false,
+                           options, /*crash_concat=*/true);
+}
+
+TEST(BorrowedInputsTest, CreateWithTwoConsumersLeavesInputsUnwritten) {
+  ExpectInputsNeverWritten(/*with_regulator=*/true, /*second_consumer=*/true, {});
 }
 
 }  // namespace

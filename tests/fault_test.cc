@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "conclave/api/conclave.h"
+#include "conclave/compiler/plan_cost.h"
 #include "conclave/data/generators.h"
 #include "conclave/net/fault.h"
 #include "conclave/net/network.h"
@@ -261,8 +262,10 @@ TEST(FaultRecoveryTest, MixedFaultLoadRecoversAtEveryPoolSize) {
 // A query whose crash targets are pool tasks reading same-party inputs, so each
 // one's boundary charge is 0 and its node_seconds is exactly its cleartext
 // compute: alice's Create, the fused filter -> arithmetic -> project chain on
-// it, and the lone (blocking) aggregate after the chain. The MPC aggregate
-// across alice and bob ends in one revealing Collect, topo-last.
+// it, and the lone (blocking) aggregate after the chain. A sort sits between
+// the chain and the aggregate, which would otherwise end the chain and run
+// inside its task. The MPC aggregate across alice and bob ends in one
+// revealing Collect, topo-last.
 struct CrashPricingQuery {
   Query query;
   std::map<std::string, Relation> inputs;
@@ -279,7 +282,7 @@ void BuildCrashPricingQuery(CrashPricingQuery& q) {
   Table filtered = a.Filter("v", CompareOp::kGt, 10);
   Table scaled = filtered.MultiplyConst("w", "v", 3);
   Table projected = scaled.Project({"k", "w"});
-  Table lone = projected.Aggregate("total", AggKind::kSum, {"k"}, "w");
+  Table lone = projected.SortBy({"w"}).Aggregate("total", AggKind::kSum, {"k"}, "w");
   Table b = q.query.NewTable("b", {{"k"}, {"total"}}, bob);
   q.query.Concat({lone, b})
       .Aggregate("sum", AggKind::kSum, {"k"}, "total")
@@ -336,6 +339,18 @@ TEST(FaultRecoveryTest, PoolTaskCrashesPriceComputeAndRestart) {
   const CostModel model;
   CrashPricingQuery ids;
   BuildCrashPricingQuery(ids);
+  // The chain fuses alone: the lone aggregate is a job of its own.
+  ASSERT_TRUE(ids.query.Compile({}).ok());
+  const std::vector<ir::OpNode*> order = ids.query.dag().TopoOrder();
+  const auto chains = compiler::PipelineChains(
+      std::vector<const ir::OpNode*>(order.begin(), order.end()),
+      compiler::MpcBackendKind::kSharemind);
+  ASSERT_EQ(chains.size(), 1u);
+  std::vector<int> chain_ids;
+  for (const ir::OpNode* member : chains[0].nodes) {
+    chain_ids.push_back(member->id);
+  }
+  EXPECT_EQ(chain_ids, ids.chain);
   for (int pool : {1, 4}) {
     for (int64_t batch_rows : {int64_t{16}, kDefaultBatchRows}) {
       SCOPED_TRACE(testing::Message() << "pool=" << pool << " batch=" << batch_rows);

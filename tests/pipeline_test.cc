@@ -1,7 +1,9 @@
 // Tests of the push-based batch pipeline (DESIGN.md §10): every streaming
 // operator against its materializing ops.h kernel across a batch-size grid with
 // boundary edge cases (0-row inputs, 1-row batches, limits cut mid-batch,
-// distinct runs spanning batch boundaries), bounded-memory high-water marks
+// distinct runs spanning batch boundaries), an aggregate tail against
+// ops::Aggregate over the materialized prefix and against the unfused
+// aggregate's spill under a budget, bounded-memory high-water marks
 // proving O(depth x batch) residency, the CONCLAVE_BATCH_ROWS knob, per-node
 // pricing of fused members, end-to-end {pool, batch} invariance of a fused
 // chain feeding a blocking operator through the public Query API, and
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -55,22 +58,31 @@ Relation RunPipeline(const PipelineSpec& spec, const Relation& input,
 }
 
 // Batch sizes covering the boundary cases: one row per batch, boundaries that
-// fall mid-relation both on and off operator-relevant edges, the whole relation
-// in one batch (0), and a batch far larger than any input.
-const int64_t kBatchGrid[] = {1, 2, 3, 4, 7, 0, 1 << 20};
+// fall mid-relation both on and off operator-relevant edges, the default, the
+// whole relation in one batch (0), and a batch far larger than any input.
+const int64_t kBatchGrid[] = {1, 2, 3, 4, 7, kDefaultBatchRows, 0, 1 << 20};
 
 // A batch no test input reaches: every fused chain runs as a single batch.
 constexpr int64_t kOneBatch = std::numeric_limits<int>::max();
 
+// `tail_input_rows`, when set, is the rows the spec's last op must be metered
+// as consuming (an aggregate tail's op_input_rows entry).
 void ExpectPipelineMatches(const PipelineSpec& spec, const Relation& input,
-                           const Relation& expected) {
+                           const Relation& expected,
+                           std::optional<int64_t> tail_input_rows = std::nullopt) {
   for (int64_t batch_rows : kBatchGrid) {
-    const Relation got = RunPipeline(spec, input, batch_rows);
+    BatchPipeline pipeline(spec);
+    const Relation got = pipeline.Run(input, batch_rows);
     EXPECT_TRUE(got.RowsEqual(expected))
         << "batch_rows=" << batch_rows << ": got " << got.NumRows()
         << " rows, want " << expected.NumRows();
     EXPECT_EQ(got.schema().ToString(), expected.schema().ToString())
         << "batch_rows=" << batch_rows;
+    if (tail_input_rows.has_value()) {
+      ASSERT_EQ(pipeline.stats().op_input_rows.size(), spec.ops.size());
+      EXPECT_EQ(pipeline.stats().op_input_rows.back(), *tail_input_rows)
+          << "batch_rows=" << batch_rows;
+    }
   }
 }
 
@@ -235,6 +247,63 @@ TEST(BatchPipelineTest, ChainedOperatorsComposeAtEveryBatchSize) {
   expected = ops::Arithmetic(expected, arith);
   expected = ops::Limit(expected, 117);
   ExpectPipelineMatches(spec, input, expected);
+}
+
+// A hash aggregate ending a chain consumes the prefix's emitted batches: for
+// every AggKind over 0, 1 and 2 group columns, behind each kind of streaming
+// prefix, its output is ops::Aggregate's over the materialized prefix bit for
+// bit, and its op_input_rows entry is the prefix's output rows. The inputs
+// include a 0-row one and one whose every row the filters drop.
+TEST(BatchPipelineTest, AggregateTailMatchesKernelOverMaterializedPrefix) {
+  // Sorted by (a, b), so distinct-on-sorted applies; c in [0, 9).
+  const Relation input =
+      ops::SortBy(data::UniformInts(300, {"a", "b", "c"}, 9, /*seed=*/61),
+                  std::vector<int>{0, 1}, /*ascending=*/true);
+  const Relation empty{input.schema()};
+  Relation all_filtered = input;
+  for (int64_t r = 0; r < all_filtered.NumRows(); ++r) {
+    all_filtered.Set(r, 2, 100 + r);  // Every filter below keeps c < 7.
+  }
+  ArithSpec mul;
+  mul.kind = ArithKind::kMul;
+  mul.lhs_column = 0;
+  mul.rhs_is_column = true;
+  mul.rhs_column = 1;
+  mul.result_name = "ab";
+  const std::vector<std::pair<std::string, std::vector<PipelineOp>>> prefixes = {
+      {"filter",
+       {PipelineOp::Filter(FilterPredicate::ColumnVsLiteral(2, CompareOp::kLt, 5))}},
+      {"filter-arith-project",
+       {PipelineOp::Filter(FilterPredicate::ColumnVsLiteral(2, CompareOp::kLt, 7)),
+        PipelineOp::Arithmetic(mul), PipelineOp::Project({3, 0, 2})}},
+      {"limit", {PipelineOp::Limit(123)}},
+      {"distinct-on-sorted", {PipelineOp::DistinctOnSorted({0, 1})}},
+  };
+  const std::vector<std::pair<std::string, const Relation*>> inputs = {
+      {"input", &input}, {"empty", &empty}, {"all-filtered", &all_filtered}};
+  for (const auto& [input_name, in] : inputs) {
+    for (const auto& [prefix_name, prefix] : prefixes) {
+      PipelineSpec prefix_spec;
+      prefix_spec.input_schema = in->schema();
+      prefix_spec.ops = prefix;
+      const Relation materialized = RunPipeline(prefix_spec, *in, /*batch_rows=*/0);
+      const int agg_column = materialized.NumColumns() - 1;
+      for (const std::vector<int>& groups :
+           {std::vector<int>{}, std::vector<int>{0}, std::vector<int>{0, 1}}) {
+        for (AggKind kind : {AggKind::kSum, AggKind::kCount, AggKind::kMin,
+                             AggKind::kMax, AggKind::kMean}) {
+          SCOPED_TRACE(testing::Message()
+                       << input_name << " " << prefix_name << " groups="
+                       << groups.size() << " " << AggKindName(kind));
+          PipelineSpec spec = prefix_spec;
+          spec.ops.push_back(PipelineOp::Aggregate(groups, kind, agg_column, "agg"));
+          ExpectPipelineMatches(
+              spec, *in, ops::Aggregate(materialized, groups, kind, agg_column, "agg"),
+              materialized.NumRows());
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchPipelineTest, ResidencyStaysBoundedByDepthTimesBatch) {
@@ -537,6 +606,78 @@ TEST(PipelineQueryTest, FusedMembersPricedFromKernelRowCounts) {
   }
 }
 
+// A chain's aggregate tail under a memory budget cuts the sorted partial runs
+// spill::Aggregate cuts over the materialized prefix, at the same consumed-row
+// boundaries. The same aggregate runs fused (filter -> aggregate) and unfused
+// (a free same-party Collect of the filter's output keeps it materialized):
+// rows, clocks, per-node meters, the priced spill report and the physical
+// run/byte/pass counters agree, and the fused run holds no more rows.
+TEST(PipelineQueryTest, AggregateTailSpillsLikeTheUnfusedAggregate) {
+  const std::string spill_dir =
+      (std::filesystem::temp_directory_path() / "conclave-agg-tail-spill").string();
+  std::filesystem::remove_all(spill_dir);
+  std::filesystem::create_directories(spill_dir);
+  const test::ScopedEnvVar dir("CONCLAVE_SPILL_DIR", spill_dir.c_str());
+  const Relation input = data::UniformInts(3000, {"k", "v"}, 40, /*seed=*/63);
+
+  auto run = [&](bool fused, AggKind kind, int64_t budget, int64_t batch_rows) {
+    api::Query query;
+    const api::Party alice = query.AddParty("alice");
+    const api::Table filtered = query.NewTable("t", {{"k"}, {"v"}}, alice)
+                                    .Filter("v", CompareOp::kLt, 30);
+    filtered.Aggregate("agg", kind, {"k"}, "v").WriteToCsv("out", {alice});
+    if (!fused) {
+      filtered.WriteToCsv("extra", {alice});
+    }
+    auto result = query.Run({{"t", input}}, {}, CostModel{}, /*seed=*/42,
+                            {.batch_rows = batch_rows, .mem_budget_rows = budget});
+    CONCLAVE_CHECK(result.ok());
+    const std::vector<ir::OpNode*> order = query.dag().TopoOrder();
+    const auto chains =
+        compiler::PipelineChains(std::vector<const ir::OpNode*>(order.begin(), order.end()),
+                                 compiler::MpcBackendKind::kSharemind);
+    EXPECT_EQ(chains.size(), fused ? 1u : 0u);
+    if (!fused) {
+      // The extra Collect stays at alice: it charges nothing.
+      const int extra = query.dag().Collects().back()->id;
+      EXPECT_EQ(result->node_seconds.at(extra), 0.0);
+      result->node_seconds.erase(extra);
+    }
+    return std::move(*result);
+  };
+
+  for (AggKind kind : {AggKind::kSum, AggKind::kMean}) {
+    for (int64_t budget : {int64_t{16}, int64_t{64}}) {
+      const backends::ExecutionResult unfused =
+          run(/*fused=*/false, kind, budget, kDefaultBatchRows);
+      ASSERT_GT(unfused.spill_report.stats.runs_written, 0);
+      for (int64_t batch_rows : {int64_t{7}, kDefaultBatchRows}) {
+        SCOPED_TRACE(testing::Message() << AggKindName(kind) << " budget=" << budget
+                                        << " batch=" << batch_rows);
+        const backends::ExecutionResult got = run(/*fused=*/true, kind, budget, batch_rows);
+        EXPECT_TRUE(got.outputs.at("out").RowsEqual(unfused.outputs.at("out")));
+        EXPECT_EQ(got.virtual_seconds, unfused.virtual_seconds);
+        EXPECT_EQ(got.local_seconds, unfused.local_seconds);
+        EXPECT_EQ(got.node_seconds, unfused.node_seconds);
+        const backends::SpillReport& want = unfused.spill_report;
+        EXPECT_EQ(got.spill_report.mem_budget_rows, want.mem_budget_rows);
+        EXPECT_EQ(got.spill_report.spilling_nodes, want.spilling_nodes);
+        EXPECT_EQ(got.spill_report.spill_passes, want.spill_passes);
+        EXPECT_EQ(got.spill_report.spill_seconds, want.spill_seconds);
+        EXPECT_EQ(got.spill_report.stats.runs_written, want.stats.runs_written);
+        EXPECT_EQ(got.spill_report.stats.spilled_rows, want.stats.spilled_rows);
+        EXPECT_EQ(got.spill_report.stats.spilled_bytes, want.stats.spilled_bytes);
+        EXPECT_EQ(got.spill_report.stats.merge_passes, want.stats.merge_passes);
+        EXPECT_GT(got.spill_report.stats.peak_resident_rows, 0);
+        EXPECT_LE(got.spill_report.stats.peak_resident_rows,
+                  want.stats.peak_resident_rows);
+      }
+    }
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(spill_dir));
+  std::filesystem::remove_all(spill_dir);
+}
+
 // --- Single-party plans: limit, distinct and window on the cleartext path -----
 
 // The plan fuzzer's queries start from a cross-party concat, which keeps
@@ -726,9 +867,10 @@ TEST(RevealStreamTest, MatchesMaterializingAcrossBatchGrid) {
   }
 }
 
-// Reveal as the head of a chain with limit and sorted-distinct tails: the
-// operators that cut a stream short or dedup across batch boundaries must see
-// revealed batches exactly as they would see materialized head slices.
+// Reveal as the head of a chain with limit, sorted-distinct and aggregate
+// tails: the operators that cut a stream short, dedup across batch boundaries
+// or accumulate groups must see revealed batches exactly as they would see
+// materialized head slices.
 TEST(RevealStreamTest, LimitAndDistinctTails) {
   Relation input = data::UniformInts(400, {"k", "v"}, 50, /*seed=*/31);
   const std::vector<int> sort_columns = {0, 1};
@@ -764,6 +906,22 @@ TEST(RevealStreamTest, LimitAndDistinctTails) {
       BatchPipeline streaming(spec);
       const Relation got = streaming.Run(source, batch_rows).value();
       EXPECT_TRUE(got.RowsEqual(expected)) << "distinct batch=" << batch_rows;
+    }
+  }
+  {
+    // An aggregate tail consumes the revealed batches in place.
+    PipelineSpec spec;
+    spec.input_schema = input.schema();
+    spec.ops.push_back(PipelineOp::Filter(
+        FilterPredicate::ColumnVsLiteral(1, CompareOp::kGt, 5)));
+    spec.ops.push_back(PipelineOp::Aggregate({0}, AggKind::kMean, 1, "mean"));
+    BatchPipeline materializing(spec);
+    const Relation expected =
+        materializing.Run(source.Rows(0, input.NumRows()).value(), 0);
+    for (int64_t batch_rows : kBatchGrid) {
+      BatchPipeline streaming(spec);
+      const Relation got = streaming.Run(source, batch_rows).value();
+      EXPECT_TRUE(got.RowsEqual(expected)) << "aggregate batch=" << batch_rows;
     }
   }
 }

@@ -1021,6 +1021,15 @@ std::string CheckSpillConfigAgainst(const RunOutcome& baseline,
                      where.c_str(), budgeted.spill_report.spill_seconds,
                      budgeted.spill_report.spilling_nodes);
   }
+  // The physical witness: a node priced as spilling must have written a run.
+  if (budgeted.spill_report.stats.runs_written <
+      budgeted.spill_report.spilling_nodes) {
+    return StrFormat("spill witness gap at %s: %d node(s) priced as spilling "
+                     "but %lld run(s) written",
+                     where.c_str(), budgeted.spill_report.spilling_nodes,
+                     static_cast<long long>(
+                         budgeted.spill_report.stats.runs_written));
+  }
   return "";
 }
 
