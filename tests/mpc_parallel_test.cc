@@ -8,10 +8,15 @@
 // and fingerprint everything the engine emits.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "conclave/common/thread_pool.h"
 #include "conclave/data/generators.h"
+#include "conclave/hybrid/hybrid_agg.h"
+#include "conclave/hybrid/hybrid_join.h"
+#include "conclave/hybrid/hybrid_window.h"
+#include "conclave/hybrid/public_join.h"
 #include "conclave/mpc/oblivious.h"
 #include "conclave/mpc/protocols.h"
 
@@ -59,6 +64,47 @@ struct Trace {
            mpc_multiplications == other.mpc_multiplications &&
            mpc_comparisons == other.mpc_comparisons &&
            triples_dealt == other.triples_dealt;
+  }
+
+  // FNV-1a over every share, every reconstructed cell, the clock's bits and the
+  // counters: one number that pins the whole trace across code changes.
+  uint64_t Fingerprint() const {
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    const auto mix = [&hash](uint64_t value) {
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (value >> (8 * byte)) & 0xff;
+        hash *= 0x100000001b3ULL;
+      }
+    };
+    for (const SharedColumn& column : columns) {
+      mix(column.size());
+      for (int p = 0; p < kNumShareParties; ++p) {
+        for (Ring share : column.shares[p]) {
+          mix(share);
+        }
+      }
+    }
+    for (const Relation& relation : relations) {
+      mix(static_cast<uint64_t>(relation.NumRows()));
+      for (int c = 0; c < relation.NumColumns(); ++c) {
+        for (int64_t cell : relation.ColumnSpan(c)) {
+          mix(static_cast<uint64_t>(cell));
+        }
+      }
+    }
+    mix(std::bit_cast<uint64_t>(virtual_seconds));
+    mix(network_bytes);
+    mix(mpc_multiplications);
+    mix(mpc_comparisons);
+    mix(triples_dealt);
+    return hash;
+  }
+
+  void Record(const SharedRelation& relation) {
+    relations.push_back(ReconstructRelation(relation));
+    for (int c = 0; c < relation.NumColumns(); ++c) {
+      columns.push_back(relation.Column(c));
+    }
   }
 };
 
@@ -114,8 +160,10 @@ Trace RunKernels(int pool_parallelism) {
   return trace;
 }
 
-// The oblivious layer end to end: sort, shuffle, select, merge, plus the protocol
-// layer's aggregation (segmented scans + RingSum reduction path).
+// The oblivious layer and every secret-sharing protocol end to end: sort, shuffle,
+// select, merge; filter, joins, aggregations (segmented scans + RingSum reduction
+// path), distinct, windows, the sorted distinct count; and the hybrid and public
+// protocols with a selectively-trusted party among three.
 Trace RunProtocols(int pool_parallelism) {
   ThreadPool pool(pool_parallelism);
   ThreadPool::Scope scope(&pool);
@@ -123,39 +171,92 @@ Trace RunProtocols(int pool_parallelism) {
   SimNetwork net{CostModel{}};
   SecretShareEngine engine(&net, /*seed=*/123);
   Trace trace;
+  const auto input = [&engine](const Relation& relation) {
+    auto shared = mpc::InputRelation(engine, relation);
+    CONCLAVE_CHECK(shared.ok());
+    return *std::move(shared);
+  };
+  const auto record = [&trace](const StatusOr<SharedRelation>& result) {
+    CONCLAVE_CHECK(result.ok());
+    trace.Record(*result);
+  };
 
   Relation rel = data::UniformInts(500, {"g", "x"}, 8, /*seed=*/11);
-  const auto shared = mpc::InputRelation(engine, rel);
-  CONCLAVE_CHECK(shared.ok());
+  const SharedRelation shared = input(rel);
 
   const int keys[] = {0};
-  SharedRelation sorted = ObliviousSort(engine, *shared, keys);
-  trace.relations.push_back(ReconstructRelation(sorted));
-  for (int c = 0; c < sorted.NumColumns(); ++c) {
-    trace.columns.push_back(sorted.Column(c));
-  }
-
-  SharedRelation shuffled = ObliviousShuffle(engine, *shared);
-  trace.relations.push_back(ReconstructRelation(shuffled));
-  for (int c = 0; c < shuffled.NumColumns(); ++c) {
-    trace.columns.push_back(shuffled.Column(c));
-  }
+  SharedRelation sorted = ObliviousSort(engine, shared, keys);
+  trace.Record(sorted);
+  trace.Record(ObliviousShuffle(engine, shared));
 
   SharedColumn indices = engine.Share(RandomValues(64, 3, 0, 499));
-  SharedRelation selected = ObliviousSelect(engine, *shared, indices);
+  SharedRelation selected = ObliviousSelect(engine, shared, indices);
   for (int c = 0; c < selected.NumColumns(); ++c) {
     trace.columns.push_back(selected.Column(c));
   }
 
   const int group[] = {0};
-  const auto agg = mpc::Aggregate(engine, *shared, group, AggKind::kSum, 1, "s");
+  const auto agg = mpc::Aggregate(engine, shared, group, AggKind::kSum, 1, "s");
   CONCLAVE_CHECK(agg.ok());
   trace.relations.push_back(ReconstructRelation(*agg));
 
   const auto global =
-      mpc::Aggregate(engine, *shared, std::span<const int>{}, AggKind::kSum, 1, "t");
+      mpc::Aggregate(engine, shared, std::span<const int>{}, AggKind::kSum, 1, "t");
   CONCLAVE_CHECK(global.ok());
   trace.columns.push_back(global->Column(0));
+
+  record(mpc::Aggregate(engine, shared, group, AggKind::kMax, 1, "m"));
+  record(mpc::Aggregate(engine, shared, group, AggKind::kMean, 1, "a"));
+  record(mpc::Filter(engine, shared,
+                     FilterPredicate::ColumnVsLiteral(1, CompareOp::kLt, 3)));
+  record(mpc::Distinct(engine, shared, keys));
+  for (WindowFn fn : {WindowFn::kRowNumber, WindowFn::kRunningSum, WindowFn::kLag}) {
+    record(mpc::Window(engine, shared, group, /*order_column=*/1, fn,
+                       /*value_column=*/1, "w"));
+  }
+
+  // Merge: the power-of-two network and the full-sort fallback.
+  const SharedRelation run_a = ObliviousSort(engine, input(data::UniformInts(
+                                                          128, {"g", "x"}, 50, 12)),
+                                             keys);
+  const SharedRelation run_b = ObliviousSort(engine, input(data::UniformInts(
+                                                          100, {"g", "x"}, 50, 13)),
+                                             keys);
+  trace.Record(ObliviousMerge(engine, run_a, run_b, keys));
+  trace.Record(ObliviousMerge(engine, run_b, run_a, keys));
+
+  // Sorted distinct count over a filter's keep flags.
+  const SharedRelation by_key = input(ops::SortBy(rel, keys));
+  const SharedColumn keep = mpc::FilterFlags(
+      engine, by_key, FilterPredicate::ColumnVsLiteral(1, CompareOp::kGe, 4));
+  trace.columns.push_back(keep);
+  record(mpc::CountDistinctSorted(engine, by_key, 0, keep, "c"));
+
+  // Joins: one key and two keys, Cartesian, hybrid and public.
+  const SharedRelation left = input(data::UniformInts(60, {"k", "j", "a"}, 6, 14));
+  const SharedRelation right = input(data::UniformInts(45, {"k", "j", "b"}, 6, 15));
+  const int one_key[] = {0};
+  const int two_keys[] = {0, 1};
+  constexpr PartyId kStp = 0;
+  constexpr int kParties = 3;
+  for (std::span<const int> join_keys :
+       {std::span<const int>(one_key), std::span<const int>(two_keys)}) {
+    record(mpc::Join(engine, left, right, join_keys, join_keys));
+    record(hybrid::HybridJoin(engine, left, right, join_keys, join_keys, kStp,
+                              kParties));
+    record(hybrid::PublicJoinShared(engine, left, right, join_keys, join_keys,
+                                    kStp, kParties));
+  }
+
+  // The hybrid aggregation and window (STP-ordered scans).
+  record(hybrid::HybridAggregate(engine, shared, group, AggKind::kSum, 1, "h",
+                                 kStp, kParties));
+  record(hybrid::HybridAggregate(engine, left, two_keys, AggKind::kMin, 2, "h",
+                                 kStp, kParties));
+  for (WindowFn fn : {WindowFn::kRowNumber, WindowFn::kRunningSum, WindowFn::kLag}) {
+    record(hybrid::HybridWindow(engine, left, group, /*order_column=*/2, fn,
+                                /*value_column=*/2, "hw", kStp, kParties));
+  }
 
   trace.virtual_seconds = net.ElapsedSeconds();
   trace.network_bytes = net.counters().network_bytes;
@@ -175,6 +276,13 @@ TEST(MpcParallelTest, ProtocolSharesBitIdenticalAcrossPoolSizes) {
   const Trace serial = RunProtocols(1);
   EXPECT_TRUE(serial.BitIdentical(RunProtocols(2)));
   EXPECT_TRUE(serial.BitIdentical(RunProtocols(4)));
+}
+
+// Every protocol's shares, clock and counters, pinned: a refactor of the protocols
+// or of the building blocks beneath them must leave this number unchanged. Update it
+// only for a deliberate change of a protocol's randomness or charges.
+TEST(MpcParallelTest, ProtocolFingerprintIsPinned) {
+  EXPECT_EQ(RunProtocols(1).Fingerprint(), 0xa7a9c8af61dd921fULL);
 }
 
 TEST(MpcParallelTest, RepeatedParallelRunsAreStable) {
