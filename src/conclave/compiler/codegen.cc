@@ -190,8 +190,8 @@ std::string HybridListing(const ir::OpNode* node) {
                        Ref(node->inputs[1]).c_str(), node->stp);
       out += "    mpc:  shuffle(left); shuffle(right)\n";
       out += StrFormat("    mpc:  reveal key columns to party_%d\n", node->stp);
-      out += "    stp:  enumerate; cleartext join; project row indexes\n";
-      out += "    stp:  secret-share index relations back into MPC\n";
+      out += "    stp:  pair matching rows in the clear (row positions)\n";
+      out += "    stp:  secret-share the two row-index columns back into MPC\n";
       out += "    mpc:  oblivious_select(left); oblivious_select(right); reshuffle\n";
       break;
     case ir::HybridKind::kPublicJoin:
@@ -209,7 +209,7 @@ std::string HybridListing(const ir::OpNode* node) {
                        Ref(node->inputs[0]).c_str(),
                        StrJoin(p.group_columns, "', '").c_str(), node->stp);
       out += "    mpc:  shuffle; reveal group-by column to the STP\n";
-      out += "    stp:  enumerate + cleartext sort; equality flags\n";
+      out += "    stp:  cleartext sort of row positions; equality flags\n";
       out += "    stp:  send ordering in the clear; secret-share flags\n";
       out += "    mpc:  reorder; flag-driven oblivious accumulate; compact\n";
       break;
@@ -222,7 +222,7 @@ std::string HybridListing(const ir::OpNode* node) {
           StrJoin(p.partition_columns, "', '").c_str(), p.order_column.c_str(),
           node->stp);
       out += "    mpc:  shuffle; reveal partition+order columns to the STP\n";
-      out += "    stp:  enumerate + cleartext sort; same-partition flags\n";
+      out += "    stp:  cleartext sort of row positions; same-partition flags\n";
       out += "    stp:  send ordering in the clear; secret-share flags\n";
       out += "    mpc:  reorder; flag-gated window scan (no compaction)\n";
       break;

@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "conclave/common/strings.h"
+#include "conclave/mpc/batcher.h"
 #include "conclave/mpc/garbled/gc_cost.h"
 #include "conclave/mpc/oblivious.h"
 #include "conclave/mpc/protocols.h"
@@ -19,41 +20,18 @@ namespace {
 
 constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 
+// Clamp before llround: above 2^62 the conversion is UB, and the structural
+// loops (Batcher layers, scans) only need "absurdly large", not exact.
+constexpr int64_t kMaxRows = int64_t{1} << 62;
+
 int64_t ToRows(double estimate) {
-  // Clamp before llround: above 2^62 the conversion is UB, and the structural
-  // loops (Batcher shapes, scans) only need "absurdly large", not exact.
-  return estimate <= 0 ? 0 : std::llround(std::min(estimate, 0x1p62));
+  return estimate <= 0
+             ? 0
+             : std::llround(std::min(estimate, static_cast<double>(kMaxRows)));
 }
 
-// Exact Batcher shapes are walked in O(n log n) plan time and counted in uint64.
-// Above this cap (2M rows) fall back to the continuous n/4·ceil(log2 n)² form in
-// doubles: the relative error is negligible there (exactness matters at small and
-// non-power-of-two n), the walk stays bounded for absurd cardinality estimates,
-// and nothing overflows.
-constexpr int64_t kMaxExactShapeRows = int64_t{1} << 21;
-
-// Double-valued network shape: huge estimated relations produce exchange counts
-// beyond uint64, and cost math is double anyway.
-struct NetworkShape {
-  double exchanges = 0;
-  double layers = 0;
-};
-
-uint64_t CeilLog2(int64_t n) {
-  uint64_t log = 0;
-  while ((int64_t{1} << log) < n) {
-    ++log;
-  }
-  return log;
-}
-
-NetworkShape ApproxSortShape(int64_t n) {
-  const double log = static_cast<double>(CeilLog2(n));
-  NetworkShape shape;
-  shape.exchanges = static_cast<double>(n) / 4 * log * (log + 1);
-  shape.layers = log * (log + 1) / 2;
-  return shape;
-}
+// Rows fed to the analytic garbled-circuit gate formulas are capped here (2M rows).
+constexpr int64_t kMaxGcRows = int64_t{1} << 21;
 
 // Accumulates one backend's price for one operator; the first working-set violation
 // turns the whole operator infeasible (mirroring the engines' StatusOr returns).
@@ -165,10 +143,15 @@ class SsCoster {
   // One Batcher compare-exchange network (sort or merge pass) over a relation of
   // `cols` columns with `keys` sort keys: per exchange, the RowGreater comparison
   // ladder plus one mux multiplication per column; per layer, the corresponding
-  // batched-invocation rounds.
-  double BatcherNetwork(const NetworkShape& shape, size_t cols,
+  // batched-invocation rounds. Exchanges sum in doubles: huge estimated relations
+  // produce counts beyond uint64, and cost math is double anyway.
+  double BatcherNetwork(const std::vector<BatcherLayer>& layers, size_t cols,
                         size_t keys) const {
-    if (shape.exchanges == 0) {
+    double exchanges = 0;
+    for (const BatcherLayer& layer : layers) {
+      exchanges += static_cast<double>(layer.Exchanges());
+    }
+    if (exchanges == 0) {
       return 0;
     }
     const double k = static_cast<double>(keys);
@@ -179,10 +162,10 @@ class SsCoster {
     const SsCharge cmp = model_.SsChargeFor(SsPrimitive::kCompare);
     const SsCharge eq = model_.SsChargeFor(SsPrimitive::kEquality);
     const SsCharge mul = model_.SsChargeFor(SsPrimitive::kMult);
-    double seconds = shape.exchanges * (k * cmp.seconds +
-                                        eq_batches * eq.seconds +
-                                        muls * mul.seconds);
-    seconds += shape.layers *
+    double seconds = exchanges * (k * cmp.seconds +
+                                  eq_batches * eq.seconds +
+                                  muls * mul.seconds);
+    seconds += static_cast<double>(layers.size()) *
                Lat(static_cast<uint64_t>(k) * cmp.rounds +
                    static_cast<uint64_t>(eq_batches) * eq.rounds +
                    static_cast<uint64_t>(muls) * mul.rounds);
@@ -190,36 +173,7 @@ class SsCoster {
   }
 
   double ObliviousSort(int64_t n, size_t cols, size_t keys) const {
-    return BatcherNetwork(SortShape(n), cols, keys);
-  }
-
-  const NetworkShape& SortShape(int64_t n) const {
-    auto it = sort_shapes_.find(n);
-    if (it == sort_shapes_.end()) {
-      NetworkShape shape;
-      if (n <= kMaxExactShapeRows) {
-        const gc::BatcherNetworkShape exact =
-            gc::BatcherSortShape(static_cast<uint64_t>(n));
-        shape.exchanges = static_cast<double>(exact.exchanges);
-        shape.layers = static_cast<double>(exact.layers);
-      } else {
-        shape = ApproxSortShape(n);
-      }
-      it = sort_shapes_.emplace(n, shape).first;
-    }
-    return it->second;
-  }
-
-  NetworkShape MergeShape(int64_t run, int64_t total) const {
-    if (total <= kMaxExactShapeRows) {
-      const gc::BatcherNetworkShape exact = gc::BatcherMergeShape(
-          static_cast<uint64_t>(run), static_cast<uint64_t>(total));
-      return {static_cast<double>(exact.exchanges),
-              static_cast<double>(exact.layers)};
-    }
-    // One merge pass: ~log2(run)+1 layers of ~total/2 comparators each.
-    const double layers = static_cast<double>(CeilLog2(run)) + 1;
-    return {static_cast<double>(total) / 2 * layers, layers};
+    return BatcherNetwork(BatcherSortNetwork(n), cols, keys);
   }
 
   // mpc::CheckWorkingSet mirror; false = the Sharemind VM would OOM.
@@ -240,7 +194,6 @@ class SsCoster {
  private:
   const CostModel& model_;
   int num_parties_;
-  mutable std::unordered_map<int64_t, NetworkShape> sort_shapes_;
 };
 
 size_t JoinKeyCount(const ir::OpNode& node) {
@@ -333,8 +286,9 @@ void SsPublicJoin(const SsCoster& ss, const ir::OpNode& node, int64_t n, int64_t
       senders * ss.SendBytes(static_cast<double>(out) * 16) + ss.Lat(1);
 }
 
-// The STP phase shared by hybrid aggregation and hybrid window: shuffle, reveal
-// `key_cols` columns to the STP, cleartext sort, order broadcast + flag sharing.
+// Mirrors hybrid::StpOrder, the STP phase of hybrid aggregation and hybrid window:
+// shuffle, reveal `key_cols` columns to the STP, cleartext sort, order broadcast +
+// flag sharing.
 double SsStpOrderPhase(const SsCoster& ss, int64_t n, double cols,
                        size_t key_cols) {
   const int senders = ss.parties() - 1;
@@ -430,12 +384,13 @@ void SsMergeConcat(const SsCoster& ss, const ir::OpNode& node,
   const size_t cols = static_cast<size_t>(node.schema.NumColumns());
   int64_t merged = ToRows(rows.at(node.inputs[0]->id));
   for (size_t i = 1; i < node.inputs.size(); ++i) {
-    const int64_t branch = ToRows(rows.at(node.inputs[i]->id));
+    // Clamped so the running total stays within ToRows' range.
+    const int64_t branch =
+        std::min(ToRows(rows.at(node.inputs[i]->id)), kMaxRows - merged);
     const int64_t total = merged + branch;
-    const bool merge_shape = merged > 0 && (merged & (merged - 1)) == 0 &&
-                             branch <= merged && branch > 0;
-    if (merge_shape) {
-      account.seconds += ss.BatcherNetwork(ss.MergeShape(merged, total), cols, keys);
+    if (BatcherMergeFits(merged, branch)) {
+      account.seconds +=
+          ss.BatcherNetwork(BatcherMergeNetwork(merged, total), cols, keys);
     } else {
       account.seconds += ss.ObliviousSort(total, cols, keys);
     }
@@ -547,8 +502,7 @@ void GcCharge(const CostModel& model, const gc::GcOpCost& cost, const char* what
 
 // True when a sort-bearing GC operator is already infeasible from the sort phase's
 // live labels alone (2x the relation resident, the floor of every SortCost-derived
-// total) — the verdict GcCharge would reach anyway, checked before the O(n log n)
-// exchange walk so pricing a large plan never pays for doomed gate counts.
+// total) — the verdict GcCharge would reach anyway, checked before any gate count.
 bool GcSortObviouslyOom(const CostModel& model, uint64_t rows, uint64_t cols,
                         const char* what, OpAccount& account) {
   if (2 * gc::LiveBytesForCells(model, rows, cols) > model.gc_memory_limit_bytes) {
@@ -587,10 +541,10 @@ BackendOpCost GcOpCostOf(const CostModel& model, const ir::OpNode& node,
   // Cap rows before the analytic gate formulas: every GC operator is memory-
   // infeasible far below this cap (live labels alone at 2M rows x 1 column are
   // ~25x the 4 GB VM), so capping cannot flip a feasibility verdict — while it
-  // bounds the exact Batcher walks and keeps the uint64 pair/gate arithmetic
-  // from overflowing on absurd cardinality estimates.
+  // keeps the uint64 pair/gate arithmetic from overflowing on absurd cardinality
+  // estimates.
   const auto cap = [](int64_t value) {
-    return static_cast<uint64_t>(std::min(value, kMaxExactShapeRows));
+    return static_cast<uint64_t>(std::min(value, kMaxGcRows));
   };
   const uint64_t n =
       cap(node.inputs.empty() ? 0 : ToRows(rows.at(node.inputs[0]->id)));

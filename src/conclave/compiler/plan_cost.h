@@ -2,10 +2,10 @@
 // ir::OpKind x backend x hybrid kind, that prices an MPC-resident operator with the
 // SAME formulas the execution layer charges at run time — the calibration table
 // (CostModel::SsChargeFor) for secret-sharing primitives, the exact analytic gate
-// counts (mpc/garbled/gc_cost.h) for garbled circuits, the exact Batcher network
-// shapes for oblivious sorts and merges, the engines' working-set memory checks for
-// OOM cliffs, and the padding pass's real row policy (ops::PaddedRowCount) for padded
-// cardinalities. The backend chooser, the explain API, and tests all derive from it;
+// counts (mpc/garbled/gc_cost.h) for garbled circuits, the engine's own Batcher
+// layers (mpc/batcher.h) for oblivious sorts and merges, the engines' working-set
+// memory checks for OOM cliffs, and the padding pass's real row policy
+// (ops::PaddedRowCount) for padded cardinalities. The backend chooser, the explain API, and tests all derive from it;
 // the only thing separating an estimate from a measurement is the cardinality
 // estimate feeding it.
 //

@@ -1,9 +1,6 @@
 #include "conclave/hybrid/hybrid_agg.h"
 
-#include <algorithm>
-#include <numeric>
-#include <utility>
-#include <vector>
+#include "conclave/hybrid/stp.h"
 
 namespace conclave {
 namespace hybrid {
@@ -25,61 +22,15 @@ StatusOr<SharedRelation> HybridAggregate(SecretShareEngine& engine,
   }
   CONCLAVE_RETURN_IF_ERROR(mpc::CheckWorkingSet(model, 3 * input.NumCells()));
 
-  // Step 1: shuffle, then reveal only the group-by column(s) to the STP.
-  SharedRelation shuffled = ObliviousShuffle(engine, input);
-  Relation keys_clear = ReconstructRelation(mpc::Project(shuffled, group_columns));
-  const uint64_t key_bytes = static_cast<uint64_t>(keys_clear.NumRows()) *
-                             group_columns.size() * 8;
-  for (PartyId p = 0; p < num_parties; ++p) {
-    if (p != stp) {
-      engine.network().Send(p, stp, key_bytes);
-    }
-  }
-  engine.network().Rounds(1);
-
-  // Steps 2–3: STP enumerates, sorts by key, and computes equality flags in the clear.
-  Relation enumerated = ops::Enumerate(keys_clear, "__idx");
-  std::vector<int> key_positions(group_columns.size());
-  std::iota(key_positions.begin(), key_positions.end(), 0);
-  Relation sorted = ops::SortBy(enumerated, key_positions);
-  engine.network().CpuSeconds(model.PythonSeconds(static_cast<uint64_t>(n)));
-
-  // Columnar STP steps: the enumeration column lifts out wholesale, and the
-  // adjacent-equality flags fold one contiguous key-column pass at a time.
-  const int idx_col = static_cast<int>(group_columns.size());
-  const auto idx = sorted.ColumnSpan(idx_col);
-  std::vector<int64_t> order(idx.begin(), idx.end());
-  std::vector<int64_t> flags(static_cast<size_t>(n), 0);
-  if (n > 0) {
-    std::fill(flags.begin() + 1, flags.end(), 1);
-    for (int k : key_positions) {
-      const auto column = sorted.ColumnSpan(k);
-      for (int64_t r = 1; r < n; ++r) {
-        flags[static_cast<size_t>(r)] &=
-            column[static_cast<size_t>(r)] == column[static_cast<size_t>(r - 1)] ? 1
-                                                                                 : 0;
-      }
-    }
-  }
-
-  // Step 4: the index ordering travels in the clear.
-  engine.network().Broadcast(stp, num_parties, static_cast<uint64_t>(n) * 8);
-  // Step 5: the equality flags are secret-shared by the STP.
-  for (PartyId p = 0; p < num_parties; ++p) {
-    if (p != stp) {
-      engine.network().Send(stp, p, static_cast<uint64_t>(n) * 8);
-    }
-  }
-  engine.network().Rounds(2);
-  SharedColumn shared_flags = engine.Share(flags);
-
-  // Step 6: reorder the shuffled relation by the public ordering.
-  SharedRelation ordered = ApplyPublicOrder(shuffled, order);
+  // Steps 1–6: the STP orders the shuffled rows by the group-by columns and shares
+  // the key-equality flags.
+  const StpOrdered ordered = StpOrder(engine, input, group_columns,
+                                      group_columns.size(), stp, num_parties);
 
   // Steps 7–8: flag-driven scan, shuffle, reveal keep-flags, compact — shared with
   // the pure-MPC aggregation.
-  return mpc::AggregateWithFlags(engine, ordered, group_columns, kind, agg_column,
-                                 output_name, shared_flags);
+  return mpc::AggregateWithFlags(engine, ordered.relation, group_columns, kind,
+                                 agg_column, output_name, ordered.equal_prev);
 }
 
 }  // namespace hybrid

@@ -3,11 +3,12 @@
 // Adapts the sorting-based MPC aggregation of Jónsson et al. [39] by outsourcing the
 // sort to the STP:
 //   1. Obliviously shuffle the input; reveal the shuffled group-by column to the STP.
-//   2. STP enumerates the revealed keys and sorts (key, index) by key in the clear.
+//   2. STP sorts the revealed rows' positions by key in the clear.
 //   3. STP computes per-row equality flags (key equal to previous row's key).
 //   4. STP sends the index ordering to the other parties in the clear.
 //   5. STP secret-shares the equality flags.
 //   6. Parties reorder the shuffled relation by the public ordering.
+//   (Steps 1–6 are hybrid::StpOrder, shared with the hybrid window.)
 //   7. Under MPC, a flag-driven (log-depth segmented) scan accumulates each group
 //      into its last row; keep-flags mark group boundaries.
 //   8. Shuffle the result, reveal keep-flags, discard non-final rows.

@@ -1,41 +1,13 @@
 #include "conclave/hybrid/hybrid_join.h"
 
-#include <utility>
+#include <algorithm>
+#include <numeric>
 #include <vector>
+
+#include "conclave/hybrid/stp.h"
 
 namespace conclave {
 namespace hybrid {
-namespace {
-
-// Reveals `relation` (already safe to open, e.g. shuffled key columns) to the STP:
-// the other parties send their shares of every cell.
-Relation RevealToStp(SecretShareEngine& engine, const SharedRelation& relation,
-                     PartyId stp, int num_parties) {
-  const uint64_t bytes_per_sender = relation.NumCells() * 8;
-  for (PartyId p = 0; p < num_parties; ++p) {
-    if (p != stp) {
-      engine.network().Send(p, stp, bytes_per_sender);
-    }
-  }
-  engine.network().Rounds(1);
-  return ReconstructRelation(relation);
-}
-
-// STP secret-shares a locally computed relation column back into the MPC, zero-copy
-// from its contiguous column buffer.
-SharedColumn ShareFromStp(SecretShareEngine& engine, const Relation& relation, int col,
-                          PartyId stp, int num_parties) {
-  const uint64_t bytes = static_cast<uint64_t>(relation.NumRows()) * 8;
-  for (PartyId p = 0; p < num_parties; ++p) {
-    if (p != stp) {
-      engine.network().Send(stp, p, bytes);
-    }
-  }
-  engine.network().Rounds(1);
-  return engine.ShareColumn(relation, col);
-}
-
-}  // namespace
 
 StatusOr<SharedRelation> HybridJoin(SecretShareEngine& engine,
                                     const SharedRelation& left,
@@ -60,55 +32,37 @@ StatusOr<SharedRelation> HybridJoin(SecretShareEngine& engine,
   Relation right_keys_clear =
       RevealToStp(engine, mpc::Project(right_shuffled, right_keys), stp, num_parties);
 
-  // Steps 3–4: STP enumerates and joins in the clear.
-  Relation left_enum = ops::Enumerate(left_keys_clear, "__lidx");
-  Relation right_enum = ops::Enumerate(right_keys_clear, "__ridx");
+  // Step 3: STP pairs the matching rows in the clear.
   std::vector<int> key_positions(left_keys.size());
-  for (size_t i = 0; i < key_positions.size(); ++i) {
-    key_positions[i] = static_cast<int>(i);
-  }
-  Relation joined_idx = ops::Join(left_enum, right_enum, key_positions, key_positions);
-  engine.network().CpuSeconds(model.PythonSeconds(
-      static_cast<uint64_t>(left_enum.NumRows() + right_enum.NumRows() +
-                            joined_idx.NumRows())));
+  std::iota(key_positions.begin(), key_positions.end(), 0);
+  std::vector<int64_t> left_pairs;
+  std::vector<int64_t> right_pairs;
+  ops::JoinRowPairs(left_keys_clear, right_keys_clear, key_positions, key_positions,
+                    &left_pairs, &right_pairs);
+  const int64_t out_rows = static_cast<int64_t>(left_pairs.size());
+  engine.network().CpuSeconds(model.PythonSeconds(static_cast<uint64_t>(
+      left_keys_clear.NumRows() + right_keys_clear.NumRows() + out_rows)));
 
-  // Step 5: STP shares the two index relations back into the MPC.
-  const int lidx_col = static_cast<int>(left_keys.size());
-  const int ridx_col = lidx_col + 1;
-  SharedColumn left_indexes =
-      ShareFromStp(engine, joined_idx, lidx_col, stp, num_parties);
-  SharedColumn right_indexes =
-      ShareFromStp(engine, joined_idx, ridx_col, stp, num_parties);
+  // Step 4: STP shares the two row-index columns back into the MPC.
+  SharedColumn left_indexes = ShareFromStp(engine, left_pairs, stp, num_parties);
+  SharedColumn right_indexes = ShareFromStp(engine, right_pairs, stp, num_parties);
 
   CONCLAVE_RETURN_IF_ERROR(mpc::CheckWorkingSet(
       model, 3 * (left.NumCells() + right.NumCells()) +
-                 static_cast<uint64_t>(joined_idx.NumRows()) *
+                 static_cast<uint64_t>(out_rows) *
                      (left.NumCells() / std::max<int64_t>(left.NumRows(), 1) +
                       right.NumCells() / std::max<int64_t>(right.NumRows(), 1))));
 
-  // Step 6: oblivious indexing selects the contributing rows.
+  // Step 5: oblivious indexing selects the contributing rows.
   SharedRelation left_rows = ObliviousSelect(engine, left_shuffled, left_indexes);
   SharedRelation right_rows = ObliviousSelect(engine, right_shuffled, right_indexes);
 
-  // Step 7: assemble the join output (keys from the left, then non-key columns) and
-  // reshuffle.
-  std::vector<int> left_rest;
-  std::vector<int> right_rest;
-  Schema out_schema = ops::JoinOutputSchema(left.schema(), right.schema(), left_keys,
-                                            right_keys, &left_rest, &right_rest);
-  std::vector<SharedColumn> columns;
-  columns.reserve(static_cast<size_t>(out_schema.NumColumns()));
-  for (int c : left_keys) {
-    columns.push_back(left_rows.Column(c));
-  }
-  for (int c : left_rest) {
-    columns.push_back(left_rows.Column(c));
-  }
-  for (int c : right_rest) {
-    columns.push_back(right_rows.Column(c));
-  }
-  SharedRelation result(std::move(out_schema), std::move(columns));
-  return ObliviousShuffle(engine, result);
+  // Step 6: assemble the join output and reshuffle.
+  return ObliviousShuffle(
+      engine, mpc::AssembleJoin(
+                  left.schema(), right.schema(), left_keys, right_keys,
+                  [&](int c) { return left_rows.Column(c); },
+                  [&](int c) { return right_rows.Column(c); }));
 }
 
 }  // namespace hybrid

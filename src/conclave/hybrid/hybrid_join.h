@@ -4,12 +4,12 @@
 // of both sides share a selectively-trusted party (STP). Protocol:
 //   1. Obliviously shuffle both input relations under MPC.
 //   2. Project to the key columns and reveal those columns (only) to the STP.
-//   3. STP enumerates rows of each side in the clear.
-//   4. STP joins the enumerated key relations in the clear.
-//   5. STP projects out the two row-index columns and secret-shares them back.
-//   6. Under MPC, obliviously select the contributing rows from the shuffled inputs
+//   3. STP pairs the matching rows of the two key relations in the clear
+//      (ops::JoinRowPairs, the pair step every join shares).
+//   4. STP secret-shares the pairs' two row-index columns back.
+//   5. Under MPC, obliviously select the contributing rows from the shuffled inputs
 //      (Laud-style indexing [45]).
-//   7. Concatenate the selected rows column-wise and reshuffle.
+//   6. Assemble the selected rows column-wise and reshuffle.
 //
 // Leakage: the STP learns both key columns (in shuffled order); all parties learn the
 // result row count. Asymptotics: O((n+m) log (n+m)) non-linear MPC operations versus

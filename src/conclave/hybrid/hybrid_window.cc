@@ -1,8 +1,8 @@
 #include "conclave/hybrid/hybrid_window.h"
 
-#include <numeric>
-#include <utility>
 #include <vector>
+
+#include "conclave/hybrid/stp.h"
 
 namespace conclave {
 namespace hybrid {
@@ -22,60 +22,16 @@ StatusOr<SharedRelation> HybridWindow(SecretShareEngine& engine,
   }
   CONCLAVE_RETURN_IF_ERROR(mpc::CheckWorkingSet(model, 3 * input.NumCells()));
 
-  // Step 1: shuffle, then reveal only the (partition, order) columns to the STP.
-  SharedRelation shuffled = ObliviousShuffle(engine, input);
+  // Steps 1–6: the STP orders the shuffled rows by (partition, order) and shares
+  // the same-partition flags.
   std::vector<int> key_columns(partition_columns.begin(), partition_columns.end());
   key_columns.push_back(order_column);
-  Relation keys_clear = ReconstructRelation(mpc::Project(shuffled, key_columns));
-  const uint64_t key_bytes =
-      static_cast<uint64_t>(keys_clear.NumRows()) * key_columns.size() * 8;
-  for (PartyId p = 0; p < num_parties; ++p) {
-    if (p != stp) {
-      engine.network().Send(p, stp, key_bytes);
-    }
-  }
-  engine.network().Rounds(1);
-
-  // Steps 2–3: STP enumerates, sorts by (partition, order), and computes
-  // same-partition flags in the clear.
-  Relation enumerated = ops::Enumerate(keys_clear, "__idx");
-  std::vector<int> sort_positions(key_columns.size());
-  std::iota(sort_positions.begin(), sort_positions.end(), 0);
-  Relation sorted = ops::SortBy(enumerated, sort_positions);
-  engine.network().CpuSeconds(model.PythonSeconds(static_cast<uint64_t>(n)));
-
-  const int idx_col = static_cast<int>(key_columns.size());
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  std::vector<int64_t> flags(static_cast<size_t>(n), 0);
-  for (int64_t r = 0; r < n; ++r) {
-    order[static_cast<size_t>(r)] = sorted.At(r, idx_col);
-    if (r > 0) {
-      bool equal = true;
-      for (size_t k = 0; k < partition_columns.size(); ++k) {
-        equal = equal && sorted.At(r, static_cast<int>(k)) ==
-                             sorted.At(r - 1, static_cast<int>(k));
-      }
-      flags[static_cast<size_t>(r)] = equal ? 1 : 0;
-    }
-  }
-
-  // Step 4: the index ordering travels in the clear.
-  engine.network().Broadcast(stp, num_parties, static_cast<uint64_t>(n) * 8);
-  // Step 5: the same-partition flags are secret-shared by the STP.
-  for (PartyId p = 0; p < num_parties; ++p) {
-    if (p != stp) {
-      engine.network().Send(stp, p, static_cast<uint64_t>(n) * 8);
-    }
-  }
-  engine.network().Rounds(2);
-  SharedColumn shared_flags = engine.Share(flags);
-
-  // Step 6: reorder the shuffled relation by the public ordering.
-  SharedRelation ordered = ApplyPublicOrder(shuffled, order);
+  const StpOrdered ordered = StpOrder(engine, input, key_columns,
+                                      partition_columns.size(), stp, num_parties);
 
   // Step 7: flag-gated window scan, shared with the pure-MPC window.
-  return mpc::WindowWithFlags(engine, ordered, fn, value_column, output_name,
-                              shared_flags);
+  return mpc::WindowWithFlags(engine, ordered.relation, fn, value_column,
+                              output_name, ordered.equal_prev);
 }
 
 }  // namespace hybrid

@@ -5,11 +5,12 @@
 // unchanged: outsource the sort to the STP.
 //   1. Obliviously shuffle the input; reveal the shuffled (partition, order) columns
 //      to the STP.
-//   2. STP enumerates the revealed keys and sorts (keys, index) in the clear.
+//   2. STP sorts the revealed rows' positions by (partition, order) in the clear.
 //   3. STP computes per-row same-partition flags.
 //   4. STP sends the index ordering to the other parties in the clear.
 //   5. STP secret-shares the same-partition flags.
 //   6. Parties reorder the shuffled relation by the public ordering.
+//   (Steps 1–6 are hybrid::StpOrder, shared with the hybrid aggregation.)
 //   7. Under MPC, a flag-gated pass computes the window column (lag: one
 //      multiplication per row; row_number / running_sum: log-depth segmented scan).
 //

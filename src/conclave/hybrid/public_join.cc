@@ -1,33 +1,33 @@
 #include "conclave/hybrid/public_join.h"
 
-#include <utility>
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
 namespace conclave {
 namespace hybrid {
 namespace {
 
-// Builds the joined index pairs on the cleartext key relations: for every matching
-// (left row, right row) pair, in left-then-right order.
+// The joiner's cleartext step: the matching (left row, right row) pairs, ordered by
+// key (stably, so ties keep join order).
 void JoinIndexes(const Relation& left_keys, const Relation& right_keys,
                  std::vector<int64_t>* left_rows, std::vector<int64_t>* right_rows) {
-  Relation left_enum = ops::Enumerate(left_keys, "__lidx");
-  Relation right_enum = ops::Enumerate(right_keys, "__ridx");
   std::vector<int> key_positions(static_cast<size_t>(left_keys.NumColumns()));
-  for (size_t i = 0; i < key_positions.size(); ++i) {
-    key_positions[i] = static_cast<int>(i);
-  }
-  Relation joined = ops::Join(left_enum, right_enum, key_positions, key_positions);
+  std::iota(key_positions.begin(), key_positions.end(), 0);
+  std::vector<int64_t> left_pairs;
+  std::vector<int64_t> right_pairs;
+  ops::JoinRowPairs(left_keys, right_keys, key_positions, key_positions, &left_pairs,
+                    &right_pairs);
   // The joiner sorts by key in the clear; downstream oblivious sorts become
   // redundant (the sort-elimination win of §5.4 / §7.4).
-  joined = ops::SortBy(joined, key_positions);
-  // The index columns come out of the join as contiguous buffers; lift them
-  // wholesale.
-  const int lidx_col = left_keys.NumColumns();
-  const auto lidx = joined.ColumnSpan(lidx_col);
-  const auto ridx = joined.ColumnSpan(lidx_col + 1);
-  left_rows->assign(lidx.begin(), lidx.end());
-  right_rows->assign(ridx.begin(), ridx.end());
+  const std::vector<int64_t> order =
+      ops::SortedOrder(ops::GatherRows(left_keys, left_pairs), key_positions);
+  left_rows->resize(order.size());
+  right_rows->resize(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    (*left_rows)[i] = left_pairs[static_cast<size_t>(order[i])];
+    (*right_rows)[i] = right_pairs[static_cast<size_t>(order[i])];
+  }
 }
 
 }  // namespace
@@ -47,13 +47,19 @@ StatusOr<SharedRelation> PublicJoinShared(SecretShareEngine& engine,
       ReconstructRelation(mpc::Project(left, left_keys));
   Relation right_keys_clear =
       ReconstructRelation(mpc::Project(right, right_keys));
+  // The other parties split the key bytes between them; the first
+  // key_bytes % senders of them carry one byte more, so every byte is counted.
   const uint64_t key_bytes =
       (static_cast<uint64_t>(left_keys_clear.NumRows()) +
        static_cast<uint64_t>(right_keys_clear.NumRows())) *
       left_keys.size() * 8;
+  const uint64_t senders = static_cast<uint64_t>(std::max(num_parties - 1, 1));
+  uint64_t remainder = key_bytes % senders;
   for (PartyId p = 0; p < num_parties; ++p) {
     if (p != joiner) {
-      engine.network().Send(p, joiner, key_bytes / std::max(num_parties - 1, 1));
+      const uint64_t extra = remainder > 0 ? 1 : 0;
+      remainder -= extra;
+      engine.network().Send(p, joiner, key_bytes / senders + extra);
     }
   }
   engine.network().Rounds(1);
@@ -71,76 +77,10 @@ StatusOr<SharedRelation> PublicJoinShared(SecretShareEngine& engine,
 
   // Every party assembles the joined result by local share gathering — the public
   // indexes make this communication-free.
-  std::vector<int> left_rest;
-  std::vector<int> right_rest;
-  Schema out_schema = ops::JoinOutputSchema(left.schema(), right.schema(), left_keys,
-                                            right_keys, &left_rest, &right_rest);
-  std::vector<SharedColumn> columns;
-  columns.reserve(static_cast<size_t>(out_schema.NumColumns()));
-  for (int c : left_keys) {
-    columns.push_back(GatherColumn(left.Column(c), left_rows));
-  }
-  for (int c : left_rest) {
-    columns.push_back(GatherColumn(left.Column(c), left_rows));
-  }
-  for (int c : right_rest) {
-    columns.push_back(GatherColumn(right.Column(c), right_rows));
-  }
-  return SharedRelation(std::move(out_schema), std::move(columns));
-}
-
-StatusOr<Relation> PublicJoinCleartext(SimNetwork& network, const Relation& left,
-                                       const Relation& right,
-                                       std::span<const int> left_keys,
-                                       std::span<const int> right_keys, PartyId joiner,
-                                       int num_parties, bool use_spark) {
-  const CostModel& model = network.model();
-
-  // Key columns travel to the joiner.
-  std::vector<int> lk(left_keys.begin(), left_keys.end());
-  std::vector<int> rk(right_keys.begin(), right_keys.end());
-  Relation left_keys_clear = ops::Project(left, lk);
-  Relation right_keys_clear = ops::Project(right, rk);
-  const uint64_t key_bytes = (left_keys_clear.ByteSize() + right_keys_clear.ByteSize());
-  network.Broadcast(joiner == 0 ? 1 : 0, num_parties, 0);  // No-op: keeps party ids in
-                                                           // range for 2-party runs.
-  network.Send(joiner == 0 ? 1 : 0, joiner, key_bytes);
-  network.Rounds(1);
-
-  std::vector<int64_t> left_rows;
-  std::vector<int64_t> right_rows;
-  JoinIndexes(left_keys_clear, right_keys_clear, &left_rows, &right_rows);
-  const uint64_t work = static_cast<uint64_t>(left.NumRows() + right.NumRows()) +
-                        static_cast<uint64_t>(left_rows.size());
-  if (use_spark) {
-    network.CpuSeconds(model.SparkSeconds(work, model.spark_workers_per_party));
-  } else {
-    network.CpuSeconds(model.PythonSeconds(work));
-  }
-  network.Broadcast(joiner, num_parties,
-                    static_cast<uint64_t>(left_rows.size()) * 16);
-  network.Rounds(1);
-
-  // Assemble the joined relation in the clear.
-  std::vector<int> left_rest;
-  std::vector<int> right_rest;
-  Schema out_schema = ops::JoinOutputSchema(left.schema(), right.schema(), left_keys,
-                                            right_keys, &left_rest, &right_rest);
-  // Per-column gathers against the public index lists (same assembly as the
-  // share-space PublicJoinShared above, in the clear).
-  Relation output{std::move(out_schema)};
-  output.Resize(static_cast<int64_t>(left_rows.size()));
-  int out_col = 0;
-  for (int c : left_keys) {
-    ops::GatherColumnInto(left, c, left_rows, output.ColumnData(out_col++));
-  }
-  for (int c : left_rest) {
-    ops::GatherColumnInto(left, c, left_rows, output.ColumnData(out_col++));
-  }
-  for (int c : right_rest) {
-    ops::GatherColumnInto(right, c, right_rows, output.ColumnData(out_col++));
-  }
-  return output;
+  return mpc::AssembleJoin(
+      left.schema(), right.schema(), left_keys, right_keys,
+      [&](int c) { return GatherColumn(left.Column(c), left_rows); },
+      [&](int c) { return GatherColumn(right.Column(c), right_rows); });
 }
 
 }  // namespace hybrid

@@ -1,16 +1,9 @@
 // Public join (§5.3): when the join-key columns of both sides are public (every
 // party is in their trust sets), the join structure can be computed entirely in the
-// clear by one party — no oblivious shuffling or indexing is needed.
-//
-// Two variants:
-//  * PublicJoinShared — inputs live under MPC; key columns are opened, a designated
-//    party computes the (left-index, right-index) pairs, broadcasts them, and every
-//    party assembles the joined result by local share gathering (free).
-//  * PublicJoinCleartext — inputs are party-local cleartext relations (the SMCQL
-//    slicing path, §7.4): key columns travel to the joiner, the index relation is
-//    broadcast, and the result is assembled in the clear. The joiner's work can run on
-//    a data-parallel backend, which is why Conclave prefers this over MPC frameworks'
-//    built-in cleartext capabilities (§5.3).
+// clear by one party — no oblivious shuffling or indexing is needed. The inputs live
+// under MPC; key columns are opened, a designated party computes the (left-index,
+// right-index) pairs, broadcasts them, and every party assembles the joined result
+// by local share gathering (free).
 #ifndef CONCLAVE_HYBRID_PUBLIC_JOIN_H_
 #define CONCLAVE_HYBRID_PUBLIC_JOIN_H_
 
@@ -28,14 +21,6 @@ StatusOr<SharedRelation> PublicJoinShared(SecretShareEngine& engine,
                                           std::span<const int> left_keys,
                                           std::span<const int> right_keys,
                                           PartyId joiner, int num_parties);
-
-// `use_spark` selects the joiner's local backend (Spark vs sequential Python) for
-// cost accounting.
-StatusOr<Relation> PublicJoinCleartext(SimNetwork& network, const Relation& left,
-                                       const Relation& right,
-                                       std::span<const int> left_keys,
-                                       std::span<const int> right_keys, PartyId joiner,
-                                       int num_parties, bool use_spark);
 
 }  // namespace hybrid
 }  // namespace conclave

@@ -1,6 +1,6 @@
 #include "conclave/mpc/garbled/gc_cost.h"
 
-#include <algorithm>
+#include "conclave/mpc/batcher.h"
 
 namespace conclave {
 namespace gc {
@@ -31,59 +31,12 @@ GcOpCost JoinCost(const CostModel& model, uint64_t left_rows, uint64_t right_row
   return cost;
 }
 
-namespace {
-
-// Number of a in [0, x) with a mod m < t (0 <= t <= m).
-uint64_t CountModLessPrefix(int64_t x, int64_t m, int64_t t) {
-  return static_cast<uint64_t>(x / m) * static_cast<uint64_t>(t) +
-         static_cast<uint64_t>(std::min(x % m, t));
-}
-
-// Comparators one (p, k, j) block of the generalized Batcher network emits: the i
-// with (i + j) / 2p == (i + j + k) / 2p, i in [0, limit). Writing a = i + j, the
-// divisions agree exactly when a mod 2p < 2p - k (k <= p keeps a and a + k within
-// one period of each other), so the loop collapses to a range count.
-uint64_t BlockExchanges(int64_t p, int64_t k, int64_t j, int64_t limit) {
-  return CountModLessPrefix(j + limit, 2 * p, 2 * p - k) -
-         CountModLessPrefix(j, 2 * p, 2 * p - k);
-}
-
-uint64_t MergePassShape(int64_t p, int64_t n, BatcherNetworkShape& shape) {
-  uint64_t pass_exchanges = 0;
-  for (int64_t k = p; k >= 1; k >>= 1) {
-    uint64_t layer = 0;
-    for (int64_t j = k % p; j + k < n; j += 2 * k) {
-      layer += BlockExchanges(p, k, j, std::min(k, n - j - k));
-    }
-    if (layer > 0) {
-      shape.exchanges += layer;
-      ++shape.layers;
-      pass_exchanges += layer;
-    }
-  }
-  return pass_exchanges;
-}
-
-}  // namespace
-
-BatcherNetworkShape BatcherSortShape(uint64_t rows) {
-  BatcherNetworkShape shape;
-  const int64_t n = static_cast<int64_t>(rows);
-  for (int64_t p = 1; p < n; p <<= 1) {
-    MergePassShape(p, n, shape);
-  }
-  return shape;
-}
-
-BatcherNetworkShape BatcherMergeShape(uint64_t run_length, uint64_t total) {
-  BatcherNetworkShape shape;
-  MergePassShape(static_cast<int64_t>(run_length), static_cast<int64_t>(total),
-                 shape);
-  return shape;
-}
-
 uint64_t BatcherCompareExchanges(uint64_t rows) {
-  return BatcherSortShape(rows).exchanges;
+  uint64_t exchanges = 0;
+  for (const BatcherLayer& layer : BatcherSortNetwork(static_cast<int64_t>(rows))) {
+    exchanges += layer.Exchanges();
+  }
+  return exchanges;
 }
 
 GcOpCost SortCost(const CostModel& model, uint64_t rows, uint64_t cols,

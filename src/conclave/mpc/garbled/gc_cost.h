@@ -49,23 +49,8 @@ GcOpCost LinearPassCost(const CostModel& model, uint64_t rows, uint64_t in_cols,
 GcOpCost JoinCost(const CostModel& model, uint64_t left_rows, uint64_t right_rows,
                   uint64_t left_cols, uint64_t right_cols, uint64_t key_cols);
 
-// Exact shape of a generalized Batcher network: total compare-exchanges (the gate
-// and comparison count) and non-empty layers (the round count — one batched layer is
-// one round group). Matches BatcherSortLayers / BatcherMergeLayers in mpc/oblivious.cc
-// comparator for comparator (tests assert this), but computed in closed form per
-// (p, k, j) block, so costing a million-row sort never materializes the network.
-struct BatcherNetworkShape {
-  uint64_t exchanges = 0;
-  uint64_t layers = 0;
-};
-
-BatcherNetworkShape BatcherSortShape(uint64_t rows);
-// The merge pass for sorted runs [0, run_length) and [run_length, total); requires
-// run_length a power of two and total - run_length <= run_length (the same shapes
-// ObliviousMerge accepts before falling back to a full sort).
-BatcherNetworkShape BatcherMergeShape(uint64_t run_length, uint64_t total);
-
-// Batcher-network compare-exchange count for n rows (n log^2 n / 4 shape).
+// Compare-exchanges of the Batcher network that sorts `rows` rows (mpc/batcher.h),
+// summed from its layers' closed-form counts (~n log^2 n / 4).
 uint64_t BatcherCompareExchanges(uint64_t rows);
 
 // Sort-based operator (order-by, distinct, aggregation's sort phase + linear scan).

@@ -71,17 +71,8 @@ SharedColumn RowGreater(SecretShareEngine& engine, const SharedRelation& rel,
 
 // Applies one batched compare-exchange layer in place.
 void CompareExchangeLayer(SecretShareEngine& engine, SharedRelation& rel,
-                          const std::vector<std::pair<int64_t, int64_t>>& pairs,
-                          std::span<const int> key_columns, bool ascending = true) {
-  if (pairs.empty()) {
-    return;
-  }
-  std::vector<int64_t> lo(pairs.size());
-  std::vector<int64_t> hi(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    lo[i] = pairs[i].first;
-    hi[i] = pairs[i].second;
-  }
+                          std::span<const int64_t> lo, std::span<const int64_t> hi,
+                          std::span<const int> key_columns, bool ascending) {
   const SharedColumn swap = RowGreater(engine, rel, lo, hi, key_columns, ascending);
   for (int c = 0; c < rel.NumColumns(); ++c) {
     SharedColumn& column = rel.MutableColumn(c);
@@ -97,56 +88,20 @@ void CompareExchangeLayer(SecretShareEngine& engine, SharedRelation& rel,
   }
 }
 
-bool IsPowerOfTwo(int64_t n) { return n > 0 && (n & (n - 1)) == 0; }
+// Runs the network's layers in order, expanding one layer at a time into buffers
+// reused across layers.
+void RunNetwork(SecretShareEngine& engine, SharedRelation& rel,
+                const std::vector<BatcherLayer>& layers,
+                std::span<const int> key_columns, bool ascending) {
+  std::vector<int64_t> lo;
+  std::vector<int64_t> hi;
+  for (const BatcherLayer& layer : layers) {
+    layer.Comparators(&lo, &hi);
+    CompareExchangeLayer(engine, rel, lo, hi, key_columns, ascending);
+  }
+}
 
 }  // namespace
-
-std::vector<std::vector<std::pair<int64_t, int64_t>>> BatcherSortLayers(int64_t n) {
-  // Generalized (arbitrary-n) odd-even merge-sort network; within one (p, k) step all
-  // comparators touch disjoint indices, so each step is one batchable layer.
-  std::vector<std::vector<std::pair<int64_t, int64_t>>> layers;
-  for (int64_t p = 1; p < n; p <<= 1) {
-    for (int64_t k = p; k >= 1; k >>= 1) {
-      std::vector<std::pair<int64_t, int64_t>> layer;
-      for (int64_t j = k % p; j + k < n; j += 2 * k) {
-        for (int64_t i = 0; i < std::min(k, n - j - k); ++i) {
-          if ((i + j) / (p * 2) == (i + j + k) / (p * 2)) {
-            layer.emplace_back(i + j, i + j + k);
-          }
-        }
-      }
-      if (!layer.empty()) {
-        layers.push_back(std::move(layer));
-      }
-    }
-  }
-  return layers;
-}
-
-std::vector<std::vector<std::pair<int64_t, int64_t>>> BatcherMergeLayers(
-    int64_t run_length, int64_t total) {
-  // The final p-pass of the generalized network merges two sorted runs [0, p) and
-  // [p, total) when p is a power of two and total - p <= p.
-  CONCLAVE_CHECK(IsPowerOfTwo(run_length));
-  CONCLAVE_CHECK_LE(total - run_length, run_length);
-  const int64_t n = total;
-  const int64_t p = run_length;
-  std::vector<std::vector<std::pair<int64_t, int64_t>>> layers;
-  for (int64_t k = p; k >= 1; k >>= 1) {
-    std::vector<std::pair<int64_t, int64_t>> layer;
-    for (int64_t j = k % p; j + k < n; j += 2 * k) {
-      for (int64_t i = 0; i < std::min(k, n - j - k); ++i) {
-        if ((i + j) / (p * 2) == (i + j + k) / (p * 2)) {
-          layer.emplace_back(i + j, i + j + k);
-        }
-      }
-    }
-    if (!layer.empty()) {
-      layers.push_back(std::move(layer));
-    }
-  }
-  return layers;
-}
 
 SharedRelation ObliviousShuffle(SecretShareEngine& engine,
                                 const SharedRelation& input) {
@@ -170,9 +125,7 @@ SharedRelation ObliviousShuffle(SecretShareEngine& engine,
 SharedRelation ObliviousSort(SecretShareEngine& engine, const SharedRelation& input,
                              std::span<const int> key_columns, bool ascending) {
   SharedRelation rel = input;
-  for (const auto& layer : BatcherSortLayers(rel.NumRows())) {
-    CompareExchangeLayer(engine, rel, layer, key_columns, ascending);
-  }
+  RunNetwork(engine, rel, BatcherSortNetwork(rel.NumRows()), key_columns, ascending);
   return rel;
 }
 
@@ -197,10 +150,9 @@ SharedRelation ObliviousMerge(SecretShareEngine& engine, const SharedRelation& a
   }
   SharedRelation rel(a.schema(), std::move(columns));
 
-  if (IsPowerOfTwo(a.NumRows()) && b.NumRows() <= a.NumRows() && b.NumRows() > 0) {
-    for (const auto& layer : BatcherMergeLayers(a.NumRows(), rel.NumRows())) {
-      CompareExchangeLayer(engine, rel, layer, key_columns);
-    }
+  if (BatcherMergeFits(a.NumRows(), b.NumRows())) {
+    RunNetwork(engine, rel, BatcherMergeNetwork(a.NumRows(), rel.NumRows()),
+               key_columns, /*ascending=*/true);
     return rel;
   }
   // Shapes the merge network cannot handle: fall back to a full sort.

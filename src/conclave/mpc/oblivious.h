@@ -2,8 +2,9 @@
 //
 //  * ObliviousShuffle — hides row order under a secret permutation; O(cells) resharing
 //    work. Conclave uses it before revealing anything row-aligned to an STP.
-//  * ObliviousSort — Batcher odd-even merge-sort network, O(n log^2 n) oblivious
-//    compare-exchanges; the dominant cost in MPC aggregations [39].
+//  * ObliviousSort — Batcher odd-even merge-sort network (mpc/batcher.h),
+//    O(n log^2 n) oblivious compare-exchanges; the dominant cost in MPC
+//    aggregations [39].
 //  * ObliviousMerge — merges two sorted relations; the cheaper network Conclave's
 //    future-work sort push-up relies on (§5.4).
 //  * ObliviousSelect — Laud-style oblivious indexing [45]: given secret indices,
@@ -15,8 +16,8 @@
 #define CONCLAVE_MPC_OBLIVIOUS_H_
 
 #include <span>
-#include <vector>
 
+#include "conclave/mpc/batcher.h"
 #include "conclave/mpc/secret_share_engine.h"
 
 namespace conclave {
@@ -40,12 +41,6 @@ SharedRelation ObliviousSelect(SecretShareEngine& engine, const SharedRelation& 
 // Local share movement; no protocol cost.
 SharedRelation ApplyPublicOrder(const SharedRelation& input,
                                 std::span<const int64_t> order);
-
-// The compare-exchange layers of the generalized (arbitrary-n) Batcher network.
-// Exposed for tests (network correctness on adversarial sizes) and cost analysis.
-std::vector<std::vector<std::pair<int64_t, int64_t>>> BatcherSortLayers(int64_t n);
-std::vector<std::vector<std::pair<int64_t, int64_t>>> BatcherMergeLayers(
-    int64_t run_length, int64_t total);
 
 // Communication rounds of one ObliviousSelect over n input rows and m indices —
 // ceil(log2(n + m)), floored at 1. Shared with the planner's cost estimate.

@@ -1,8 +1,7 @@
 #include "conclave/mpc/protocols.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_map>
+#include <numeric>
 #include <utility>
 
 #include "conclave/common/strings.h"
@@ -34,11 +33,26 @@ SharedColumn AdjacentEqualFlags(SecretShareEngine& engine, const SharedRelation&
   return flags;
 }
 
+// How a segmented scan folds each row's in-segment predecessor into it.
+enum class ScanCombine { kAdd, kMin, kMax, kOr };
+
+ScanCombine CombineFor(AggKind kind) {
+  switch (kind) {
+    case AggKind::kMin:
+      return ScanCombine::kMin;
+    case AggKind::kMax:
+      return ScanCombine::kMax;
+    default:
+      return ScanCombine::kAdd;
+  }
+}
+
 // In-place log-depth segmented scan (Hillis-Steele). `flags[i] == 1` means row i is in
 // the same group as row i-1; after the scan, the last row of each group holds the
-// group's combined value. kSum/kCount combine by addition; kMin/kMax by compare+mux.
+// group's combined value: a sum by addition, min/max by compare+mux, and the OR of
+// 0/1 values as a + b - a*b.
 void SegmentedScan(SecretShareEngine& engine, SharedColumn& values,
-                   SharedColumn segment_flags, AggKind kind) {
+                   SharedColumn segment_flags, ScanCombine combine) {
   const int64_t n = static_cast<int64_t>(values.size());
   for (int64_t d = 1; d < n; d *= 2) {
     const size_t len = static_cast<size_t>(n - d);
@@ -48,22 +62,25 @@ void SegmentedScan(SecretShareEngine& engine, SharedColumn& values,
     SharedColumn cur_flags = SliceColumn(segment_flags, static_cast<size_t>(d), len);
 
     SharedColumn combined;
-    switch (kind) {
-      case AggKind::kSum:
-      case AggKind::kCount:
-      case AggKind::kMean:
+    switch (combine) {
+      case ScanCombine::kAdd:
         combined = SecretShareEngine::Add(cur_vals, shifted_vals);
         break;
-      case AggKind::kMin: {
+      case ScanCombine::kMin: {
         SharedColumn less = engine.Compare(CompareOp::kLt, shifted_vals, cur_vals);
         combined = engine.Mux(less, shifted_vals, cur_vals);
         break;
       }
-      case AggKind::kMax: {
+      case ScanCombine::kMax: {
         SharedColumn greater = engine.Compare(CompareOp::kGt, shifted_vals, cur_vals);
         combined = engine.Mux(greater, shifted_vals, cur_vals);
         break;
       }
+      case ScanCombine::kOr:
+        combined = SecretShareEngine::Sub(
+            SecretShareEngine::Add(cur_vals, shifted_vals),
+            engine.Mul(cur_vals, shifted_vals));
+        break;
     }
     // Only rows still inside their segment absorb the shifted contribution.
     SharedColumn new_vals = engine.Mux(cur_flags, combined, cur_vals);
@@ -75,6 +92,35 @@ void SegmentedScan(SecretShareEngine& engine, SharedColumn& values,
                 segment_flags.shares[p].begin() + d);
     }
   }
+}
+
+// Shared 0/1 column: row i is the last of its group, i.e. NOT equal_prev[i+1]; the
+// last row always is. Share-local.
+SharedColumn LastOfGroupFlags(const SharedColumn& equal_prev) {
+  const size_t n = equal_prev.size();
+  SharedColumn last(n);
+  const SharedColumn not_next =
+      SecretShareEngine::Sub(SecretShareEngine::PublicConst(n - 1, 1),
+                             SliceColumn(equal_prev, 1, n - 1));
+  for (int p = 0; p < kNumShareParties; ++p) {
+    std::copy(not_next.shares[p].begin(), not_next.shares[p].end(),
+              last.shares[p].begin());
+    last.shares[p][n - 1] = 0;
+  }
+  last.shares[0][n - 1] = 1;
+  return last;
+}
+
+// The empty result of an aggregation: the group columns plus the output column.
+SharedRelation EmptyAggregate(const Schema& input, std::span<const int> group_columns,
+                              const std::string& output_name) {
+  std::vector<ColumnDef> defs;
+  for (int c : group_columns) {
+    defs.push_back(input.Column(c));
+  }
+  defs.emplace_back(output_name);
+  std::vector<SharedColumn> empty_columns(defs.size(), SharedColumn(0));
+  return SharedRelation(Schema(std::move(defs)), std::move(empty_columns));
 }
 
 SharedRelation GatherRows(const SharedRelation& input,
@@ -207,16 +253,6 @@ SharedRelation Arithmetic(SecretShareEngine& engine, const SharedRelation& input
   return output;
 }
 
-SharedRelation Enumerate(const SharedRelation& input, const std::string& index_name) {
-  std::vector<int64_t> indices(static_cast<size_t>(input.NumRows()));
-  for (size_t i = 0; i < indices.size(); ++i) {
-    indices[i] = static_cast<int64_t>(i);
-  }
-  SharedRelation output = input;
-  output.AppendPublicColumn(ColumnDef(index_name), indices);
-  return output;
-}
-
 SharedRelation ShuffleRevealCompact(SecretShareEngine& engine,
                                     const SharedRelation& input, int flag_column) {
   SharedRelation shuffled = ObliviousShuffle(engine, input);
@@ -238,16 +274,8 @@ StatusOr<SharedRelation> Filter(SecretShareEngine& engine, const SharedRelation&
   const CostModel& model = engine.network().model();
   CONCLAVE_RETURN_IF_ERROR(CheckWorkingSet(model, 3 * input.NumCells()));
 
-  SharedColumn flags;
-  if (predicate.rhs_is_column) {
-    flags = engine.Compare(predicate.op, input.Column(predicate.column),
-                           input.Column(predicate.rhs_column));
-  } else {
-    flags = engine.CompareConst(predicate.op, input.Column(predicate.column),
-                                predicate.rhs_literal);
-  }
   SharedRelation flagged = input;
-  flagged.AppendColumn(ColumnDef("__flag"), std::move(flags));
+  flagged.AppendColumn(ColumnDef("__flag"), FilterFlags(engine, input, predicate));
   return ShuffleRevealCompact(engine, flagged, flagged.NumColumns() - 1);
 }
 
@@ -270,77 +298,29 @@ StatusOr<SharedRelation> Join(SecretShareEngine& engine, const SharedRelation& l
   engine.network().mutable_counters().mpc_comparisons += pairs;
 
   // Ideal match step: keys reconstructed internally, matches found in cleartext.
-  std::vector<std::vector<int64_t>> left_key_vals;
-  std::vector<std::vector<int64_t>> right_key_vals;
-  for (int c : left_keys) {
-    left_key_vals.push_back(SecretShareEngine::IdealReconstruct(left.Column(c)));
-  }
-  for (int c : right_keys) {
-    right_key_vals.push_back(SecretShareEngine::IdealReconstruct(right.Column(c)));
-  }
-
-  struct VecHash {
-    size_t operator()(const std::vector<int64_t>& key) const {
-      uint64_t h = 0x9e3779b97f4a7c15ULL;
-      for (int64_t v : key) {
-        uint64_t z = static_cast<uint64_t>(v) + 0x9e3779b97f4a7c15ULL + h;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        h = z ^ (z >> 31);
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-  std::unordered_map<std::vector<int64_t>, std::vector<int64_t>, VecHash> index;
-  index.reserve(m);
-  std::vector<int64_t> key(right_keys.size());
-  for (uint64_t r = 0; r < m; ++r) {
-    for (size_t k = 0; k < right_keys.size(); ++k) {
-      key[k] = right_key_vals[k][r];
-    }
-    index[key].push_back(static_cast<int64_t>(r));
-  }
-
+  std::vector<int> key_positions(left_keys.size());
+  std::iota(key_positions.begin(), key_positions.end(), 0);
   std::vector<int64_t> left_rows;
   std::vector<int64_t> right_rows;
-  key.resize(left_keys.size());
-  for (uint64_t l = 0; l < n; ++l) {
-    for (size_t k = 0; k < left_keys.size(); ++k) {
-      key[k] = left_key_vals[k][l];
-    }
-    const auto it = index.find(key);
-    if (it == index.end()) {
-      continue;
-    }
-    for (int64_t r : it->second) {
-      left_rows.push_back(static_cast<int64_t>(l));
-      right_rows.push_back(r);
-    }
-  }
+  ops::JoinRowPairs(ReconstructRelation(Project(left, left_keys)),
+                    ReconstructRelation(Project(right, right_keys)), key_positions,
+                    key_positions, &left_rows, &right_rows);
 
-  std::vector<int> left_rest;
-  std::vector<int> right_rest;
-  Schema out_schema = ops::JoinOutputSchema(left.schema(), right.schema(), left_keys,
-                                            right_keys, &left_rest, &right_rest);
-
+  const uint64_t out_columns = static_cast<uint64_t>(
+      left.NumColumns() + right.NumColumns() - static_cast<int>(left_keys.size()));
   CONCLAVE_RETURN_IF_ERROR(CheckWorkingSet(
       model, left.NumCells() + right.NumCells() +
-                 static_cast<uint64_t>(left_rows.size()) * out_schema.NumColumns()));
+                 static_cast<uint64_t>(left_rows.size()) * out_columns));
 
-  std::vector<SharedColumn> columns;
-  columns.reserve(static_cast<size_t>(out_schema.NumColumns()));
-  for (int c : left_keys) {
-    columns.push_back(engine.GatherRerandomize(left.Column(c), left_rows));
-  }
-  for (int c : left_rest) {
-    columns.push_back(engine.GatherRerandomize(left.Column(c), left_rows));
-  }
-  for (int c : right_rest) {
-    columns.push_back(engine.GatherRerandomize(right.Column(c), right_rows));
-  }
-  SharedRelation joined(std::move(out_schema), std::move(columns));
   // Shuffle so the revealed output carries no row-alignment information.
-  return ObliviousShuffle(engine, joined);
+  return ObliviousShuffle(
+      engine,
+      AssembleJoin(
+          left.schema(), right.schema(), left_keys, right_keys,
+          [&](int c) { return engine.GatherRerandomize(left.Column(c), left_rows); },
+          [&](int c) {
+            return engine.GatherRerandomize(right.Column(c), right_rows);
+          }));
 }
 
 StatusOr<SharedRelation> Aggregate(SecretShareEngine& engine,
@@ -354,13 +334,7 @@ StatusOr<SharedRelation> Aggregate(SecretShareEngine& engine,
   // Zero rows aggregate to zero groups (matching the cleartext engine), for global
   // and grouped aggregations alike.
   if (n == 0) {
-    std::vector<ColumnDef> defs;
-    for (int c : group_columns) {
-      defs.push_back(input.schema().Column(c));
-    }
-    defs.emplace_back(output_name);
-    std::vector<SharedColumn> empty_columns(defs.size(), SharedColumn(0));
-    return SharedRelation(Schema(std::move(defs)), std::move(empty_columns));
+    return EmptyAggregate(input.schema(), group_columns, output_name);
   }
 
   // Global aggregate (no group-by): sums/counts are share-local; min/max use a
@@ -437,13 +411,7 @@ StatusOr<SharedRelation> AggregateWithFlags(SecretShareEngine& engine,
   const int64_t n = ordered.NumRows();
   CONCLAVE_CHECK_EQ(equal_prev_flags.size(), static_cast<size_t>(n));
   if (n == 0) {
-    std::vector<ColumnDef> defs;
-    for (int c : group_columns) {
-      defs.push_back(ordered.schema().Column(c));
-    }
-    defs.emplace_back(output_name);
-    std::vector<SharedColumn> empty_columns(defs.size(), SharedColumn(0));
-    return SharedRelation(Schema(std::move(defs)), std::move(empty_columns));
+    return EmptyAggregate(ordered.schema(), group_columns, output_name);
   }
 
   // Segmented scan accumulates each group into its last row. Mean runs two chained
@@ -454,30 +422,15 @@ StatusOr<SharedRelation> AggregateWithFlags(SecretShareEngine& engine,
   } else {
     values = ordered.Column(agg_column);
   }
-  SharedColumn scan_flags = equal_prev_flags;
-  SegmentedScan(engine, values, scan_flags, kind);
+  SegmentedScan(engine, values, equal_prev_flags, CombineFor(kind));
   if (kind == AggKind::kMean) {
     SharedColumn counts = SecretShareEngine::PublicConst(static_cast<size_t>(n), 1);
-    SharedColumn count_flags = equal_prev_flags;
-    SegmentedScan(engine, counts, count_flags, AggKind::kCount);
+    SegmentedScan(engine, counts, equal_prev_flags, ScanCombine::kAdd);
     values = engine.Div(values, counts, 1);
   }
 
-  // Keep-flag = row is the last of its group = NOT next-row-equal.
-  SharedColumn keep(static_cast<size_t>(n));
-  {
-    const SharedColumn ones =
-        SecretShareEngine::PublicConst(static_cast<size_t>(n - 1), 1);
-    SharedColumn next_eq =
-        SliceColumn(equal_prev_flags, 1, static_cast<size_t>(n - 1));
-    SharedColumn not_next = SecretShareEngine::Sub(ones, next_eq);
-    for (int p = 0; p < kNumShareParties; ++p) {
-      std::copy(not_next.shares[p].begin(), not_next.shares[p].end(),
-                keep.shares[p].begin());
-      keep.shares[p][static_cast<size_t>(n - 1)] = 0;
-    }
-    keep.shares[0][static_cast<size_t>(n - 1)] = 1;  // Last row always kept.
-  }
+  // Keep-flag = row is the last of its group.
+  SharedColumn keep = LastOfGroupFlags(equal_prev_flags);
 
   // Assemble group columns + aggregate + keep flag; shuffle/open/compact.
   std::vector<ColumnDef> defs;
@@ -538,7 +491,7 @@ StatusOr<SharedRelation> WindowWithFlags(SecretShareEngine& engine,
   switch (fn) {
     case WindowFn::kRowNumber: {
       SharedColumn ones = SecretShareEngine::PublicConst(static_cast<size_t>(n), 1);
-      SegmentedScan(engine, ones, same_partition_flags, AggKind::kCount);
+      SegmentedScan(engine, ones, same_partition_flags, ScanCombine::kAdd);
       computed = std::move(ones);
       break;
     }
@@ -556,7 +509,7 @@ StatusOr<SharedRelation> WindowWithFlags(SecretShareEngine& engine,
     }
     case WindowFn::kRunningSum: {
       SharedColumn values = ordered.Column(value_column);
-      SegmentedScan(engine, values, same_partition_flags, AggKind::kSum);
+      SegmentedScan(engine, values, same_partition_flags, ScanCombine::kAdd);
       computed = std::move(values);
       break;
     }
@@ -644,46 +597,13 @@ StatusOr<SharedRelation> CountDistinctSorted(SecretShareEngine& engine,
       CheckWorkingSet(engine.network().model(), 3 * input.NumCells()));
 
   // Segmented OR-scan of the keep flags over key groups: after the scan, the last
-  // row of each group holds "group has any kept row".
-  const int key_columns[] = {key_column};
-  SharedColumn segment = AdjacentEqualFlags(engine, input, key_columns);
-  SharedColumn group_or = keep_flags;
-  SharedColumn scan_flags = segment;
-  for (int64_t d = 1; d < n; d *= 2) {
-    const size_t len = static_cast<size_t>(n - d);
-    SharedColumn shifted_vals = SliceColumn(group_or, 0, len);
-    SharedColumn shifted_flags = SliceColumn(scan_flags, 0, len);
-    SharedColumn cur_vals = SliceColumn(group_or, static_cast<size_t>(d), len);
-    SharedColumn cur_flags = SliceColumn(scan_flags, static_cast<size_t>(d), len);
-    // OR(a, b) = a + b - a*b over 0/1 shares.
-    SharedColumn ored = SecretShareEngine::Sub(
-        SecretShareEngine::Add(cur_vals, shifted_vals),
-        engine.Mul(cur_vals, shifted_vals));
-    SharedColumn new_vals = engine.Mux(cur_flags, ored, cur_vals);
-    SharedColumn new_flags = engine.Mul(cur_flags, shifted_flags);
-    for (int p = 0; p < kNumShareParties; ++p) {
-      std::copy(new_vals.shares[p].begin(), new_vals.shares[p].end(),
-                group_or.shares[p].begin() + d);
-      std::copy(new_flags.shares[p].begin(), new_flags.shares[p].end(),
-                scan_flags.shares[p].begin() + d);
-    }
-  }
-
-  // is_last(i) = NOT segment(i+1); row n-1 is always last. Count = sum over groups of
+  // row of each group holds "group has any kept row". Count = sum over groups of
   // the group-OR at the last row — a local share addition after one multiplication.
-  SharedColumn is_last(static_cast<size_t>(n));
-  {
-    const SharedColumn ones =
-        SecretShareEngine::PublicConst(static_cast<size_t>(n - 1), 1);
-    SharedColumn next_eq = SliceColumn(segment, 1, static_cast<size_t>(n - 1));
-    SharedColumn not_next = SecretShareEngine::Sub(ones, next_eq);
-    for (int p = 0; p < kNumShareParties; ++p) {
-      std::copy(not_next.shares[p].begin(), not_next.shares[p].end(),
-                is_last.shares[p].begin());
-      is_last.shares[p][static_cast<size_t>(n - 1)] = 0;
-    }
-    is_last.shares[0][static_cast<size_t>(n - 1)] = 1;
-  }
+  const int key_columns[] = {key_column};
+  const SharedColumn segment = AdjacentEqualFlags(engine, input, key_columns);
+  SharedColumn group_or = keep_flags;
+  SegmentedScan(engine, group_or, segment, ScanCombine::kOr);
+  const SharedColumn is_last = LastOfGroupFlags(segment);
   SharedColumn contributions = engine.Mul(is_last, group_or);
   SharedColumn total(1);
   for (int p = 0; p < kNumShareParties; ++p) {

@@ -56,13 +56,37 @@ SharedRelation Concat(std::span<const SharedRelation> inputs);
 SharedRelation Arithmetic(SecretShareEngine& engine, const SharedRelation& input,
                           const ArithSpec& spec);
 
-// Appends a public 0..n-1 index column.
-SharedRelation Enumerate(const SharedRelation& input, const std::string& index_name);
-
 // Oblivious filter: comparison per row, shuffle, open flags, compact. Reveals the
 // number of matching rows only.
 StatusOr<SharedRelation> Filter(SecretShareEngine& engine, const SharedRelation& input,
                                 const FilterPredicate& predicate);
+
+// Assembles a join's output in ops::JoinOutputSchema layout: the keys and left
+// non-key columns from left_column(c), then the right non-key columns from
+// right_column(c), called once per output column in that order. Every secure join
+// assembles its output here.
+template <typename LeftColumn, typename RightColumn>
+SharedRelation AssembleJoin(const Schema& left, const Schema& right,
+                            std::span<const int> left_keys,
+                            std::span<const int> right_keys, LeftColumn left_column,
+                            RightColumn right_column) {
+  std::vector<int> left_rest;
+  std::vector<int> right_rest;
+  Schema schema = ops::JoinOutputSchema(left, right, left_keys, right_keys,
+                                        &left_rest, &right_rest);
+  std::vector<SharedColumn> columns;
+  columns.reserve(static_cast<size_t>(schema.NumColumns()));
+  for (int c : left_keys) {
+    columns.push_back(left_column(c));
+  }
+  for (int c : left_rest) {
+    columns.push_back(left_column(c));
+  }
+  for (int c : right_rest) {
+    columns.push_back(right_column(c));
+  }
+  return SharedRelation(std::move(schema), std::move(columns));
+}
 
 // Cartesian-product oblivious join: n*m private equality tests, then compaction.
 // Reveals the join's output size only.

@@ -336,29 +336,35 @@ void JoinRowPairs(const Relation& left, const Relation& right,
   *right_rows = std::move(pairs.right_rows);
 }
 
-Relation Join(const Relation& left, const Relation& right,
-              std::span<const int> left_keys, std::span<const int> right_keys) {
+Relation GatherJoinRows(const Relation& left, const Relation& right,
+                        std::span<const int> left_keys, std::span<const int> right_keys,
+                        std::span<const int64_t> left_rows,
+                        std::span<const int64_t> right_rows) {
   std::vector<int> left_rest;
   std::vector<int> right_rest;
   Relation output{JoinOutputSchema(left.schema(), right.schema(), left_keys,
                                    right_keys, &left_rest, &right_rest)};
-  JoinPairs pairs;
-  JoinRowPairs(left, right, left_keys, right_keys, &pairs.left_rows,
-               &pairs.right_rows);
-
   // Assemble per output column: contiguous gathers from the owning side.
-  output.Resize(static_cast<int64_t>(pairs.left_rows.size()));
+  output.Resize(static_cast<int64_t>(left_rows.size()));
   int out_col = 0;
   for (int c : left_keys) {
-    GatherColumnInto(left, c, pairs.left_rows, output.ColumnData(out_col++));
+    GatherColumnInto(left, c, left_rows, output.ColumnData(out_col++));
   }
   for (int c : left_rest) {
-    GatherColumnInto(left, c, pairs.left_rows, output.ColumnData(out_col++));
+    GatherColumnInto(left, c, left_rows, output.ColumnData(out_col++));
   }
   for (int c : right_rest) {
-    GatherColumnInto(right, c, pairs.right_rows, output.ColumnData(out_col++));
+    GatherColumnInto(right, c, right_rows, output.ColumnData(out_col++));
   }
   return output;
+}
+
+Relation Join(const Relation& left, const Relation& right,
+              std::span<const int> left_keys, std::span<const int> right_keys) {
+  std::vector<int64_t> left_rows;
+  std::vector<int64_t> right_rows;
+  JoinRowPairs(left, right, left_keys, right_keys, &left_rows, &right_rows);
+  return GatherJoinRows(left, right, left_keys, right_keys, left_rows, right_rows);
 }
 
 Relation Aggregate(const Relation& input, std::span<const int> group_columns,
@@ -407,17 +413,22 @@ Relation Concat(std::span<const Relation* const> inputs) {
   return output;
 }
 
-Relation SortBy(const Relation& input, std::span<const int> columns, bool ascending) {
+std::vector<int64_t> SortedOrder(const Relation& input, std::span<const int> columns,
+                                 bool ascending) {
   std::vector<int64_t> order(static_cast<size_t>(input.NumRows()));
   std::iota(order.begin(), order.end(), 0);
   // Sorting is genuinely row-oriented: the comparator walks the sort columns via
-  // hoisted base pointers, then the output materializes as per-column gathers.
+  // hoisted base pointers.
   const auto sort_cols = ColumnPtrs(input, columns);
   std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
     const int cmp = CompareRowsAt(sort_cols, a, b);
     return ascending ? cmp < 0 : cmp > 0;
   });
-  return GatherRows(input, order);
+  return order;
+}
+
+Relation SortBy(const Relation& input, std::span<const int> columns, bool ascending) {
+  return GatherRows(input, SortedOrder(input, columns, ascending));
 }
 
 Relation Distinct(const Relation& input, std::span<const int> columns) {
@@ -482,20 +493,6 @@ Relation Arithmetic(const Relation& input, const ArithSpec& spec) {
                      rhs != nullptr ? rhs + lo : nullptr, literal, scale,
                      static_cast<size_t>(hi - lo), out + lo);
   });
-  return output;
-}
-
-Relation Enumerate(const Relation& input, const std::string& index_name) {
-  std::vector<ColumnDef> defs = input.schema().columns();
-  defs.emplace_back(index_name);
-  Relation output{Schema(std::move(defs))};
-  output.Resize(input.NumRows());
-  for (int c = 0; c < input.NumColumns(); ++c) {
-    const auto src = input.ColumnSpan(c);
-    std::copy(src.begin(), src.end(), output.ColumnData(c));
-  }
-  int64_t* const idx = output.ColumnData(input.NumColumns());
-  std::iota(idx, idx + input.NumRows(), int64_t{0});
   return output;
 }
 

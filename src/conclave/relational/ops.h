@@ -2,7 +2,7 @@
 //
 // These functions define the *semantics* of every Conclave operator. They serve three
 // roles: (1) the execution engine behind the Local/Spark cleartext backends, (2) the
-// cleartext steps inside hybrid protocols (the STP's enumerate/join/sort work), and
+// cleartext steps inside hybrid protocols (the STP's join-pair and sort work), and
 // (3) the single-trusted-party reference that every secure execution is tested against.
 //
 // Column references are pre-resolved indices; the IR layer validates names against
@@ -124,11 +124,20 @@ Relation Join(const Relation& left, const Relation& right,
 
 // The matching (left row, right row) pairs of the inner equi-join, in exactly the
 // order Join materializes rows: left-scan order, ascending right row within each
-// match set. Join is a gather over this pair stream; the spilling join
-// (spill.h) consumes it per Grace bucket.
+// match set. Every join finds its pairs here: Join is a gather over this pair
+// stream, the spilling join (spill.h) consumes it per Grace bucket, and the secure
+// joins run it on revealed keys.
 void JoinRowPairs(const Relation& left, const Relation& right,
                   std::span<const int> left_keys, std::span<const int> right_keys,
                   std::vector<int64_t>* left_rows, std::vector<int64_t>* right_rows);
+
+// Join's output over the given (left row, right row) pairs, in JoinOutputSchema
+// layout: one contiguous gather per output column. Join and the spilling join
+// assemble through it.
+Relation GatherJoinRows(const Relation& left, const Relation& right,
+                        std::span<const int> left_keys, std::span<const int> right_keys,
+                        std::span<const int64_t> left_rows,
+                        std::span<const int64_t> right_rows);
 
 // Group-by aggregate. Output schema: group columns, then one aggregate column named
 // `output_name`. For kCount, `agg_column` is ignored. Output rows are sorted by group
@@ -147,6 +156,9 @@ Relation Concat(std::span<const Relation* const> inputs);
 // Stable sort by the given columns (lexicographic), ascending or descending.
 Relation SortBy(const Relation& input, std::span<const int> columns,
                 bool ascending = true);
+// SortBy's row order alone: order[i] is the input row SortBy puts at position i.
+std::vector<int64_t> SortedOrder(const Relation& input, std::span<const int> columns,
+                                 bool ascending = true);
 
 // Projects to `columns` and removes duplicate rows; output sorted for determinism.
 Relation Distinct(const Relation& input, std::span<const int> columns);
@@ -157,10 +169,6 @@ Relation Limit(const Relation& input, int64_t count);
 Relation Slice(const Relation& input, int64_t begin, int64_t end);
 
 Relation Arithmetic(const Relation& input, const ArithSpec& spec);
-
-// Appends a 0-based row-index column named `index_name`. The hybrid protocols use the
-// enumeration to link STP-side cleartext results back to MPC-resident rows (§5.3).
-Relation Enumerate(const Relation& input, const std::string& index_name);
 
 // Appends the window function column `spec.output_name`. The output is sorted by
 // (partition columns, order column) — the order in which the window is evaluated —

@@ -859,25 +859,8 @@ Relation Join(const Relation& left, const Relation& right,
   std::vector<int64_t> right_rows;
   GraceJoinRowPairs(left, right, left_keys, right_keys, budget, stats,
                     &left_rows, &right_rows);
-  // Assemble exactly as ops::Join does: keys and left non-keys gathered from the
-  // left, right non-keys from the right, in JoinOutputSchema order.
-  std::vector<int> left_rest;
-  std::vector<int> right_rest;
-  Schema out_schema = ops::JoinOutputSchema(left.schema(), right.schema(), left_keys,
-                                            right_keys, &left_rest, &right_rest);
-  Relation out{out_schema};
-  out.Resize(static_cast<int64_t>(left_rows.size()));
-  int dst = 0;
-  for (int key : left_keys) {
-    ops::GatherColumnInto(left, key, left_rows, out.ColumnData(dst++));
-  }
-  for (int col : left_rest) {
-    ops::GatherColumnInto(left, col, left_rows, out.ColumnData(dst++));
-  }
-  for (int col : right_rest) {
-    ops::GatherColumnInto(right, col, right_rows, out.ColumnData(dst++));
-  }
-  return out;
+  return ops::GatherJoinRows(left, right, left_keys, right_keys, left_rows,
+                             right_rows);
 }
 
 }  // namespace spill

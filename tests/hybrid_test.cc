@@ -139,17 +139,6 @@ TEST_F(HybridTest, PublicJoinAvoidsMpcPrimitives) {
   EXPECT_EQ(net_.counters().mpc_multiplications, 0u);
 }
 
-TEST_F(HybridTest, PublicJoinCleartextMatches) {
-  Relation left = RandomKeyed("k", "x", 30, 9, 13);
-  Relation right = RandomKeyed("k", "y", 25, 9, 14);
-  const int keys[] = {0};
-  SimNetwork net{CostModel{}};
-  const auto result = hybrid::PublicJoinCleartext(net, left, right, keys, keys,
-                                                  /*joiner=*/0, 2, /*use_spark=*/false);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(UnorderedEqual(*result, ops::Join(left, right, keys, keys)));
-}
-
 class HybridAggTest : public ::testing::TestWithParam<AggKind> {};
 
 TEST_P(HybridAggTest, MatchesCleartextAggregation) {

@@ -234,13 +234,11 @@ TEST_P(LayoutEquivalenceTest, ArithmeticAllKinds) {
   }
 }
 
-TEST_P(LayoutEquivalenceTest, EnumerateWindowPadStrip) {
+TEST_P(LayoutEquivalenceTest, WindowPadStrip) {
   const uint64_t seed = GetParam();
   for (const Shape& shape : kShapes) {
     const Relation rel = RandomRelation(shape, seed + 8);
     const RowMajorRelation ref_rel = RowMajorRelation::FromColumnar(rel);
-    ExpectSame(ops::Enumerate(rel, "idx"), rowmajor::ref::Enumerate(ref_rel, "idx"),
-               "Enumerate");
 
     WindowSpec spec;
     spec.partition_columns = {0};

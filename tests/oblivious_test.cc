@@ -26,6 +26,22 @@ SharedRelation ShareSingleColumn(const std::vector<int64_t>& values, Rng& rng,
   return ShareRelation(rel, rng);
 }
 
+// Expands every layer of a network into its comparator pairs.
+std::vector<std::vector<std::pair<int64_t, int64_t>>> Expand(
+    const std::vector<BatcherLayer>& network) {
+  std::vector<std::vector<std::pair<int64_t, int64_t>>> layers;
+  std::vector<int64_t> lo;
+  std::vector<int64_t> hi;
+  for (const BatcherLayer& layer : network) {
+    layer.Comparators(&lo, &hi);
+    auto& pairs = layers.emplace_back();
+    for (size_t i = 0; i < lo.size(); ++i) {
+      pairs.emplace_back(lo[i], hi[i]);
+    }
+  }
+  return layers;
+}
+
 // Applies the generated network layers to a cleartext vector; the network is valid
 // iff this sorts every input (we use random + adversarial inputs as evidence).
 std::vector<int64_t> ApplyNetwork(
@@ -45,7 +61,7 @@ class BatcherNetworkTest : public ::testing::TestWithParam<int64_t> {};
 
 TEST_P(BatcherNetworkTest, SortsRandomInputs) {
   const int64_t n = GetParam();
-  const auto layers = BatcherSortLayers(n);
+  const auto layers = Expand(BatcherSortNetwork(n));
   Rng rng(static_cast<uint64_t>(n));
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<int64_t> data(static_cast<size_t>(n));
@@ -59,7 +75,7 @@ TEST_P(BatcherNetworkTest, SortsRandomInputs) {
 
 TEST_P(BatcherNetworkTest, SortsReverseAndConstantInputs) {
   const int64_t n = GetParam();
-  const auto layers = BatcherSortLayers(n);
+  const auto layers = Expand(BatcherSortNetwork(n));
   std::vector<int64_t> reverse(static_cast<size_t>(n));
   std::iota(reverse.rbegin(), reverse.rend(), 0);
   const auto sorted_reverse = ApplyNetwork(layers, reverse);
@@ -69,7 +85,7 @@ TEST_P(BatcherNetworkTest, SortsReverseAndConstantInputs) {
 }
 
 TEST_P(BatcherNetworkTest, LayersTouchDisjointIndices) {
-  for (const auto& layer : BatcherSortLayers(GetParam())) {
+  for (const auto& layer : Expand(BatcherSortNetwork(GetParam()))) {
     std::vector<int64_t> touched;
     for (const auto& [lo, hi] : layer) {
       touched.push_back(lo);
@@ -96,7 +112,7 @@ class MergeNetworkTest : public ::testing::TestWithParam<std::pair<int64_t, int6
 TEST_P(MergeNetworkTest, MergesTwoSortedRuns) {
   const auto [run, extra] = GetParam();
   const int64_t total = run + extra;
-  const auto layers = BatcherMergeLayers(run, total);
+  const auto layers = Expand(BatcherMergeNetwork(run, total));
   Rng rng(static_cast<uint64_t>(total));
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<int64_t> data(static_cast<size_t>(total));
@@ -112,7 +128,7 @@ TEST_P(MergeNetworkTest, MergesTwoSortedRuns) {
 
 TEST_P(MergeNetworkTest, LayersTouchDisjointIndices) {
   const auto [run, extra] = GetParam();
-  for (const auto& layer : BatcherMergeLayers(run, run + extra)) {
+  for (const auto& layer : Expand(BatcherMergeNetwork(run, run + extra))) {
     std::vector<int64_t> touched;
     for (const auto& [lo, hi] : layer) {
       EXPECT_GE(lo, 0);
@@ -217,7 +233,7 @@ TEST_F(ObliviousFixture, SortCostMatchesComparisonCount) {
   const int keys[] = {0};
   ObliviousSort(engine_, shared, keys);
   uint64_t expected = 0;
-  for (const auto& layer : BatcherSortLayers(8)) {
+  for (const auto& layer : Expand(BatcherSortNetwork(8))) {
     expected += layer.size();
   }
   EXPECT_EQ(net_.counters().mpc_comparisons, expected);

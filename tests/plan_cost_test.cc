@@ -1,5 +1,5 @@
 // Tests for the shared plan-cost subsystem (compiler/plan_cost.h): the closed-form
-// Batcher network shapes match the materialized networks, per-node estimates match
+// Batcher layer counts match the expanded layers, per-node estimates match
 // the dispatcher's metered virtual seconds when cardinalities are exact, and — the
 // chooser's contract — for every figure-bench query shape, the explain output picks
 // the backend whose *measured* virtual seconds are minimal.
@@ -19,8 +19,7 @@
 #include "conclave/compiler/ownership.h"
 #include "conclave/compiler/plan_cost.h"
 #include "conclave/data/generators.h"
-#include "conclave/mpc/garbled/gc_cost.h"
-#include "conclave/mpc/oblivious.h"
+#include "conclave/mpc/batcher.h"
 
 namespace conclave {
 namespace compiler {
@@ -28,37 +27,37 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// --- Batcher network shapes -----------------------------------------------------------
+// --- Batcher network layers ----------------------------------------------------------
 
-TEST(BatcherShapeTest, SortShapeMatchesMaterializedLayers) {
-  for (int64_t n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100,
-                    127, 128, 129, 1000, 1023}) {
-    const auto layers = BatcherSortLayers(n);
-    uint64_t exchanges = 0;
-    for (const auto& layer : layers) {
-      exchanges += layer.size();
-    }
-    const gc::BatcherNetworkShape shape =
-        gc::BatcherSortShape(static_cast<uint64_t>(n));
-    EXPECT_EQ(shape.exchanges, exchanges) << "n=" << n;
-    EXPECT_EQ(shape.layers, layers.size()) << "n=" << n;
+// Each layer's closed-form count equals its expanded comparator count, and the
+// network lists no empty layer (the planner prices one round group per layer).
+void ExpectLayerCountsMatchExpansion(const std::vector<BatcherLayer>& network,
+                                     const std::string& what) {
+  std::vector<int64_t> lo;
+  std::vector<int64_t> hi;
+  for (const BatcherLayer& layer : network) {
+    layer.Comparators(&lo, &hi);
+    EXPECT_EQ(layer.Exchanges(), lo.size())
+        << what << " p=" << layer.p << " k=" << layer.k;
+    EXPECT_FALSE(lo.empty()) << what << " p=" << layer.p << " k=" << layer.k;
   }
 }
 
-TEST(BatcherShapeTest, MergeShapeMatchesMaterializedLayers) {
-  const std::pair<int64_t, int64_t> cases[] = {{1, 2},  {2, 3},   {2, 4},
-                                               {4, 6},  {4, 8},   {8, 13},
-                                               {16, 32}, {64, 100}};
+TEST(BatcherShapeTest, SortLayerCountsMatchExpansion) {
+  for (int64_t n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100,
+                    127, 128, 129, 1000, 1023, 4097, 100003}) {
+    ExpectLayerCountsMatchExpansion(BatcherSortNetwork(n), "n=" + std::to_string(n));
+  }
+}
+
+TEST(BatcherShapeTest, MergeLayerCountsMatchExpansion) {
+  const std::pair<int64_t, int64_t> cases[] = {
+      {1, 2},   {2, 3},    {2, 4},     {4, 6},   {4, 8},
+      {8, 13},  {16, 32},  {64, 100},  {1024, 1500}};
   for (const auto& [run, total] : cases) {
-    const auto layers = BatcherMergeLayers(run, total);
-    uint64_t exchanges = 0;
-    for (const auto& layer : layers) {
-      exchanges += layer.size();
-    }
-    const gc::BatcherNetworkShape shape = gc::BatcherMergeShape(
-        static_cast<uint64_t>(run), static_cast<uint64_t>(total));
-    EXPECT_EQ(shape.exchanges, exchanges) << run << "/" << total;
-    EXPECT_EQ(shape.layers, layers.size()) << run << "/" << total;
+    ExpectLayerCountsMatchExpansion(
+        BatcherMergeNetwork(run, total),
+        std::to_string(run) + "/" + std::to_string(total));
   }
 }
 
@@ -219,6 +218,89 @@ TEST(PlanCostTest, SharedInputIngestedOnce) {
     total_ingest += node.ingest_rows;
   }
   EXPECT_DOUBLE_EQ(total_ingest, 100);  // 50 + 50, not 200.
+}
+
+// The public join, hybrid join and hybrid aggregation at 2–5 parties: every node's
+// estimate equals its meter, and each party beyond the second adds exactly the
+// bytes its protocol sends per party (one copy of the revealed keys or of every
+// broadcast and shared column), so no byte is lost to a split between senders.
+TEST(PlanCostTest, HybridProtocolsMatchMetersAtEveryPartyCount) {
+  constexpr int64_t kRows = 100;
+  enum class Protocol { kPublicJoin, kHybridJoin, kHybridAggregate };
+  for (Protocol protocol :
+       {Protocol::kPublicJoin, Protocol::kHybridJoin, Protocol::kHybridAggregate}) {
+    uint64_t two_party_bytes = 0;
+    for (int parties = 2; parties <= 5; ++parties) {
+      const auto build = [&](api::Query& query) {
+        std::vector<api::Party> all;
+        for (int p = 0; p < parties; ++p) {
+          all.push_back(query.AddParty("p" + std::to_string(p)));
+        }
+        // Public keys are trusted by everyone; hybrid keys by party 0, the STP.
+        const std::vector<api::Party> trust =
+            protocol == Protocol::kPublicJoin ? all
+                                              : std::vector<api::Party>{all[0]};
+        // The last party holds the second input, so every party takes part.
+        auto a = query.NewTable("a", {{"k", trust}, {"v"}}, all[0], kRows);
+        auto b = query.NewTable("b", {{"k", trust}, {"w"}}, all.back(), kRows);
+        if (protocol == Protocol::kHybridAggregate) {
+          auto c = query.NewTable("c", {{"k", trust}, {"v"}}, all.back(), kRows);
+          query.Concat({a, c})
+              .Aggregate("total", AggKind::kSum, {"k"}, "v")
+              .WriteToCsv("out", {all[0]});
+        } else {
+          a.Join(b, {"k"}, {"k"}).WriteToCsv("out", {all[0]});
+        }
+      };
+      std::map<std::string, Relation> inputs;
+      inputs["a"] = SequentialKeys(kRows, {"k", "v"});
+      inputs["b"] = SequentialKeys(kRows, {"k", "w"});
+      inputs["c"] = SequentialKeys(kRows, {"k", "v"});
+      CompilerOptions options = NoPassOptions(MpcBackendKind::kSharemind);
+      options.use_hybrid = true;
+      options.planning_cardinality.distinct_fraction = 0.5;
+
+      api::Query query;
+      build(query);
+      const auto compilation = query.Compile(options);
+      ASSERT_TRUE(compilation.ok()) << compilation.status().ToString();
+      backends::Dispatcher dispatcher(CostModel{}, /*seed=*/13);
+      const auto result = dispatcher.Run(query.dag(), *compilation, inputs);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const char* tag = protocol == Protocol::kPublicJoin ? "public-join" : "hybrid";
+      bool saw_hybrid = false;
+      for (const NodeCost& node : compilation->cost_report.nodes) {
+        saw_hybrid = saw_hybrid || node.label.find(tag) != std::string::npos;
+        const double measured = result->node_seconds.at(node.node_id);
+        EXPECT_NEAR(node.sharemind.seconds, measured, 1e-9 * measured)
+            << parties << " parties: " << node.label << "\n"
+            << compilation->cost_report.ToString();
+      }
+      EXPECT_TRUE(saw_hybrid) << compilation->cost_report.ToString();
+
+      // Bytes each party beyond the first sends to or receives from the STP.
+      uint64_t per_party = 0;
+      switch (protocol) {
+        case Protocol::kPublicJoin:  // The pair broadcast; the keys split.
+          per_party = kRows * 16;
+          break;
+        case Protocol::kHybridJoin:  // Both key columns, two index columns.
+          per_party = 2 * kRows * 8 + 2 * kRows * 8;
+          break;
+        case Protocol::kHybridAggregate:  // Keys, the order and the flags.
+          per_party = 3 * (2 * kRows) * 8;
+          break;
+      }
+      const uint64_t bytes = result->counters.network_bytes;
+      if (parties == 2) {
+        two_party_bytes = bytes;
+      } else {
+        EXPECT_EQ(bytes, two_party_bytes + static_cast<uint64_t>(parties - 2) *
+                                               per_party)
+            << parties << " parties";
+      }
+    }
+  }
 }
 
 // --- Figure-bench query shapes: the chooser picks the measured-cheapest backend ------
@@ -573,6 +655,23 @@ TEST(PlanCostTest, AstronomicalCardinalitiesStayBounded) {
     EXPECT_FALSE(std::isnan(hybrid_report.sharemind_seconds));
     EXPECT_GT(hybrid_report.sharemind_seconds, 0);
   }
+}
+
+// A sorted-merge concat of astronomically large branches: the running row total
+// must not overflow (the planner folds the branches one merge at a time).
+TEST(PlanCostTest, AstronomicalMergeConcatStaysBounded) {
+  const int64_t huge = int64_t{1} << 62;
+  ir::Dag dag;
+  ir::OpNode* a = *dag.AddCreate("a", Schema::Of({"k", "v"}), 0, huge);
+  ir::OpNode* b = *dag.AddCreate("b", Schema::Of({"k", "v"}), 1, huge);
+  ir::OpNode* c = *dag.AddCreate("c", Schema::Of({"k", "v"}), 1, huge);
+  ir::OpNode* concat = *dag.AddConcat({a, b, c});
+  concat->MutableParams<ir::ConcatParams>().merge_columns = {"k"};
+  *dag.AddCollect(concat, "out", PartySet::Of({0}));
+  PropagateOwnership(dag);
+  const PlanCostReport report = EstimatePlanCost(dag, CostModel{}, 2);
+  EXPECT_GT(report.sharemind_seconds, 0);
+  EXPECT_FALSE(std::isnan(report.sharemind_seconds));
 }
 
 TEST(PlanCostTest, SingleRowRelationsMatchMeters) {

@@ -104,12 +104,6 @@ TEST_F(ProtocolsTest, ArithmeticLiteralKinds) {
   EXPECT_TRUE(secure.RowsEqual(ops::Arithmetic(rel, spec)));
 }
 
-TEST_F(ProtocolsTest, EnumerateAppendsPublicIndexes) {
-  Relation rel = RandomRelation({"a"}, 5, 10, 8);
-  Relation secure = ReconstructRelation(mpc::Enumerate(Share(rel), "idx"));
-  EXPECT_TRUE(secure.RowsEqual(ops::Enumerate(rel, "idx")));
-}
-
 TEST_F(ProtocolsTest, FilterMatchesCleartextUnordered) {
   Relation rel = RandomRelation({"a", "b"}, 60, 10, 9);
   const auto predicate = FilterPredicate::ColumnVsLiteral(0, CompareOp::kLt, 5);

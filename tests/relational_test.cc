@@ -337,13 +337,6 @@ TEST(OpsTest, ArithmeticLiteralAddSub) {
   EXPECT_EQ(ops::Arithmetic(rel, sub).At(0, 1), 5);
 }
 
-TEST(OpsTest, EnumerateAddsIndexColumn) {
-  Relation rel = MakeRelation({"a"}, {{7}, {8}});
-  Relation out = ops::Enumerate(rel, "idx");
-  EXPECT_EQ(out.At(0, 1), 0);
-  EXPECT_EQ(out.At(1, 1), 1);
-}
-
 TEST(OpsTest, IsSortedBy) {
   Relation sorted = MakeRelation({"a"}, {{1}, {2}, {2}, {5}});
   Relation unsorted = MakeRelation({"a"}, {{2}, {1}});

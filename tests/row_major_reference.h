@@ -316,20 +316,6 @@ inline RowMajorRelation Arithmetic(const RowMajorRelation& input,
   return output;
 }
 
-inline RowMajorRelation Enumerate(const RowMajorRelation& input,
-                                  const std::string& index_name) {
-  std::vector<ColumnDef> defs = input.schema().columns();
-  defs.emplace_back(index_name);
-  RowMajorRelation output{Schema(std::move(defs))};
-  auto& cells = output.mutable_cells();
-  for (int64_t r = 0; r < input.NumRows(); ++r) {
-    auto row = input.Row(r);
-    cells.insert(cells.end(), row.begin(), row.end());
-    cells.push_back(r);
-  }
-  return output;
-}
-
 inline RowMajorRelation Window(const RowMajorRelation& input,
                                const WindowSpec& spec) {
   std::vector<int> sort_columns = spec.partition_columns;
