@@ -8,6 +8,7 @@
 // and fingerprint everything the engine emits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -266,6 +267,55 @@ Trace RunProtocols(int pool_parallelism) {
   return trace;
 }
 
+// What RunProtocols never reaches: sorts and scans that span several morsels, the
+// 3-key comparison ladder (the equality chain of keys past the second), descending
+// sorts, and every aggregate kind's scan, at sizes from one row to several morsels
+// plus a ragged tail. Keys come from small domains so the ladder sees ties.
+Trace RunNetworks(int pool_parallelism) {
+  ThreadPool pool(pool_parallelism);
+  ThreadPool::Scope scope(&pool);
+
+  SimNetwork net{CostModel{}};
+  SecretShareEngine engine(&net, /*seed=*/321);
+  Trace trace;
+  const auto record = [&trace](const StatusOr<SharedRelation>& result) {
+    CONCLAVE_CHECK(result.ok());
+    trace.Record(*result);
+  };
+
+  const int three_keys[] = {0, 1, 2};
+  const int value_key[] = {3};
+  const int group[] = {0};
+  uint64_t seed = 40;
+  for (int64_t n : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{17}, int64_t{1000},
+                    3 * kMpcGrainRows + 257}) {
+    Relation rel{Schema::Of({"a", "b", "c", "v"})};
+    rel.Resize(n);
+    const int64_t domains[] = {3, 3, 5, 1000};
+    for (int c = 0; c < 4; ++c) {
+      const std::vector<int64_t> values = RandomValues(n, ++seed, 0, domains[c]);
+      std::copy(values.begin(), values.end(), rel.ColumnData(c));
+    }
+    const auto shared = mpc::InputRelation(engine, rel);
+    CONCLAVE_CHECK(shared.ok());
+
+    trace.Record(ObliviousSort(engine, *shared, three_keys, /*ascending=*/true));
+    trace.Record(ObliviousSort(engine, *shared, three_keys, /*ascending=*/false));
+    record(mpc::Sort(engine, *shared, value_key, /*ascending=*/false));
+    for (AggKind kind : {AggKind::kSum, AggKind::kCount, AggKind::kMin, AggKind::kMax,
+                         AggKind::kMean}) {
+      record(mpc::Aggregate(engine, *shared, group, kind, /*agg_column=*/3, "agg"));
+    }
+  }
+
+  trace.virtual_seconds = net.ElapsedSeconds();
+  trace.network_bytes = net.counters().network_bytes;
+  trace.mpc_multiplications = net.counters().mpc_multiplications;
+  trace.mpc_comparisons = net.counters().mpc_comparisons;
+  trace.triples_dealt = engine.dealer().triples_dealt();
+  return trace;
+}
+
 TEST(MpcParallelTest, KernelSharesBitIdenticalAcrossPoolSizes) {
   const Trace serial = RunKernels(1);
   EXPECT_TRUE(serial.BitIdentical(RunKernels(2)));
@@ -283,6 +333,15 @@ TEST(MpcParallelTest, ProtocolSharesBitIdenticalAcrossPoolSizes) {
 // only for a deliberate change of a protocol's randomness or charges.
 TEST(MpcParallelTest, ProtocolFingerprintIsPinned) {
   EXPECT_EQ(RunProtocols(1).Fingerprint(), 0xa7a9c8af61dd921fULL);
+}
+
+// The multi-morsel sorts and scans, pinned the same way: bit-identical at every pool
+// size, and one fingerprint across code changes.
+TEST(MpcParallelTest, NetworkTraceIsPinnedAtEveryPoolSize) {
+  const Trace serial = RunNetworks(1);
+  EXPECT_EQ(serial.Fingerprint(), 0x68548975af2641d5ULL);
+  EXPECT_TRUE(serial.BitIdentical(RunNetworks(2)));
+  EXPECT_TRUE(serial.BitIdentical(RunNetworks(4)));
 }
 
 TEST(MpcParallelTest, RepeatedParallelRunsAreStable) {
