@@ -22,6 +22,7 @@ Party Query::AddParty(std::string host) {
   party.id = static_cast<PartyId>(parties_.size());
   party.host = std::move(host);
   parties_.push_back(party);
+  dag_.DeclareParties(static_cast<int>(parties_.size()));
   return party;
 }
 

@@ -141,7 +141,7 @@ class SsCoster {
   }
 
   // One Batcher compare-exchange network (sort or merge pass) over a relation of
-  // `cols` columns with `keys` sort keys: per exchange, the RowGreater comparison
+  // `cols` columns with `keys` sort keys: per exchange, the layer's comparison
   // ladder plus one mux multiplication per column; per layer, the corresponding
   // batched-invocation rounds. Exchanges sum in doubles: huge estimated relations
   // produce counts beyond uint64, and cost math is double anyway.

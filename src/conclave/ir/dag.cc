@@ -452,7 +452,7 @@ int Dag::NumParties() const {
       }
     }
   }
-  return max_party + 1;
+  return std::max(declared_parties_, max_party + 1);
 }
 
 }  // namespace ir

@@ -70,7 +70,12 @@ class Dag {
   // Graphviz dot output (used by examples to visualize rewrites).
   std::string ToDot() const;
 
-  // The highest party id mentioned in Create/Collect annotations, plus one.
+  // Records that the query declares `count` parties (api::Query::AddParty), so a
+  // declared party that holds no input and receives no output still takes part.
+  void DeclareParties(int count) { declared_parties_ = count; }
+
+  // The declared party count, or the highest party id mentioned in Create/Collect
+  // annotations plus one, whichever is larger.
   int NumParties() const;
 
  private:
@@ -78,6 +83,7 @@ class Dag {
 
   std::vector<std::unique_ptr<OpNode>> nodes_;
   int next_id_ = 0;
+  int declared_parties_ = 0;
 };
 
 // Infers output column names for a node from its inputs' schemas (trust sets are left

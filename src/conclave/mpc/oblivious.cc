@@ -4,6 +4,7 @@
 #include <numeric>
 #include <utility>
 
+#include "conclave/common/cpu.h"
 #include "conclave/common/thread_pool.h"
 
 namespace conclave {
@@ -37,55 +38,155 @@ std::vector<SharedColumn> GatherRerandomizeColumns(SecretShareEngine& engine,
   return columns;
 }
 
-// Shared 0/1 column: 1 iff the row at `lo` is lexicographically greater than the row
-// at `hi` on the key columns (i.e., the pair must swap for ascending order).
-SharedColumn RowGreater(SecretShareEngine& engine, const SharedRelation& rel,
-                        std::span<const int64_t> lo, std::span<const int64_t> hi,
-                        std::span<const int> key_columns, bool ascending) {
-  // For descending order, "must swap" means lo < hi: flip the comparison direction.
-  const CompareOp cmp = ascending ? CompareOp::kGt : CompareOp::kLt;
-  CONCLAVE_CHECK_GT(key_columns.size(), 0u);
-  SharedColumn greater;
-  SharedColumn all_equal;
-  for (size_t k = 0; k < key_columns.size(); ++k) {
-    const SharedColumn& column = rel.Column(key_columns[k]);
-    SharedColumn lo_vals = GatherColumn(column, lo);
-    SharedColumn hi_vals = GatherColumn(column, hi);
-    SharedColumn gt_k = engine.Compare(cmp, lo_vals, hi_vals);
-    if (k == 0) {
-      greater = std::move(gt_k);
-      if (key_columns.size() > 1) {
-        all_equal = engine.Compare(CompareOp::kEq, lo_vals, hi_vals);
-      }
-    } else {
-      // greater |= all_equal & gt_k — the events are disjoint, so addition suffices.
-      greater = SecretShareEngine::Add(greater, engine.Mul(all_equal, gt_k));
-      if (k + 1 < key_columns.size()) {
-        all_equal =
-            engine.Mul(all_equal, engine.Compare(CompareOp::kEq, lo_vals, hi_vals));
+// The randomness of one compare-exchange layer. Per key: the comparison's masks,
+// the equality's (every key but the last) and, past the first key, the triples that
+// fold the comparison into the swap bit and those that extend the equality chain.
+// Then one triple batch per column for the swap itself.
+struct LayerStreams {
+  struct Key {
+    AesCounterRng compare_masks;
+    AesCounterRng equal_masks;
+    AesCounterRng greater_triples;
+    AesCounterRng equal_triples;
+  };
+  std::vector<Key> keys;
+  std::vector<AesCounterRng> swap_triples;
+};
+
+// Claims the streams of a layer of `m` comparators and applies its charges in the
+// order of the comparison ladder: compare (and equality, with 2+ keys) for key 0;
+// compare, mul (and equality, mul, unless it is the last key) for each further key;
+// then one mul per column.
+LayerStreams ClaimLayer(SecretShareEngine& engine, size_t m, size_t num_keys,
+                        int num_columns, CompareOp cmp) {
+  LayerStreams streams;
+  streams.keys.resize(num_keys);
+  TripleDealer& dealer = engine.dealer();
+  for (size_t k = 0; k < num_keys; ++k) {
+    LayerStreams::Key& key = streams.keys[k];
+    key.compare_masks = engine.NewStream();
+    engine.ChargeCompare(cmp, m);
+    if (k > 0) {
+      key.greater_triples = dealer.ClaimBatch(m);
+      engine.ChargeMul(m);
+    }
+    if (k + 1 < num_keys) {
+      key.equal_masks = engine.NewStream();
+      engine.ChargeCompare(CompareOp::kEq, m);
+      if (k > 0) {
+        key.equal_triples = dealer.ClaimBatch(m);
+        engine.ChargeMul(m);
       }
     }
   }
-  return greater;
+  streams.swap_triples.resize(static_cast<size_t>(num_columns));
+  for (AesCounterRng& triples : streams.swap_triples) {
+    triples = dealer.ClaimBatch(m);
+    engine.ChargeMul(m);
+  }
+  return streams;
 }
 
-// Applies one batched compare-exchange layer in place.
+// Reconstructs the values of rows[j], j in [0, len), of the column whose shares
+// are `shares` into out (the ideal functionality's view of the compared keys).
+void ReconstructRows(ConstShareRun shares, const int64_t* rows, size_t len,
+                     int64_t* out) {
+  for (size_t j = 0; j < len; ++j) {
+    const size_t row = static_cast<size_t>(rows[j]);
+    out[j] = FromRing(shares.p[0][row] + shares.p[1][row] + shares.p[2][row]);
+  }
+}
+
+// Applies one compare-exchange layer in place, in one morsel-parallel pass. Per
+// block of comparators: reconstruct the lo and hi keys and share the swap bit
+// through the comparison ladder (greater |= all_equal & gt_k, the events being
+// disjoint; all_equal &= eq_k), then per column z = swap * (hi - lo) with the
+// column's triples, writing back lo + z and hi - z. Comparators touch disjoint rows,
+// so morsels read and write their own rows only.
 void CompareExchangeLayer(SecretShareEngine& engine, SharedRelation& rel,
                           std::span<const int64_t> lo, std::span<const int64_t> hi,
                           std::span<const int> key_columns, bool ascending) {
-  const SharedColumn swap = RowGreater(engine, rel, lo, hi, key_columns, ascending);
-  for (int c = 0; c < rel.NumColumns(); ++c) {
-    SharedColumn& column = rel.MutableColumn(c);
-    SharedColumn lo_vals = GatherColumn(column, lo);
-    SharedColumn hi_vals = GatherColumn(column, hi);
-    // new_lo = lo + swap * (hi - lo); new_hi = lo + hi - new_lo (only one Mul).
-    SharedColumn new_lo = SecretShareEngine::Add(
-        lo_vals, engine.Mul(swap, SecretShareEngine::Sub(hi_vals, lo_vals)));
-    SharedColumn new_hi = SecretShareEngine::Sub(
-        SecretShareEngine::Add(lo_vals, hi_vals), new_lo);
-    ScatterColumn(column, lo, new_lo);
-    ScatterColumn(column, hi, new_hi);
+  CONCLAVE_CHECK_GT(key_columns.size(), 0u);
+  // For descending order, "must swap" means lo < hi: flip the comparison direction.
+  const CompareOp cmp = ascending ? CompareOp::kGt : CompareOp::kLt;
+  const size_t num_keys = key_columns.size();
+  const LayerStreams streams =
+      ClaimLayer(engine, lo.size(), num_keys, rel.NumColumns(), cmp);
+  std::vector<ConstShareRun> keys;
+  for (int column : key_columns) {
+    keys.push_back(RunOf(rel.Column(column)));
   }
+  std::vector<ShareRun> columns;
+  for (int c = 0; c < rel.NumColumns(); ++c) {
+    columns.push_back(RunOf(rel.MutableColumn(c)));
+  }
+
+  ParallelFor(
+      0, static_cast<int64_t>(lo.size()),
+      [&](int64_t begin, int64_t end) {
+        int64_t lhs[kFusedBlockRows] = {};
+        int64_t rhs[kFusedBlockRows] = {};
+        uint8_t bits[kFusedBlockRows] = {};
+        ShareBlock greater;
+        ShareBlock all_equal;
+        ShareBlock step;
+        ShareBlock lo_shares;
+        ShareBlock hi_shares;
+        BeaverBlock beaver;
+        for (int64_t first = begin; first < end;
+             first += static_cast<int64_t>(kFusedBlockRows)) {
+          const size_t len =
+              std::min(kFusedBlockRows, static_cast<size_t>(end - first));
+          const uint64_t block = static_cast<uint64_t>(first);
+          const int64_t* const lo_rows = lo.data() + first;
+          const int64_t* const hi_rows = hi.data() + first;
+
+          for (size_t k = 0; k < num_keys; ++k) {
+            const LayerStreams::Key& key = streams.keys[k];
+            ReconstructRows(keys[k], lo_rows, len, lhs);
+            ReconstructRows(keys[k], hi_rows, len, rhs);
+            SecretShareEngine::ShareComparison(cmp, lhs, rhs, len, key.compare_masks,
+                                               block, bits,
+                                               k == 0 ? greater.run() : step.run());
+            if (k > 0) {
+              beaver.Mul(key.greater_triples, block, len, all_equal.run(), step.run(),
+                         step.run());
+              for (int p = 0; p < kNumShareParties; ++p) {
+                cpu::AddU64(greater.s[p], step.s[p], len, greater.s[p]);
+              }
+            }
+            if (k + 1 < num_keys) {
+              SecretShareEngine::ShareComparison(CompareOp::kEq, lhs, rhs, len,
+                                                 key.equal_masks, block, bits,
+                                                 k == 0 ? all_equal.run() : step.run());
+              if (k > 0) {
+                beaver.Mul(key.equal_triples, block, len, all_equal.run(), step.run(),
+                           all_equal.run());
+              }
+            }
+          }
+
+          for (size_t c = 0; c < columns.size(); ++c) {
+            const ShareRun column = columns[c];
+            for (int p = 0; p < kNumShareParties; ++p) {
+              for (size_t j = 0; j < len; ++j) {
+                lo_shares.s[p][j] = column.p[p][lo_rows[j]];
+                hi_shares.s[p][j] = column.p[p][hi_rows[j]];
+              }
+              cpu::SubU64(hi_shares.s[p], lo_shares.s[p], len, step.s[p]);
+            }
+            beaver.Mul(streams.swap_triples[c], block, len, greater.run(), step.run(),
+                       step.run());
+            for (int p = 0; p < kNumShareParties; ++p) {
+              for (size_t j = 0; j < len; ++j) {
+                column.p[p][lo_rows[j]] = lo_shares.s[p][j] + step.s[p][j];
+                column.p[p][hi_rows[j]] = hi_shares.s[p][j] - step.s[p][j];
+              }
+            }
+          }
+        }
+      },
+      kMpcFusedGrainRows);
 }
 
 // Runs the network's layers in order, expanding one layer at a time into buffers

@@ -4,7 +4,9 @@
 #include <numeric>
 #include <utility>
 
+#include "conclave/common/cpu.h"
 #include "conclave/common/strings.h"
+#include "conclave/common/thread_pool.h"
 
 namespace conclave {
 namespace mpc {
@@ -47,50 +49,111 @@ ScanCombine CombineFor(AggKind kind) {
   }
 }
 
-// In-place log-depth segmented scan (Hillis-Steele). `flags[i] == 1` means row i is in
-// the same group as row i-1; after the scan, the last row of each group holds the
+// Log-depth segmented scan (Hillis-Steele). `flags[i] == 1` means row i is in the
+// same group as row i-1; after the scan, the last row of each group holds the
 // group's combined value: a sum by addition, min/max by compare+mux, and the OR of
-// 0/1 values as a + b - a*b.
+// 0/1 values as a + b - a*b. Level d is one morsel-parallel pass: row i >= d reads
+// rows i and i - d of level d/2 and writes a second buffer (an in-place update
+// would feed a row's new value to the row d after it), which then swaps in.
 void SegmentedScan(SecretShareEngine& engine, SharedColumn& values,
-                   SharedColumn segment_flags, ScanCombine combine) {
+                   const SharedColumn& segment_flags, ScanCombine combine) {
   const int64_t n = static_cast<int64_t>(values.size());
+  if (n < 2) {
+    return;
+  }
+  const bool ordered = combine == ScanCombine::kMin || combine == ScanCombine::kMax;
+  const CompareOp pick_op = combine == ScanCombine::kMin ? CompareOp::kLt
+                                                         : CompareOp::kGt;
+  SharedColumn flags = segment_flags;
+  SharedColumn next_values(static_cast<size_t>(n));
+  SharedColumn next_flags(static_cast<size_t>(n));
+  TripleDealer& dealer = engine.dealer();
   for (int64_t d = 1; d < n; d *= 2) {
+    // Each level's randomness and charges, in the order of its steps: the min/max
+    // comparison, the combine's mul (all but add), the group mux's mul, the flags'.
     const size_t len = static_cast<size_t>(n - d);
-    SharedColumn shifted_vals = SliceColumn(values, 0, len);
-    SharedColumn shifted_flags = SliceColumn(segment_flags, 0, len);
-    SharedColumn cur_vals = SliceColumn(values, static_cast<size_t>(d), len);
-    SharedColumn cur_flags = SliceColumn(segment_flags, static_cast<size_t>(d), len);
+    AesCounterRng pick_masks;
+    AesCounterRng combine_triples;
+    if (ordered) {
+      pick_masks = engine.NewStream();
+      engine.ChargeCompare(pick_op, len);
+    }
+    if (combine != ScanCombine::kAdd) {
+      combine_triples = dealer.ClaimBatch(len);
+      engine.ChargeMul(len);
+    }
+    const AesCounterRng mux_triples = dealer.ClaimBatch(len);
+    engine.ChargeMul(len);
+    const AesCounterRng flag_triples = dealer.ClaimBatch(len);
+    engine.ChargeMul(len);
 
-    SharedColumn combined;
-    switch (combine) {
-      case ScanCombine::kAdd:
-        combined = SecretShareEngine::Add(cur_vals, shifted_vals);
-        break;
-      case ScanCombine::kMin: {
-        SharedColumn less = engine.Compare(CompareOp::kLt, shifted_vals, cur_vals);
-        combined = engine.Mux(less, shifted_vals, cur_vals);
-        break;
-      }
-      case ScanCombine::kMax: {
-        SharedColumn greater = engine.Compare(CompareOp::kGt, shifted_vals, cur_vals);
-        combined = engine.Mux(greater, shifted_vals, cur_vals);
-        break;
-      }
-      case ScanCombine::kOr:
-        combined = SecretShareEngine::Sub(
-            SecretShareEngine::Add(cur_vals, shifted_vals),
-            engine.Mul(cur_vals, shifted_vals));
-        break;
-    }
-    // Only rows still inside their segment absorb the shifted contribution.
-    SharedColumn new_vals = engine.Mux(cur_flags, combined, cur_vals);
-    SharedColumn new_flags = engine.Mul(cur_flags, shifted_flags);
-    for (int p = 0; p < kNumShareParties; ++p) {
-      std::copy(new_vals.shares[p].begin(), new_vals.shares[p].end(),
-                values.shares[p].begin() + d);
-      std::copy(new_flags.shares[p].begin(), new_flags.shares[p].end(),
-                segment_flags.shares[p].begin() + d);
-    }
+    ParallelFor(
+        0, n,
+        [&](int64_t begin, int64_t end) {
+          // Rows before d keep their value and flag.
+          for (int64_t row = begin; row < std::min(end, d); ++row) {
+            const size_t i = static_cast<size_t>(row);
+            for (int p = 0; p < kNumShareParties; ++p) {
+              next_values.shares[p][i] = values.shares[p][i];
+              next_flags.shares[p][i] = flags.shares[p][i];
+            }
+          }
+          int64_t lhs[kFusedBlockRows] = {};
+          int64_t rhs[kFusedBlockRows] = {};
+          uint8_t bits[kFusedBlockRows] = {};
+          ShareBlock pick;
+          ShareBlock step;
+          BeaverBlock beaver;
+          for (int64_t row = std::max(begin, d); row < end;
+               row += static_cast<int64_t>(kFusedBlockRows)) {
+            const size_t len = std::min(kFusedBlockRows, static_cast<size_t>(end - row));
+            const size_t i = static_cast<size_t>(row);
+            const size_t j = static_cast<size_t>(row - d);  // Also the stream index.
+            const ConstShareRun cur = RunOf(std::as_const(values), i);
+            const ConstShareRun shifted = RunOf(std::as_const(values), j);
+            const ConstShareRun cur_flag = RunOf(std::as_const(flags), i);
+            // delta = combine(cur, shifted) - cur, share by share (ring arithmetic is
+            // exact): shifted for a sum, pick * (shifted - cur) for min/max, and
+            // shifted - cur * shifted for OR.
+            ConstShareRun delta = shifted;
+            switch (combine) {
+              case ScanCombine::kAdd:
+                break;
+              case ScanCombine::kMin:
+              case ScanCombine::kMax:
+                cpu::Add3U64(shifted.p[0], shifted.p[1], shifted.p[2], len,
+                             reinterpret_cast<uint64_t*>(lhs));
+                cpu::Add3U64(cur.p[0], cur.p[1], cur.p[2], len,
+                             reinterpret_cast<uint64_t*>(rhs));
+                SecretShareEngine::ShareComparison(pick_op, lhs, rhs, len, pick_masks,
+                                                   j, bits, pick.run());
+                for (int p = 0; p < kNumShareParties; ++p) {
+                  cpu::SubU64(shifted.p[p], cur.p[p], len, step.s[p]);
+                }
+                beaver.Mul(combine_triples, j, len, pick.run(), step.run(), step.run());
+                delta = step.run();
+                break;
+              case ScanCombine::kOr:
+                beaver.Mul(combine_triples, j, len, cur, shifted, step.run());
+                for (int p = 0; p < kNumShareParties; ++p) {
+                  cpu::SubU64(shifted.p[p], step.s[p], len, step.s[p]);
+                }
+                delta = step.run();
+                break;
+            }
+            // Only rows still inside their segment absorb the combined value.
+            beaver.Mul(mux_triples, j, len, cur_flag, delta, step.run());
+            const ShareRun out = RunOf(next_values, i);
+            for (int p = 0; p < kNumShareParties; ++p) {
+              cpu::AddU64(cur.p[p], step.s[p], len, out.p[p]);
+            }
+            beaver.Mul(flag_triples, j, len, cur_flag, RunOf(std::as_const(flags), j),
+                       RunOf(next_flags, i));
+          }
+        },
+        kMpcFusedGrainRows);
+    std::swap(values, next_values);
+    std::swap(flags, next_flags);
   }
 }
 

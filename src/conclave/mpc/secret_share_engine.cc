@@ -96,50 +96,54 @@ SharedColumn SecretShareEngine::PublicConst(size_t n, int64_t value) {
   return out;
 }
 
+void SecretShareEngine::BeaverStep(ConstShareRun x, ConstShareRun y,
+                                   const TripleRun& triples, size_t len, Ring* d,
+                                   Ring* e, ShareRun z) {
+  // Party-major passes so every inner loop streams over dense arrays.
+  std::memset(d, 0, len * sizeof(Ring));
+  std::memset(e, 0, len * sizeof(Ring));
+  for (int p = 0; p < kNumShareParties; ++p) {
+    cpu::AccumDiffU64(x.p[p], triples.a.p[p], len, d);
+    cpu::AccumDiffU64(y.p[p], triples.b.p[p], len, e);
+  }
+  for (int p = 0; p < kNumShareParties; ++p) {
+    cpu::BeaverCombineU64(triples.c.p[p], d, triples.b.p[p], e, triples.a.p[p], len,
+                          z.p[p]);
+  }
+  cpu::AccumMulU64(d, e, len, z.p[0]);
+}
+
+void SecretShareEngine::ChargeMul(size_t n) {
+  const SsCharge charge = network_->model().SsChargeFor(SsPrimitive::kMult);
+  network_->CpuSeconds(static_cast<double>(n) * charge.seconds);
+  network_->CountAggregateBytes(n * charge.bytes);
+  network_->Rounds(charge.rounds);
+  network_->mutable_counters().mpc_multiplications += n;
+}
+
 SharedColumn SecretShareEngine::Mul(const SharedColumn& a, const SharedColumn& b) {
   CheckSameSize(a, b);
   const size_t n = a.size();
   if (n == 0) {
     return SharedColumn(0);
   }
-  const CostModel& model = network_->model();
 
   // Operands must not alias the dealer's scratch batch: DealBatch below refills it.
   CONCLAVE_CHECK(!dealer_.OwnsBatchColumn(a) && !dealer_.OwnsBatchColumn(b));
   const TripleBatch& triples = dealer_.DealBatch(n);
 
-  // Beaver: open d = a - ta and e = b - tb, then
-  //   z = tc + d*tb + e*ta + d*e  (the d*e term folded into party 0's share).
   SharedColumn out(n);
   auto d_buf = arena_.Acquire(n);
   auto e_buf = arena_.Acquire(n);
   Ring* const d = d_buf.u64();
   Ring* const e = e_buf.u64();
   ForRows(n, [&](int64_t lo, int64_t hi) {
-    // Party-major passes so every inner loop streams over dense arrays.
-    const size_t len = static_cast<size_t>(hi - lo);
-    std::memset(d + lo, 0, len * sizeof(Ring));
-    std::memset(e + lo, 0, len * sizeof(Ring));
-    for (int p = 0; p < kNumShareParties; ++p) {
-      cpu::AccumDiffU64(a.shares[p].data() + lo, triples.a.shares[p].data() + lo,
-                        len, d + lo);
-      cpu::AccumDiffU64(b.shares[p].data() + lo, triples.b.shares[p].data() + lo,
-                        len, e + lo);
-    }
-    for (int p = 0; p < kNumShareParties; ++p) {
-      cpu::BeaverCombineU64(triples.c.shares[p].data() + lo, d + lo,
-                            triples.b.shares[p].data() + lo, e + lo,
-                            triples.a.shares[p].data() + lo, len,
-                            out.shares[p].data() + lo);
-    }
-    cpu::AccumMulU64(d + lo, e + lo, len, out.shares[0].data() + lo);
+    const size_t i = static_cast<size_t>(lo);
+    BeaverStep(RunOf(a, i), RunOf(b, i),
+               {RunOf(triples.a, i), RunOf(triples.b, i), RunOf(triples.c, i)},
+               static_cast<size_t>(hi - lo), d + i, e + i, RunOf(out, i));
   });
-
-  const SsCharge charge = model.SsChargeFor(SsPrimitive::kMult);
-  network_->CpuSeconds(static_cast<double>(n) * charge.seconds);
-  network_->CountAggregateBytes(n * charge.bytes);
-  network_->Rounds(charge.rounds);
-  network_->mutable_counters().mpc_multiplications += n;
+  ChargeMul(n);
   return out;
 }
 
@@ -199,12 +203,31 @@ SharedColumn SecretShareEngine::GatherRerandomizeWith(const SharedColumn& column
   return out;
 }
 
+void SecretShareEngine::ShareComparison(CompareOp op, const int64_t* lhs,
+                                        const int64_t* rhs, size_t len,
+                                        const AesCounterRng& masks, uint64_t first,
+                                        uint8_t* bits, ShareRun out) {
+  // One vector compare into 0/1 bytes, one batched mask fill, one combine.
+  cpu::CompareMask(static_cast<cpu::Cmp>(op), lhs, rhs, 0, len, cpu::MaskMode::kSet,
+                   bits);
+  masks.FillBlocksSplit(first, len, out.p[0], out.p[1]);
+  cpu::MaskSubSub(bits, out.p[0], out.p[1], len, out.p[2]);
+}
+
+void SecretShareEngine::ChargeCompare(CompareOp op, size_t n) {
+  const bool is_equality = (op == CompareOp::kEq || op == CompareOp::kNe);
+  const SsCharge charge = network_->model().SsChargeFor(
+      is_equality ? SsPrimitive::kEquality : SsPrimitive::kCompare);
+  network_->CpuSeconds(static_cast<double>(n) * charge.seconds);
+  network_->CountAggregateBytes(n * charge.bytes);
+  network_->Rounds(charge.rounds);
+  network_->mutable_counters().mpc_comparisons += n;
+}
+
 SharedColumn SecretShareEngine::Compare(CompareOp op, const SharedColumn& a,
                                         const SharedColumn& b) {
   CheckSameSize(a, b);
   const size_t n = a.size();
-  const CostModel& model = network_->model();
-  const bool is_equality = (op == CompareOp::kEq || op == CompareOp::kNe);
 
   auto lhs_buf = arena_.Acquire(n);
   auto rhs_buf = arena_.Acquire(n);
@@ -213,29 +236,17 @@ SharedColumn SecretShareEngine::Compare(CompareOp op, const SharedColumn& a,
   const int64_t* const lhs = lhs_buf.i64();
   const int64_t* const rhs = rhs_buf.i64();
 
-  // Fresh sharing of the comparison bits, fused with their computation: one
-  // vector compare into 0/1 bytes, one batched mask fill, one combine.
+  // Fresh sharing of the comparison bits, fused with their computation.
   SharedColumn out(n);
-  const AesCounterRng rng = NewStream();
+  const AesCounterRng masks = NewStream();
   auto bits_buf = arena_.Acquire((n + 7) / 8);
   uint8_t* const bits = reinterpret_cast<uint8_t*>(bits_buf.u64());
-  Ring* const o0 = out.shares[0].data();
-  Ring* const o1 = out.shares[1].data();
-  Ring* const o2 = out.shares[2].data();
   ForRows(n, [&](int64_t lo, int64_t hi) {
-    const size_t len = static_cast<size_t>(hi - lo);
-    cpu::CompareMask(static_cast<cpu::Cmp>(op), lhs + lo, rhs + lo, 0, len,
-                     cpu::MaskMode::kSet, bits + lo);
-    rng.FillBlocksSplit(static_cast<uint64_t>(lo), len, o0 + lo, o1 + lo);
-    cpu::MaskSubSub(bits + lo, o0 + lo, o1 + lo, len, o2 + lo);
+    const size_t i = static_cast<size_t>(lo);
+    ShareComparison(op, lhs + i, rhs + i, static_cast<size_t>(hi - lo), masks, i,
+                    bits + i, RunOf(out, i));
   });
-
-  const SsCharge charge = model.SsChargeFor(
-      is_equality ? SsPrimitive::kEquality : SsPrimitive::kCompare);
-  network_->CpuSeconds(static_cast<double>(n) * charge.seconds);
-  network_->CountAggregateBytes(n * charge.bytes);
-  network_->Rounds(charge.rounds);
-  network_->mutable_counters().mpc_comparisons += n;
+  ChargeCompare(op, n);
   return out;
 }
 

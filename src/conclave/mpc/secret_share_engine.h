@@ -27,8 +27,14 @@
 // live in a recycling scratch arena. The combine loops themselves run through the
 // cpu:: ring kernels (AVX2 with a bit-identical scalar fallback). Together these
 // make every kernel a pure function of its operands and stream, so shares are
-// bit-identical at every pool size while the steady-state hot path performs no
-// allocation.
+// bit-identical at every pool size.
+//
+// Mul's and Compare's morsel bodies are chunk kernels (BeaverStep,
+// ShareComparison) and their charges one function each (ChargeMul,
+// ChargeCompare): the fused kernels — one Batcher compare-exchange layer
+// (mpc/oblivious.cc) and one segmented-scan level (mpc/protocols.cc) per pass —
+// claim the same streams, apply the same charges and run the same bodies over
+// chunk-local buffers (BeaverBlock), with no column allocated per layer or level.
 #ifndef CONCLAVE_MPC_SECRET_SHARE_ENGINE_H_
 #define CONCLAVE_MPC_SECRET_SHARE_ENGINE_H_
 
@@ -125,6 +131,24 @@ class SecretShareEngine {
     return ReconstructValues(a);
   }
 
+  // --- Chunk kernels and charges -------------------------------------------------------
+  // Beaver's online step over `len` elements: opens d = x - ta and e = y - tb into
+  // the caller's scratch d and e, then writes z = tc + d*tb + e*ta + d*e (the d*e
+  // term folded into party 0's share). z may alias x or y: both openings are
+  // complete before z is written.
+  static void BeaverStep(ConstShareRun x, ConstShareRun y, const TripleRun& triples,
+                         size_t len, Ring* d, Ring* e, ShareRun z);
+  // Fresh sharing of the 0/1 results lhs[i] op rhs[i] for `len` elements whose
+  // masks are blocks [first, first + len) of `masks` (element i's two mask words
+  // are the halves of one block); `bits` is caller scratch of `len` bytes.
+  static void ShareComparison(CompareOp op, const int64_t* lhs, const int64_t* rhs,
+                              size_t len, const AesCounterRng& masks, uint64_t first,
+                              uint8_t* bits, ShareRun out);
+  // The cost of n multiplications, and of n comparisons (kEq/kNe price as the
+  // equality protocol, ordered ops as the comparison protocol).
+  void ChargeMul(size_t n);
+  void ChargeCompare(CompareOp op, size_t n);
+
   // Claims the next randomness stream. Streams are claimed in a fixed sequence on
   // the serialized MPC lane, so stream assignment — and therefore every sharing —
   // is independent of the pool size.
@@ -166,6 +190,36 @@ class SecretShareEngine {
   uint64_t next_stream_ = 0;
   Rng perm_rng_;
   ScratchArena arena_;
+};
+
+// Chunk-local shares of one block of a fused kernel, on the morsel's stack.
+inline constexpr size_t kFusedBlockRows = 256;
+struct ShareBlock {
+  Ring s[kNumShareParties][kFusedBlockRows] = {};
+  ShareRun run() { return {{s[0], s[1], s[2]}}; }
+};
+
+// Beaver multiplication over one block of a fused kernel: unpacks the block's
+// triples from a claimed batch stream (TripleDealer::ClaimBatch) into local buffers
+// and runs the engine's BeaverStep, so a fused pass multiplies without a column or
+// a dealt batch.
+class BeaverBlock {
+ public:
+  // z = x * y for elements [first, first + len) of the batch whose triple stream
+  // is `triples` (len <= kFusedBlockRows); z may alias x or y.
+  void Mul(const AesCounterRng& triples, uint64_t first, size_t len,
+           ConstShareRun x, ConstShareRun y, ShareRun z) {
+    TripleDealer::Unpack(triples, first, len, a_.run(), b_.run(), c_.run());
+    SecretShareEngine::BeaverStep(x, y, {a_.run(), b_.run(), c_.run()}, len, d_, e_,
+                                  z);
+  }
+
+ private:
+  ShareBlock a_;
+  ShareBlock b_;
+  ShareBlock c_;
+  Ring d_[kFusedBlockRows] = {};
+  Ring e_[kFusedBlockRows] = {};
 };
 
 }  // namespace conclave

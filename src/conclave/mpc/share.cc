@@ -142,42 +142,21 @@ SharedRelation ShareRelation(const Relation& relation, Rng& rng) {
 
 SharedColumn GatherColumn(const SharedColumn& column, std::span<const int64_t> rows) {
   SharedColumn out(rows.size());
-  for (int p = 0; p < kNumShareParties; ++p) {
-    const Ring* const src = column.shares[p].data();
-    Ring* const dst = out.shares[p].data();
-    ParallelFor(
-        0, static_cast<int64_t>(rows.size()),
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            CONCLAVE_DCHECK(rows[static_cast<size_t>(i)] >= 0 &&
-                            rows[static_cast<size_t>(i)] <
-                                static_cast<int64_t>(column.size()));
-            dst[i] = src[static_cast<size_t>(rows[static_cast<size_t>(i)])];
+  const ConstShareRun src = RunOf(column);
+  const ShareRun dst = RunOf(out);
+  ParallelFor(
+      0, static_cast<int64_t>(rows.size()),
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+          const int64_t row = rows[static_cast<size_t>(i)];
+          CONCLAVE_DCHECK(row >= 0 && row < static_cast<int64_t>(column.size()));
+          for (int p = 0; p < kNumShareParties; ++p) {
+            dst.p[p][i] = src.p[p][row];
           }
-        },
-        kMpcGrainRows);
-  }
+        }
+      },
+      kMpcGrainRows);
   return out;
-}
-
-void ScatterColumn(SharedColumn& column, std::span<const int64_t> rows,
-                   const SharedColumn& values) {
-  CONCLAVE_CHECK_EQ(rows.size(), values.size());
-  for (int p = 0; p < kNumShareParties; ++p) {
-    const Ring* const src = values.shares[p].data();
-    Ring* const dst = column.shares[p].data();
-    ParallelFor(
-        0, static_cast<int64_t>(rows.size()),
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            CONCLAVE_DCHECK(rows[static_cast<size_t>(i)] >= 0 &&
-                            rows[static_cast<size_t>(i)] <
-                                static_cast<int64_t>(column.size()));
-            dst[static_cast<size_t>(rows[static_cast<size_t>(i)])] = src[i];
-          }
-        },
-        kMpcGrainRows);
-  }
 }
 
 SharedColumn SliceColumn(const SharedColumn& column, size_t start, size_t length) {

@@ -44,6 +44,15 @@ inline int64_t FromRing(Ring value) { return std::bit_cast<int64_t>(value); }
 // of times over while letting mid-sized batches spread across a pool.
 inline constexpr int64_t kMpcGrainRows = 8 * 1024;
 
+// Morsel size of the fused kernels (one Batcher compare-exchange layer, one
+// segmented-scan level per pass; DESIGN.md §5). A fused element costs tens of
+// nanoseconds (AES mask and triple blocks plus a Beaver step per column) against
+// about one for an Add element, so a morsel this size still amortizes its dispatch
+// while a 17k-comparator layer spreads over 17 morsels. Chosen by measurement
+// (4-vCPU host, pool 4, hhi_mpc_only's query p50, median of 6 interleaved runs):
+// 1,024 → 0.086 s, 2,048 → 0.094 s, 4,096 → 0.105 s, 8,192 → 0.160 s.
+inline constexpr int64_t kMpcFusedGrainRows = 1024;
+
 // One secret-shared vector of ring elements (a relation column, or a batch of
 // intermediate values). shares[p][i] is party p's share of element i.
 struct SharedColumn {
@@ -72,6 +81,28 @@ struct SharedColumn {
     return shares[0][i] + shares[1][i] + shares[2][i];
   }
 };
+
+// The three parties' shares of a run of consecutive elements: a morsel of a
+// SharedColumn, or a fused kernel's chunk-local buffer. The chunk kernels
+// (SecretShareEngine::BeaverStep and ShareComparison, TripleDealer::Unpack) read
+// and write through these, so whole-column ops and fused kernels run one body.
+struct ConstShareRun {
+  std::array<const Ring*, kNumShareParties> p;
+};
+struct ShareRun {
+  std::array<Ring*, kNumShareParties> p;
+  operator ConstShareRun() const { return {{p[0], p[1], p[2]}}; }
+};
+
+// The run of `column` that starts at element `offset`.
+inline ShareRun RunOf(SharedColumn& column, size_t offset = 0) {
+  return {{column.shares[0].data() + offset, column.shares[1].data() + offset,
+           column.shares[2].data() + offset}};
+}
+inline ConstShareRun RunOf(const SharedColumn& column, size_t offset = 0) {
+  return {{column.shares[0].data() + offset, column.shares[1].data() + offset,
+           column.shares[2].data() + offset}};
+}
 
 // Splits cleartext values into fresh random additive shares (sequential generator;
 // test/fixture convenience). The engine's data plane uses the AesCounterRng overload.
@@ -152,12 +183,9 @@ SharedRelation ShareRelation(const Relation& relation, Rng& rng);
 Relation ReconstructRelation(const SharedRelation& shared);
 
 // Share-local data movement (no communication, no re-randomization — callers that
-// reveal gathered data must re-randomize first). Morsel-parallel; scatter rows must
-// be distinct (compare-exchange layers are pair-disjoint by construction, a property
-// the oblivious tests assert).
+// reveal gathered data must re-randomize first). GatherColumn is one morsel-parallel
+// pass that moves all three shares of each row.
 SharedColumn GatherColumn(const SharedColumn& column, std::span<const int64_t> rows);
-void ScatterColumn(SharedColumn& column, std::span<const int64_t> rows,
-                   const SharedColumn& values);
 SharedColumn SliceColumn(const SharedColumn& column, size_t start, size_t length);
 
 }  // namespace conclave

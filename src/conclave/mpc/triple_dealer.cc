@@ -1,55 +1,51 @@
 #include "conclave/mpc/triple_dealer.h"
 
+#include <algorithm>
+
 #include "conclave/common/thread_pool.h"
 
 namespace conclave {
+
+void TripleDealer::Unpack(const AesCounterRng& stream, uint64_t first,
+                          size_t count, ShareRun a, ShareRun b, ShareRun c) {
+  // Batched AES fills produce the words in fixed-size sub-chunks on the stack,
+  // then a scalar pass unpacks and combines them.
+  constexpr size_t kChunkTriples = 128;
+  uint64_t words[8 * kChunkTriples];
+  for (size_t chunk = 0; chunk < count; chunk += kChunkTriples) {
+    const size_t len = std::min(kChunkTriples, count - chunk);
+    stream.FillWords(8 * (first + chunk), 8 * len, words);
+    for (size_t j = 0; j < len; ++j) {
+      const uint64_t* const w = words + 8 * j;
+      const size_t i = chunk + j;
+      const Ring secret_a = w[0];
+      const Ring secret_b = w[1];
+      a.p[0][i] = w[2];
+      a.p[1][i] = w[3];
+      a.p[2][i] = secret_a - w[2] - w[3];
+      b.p[0][i] = w[4];
+      b.p[1][i] = w[5];
+      b.p[2][i] = secret_b - w[4] - w[5];
+      c.p[0][i] = w[6];
+      c.p[1][i] = w[7];
+      c.p[2][i] = secret_a * secret_b - w[6] - w[7];
+    }
+  }
+}
 
 void TripleDealer::Fill(TripleBatch& batch, size_t count) {
   batch.a.Resize(count);
   batch.b.Resize(count);
   batch.c.Resize(count);
-  const AesCounterRng rng(seed_, next_stream_++);
-  Ring* const a0 = batch.a.shares[0].data();
-  Ring* const a1 = batch.a.shares[1].data();
-  Ring* const a2 = batch.a.shares[2].data();
-  Ring* const b0 = batch.b.shares[0].data();
-  Ring* const b1 = batch.b.shares[1].data();
-  Ring* const b2 = batch.b.shares[2].data();
-  Ring* const c0 = batch.c.shares[0].data();
-  Ring* const c1 = batch.c.shares[1].data();
-  Ring* const c2 = batch.c.shares[2].data();
+  const AesCounterRng stream = ClaimBatch(count);
   ParallelFor(
       0, static_cast<int64_t>(count),
       [&](int64_t lo, int64_t hi) {
-        // Each triple consumes 8 stream words; batched AES fills produce them
-        // in fixed-size sub-chunks on the stack, then a scalar pass unpacks
-        // and combines — the unpack is cheap next to the per-word finalizer
-        // calls it replaces.
-        constexpr int64_t kChunkTriples = 128;
-        uint64_t words[8 * kChunkTriples];
-        for (int64_t chunk = lo; chunk < hi; chunk += kChunkTriples) {
-          const int64_t end = chunk + kChunkTriples < hi ? chunk + kChunkTriples : hi;
-          rng.FillWords(8 * static_cast<uint64_t>(chunk),
-                        static_cast<size_t>(8 * (end - chunk)), words);
-          for (int64_t i = chunk; i < end; ++i) {
-            const uint64_t* const w = words + 8 * (i - chunk);
-            const Ring a = w[0];
-            const Ring b = w[1];
-            // Share each of a, b, c = a*b with fresh randomness.
-            a0[i] = w[2];
-            a1[i] = w[3];
-            a2[i] = a - w[2] - w[3];
-            b0[i] = w[4];
-            b1[i] = w[5];
-            b2[i] = b - w[4] - w[5];
-            c0[i] = w[6];
-            c1[i] = w[7];
-            c2[i] = a * b - w[6] - w[7];
-          }
-        }
+        const size_t offset = static_cast<size_t>(lo);
+        Unpack(stream, offset, static_cast<size_t>(hi - lo), RunOf(batch.a, offset),
+               RunOf(batch.b, offset), RunOf(batch.c, offset));
       },
       kMpcGrainRows);
-  triples_dealt_ += count;
 }
 
 const TripleBatch& TripleDealer::DealBatch(size_t count) {

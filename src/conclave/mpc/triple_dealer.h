@@ -6,10 +6,13 @@
 // number of triples dealt is exposed so tests can assert multiplication counts.
 //
 // Randomness is counter-based (AesCounterRng — batched fixed-key AES counter
-// blocks): triple i of a batch draws words [8i, 8i+8) of the batch's stream, so
-// columns fill in one morsel-parallel pass with a pool-size-independent result. DealBatch writes into a dealer-owned scratch batch
-// (borrowed until the next call), so steady-state multiplication consumes no
-// allocations for triples at all.
+// blocks): triple i of a batch draws words [8i, 8i+8) of the batch's stream
+// (Unpack, the one definition of the layout), so columns fill in one
+// morsel-parallel pass with a pool-size-independent result. DealBatch writes into
+// a dealer-owned scratch batch (borrowed until the next call), so steady-state
+// multiplication consumes no allocations for triples at all. Fused kernels claim a
+// batch's stream without materializing it (ClaimBatch) and unpack each chunk's
+// triples into chunk-local buffers.
 #ifndef CONCLAVE_MPC_TRIPLE_DEALER_H_
 #define CONCLAVE_MPC_TRIPLE_DEALER_H_
 
@@ -27,6 +30,14 @@ struct TripleBatch {
   SharedColumn c;
 };
 
+// A run of consecutive triples: a morsel of a TripleBatch, or one chunk that a
+// fused kernel unpacked into local buffers.
+struct TripleRun {
+  ConstShareRun a;
+  ConstShareRun b;
+  ConstShareRun c;
+};
+
 class TripleDealer {
  public:
   explicit TripleDealer(uint64_t seed) : seed_(seed) {}
@@ -37,6 +48,20 @@ class TripleDealer {
 
   // Copying convenience for callers that keep the batch (tests).
   TripleBatch Deal(size_t count);
+
+  // Claims the stream of a batch of `count` triples without materializing it; the
+  // caller unpacks triples [first, first + len) of it with Unpack, chunk by chunk.
+  // Counts as dealt, exactly as DealBatch(count) would.
+  AesCounterRng ClaimBatch(size_t count) {
+    triples_dealt_ += count;
+    return AesCounterRng(seed_, next_stream_++);
+  }
+
+  // The triple layout: triple i of a batch is words [8i, 8i+8) of its stream — the
+  // secrets a and b, then the first two shares of a, of b and of c = a*b (the third
+  // share completes each sharing). Writes triples [first, first + count) to a, b, c.
+  static void Unpack(const AesCounterRng& stream, uint64_t first, size_t count,
+                     ShareRun a, ShareRun b, ShareRun c);
 
   uint64_t triples_dealt() const { return triples_dealt_; }
 

@@ -48,6 +48,43 @@ TEST(EndToEndTest, SingleIntersectionSum) {
   EXPECT_GT(result->virtual_seconds, 0.0);
 }
 
+// A declared party takes part even when it holds no input and receives no output:
+// join keys trusted only by the fifth of five declared parties make it the STP of a
+// hybrid join.
+TEST(EndToEndTest, DeclaredIdlePartyCanBeTheStp) {
+  Query query;
+  Party alice = query.AddParty("alice");
+  Party bob = query.AddParty("bob");
+  query.AddParty("carol");
+  query.AddParty("dave");
+  Party auditor = query.AddParty("auditor");
+  Table a = query.NewTable("a", {{"k", {auditor}}, {"v"}}, alice);
+  Table b = query.NewTable("b", {{"k", {auditor}}, {"w"}}, bob);
+  a.Join(b, {"k"}, {"k"}).WriteToCsv("out", {alice});
+
+  std::map<std::string, Relation> inputs;
+  inputs["a"] = TwoColumnRelation("k", "v", {{1, 10}, {2, 20}, {3, 30}, {3, 31}});
+  inputs["b"] = TwoColumnRelation("k", "w", {{2, 200}, {3, 300}, {4, 400}});
+  const auto result = query.Run(inputs);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  const ir::OpNode* join = nullptr;
+  for (const ir::OpNode* node : query.dag().TopoOrder()) {
+    if (node->kind == ir::OpKind::kJoin) {
+      join = node;
+    }
+  }
+  ASSERT_NE(join, nullptr);
+  EXPECT_EQ(join->hybrid, ir::HybridKind::kHybridJoin);
+  EXPECT_EQ(join->stp, auditor.id);
+
+  Relation expected{Schema::Of({"k", "v", "w"})};
+  expected.AppendRow({2, 20, 200});
+  expected.AppendRow({3, 30, 300});
+  expected.AppendRow({3, 31, 300});
+  EXPECT_TRUE(UnorderedEqual(result->outputs.at("out"), expected));
+}
+
 TEST(EndToEndTest, MissingInputIsError) {
   Query query;
   Party alice = query.AddParty("alice");
