@@ -87,7 +87,7 @@ Cell RunJoin(uint64_t total, int variant) {
                                          : EstPublicJoin(total);
   // Memory pre-flight for the hybrid join (6 live copies of 2-column inputs).
   if (variant == 1 &&
-      !mpc::CheckWorkingSet(kModel, 6 * total * 2).ok()) {
+      !mpc::CheckWorkingSet(kModel, 6 * total * 2, "hybrid join").ok()) {
     return Cell::Oom();
   }
   if (estimate > kTimeBudgetSeconds) {

@@ -15,12 +15,7 @@ StatusOr<SharedRelation> SharemindBackend::Execute(
   switch (node.kind) {
     case ir::OpKind::kConcat: {
       if (!op.columns.empty()) {
-        // Sorted-merge concat (§5.4): fold the branches through oblivious merges.
-        SharedRelation merged = *inputs[0];
-        for (size_t i = 1; i < inputs.size(); ++i) {
-          merged = ObliviousMerge(engine_, merged, *inputs[i], op.columns);
-        }
-        return merged;
+        return mpc::MergeConcat(engine_, inputs, op.columns);
       }
       std::vector<SharedRelation> rels;
       rels.reserve(inputs.size());

@@ -108,6 +108,10 @@ bool AllEqual(const int64_t* v, size_t n);
 // Wrapping sum of v[0..n) (uint64 addition — order-independent, so the SIMD
 // lane fold is bit-identical to the serial loop).
 int64_t SumWrap(const int64_t* v, size_t n);
+// a + b, wrapping like the MPC ring (a signed overflow would be undefined).
+inline int64_t AddWrap(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) + static_cast<uint64_t>(b));
+}
 
 // Min / max of v[0..n); n must be > 0.
 int64_t MinOf(const int64_t* v, size_t n);

@@ -7,11 +7,12 @@
 #include <unordered_set>
 
 #include "conclave/common/strings.h"
-#include "conclave/mpc/batcher.h"
-#include "conclave/mpc/garbled/gc_cost.h"
-#include "conclave/mpc/oblivious.h"
+#include "conclave/hybrid/hybrid_agg.h"
+#include "conclave/hybrid/hybrid_join.h"
+#include "conclave/hybrid/hybrid_window.h"
+#include "conclave/hybrid/public_join.h"
+#include "conclave/mpc/garbled/gc_engine.h"
 #include "conclave/mpc/protocols.h"
-#include "conclave/relational/ops.h"
 #include "conclave/relational/spill.h"
 
 namespace conclave {
@@ -33,650 +34,211 @@ int64_t ToRows(double estimate) {
 // Rows fed to the analytic garbled-circuit gate formulas are capped here (2M rows).
 constexpr int64_t kMaxGcRows = int64_t{1} << 21;
 
-// Accumulates one backend's price for one operator; the first working-set violation
-// turns the whole operator infeasible (mirroring the engines' StatusOr returns).
-struct OpAccount {
-  double seconds = 0;
-  bool feasible = true;
-  std::string reason;
-
-  void Infeasible(std::string why) {
-    if (feasible) {
-      feasible = false;
-      reason = std::move(why);
-    }
-  }
-  BackendOpCost Finish() const {
-    BackendOpCost cost;
-    cost.feasible = feasible;
-    cost.seconds = feasible ? seconds : kInfeasible;
-    cost.infeasible_reason = reason;
-    return cost;
-  }
-};
-
-// Prices secret-sharing work with the engines' own calibration rows
-// (CostModel::SsChargeFor) and protocol structure. Every method mirrors one charge
-// site in mpc/secret_share_engine.cc, mpc/oblivious.cc, mpc/protocols.cc, or
-// hybrid/*.cc — when one of those changes, change the mirror here (plan_cost tests
-// compare estimates against metered runs and catch drift).
-class SsCoster {
- public:
-  SsCoster(const CostModel& model, int num_parties)
-      : model_(model), num_parties_(num_parties) {}
-
-  double Lat(uint64_t rounds) const {
-    return model_.SecondsForRounds(rounds);
-  }
-  // One batched primitive invocation over `elements`.
-  double Batch(SsPrimitive primitive, double elements) const {
-    const SsCharge charge = model_.SsChargeFor(primitive);
-    return elements * charge.seconds + Lat(charge.rounds);
-  }
-  double Mul(double n) const { return Batch(SsPrimitive::kMult, n); }
-  double Compare(CompareOp op, double n) const {
-    const bool eq = op == CompareOp::kEq || op == CompareOp::kNe;
-    return Batch(eq ? SsPrimitive::kEquality : SsPrimitive::kCompare, n);
-  }
-  double Div(double n) const { return Batch(SsPrimitive::kDivision, n); }
-  double Open(double) const { return Lat(1); }
-  double Ingest(double rows) const {
-    return Batch(SsPrimitive::kRecordIngest, rows);
-  }
-  double Shuffle(double rows, double cols) const {
-    return Batch(SsPrimitive::kShuffleCell, rows * cols);
-  }
-  double ShuffleRevealCompact(double rows, double cols) const {
-    return Shuffle(rows, cols) + Open(rows);
-  }
-  double Select(int64_t n, int64_t m) const {
-    // Clamp before summing: two 2^62-clamped estimates would overflow int64 in
-    // ObliviousSelectRounds. The log term saturates anyway.
-    constexpr int64_t kMax = int64_t{1} << 60;
-    const uint64_t log_term =
-        ObliviousSelectRounds(std::min(n, kMax), std::min(m, kMax));
-    const double ops = (static_cast<double>(n) + static_cast<double>(m)) *
-                       static_cast<double>(log_term);
-    return ops * model_.SsChargeFor(SsPrimitive::kSelectOp).seconds +
-           Lat(log_term);
-  }
-  // Cleartext work at the STP / joiner, in doubles (estimated row counts can
-  // exceed uint64 when summed).
-  double Python(double records) const {
-    return records / model_.python_records_per_second;
-  }
-  // One point-to-point transfer (SimNetwork::Send charges bandwidth time).
-  // Takes doubles: estimated byte counts can exceed uint64.
-  double SendBytes(double bytes) const {
-    return bytes / model_.bandwidth_bytes_per_second;
-  }
-
-  // AdjacentEqualFlags: one equality batch per key column over n-1 adjacent pairs,
-  // folded with k-1 multiplications.
-  double AdjacentEqualFlags(int64_t n, size_t keys) const {
-    if (n <= 0 || keys == 0) {
-      return 0;
-    }
-    const double pairs = static_cast<double>(n - 1);
-    double seconds = static_cast<double>(keys) * Compare(CompareOp::kEq, pairs);
-    if (keys > 1) {
-      seconds += static_cast<double>(keys - 1) * Mul(pairs);
-    }
-    return seconds;
-  }
-
-  // Hillis-Steele segmented scan over n rows: log-depth passes of muxes (sum/count)
-  // plus an ordered comparison for min/max.
-  double SegmentedScan(int64_t n, AggKind kind) const {
-    double seconds = 0;
-    for (int64_t d = 1; d < n; d *= 2) {
-      const double len = static_cast<double>(n - d);
-      if (kind == AggKind::kMin || kind == AggKind::kMax) {
-        seconds += Compare(CompareOp::kLt, len) + 3 * Mul(len);
-      } else {
-        seconds += 2 * Mul(len);
-      }
-    }
-    return seconds;
-  }
-
-  // One Batcher compare-exchange network (sort or merge pass) over a relation of
-  // `cols` columns with `keys` sort keys: per exchange, the layer's comparison
-  // ladder plus one mux multiplication per column; per layer, the corresponding
-  // batched-invocation rounds. Exchanges sum in doubles: huge estimated relations
-  // produce counts beyond uint64, and cost math is double anyway.
-  double BatcherNetwork(const std::vector<BatcherLayer>& layers, size_t cols,
-                        size_t keys) const {
-    double exchanges = 0;
-    for (const BatcherLayer& layer : layers) {
-      exchanges += static_cast<double>(layer.Exchanges());
-    }
-    if (exchanges == 0) {
-      return 0;
-    }
-    const double k = static_cast<double>(keys);
-    const double eq_batches = keys > 1 ? k - 1 : 0;
-    const double ladder_muls =
-        (keys > 1 ? k - 1 : 0) + (keys > 2 ? k - 2 : 0);
-    const double muls = ladder_muls + static_cast<double>(cols);
-    const SsCharge cmp = model_.SsChargeFor(SsPrimitive::kCompare);
-    const SsCharge eq = model_.SsChargeFor(SsPrimitive::kEquality);
-    const SsCharge mul = model_.SsChargeFor(SsPrimitive::kMult);
-    double seconds = exchanges * (k * cmp.seconds +
-                                  eq_batches * eq.seconds +
-                                  muls * mul.seconds);
-    seconds += static_cast<double>(layers.size()) *
-               Lat(static_cast<uint64_t>(k) * cmp.rounds +
-                   static_cast<uint64_t>(eq_batches) * eq.rounds +
-                   static_cast<uint64_t>(muls) * mul.rounds);
-    return seconds;
-  }
-
-  double ObliviousSort(int64_t n, size_t cols, size_t keys) const {
-    return BatcherNetwork(BatcherSortNetwork(n), cols, keys);
-  }
-
-  // mpc::CheckWorkingSet mirror; false = the Sharemind VM would OOM.
-  bool FitsWorkingSet(double live_cells) const {
-    return live_cells * static_cast<double>(model_.ss_bytes_per_resident_cell) <=
-           static_cast<double>(model_.ss_memory_limit_bytes);
-  }
-  void CheckWorkingSet(OpAccount& account, double live_cells,
-                       const char* what) const {
-    if (!FitsWorkingSet(live_cells)) {
-      account.Infeasible(StrFormat("sharemind VM OOM (%s)", what));
-    }
-  }
-
-  int parties() const { return num_parties_; }
-  const CostModel& model() const { return model_; }
-
- private:
-  const CostModel& model_;
-  int num_parties_;
-};
-
-size_t JoinKeyCount(const ir::OpNode& node) {
-  return node.Params<ir::JoinParams>().left_keys.size();
+// One node's price on one backend: the meter of the scratch network its charges
+// went to, or infeasible with the failing check's message.
+BackendOpCost Price(SimNetwork& network, const Status& status) {
+  BackendOpCost cost;
+  cost.feasible = status.ok();
+  cost.seconds = status.ok() ? network.TakeMeterSeconds() : kInfeasible;
+  cost.infeasible_reason = status.message();
+  return cost;
 }
 
-// --- Secret-sharing backend: per-operator estimates ----------------------------------
-
-// Mirrors mpc::Filter: one comparison batch, then shuffle-reveal-compact over the
-// flagged relation.
-void SsFilter(const SsCoster& ss, const ir::OpNode& node, int64_t n, double cols,
-              OpAccount& account) {
-  ss.CheckWorkingSet(account, 3 * static_cast<double>(n) * cols, "filter");
-  account.seconds += ss.Compare(node.Params<ir::FilterParams>().op,
-                                static_cast<double>(n));
-  account.seconds += ss.ShuffleRevealCompact(static_cast<double>(n), cols + 1);
-}
-
-// Mirrors mpc::Join: n*m*keys batched equality tests (one kSsJoinRounds-deep batch),
-// free gather-rerandomize assembly, and a final shuffle of the output.
-void SsJoin(const SsCoster& ss, const ir::OpNode& node, int64_t n, int64_t m,
-            int64_t out, OpAccount& account) {
-  const size_t keys = JoinKeyCount(node);
-  const double lc = node.inputs[0]->schema.NumColumns();
-  const double rc = node.inputs[1]->schema.NumColumns();
-  const double out_cols = node.schema.NumColumns();
-  const double pairs = static_cast<double>(n) * static_cast<double>(m) *
-                       static_cast<double>(keys);
-  account.seconds +=
-      pairs * ss.model().SsChargeFor(SsPrimitive::kEquality).seconds +
-      ss.Lat(mpc::kSsJoinRounds);
-  ss.CheckWorkingSet(account,
-                     static_cast<double>(n) * lc + static_cast<double>(m) * rc +
-                         static_cast<double>(out) * out_cols,
-                     "join");
-  account.seconds += ss.Shuffle(static_cast<double>(out), out_cols);
-}
-
-// Mirrors hybrid::HybridJoin step for step: shuffles, key reveals to the STP, the
-// STP's cleartext join, index re-sharing, two oblivious selects, a final shuffle.
-void SsHybridJoin(const SsCoster& ss, const ir::OpNode& node, int64_t n, int64_t m,
-                  int64_t out, OpAccount& account) {
-  const size_t keys = JoinKeyCount(node);
-  const double lc = node.inputs[0]->schema.NumColumns();
-  const double rc = node.inputs[1]->schema.NumColumns();
-  const double out_cols = node.schema.NumColumns();
-  const double l_cells = static_cast<double>(n) * lc;
-  const double r_cells = static_cast<double>(m) * rc;
-  ss.CheckWorkingSet(account, 6 * (l_cells + r_cells), "hybrid join");
-  ss.CheckWorkingSet(account,
-                     3 * (l_cells + r_cells) +
-                         static_cast<double>(out) * (lc + rc),
-                     "hybrid join select");
-  const int senders = ss.parties() - 1;
-  account.seconds += ss.Shuffle(static_cast<double>(n), lc) +
-                     ss.Shuffle(static_cast<double>(m), rc);
-  // RevealToStp of each side's key columns.
-  account.seconds +=
-      senders * ss.SendBytes(static_cast<double>(n) * static_cast<double>(keys) * 8) + ss.Lat(1);
-  account.seconds +=
-      senders * ss.SendBytes(static_cast<double>(m) * static_cast<double>(keys) * 8) + ss.Lat(1);
-  // STP joins in the clear.
-  account.seconds +=
-      ss.Python(static_cast<double>(n) + static_cast<double>(m) + static_cast<double>(out));
-  // Two index columns shared back from the STP.
-  account.seconds +=
-      2 * (senders * ss.SendBytes(static_cast<double>(out) * 8) + ss.Lat(1));
-  // Oblivious selects of the contributing rows.
-  account.seconds += ss.Select(n, out) + ss.Select(m, out);
-  account.seconds += ss.Shuffle(static_cast<double>(out), out_cols);
-}
-
-// Mirrors hybrid::PublicJoinShared: key reveal to the joiner, cleartext join, index
-// broadcast; assembly is local share gathering.
-void SsPublicJoin(const SsCoster& ss, const ir::OpNode& node, int64_t n, int64_t m,
-                  int64_t out, OpAccount& account) {
-  const size_t keys = JoinKeyCount(node);
-  const double lc = node.inputs[0]->schema.NumColumns();
-  const double rc = node.inputs[1]->schema.NumColumns();
-  ss.CheckWorkingSet(
-      account, static_cast<double>(n) * lc + static_cast<double>(m) * rc,
-      "public join");
-  const int senders = std::max(ss.parties() - 1, 1);
-  const double key_bytes = (static_cast<double>(n) + static_cast<double>(m)) *
-                           static_cast<double>(keys) * 8;
-  account.seconds += senders * ss.SendBytes(key_bytes / senders) + ss.Lat(1);
-  account.seconds +=
-      ss.Python(static_cast<double>(n) + static_cast<double>(m) + static_cast<double>(out));
-  account.seconds +=
-      senders * ss.SendBytes(static_cast<double>(out) * 16) + ss.Lat(1);
-}
-
-// Mirrors hybrid::StpOrder, the STP phase of hybrid aggregation and hybrid window:
-// shuffle, reveal `key_cols` columns to the STP, cleartext sort, order broadcast +
-// flag sharing.
-double SsStpOrderPhase(const SsCoster& ss, int64_t n, double cols,
-                       size_t key_cols) {
-  const int senders = ss.parties() - 1;
-  double seconds = ss.Shuffle(static_cast<double>(n), cols);
-  seconds +=
-      senders * ss.SendBytes(static_cast<double>(n) * static_cast<double>(key_cols) * 8) + ss.Lat(1);
-  seconds += ss.Python(static_cast<double>(n));
-  // Order broadcast plus flag shares, then two round barriers.
-  seconds += 2 * senders * ss.SendBytes(static_cast<double>(n) * 8) + ss.Lat(2);
-  return seconds;
-}
-
-// Mirrors mpc::Aggregate / hybrid::HybridAggregate (flag-driven scan + compaction).
-void SsAggregate(const SsCoster& ss, const ir::OpNode& node, int64_t n, double cols,
-                 OpAccount& account) {
-  const auto& params = node.Params<ir::AggregateParams>();
-  if (n == 0) {
-    return;  // Zero rows aggregate to zero groups before any charge.
-  }
-  const size_t keys = params.group_columns.size();
-  if (keys == 0) {
-    // Global aggregate: sums/counts are share-local; mean divides once; min/max run
-    // a compare-exchange tree.
-    if (params.kind == AggKind::kMean) {
-      account.seconds += ss.Div(1);
-    } else if (params.kind == AggKind::kMin || params.kind == AggKind::kMax) {
-      for (int64_t size = n; size > 1;) {
-        const int64_t half = size / 2;
-        account.seconds += ss.Compare(CompareOp::kLt, static_cast<double>(half)) +
-                           ss.Mul(static_cast<double>(half));
-        size = half + (size % 2);
-      }
-    }
-    return;
-  }
-  ss.CheckWorkingSet(account, 3 * static_cast<double>(n) * cols, "aggregate");
-  if (node.hybrid == ir::HybridKind::kHybridAggregate) {
-    account.seconds += SsStpOrderPhase(ss, n, cols, keys);
-  } else {
-    if (!node.assume_sorted) {
-      account.seconds +=
-          ss.ObliviousSort(n, static_cast<size_t>(cols), keys);
-    }
-    account.seconds += ss.AdjacentEqualFlags(n, keys);
-  }
-  account.seconds += ss.SegmentedScan(n, params.kind);
-  if (params.kind == AggKind::kMean) {
-    account.seconds += ss.SegmentedScan(n, AggKind::kCount) +
-                       ss.Div(static_cast<double>(n));
-  }
-  account.seconds += ss.ShuffleRevealCompact(static_cast<double>(n),
-                                             static_cast<double>(keys) + 2);
-}
-
-// Mirrors mpc::Window / hybrid::HybridWindow.
-void SsWindow(const SsCoster& ss, const ir::OpNode& node, int64_t n, double cols,
-              OpAccount& account) {
-  const auto& params = node.Params<ir::WindowParams>();
-  if (n == 0) {
-    return;
-  }
-  const size_t partitions = params.partition_columns.size();
-  ss.CheckWorkingSet(account, 3 * static_cast<double>(n) * cols, "window");
-  if (node.hybrid == ir::HybridKind::kHybridWindow) {
-    account.seconds += SsStpOrderPhase(ss, n, cols, partitions + 1);
-  } else {
-    if (!node.assume_sorted) {
-      account.seconds +=
-          ss.ObliviousSort(n, static_cast<size_t>(cols), partitions + 1);
-    }
-    account.seconds += ss.AdjacentEqualFlags(n, partitions);
-  }
-  switch (params.fn) {
-    case WindowFn::kRowNumber:
-      account.seconds += ss.SegmentedScan(n, AggKind::kCount);
-      break;
-    case WindowFn::kRunningSum:
-      account.seconds += ss.SegmentedScan(n, AggKind::kSum);
-      break;
-    case WindowFn::kLag:
-      account.seconds += ss.Mul(static_cast<double>(n));
-      break;
-  }
-}
-
-// Mirrors the Sharemind backend's sorted-merge concat: fold the branches through
-// oblivious merges, falling back to a full sort exactly where ObliviousMerge does.
-void SsMergeConcat(const SsCoster& ss, const ir::OpNode& node,
-                   const std::unordered_map<int, double>& rows,
-                   OpAccount& account) {
-  const auto& params = node.Params<ir::ConcatParams>();
-  const size_t keys = params.merge_columns.size();
-  const size_t cols = static_cast<size_t>(node.schema.NumColumns());
-  int64_t merged = ToRows(rows.at(node.inputs[0]->id));
-  for (size_t i = 1; i < node.inputs.size(); ++i) {
-    // Clamped so the running total stays within ToRows' range.
-    const int64_t branch =
-        std::min(ToRows(rows.at(node.inputs[i]->id)), kMaxRows - merged);
-    const int64_t total = merged + branch;
-    if (BatcherMergeFits(merged, branch)) {
-      account.seconds +=
-          ss.BatcherNetwork(BatcherMergeNetwork(merged, total), cols, keys);
-    } else {
-      account.seconds += ss.ObliviousSort(total, cols, keys);
-    }
-    merged = total;
-  }
-}
-
-// One (rows, cells) entry per cleartext input relation first entering the MPC at
+// One (rows, columns) entry per cleartext input relation first entering the MPC at
 // this node; each is secret-shared / garbled as its own batch, like EnsureSecure.
-using IngestList = std::vector<std::pair<double, double>>;
+using IngestList = std::vector<std::pair<uint64_t, uint64_t>>;
 
-BackendOpCost SsOpCost(const SsCoster& ss, const ir::OpNode& node,
-                       const std::unordered_map<int, double>& rows,
-                       const IngestList& ingests) {
-  OpAccount account;
-  for (const auto& [ingest_rows, ingest_cells] : ingests) {
-    ss.CheckWorkingSet(account, 2 * ingest_cells, "ingest");
-    account.seconds += ss.Ingest(ingest_rows);
+// A node's shape: the rows and columns of its first (n) and second (m) input and
+// of its output; an absent input reads as empty.
+struct NodeShape {
+  uint64_t n = 0;
+  uint64_t m = 0;
+  uint64_t out = 0;
+  uint64_t n_cols = 0;
+  uint64_t m_cols = 0;
+  uint64_t out_cols = 0;
+};
+
+NodeShape ShapeOf(const ir::OpNode& node, const std::unordered_map<int, double>& rows) {
+  const auto rows_of = [&](const ir::OpNode& value) {
+    return static_cast<uint64_t>(ToRows(rows.at(value.id)));
+  };
+  NodeShape s;
+  s.out = rows_of(node);
+  s.out_cols = static_cast<uint64_t>(node.schema.NumColumns());
+  if (!node.inputs.empty()) {
+    s.n = rows_of(*node.inputs[0]);
+    s.n_cols = static_cast<uint64_t>(node.inputs[0]->schema.NumColumns());
   }
-  const int64_t n =
-      node.inputs.empty() ? 0 : ToRows(rows.at(node.inputs[0]->id));
-  const int64_t m =
-      node.inputs.size() > 1 ? ToRows(rows.at(node.inputs[1]->id)) : 0;
-  const int64_t out = ToRows(rows.at(node.id));
-  const double in_cols =
-      node.inputs.empty() ? 0 : node.inputs[0]->schema.NumColumns();
+  if (node.inputs.size() > 1) {
+    s.m = rows_of(*node.inputs[1]);
+    s.m_cols = static_cast<uint64_t>(node.inputs[1]->schema.NumColumns());
+  }
+  return s;
+}
 
+// Applies the node's ingests and then its protocol composite (mpc/protocols.h,
+// hybrid/*.h) to `network`.
+Status SsCharges(SimNetwork& network, const ir::OpNode& node,
+                 const std::unordered_map<int, double>& rows, const IngestList& ingests,
+                 int parties) {
+  for (const auto& [ingest_rows, ingest_cols] : ingests) {
+    CONCLAVE_RETURN_IF_ERROR(mpc::ChargeInput(network, ingest_rows, ingest_cols));
+  }
+  const NodeShape s = ShapeOf(node, rows);
   switch (node.kind) {
     case ir::OpKind::kFilter:
-      SsFilter(ss, node, n, in_cols, account);
-      break;
-    case ir::OpKind::kJoin:
+      return mpc::FilterCharges(network, s.n, s.n_cols,
+                                node.Params<ir::FilterParams>().op);
+    case ir::OpKind::kJoin: {
+      const uint64_t keys = node.Params<ir::JoinParams>().left_keys.size();
       switch (node.hybrid) {
         case ir::HybridKind::kHybridJoin:
-          SsHybridJoin(ss, node, n, m, out, account);
-          break;
+          return hybrid::HybridJoinCharges(network, s.n, s.m, s.n_cols, s.m_cols, keys,
+                                           s.out, node.stp, parties);
         case ir::HybridKind::kPublicJoin:
-          SsPublicJoin(ss, node, n, m, out, account);
-          break;
+          return hybrid::PublicJoinCharges(network, s.n, s.m, s.n_cols, s.m_cols, keys,
+                                           s.out, node.stp, parties);
         default:
-          SsJoin(ss, node, n, m, out, account);
-          break;
+          return mpc::JoinCharges(network, s.n, s.m, s.n_cols, s.m_cols, keys, s.out);
       }
-      break;
-    case ir::OpKind::kAggregate:
-      SsAggregate(ss, node, n, in_cols, account);
-      break;
-    case ir::OpKind::kWindow:
-      SsWindow(ss, node, n, in_cols, account);
-      break;
-    case ir::OpKind::kSortBy:
-      // mpc::Sort checks the working set before the assume_sorted early-out.
-      ss.CheckWorkingSet(account, 2 * static_cast<double>(n) * in_cols, "sort");
-      if (!node.assume_sorted && n > 0) {
-        account.seconds += ss.ObliviousSort(
-            n, static_cast<size_t>(in_cols),
-            node.Params<ir::SortByParams>().columns.size());
-      }
-      break;
-    case ir::OpKind::kDistinct: {
-      const size_t keys = node.Params<ir::DistinctParams>().columns.size();
-      // mpc::Distinct checks the full input's working set before projecting.
-      ss.CheckWorkingSet(account, 3 * static_cast<double>(n) * in_cols,
-                         "distinct");
-      if (n > 0) {
-        if (!node.assume_sorted) {
-          account.seconds += ss.ObliviousSort(n, keys, keys);
-        }
-        account.seconds += ss.AdjacentEqualFlags(n, keys);
-        account.seconds += ss.ShuffleRevealCompact(
-            static_cast<double>(n), static_cast<double>(keys) + 1);
-      }
-      break;
     }
+    case ir::OpKind::kAggregate: {
+      const auto& params = node.Params<ir::AggregateParams>();
+      const uint64_t keys = params.group_columns.size();
+      return node.hybrid == ir::HybridKind::kHybridAggregate
+                 ? hybrid::HybridAggregateCharges(network, s.n, s.n_cols, keys,
+                                                  params.kind, node.stp, parties)
+                 : mpc::AggregateCharges(network, s.n, s.n_cols, keys, params.kind,
+                                         node.assume_sorted);
+    }
+    case ir::OpKind::kWindow: {
+      const auto& params = node.Params<ir::WindowParams>();
+      const uint64_t partitions = params.partition_columns.size();
+      return node.hybrid == ir::HybridKind::kHybridWindow
+                 ? hybrid::HybridWindowCharges(network, s.n, s.n_cols, partitions,
+                                               params.fn, node.stp, parties)
+                 : mpc::WindowCharges(network, s.n, s.n_cols, partitions, params.fn,
+                                      node.assume_sorted);
+    }
+    case ir::OpKind::kSortBy: {
+      const auto& params = node.Params<ir::SortByParams>();
+      return mpc::SortCharges(network, s.n, s.n_cols, params.columns.size(),
+                              params.ascending, node.assume_sorted);
+    }
+    case ir::OpKind::kDistinct:
+      return mpc::DistinctCharges(network, s.n, s.n_cols,
+                                  node.Params<ir::DistinctParams>().columns.size(),
+                                  node.assume_sorted);
     case ir::OpKind::kArithmetic: {
       const auto& params = node.Params<ir::ArithmeticParams>();
-      if (params.kind == ArithKind::kDiv) {
-        account.seconds += ss.Div(static_cast<double>(n));
-      } else if (params.kind == ArithKind::kMul && params.rhs_is_column) {
-        account.seconds += ss.Mul(static_cast<double>(n));
-      }
-      break;
+      mpc::ArithmeticCharges(network, s.n, params.kind, params.rhs_is_column);
+      return Status::Ok();
     }
-    case ir::OpKind::kConcat:
-      if (!node.Params<ir::ConcatParams>().merge_columns.empty()) {
-        SsMergeConcat(ss, node, rows, account);
+    case ir::OpKind::kConcat: {
+      const size_t keys = node.Params<ir::ConcatParams>().merge_columns.size();
+      if (keys == 0) {
+        return Status::Ok();
       }
-      break;
+      // Each branch is clamped so the running total stays within ToRows' range.
+      std::vector<int64_t> branches;
+      int64_t total = 0;
+      for (const ir::OpNode* input : node.inputs) {
+        branches.push_back(std::min(ToRows(rows.at(input->id)), kMaxRows - total));
+        total += branches.back();
+      }
+      mpc::MergeConcatCharges(network, branches, s.out_cols, keys);
+      return Status::Ok();
+    }
     default:
-      break;  // Project/limit/pad are share-local.
+      return Status::Ok();  // Project/limit/pad are share-local.
   }
-  return account.Finish();
 }
 
-// --- Garbled-circuit backend: per-operator estimates ---------------------------------
-
-// Mirrors GcEngine::Charge: gate time plus the constant-round barrier, infeasible on
-// a live-state overflow.
-void GcCharge(const CostModel& model, const gc::GcOpCost& cost, const char* what,
-              OpAccount& account) {
-  if (cost.live_state_bytes > model.gc_memory_limit_bytes) {
-    account.Infeasible(StrFormat("GC OOM (%s)", what));
-    return;
-  }
-  account.seconds += static_cast<double>(cost.and_gates) *
-                         model.gc_seconds_per_and_gate +
-                     model.SecondsForRounds(2);
-}
-
-// True when a sort-bearing GC operator is already infeasible from the sort phase's
-// live labels alone (2x the relation resident, the floor of every SortCost-derived
-// total) — the verdict GcCharge would reach anyway, checked before any gate count.
-bool GcSortObviouslyOom(const CostModel& model, uint64_t rows, uint64_t cols,
-                        const char* what, OpAccount& account) {
-  if (2 * gc::LiveBytesForCells(model, rows, cols) > model.gc_memory_limit_bytes) {
-    account.Infeasible(StrFormat("GC OOM (%s)", what));
-    return true;
-  }
-  return false;
-}
-
-BackendOpCost GcOpCostOf(const CostModel& model, const ir::OpNode& node,
-                         const std::unordered_map<int, double>& rows,
-                         const IngestList& ingests, int num_parties) {
-  OpAccount account;
-  if (num_parties > 2) {
+// Applies the node's ingests and then its circuit charges (mpc/garbled/gc_cost.h)
+// to `network`.
+Status GcCharges(SimNetwork& network, const ir::OpNode& node,
+                 const std::unordered_map<int, double>& rows, const IngestList& ingests,
+                 int parties) {
+  if (parties > 2) {
     // Obliv-C is a two-party protocol (the paper runs it with two parties only).
-    account.Infeasible(StrFormat("%d parties (2-party protocol)", num_parties));
-    return account.Finish();
+    return UnimplementedError(StrFormat("%d parties (2-party protocol)", parties));
   }
   if (node.hybrid != ir::HybridKind::kNone) {
-    account.Infeasible("hybrid protocols run on the secret-sharing backend");
-    return account.Finish();
+    return UnimplementedError("hybrid protocols run on the secret-sharing backend");
   }
-  for (const auto& [ingest_rows, ingest_cells] : ingests) {
-    // Mirrors GcEngine::ChargeInput: evaluator labels travel via OT. Computed in
-    // doubles — estimated cell counts can exceed uint64.
-    const double bits = ingest_cells * 64;
-    if (bits * static_cast<double>(model.gc_bytes_per_live_bit) >
-        static_cast<double>(model.gc_memory_limit_bytes)) {
-      account.Infeasible("GC OOM (input labels)");
-      return account.Finish();
-    }
-    account.seconds += bits * 16 / model.bandwidth_bytes_per_second +
-                       model.SecondsForRounds(2);
+  for (const auto& [ingest_rows, ingest_cols] : ingests) {
+    CONCLAVE_RETURN_IF_ERROR(gc::ChargeInputLabels(network, ingest_rows, ingest_cols));
   }
-
   // Cap rows before the analytic gate formulas: every GC operator is memory-
   // infeasible far below this cap (live labels alone at 2M rows x 1 column are
   // ~25x the 4 GB VM), so capping cannot flip a feasibility verdict — while it
   // keeps the uint64 pair/gate arithmetic from overflowing on absurd cardinality
   // estimates.
-  const auto cap = [](int64_t value) {
-    return static_cast<uint64_t>(std::min(value, kMaxGcRows));
-  };
-  const uint64_t n =
-      cap(node.inputs.empty() ? 0 : ToRows(rows.at(node.inputs[0]->id)));
-  const uint64_t m =
-      cap(node.inputs.size() > 1 ? ToRows(rows.at(node.inputs[1]->id)) : 0);
-  const uint64_t out = cap(ToRows(rows.at(node.id)));
-  const uint64_t in_cols = static_cast<uint64_t>(
-      node.inputs.empty() ? 0 : node.inputs[0]->schema.NumColumns());
-  const uint64_t out_cols = static_cast<uint64_t>(node.schema.NumColumns());
-
+  NodeShape s = ShapeOf(node, rows);
+  for (uint64_t* count : {&s.n, &s.m, &s.out}) {
+    *count = std::min(*count, static_cast<uint64_t>(kMaxGcRows));
+  }
+  const CostModel& model = network.model();
+  gc::GcOpCost cost;
+  const char* what = ir::OpKindName(node.kind);
   switch (node.kind) {
-    case ir::OpKind::kFilter: {
-      const auto op = node.Params<ir::FilterParams>().op;
-      const uint64_t per_row = (op == CompareOp::kEq || op == CompareOp::kNe)
-                                   ? gc::kAndPerEqual
-                                   : gc::kAndPerLess;
-      GcCharge(model, gc::LinearPassCost(model, n, in_cols, in_cols, per_row),
-               "filter", account);
+    case ir::OpKind::kFilter:
+      cost = gc::FilterCost(model, s.n, s.n_cols, node.Params<ir::FilterParams>().op);
       break;
-    }
     case ir::OpKind::kJoin:
-      GcCharge(model,
-               gc::JoinCost(
-                   model, n, m,
-                   static_cast<uint64_t>(node.inputs[0]->schema.NumColumns()),
-                   static_cast<uint64_t>(node.inputs[1]->schema.NumColumns()),
-                   JoinKeyCount(node)),
-               "join", account);
+      cost = gc::JoinCost(model, s.n, s.m, s.n_cols, s.m_cols,
+                          node.Params<ir::JoinParams>().left_keys.size());
       break;
-    case ir::OpKind::kAggregate: {
-      const auto& params = node.Params<ir::AggregateParams>();
-      if (!node.assume_sorted &&
-          GcSortObviouslyOom(model, n, in_cols, "aggregate", account)) {
-        break;
-      }
-      GcCharge(model,
-               gc::AggregateCost(
-                   model, n, in_cols,
-                   std::max<uint64_t>(params.group_columns.size(), 1),
-                   node.assume_sorted),
-               "aggregate", account);
+    case ir::OpKind::kAggregate:
+      cost = gc::AggregateCost(model, s.n, s.n_cols,
+                               node.Params<ir::AggregateParams>().group_columns.size(),
+                               node.assume_sorted);
       break;
-    }
     case ir::OpKind::kWindow:
-      if (!node.assume_sorted &&
-          GcSortObviouslyOom(model, n, in_cols, "window", account)) {
-        break;
-      }
-      GcCharge(model,
-               gc::WindowCost(model, n, in_cols,
-                              node.Params<ir::WindowParams>()
-                                  .partition_columns.size(),
-                              node.assume_sorted),
-               "window", account);
+      cost = gc::WindowCost(model, s.n, s.n_cols,
+                            node.Params<ir::WindowParams>().partition_columns.size(),
+                            node.assume_sorted);
       break;
     case ir::OpKind::kSortBy:
-      if (!node.assume_sorted) {
-        if (GcSortObviouslyOom(model, n, in_cols, "sort", account)) {
-          break;
-        }
-        GcCharge(model,
-                 gc::SortCost(model, n, in_cols,
-                              node.Params<ir::SortByParams>().columns.size()),
-                 "sort", account);
+      if (node.assume_sorted) {
+        return Status::Ok();
       }
+      cost = gc::SortCost(model, s.n, s.n_cols,
+                          node.Params<ir::SortByParams>().columns.size());
+      what = "sort";  // GcEngine::Sort's label.
       break;
-    case ir::OpKind::kDistinct: {
-      const uint64_t keys = node.Params<ir::DistinctParams>().columns.size();
-      if (!node.assume_sorted &&
-          GcSortObviouslyOom(model, n, keys, "distinct", account)) {
+    case ir::OpKind::kDistinct:
+      cost = gc::DistinctCost(model, s.n,
+                              node.Params<ir::DistinctParams>().columns.size(),
+                              node.assume_sorted);
+      break;
+    case ir::OpKind::kConcat: {
+      cost = gc::LinearPassCost(model, s.out, s.out_cols, s.out_cols, 0);
+      const size_t keys = node.Params<ir::ConcatParams>().merge_columns.size();
+      if (keys == 0) {
         break;
       }
-      gc::GcOpCost cost;
-      if (!node.assume_sorted) {
-        cost += gc::SortCost(model, n, keys, keys);
-      }
-      cost += gc::LinearPassCost(model, n, keys, keys, keys * gc::kAndPerEqual);
-      GcCharge(model, cost, "distinct", account);
+      // The GC backend sorts the concatenated relation (no merge network).
+      CONCLAVE_RETURN_IF_ERROR(gc::ChargeCircuit(network, cost, what, 1.0));
+      cost = gc::SortCost(model, s.out, s.out_cols, keys);
+      what = "sort";
       break;
     }
-    case ir::OpKind::kConcat: {
-      GcCharge(model, gc::LinearPassCost(model, out, out_cols, out_cols, 0),
-               "concat", account);
-      const auto& params = node.Params<ir::ConcatParams>();
-      if (!params.merge_columns.empty() &&
-          !GcSortObviouslyOom(model, out, out_cols, "merge-concat sort",
-                              account)) {
-        // The GC backend sorts the concatenated relation (no merge network).
-        GcCharge(model,
-                 gc::SortCost(model, out, out_cols,
-                              params.merge_columns.size()),
-                 "merge-concat sort", account);
-      }
+    case ir::OpKind::kArithmetic:
+      cost = gc::ArithmeticCost(model, s.n, s.n_cols,
+                                node.Params<ir::ArithmeticParams>().kind);
       break;
-    }
-    case ir::OpKind::kArithmetic: {
-      uint64_t per_row = 0;
-      switch (node.Params<ir::ArithmeticParams>().kind) {
-        case ArithKind::kAdd:
-          per_row = gc::kAndPerAdd;
-          break;
-        case ArithKind::kSub:
-          per_row = gc::kAndPerSub;
-          break;
-        case ArithKind::kMul:
-          per_row = gc::kAndPerMul;
-          break;
-        case ArithKind::kDiv:
-          per_row = 4 * gc::kAndPerMul;  // Restoring division.
-          break;
-      }
-      GcCharge(model,
-               gc::LinearPassCost(model, n, in_cols, in_cols + 1, per_row),
-               "arithmetic", account);
-      break;
-    }
     case ir::OpKind::kProject:
-      GcCharge(model, gc::LinearPassCost(model, n, in_cols, out_cols, 0),
-               "project", account);
+      cost = gc::LinearPassCost(model, s.n, s.n_cols, s.out_cols, 0);
       break;
-    case ir::OpKind::kLimit: {
-      const uint64_t kept = std::min<uint64_t>(
-          n, static_cast<uint64_t>(
-                 std::max<int64_t>(node.Params<ir::LimitParams>().count, 0)));
-      GcCharge(model, gc::LinearPassCost(model, kept, in_cols, in_cols, 0),
-               "limit", account);
+    case ir::OpKind::kLimit:
+      cost = gc::LimitCost(model, s.n, s.n_cols, node.Params<ir::LimitParams>().count);
       break;
-    }
     default:
-      break;
+      return Status::Ok();
   }
-  return account.Finish();
+  return gc::ChargeCircuit(network, cost, what, /*slowdown=*/1.0);
 }
 
 std::string NodeLabel(const ir::OpNode& node) {
@@ -946,15 +508,9 @@ double NodeSpillSeconds(const ir::OpNode& node, double in_rows, double right_row
     // dedup/combine, but the price deliberately keeps the full input rows per
     // pass — the meter charges the same closed form, and only the
     // estimate==meter identity matters, not physical byte exactness.
-    case ir::OpKind::kSortBy: {
-      const int64_t rows = ToRows(in_rows);
-      const int64_t passes = spill::SpillMergePasses(rows, budget);
-      const double cells =
-          static_cast<double>(rows) * node.schema.NumColumns();
-      return model.SpillPassSeconds(static_cast<double>(passes) * cells * 8.0);
-    }
+    case ir::OpKind::kSortBy:
     case ir::OpKind::kDistinct: {
-      // Runs carry the distinct columns only (== the node's output schema).
+      // Runs carry the output schema (a distinct's: its distinct columns only).
       const int64_t rows = ToRows(in_rows);
       const int64_t passes = spill::SpillMergePasses(rows, budget);
       const double cells =
@@ -1044,7 +600,6 @@ PlanCostReport EstimatePlanCost(const ir::Dag& dag, const CostModel& model,
                                 int num_parties,
                                 const CardinalityOptions& cardinality) {
   const auto rows = EstimateCardinalities(dag, cardinality);
-  const SsCoster ss(model, num_parties);
   PlanCostReport report;
   // Ingest (inputToMPC) happens once per materialized value, when its first MPC
   // consumer acquires it — exactly how the dispatcher's EnsureSecure meters it.
@@ -1068,12 +623,16 @@ PlanCostReport EstimatePlanCost(const ir::Dag& dag, const CostModel& model,
           ingested.insert(input->id).second) {
         const double in_rows = rows.at(input->id);
         cost.ingest_rows += in_rows;
-        ingests.emplace_back(
-            in_rows, in_rows * static_cast<double>(input->schema.NumColumns()));
+        ingests.emplace_back(static_cast<uint64_t>(ToRows(in_rows)),
+                             static_cast<uint64_t>(input->schema.NumColumns()));
       }
     }
-    cost.sharemind = SsOpCost(ss, *node, rows, ingests);
-    cost.oblivc = GcOpCostOf(model, *node, rows, ingests, num_parties);
+    SimNetwork ss_network(model);
+    cost.sharemind =
+        Price(ss_network, SsCharges(ss_network, *node, rows, ingests, num_parties));
+    SimNetwork gc_network(model);
+    cost.oblivc =
+        Price(gc_network, GcCharges(gc_network, *node, rows, ingests, num_parties));
     report.sharemind_seconds += cost.sharemind.seconds;
     report.oblivc_seconds += cost.oblivc.seconds;
     report.nodes.push_back(std::move(cost));

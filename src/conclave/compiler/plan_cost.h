@@ -1,17 +1,13 @@
-// The shared plan-cost subsystem: one set of per-operator cost functions, keyed on
-// ir::OpKind x backend x hybrid kind, that prices an MPC-resident operator with the
-// SAME formulas the execution layer charges at run time — the calibration table
-// (CostModel::SsChargeFor) for secret-sharing primitives, the exact analytic gate
-// counts (mpc/garbled/gc_cost.h) for garbled circuits, the engine's own Batcher
-// layers (mpc/batcher.h) for oblivious sorts and merges, the engines' working-set
-// memory checks for OOM cliffs, and the padding pass's real row policy
-// (ops::PaddedRowCount) for padded cardinalities. The backend chooser, the explain API, and tests all derive from it;
-// the only thing separating an estimate from a measurement is the cardinality
-// estimate feeding it.
-//
-// Given exact cardinalities, a node's estimate equals the virtual seconds the
-// dispatcher meters for it (tests assert this); given estimated cardinalities, the
-// ranking of backends still tracks the measured ranking on the paper's query shapes.
+// The plan-cost subsystem: prices every MPC-resident operator under both MPC
+// backends by applying the engines' own charges to a scratch SimNetwork and reading
+// its meter. A secret-sharing node applies its protocol's charge composite
+// (mpc/protocols.h, hybrid/*.h), a garbled-circuit node its operator's circuit cost
+// (mpc/garbled/gc_cost.h) through the GC engine's charge, each after the ingest of
+// its cleartext inputs; this file only maps a node to its shape. The backend
+// chooser, the explain API and tests derive from it. Given exact cardinalities, a
+// node's estimate equals the virtual seconds the dispatcher meters for it, bit for
+// bit (tests assert this); given estimated cardinalities, the ranking of backends
+// still tracks the measured ranking on the paper's query shapes.
 #ifndef CONCLAVE_COMPILER_PLAN_COST_H_
 #define CONCLAVE_COMPILER_PLAN_COST_H_
 

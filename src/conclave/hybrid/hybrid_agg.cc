@@ -11,7 +11,6 @@ StatusOr<SharedRelation> HybridAggregate(SecretShareEngine& engine,
                                          AggKind kind, int agg_column,
                                          const std::string& output_name, PartyId stp,
                                          int num_parties) {
-  const CostModel& model = engine.network().model();
   CONCLAVE_CHECK_GT(group_columns.size(), 0u);
   const int64_t n = input.NumRows();
   if (n == 0) {
@@ -20,7 +19,8 @@ StatusOr<SharedRelation> HybridAggregate(SecretShareEngine& engine,
     return mpc::Aggregate(engine, input, group_columns, kind, agg_column, output_name,
                           /*assume_sorted=*/false);
   }
-  CONCLAVE_RETURN_IF_ERROR(mpc::CheckWorkingSet(model, 3 * input.NumCells()));
+  CONCLAVE_RETURN_IF_ERROR(mpc::CheckWorkingSet(
+      engine.network().model(), 3 * input.NumCells(), "hybrid aggregate"));
 
   // Steps 1–6: the STP orders the shuffled rows by the group-by columns and shares
   // the key-equality flags.
@@ -31,6 +31,19 @@ StatusOr<SharedRelation> HybridAggregate(SecretShareEngine& engine,
   // the pure-MPC aggregation.
   return mpc::AggregateWithFlags(engine, ordered.relation, group_columns, kind,
                                  agg_column, output_name, ordered.equal_prev);
+}
+
+Status HybridAggregateCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                              uint64_t keys, AggKind kind, PartyId stp,
+                              int num_parties) {
+  if (rows == 0) {
+    return Status::Ok();  // The empty result charges nothing.
+  }
+  CONCLAVE_RETURN_IF_ERROR(mpc::CheckWorkingSet(
+      network.model(), mpc::LiveCells(3, rows, columns), "hybrid aggregate"));
+  StpOrderCharges(network, rows, columns, keys, stp, num_parties);
+  mpc::AggregateWithFlagsCharges(network, rows, keys, kind);
+  return Status::Ok();
 }
 
 }  // namespace hybrid

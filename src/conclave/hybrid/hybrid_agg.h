@@ -35,6 +35,9 @@ StatusOr<SharedRelation> HybridAggregate(SecretShareEngine& engine,
                                          AggKind kind, int agg_column,
                                          const std::string& output_name, PartyId stp,
                                          int num_parties);
+Status HybridAggregateCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                              uint64_t keys, AggKind kind, PartyId stp,
+                              int num_parties);
 
 }  // namespace hybrid
 }  // namespace conclave

@@ -34,6 +34,9 @@ StatusOr<SharedRelation> HybridJoin(SecretShareEngine& engine,
                                     std::span<const int> left_keys,
                                     std::span<const int> right_keys, PartyId stp,
                                     int num_parties);
+Status HybridJoinCharges(SimNetwork& network, uint64_t left_rows, uint64_t right_rows,
+                         uint64_t left_columns, uint64_t right_columns, uint64_t keys,
+                         uint64_t out_rows, PartyId stp, int num_parties);
 
 }  // namespace hybrid
 }  // namespace conclave

@@ -37,6 +37,9 @@ StatusOr<SharedRelation> HybridWindow(SecretShareEngine& engine,
                                       int order_column, WindowFn fn, int value_column,
                                       const std::string& output_name, PartyId stp,
                                       int num_parties);
+Status HybridWindowCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                           uint64_t partitions, WindowFn fn, PartyId stp,
+                           int num_parties);
 
 }  // namespace hybrid
 }  // namespace conclave

@@ -21,6 +21,9 @@ StatusOr<SharedRelation> PublicJoinShared(SecretShareEngine& engine,
                                           std::span<const int> left_keys,
                                           std::span<const int> right_keys,
                                           PartyId joiner, int num_parties);
+Status PublicJoinCharges(SimNetwork& network, uint64_t left_rows, uint64_t right_rows,
+                         uint64_t left_columns, uint64_t right_columns, uint64_t keys,
+                         uint64_t out_rows, PartyId joiner, int num_parties);
 
 }  // namespace hybrid
 }  // namespace conclave

@@ -6,28 +6,50 @@
 namespace conclave {
 namespace hybrid {
 
+namespace {
+
+// StpOrder's steps at the STP: it sorts the `rows` rows in the clear, broadcasts
+// the order and sends each party its shares of the flags, then two round barriers.
+void ChargeStpSortAndExchange(SimNetwork& network, uint64_t rows, PartyId stp,
+                              int num_parties) {
+  ChargeStpWork(network, rows);
+  network.Broadcast(stp, num_parties, rows * 8);
+  network.Broadcast(stp, num_parties, rows * 8);
+  network.Rounds(2);
+}
+
+}  // namespace
+
 Relation RevealToStp(SecretShareEngine& engine, const SharedRelation& relation,
                      PartyId stp, int num_parties) {
-  const uint64_t bytes_per_sender = relation.NumCells() * 8;
+  ChargeRevealToStp(engine.network(), relation.NumCells(), stp, num_parties);
+  return ReconstructRelation(relation);
+}
+
+void ChargeRevealToStp(SimNetwork& network, uint64_t cells, PartyId stp,
+                       int num_parties) {
   for (PartyId p = 0; p < num_parties; ++p) {
     if (p != stp) {
-      engine.network().Send(p, stp, bytes_per_sender);
+      network.Send(p, stp, cells * 8);
     }
   }
-  engine.network().Rounds(1);
-  return ReconstructRelation(relation);
+  network.Rounds(1);
 }
 
 SharedColumn ShareFromStp(SecretShareEngine& engine, std::span<const int64_t> values,
                           PartyId stp, int num_parties) {
-  const uint64_t bytes = static_cast<uint64_t>(values.size()) * 8;
-  for (PartyId p = 0; p < num_parties; ++p) {
-    if (p != stp) {
-      engine.network().Send(stp, p, bytes);
-    }
-  }
-  engine.network().Rounds(1);
+  ChargeShareFromStp(engine.network(), values.size(), stp, num_parties);
   return engine.Share(values);
+}
+
+void ChargeShareFromStp(SimNetwork& network, uint64_t values, PartyId stp,
+                        int num_parties) {
+  network.Broadcast(stp, num_parties, values * 8);  // Each party's shares.
+  network.Rounds(1);
+}
+
+void ChargeStpWork(SimNetwork& network, uint64_t records) {
+  network.CpuSeconds(network.model().PythonSeconds(records));
 }
 
 StpOrdered StpOrder(SecretShareEngine& engine, const SharedRelation& input,
@@ -47,8 +69,6 @@ StpOrdered StpOrder(SecretShareEngine& engine, const SharedRelation& input,
   std::vector<int> positions(key_columns.size());
   std::iota(positions.begin(), positions.end(), 0);
   const std::vector<int64_t> order = ops::SortedOrder(keys, positions);
-  engine.network().CpuSeconds(
-      engine.network().model().PythonSeconds(static_cast<uint64_t>(n)));
   std::vector<int64_t> flags(static_cast<size_t>(n), 1);
   flags[0] = 0;
   for (size_t k = 0; k < flag_keys; ++k) {
@@ -62,15 +82,17 @@ StpOrdered StpOrder(SecretShareEngine& engine, const SharedRelation& input,
   }
 
   // The order travels in the clear; the flags are secret-shared by the STP.
-  engine.network().Broadcast(stp, num_parties, static_cast<uint64_t>(n) * 8);
-  for (PartyId p = 0; p < num_parties; ++p) {
-    if (p != stp) {
-      engine.network().Send(stp, p, static_cast<uint64_t>(n) * 8);
-    }
-  }
-  engine.network().Rounds(2);
+  ChargeStpSortAndExchange(engine.network(), static_cast<uint64_t>(n), stp,
+                           num_parties);
   SharedColumn equal_prev = engine.Share(flags);
   return {ApplyPublicOrder(shuffled, order), std::move(equal_prev)};
+}
+
+void StpOrderCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                     uint64_t keys, PartyId stp, int num_parties) {
+  ChargeObliviousShuffle(network, rows * columns);
+  ChargeRevealToStp(network, rows * keys, stp, num_parties);
+  ChargeStpSortAndExchange(network, rows, stp, num_parties);
 }
 
 }  // namespace hybrid

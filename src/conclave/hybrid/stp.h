@@ -17,10 +17,17 @@ namespace hybrid {
 // the other parties send their shares of every cell.
 Relation RevealToStp(SecretShareEngine& engine, const SharedRelation& relation,
                      PartyId stp, int num_parties);
+void ChargeRevealToStp(SimNetwork& network, uint64_t cells, PartyId stp,
+                       int num_parties);
 
 // The STP secret-shares cleartext values it computed back into the MPC.
 SharedColumn ShareFromStp(SecretShareEngine& engine, std::span<const int64_t> values,
                           PartyId stp, int num_parties);
+void ChargeShareFromStp(SimNetwork& network, uint64_t values, PartyId stp,
+                        int num_parties);
+
+// The STP's (or the public joiner's) cleartext pass over `records` records.
+void ChargeStpWork(SimNetwork& network, uint64_t records);
 
 // The shuffled input, arranged in the STP's order, and the shared 0/1 flags marking
 // each row that equals its predecessor on the flag keys (flag 0 at row 0).
@@ -37,6 +44,10 @@ struct StpOrdered {
 StpOrdered StpOrder(SecretShareEngine& engine, const SharedRelation& input,
                     std::span<const int> key_columns, size_t flag_keys, PartyId stp,
                     int num_parties);
+// StpOrder's charges over a rows x columns input ordered by `keys` columns: the
+// composites of the hybrid aggregation and the hybrid window start with these.
+void StpOrderCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                     uint64_t keys, PartyId stp, int num_parties);
 
 }  // namespace hybrid
 }  // namespace conclave

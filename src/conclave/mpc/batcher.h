@@ -1,8 +1,9 @@
 // The generalized (arbitrary-n) Batcher odd-even merge-sort network [39], one layer
 // at a time. It is defined once, here: the secret-sharing engine expands each layer
-// into comparators as it runs it (mpc/oblivious.cc), and the garbled-circuit gate
-// counts (mpc/garbled/gc_cost.cc) and the planner (compiler/plan_cost.cc) count the
-// layers' comparators in closed form, so no reader materializes the whole network.
+// into comparators as it runs it and charges each layer by its closed-form
+// comparator count (mpc/oblivious.cc, which the planner's estimates also apply),
+// and the garbled-circuit gate counts (mpc/garbled/gc_cost.cc) sum the same counts,
+// so no reader materializes the whole network.
 #ifndef CONCLAVE_MPC_BATCHER_H_
 #define CONCLAVE_MPC_BATCHER_H_
 

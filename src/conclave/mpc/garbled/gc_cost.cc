@@ -1,5 +1,7 @@
 #include "conclave/mpc/garbled/gc_cost.h"
 
+#include <algorithm>
+
 #include "conclave/mpc/batcher.h"
 
 namespace conclave {
@@ -54,6 +56,7 @@ GcOpCost SortCost(const CostModel& model, uint64_t rows, uint64_t cols,
 
 GcOpCost AggregateCost(const CostModel& model, uint64_t rows, uint64_t cols,
                        uint64_t group_cols, bool assume_sorted) {
+  group_cols = std::max<uint64_t>(group_cols, 1);
   GcOpCost cost;
   if (!assume_sorted) {
     cost += SortCost(model, rows, cols, group_cols);
@@ -80,6 +83,38 @@ GcOpCost WindowCost(const CostModel& model, uint64_t rows, uint64_t cols,
   cost.and_gates += rows * partition_cols * kAndPerEqual;
   cost.and_gates += rows * scan_rounds * (kAndPerAdd + 2 * kAndPerMux);
   cost.live_state_bytes += 2 * LiveBytesForCells(model, rows, cols + 1);
+  return cost;
+}
+
+GcOpCost FilterCost(const CostModel& model, uint64_t rows, uint64_t cols,
+                    CompareOp op) {
+  const uint64_t per_row =
+      (op == CompareOp::kEq || op == CompareOp::kNe) ? kAndPerEqual : kAndPerLess;
+  return LinearPassCost(model, rows, cols, cols, per_row);
+}
+
+GcOpCost ArithmeticCost(const CostModel& model, uint64_t rows, uint64_t cols,
+                        ArithKind kind) {
+  // By ArithKind: add, sub, mul, and div as a restoring divider.
+  constexpr uint64_t kPerRow[] = {kAndPerAdd, kAndPerSub, kAndPerMul, 4 * kAndPerMul};
+  return LinearPassCost(model, rows, cols, cols + 1,
+                        kPerRow[static_cast<size_t>(kind)]);
+}
+
+GcOpCost LimitCost(const CostModel& model, uint64_t rows, uint64_t cols,
+                   int64_t count) {
+  const uint64_t kept =
+      std::min(rows, static_cast<uint64_t>(std::max<int64_t>(count, 0)));
+  return LinearPassCost(model, kept, cols, cols, /*per_row_and_gates=*/0);
+}
+
+GcOpCost DistinctCost(const CostModel& model, uint64_t rows, uint64_t keys,
+                      bool assume_sorted) {
+  GcOpCost cost;
+  if (!assume_sorted) {
+    cost += SortCost(model, rows, keys, keys);
+  }
+  cost += LinearPassCost(model, rows, keys, keys, keys * kAndPerEqual);
   return cost;
 }
 

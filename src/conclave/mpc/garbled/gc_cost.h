@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "conclave/net/cost_model.h"
+#include "conclave/relational/ops.h"
 
 namespace conclave {
 namespace gc {
@@ -40,7 +41,7 @@ struct GcOpCost {
 uint64_t LiveBytesForCells(const CostModel& model, uint64_t rows, uint64_t cols);
 
 // Single linear pass retaining input + output labels (project, filter, arithmetic,
-// concat, limit, enumerate). `per_row_and_gates` varies by operator.
+// concat, limit). `per_row_and_gates` varies by operator.
 GcOpCost LinearPassCost(const CostModel& model, uint64_t rows, uint64_t in_cols,
                         uint64_t out_cols, uint64_t per_row_and_gates);
 
@@ -56,6 +57,7 @@ uint64_t BatcherCompareExchanges(uint64_t rows);
 // Sort-based operator (order-by, distinct, aggregation's sort phase + linear scan).
 GcOpCost SortCost(const CostModel& model, uint64_t rows, uint64_t cols,
                   uint64_t key_cols);
+// A global aggregate (no group columns) prices as one group column.
 GcOpCost AggregateCost(const CostModel& model, uint64_t rows, uint64_t cols,
                        uint64_t group_cols, bool assume_sorted);
 
@@ -63,6 +65,21 @@ GcOpCost AggregateCost(const CostModel& model, uint64_t rows, uint64_t cols,
 // and a log-depth segmented scan of adds/muxes.
 GcOpCost WindowCost(const CostModel& model, uint64_t rows, uint64_t cols,
                     uint64_t partition_cols, bool assume_sorted);
+
+// The remaining operators' circuits. GcEngine charges each operator's cost from
+// one of these functions (or LinearPassCost with no gates, for project and
+// concat), and the planner (compiler/plan_cost.cc) prices GC nodes with the same.
+// Filter: one equality (kEq/kNe) or less-than per row.
+GcOpCost FilterCost(const CostModel& model, uint64_t rows, uint64_t cols, CompareOp op);
+// Arithmetic appends one column; division is a restoring divider, ~4x a multiplier.
+GcOpCost ArithmeticCost(const CostModel& model, uint64_t rows, uint64_t cols,
+                        ArithKind kind);
+// Limit keeps min(rows, count) rows (none for a negative count).
+GcOpCost LimitCost(const CostModel& model, uint64_t rows, uint64_t cols, int64_t count);
+// Distinct over `keys` projected columns: a sort unless pre-sorted, then an
+// adjacent-equality pass.
+GcOpCost DistinctCost(const CostModel& model, uint64_t rows, uint64_t keys,
+                      bool assume_sorted);
 
 }  // namespace gc
 }  // namespace conclave

@@ -6,7 +6,8 @@
 // checks the simulated memory limit — returning RESOURCE_EXHAUSTED exactly where the
 // paper reports Obliv-C OOMs (Fig. 1), (3) charges gate/transfer costs to the
 // simulated network, and (4) produces the ideal result via the cleartext operator
-// library. See DESIGN.md §2 for the simulation contract.
+// library. See DESIGN.md §2 for the simulation contract. Steps (2) and (3) are
+// ChargeCircuit below, which the planner also applies to price GC nodes.
 //
 // ObliVM mode applies CostModel::oblivm_slowdown, modelling SMCQL's slower backend
 // (§7.4: "ObliVM ... is slower than Sharemind, particularly on large data").
@@ -24,6 +25,15 @@
 namespace conclave {
 namespace gc {
 
+// One operator's circuit: the memory pre-flight, then gate time (scaled by
+// `slowdown`, ObliVM's factor or 1), gate bytes and the constant-round barrier.
+// RESOURCE_EXHAUSTED simulates OOM and charges nothing.
+Status ChargeCircuit(SimNetwork& network, const GcOpCost& cost, const char* op_name,
+                     double slowdown);
+
+// A party's rows x cols input: wire labels via OT, then the live labels must fit.
+Status ChargeInputLabels(SimNetwork& network, uint64_t rows, uint64_t cols);
+
 class GcEngine {
  public:
   // `oblivm_mode` selects the slower ObliVM cost profile.
@@ -33,7 +43,10 @@ class GcEngine {
   }
 
   // Transfers a party's input relation into the MPC (wire labels via OT).
-  Status ChargeInput(const Relation& input);
+  Status ChargeInput(const Relation& input) {
+    return ChargeInputLabels(*network_, static_cast<uint64_t>(input.NumRows()),
+                             static_cast<uint64_t>(input.NumColumns()));
+  }
 
   StatusOr<Relation> Project(const Relation& input, std::span<const int> columns);
   StatusOr<Relation> Filter(const Relation& input, const FilterPredicate& predicate);
@@ -58,8 +71,11 @@ class GcEngine {
   SimNetwork& network() { return *network_; }
 
  private:
-  // Memory pre-flight + gate/transfer accounting; RESOURCE_EXHAUSTED simulates OOM.
-  Status Charge(const GcOpCost& cost, const char* op_name);
+  const CostModel& model() const { return network_->model(); }
+  Status Charge(const GcOpCost& cost, const char* op_name) {
+    return ChargeCircuit(*network_, cost, op_name,
+                         oblivm_mode_ ? model().oblivm_slowdown : 1.0);
+  }
 
   SimNetwork* network_;
   bool oblivm_mode_;

@@ -53,36 +53,31 @@ struct LayerStreams {
   std::vector<AesCounterRng> swap_triples;
 };
 
-// Claims the streams of a layer of `m` comparators and applies its charges in the
-// order of the comparison ladder: compare (and equality, with 2+ keys) for key 0;
-// compare, mul (and equality, mul, unless it is the last key) for each further key;
-// then one mul per column.
+// Claims the streams of a layer of `m` comparators in the order of the comparison
+// ladder: compare (and equality, with 2+ keys) for key 0; compare, mul (and
+// equality, mul, unless it is the last key) for each further key; then one mul
+// per column. ChargeBatcherNetwork charges the same steps in the same order.
 LayerStreams ClaimLayer(SecretShareEngine& engine, size_t m, size_t num_keys,
-                        int num_columns, CompareOp cmp) {
+                        int num_columns) {
   LayerStreams streams;
   streams.keys.resize(num_keys);
   TripleDealer& dealer = engine.dealer();
   for (size_t k = 0; k < num_keys; ++k) {
     LayerStreams::Key& key = streams.keys[k];
     key.compare_masks = engine.NewStream();
-    engine.ChargeCompare(cmp, m);
     if (k > 0) {
       key.greater_triples = dealer.ClaimBatch(m);
-      engine.ChargeMul(m);
     }
     if (k + 1 < num_keys) {
       key.equal_masks = engine.NewStream();
-      engine.ChargeCompare(CompareOp::kEq, m);
       if (k > 0) {
         key.equal_triples = dealer.ClaimBatch(m);
-        engine.ChargeMul(m);
       }
     }
   }
   streams.swap_triples.resize(static_cast<size_t>(num_columns));
   for (AesCounterRng& triples : streams.swap_triples) {
     triples = dealer.ClaimBatch(m);
-    engine.ChargeMul(m);
   }
   return streams;
 }
@@ -111,7 +106,7 @@ void CompareExchangeLayer(SecretShareEngine& engine, SharedRelation& rel,
   const CompareOp cmp = ascending ? CompareOp::kGt : CompareOp::kLt;
   const size_t num_keys = key_columns.size();
   const LayerStreams streams =
-      ClaimLayer(engine, lo.size(), num_keys, rel.NumColumns(), cmp);
+      ClaimLayer(engine, lo.size(), num_keys, rel.NumColumns());
   std::vector<ConstShareRun> keys;
   for (int column : key_columns) {
     keys.push_back(RunOf(rel.Column(column)));
@@ -189,11 +184,13 @@ void CompareExchangeLayer(SecretShareEngine& engine, SharedRelation& rel,
       kMpcFusedGrainRows);
 }
 
-// Runs the network's layers in order, expanding one layer at a time into buffers
-// reused across layers.
+// Charges the whole network, then runs its layers in order, expanding one layer
+// at a time into buffers reused across layers.
 void RunNetwork(SecretShareEngine& engine, SharedRelation& rel,
                 const std::vector<BatcherLayer>& layers,
                 std::span<const int> key_columns, bool ascending) {
+  ChargeBatcherNetwork(engine.network(), layers, key_columns.size(),
+                       static_cast<uint64_t>(rel.NumColumns()), ascending);
   std::vector<int64_t> lo;
   std::vector<int64_t> hi;
   for (const BatcherLayer& layer : layers) {
@@ -204,6 +201,58 @@ void RunNetwork(SecretShareEngine& engine, SharedRelation& rel,
 
 }  // namespace
 
+void ChargeObliviousShuffle(SimNetwork& network, uint64_t cells) {
+  ChargeSsBatch(network, SsPrimitive::kShuffleCell, cells);
+}
+
+uint64_t ObliviousSelectRounds(uint64_t n, uint64_t m) {
+  const uint64_t total = SaturatingAdd(n, m);
+  uint64_t log_term = 1;
+  while (log_term < 64 && (uint64_t{1} << log_term) < total) {
+    ++log_term;
+  }
+  return log_term;
+}
+
+void ChargeObliviousSelect(SimNetwork& network, uint64_t n, uint64_t m) {
+  const uint64_t total = n + m;
+  const uint64_t log_term = ObliviousSelectRounds(n, m);
+  const double select_ops = static_cast<double>(total) * static_cast<double>(log_term);
+  const SsCharge charge = network.model().SsChargeFor(SsPrimitive::kSelectOp);
+  network.CpuSeconds(select_ops * charge.seconds);
+  network.CountAggregateBytes(total * log_term * charge.bytes);
+  network.Rounds(log_term);
+}
+
+std::vector<BatcherLayer> ObliviousMergeLayers(int64_t run_rows, int64_t other_rows) {
+  return BatcherMergeFits(run_rows, other_rows)
+             ? BatcherMergeNetwork(run_rows, run_rows + other_rows)
+             : BatcherSortNetwork(run_rows + other_rows);
+}
+
+void ChargeBatcherNetwork(SimNetwork& network, std::span<const BatcherLayer> layers,
+                          size_t num_keys, uint64_t num_columns, bool ascending) {
+  const CompareOp cmp = ascending ? CompareOp::kGt : CompareOp::kLt;
+  for (const BatcherLayer& layer : layers) {
+    const uint64_t m = layer.Exchanges();
+    for (size_t k = 0; k < num_keys; ++k) {
+      ChargeCompare(network, cmp, m);
+      if (k > 0) {
+        ChargeMul(network, m);
+      }
+      if (k + 1 < num_keys) {
+        ChargeCompare(network, CompareOp::kEq, m);
+        if (k > 0) {
+          ChargeMul(network, m);
+        }
+      }
+    }
+    for (uint64_t c = 0; c < num_columns; ++c) {
+      ChargeMul(network, m);
+    }
+  }
+}
+
 SharedRelation ObliviousShuffle(SecretShareEngine& engine,
                                 const SharedRelation& input) {
   const int64_t rows = input.NumRows();
@@ -213,13 +262,7 @@ SharedRelation ObliviousShuffle(SecretShareEngine& engine,
   std::shuffle(perm.begin(), perm.end(), engine.rng());
 
   std::vector<SharedColumn> columns = GatherRerandomizeColumns(engine, input, perm);
-
-  const CostModel& model = engine.network().model();
-  const uint64_t cells = input.NumCells();
-  const SsCharge charge = model.SsChargeFor(SsPrimitive::kShuffleCell);
-  engine.network().CpuSeconds(static_cast<double>(cells) * charge.seconds);
-  engine.network().CountAggregateBytes(cells * charge.bytes);
-  engine.network().Rounds(charge.rounds);
+  ChargeObliviousShuffle(engine.network(), input.NumCells());
   return SharedRelation(input.schema(), std::move(columns));
 }
 
@@ -250,14 +293,9 @@ SharedRelation ObliviousMerge(SecretShareEngine& engine, const SharedRelation& a
     columns.push_back(std::move(merged));
   }
   SharedRelation rel(a.schema(), std::move(columns));
-
-  if (BatcherMergeFits(a.NumRows(), b.NumRows())) {
-    RunNetwork(engine, rel, BatcherMergeNetwork(a.NumRows(), rel.NumRows()),
-               key_columns, /*ascending=*/true);
-    return rel;
-  }
-  // Shapes the merge network cannot handle: fall back to a full sort.
-  return ObliviousSort(engine, rel, key_columns);
+  RunNetwork(engine, rel, ObliviousMergeLayers(a.NumRows(), b.NumRows()), key_columns,
+             /*ascending=*/true);
+  return rel;
 }
 
 SharedRelation ObliviousSelect(SecretShareEngine& engine, const SharedRelation& input,
@@ -274,16 +312,8 @@ SharedRelation ObliviousSelect(SecretShareEngine& engine, const SharedRelation& 
   }
 
   std::vector<SharedColumn> columns = GatherRerandomizeColumns(engine, input, rows);
-
-  const CostModel& model = engine.network().model();
-  const double total = static_cast<double>(n + m);
-  const uint64_t log_term = ObliviousSelectRounds(n, m);
-  const double select_ops = total * static_cast<double>(log_term);
-  const SsCharge charge = model.SsChargeFor(SsPrimitive::kSelectOp);
-  engine.network().CpuSeconds(select_ops * charge.seconds);
-  engine.network().CountAggregateBytes(
-      static_cast<uint64_t>(select_ops) * charge.bytes);
-  engine.network().Rounds(log_term);
+  ChargeObliviousSelect(engine.network(), static_cast<uint64_t>(n),
+                        static_cast<uint64_t>(m));
   return SharedRelation(input.schema(), std::move(columns));
 }
 

@@ -10,12 +10,13 @@
 //  * ObliviousSelect — Laud-style oblivious indexing [45]: given secret indices,
 //    gathers rows with O((n+m) log(n+m)) work; the hybrid join's MPC finale.
 //
-// Costs flow through the engine's SimNetwork; correctness is checked against the
-// cleartext operator library in tests.
+// Costs flow through the engine's SimNetwork by the charge functions below;
+// correctness is checked against the cleartext operator library in tests.
 #ifndef CONCLAVE_MPC_OBLIVIOUS_H_
 #define CONCLAVE_MPC_OBLIVIOUS_H_
 
 #include <span>
+#include <vector>
 
 #include "conclave/mpc/batcher.h"
 #include "conclave/mpc/secret_share_engine.h"
@@ -42,15 +43,25 @@ SharedRelation ObliviousSelect(SecretShareEngine& engine, const SharedRelation& 
 SharedRelation ApplyPublicOrder(const SharedRelation& input,
                                 std::span<const int64_t> order);
 
-// Communication rounds of one ObliviousSelect over n input rows and m indices —
-// ceil(log2(n + m)), floored at 1. Shared with the planner's cost estimate.
-inline uint64_t ObliviousSelectRounds(int64_t n, int64_t m) {
-  uint64_t log_term = 1;
-  while ((int64_t{1} << log_term) < n + m) {
-    ++log_term;
-  }
-  return log_term;
-}
+// --- Charges ---------------------------------------------------------------------------
+void ChargeObliviousShuffle(SimNetwork& network, uint64_t cells);
+
+// Communication rounds of one ObliviousSelect over n input rows and m indices:
+// ceil(log2(n + m)), floored at 1. Defined for every n and m.
+uint64_t ObliviousSelectRounds(uint64_t n, uint64_t m);
+// One ObliviousSelect of m rows out of n: (n + m) * rounds select steps.
+void ChargeObliviousSelect(SimNetwork& network, uint64_t n, uint64_t m);
+
+// The compare-exchange layers ObliviousMerge runs for sorted runs of
+// `run_rows` and `other_rows` rows: the merge pass where BatcherMergeFits,
+// else the whole sort network over both.
+std::vector<BatcherLayer> ObliviousMergeLayers(int64_t run_rows, int64_t other_rows);
+
+// A Batcher network over `num_columns` columns and `num_keys` keys, layer by layer
+// (each key's comparison ladder, then one swap multiplication per column):
+// ObliviousSort and ObliviousMerge charge the layer list they then run.
+void ChargeBatcherNetwork(SimNetwork& network, std::span<const BatcherLayer> layers,
+                          size_t num_keys, uint64_t num_columns, bool ascending);
 
 }  // namespace conclave
 

@@ -35,6 +35,23 @@ SharedColumn AdjacentEqualFlags(SecretShareEngine& engine, const SharedRelation&
   return flags;
 }
 
+// The charges opening the sort-based protocols over n > 0 rows: the sort by
+// `sort_keys` keys unless pre-sorted, then AdjacentEqualFlags on `flag_keys` keys
+// (per key, equality over the n - 1 adjacent pairs, folded by a multiplication).
+void SortedFlagsCharges(SimNetwork& network, uint64_t n, uint64_t columns,
+                        uint64_t sort_keys, uint64_t flag_keys, bool assume_sorted) {
+  if (!assume_sorted) {
+    ChargeBatcherNetwork(network, BatcherSortNetwork(static_cast<int64_t>(n)),
+                         sort_keys, columns, /*ascending=*/true);
+  }
+  for (uint64_t k = 0; k < flag_keys; ++k) {
+    ChargeCompare(network, CompareOp::kEq, n - 1);
+    if (k > 0) {
+      ChargeMul(network, n - 1);
+    }
+  }
+}
+
 // How a segmented scan folds each row's in-segment predecessor into it.
 enum class ScanCombine { kAdd, kMin, kMax, kOr };
 
@@ -46,6 +63,24 @@ ScanCombine CombineFor(AggKind kind) {
       return ScanCombine::kMax;
     default:
       return ScanCombine::kAdd;
+  }
+}
+
+// The charges of a segmented scan over n rows, level by level in the order of
+// each level's steps: the min/max comparison, the combine's mul (all but add),
+// the group mux's mul, the flags'.
+void ChargeSegmentedScan(SimNetwork& network, uint64_t n, ScanCombine combine) {
+  for (uint64_t d = 1; d < n; d *= 2) {
+    const uint64_t len = n - d;
+    if (combine == ScanCombine::kMin || combine == ScanCombine::kMax) {
+      ChargeCompare(network,
+                    combine == ScanCombine::kMin ? CompareOp::kLt : CompareOp::kGt, len);
+    }
+    if (combine != ScanCombine::kAdd) {
+      ChargeMul(network, len);
+    }
+    ChargeMul(network, len);
+    ChargeMul(network, len);
   }
 }
 
@@ -61,6 +96,7 @@ void SegmentedScan(SecretShareEngine& engine, SharedColumn& values,
   if (n < 2) {
     return;
   }
+  ChargeSegmentedScan(engine.network(), static_cast<uint64_t>(n), combine);
   const bool ordered = combine == ScanCombine::kMin || combine == ScanCombine::kMax;
   const CompareOp pick_op = combine == ScanCombine::kMin ? CompareOp::kLt
                                                          : CompareOp::kGt;
@@ -69,23 +105,18 @@ void SegmentedScan(SecretShareEngine& engine, SharedColumn& values,
   SharedColumn next_flags(static_cast<size_t>(n));
   TripleDealer& dealer = engine.dealer();
   for (int64_t d = 1; d < n; d *= 2) {
-    // Each level's randomness and charges, in the order of its steps: the min/max
-    // comparison, the combine's mul (all but add), the group mux's mul, the flags'.
+    // Each level's randomness, claimed in the order of its charges.
     const size_t len = static_cast<size_t>(n - d);
     AesCounterRng pick_masks;
     AesCounterRng combine_triples;
     if (ordered) {
       pick_masks = engine.NewStream();
-      engine.ChargeCompare(pick_op, len);
     }
     if (combine != ScanCombine::kAdd) {
       combine_triples = dealer.ClaimBatch(len);
-      engine.ChargeMul(len);
     }
     const AesCounterRng mux_triples = dealer.ClaimBatch(len);
-    engine.ChargeMul(len);
     const AesCounterRng flag_triples = dealer.ClaimBatch(len);
-    engine.ChargeMul(len);
 
     ParallelFor(
         0, n,
@@ -196,25 +227,51 @@ SharedRelation GatherRows(const SharedRelation& input,
   return SharedRelation(input.schema(), std::move(columns));
 }
 
+// ShuffleRevealCompact's charges over a rows x columns relation.
+void ShuffleRevealCompactCharges(SimNetwork& network, uint64_t rows, uint64_t columns) {
+  ChargeObliviousShuffle(network, rows * columns);
+  ChargeOpen(network, rows);
+}
+
+// The Cartesian join's match phase: n * m * keys equality tests in one
+// kSsJoinRounds-deep batch.
+void ChargeJoinMatch(SimNetwork& network, uint64_t n, uint64_t m, uint64_t keys) {
+  const uint64_t pairs = SaturatingMul(SaturatingMul(n, m), keys);
+  const SsCharge charge = network.model().SsChargeFor(SsPrimitive::kEquality);
+  network.CpuSeconds(static_cast<double>(pairs) * charge.seconds);
+  network.CountAggregateBytes(pairs * charge.bytes);
+  network.Rounds(kSsJoinRounds);
+  network.mutable_counters().mpc_comparisons += pairs;
+}
+
 }  // namespace
 
-Status CheckWorkingSet(const CostModel& model, uint64_t live_cells) {
-  const uint64_t bytes = live_cells * model.ss_bytes_per_resident_cell;
+Status CheckWorkingSet(const CostModel& model, uint64_t live_cells, const char* what) {
+  const uint64_t bytes = SaturatingMul(live_cells, model.ss_bytes_per_resident_cell);
   if (bytes > model.ss_memory_limit_bytes) {
     return ResourceExhaustedError(StrFormat(
-        "Sharemind VM out of memory: working set %s exceeds limit %s",
+        "Sharemind VM out of memory (%s): working set %s exceeds limit %s", what,
         HumanBytes(bytes).c_str(), HumanBytes(model.ss_memory_limit_bytes).c_str()));
   }
   return Status::Ok();
 }
 
+Status ChargeInput(SimNetwork& network, uint64_t rows, uint64_t columns) {
+  const CostModel& model = network.model();
+  CONCLAVE_RETURN_IF_ERROR(
+      CheckWorkingSet(model, LiveCells(2, rows, columns), "ingest"));
+  const SsCharge charge = model.SsChargeFor(SsPrimitive::kRecordIngest);
+  network.CpuSeconds(static_cast<double>(rows) * charge.seconds);
+  network.CountAggregateBytes(rows * columns * charge.bytes);
+  network.Rounds(charge.rounds);
+  return Status::Ok();
+}
+
 StatusOr<SharedRelation> InputRelation(SecretShareEngine& engine,
                                        const Relation& input) {
-  const CostModel& model = engine.network().model();
-  const uint64_t cells =
-      static_cast<uint64_t>(input.NumRows()) * static_cast<uint64_t>(input.NumColumns());
-  CONCLAVE_RETURN_IF_ERROR(CheckWorkingSet(model, 2 * cells));
-
+  CONCLAVE_RETURN_IF_ERROR(ChargeInput(engine.network(),
+                                       static_cast<uint64_t>(input.NumRows()),
+                                       static_cast<uint64_t>(input.NumColumns())));
   // Zero-copy ingest: each relation column is a contiguous buffer, and sharing is
   // one morsel-parallel pass straight over its span — no gathers, no copies.
   std::vector<SharedColumn> columns;
@@ -222,12 +279,7 @@ StatusOr<SharedRelation> InputRelation(SecretShareEngine& engine,
   for (int c = 0; c < input.NumColumns(); ++c) {
     columns.push_back(engine.ShareColumn(input, c));
   }
-  SharedRelation shared(input.schema(), std::move(columns));
-  const SsCharge charge = model.SsChargeFor(SsPrimitive::kRecordIngest);
-  engine.network().CpuSeconds(static_cast<double>(input.NumRows()) * charge.seconds);
-  engine.network().CountAggregateBytes(cells * charge.bytes);
-  engine.network().Rounds(charge.rounds);
-  return shared;
+  return SharedRelation(input.schema(), std::move(columns));
 }
 
 Relation RevealRelation(SecretShareEngine& engine, const SharedRelation& input) {
@@ -236,9 +288,7 @@ Relation RevealRelation(SecretShareEngine& engine, const SharedRelation& input) 
 }
 
 void ChargeRevealMeters(SimNetwork& network, uint64_t cells) {
-  const SsCharge charge = network.model().SsChargeFor(SsPrimitive::kReveal);
-  network.CountAggregateBytes(cells * charge.bytes);
-  network.Rounds(charge.rounds);
+  ChargeSsBatch(network, SsPrimitive::kReveal, cells);
 }
 
 SharedRelation Project(const SharedRelation& input, std::span<const int> columns) {
@@ -280,6 +330,26 @@ SharedRelation Concat(std::span<const SharedRelation> inputs) {
   return SharedRelation(inputs[0].schema(), std::move(columns));
 }
 
+SharedRelation MergeConcat(SecretShareEngine& engine,
+                           std::span<const SharedRelation* const> inputs,
+                           std::span<const int> key_columns) {
+  SharedRelation merged = *inputs[0];
+  for (const SharedRelation* input : inputs.subspan(1)) {
+    merged = ObliviousMerge(engine, merged, *input, key_columns);
+  }
+  return merged;
+}
+
+void MergeConcatCharges(SimNetwork& network, std::span<const int64_t> branch_rows,
+                        uint64_t columns, uint64_t keys) {
+  int64_t merged = branch_rows[0];
+  for (int64_t branch : branch_rows.subspan(1)) {
+    ChargeBatcherNetwork(network, ObliviousMergeLayers(merged, branch), keys, columns,
+                         /*ascending=*/true);
+    merged += branch;
+  }
+}
+
 SharedRelation Arithmetic(SecretShareEngine& engine, const SharedRelation& input,
                           const ArithSpec& spec) {
   const SharedColumn& lhs = input.Column(spec.lhs_column);
@@ -316,6 +386,15 @@ SharedRelation Arithmetic(SecretShareEngine& engine, const SharedRelation& input
   return output;
 }
 
+void ArithmeticCharges(SimNetwork& network, uint64_t rows, ArithKind kind,
+                       bool rhs_is_column) {
+  if (kind == ArithKind::kMul && rhs_is_column) {
+    ChargeMul(network, rows);
+  } else if (kind == ArithKind::kDiv) {
+    ChargeDiv(network, rows);
+  }
+}
+
 SharedRelation ShuffleRevealCompact(SecretShareEngine& engine,
                                     const SharedRelation& input, int flag_column) {
   SharedRelation shuffled = ObliviousShuffle(engine, input);
@@ -334,31 +413,34 @@ SharedRelation ShuffleRevealCompact(SecretShareEngine& engine,
 
 StatusOr<SharedRelation> Filter(SecretShareEngine& engine, const SharedRelation& input,
                                 const FilterPredicate& predicate) {
-  const CostModel& model = engine.network().model();
-  CONCLAVE_RETURN_IF_ERROR(CheckWorkingSet(model, 3 * input.NumCells()));
+  CONCLAVE_RETURN_IF_ERROR(
+      CheckWorkingSet(engine.network().model(), 3 * input.NumCells(), "filter"));
 
   SharedRelation flagged = input;
   flagged.AppendColumn(ColumnDef("__flag"), FilterFlags(engine, input, predicate));
   return ShuffleRevealCompact(engine, flagged, flagged.NumColumns() - 1);
 }
 
+Status FilterCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                     CompareOp op) {
+  CONCLAVE_RETURN_IF_ERROR(
+      CheckWorkingSet(network.model(), LiveCells(3, rows, columns), "filter"));
+  ChargeCompare(network, op, rows);
+  ShuffleRevealCompactCharges(network, rows, columns + 1);
+  return Status::Ok();
+}
+
 StatusOr<SharedRelation> Join(SecretShareEngine& engine, const SharedRelation& left,
                               const SharedRelation& right,
                               std::span<const int> left_keys,
                               std::span<const int> right_keys) {
-  const CostModel& model = engine.network().model();
   const uint64_t n = static_cast<uint64_t>(left.NumRows());
   const uint64_t m = static_cast<uint64_t>(right.NumRows());
 
   // Cartesian-product protocol cost: one private equality test per row pair (per key
   // column). Conclave's motivation in a nutshell: this is O(n*m) however small the
   // output.
-  const uint64_t pairs = n * m * left_keys.size();
-  const SsCharge eq_charge = model.SsChargeFor(SsPrimitive::kEquality);
-  engine.network().CpuSeconds(static_cast<double>(pairs) * eq_charge.seconds);
-  engine.network().CountAggregateBytes(pairs * eq_charge.bytes);
-  engine.network().Rounds(kSsJoinRounds);
-  engine.network().mutable_counters().mpc_comparisons += pairs;
+  ChargeJoinMatch(engine.network(), n, m, left_keys.size());
 
   // Ideal match step: keys reconstructed internally, matches found in cleartext.
   std::vector<int> key_positions(left_keys.size());
@@ -372,8 +454,8 @@ StatusOr<SharedRelation> Join(SecretShareEngine& engine, const SharedRelation& l
   const uint64_t out_columns = static_cast<uint64_t>(
       left.NumColumns() + right.NumColumns() - static_cast<int>(left_keys.size()));
   CONCLAVE_RETURN_IF_ERROR(CheckWorkingSet(
-      model, left.NumCells() + right.NumCells() +
-                 static_cast<uint64_t>(left_rows.size()) * out_columns));
+      engine.network().model(),
+      left.NumCells() + right.NumCells() + left_rows.size() * out_columns, "join"));
 
   // Shuffle so the revealed output carries no row-alignment information.
   return ObliviousShuffle(
@@ -386,12 +468,25 @@ StatusOr<SharedRelation> Join(SecretShareEngine& engine, const SharedRelation& l
           }));
 }
 
+Status JoinCharges(SimNetwork& network, uint64_t left_rows, uint64_t right_rows,
+                   uint64_t left_columns, uint64_t right_columns, uint64_t keys,
+                   uint64_t out_rows) {
+  ChargeJoinMatch(network, left_rows, right_rows, keys);
+  const uint64_t out_columns = left_columns + right_columns - keys;
+  const uint64_t live = SaturatingAdd(LiveCells(1, left_rows, left_columns),
+                                      LiveCells(1, right_rows, right_columns));
+  CONCLAVE_RETURN_IF_ERROR(CheckWorkingSet(
+      network.model(), SaturatingAdd(live, LiveCells(1, out_rows, out_columns)),
+      "join"));
+  ChargeObliviousShuffle(network, out_rows * out_columns);
+  return Status::Ok();
+}
+
 StatusOr<SharedRelation> Aggregate(SecretShareEngine& engine,
                                    const SharedRelation& input,
                                    std::span<const int> group_columns, AggKind kind,
                                    int agg_column, const std::string& output_name,
                                    bool assume_sorted) {
-  const CostModel& model = engine.network().model();
   const int64_t n = input.NumRows();
 
   // Zero rows aggregate to zero groups (matching the cleartext engine), for global
@@ -452,7 +547,8 @@ StatusOr<SharedRelation> Aggregate(SecretShareEngine& engine,
   }
 
   CONCLAVE_CHECK_GT(n, 0);
-  CONCLAVE_RETURN_IF_ERROR(CheckWorkingSet(model, 3 * input.NumCells()));
+  CONCLAVE_RETURN_IF_ERROR(
+      CheckWorkingSet(engine.network().model(), 3 * input.NumCells(), "aggregate"));
 
   // Step 1: arrange rows into key groups (oblivious sort, unless already sorted).
   SharedRelation sorted =
@@ -463,6 +559,32 @@ StatusOr<SharedRelation> Aggregate(SecretShareEngine& engine,
 
   return AggregateWithFlags(engine, sorted, group_columns, kind, agg_column,
                             output_name, eq_flags);
+}
+
+Status AggregateCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                        uint64_t keys, AggKind kind, bool assume_sorted) {
+  if (rows == 0) {
+    return Status::Ok();
+  }
+  if (keys == 0) {
+    if (kind == AggKind::kMean) {
+      ChargeDiv(network, 1);
+    } else if (kind == AggKind::kMin || kind == AggKind::kMax) {
+      for (uint64_t size = rows; size > 1;) {
+        const uint64_t half = size / 2;
+        ChargeCompare(network, kind == AggKind::kMin ? CompareOp::kLt : CompareOp::kGt,
+                      half);
+        ChargeMul(network, half);
+        size = half + size % 2;
+      }
+    }
+    return Status::Ok();
+  }
+  CONCLAVE_RETURN_IF_ERROR(
+      CheckWorkingSet(network.model(), LiveCells(3, rows, columns), "aggregate"));
+  SortedFlagsCharges(network, rows, columns, keys, keys, assume_sorted);
+  AggregateWithFlagsCharges(network, rows, keys, kind);
+  return Status::Ok();
 }
 
 StatusOr<SharedRelation> AggregateWithFlags(SecretShareEngine& engine,
@@ -510,11 +632,24 @@ StatusOr<SharedRelation> AggregateWithFlags(SecretShareEngine& engine,
   return ShuffleRevealCompact(engine, flagged, flagged.NumColumns() - 1);
 }
 
+void AggregateWithFlagsCharges(SimNetwork& network, uint64_t rows, uint64_t keys,
+                               AggKind kind) {
+  if (rows == 0) {
+    return;
+  }
+  ChargeSegmentedScan(network, rows, CombineFor(kind));
+  if (kind == AggKind::kMean) {
+    ChargeSegmentedScan(network, rows, ScanCombine::kAdd);
+    ChargeDiv(network, rows);
+  }
+  // The group columns, the aggregate and the keep flag.
+  ShuffleRevealCompactCharges(network, rows, keys + 2);
+}
+
 StatusOr<SharedRelation> Window(SecretShareEngine& engine, const SharedRelation& input,
                                 std::span<const int> partition_columns,
                                 int order_column, WindowFn fn, int value_column,
                                 const std::string& output_name, bool assume_sorted) {
-  const CostModel& model = engine.network().model();
   const int64_t n = input.NumRows();
 
   std::vector<ColumnDef> defs = input.schema().columns();
@@ -523,7 +658,8 @@ StatusOr<SharedRelation> Window(SecretShareEngine& engine, const SharedRelation&
     std::vector<SharedColumn> empty_columns(defs.size(), SharedColumn(0));
     return SharedRelation(Schema(std::move(defs)), std::move(empty_columns));
   }
-  CONCLAVE_RETURN_IF_ERROR(CheckWorkingSet(model, 3 * input.NumCells()));
+  CONCLAVE_RETURN_IF_ERROR(
+      CheckWorkingSet(engine.network().model(), 3 * input.NumCells(), "window"));
 
   std::vector<int> sort_columns(partition_columns.begin(), partition_columns.end());
   sort_columns.push_back(order_column);
@@ -534,6 +670,18 @@ StatusOr<SharedRelation> Window(SecretShareEngine& engine, const SharedRelation&
   SharedColumn same_partition = AdjacentEqualFlags(engine, sorted, partition_columns);
   return WindowWithFlags(engine, sorted, fn, value_column, output_name,
                          same_partition);
+}
+
+Status WindowCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                     uint64_t partitions, WindowFn fn, bool assume_sorted) {
+  if (rows == 0) {
+    return Status::Ok();
+  }
+  CONCLAVE_RETURN_IF_ERROR(
+      CheckWorkingSet(network.model(), LiveCells(3, rows, columns), "window"));
+  SortedFlagsCharges(network, rows, columns, partitions + 1, partitions, assume_sorted);
+  WindowWithFlagsCharges(network, rows, fn);
+  return Status::Ok();
 }
 
 StatusOr<SharedRelation> WindowWithFlags(SecretShareEngine& engine,
@@ -587,15 +735,34 @@ StatusOr<SharedRelation> WindowWithFlags(SecretShareEngine& engine,
   return SharedRelation(Schema(std::move(defs)), std::move(columns));
 }
 
+void WindowWithFlagsCharges(SimNetwork& network, uint64_t rows, WindowFn fn) {
+  if (fn == WindowFn::kLag) {
+    ChargeMul(network, rows);
+  } else {
+    ChargeSegmentedScan(network, rows, ScanCombine::kAdd);  // Row number, running sum.
+  }
+}
+
 StatusOr<SharedRelation> Sort(SecretShareEngine& engine, const SharedRelation& input,
                               std::span<const int> columns, bool ascending,
                               bool assume_sorted) {
-  const CostModel& model = engine.network().model();
-  CONCLAVE_RETURN_IF_ERROR(CheckWorkingSet(model, 2 * input.NumCells()));
+  CONCLAVE_RETURN_IF_ERROR(
+      CheckWorkingSet(engine.network().model(), 2 * input.NumCells(), "sort"));
   if (assume_sorted || input.NumRows() == 0) {
     return input;
   }
   return ObliviousSort(engine, input, columns, ascending);
+}
+
+Status SortCharges(SimNetwork& network, uint64_t rows, uint64_t columns, uint64_t keys,
+                   bool ascending, bool assume_sorted) {
+  CONCLAVE_RETURN_IF_ERROR(
+      CheckWorkingSet(network.model(), LiveCells(2, rows, columns), "sort"));
+  if (!assume_sorted && rows > 0) {
+    ChargeBatcherNetwork(network, BatcherSortNetwork(static_cast<int64_t>(rows)), keys,
+                         columns, ascending);
+  }
+  return Status::Ok();
 }
 
 SharedRelation Limit(const SharedRelation& input, int64_t count) {
@@ -612,8 +779,8 @@ SharedRelation Limit(const SharedRelation& input, int64_t count) {
 StatusOr<SharedRelation> Distinct(SecretShareEngine& engine,
                                   const SharedRelation& input,
                                   std::span<const int> columns, bool assume_sorted) {
-  const CostModel& model = engine.network().model();
-  CONCLAVE_RETURN_IF_ERROR(CheckWorkingSet(model, 3 * input.NumCells()));
+  CONCLAVE_RETURN_IF_ERROR(
+      CheckWorkingSet(engine.network().model(), 3 * input.NumCells(), "distinct"));
   SharedRelation projected = Project(input, columns);
   if (projected.NumRows() == 0) {
     return projected;
@@ -631,6 +798,19 @@ StatusOr<SharedRelation> Distinct(SecretShareEngine& engine,
       SecretShareEngine::PublicConst(static_cast<size_t>(n), 1), eq_flags);
   sorted.AppendColumn(ColumnDef("__keep"), std::move(keep));
   return ShuffleRevealCompact(engine, sorted, sorted.NumColumns() - 1);
+}
+
+Status DistinctCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                       uint64_t keys, bool assume_sorted) {
+  CONCLAVE_RETURN_IF_ERROR(
+      CheckWorkingSet(network.model(), LiveCells(3, rows, columns), "distinct"));
+  if (rows == 0) {
+    return Status::Ok();
+  }
+  // The sort and the flags run over the projected keys alone.
+  SortedFlagsCharges(network, rows, keys, keys, keys, assume_sorted);
+  ShuffleRevealCompactCharges(network, rows, keys + 1);
+  return Status::Ok();
 }
 
 SharedColumn FilterFlags(SecretShareEngine& engine, const SharedRelation& input,
@@ -656,8 +836,8 @@ StatusOr<SharedRelation> CountDistinctSorted(SecretShareEngine& engine,
     std::vector<SharedColumn> columns{std::move(zero)};
     return SharedRelation(Schema(std::move(defs)), std::move(columns));
   }
-  CONCLAVE_RETURN_IF_ERROR(
-      CheckWorkingSet(engine.network().model(), 3 * input.NumCells()));
+  CONCLAVE_RETURN_IF_ERROR(CheckWorkingSet(engine.network().model(),
+                                           3 * input.NumCells(), "count distinct"));
 
   // Segmented OR-scan of the keep flags over key groups: after the scan, the last
   // row of each group holds "group has any kept row". Count = sum over groups of

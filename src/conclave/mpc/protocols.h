@@ -10,6 +10,12 @@
 //
 // Operators that can exceed the simulated Sharemind VM's memory return
 // RESOURCE_EXHAUSTED via StatusOr (see CostModel::ss_memory_limit_bytes).
+//
+// Next to each protocol the planner prices sits its charge composite (FilterCharges,
+// ...): given the protocol's row, column and key counts, it applies the protocol's
+// charges to a network in the protocol's order, through the charge functions the
+// protocol runs, and stops at the first failing working-set check with its status.
+// The planner (compiler/plan_cost.cc) prices a node with it on a scratch network.
 #ifndef CONCLAVE_MPC_PROTOCOLS_H_
 #define CONCLAVE_MPC_PROTOCOLS_H_
 
@@ -26,16 +32,24 @@ namespace conclave {
 namespace mpc {
 
 // Round depth of the batched Cartesian-join equality phase (all n*m tests run as one
-// deep batch rather than per-element fan-in trees). Shared with the planner.
+// deep batch rather than per-element fan-in trees).
 inline constexpr uint64_t kSsJoinRounds = 8;
 
 // Simulated-memory guard: `live_cells` shared cells must fit in the Sharemind VM.
-Status CheckWorkingSet(const CostModel& model, uint64_t live_cells);
+// `what` names the check in the error.
+Status CheckWorkingSet(const CostModel& model, uint64_t live_cells, const char* what);
+
+// The cells of `copies` copies of a rows x columns relation (saturating).
+inline uint64_t LiveCells(uint64_t copies, uint64_t rows, uint64_t columns) {
+  return SaturatingMul(copies, SaturatingMul(rows, columns));
+}
 
 // Secret-shares a cleartext relation into the MPC, charging per-record ingest and
 // storage-layer costs (the dominant cost of linear passes; Fig. 1c).
 StatusOr<SharedRelation> InputRelation(SecretShareEngine& engine,
                                        const Relation& input);
+// InputRelation's charge: its working-set check, then the ingest.
+Status ChargeInput(SimNetwork& network, uint64_t rows, uint64_t columns);
 
 // Opens a shared relation to the computing parties (end of an MPC step).
 Relation RevealRelation(SecretShareEngine& engine, const SharedRelation& input);
@@ -51,15 +65,28 @@ SharedRelation Project(const SharedRelation& input, std::span<const int> columns
 // Share-wise concatenation of same-schema relations.
 SharedRelation Concat(std::span<const SharedRelation> inputs);
 
+// Sorted-merge concat (§5.4): folds same-schema relations, each sorted by
+// `key_columns`, through ObliviousMerge.
+SharedRelation MergeConcat(SecretShareEngine& engine,
+                           std::span<const SharedRelation* const> inputs,
+                           std::span<const int> key_columns);
+// Requires the branches to total at most 2^62 rows.
+void MergeConcatCharges(SimNetwork& network, std::span<const int64_t> branch_rows,
+                        uint64_t columns, uint64_t keys);
+
 // Appends a computed column; add/sub/scalar-mul are local, column-mul costs one
 // Beaver multiplication per row, div runs the division protocol.
 SharedRelation Arithmetic(SecretShareEngine& engine, const SharedRelation& input,
                           const ArithSpec& spec);
+void ArithmeticCharges(SimNetwork& network, uint64_t rows, ArithKind kind,
+                       bool rhs_is_column);
 
 // Oblivious filter: comparison per row, shuffle, open flags, compact. Reveals the
 // number of matching rows only.
 StatusOr<SharedRelation> Filter(SecretShareEngine& engine, const SharedRelation& input,
                                 const FilterPredicate& predicate);
+Status FilterCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                     CompareOp op);
 
 // Assembles a join's output in ops::JoinOutputSchema layout: the keys and left
 // non-key columns from left_column(c), then the right non-key columns from
@@ -94,6 +121,9 @@ StatusOr<SharedRelation> Join(SecretShareEngine& engine, const SharedRelation& l
                               const SharedRelation& right,
                               std::span<const int> left_keys,
                               std::span<const int> right_keys);
+Status JoinCharges(SimNetwork& network, uint64_t left_rows, uint64_t right_rows,
+                   uint64_t left_columns, uint64_t right_columns, uint64_t keys,
+                   uint64_t out_rows);
 
 // Sorting-network aggregation (Jónsson et al. [39]): oblivious sort by group key,
 // adjacent-equality flags, log-depth segmented scan accumulating each group into its
@@ -104,6 +134,9 @@ StatusOr<SharedRelation> Aggregate(SecretShareEngine& engine,
                                    std::span<const int> group_columns, AggKind kind,
                                    int agg_column, const std::string& output_name,
                                    bool assume_sorted = false);
+// `keys` == 0 prices the global aggregate.
+Status AggregateCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                        uint64_t keys, AggKind kind, bool assume_sorted);
 
 // The scan-and-compact tail of the aggregation protocol, factored out so the hybrid
 // aggregation (§5.3) can drive it with STP-computed equality flags instead of
@@ -116,6 +149,8 @@ StatusOr<SharedRelation> AggregateWithFlags(SecretShareEngine& engine,
                                             AggKind kind, int agg_column,
                                             const std::string& output_name,
                                             const SharedColumn& equal_prev_flags);
+void AggregateWithFlagsCharges(SimNetwork& network, uint64_t rows, uint64_t keys,
+                               AggKind kind);
 
 // Oblivious window function (f(...) OVER (PARTITION BY p ORDER BY o)): oblivious sort
 // by (partition, order) unless `assume_sorted`, adjacent-equality partition flags, and
@@ -127,6 +162,8 @@ StatusOr<SharedRelation> Window(SecretShareEngine& engine, const SharedRelation&
                                 int order_column, WindowFn fn, int value_column,
                                 const std::string& output_name,
                                 bool assume_sorted = false);
+Status WindowCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                     uint64_t partitions, WindowFn fn, bool assume_sorted);
 
 // The scan tail of the window protocol, factored out so the hybrid window (an
 // STP-assisted §5.3-style variant) can drive it with STP-computed partition flags.
@@ -137,11 +174,14 @@ StatusOr<SharedRelation> WindowWithFlags(SecretShareEngine& engine,
                                          int value_column,
                                          const std::string& output_name,
                                          const SharedColumn& same_partition_flags);
+void WindowWithFlagsCharges(SimNetwork& network, uint64_t rows, WindowFn fn);
 
 // Oblivious sort by columns (Batcher network), as a standalone operator (order-by).
 StatusOr<SharedRelation> Sort(SecretShareEngine& engine, const SharedRelation& input,
                               std::span<const int> columns, bool ascending = true,
                               bool assume_sorted = false);
+Status SortCharges(SimNetwork& network, uint64_t rows, uint64_t columns, uint64_t keys,
+                   bool ascending, bool assume_sorted);
 
 // First `count` rows (public count; meaningful after Sort).
 SharedRelation Limit(const SharedRelation& input, int64_t count);
@@ -151,6 +191,8 @@ StatusOr<SharedRelation> Distinct(SecretShareEngine& engine,
                                   const SharedRelation& input,
                                   std::span<const int> columns,
                                   bool assume_sorted = false);
+Status DistinctCharges(SimNetwork& network, uint64_t rows, uint64_t columns,
+                       uint64_t keys, bool assume_sorted);
 
 // Shuffles, opens the 0/1 column `flag_column`, keeps rows with flag == 1, and drops
 // the flag column. The building block of all size-revealing compactions; exposed for

@@ -113,12 +113,34 @@ void SecretShareEngine::BeaverStep(ConstShareRun x, ConstShareRun y,
   cpu::AccumMulU64(d, e, len, z.p[0]);
 }
 
-void SecretShareEngine::ChargeMul(size_t n) {
-  const SsCharge charge = network_->model().SsChargeFor(SsPrimitive::kMult);
-  network_->CpuSeconds(static_cast<double>(n) * charge.seconds);
-  network_->CountAggregateBytes(n * charge.bytes);
-  network_->Rounds(charge.rounds);
-  network_->mutable_counters().mpc_multiplications += n;
+void ChargeSsBatch(SimNetwork& network, SsPrimitive primitive, uint64_t units) {
+  const SsCharge charge = network.model().SsChargeFor(primitive);
+  network.CpuSeconds(static_cast<double>(units) * charge.seconds);
+  network.CountAggregateBytes(units * charge.bytes);
+  network.Rounds(charge.rounds);
+}
+
+void ChargeMul(SimNetwork& network, uint64_t n) {
+  if (n == 0) {
+    return;
+  }
+  ChargeSsBatch(network, SsPrimitive::kMult, n);
+  network.mutable_counters().mpc_multiplications += n;
+}
+
+void ChargeCompare(SimNetwork& network, CompareOp op, uint64_t n) {
+  const bool is_equality = (op == CompareOp::kEq || op == CompareOp::kNe);
+  ChargeSsBatch(network, is_equality ? SsPrimitive::kEquality : SsPrimitive::kCompare,
+                n);
+  network.mutable_counters().mpc_comparisons += n;
+}
+
+void ChargeDiv(SimNetwork& network, uint64_t n) {
+  ChargeSsBatch(network, SsPrimitive::kDivision, n);
+}
+
+void ChargeOpen(SimNetwork& network, uint64_t n) {
+  ChargeSsBatch(network, SsPrimitive::kOpen, n);
 }
 
 SharedColumn SecretShareEngine::Mul(const SharedColumn& a, const SharedColumn& b) {
@@ -143,14 +165,12 @@ SharedColumn SecretShareEngine::Mul(const SharedColumn& a, const SharedColumn& b
                {RunOf(triples.a, i), RunOf(triples.b, i), RunOf(triples.c, i)},
                static_cast<size_t>(hi - lo), d + i, e + i, RunOf(out, i));
   });
-  ChargeMul(n);
+  ChargeMul(*network_, n);
   return out;
 }
 
 std::vector<int64_t> SecretShareEngine::Open(const SharedColumn& a) {
-  const SsCharge charge = network_->model().SsChargeFor(SsPrimitive::kOpen);
-  network_->CountAggregateBytes(a.size() * charge.bytes);
-  network_->Rounds(charge.rounds);
+  ChargeOpen(*network_, a.size());
   return ReconstructValues(a);
 }
 
@@ -214,16 +234,6 @@ void SecretShareEngine::ShareComparison(CompareOp op, const int64_t* lhs,
   cpu::MaskSubSub(bits, out.p[0], out.p[1], len, out.p[2]);
 }
 
-void SecretShareEngine::ChargeCompare(CompareOp op, size_t n) {
-  const bool is_equality = (op == CompareOp::kEq || op == CompareOp::kNe);
-  const SsCharge charge = network_->model().SsChargeFor(
-      is_equality ? SsPrimitive::kEquality : SsPrimitive::kCompare);
-  network_->CpuSeconds(static_cast<double>(n) * charge.seconds);
-  network_->CountAggregateBytes(n * charge.bytes);
-  network_->Rounds(charge.rounds);
-  network_->mutable_counters().mpc_comparisons += n;
-}
-
 SharedColumn SecretShareEngine::Compare(CompareOp op, const SharedColumn& a,
                                         const SharedColumn& b) {
   CheckSameSize(a, b);
@@ -246,7 +256,7 @@ SharedColumn SecretShareEngine::Compare(CompareOp op, const SharedColumn& a,
     ShareComparison(op, lhs + i, rhs + i, static_cast<size_t>(hi - lo), masks, i,
                     bits + i, RunOf(out, i));
   });
-  ChargeCompare(op, n);
+  ChargeCompare(*network_, op, n);
   return out;
 }
 
@@ -259,7 +269,6 @@ SharedColumn SecretShareEngine::Div(const SharedColumn& a, const SharedColumn& b
                                     int64_t scale) {
   CheckSameSize(a, b);
   const size_t n = a.size();
-  const CostModel& model = network_->model();
 
   auto num_buf = arena_.Acquire(n);
   auto den_buf = arena_.Acquire(n);
@@ -285,11 +294,7 @@ SharedColumn SecretShareEngine::Div(const SharedColumn& a, const SharedColumn& b
     cpu::SubSubU64(reinterpret_cast<const uint64_t*>(q) + lo, o0 + lo, o1 + lo,
                    len, o2 + lo);
   });
-
-  const SsCharge charge = model.SsChargeFor(SsPrimitive::kDivision);
-  network_->CpuSeconds(static_cast<double>(n) * charge.seconds);
-  network_->CountAggregateBytes(n * charge.bytes);
-  network_->Rounds(charge.rounds);
+  ChargeDiv(*network_, n);
   return out;
 }
 

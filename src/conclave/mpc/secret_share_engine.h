@@ -30,11 +30,14 @@
 // bit-identical at every pool size.
 //
 // Mul's and Compare's morsel bodies are chunk kernels (BeaverStep,
-// ShareComparison) and their charges one function each (ChargeMul,
-// ChargeCompare): the fused kernels — one Batcher compare-exchange layer
+// ShareComparison): the fused kernels — one Batcher compare-exchange layer
 // (mpc/oblivious.cc) and one segmented-scan level (mpc/protocols.cc) per pass —
-// claim the same streams, apply the same charges and run the same bodies over
-// chunk-local buffers (BeaverBlock), with no column allocated per layer or level.
+// claim the same streams and run the same bodies over chunk-local buffers
+// (BeaverBlock), with no column allocated per layer or level.
+//
+// Every charge is one free function over SimNetwork& (ChargeMul below; the others
+// in oblivious.h, protocols.h and hybrid/stp.h). The operations charge through
+// them, and the planner applies the same functions to a scratch network.
 #ifndef CONCLAVE_MPC_SECRET_SHARE_ENGINE_H_
 #define CONCLAVE_MPC_SECRET_SHARE_ENGINE_H_
 
@@ -144,11 +147,6 @@ class SecretShareEngine {
   static void ShareComparison(CompareOp op, const int64_t* lhs, const int64_t* rhs,
                               size_t len, const AesCounterRng& masks, uint64_t first,
                               uint8_t* bits, ShareRun out);
-  // The cost of n multiplications, and of n comparisons (kEq/kNe price as the
-  // equality protocol, ordered ops as the comparison protocol).
-  void ChargeMul(size_t n);
-  void ChargeCompare(CompareOp op, size_t n);
-
   // Claims the next randomness stream. Streams are claimed in a fixed sequence on
   // the serialized MPC lane, so stream assignment — and therefore every sharing —
   // is independent of the pool size.
@@ -191,6 +189,19 @@ class SecretShareEngine {
   Rng perm_rng_;
   ScratchArena arena_;
 };
+
+// --- Charges ---------------------------------------------------------------------------
+// One batched invocation of `primitive` over `units` (SsPrimitive names the unit).
+void ChargeSsBatch(SimNetwork& network, SsPrimitive primitive, uint64_t units);
+// n multiplications. An empty batch charges nothing: Mul returns before dealing.
+void ChargeMul(SimNetwork& network, uint64_t n);
+// n comparisons: kEq/kNe price as the equality protocol, ordered ops as the
+// comparison protocol. An empty batch still charges its rounds.
+void ChargeCompare(SimNetwork& network, CompareOp op, uint64_t n);
+// n divisions (an empty batch still charges its rounds).
+void ChargeDiv(SimNetwork& network, uint64_t n);
+// Opening n elements: traffic and one round, no seconds.
+void ChargeOpen(SimNetwork& network, uint64_t n);
 
 // Chunk-local shares of one block of a fused kernel, on the morsel's stack.
 inline constexpr size_t kFusedBlockRows = 256;

@@ -23,10 +23,21 @@
 
 namespace conclave {
 
+// Cell and byte counts for memory checks saturate: the planner applies the engines'
+// checks to estimates of up to 2^62 rows, where a wrapped count would pass.
+inline uint64_t SaturatingMul(uint64_t a, uint64_t b) {
+  uint64_t product = 0;
+  return __builtin_mul_overflow(a, b, &product) ? UINT64_MAX : product;
+}
+inline uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  uint64_t sum = 0;
+  return __builtin_add_overflow(a, b, &sum) ? UINT64_MAX : sum;
+}
+
 // Row keys of the secret-sharing calibration table (CostModel::SsChargeFor). One row
-// per batched primitive the engine executes; the planner (compiler/plan_cost) and the
-// runtime (mpc/secret_share_engine.cc, mpc/oblivious.cc, mpc/protocols.cc) read the
-// same rows, so estimated and executed per-primitive costs cannot drift apart.
+// per batched primitive the engine executes. The engine's charge functions
+// (mpc/secret_share_engine.h) read these rows, and the planner prices a plan by
+// applying those same functions to a scratch network (compiler/plan_cost.cc).
 enum class SsPrimitive {
   kMult,          // Beaver multiplication; per element.
   kEquality,      // Private equality test; per element.

@@ -9,8 +9,8 @@
 namespace conclave {
 
 void AggAccumulator::Merge(const AggAccumulator& other) {
-  sum += other.sum;
-  count += other.count;
+  sum = cpu::AddWrap(sum, other.sum);
+  count = cpu::AddWrap(count, other.count);
   min = std::min(min, other.min);
   max = std::max(max, other.max);
 }
@@ -70,7 +70,7 @@ inline void AddRow(AggAccumulator& acc, const int64_t* vals, int64_t r) {
   acc.count += 1;
   if (vals != nullptr) {
     const int64_t v = vals[r];
-    acc.sum += v;
+    acc.sum = cpu::AddWrap(acc.sum, v);
     acc.min = std::min(acc.min, v);
     acc.max = std::max(acc.max, v);
   }
@@ -88,7 +88,7 @@ void AccumulateSingleKey(std::unordered_map<int64_t, AggAccumulator>& groups,
     AggAccumulator& acc = groups[keys[lo]];
     acc.count += hi - lo;
     if (vals != nullptr) {
-      acc.sum += cpu::SumWrap(vals + lo, n);
+      acc.sum = cpu::AddWrap(acc.sum, cpu::SumWrap(vals + lo, n));
       acc.min = std::min(acc.min, cpu::MinOf(vals + lo, n));
       acc.max = std::max(acc.max, cpu::MaxOf(vals + lo, n));
     }

@@ -542,7 +542,7 @@ Relation Window(const Relation& input, const WindowSpec& spec) {
         prev_value = values[r];
         break;
       case WindowFn::kRunningSum:
-        running_sum += values[r];
+        running_sum = cpu::AddWrap(running_sum, values[r]);
         computed[r] = running_sum;
         break;
     }

@@ -3,10 +3,14 @@
 // exactly the STP receives).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "conclave/hybrid/hybrid_agg.h"
 #include "conclave/hybrid/hybrid_join.h"
 #include "conclave/hybrid/hybrid_window.h"
 #include "conclave/hybrid/public_join.h"
+#include "test_util.h"
 
 namespace conclave {
 namespace {
@@ -350,6 +354,155 @@ TEST_F(HybridTest, HybridWindowStpSeesOnlyKeyColumns) {
   // traffic (shuffles, scan multiplications) on top, but the cleartext reveal itself
   // is exactly the key columns.
   EXPECT_GE(net.BytesReceivedBy(kStp) - before, (kParties - 1) * key_bytes);
+}
+
+// --- Each hybrid protocol's charge composite reproduces its run exactly -------------
+
+// `rows` rows: `keys` key columns with few distinct values, then two value columns.
+Relation HybridKeyed(int64_t rows, int keys, uint64_t seed) {
+  std::vector<ColumnDef> defs;
+  for (int k = 0; k < keys; ++k) {
+    defs.emplace_back("k" + std::to_string(k));
+  }
+  defs.emplace_back("v0");
+  defs.emplace_back("v1");
+  Relation rel{Schema(std::move(defs))};
+  Rng rng(seed);
+  for (int64_t r = 0; r < rows; ++r) {
+    std::vector<int64_t> row;
+    for (int c = 0; c < rel.NumColumns(); ++c) {
+      row.push_back(rng.NextInRange(0, c < keys ? 3 : 999));
+    }
+    rel.AppendRow(row);
+  }
+  return rel;
+}
+
+std::vector<int> Leading(int count) {
+  std::vector<int> columns;
+  for (int c = 0; c < count; ++c) {
+    columns.push_back(c);
+  }
+  return columns;
+}
+
+// Runs a protocol on an engine over a fresh network and its composite on another,
+// under the default model and under a VM of ten cells; asserts the same status code
+// and bit-identical charges.
+template <typename Run, typename Price>
+void ExpectHybridCompositeMatches(Run run, Price price, const std::string& what) {
+  CostModel tiny;
+  tiny.ss_memory_limit_bytes = 10 * tiny.ss_bytes_per_resident_cell;
+  for (const CostModel& model : {CostModel{}, tiny}) {
+    SimNetwork run_net(model);
+    SecretShareEngine engine(&run_net, 91);
+    const Status ran = run(engine);
+    SimNetwork priced_net(model);
+    const Status priced = price(priced_net);
+    ASSERT_EQ(ran.code(), priced.code())
+        << what << ": " << ran.ToString() << " vs " << priced.ToString();
+    test::ExpectSameCharges(run_net, priced_net, what);
+  }
+}
+
+// 2-5 parties, with the STP (or the public joiner) as the first party and as the
+// last.
+std::vector<std::pair<int, PartyId>> PartyShapes() {
+  std::vector<std::pair<int, PartyId>> shapes;
+  for (int parties = 2; parties <= 5; ++parties) {
+    shapes.emplace_back(parties, 0);
+    shapes.emplace_back(parties, parties - 1);
+  }
+  return shapes;
+}
+
+TEST(HybridChargeCompositeTest, JoinsMatchAtEveryPartyCount) {
+  Rng rng(11);
+  for (const auto& [parties, stp] : PartyShapes()) {
+    for (int64_t n : {0, 1, 2, 3, 17, 1000}) {
+      for (int keys = 1; keys <= 2; ++keys) {
+        const Relation left = HybridKeyed(n, keys, 100 + n);
+        const Relation right = HybridKeyed(n == 1000 ? 60 : n + 1, keys, 200 + n);
+        const std::vector<int> key_columns = Leading(keys);
+        const uint64_t out = static_cast<uint64_t>(
+            ops::Join(left, right, key_columns, key_columns).NumRows());
+        const SharedRelation l = ShareRelation(left, rng);
+        const SharedRelation r = ShareRelation(right, rng);
+        const uint64_t m = static_cast<uint64_t>(right.NumRows());
+        const std::string shape = " n=" + std::to_string(n) +
+                                  " keys=" + std::to_string(keys) +
+                                  " parties=" + std::to_string(parties) +
+                                  " stp=" + std::to_string(stp);
+        ExpectHybridCompositeMatches(
+            [&](SecretShareEngine& e) {
+              return hybrid::HybridJoin(e, l, r, key_columns, key_columns, stp, parties)
+                  .status();
+            },
+            [&](SimNetwork& net) {
+              return hybrid::HybridJoinCharges(net, n, m, keys + 2, keys + 2, keys, out,
+                                               stp, parties);
+            },
+            "hybrid join" + shape);
+        ExpectHybridCompositeMatches(
+            [&](SecretShareEngine& e) {
+              return hybrid::PublicJoinShared(e, l, r, key_columns, key_columns, stp,
+                                              parties)
+                  .status();
+            },
+            [&](SimNetwork& net) {
+              return hybrid::PublicJoinCharges(net, n, m, keys + 2, keys + 2, keys, out,
+                                               stp, parties);
+            },
+            "public join" + shape);
+      }
+    }
+  }
+}
+
+TEST(HybridChargeCompositeTest, AggregateAndWindowMatchAtEveryPartyCount) {
+  Rng rng(12);
+  for (const auto& [parties, stp] : PartyShapes()) {
+    for (int64_t n : {0, 1, 2, 3, 17, 1000}) {
+      for (int keys = 1; keys <= 2; ++keys) {
+        const SharedRelation shared = ShareRelation(HybridKeyed(n, keys, 300 + n), rng);
+        const std::vector<int> key_columns = Leading(keys);
+        const std::string shape = " n=" + std::to_string(n) +
+                                  " keys=" + std::to_string(keys) +
+                                  " parties=" + std::to_string(parties) +
+                                  " stp=" + std::to_string(stp);
+        for (AggKind kind : {AggKind::kSum, AggKind::kCount, AggKind::kMin,
+                             AggKind::kMax, AggKind::kMean}) {
+          ExpectHybridCompositeMatches(
+              [&](SecretShareEngine& e) {
+                return hybrid::HybridAggregate(e, shared, key_columns, kind, keys, "out",
+                                               stp, parties)
+                    .status();
+              },
+              [&](SimNetwork& net) {
+                return hybrid::HybridAggregateCharges(net, n, keys + 2, keys, kind, stp,
+                                                      parties);
+              },
+              "hybrid aggregate" + shape +
+                  " kind=" + std::to_string(static_cast<int>(kind)));
+        }
+        // Partition by the keys, order by v0, over v1.
+        for (WindowFn fn :
+             {WindowFn::kRowNumber, WindowFn::kLag, WindowFn::kRunningSum}) {
+          ExpectHybridCompositeMatches(
+              [&](SecretShareEngine& e) {
+                return hybrid::HybridWindow(e, shared, key_columns, keys, fn, keys + 1,
+                                            "w", stp, parties)
+                    .status();
+              },
+              [&](SimNetwork& net) {
+                return hybrid::HybridWindowCharges(net, n, keys + 2, keys, fn, stp,
+                                                   parties);
+              },
+              "hybrid window" + shape + " fn=" + std::to_string(static_cast<int>(fn)));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,29 @@ Relation RandomRelation(const Shape& shape, uint64_t seed) {
     }
   }
   return rel;
+}
+
+// One group and one partition of INT64-extreme values: c0 (INT64_MIN) and c1 (0)
+// are constant keys, and c2 holds INT64_MIN, INT64_MAX, -1 and 0, so sums, running
+// sums, products and INT64_MIN / -1 wrap as the MPC ring does.
+Relation ExtremeRelation() {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Relation rel{Schema::Of({"c0", "c1", "c2"})};
+  for (int64_t value : {kMin, kMin, kMax, kMax, int64_t{-1}, int64_t{0}}) {
+    rel.AppendRow({kMin, 0, value});
+  }
+  return rel;
+}
+
+// The sweep's random relations for `seed`, then the extreme relation.
+std::vector<Relation> SweepRelations(uint64_t seed) {
+  std::vector<Relation> rels;
+  for (const Shape& shape : kShapes) {
+    rels.push_back(RandomRelation(shape, seed));
+  }
+  rels.push_back(ExtremeRelation());
+  return rels;
 }
 
 // Exact equality against the reference, with a readable failure dump.
@@ -134,10 +158,9 @@ TEST_P(LayoutEquivalenceTest, JoinSingleAndMultiKey) {
 
 TEST_P(LayoutEquivalenceTest, AggregateAllKindsAndKeyArities) {
   const uint64_t seed = GetParam();
-  for (const Shape& shape : kShapes) {
-    const Relation rel = RandomRelation(shape, seed + 4);
+  for (const Relation& rel : SweepRelations(seed + 4)) {
     const RowMajorRelation ref_rel = RowMajorRelation::FromColumnar(rel);
-    const int agg_col = shape.cols - 1;
+    const int agg_col = rel.NumColumns() - 1;
     for (int kind = 0; kind < 5; ++kind) {
       const auto agg = static_cast<AggKind>(kind);
       // Single group column (fast path).
@@ -149,7 +172,7 @@ TEST_P(LayoutEquivalenceTest, AggregateAllKindsAndKeyArities) {
       ExpectSame(ops::Aggregate(rel, {}, agg, agg_col, "out"),
                  rowmajor::ref::Aggregate(ref_rel, {}, agg, agg_col, "out"),
                  "Aggregate(0 keys)");
-      if (shape.cols >= 2) {
+      if (rel.NumColumns() >= 2) {
         const int two[] = {1, 0};
         ExpectSame(ops::Aggregate(rel, two, agg, agg_col, "out"),
                    rowmajor::ref::Aggregate(ref_rel, two, agg, agg_col, "out"),
@@ -213,41 +236,43 @@ TEST_P(LayoutEquivalenceTest, DistinctAndLimit) {
 
 TEST_P(LayoutEquivalenceTest, ArithmeticAllKinds) {
   const uint64_t seed = GetParam();
-  for (const Shape& shape : kShapes) {
-    const Relation rel = RandomRelation(shape, seed + 7);
+  for (const Relation& rel : SweepRelations(seed + 7)) {
     const RowMajorRelation ref_rel = RowMajorRelation::FromColumnar(rel);
     for (int kind = 0; kind < 4; ++kind) {
       ArithSpec spec;
       spec.kind = static_cast<ArithKind>(kind);
       spec.lhs_column = 0;
       spec.result_name = "r";
-      spec.scale = spec.kind == ArithKind::kDiv ? 100 : 1;
-      spec.rhs_is_column = false;
-      spec.rhs_literal = 3;
-      ExpectSame(ops::Arithmetic(rel, spec), rowmajor::ref::Arithmetic(ref_rel, spec),
-                 "Arithmetic(literal)");
-      spec.rhs_is_column = true;
-      spec.rhs_column = shape.cols - 1;
-      ExpectSame(ops::Arithmetic(rel, spec), rowmajor::ref::Arithmetic(ref_rel, spec),
-                 "Arithmetic(column)");
+      // Division runs scaled and unscaled (the latter divides INT64_MIN by -1 on
+      // the extreme relation).
+      for (int64_t scale : {int64_t{100}, int64_t{1}}) {
+        spec.scale = spec.kind == ArithKind::kDiv ? scale : 1;
+        spec.rhs_is_column = false;
+        spec.rhs_literal = 3;
+        ExpectSame(ops::Arithmetic(rel, spec), rowmajor::ref::Arithmetic(ref_rel, spec),
+                   "Arithmetic(literal)");
+        spec.rhs_is_column = true;
+        spec.rhs_column = rel.NumColumns() - 1;
+        ExpectSame(ops::Arithmetic(rel, spec), rowmajor::ref::Arithmetic(ref_rel, spec),
+                   "Arithmetic(column)");
+      }
     }
   }
 }
 
 TEST_P(LayoutEquivalenceTest, WindowPadStrip) {
   const uint64_t seed = GetParam();
-  for (const Shape& shape : kShapes) {
-    const Relation rel = RandomRelation(shape, seed + 8);
+  for (const Relation& rel : SweepRelations(seed + 8)) {
     const RowMajorRelation ref_rel = RowMajorRelation::FromColumnar(rel);
 
     WindowSpec spec;
     spec.partition_columns = {0};
-    spec.order_column = shape.cols - 1;
+    spec.order_column = rel.NumColumns() - 1;
     spec.output_name = "w";
     for (const WindowFn fn :
          {WindowFn::kRowNumber, WindowFn::kLag, WindowFn::kRunningSum}) {
       spec.fn = fn;
-      spec.value_column = shape.cols - 1;
+      spec.value_column = rel.NumColumns() - 1;
       ExpectSame(ops::Window(rel, spec), rowmajor::ref::Window(ref_rel, spec),
                  "Window");
     }

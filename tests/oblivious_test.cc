@@ -415,5 +415,16 @@ TEST_F(ObliviousFixture, ApplyPublicOrderReordersRows) {
   EXPECT_EQ(Column(out, 0), (std::vector<int64_t>{30, 10, 20}));
 }
 
+// ceil(log2(n + m)), floored at 1, for every n and m: planner estimates reach
+// 2^62 rows a side, where n + m no longer fits a signed 64-bit integer.
+TEST(ObliviousSelectRoundsTest, DefinedForEverySize) {
+  EXPECT_EQ(ObliviousSelectRounds(0, 0), 1u);
+  EXPECT_EQ(ObliviousSelectRounds(1, 1), 1u);
+  EXPECT_EQ(ObliviousSelectRounds(2, 1), 2u);
+  EXPECT_EQ(ObliviousSelectRounds(5, 3), 3u);
+  EXPECT_EQ(ObliviousSelectRounds(uint64_t{1} << 62, uint64_t{1} << 62), 63u);
+  EXPECT_EQ(ObliviousSelectRounds(UINT64_MAX, 1), 64u);
+}
+
 }  // namespace
 }  // namespace conclave

@@ -10,6 +10,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,152 @@ void ExpectEstimatesMatchMeters(BuildFn build,
     EXPECT_NEAR(estimated, measured, 1e-9 + 1e-9 * measured)
         << node.label << " #" << node.node_id << "\n"
         << compilation->cost_report.ToString();
+  }
+}
+
+// The shape a node exercises: its kind and hybrid protocol, marked "merge" for a
+// sorted-merge concat and "global" for an aggregate without group columns.
+std::string ShapeKey(const ir::OpNode& node) {
+  std::string key =
+      std::string(ir::OpKindName(node.kind)) + "/" + ir::HybridKindName(node.hybrid);
+  if (node.kind == ir::OpKind::kConcat &&
+      !node.Params<ir::ConcatParams>().merge_columns.empty()) {
+    key += "/merge";
+  }
+  if (node.kind == ir::OpKind::kAggregate &&
+      node.Params<ir::AggregateParams>().group_columns.empty()) {
+    key += "/global";
+  }
+  return key;
+}
+
+// Runs `build`'s query compiled with `options` (explain on) and asserts that every
+// explain node's estimate equals the dispatcher's meter for that node bit for bit.
+// Adds the shapes of the priced nodes to `shapes`.
+template <typename BuildFn>
+void ExpectEstimatesEqualMeters(BuildFn build,
+                                const std::map<std::string, Relation>& inputs,
+                                const CompilerOptions& options,
+                                std::set<std::string>& shapes) {
+  api::Query query;
+  build(query);
+  const auto compilation = query.Compile(options);
+  ASSERT_TRUE(compilation.ok()) << compilation.status().ToString();
+  ASSERT_TRUE(compilation->has_cost_report);
+  backends::Dispatcher dispatcher(CostModel{}, /*seed=*/13);
+  const auto result = dispatcher.Run(query.dag(), *compilation, inputs);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  std::map<int, const ir::OpNode*> by_id;
+  for (const ir::OpNode* node : query.dag().TopoOrder()) {
+    by_id[node->id] = node;
+  }
+  for (const NodeCost& node : compilation->cost_report.nodes) {
+    const BackendOpCost& estimate = options.mpc_backend == MpcBackendKind::kSharemind
+                                        ? node.sharemind
+                                        : node.oblivc;
+    EXPECT_TRUE(estimate.feasible) << node.label << ": " << estimate.infeasible_reason;
+    EXPECT_EQ(estimate.seconds, result->node_seconds.at(node.node_id))
+        << node.label << " #" << node.node_id << "\n"
+        << compilation->cost_report.ToString();
+    shapes.insert(ShapeKey(*by_id.at(node.node_id)));
+  }
+}
+
+// With exact cardinalities, every secret-sharing node kind — and every Obliv-C one
+// on the two-party plans — is priced at exactly its metered virtual seconds.
+TEST(PlanCostTest, EstimatesEqualMetersOnEverySecretSharingNodeKind) {
+  constexpr int64_t kRows = 40;
+  CompilerOptions exact = NoPassOptions(MpcBackendKind::kSharemind);
+  exact.planning_cardinality.filter_selectivity = 1.0;
+  exact.planning_cardinality.distinct_fraction = 1.0;
+  std::set<std::string> shapes;
+
+  // Two parties, every plain MPC operator. Keys are unique per input, so the join
+  // keeps every row and every aggregate or distinct output feeds only a collect.
+  const auto operators = [](api::Query& query) {
+    auto alice = query.AddParty("alice");
+    auto bob = query.AddParty("bob");
+    auto a = query.NewTable("a", {{"k"}, {"v"}}, alice, kRows);
+    auto b = query.NewTable("b", {{"k"}, {"w"}}, bob, kRows);
+    auto c = query.NewTable("c", {{"k"}, {"v"}}, bob, kRows);
+    auto joined = a.Join(b, {"k"}, {"k"})
+                      .Filter("k", CompareOp::kGe, 0)
+                      .Multiply("vw", "v", "w")
+                      .Divide("q", "vw", "w", 100);
+    joined.Window("rs", WindowFn::kRunningSum, {"k"}, "v", "v")
+        .SortBy({"q"}, /*ascending=*/false)
+        .Limit(10)
+        .WriteToCsv("top", {alice});
+    joined.Window("lag", WindowFn::kLag, {"q"}, "k", "w").Project({"k", "lag"})
+        .WriteToCsv("lag", {alice});
+    joined.Aggregate("total", AggKind::kSum, {"k"}, "v").WriteToCsv("total", {alice});
+    joined.Aggregate("low", AggKind::kMin, {}, "w").WriteToCsv("low", {alice});
+    query.Concat({a, c}).Distinct({"k"}).WriteToCsv("keys", {alice});
+  };
+  std::map<std::string, Relation> inputs;
+  inputs["a"] = SequentialKeys(kRows, {"k", "v"});
+  inputs["b"] = SequentialKeys(kRows, {"k", "w"});
+  inputs["c"] = SequentialKeys(kRows, {"k", "v"});
+  for (MpcBackendKind backend : {MpcBackendKind::kSharemind, MpcBackendKind::kOblivC}) {
+    CompilerOptions options = exact;
+    options.mpc_backend = backend;
+    ExpectEstimatesEqualMeters(operators, inputs, options, shapes);
+  }
+
+  // Sort push-up turns each concat-then-sort into per-party sorts and a sorted
+  // merge: 32 + 20 rows fit the merge network, 24 + 20 fall back to a sort.
+  const auto merges = [](api::Query& query) {
+    auto alice = query.AddParty("alice");
+    auto bob = query.AddParty("bob");
+    auto a = query.NewTable("a", {{"k"}, {"v"}}, alice, 32);
+    auto b = query.NewTable("b", {{"k"}, {"v"}}, bob, 20);
+    auto c = query.NewTable("c", {{"k"}, {"v"}}, alice, 24);
+    query.Concat({a, b}).SortBy({"k"}).WriteToCsv("merged", {alice});
+    query.Concat({c, b}).SortBy({"k"}).WriteToCsv("fallback", {alice});
+  };
+  inputs["a"] = SequentialKeys(32, {"k", "v"});
+  inputs["b"] = SequentialKeys(20, {"k", "v"});
+  inputs["c"] = SequentialKeys(24, {"k", "v"});
+  for (MpcBackendKind backend : {MpcBackendKind::kSharemind, MpcBackendKind::kOblivC}) {
+    CompilerOptions options = exact;
+    options.mpc_backend = backend;
+    options.sort_push_up = true;
+    ExpectEstimatesEqualMeters(merges, inputs, options, shapes);
+  }
+
+  // Three parties: keys trusted by party 2 make the join, the aggregate and the
+  // window hybrid with party 2 as the STP; public keys make the other join public.
+  const auto hybrids = [](api::Query& query) {
+    auto p0 = query.AddParty("p0");
+    auto p1 = query.AddParty("p1");
+    auto p2 = query.AddParty("p2");
+    auto a = query.NewTable("a", {{"k", {p2}}, {"v", {p2}}}, p0, kRows);
+    auto b = query.NewTable("b", {{"k", {p2}}, {"w"}}, p1, kRows);
+    auto joined = a.Join(b, {"k"}, {"k"});
+    joined.Aggregate("total", AggKind::kMean, {"k"}, "w").WriteToCsv("mean", {p0});
+    joined.Window("rn", WindowFn::kRowNumber, {"k"}, "v").WriteToCsv("rn", {p0});
+    auto x = query.NewTable("x", {query.PublicColumn("k"), {"v"}}, p0, kRows);
+    auto y = query.NewTable("y", {query.PublicColumn("k"), {"w"}}, p1, kRows);
+    x.Join(y, {"k"}, {"k"}).WriteToCsv("public", {p0});
+  };
+  inputs["a"] = SequentialKeys(kRows, {"k", "v"});
+  inputs["b"] = SequentialKeys(kRows, {"k", "w"});
+  inputs["x"] = SequentialKeys(kRows, {"k", "v"});
+  inputs["y"] = SequentialKeys(kRows, {"k", "w"});
+  CompilerOptions hybrid = exact;
+  hybrid.use_hybrid = true;
+  ExpectEstimatesEqualMeters(hybrids, inputs, hybrid, shapes);
+
+  const std::set<std::string> expected = {
+      "arithmetic/none",   "concat/none",         "concat/none/merge",
+      "distinct/none",     "filter/none",         "join/none",
+      "join/hybrid-join",  "join/public-join",    "aggregate/none",
+      "aggregate/none/global", "aggregate/hybrid-agg", "window/none",
+      "window/hybrid-window",  "sort_by/none",    "limit/none",
+      "project/none"};
+  for (const std::string& shape : expected) {
+    EXPECT_TRUE(shapes.count(shape) != 0) << "no plan priced a " << shape << " node";
   }
 }
 
@@ -672,6 +819,60 @@ TEST(PlanCostTest, AstronomicalMergeConcatStaysBounded) {
   const PlanCostReport report = EstimatePlanCost(dag, CostModel{}, 2);
   EXPECT_GT(report.sharemind_seconds, 0);
   EXPECT_FALSE(std::isnan(report.sharemind_seconds));
+}
+
+// The astronomical plans above keep their secret-sharing verdicts: every join,
+// aggregate, sort and concat node fails a working-set check (none passes by a
+// wrapped cell count), so the plan total is +infinity.
+TEST(PlanCostTest, AstronomicalPlansStayInfeasibleOnSecretSharing) {
+  const int64_t huge = int64_t{1} << 62;
+  const auto expect_infeasible = [](const PlanCostReport& report, const char* what) {
+    EXPECT_TRUE(std::isinf(report.sharemind_seconds)) << what;
+    for (const NodeCost& node : report.nodes) {
+      for (const char* kind : {"join", "aggregate", "sort_by", "concat"}) {
+        if (node.label.rfind(kind, 0) == 0) {
+          EXPECT_FALSE(node.sharemind.feasible) << what << ": " << node.label;
+          EXPECT_TRUE(std::isinf(node.sharemind.seconds)) << what << ": " << node.label;
+        }
+      }
+    }
+  };
+
+  ir::Dag dag;
+  ir::OpNode* a = *dag.AddCreate("a", Schema::Of({"k", "v"}), 0, huge);
+  ir::OpNode* b = *dag.AddCreate("b", Schema::Of({"k", "w"}), 1, huge);
+  ir::OpNode* join = *dag.AddJoin(a, b, {"k"}, {"k"});
+  ir::OpNode* pad = *dag.AddPad(join, ir::PadParams{});
+  ir::AggregateParams agg;
+  agg.group_columns = {"k"};
+  agg.kind = AggKind::kSum;
+  agg.agg_column = "v";
+  agg.output_name = "total";
+  ir::OpNode* grouped = *dag.AddAggregate(pad, agg);
+  *dag.AddCollect(*dag.AddSortBy(grouped, {"k"}, true), "out", PartySet::Of({0}));
+  PropagateOwnership(dag);
+  pad->exec_mode = ir::ExecMode::kMpc;
+  expect_infeasible(EstimatePlanCost(dag, CostModel{}, 2), "mpc join");
+  for (ir::HybridKind kind :
+       {ir::HybridKind::kHybridJoin, ir::HybridKind::kPublicJoin}) {
+    join->exec_mode = ir::ExecMode::kHybrid;
+    join->hybrid = kind;
+    join->stp = 0;
+    expect_infeasible(EstimatePlanCost(dag, CostModel{}, 3), ir::HybridKindName(kind));
+  }
+
+  ir::Dag merge_dag;
+  std::vector<ir::OpNode*> branches;
+  for (PartyId party : {0, 1, 1}) {
+    branches.push_back(
+        *merge_dag.AddCreate("t" + std::to_string(branches.size()),
+                             Schema::Of({"k", "v"}), party, huge));
+  }
+  ir::OpNode* concat = *merge_dag.AddConcat(branches);
+  concat->MutableParams<ir::ConcatParams>().merge_columns = {"k"};
+  *merge_dag.AddCollect(concat, "out", PartySet::Of({0}));
+  PropagateOwnership(merge_dag);
+  expect_infeasible(EstimatePlanCost(merge_dag, CostModel{}, 2), "merge concat");
 }
 
 TEST(PlanCostTest, SingleRowRelationsMatchMeters) {

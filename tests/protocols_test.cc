@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <tuple>
 
 #include "conclave/mpc/protocols.h"
+#include "test_util.h"
 
 namespace conclave {
 namespace {
@@ -328,8 +330,8 @@ TEST(MemoryModelTest, WorkingSetOverLimitIsResourceExhausted) {
   CostModel model;
   const uint64_t cells_at_limit =
       model.ss_memory_limit_bytes / model.ss_bytes_per_resident_cell;
-  EXPECT_TRUE(mpc::CheckWorkingSet(model, cells_at_limit).ok());
-  EXPECT_EQ(mpc::CheckWorkingSet(model, cells_at_limit + 1).code(),
+  EXPECT_TRUE(mpc::CheckWorkingSet(model, cells_at_limit, "test").ok());
+  EXPECT_EQ(mpc::CheckWorkingSet(model, cells_at_limit + 1, "test").code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -468,6 +470,298 @@ TEST_F(ProtocolsTest, WindowRespectsMemoryLimit) {
   const auto result =
       mpc::Window(engine, shared, partition, 1, WindowFn::kRunningSum, 2, "rs");
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+// --- Each protocol's charge composite reproduces its run exactly ---------------------
+
+// Row counts of the composite grid: empty, single-row, tiny and multi-morsel inputs.
+constexpr int64_t kCompositeRows[] = {0, 1, 2, 3, 17, 1000};
+
+// `rows` rows of `keys` key columns k0.. (few distinct values, so groups, partitions
+// and join matches repeat) followed by `values` value columns v0...
+Relation KeyedRelation(int64_t rows, int keys, int values, uint64_t seed) {
+  std::vector<ColumnDef> defs;
+  for (int k = 0; k < keys; ++k) {
+    defs.emplace_back("k" + std::to_string(k));
+  }
+  for (int v = 0; v < values; ++v) {
+    defs.emplace_back("v" + std::to_string(v));
+  }
+  Relation rel{Schema(std::move(defs))};
+  Rng rng(seed);
+  for (int64_t r = 0; r < rows; ++r) {
+    std::vector<int64_t> row;
+    for (int c = 0; c < rel.NumColumns(); ++c) {
+      row.push_back(rng.NextInRange(c < keys ? 0 : -500, c < keys ? 3 : 500));
+    }
+    rel.AppendRow(row);
+  }
+  return rel;
+}
+
+std::vector<int> FirstColumns(int count) {
+  std::vector<int> columns(static_cast<size_t>(count));
+  for (int c = 0; c < count; ++c) {
+    columns[static_cast<size_t>(c)] = c;
+  }
+  return columns;
+}
+
+// The default model, whose VM fits every grid shape, and one whose VM holds ten
+// cells, so every working-set check on a non-trivial input fails.
+std::vector<CostModel> CompositeModels() {
+  CostModel tiny;
+  tiny.ss_memory_limit_bytes = 10 * tiny.ss_bytes_per_resident_cell;
+  return {CostModel{}, tiny};
+}
+
+// Runs a protocol (`run`, on an engine over a fresh network) and its composite
+// (`price`, on another fresh network) and asserts the same status code and
+// bit-identical charges: clock, meter, counters and byte matrix.
+template <typename Run, typename Price>
+void ExpectCompositeMatches(const CostModel& model, Run run, Price price,
+                            const std::string& what) {
+  SimNetwork run_net(model);
+  SecretShareEngine engine(&run_net, 77);
+  const Status ran = run(engine);
+  SimNetwork priced_net(model);
+  const Status priced = price(priced_net);
+  ASSERT_EQ(ran.code(), priced.code())
+      << what << ": " << ran.ToString() << " vs " << priced.ToString();
+  test::ExpectSameCharges(run_net, priced_net, what);
+}
+
+TEST(ChargeCompositeTest, InputMatchesIngest) {
+  for (const CostModel& model : CompositeModels()) {
+    for (int64_t n : kCompositeRows) {
+      const Relation rel = KeyedRelation(n, 1, 2, 10);
+      ExpectCompositeMatches(
+          model,
+          [&](SecretShareEngine& e) { return mpc::InputRelation(e, rel).status(); },
+          [&](SimNetwork& net) { return mpc::ChargeInput(net, n, 3); },
+          "input n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(ChargeCompositeTest, FilterMatches) {
+  Rng rng(2);
+  for (const CostModel& model : CompositeModels()) {
+    for (int64_t n : kCompositeRows) {
+      const SharedRelation shared = ShareRelation(KeyedRelation(n, 1, 2, 20), rng);
+      for (CompareOp op : {CompareOp::kEq, CompareOp::kLt}) {
+        for (const FilterPredicate& predicate :
+             {FilterPredicate::ColumnVsLiteral(1, op, 0),
+              FilterPredicate::ColumnVsColumn(1, op, 2)}) {
+          ExpectCompositeMatches(
+              model,
+              [&](SecretShareEngine& e) {
+                return mpc::Filter(e, shared, predicate).status();
+              },
+              [&](SimNetwork& net) { return mpc::FilterCharges(net, n, 3, op); },
+              "filter n=" + std::to_string(n) + " op=" +
+                  std::to_string(static_cast<int>(op)) +
+                  (predicate.rhs_is_column ? " column" : " literal"));
+        }
+      }
+    }
+  }
+}
+
+TEST(ChargeCompositeTest, JoinMatches) {
+  Rng rng(3);
+  for (const CostModel& model : CompositeModels()) {
+    for (int64_t n : kCompositeRows) {
+      for (int keys = 1; keys <= 3; ++keys) {
+        const Relation left = KeyedRelation(n, keys, 1, 30);
+        const Relation right = KeyedRelation(n == 1000 ? 40 : n, keys, 2, 31);
+        const std::vector<int> key_columns = FirstColumns(keys);
+        const uint64_t out = static_cast<uint64_t>(
+            ops::Join(left, right, key_columns, key_columns).NumRows());
+        const SharedRelation l = ShareRelation(left, rng);
+        const SharedRelation r = ShareRelation(right, rng);
+        ExpectCompositeMatches(
+            model,
+            [&](SecretShareEngine& e) {
+              return mpc::Join(e, l, r, key_columns, key_columns).status();
+            },
+            [&](SimNetwork& net) {
+              return mpc::JoinCharges(net, n, right.NumRows(), keys + 1, keys + 2, keys,
+                                      out);
+            },
+            "join n=" + std::to_string(n) + " keys=" + std::to_string(keys));
+      }
+    }
+  }
+}
+
+TEST(ChargeCompositeTest, AggregateMatchesEveryKindGroupedAndGlobal) {
+  Rng rng(4);
+  for (const CostModel& model : CompositeModels()) {
+    for (int64_t n : kCompositeRows) {
+      for (int keys = 0; keys <= 3; ++keys) {
+        const SharedRelation shared = ShareRelation(KeyedRelation(n, keys, 2, 40), rng);
+        const std::vector<int> group = FirstColumns(keys);
+        for (AggKind kind : {AggKind::kSum, AggKind::kCount, AggKind::kMin,
+                             AggKind::kMax, AggKind::kMean}) {
+          for (bool sorted : {false, true}) {
+            ExpectCompositeMatches(
+                model,
+                [&](SecretShareEngine& e) {
+                  return mpc::Aggregate(e, shared, group, kind, keys, "out", sorted)
+                      .status();
+                },
+                [&](SimNetwork& net) {
+                  return mpc::AggregateCharges(net, n, keys + 2, keys, kind, sorted);
+                },
+                "aggregate n=" + std::to_string(n) + " keys=" + std::to_string(keys) +
+                    " kind=" + std::to_string(static_cast<int>(kind)) +
+                    " sorted=" + std::to_string(sorted));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ChargeCompositeTest, WindowMatchesEveryFunction) {
+  Rng rng(5);
+  for (const CostModel& model : CompositeModels()) {
+    for (int64_t n : kCompositeRows) {
+      for (int partitions = 0; partitions <= 2; ++partitions) {
+        // Partition columns, then the order and the value column.
+        const SharedRelation shared =
+            ShareRelation(KeyedRelation(n, partitions, 2, 50), rng);
+        const std::vector<int> partition = FirstColumns(partitions);
+        for (WindowFn fn :
+             {WindowFn::kRowNumber, WindowFn::kLag, WindowFn::kRunningSum}) {
+          for (bool sorted : {false, true}) {
+            ExpectCompositeMatches(
+                model,
+                [&](SecretShareEngine& e) {
+                  return mpc::Window(e, shared, partition, partitions, fn,
+                                     partitions + 1, "w", sorted)
+                      .status();
+                },
+                [&](SimNetwork& net) {
+                  return mpc::WindowCharges(net, n, partitions + 2, partitions, fn,
+                                            sorted);
+                },
+                "window n=" + std::to_string(n) +
+                    " partitions=" + std::to_string(partitions) +
+                    " fn=" + std::to_string(static_cast<int>(fn)) +
+                    " sorted=" + std::to_string(sorted));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ChargeCompositeTest, SortAndDistinctMatch) {
+  Rng rng(6);
+  for (const CostModel& model : CompositeModels()) {
+    for (int64_t n : kCompositeRows) {
+      for (int keys = 1; keys <= 3; ++keys) {
+        const SharedRelation shared = ShareRelation(KeyedRelation(n, keys, 1, 60), rng);
+        const std::vector<int> columns = FirstColumns(keys);
+        const std::string shape =
+            " n=" + std::to_string(n) + " keys=" + std::to_string(keys);
+        for (bool sorted : {false, true}) {
+          for (bool ascending : {true, false}) {
+            ExpectCompositeMatches(
+                model,
+                [&](SecretShareEngine& e) {
+                  return mpc::Sort(e, shared, columns, ascending, sorted).status();
+                },
+                [&](SimNetwork& net) {
+                  return mpc::SortCharges(net, n, keys + 1, keys, ascending, sorted);
+                },
+                "sort" + shape + " ascending=" + std::to_string(ascending) +
+                    " sorted=" + std::to_string(sorted));
+          }
+          ExpectCompositeMatches(
+              model,
+              [&](SecretShareEngine& e) {
+                return mpc::Distinct(e, shared, columns, sorted).status();
+              },
+              [&](SimNetwork& net) {
+                return mpc::DistinctCharges(net, n, keys + 1, keys, sorted);
+              },
+              "distinct" + shape + " sorted=" + std::to_string(sorted));
+        }
+      }
+    }
+  }
+}
+
+TEST(ChargeCompositeTest, ArithmeticMatchesEveryKind) {
+  Rng rng(7);
+  for (int64_t n : kCompositeRows) {
+    const SharedRelation shared = ShareRelation(KeyedRelation(n, 0, 2, 70), rng);
+    for (ArithKind kind :
+         {ArithKind::kAdd, ArithKind::kSub, ArithKind::kMul, ArithKind::kDiv}) {
+      for (bool column : {true, false}) {
+        ArithSpec spec;
+        spec.kind = kind;
+        spec.lhs_column = 0;
+        spec.rhs_is_column = column;
+        spec.rhs_column = 1;
+        spec.rhs_literal = 3;
+        spec.result_name = "out";
+        ExpectCompositeMatches(
+            CostModel{},
+            [&](SecretShareEngine& e) {
+              mpc::Arithmetic(e, shared, spec);
+              return Status::Ok();
+            },
+            [&](SimNetwork& net) {
+              mpc::ArithmeticCharges(net, n, kind, column);
+              return Status::Ok();
+            },
+            "arithmetic n=" + std::to_string(n) +
+                " kind=" + std::to_string(static_cast<int>(kind)) +
+                " column=" + std::to_string(column));
+      }
+    }
+  }
+}
+
+// Merges that fit the merge network (a power-of-two run and a shorter one) and
+// merges that fall back to a whole sort, folded over two and three branches.
+TEST(ChargeCompositeTest, MergeConcatMatchesMergesAndSortFallbacks) {
+  Rng rng(8);
+  const std::vector<std::vector<int64_t>> shapes = {
+      {4, 4}, {32, 20}, {40, 20}, {32, 20, 12}, {0, 5}, {16, 0, 16}};
+  for (const std::vector<int64_t>& branches : shapes) {
+    for (int keys = 1; keys <= 2; ++keys) {
+      std::vector<SharedRelation> shared;
+      std::vector<const SharedRelation*> inputs;
+      for (int64_t rows : branches) {
+        shared.push_back(ShareRelation(
+            ops::SortBy(KeyedRelation(rows, keys, 1, 80 + rows), FirstColumns(keys)),
+            rng));
+      }
+      for (const SharedRelation& branch : shared) {
+        inputs.push_back(&branch);
+      }
+      std::string shape;
+      for (int64_t rows : branches) {
+        shape += " " + std::to_string(rows);
+      }
+      ExpectCompositeMatches(
+          CostModel{},
+          [&](SecretShareEngine& e) {
+            mpc::MergeConcat(e, inputs, FirstColumns(keys));
+            return Status::Ok();
+          },
+          [&](SimNetwork& net) {
+            mpc::MergeConcatCharges(net, branches, keys + 1, keys);
+            return Status::Ok();
+          },
+          "merge concat" + shape + " keys=" + std::to_string(keys));
+    }
+  }
 }
 
 }  // namespace

@@ -68,6 +68,18 @@ class RowMajorRelation {
 
 namespace ref {
 
+// Two's complement arithmetic mod 2^64, the MPC ring's (signed overflow is
+// undefined in C++, so every sum and product goes through uint64_t).
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) + static_cast<uint64_t>(b));
+}
+inline int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) * static_cast<uint64_t>(b));
+}
+inline int64_t WrapNegate(int64_t a) {
+  return static_cast<int64_t>(~static_cast<uint64_t>(a) + 1);
+}
+
 inline std::vector<int64_t> ExtractKey(const RowMajorRelation& rel, int64_t row,
                                        std::span<const int> columns) {
   std::vector<int64_t> key;
@@ -188,7 +200,7 @@ inline RowMajorRelation Aggregate(const RowMajorRelation& input,
     acc.count += 1;
     if (kind != AggKind::kCount) {
       const int64_t v = input.At(r, agg_column);
-      acc.sum += v;
+      acc.sum = WrapAdd(acc.sum, v);
       acc.min = std::min(acc.min, v);
       acc.max = std::max(acc.max, v);
     }
@@ -299,17 +311,21 @@ inline RowMajorRelation Arithmetic(const RowMajorRelation& input,
     int64_t result = 0;
     switch (spec.kind) {
       case ArithKind::kAdd:
-        result = lhs + rhs;
+        result = WrapAdd(lhs, rhs);
         break;
       case ArithKind::kSub:
-        result = lhs - rhs;
+        result = WrapAdd(lhs, WrapNegate(rhs));
         break;
       case ArithKind::kMul:
-        result = lhs * rhs;
+        result = WrapMul(lhs, rhs);
         break;
-      case ArithKind::kDiv:
-        result = rhs == 0 ? 0 : (lhs * spec.scale) / rhs;
+      case ArithKind::kDiv: {
+        // Division by zero is 0; the scaled numerator wraps, and dividing it by
+        // -1 negates it in the ring (INT64_MIN / -1 == INT64_MIN).
+        const int64_t scaled = WrapMul(lhs, spec.scale);
+        result = rhs == 0 ? 0 : rhs == -1 ? WrapNegate(scaled) : scaled / rhs;
         break;
+      }
     }
     cells.push_back(result);
   }
@@ -348,7 +364,7 @@ inline RowMajorRelation Window(const RowMajorRelation& input,
         prev_value = sorted.At(r, spec.value_column);
         break;
       case WindowFn::kRunningSum:
-        running_sum += sorted.At(r, spec.value_column);
+        running_sum = WrapAdd(running_sum, sorted.At(r, spec.value_column));
         computed = running_sum;
         break;
     }

@@ -2,12 +2,37 @@
 #ifndef CONCLAVE_TESTS_TEST_UTIL_H_
 #define CONCLAVE_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <cstdlib>
 #include <optional>
 #include <string>
 
+#include "conclave/net/network.h"
+
 namespace conclave {
 namespace test {
+
+// Asserts that two networks were charged alike, bit for bit: clock, meter, every
+// counter and the per-party byte matrix. Drains both meters.
+inline void ExpectSameCharges(SimNetwork& run, SimNetwork& priced,
+                              const std::string& what) {
+  EXPECT_EQ(run.ElapsedSeconds(), priced.ElapsedSeconds()) << what;
+  EXPECT_EQ(run.TakeMeterSeconds(), priced.TakeMeterSeconds()) << what;
+  const CostCounters& a = run.counters();
+  const CostCounters& b = priced.counters();
+  EXPECT_EQ(a.network_bytes, b.network_bytes) << what;
+  EXPECT_EQ(a.network_rounds, b.network_rounds) << what;
+  EXPECT_EQ(a.mpc_multiplications, b.mpc_multiplications) << what;
+  EXPECT_EQ(a.mpc_comparisons, b.mpc_comparisons) << what;
+  EXPECT_EQ(a.gc_and_gates, b.gc_and_gates) << what;
+  for (PartyId from = 0; from < kMaxParties; ++from) {
+    for (PartyId to = 0; to < kMaxParties; ++to) {
+      EXPECT_EQ(run.BytesSent(from, to), priced.BytesSent(from, to))
+          << what << ": " << from << " -> " << to;
+    }
+  }
+}
 
 // RAII guard for process environment variables. Tests that set executor knobs
 // (CONCLAVE_THREADS, CONCLAVE_BATCH_ROWS, CONCLAVE_MEM_BUDGET, ...) must use this
