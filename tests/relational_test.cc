@@ -3,12 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "conclave/common/rng.h"
+#include "conclave/common/thread_pool.h"
 #include "conclave/relational/csv.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/relation.h"
+#include "row_major_reference.h"
 
 namespace conclave {
 namespace {
@@ -420,6 +427,205 @@ TEST_P(OpsPropertyTest, DistinctCountsUniqueKeys) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, OpsPropertyTest,
                          ::testing::Values(1, 2, 3, 7, 16, 50, 128, 500));
+
+// --- Join pair order -------------------------------------------------------------------
+
+// ops::JoinRowPairs' contract from an ordered map of key tuples, with no hashing:
+// left rows in scan order, each paired with its matching right rows ascending.
+void ReferenceJoinPairs(const Relation& left, const Relation& right,
+                        std::span<const int> left_keys,
+                        std::span<const int> right_keys,
+                        std::vector<int64_t>* left_rows,
+                        std::vector<int64_t>* right_rows) {
+  const auto key_of = [](const Relation& rel, std::span<const int> keys,
+                         int64_t row) {
+    std::vector<int64_t> key;
+    for (int c : keys) {
+      key.push_back(rel.At(row, c));
+    }
+    return key;
+  };
+  std::map<std::vector<int64_t>, std::vector<int64_t>> index;
+  for (int64_t r = 0; r < right.NumRows(); ++r) {
+    index[key_of(right, right_keys, r)].push_back(r);
+  }
+  for (int64_t l = 0; l < left.NumRows(); ++l) {
+    const auto it = index.find(key_of(left, left_keys, l));
+    if (it == index.end()) {
+      continue;
+    }
+    for (int64_t r : it->second) {
+      left_rows->push_back(l);
+      right_rows->push_back(r);
+    }
+  }
+}
+
+void ExpectSamePairs(const Relation& left, const Relation& right,
+                     std::span<const int> left_keys, std::span<const int> right_keys) {
+  std::vector<int64_t> left_rows;
+  std::vector<int64_t> right_rows;
+  ops::JoinRowPairs(left, right, left_keys, right_keys, &left_rows, &right_rows);
+  std::vector<int64_t> expected_left;
+  std::vector<int64_t> expected_right;
+  ReferenceJoinPairs(left, right, left_keys, right_keys, &expected_left,
+                     &expected_right);
+  ASSERT_EQ(left_rows.size(), expected_left.size());
+  EXPECT_TRUE(left_rows == expected_left);
+  EXPECT_TRUE(right_rows == expected_right);
+}
+
+enum class KeyShape { kDistinct, kAllEqual, kHotKey };
+
+// Key value `i` of a side's key pool: the INT64 extremes, -1 and 0 first, then
+// scattered 64-bit values (SplitMix's finalizer is a bijection, so they differ).
+int64_t PoolKey(int64_t i) {
+  constexpr int64_t kFirst[] = {std::numeric_limits<int64_t>::min(),
+                                std::numeric_limits<int64_t>::max(), -1, 0};
+  return i < 4 ? kFirst[i] : static_cast<int64_t>(SplitMixFinalize(static_cast<uint64_t>(i)));
+}
+
+// `rows` rows of one join side in shuffled order. Columns: a payload, then
+// `keys` key columns (the left side) or the key columns, then a payload (the
+// right side), so the two sides' key positions differ. Row j's pool index is j
+// on the right; on the left it is j for j < 4 and odd j, and rows + j (absent
+// from the right) for even j >= 4. Two key columns split index i into
+// (PoolKey(i / 2), PoolKey(i % 2)), so tuples that share a first cell differ in
+// the second. kAllEqual puts every row on index 2; kHotKey puts four rows in
+// five on index 0.
+Relation PairSide(bool left, int64_t rows, int keys, KeyShape shape, uint64_t seed) {
+  std::vector<std::string> names;
+  if (left) {
+    names.push_back("payload");
+  }
+  for (int k = 0; k < keys; ++k) {
+    names.push_back("k" + std::to_string(k));
+  }
+  if (!left) {
+    names.push_back("payload");
+  }
+  std::vector<ColumnDef> defs(names.begin(), names.end());
+  Relation rel{Schema(std::move(defs))};
+  const int first_key = left ? 1 : 0;
+  const int payload = left ? 0 : keys;
+  rel.Resize(rows);
+  std::vector<int64_t> order(static_cast<size_t>(rows));
+  std::iota(order.begin(), order.end(), 0);
+  Rng rng(seed);
+  std::shuffle(order.begin(), order.end(), rng);
+  for (int64_t j = 0; j < rows; ++j) {
+    int64_t index = (!left || j < 4 || j % 2 == 1) ? j : rows + j;
+    if (shape == KeyShape::kAllEqual) {
+      index = 2;
+    } else if (shape == KeyShape::kHotKey && j % 5 != 0) {
+      index = 0;
+    }
+    const int64_t row = order[static_cast<size_t>(j)];
+    rel.Set(row, payload, j);
+    if (keys == 1) {
+      rel.Set(row, first_key, PoolKey(index));
+    } else {
+      rel.Set(row, first_key, PoolKey(index / 2));
+      rel.Set(row, first_key + 1, PoolKey(index % 2));
+    }
+  }
+  return rel;
+}
+
+TEST(JoinPairOrderTest, MatchesOrderedMapReference) {
+  struct Case {
+    KeyShape shape;
+    int64_t left_rows;
+    int64_t right_rows;
+  };
+  // 40,000 build rows grow any table well past its first capacity. The
+  // all-equal and hot-key shapes pair a 40,000-row side with a 17-row side:
+  // at 40,000 rows on both they would emit ~10^9 pairs.
+  const Case cases[] = {
+      {KeyShape::kDistinct, 0, 0},      {KeyShape::kDistinct, 1, 1},
+      {KeyShape::kDistinct, 17, 17},    {KeyShape::kDistinct, 40000, 40000},
+      {KeyShape::kDistinct, 0, 17},     {KeyShape::kDistinct, 17, 0},
+      {KeyShape::kAllEqual, 0, 0},      {KeyShape::kAllEqual, 1, 1},
+      {KeyShape::kAllEqual, 17, 17},    {KeyShape::kAllEqual, 17, 40000},
+      {KeyShape::kAllEqual, 40000, 17}, {KeyShape::kHotKey, 0, 0},
+      {KeyShape::kHotKey, 1, 1},        {KeyShape::kHotKey, 17, 17},
+      {KeyShape::kHotKey, 17, 40000},   {KeyShape::kHotKey, 40000, 17},
+  };
+  for (int keys = 1; keys <= 2; ++keys) {
+    const std::vector<int> left_keys = keys == 1 ? std::vector<int>{1}
+                                                 : std::vector<int>{1, 2};
+    const std::vector<int> right_keys = keys == 1 ? std::vector<int>{0}
+                                                  : std::vector<int>{0, 1};
+    for (const Case& c : cases) {
+      SCOPED_TRACE(::testing::Message()
+                   << "keys=" << keys << " shape=" << static_cast<int>(c.shape)
+                   << " left=" << c.left_rows << " right=" << c.right_rows);
+      const Relation left = PairSide(true, c.left_rows, keys, c.shape, 11);
+      const Relation right = PairSide(false, c.right_rows, keys, c.shape, 12);
+      ExpectSamePairs(left, right, left_keys, right_keys);
+    }
+  }
+}
+
+TEST(JoinPairOrderTest, KeyTuplesDoNotCommute) {
+  // (1, 2) on the left must not pair with (2, 1) on the right.
+  Relation left = MakeRelation({"a", "b"}, {{1, 2}, {2, 1}, {1, 2}, {2, 2}});
+  Relation right = MakeRelation({"a", "b"}, {{2, 1}, {2, 2}, {2, 1}});
+  const int keys[] = {0, 1};
+  ExpectSamePairs(left, right, keys, keys);
+  std::vector<int64_t> left_rows;
+  std::vector<int64_t> right_rows;
+  ops::JoinRowPairs(left, right, keys, keys, &left_rows, &right_rows);
+  EXPECT_EQ(left_rows, (std::vector<int64_t>{1, 1, 3}));
+  EXPECT_EQ(right_rows, (std::vector<int64_t>{0, 2, 1}));
+  std::vector<int64_t> none_left;
+  std::vector<int64_t> none_right;
+  const Relation only_12 = MakeRelation({"a", "b"}, {{1, 2}});
+  const Relation only_21 = MakeRelation({"a", "b"}, {{2, 1}});
+  ops::JoinRowPairs(only_12, only_21, keys, keys, &none_left, &none_right);
+  EXPECT_TRUE(none_left.empty());
+  EXPECT_TRUE(none_right.empty());
+}
+
+// --- Multi-morsel aggregation ----------------------------------------------------------
+
+// Three full morsels plus a partial one, so GroupAggregator accumulates into
+// per-morsel maps and merges them.
+TEST(AggregateMorselTest, MatchesRowMajorReferenceAcrossMorsels) {
+  const int64_t rows = 3 * kDefaultGrainRows + 257;
+  Relation rel{Schema::Of({"g1", "g2", "v"})};
+  rel.Resize(rows);
+  Rng rng(23);
+  constexpr int64_t kExtremes[] = {std::numeric_limits<int64_t>::min(),
+                                   std::numeric_limits<int64_t>::max(), -1, 0};
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t group = rng.NextInRange(0, 999);
+    rel.Set(r, 0, group / 40);
+    rel.Set(r, 1, group % 40 - 20);
+    rel.Set(r, 2, r % 97 == 0 ? kExtremes[(r / 97) % 4] : rng.NextInRange(-1000, 1000));
+  }
+  const rowmajor::RowMajorRelation reference_input =
+      rowmajor::RowMajorRelation::FromColumnar(rel);
+  const std::vector<std::vector<int>> group_sets = {{}, {0}, {0, 1}};
+  const AggKind kinds[] = {AggKind::kSum, AggKind::kCount, AggKind::kMin,
+                           AggKind::kMax, AggKind::kMean};
+  for (const int pool_size : {1, 4}) {
+    ThreadPool pool(pool_size);
+    ThreadPool::Scope scope(&pool);
+    for (const auto& group : group_sets) {
+      for (AggKind kind : kinds) {
+        SCOPED_TRACE(::testing::Message()
+                     << "pool=" << pool_size << " group_columns=" << group.size()
+                     << " kind=" << AggKindName(kind));
+        const Relation out = ops::Aggregate(rel, group, kind, 2, "agg");
+        const Relation expected =
+            rowmajor::ref::Aggregate(reference_input, group, kind, 2, "agg")
+                .ToColumnar();
+        EXPECT_TRUE(out.RowsEqual(expected));
+      }
+    }
+  }
+}
 
 TEST(WindowTest, RowNumberRestartsPerPartition) {
   Relation rel = MakeRelation({"pid", "t"},
