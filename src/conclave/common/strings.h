@@ -44,9 +44,9 @@ std::string StrJoin(const Container& parts, const std::string& separator) {
   return result;
 }
 
-// "1.5 GB", "23.4 MB", "512 B".
+// "1.5 GB", "23.4 MB", "512 B"; up to "16.0 EB" (UINT64_MAX).
 inline std::string HumanBytes(uint64_t bytes) {
-  constexpr const char* kUnits[] = {"B", "KB", "MB", "GB", "TB"};
+  constexpr const char* kUnits[] = {"B", "KB", "MB", "GB", "TB", "PB", "EB"};
   double value = static_cast<double>(bytes);
   size_t unit = 0;
   while (value >= 1024.0 && unit + 1 < sizeof(kUnits) / sizeof(kUnits[0])) {

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "conclave/common/cpu.h"
 #include "conclave/common/strings.h"
 #include "conclave/common/thread_pool.h"
 #include "conclave/relational/aggregate.h"
+#include "conclave/relational/hash_index.h"
 
 namespace conclave {
 
@@ -107,7 +107,7 @@ namespace ops {
 namespace {
 
 // Base pointers of the given columns; hoists the per-access column lookup out of
-// row loops (comparators, key extraction).
+// row loops (comparators, join probes).
 std::vector<const int64_t*> ColumnPtrs(const Relation& rel,
                                        std::span<const int> columns) {
   std::vector<const int64_t*> ptrs;
@@ -116,16 +116,6 @@ std::vector<const int64_t*> ColumnPtrs(const Relation& rel,
     ptrs.push_back(rel.ColumnSpan(c).data());
   }
   return ptrs;
-}
-
-std::vector<int64_t> ExtractKey(std::span<const int64_t* const> columns,
-                                int64_t row) {
-  std::vector<int64_t> key;
-  key.reserve(columns.size());
-  for (const int64_t* column : columns) {
-    key.push_back(column[row]);
-  }
-  return key;
 }
 
 // Lexicographic three-way compare of two rows restricted to the given columns.
@@ -262,78 +252,24 @@ Schema JoinOutputSchema(const Schema& left, const Schema& right,
   return Schema(std::move(defs));
 }
 
-namespace {
-
-// Probe result: matching (left row, right row) pairs in left-scan order with the
-// build side's insertion order (ascending right row) inside each match set — the
-// same output order as the historical row-at-a-time join.
-struct JoinPairs {
-  std::vector<int64_t> left_rows;
-  std::vector<int64_t> right_rows;
-};
-
-// Single-column equi-key fast path: int64 keys hash directly, no per-row key
-// vector allocations on either side.
-JoinPairs JoinPairsSingleKey(const Relation& left, const Relation& right,
-                             int left_key, int right_key) {
-  JoinPairs pairs;
-  std::unordered_map<int64_t, std::vector<int64_t>> index;
-  index.reserve(static_cast<size_t>(right.NumRows()));
-  const int64_t* const rk =
-      right.NumRows() == 0 ? nullptr : right.ColumnSpan(right_key).data();
-  for (int64_t r = 0; r < right.NumRows(); ++r) {
-    index[rk[r]].push_back(r);
-  }
-  const int64_t* const lk =
-      left.NumRows() == 0 ? nullptr : left.ColumnSpan(left_key).data();
-  for (int64_t lr = 0; lr < left.NumRows(); ++lr) {
-    const auto it = index.find(lk[lr]);
-    if (it == index.end()) {
-      continue;
-    }
-    for (int64_t rr : it->second) {
-      pairs.left_rows.push_back(lr);
-      pairs.right_rows.push_back(rr);
-    }
-  }
-  return pairs;
-}
-
-JoinPairs JoinPairsMultiKey(const Relation& left, const Relation& right,
-                            std::span<const int> left_keys,
-                            std::span<const int> right_keys) {
-  JoinPairs pairs;
-  std::unordered_map<std::vector<int64_t>, std::vector<int64_t>, GroupKeyHash> index;
-  index.reserve(static_cast<size_t>(right.NumRows()));
-  const auto right_cols = ColumnPtrs(right, right_keys);
-  for (int64_t r = 0; r < right.NumRows(); ++r) {
-    index[ExtractKey(right_cols, r)].push_back(r);
-  }
-  const auto left_cols = ColumnPtrs(left, left_keys);
-  for (int64_t lr = 0; lr < left.NumRows(); ++lr) {
-    const auto it = index.find(ExtractKey(left_cols, lr));
-    if (it == index.end()) {
-      continue;
-    }
-    for (int64_t rr : it->second) {
-      pairs.left_rows.push_back(lr);
-      pairs.right_rows.push_back(rr);
-    }
-  }
-  return pairs;
-}
-
-}  // namespace
-
 void JoinRowPairs(const Relation& left, const Relation& right,
                   std::span<const int> left_keys, std::span<const int> right_keys,
                   std::vector<int64_t>* left_rows, std::vector<int64_t>* right_rows) {
-  JoinPairs pairs =
-      left_keys.size() == 1
-          ? JoinPairsSingleKey(left, right, left_keys[0], right_keys[0])
-          : JoinPairsMultiKey(left, right, left_keys, right_keys);
-  *left_rows = std::move(pairs.left_rows);
-  *right_rows = std::move(pairs.right_rows);
+  CONCLAVE_CHECK_EQ(left_keys.size(), right_keys.size());
+  left_rows->clear();
+  right_rows->clear();
+  const HashIndex index(right, right_keys);
+  const auto probe = ColumnPtrs(left, left_keys);
+  for (int64_t lr = 0; lr < left.NumRows(); ++lr) {
+    const int64_t group = index.Find(probe, lr);
+    if (group < 0) {
+      continue;
+    }
+    for (int64_t rr : index.Rows(group)) {
+      left_rows->push_back(lr);
+      right_rows->push_back(rr);
+    }
+  }
 }
 
 Relation GatherJoinRows(const Relation& left, const Relation& right,

@@ -1,7 +1,6 @@
 #include "conclave/smcql/smcql.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "conclave/mpc/garbled/gc_engine.h"
 #include "conclave/mpc/protocols.h"
 #include "conclave/net/network.h"
+#include "conclave/relational/hash_index.h"
 
 namespace conclave {
 namespace smcql {
@@ -68,25 +68,19 @@ Relation SingleCount(const std::string& column, int64_t value) {
 }
 
 // Index of row numbers by key value, so per-slice extraction is O(slice) not O(n).
-std::unordered_map<int64_t, std::vector<int64_t>> RowsByKey(const Relation& relation,
-                                                            int key_col) {
-  std::unordered_map<int64_t, std::vector<int64_t>> index;
-  index.reserve(static_cast<size_t>(relation.NumRows()));
-  const auto keys = relation.ColumnSpan(key_col);
-  for (int64_t r = 0; r < relation.NumRows(); ++r) {
-    index[keys[static_cast<size_t>(r)]].push_back(r);
-  }
-  return index;
+HashIndex RowsByKey(const Relation& relation, int key_col) {
+  const int key_columns[] = {key_col};
+  return HashIndex(relation, key_columns);
 }
 
-Relation GatherRows(const Relation& relation,
-                    const std::unordered_map<int64_t, std::vector<int64_t>>& index,
-                    int64_t key) {
-  const auto it = index.find(key);
-  if (it == index.end()) {
+// The rows of `relation` whose indexed key is `key`, ascending.
+Relation GatherRows(const Relation& relation, const HashIndex& index, int64_t key) {
+  const int64_t* const probe[] = {&key};
+  const int64_t group = index.Find(probe, 0);
+  if (group < 0) {
     return Relation{relation.schema()};
   }
-  return ops::GatherRows(relation, it->second);
+  return ops::GatherRows(relation, index.Rows(group));
 }
 
 }  // namespace

@@ -276,6 +276,8 @@ TEST(StringsTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512 B");
   EXPECT_EQ(HumanBytes(2048), "2.0 KB");
   EXPECT_EQ(HumanBytes(4ULL << 30), "4.0 GB");
+  EXPECT_EQ(HumanBytes(1ULL << 50), "1.0 PB");
+  EXPECT_EQ(HumanBytes(UINT64_MAX), "16.0 EB");
 }
 
 TEST(StringsTest, HumanSeconds) {

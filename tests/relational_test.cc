@@ -13,6 +13,7 @@
 #include "conclave/common/rng.h"
 #include "conclave/common/thread_pool.h"
 #include "conclave/relational/csv.h"
+#include "conclave/relational/hash_index.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/relation.h"
 #include "row_major_reference.h"
@@ -428,7 +429,38 @@ TEST_P(OpsPropertyTest, DistinctCountsUniqueKeys) {
 INSTANTIATE_TEST_SUITE_P(Sizes, OpsPropertyTest,
                          ::testing::Values(1, 2, 3, 7, 16, 50, 128, 500));
 
-// --- Join pair order -------------------------------------------------------------------
+// --- Hash index and join pair order ----------------------------------------------------
+
+TEST(HashIndexTest, GroupsInFirstSeenOrderWithRowsAscending) {
+  Relation rel = MakeRelation({"a", "b"},
+                              {{5, 1}, {3, 1}, {5, 1}, {5, 2}, {3, 1}, {5, 1}});
+  const int keys[] = {0, 1};
+  const HashIndex index(rel, keys);
+  const int64_t probe_a[] = {5, 3, 5, 1, 2};
+  const int64_t probe_b[] = {1, 1, 2, 5, 3};
+  const int64_t* const probe[] = {probe_a, probe_b};
+  EXPECT_EQ(index.Find(probe, 0), 0);
+  EXPECT_EQ(index.Find(probe, 1), 1);
+  EXPECT_EQ(index.Find(probe, 2), 2);
+  EXPECT_EQ(index.Find(probe, 3), -1);  // (1, 5): the cells of (5, 1) swapped.
+  EXPECT_EQ(index.Find(probe, 4), -1);
+  const auto rows = [&](int64_t group) {
+    const auto span = index.Rows(group);
+    return std::vector<int64_t>(span.begin(), span.end());
+  };
+  EXPECT_EQ(rows(0), (std::vector<int64_t>{0, 2, 5}));
+  EXPECT_EQ(rows(1), (std::vector<int64_t>{1, 4}));
+  EXPECT_EQ(rows(2), (std::vector<int64_t>{3}));
+}
+
+TEST(HashIndexTest, EmptyBuildFindsNothing) {
+  const Relation empty{Schema::Of({"a"})};
+  const int keys[] = {0};
+  const HashIndex index(empty, keys);
+  const int64_t cell = 0;
+  const int64_t* const probe[] = {&cell};
+  EXPECT_EQ(index.Find(probe, 0), -1);
+}
 
 // ops::JoinRowPairs' contract from an ordered map of key tuples, with no hashing:
 // left rows in scan order, each paired with its matching right rows ascending.
