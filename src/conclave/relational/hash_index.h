@@ -9,8 +9,8 @@
 // HashChainStep chain GroupKeyHash uses) and its group id. A counting pass then
 // lays every group's rows out contiguously (CSR: offsets per group, one row
 // array), ascending. Key equality compares the build relation's cells at the
-// group's first row, so the index copies no key tuple and allocates nothing per
-// row beyond the row array.
+// group's first row, so the index copies no key tuple and makes no allocation
+// per row.
 //
 // The index borrows the build relation's key columns: the relation must outlive
 // the index and stay unchanged while it is probed.
