@@ -3,7 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <string>
+#include <functional>
 
 #include "conclave/common/env.h"
 #include "conclave/common/rng.h"
@@ -58,737 +58,211 @@ void SetSimdEnabled(bool enabled) {
 
 const char* SimdLevelName() { return UsingAvx2() ? "avx2" : "scalar"; }
 
-// --- Scalar reference kernels -----------------------------------------------
+// --- One loop per kernel, compiled twice ------------------------------------
 //
-// All int64 arithmetic goes through uint64 so overflow wraps by definition
-// (identical bits to two's-complement hardware, UBSan-clean); these loops are
-// the semantics — the AVX2 variants must reproduce them bit for bit.
+// Each kernel is written once, as the portable loop inside its public function
+// below, and handed to Dispatch as a lambda. Dispatch runs the lambda either as
+// compiled for the build's baseline ISA or through Avx2Clone, a
+// target("avx2") function whose `flatten` attribute inlines the whole loop into
+// it, so the compiler vectorizes the same source with 256-bit lanes
+// (CMakeLists.txt gives this file -fvect-cost-model=dynamic so that -O2
+// vectorizes as -O3 does). All int64 arithmetic goes through uint64, so
+// overflow wraps by definition (UBSan-clean, the two's-complement bits of the
+// ring) and a vectorized loop cannot compute other bits than the scalar one;
+// reductions are wrap sums, min/max and OR, whose lane order cannot change the
+// result either.
 
 namespace {
-
-inline bool CmpScalar(Cmp op, int64_t a, int64_t b) {
-  switch (op) {
-    case Cmp::kEq:
-      return a == b;
-    case Cmp::kNe:
-      return a != b;
-    case Cmp::kLt:
-      return a < b;
-    case Cmp::kLe:
-      return a <= b;
-    case Cmp::kGt:
-      return a > b;
-    case Cmp::kGe:
-      return a >= b;
-  }
-  return false;
-}
-
-inline uint8_t ApplyMode(MaskMode mode, uint8_t current, uint8_t bit) {
-  switch (mode) {
-    case MaskMode::kSet:
-      return bit;
-    case MaskMode::kAnd:
-      return current & bit;
-    case MaskMode::kOr:
-      return current | bit;
-  }
-  return bit;
-}
-
-size_t SelectCompareScalar(Cmp op, const int64_t* lhs, const int64_t* rhs,
-                           int64_t literal, int64_t base, size_t lo, size_t n,
-                           int64_t* out, size_t count) {
-  if (rhs != nullptr) {
-    for (size_t i = lo; i < n; ++i) {
-      if (CmpScalar(op, lhs[i], rhs[i])) {
-        out[count++] = base + static_cast<int64_t>(i);
-      }
-    }
-  } else {
-    for (size_t i = lo; i < n; ++i) {
-      if (CmpScalar(op, lhs[i], literal)) {
-        out[count++] = base + static_cast<int64_t>(i);
-      }
-    }
-  }
-  return count;
-}
-
-void CompareMaskScalar(Cmp op, const int64_t* lhs, const int64_t* rhs,
-                       int64_t literal, size_t lo, size_t n, MaskMode mode,
-                       uint8_t* mask) {
-  for (size_t i = lo; i < n; ++i) {
-    const uint8_t bit =
-        CmpScalar(op, lhs[i], rhs != nullptr ? rhs[i] : literal) ? 1 : 0;
-    mask[i] = ApplyMode(mode, mask[i], bit);
-  }
-}
-
-// The engine's truncating-division rule, shared verbatim by both dispatch
-// levels (x86 has no SIMD 64-bit divide): divisor 0 -> 0; the lhs * scale
-// product wraps; divisor -1 is wrap-negation so INT64_MIN / -1 is defined
-// (and equal to what non-trapping hardware division would produce elsewhere).
-void DivColumnScalar(const int64_t* lhs, const int64_t* rhs, int64_t literal,
-                     int64_t scale, size_t n, int64_t* out) {
-  const uint64_t uscale = static_cast<uint64_t>(scale);
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t d = rhs != nullptr ? rhs[i] : literal;
-    if (d == 0) {
-      out[i] = 0;
-      continue;
-    }
-    const uint64_t prod = static_cast<uint64_t>(lhs[i]) * uscale;
-    out[i] = d == -1 ? static_cast<int64_t>(uint64_t{0} - prod)
-                     : static_cast<int64_t>(prod) / d;
-  }
-}
-
-void ArithColumnScalar(Arith op, const int64_t* lhs, const int64_t* rhs,
-                       int64_t literal, int64_t scale, size_t lo, size_t n,
-                       int64_t* out) {
-  const uint64_t ulit = static_cast<uint64_t>(literal);
-  switch (op) {
-    case Arith::kAdd:
-      if (rhs != nullptr) {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) +
-                                        static_cast<uint64_t>(rhs[i]));
-        }
-      } else {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) + ulit);
-        }
-      }
-      break;
-    case Arith::kSub:
-      if (rhs != nullptr) {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) -
-                                        static_cast<uint64_t>(rhs[i]));
-        }
-      } else {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) - ulit);
-        }
-      }
-      break;
-    case Arith::kMul:
-      if (rhs != nullptr) {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) *
-                                        static_cast<uint64_t>(rhs[i]));
-        }
-      } else {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) * ulit);
-        }
-      }
-      break;
-    case Arith::kDiv:
-      DivColumnScalar(lhs + lo, rhs != nullptr ? rhs + lo : nullptr, literal,
-                      scale, n - lo, out + lo);
-      break;
-  }
-}
-
-}  // namespace
-
-// --- AVX2 kernels -----------------------------------------------------------
 
 #if defined(CONCLAVE_X86)
-
-namespace {
-
-// 4-bit lane mask of 64-bit lanes satisfying `op`. kNe/kLe/kGe are the
-// complements of kEq/kGt/kLt at the mask level, so cmpeq + cmpgt derive all
-// six operators.
-__attribute__((target("avx2"))) inline int CmpMaskBits(Cmp op, __m256i a,
-                                                       __m256i b) {
-  switch (op) {
-    case Cmp::kEq:
-      return _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(a, b)));
-    case Cmp::kNe:
-      return _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(a, b))) ^
-             0xF;
-    case Cmp::kLt:
-      return _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(b, a)));
-    case Cmp::kLe:
-      return _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(a, b))) ^
-             0xF;
-    case Cmp::kGt:
-      return _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(a, b)));
-    case Cmp::kGe:
-      return _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(b, a))) ^
-             0xF;
-  }
-  return 0;
+template <typename Loop>
+__attribute__((target("avx2"), flatten, noinline)) auto Avx2Clone(Loop loop) {
+  return loop();
 }
+#endif
 
-// Low 64 bits of the lane-wise product via 32-bit decomposition:
-// lo(a)*lo(b) + ((lo(a)*hi(b) + hi(a)*lo(b)) << 32).
-__attribute__((target("avx2"))) inline __m256i MulLo64(__m256i a, __m256i b) {
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(a, b_hi), _mm256_mul_epu32(a_hi, b));
-  return _mm256_add_epi64(_mm256_mul_epu32(a, b),
-                          _mm256_slli_epi64(cross, 32));
-}
-
-__attribute__((target("avx2"))) size_t SelectCompareAvx2(
-    Cmp op, const int64_t* lhs, const int64_t* rhs, int64_t literal,
-    int64_t base, size_t n, int64_t* out) {
-  size_t count = 0;
-  size_t i = 0;
-  if (rhs != nullptr) {
-    for (; i + 4 <= n; i += 4) {
-      const __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lhs + i));
-      const __m256i b =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rhs + i));
-      int m = CmpMaskBits(op, a, b);
-      while (m != 0) {
-        const int k = __builtin_ctz(static_cast<unsigned>(m));
-        out[count++] = base + static_cast<int64_t>(i) + k;
-        m &= m - 1;
-      }
-    }
-  } else {
-    const __m256i b = _mm256_set1_epi64x(literal);
-    for (; i + 4 <= n; i += 4) {
-      const __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lhs + i));
-      int m = CmpMaskBits(op, a, b);
-      while (m != 0) {
-        const int k = __builtin_ctz(static_cast<unsigned>(m));
-        out[count++] = base + static_cast<int64_t>(i) + k;
-        m &= m - 1;
-      }
-    }
-  }
-  return SelectCompareScalar(op, lhs, rhs, literal, base, i, n, out, count);
-}
-
-// 4-bit lane mask -> four 0/1 bytes, as one 32-bit store.
-alignas(64) constexpr uint32_t kNibbleBytes[16] = {
-    0x00000000u, 0x00000001u, 0x00000100u, 0x00000101u, 0x00010000u,
-    0x00010001u, 0x00010100u, 0x00010101u, 0x01000000u, 0x01000001u,
-    0x01000100u, 0x01000101u, 0x01010000u, 0x01010001u, 0x01010100u,
-    0x01010101u};
-
-__attribute__((target("avx2"))) void CompareMaskAvx2(Cmp op, const int64_t* lhs,
-                                                     const int64_t* rhs,
-                                                     int64_t literal, size_t n,
-                                                     MaskMode mode,
-                                                     uint8_t* mask) {
-  const __m256i lit = _mm256_set1_epi64x(literal);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lhs + i));
-    const __m256i b =
-        rhs != nullptr
-            ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rhs + i))
-            : lit;
-    const uint32_t bytes = kNibbleBytes[CmpMaskBits(op, a, b)];
-    uint32_t current;
-    switch (mode) {
-      case MaskMode::kSet:
-        std::memcpy(mask + i, &bytes, 4);
-        break;
-      case MaskMode::kAnd:
-        std::memcpy(&current, mask + i, 4);
-        current &= bytes;
-        std::memcpy(mask + i, &current, 4);
-        break;
-      case MaskMode::kOr:
-        std::memcpy(&current, mask + i, 4);
-        current |= bytes;
-        std::memcpy(mask + i, &current, 4);
-        break;
-    }
-  }
-  CompareMaskScalar(op, lhs, rhs, literal, i, n, mode, mask);
-}
-
-__attribute__((target("avx2"))) size_t CountMaskAvx2(const uint8_t* mask,
-                                                     size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  const __m256i zero = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(v, zero));
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  size_t count = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) {
-    count += mask[i];
-  }
-  return count;
-}
-
-__attribute__((target("avx2"))) size_t MaskToIndicesAvx2(const uint8_t* mask,
-                                                         size_t n, int64_t base,
-                                                         int64_t* out) {
-  size_t count = 0;
-  size_t i = 0;
-  const __m256i zero = _mm256_setzero_si256();
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    uint32_t m = static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpgt_epi8(v, zero)));
-    while (m != 0) {
-      const int k = __builtin_ctz(m);
-      out[count++] = base + static_cast<int64_t>(i) + k;
-      m &= m - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    if (mask[i] != 0) {
-      out[count++] = base + static_cast<int64_t>(i);
-    }
-  }
-  return count;
-}
-
-__attribute__((target("avx2"))) void ArithColumnAvx2(
-    Arith op, const int64_t* lhs, const int64_t* rhs, int64_t literal,
-    int64_t scale, size_t n, int64_t* out) {
-  if (op == Arith::kDiv) {
-    DivColumnScalar(lhs, rhs, literal, scale, n, out);
-    return;
-  }
-  const __m256i lit = _mm256_set1_epi64x(literal);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lhs + i));
-    const __m256i b =
-        rhs != nullptr
-            ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rhs + i))
-            : lit;
-    __m256i r;
-    switch (op) {
-      case Arith::kAdd:
-        r = _mm256_add_epi64(a, b);
-        break;
-      case Arith::kSub:
-        r = _mm256_sub_epi64(a, b);
-        break;
-      default:
-        r = MulLo64(a, b);
-        break;
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), r);
-  }
-  ArithColumnScalar(op, lhs, rhs, literal, scale, i, n, out);
-}
-
-__attribute__((target("avx2"))) bool AllEqualAvx2(const int64_t* v, size_t n) {
-  const __m256i first = _mm256_set1_epi64x(v[0]);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    if (_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(a, first))) != 0xF) {
-      return false;
-    }
-  }
-  for (; i < n; ++i) {
-    if (v[i] != v[0]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-__attribute__((target("avx2"))) uint64_t SumU64Avx2(const uint64_t* v,
-                                                    size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_epi64(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i)));
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  // Wrap addition is associative and commutative mod 2^64, so the lane fold
-  // order cannot change the bits.
-  uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) {
-    sum += v[i];
-  }
-  return sum;
-}
-
-__attribute__((target("avx2"))) int64_t MinOfAvx2(const int64_t* v, size_t n) {
-  __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
-  size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    acc = _mm256_blendv_epi8(acc, a, _mm256_cmpgt_epi64(acc, a));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t best = lanes[0];
-  for (int k = 1; k < 4; ++k) {
-    best = lanes[k] < best ? lanes[k] : best;
-  }
-  for (; i < n; ++i) {
-    best = v[i] < best ? v[i] : best;
-  }
-  return best;
-}
-
-__attribute__((target("avx2"))) int64_t MaxOfAvx2(const int64_t* v, size_t n) {
-  __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
-  size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    acc = _mm256_blendv_epi8(acc, a, _mm256_cmpgt_epi64(a, acc));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t best = lanes[0];
-  for (int k = 1; k < 4; ++k) {
-    best = lanes[k] > best ? lanes[k] : best;
-  }
-  for (; i < n; ++i) {
-    best = v[i] > best ? v[i] : best;
-  }
-  return best;
-}
-
-__attribute__((target("avx2"))) void GatherI64Avx2(const int64_t* src,
-                                                   const int64_t* rows,
-                                                   size_t n, int64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + i));
-    const __m256i g = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(src), idx, 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), g);
-  }
-  for (; i < n; ++i) {
-    out[i] = src[rows[i]];
-  }
-}
-
-// Elementwise uint64 kernels. The macro expands a loadu/op/storeu loop plus a
-// scalar tail; every body is pure lane-wise wrap arithmetic.
-__attribute__((target("avx2"))) void AddU64Avx2(const uint64_t* a,
-                                                const uint64_t* b, size_t n,
-                                                uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_add_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] + b[i];
-  }
-}
-
-__attribute__((target("avx2"))) void SubU64Avx2(const uint64_t* a,
-                                                const uint64_t* b, size_t n,
-                                                uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_sub_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] - b[i];
-  }
-}
-
-__attribute__((target("avx2"))) void SubSubU64Avx2(const uint64_t* a,
-                                                   const uint64_t* b,
-                                                   const uint64_t* c, size_t n,
-                                                   uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_sub_epi64(_mm256_sub_epi64(va, vb), vc));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] - b[i] - c[i];
-  }
-}
-
-__attribute__((target("avx2"))) void Add3U64Avx2(const uint64_t* a,
-                                                 const uint64_t* b,
-                                                 const uint64_t* c, size_t n,
-                                                 uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_add_epi64(_mm256_add_epi64(va, vb), vc));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] + b[i] + c[i];
-  }
-}
-
-__attribute__((target("avx2"))) void AddConstU64Avx2(const uint64_t* a,
-                                                     uint64_t k, size_t n,
-                                                     uint64_t* out) {
-  const __m256i vk = _mm256_set1_epi64x(static_cast<long long>(k));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_add_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), vk));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] + k;
-  }
-}
-
-__attribute__((target("avx2"))) void MulConstU64Avx2(const uint64_t* a,
-                                                     uint64_t k, size_t n,
-                                                     uint64_t* out) {
-  const __m256i vk = _mm256_set1_epi64x(static_cast<long long>(k));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        MulLo64(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-                vk));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] * k;
-  }
-}
-
-__attribute__((target("avx2"))) void MaskSubSubAvx2(const uint8_t* bits,
-                                                    const uint64_t* r0,
-                                                    const uint64_t* r1,
-                                                    size_t n, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    uint32_t four;
-    std::memcpy(&four, bits + i, 4);
-    const __m256i vb = _mm256_cvtepu8_epi64(
-        _mm_cvtsi32_si128(static_cast<int>(four)));
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r0 + i));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r1 + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_sub_epi64(_mm256_sub_epi64(vb, v0), v1));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<uint64_t>(bits[i]) - r0[i] - r1[i];
-  }
-}
-
-__attribute__((target("avx2"))) void AccumDiffU64Avx2(const uint64_t* a,
-                                                      const uint64_t* t,
-                                                      size_t n, uint64_t* acc) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vt =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + i));
-    const __m256i vacc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_add_epi64(vacc, _mm256_sub_epi64(va, vt)));
-  }
-  for (; i < n; ++i) {
-    acc[i] += a[i] - t[i];
-  }
-}
-
-__attribute__((target("avx2"))) void BeaverCombineU64Avx2(
-    const uint64_t* tc, const uint64_t* d, const uint64_t* tb,
-    const uint64_t* e, const uint64_t* ta, size_t n, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vtc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tc + i));
-    const __m256i vd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    const __m256i vtb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tb + i));
-    const __m256i ve =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e + i));
-    const __m256i vta =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ta + i));
-    const __m256i r = _mm256_add_epi64(
-        vtc, _mm256_add_epi64(MulLo64(vd, vtb), MulLo64(ve, vta)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), r);
-  }
-  for (; i < n; ++i) {
-    out[i] = tc[i] + d[i] * tb[i] + e[i] * ta[i];
-  }
-}
-
-__attribute__((target("avx2"))) void AccumMulU64Avx2(const uint64_t* d,
-                                                     const uint64_t* e,
-                                                     size_t n, uint64_t* acc) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    const __m256i ve =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e + i));
-    const __m256i vacc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_add_epi64(vacc, MulLo64(vd, ve)));
-  }
-  for (; i < n; ++i) {
-    acc[i] += d[i] * e[i];
-  }
-}
-
-__attribute__((target("avx2"))) void GatherRerandCombineAvx2(
-    const uint64_t* a0, const uint64_t* a1, const uint64_t* a2,
-    const int64_t* rows, size_t n, uint64_t* o0, uint64_t* o1, uint64_t* o2) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + i));
-    const __m256i g0 = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(a0), idx, 8);
-    const __m256i g1 = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(a1), idx, 8);
-    const __m256i g2 = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(a2), idx, 8);
-    const __m256i r0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o0 + i));
-    const __m256i r1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o1 + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o2 + i),
-                        _mm256_sub_epi64(_mm256_sub_epi64(g2, r0), r1));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o0 + i),
-                        _mm256_add_epi64(g0, r0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o1 + i),
-                        _mm256_add_epi64(g1, r1));
-  }
-  for (; i < n; ++i) {
-    const size_t row = static_cast<size_t>(rows[i]);
-    const uint64_t r0 = o0[i];
-    const uint64_t r1 = o1[i];
-    o2[i] = a2[row] - r0 - r1;
-    o0[i] = a0[row] + r0;
-    o1[i] = a1[row] + r1;
-  }
-}
-
-}  // namespace
-
-#endif  // CONCLAVE_X86
-
-// --- Public dispatch --------------------------------------------------------
-
-size_t SelectCompare(Cmp op, const int64_t* lhs, const int64_t* rhs,
-                     int64_t literal, int64_t base, size_t n, int64_t* out) {
+template <typename Loop>
+auto Dispatch(Loop loop) {
 #if defined(CONCLAVE_X86)
   if (UsingAvx2()) {
-    return SelectCompareAvx2(op, lhs, rhs, literal, base, n, out);
+    return Avx2Clone(loop);
   }
 #endif
-  return SelectCompareScalar(op, lhs, rhs, literal, base, 0, n, out, 0);
+  return loop();
+}
+
+// The literal operand as a column: every row reads the same value.
+struct Broadcast {
+  int64_t value;
+  int64_t operator[](size_t) const { return value; }
+};
+
+// Calls loop(rhs) with the right operand as the rhs column or, when rhs is
+// null, as the broadcast literal, so the null test stays outside the loop.
+template <typename Loop>
+auto WithRhs(const int64_t* rhs, int64_t literal, const Loop& loop) {
+  if (rhs != nullptr) {
+    return loop(rhs);
+  }
+  return loop(Broadcast{literal});
+}
+
+// Calls loop(cmp) with op as a comparison functor, so the operator's switch
+// stays outside the loop and each operator's loop vectorizes on its own.
+template <typename Loop>
+auto WithCompare(Cmp op, const Loop& loop) {
+  switch (op) {
+    case Cmp::kEq:
+      return loop(std::equal_to<int64_t>());
+    case Cmp::kNe:
+      return loop(std::not_equal_to<int64_t>());
+    case Cmp::kLt:
+      return loop(std::less<int64_t>());
+    case Cmp::kLe:
+      return loop(std::less_equal<int64_t>());
+    case Cmp::kGt:
+      return loop(std::greater<int64_t>());
+    case Cmp::kGe:
+      break;
+  }
+  return loop(std::greater_equal<int64_t>());
+}
+
+// The engine's truncating-division rule over uint64 bit patterns (no SIMD
+// unit divides 64-bit lanes, so this one stays scalar): divisor 0 -> 0; the
+// lhs * scale product wraps; divisor -1 is wrap-negation, so INT64_MIN / -1 is
+// defined (and equal to what non-trapping hardware division produces).
+struct DivRule {
+  uint64_t scale;
+  uint64_t operator()(uint64_t lhs, uint64_t divisor) const {
+    if (divisor == 0) {
+      return 0;
+    }
+    const uint64_t prod = lhs * scale;
+    if (divisor == ~uint64_t{0}) {
+      return uint64_t{0} - prod;
+    }
+    return static_cast<uint64_t>(static_cast<int64_t>(prod) /
+                                 static_cast<int64_t>(divisor));
+  }
+};
+
+}  // namespace
+
+// Compaction, scalar in both builds. A branch per row would mispredict on a
+// large share of rows at mid selectivities, so each row instead writes its
+// index to the next free slot and claims the slot only if it matches. That
+// slot is at most i < n, so out may hold exactly n indices.
+size_t SelectCompare(Cmp op, const int64_t* lhs, const int64_t* rhs,
+                     int64_t literal, int64_t base, size_t n, int64_t* out) {
+  return Dispatch([=] {
+    return WithRhs(rhs, literal, [&](auto b) {
+      return WithCompare(op, [&](auto cmp) {
+        size_t count = 0;
+        for (size_t i = 0; i < n; ++i) {
+          out[count] = base + static_cast<int64_t>(i);
+          count += cmp(lhs[i], b[i]) ? 1 : 0;
+        }
+        return count;
+      });
+    });
+  });
 }
 
 void CompareMask(Cmp op, const int64_t* lhs, const int64_t* rhs,
                  int64_t literal, size_t n, MaskMode mode, uint8_t* mask) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    CompareMaskAvx2(op, lhs, rhs, literal, n, mode, mask);
-    return;
-  }
-#endif
-  CompareMaskScalar(op, lhs, rhs, literal, 0, n, mode, mask);
+  Dispatch([=] {
+    WithRhs(rhs, literal, [&](auto b) {
+      WithCompare(op, [&](auto cmp) {
+        // combine(current byte, new 0/1 bit) is the byte the mode stores.
+        const auto loop = [&](auto combine) {
+          for (size_t i = 0; i < n; ++i) {
+            mask[i] = combine(mask[i], cmp(lhs[i], b[i]) ? 1 : 0);
+          }
+        };
+        switch (mode) {
+          case MaskMode::kSet:
+            return loop([](uint8_t, uint8_t bit) { return bit; });
+          case MaskMode::kAnd:
+            return loop(std::bit_and<uint8_t>());
+          case MaskMode::kOr:
+            return loop(std::bit_or<uint8_t>());
+        }
+      });
+    });
+  });
 }
 
 size_t CountMask(const uint8_t* mask, size_t n) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    return CountMaskAvx2(mask, n);
-  }
-#endif
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    count += mask[i];
-  }
-  return count;
+  return Dispatch([=] {
+    // 32-bit partial sums take half the vector work of a size_t sum; a chunk
+    // of 2^31 0/1 bytes cannot overflow one.
+    constexpr size_t kChunk = size_t{1} << 31;
+    size_t count = 0;
+    for (size_t lo = 0; lo < n; lo += kChunk) {
+      const size_t hi = n - lo < kChunk ? n : lo + kChunk;
+      uint32_t part = 0;
+      for (size_t i = lo; i < hi; ++i) {
+        part += mask[i];
+      }
+      count += part;
+    }
+    return count;
+  });
 }
 
+// Branch-free compaction like SelectCompare's, but out may hold only the
+// match count: a row past the last set byte would store one slot beyond it,
+// so the loop ends at that byte. Scalar in both builds.
 size_t MaskToIndices(const uint8_t* mask, size_t n, int64_t base,
                      int64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    return MaskToIndicesAvx2(mask, n, base, out);
-  }
-#endif
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (mask[i] != 0) {
-      out[count++] = base + static_cast<int64_t>(i);
+  return Dispatch([=] {
+    size_t end = n;
+    while (end > 0 && mask[end - 1] == 0) {
+      --end;
     }
-  }
-  return count;
+    size_t count = 0;
+    for (size_t i = 0; i < end; ++i) {
+      out[count] = base + static_cast<int64_t>(i);
+      count += mask[i] != 0 ? 1 : 0;
+    }
+    return count;
+  });
 }
 
 void ArithColumn(Arith op, const int64_t* lhs, const int64_t* rhs,
                  int64_t literal, int64_t scale, size_t n, int64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    ArithColumnAvx2(op, lhs, rhs, literal, scale, n, out);
-    return;
-  }
-#endif
-  ArithColumnScalar(op, lhs, rhs, literal, scale, 0, n, out);
+  Dispatch([=] {
+    WithRhs(rhs, literal, [&](auto b) {
+      const auto loop = [&](auto fn) {
+        for (size_t i = 0; i < n; ++i) {
+          out[i] = static_cast<int64_t>(fn(static_cast<uint64_t>(lhs[i]),
+                                           static_cast<uint64_t>(b[i])));
+        }
+      };
+      switch (op) {
+        case Arith::kAdd:
+          return loop(std::plus<uint64_t>());
+        case Arith::kSub:
+          return loop(std::minus<uint64_t>());
+        case Arith::kMul:
+          return loop(std::multiplies<uint64_t>());
+        case Arith::kDiv:
+          return loop(DivRule{static_cast<uint64_t>(scale)});
+      }
+    });
+  });
 }
 
+// A branch-free OR of every value's difference from the first.
 bool AllEqual(const int64_t* v, size_t n) {
-  if (n <= 1) {
-    return true;
-  }
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    return AllEqualAvx2(v, n);
-  }
-#endif
-  for (size_t i = 1; i < n; ++i) {
-    if (v[i] != v[0]) {
-      return false;
+  return Dispatch([=] {
+    uint64_t differ = 0;
+    for (size_t i = 1; i < n; ++i) {
+      differ |= static_cast<uint64_t>(v[i]) ^ static_cast<uint64_t>(v[0]);
     }
-  }
-  return true;
+    return differ == 0;
+  });
 }
 
 int64_t SumWrap(const int64_t* v, size_t n) {
@@ -796,201 +270,147 @@ int64_t SumWrap(const int64_t* v, size_t n) {
 }
 
 int64_t MinOf(const int64_t* v, size_t n) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2() && n >= 4) {
-    return MinOfAvx2(v, n);
-  }
-#endif
-  int64_t best = v[0];
-  for (size_t i = 1; i < n; ++i) {
-    best = v[i] < best ? v[i] : best;
-  }
-  return best;
+  return Dispatch([=] {
+    int64_t best = v[0];
+    for (size_t i = 1; i < n; ++i) {
+      best = v[i] < best ? v[i] : best;
+    }
+    return best;
+  });
 }
 
 int64_t MaxOf(const int64_t* v, size_t n) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2() && n >= 4) {
-    return MaxOfAvx2(v, n);
-  }
-#endif
-  int64_t best = v[0];
-  for (size_t i = 1; i < n; ++i) {
-    best = v[i] > best ? v[i] : best;
-  }
-  return best;
+  return Dispatch([=] {
+    int64_t best = v[0];
+    for (size_t i = 1; i < n; ++i) {
+      best = v[i] > best ? v[i] : best;
+    }
+    return best;
+  });
 }
 
+// A gather; like the compaction loops, it compiles to scalar code in both
+// builds.
 void GatherI64(const int64_t* src, const int64_t* rows, size_t n,
                int64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    GatherI64Avx2(src, rows, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = src[rows[i]];
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = src[rows[i]];
+    }
+  });
 }
 
 void AddU64(const uint64_t* a, const uint64_t* b, size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    AddU64Avx2(a, b, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] + b[i];
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = a[i] + b[i];
+    }
+  });
 }
 
 void SubU64(const uint64_t* a, const uint64_t* b, size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    SubU64Avx2(a, b, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] - b[i];
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = a[i] - b[i];
+    }
+  });
 }
 
 void SubSubU64(const uint64_t* a, const uint64_t* b, const uint64_t* c,
                size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    SubSubU64Avx2(a, b, c, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] - b[i] - c[i];
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = a[i] - b[i] - c[i];
+    }
+  });
 }
 
 void Add3U64(const uint64_t* a, const uint64_t* b, const uint64_t* c, size_t n,
              uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    Add3U64Avx2(a, b, c, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] + b[i] + c[i];
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = a[i] + b[i] + c[i];
+    }
+  });
 }
 
 void AddConstU64(const uint64_t* a, uint64_t k, size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    AddConstU64Avx2(a, k, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] + k;
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = a[i] + k;
+    }
+  });
 }
 
 void MulConstU64(const uint64_t* a, uint64_t k, size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    MulConstU64Avx2(a, k, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] * k;
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = a[i] * k;
+    }
+  });
 }
 
 void MaskSubSub(const uint8_t* bits, const uint64_t* r0, const uint64_t* r1,
                 size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    MaskSubSubAvx2(bits, r0, r1, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<uint64_t>(bits[i]) - r0[i] - r1[i];
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<uint64_t>(bits[i]) - r0[i] - r1[i];
+    }
+  });
 }
 
 void AccumDiffU64(const uint64_t* a, const uint64_t* t, size_t n,
                   uint64_t* acc) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    AccumDiffU64Avx2(a, t, n, acc);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    acc[i] += a[i] - t[i];
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      acc[i] += a[i] - t[i];
+    }
+  });
 }
 
 void BeaverCombineU64(const uint64_t* tc, const uint64_t* d, const uint64_t* tb,
                       const uint64_t* e, const uint64_t* ta, size_t n,
                       uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    BeaverCombineU64Avx2(tc, d, tb, e, ta, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = tc[i] + d[i] * tb[i] + e[i] * ta[i];
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = tc[i] + d[i] * tb[i] + e[i] * ta[i];
+    }
+  });
 }
 
 void AccumMulU64(const uint64_t* d, const uint64_t* e, size_t n,
                  uint64_t* acc) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    AccumMulU64Avx2(d, e, n, acc);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    acc[i] += d[i] * e[i];
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      acc[i] += d[i] * e[i];
+    }
+  });
 }
 
+// A gather: scalar in both builds, like GatherI64.
 void GatherRerandCombine(const uint64_t* a0, const uint64_t* a1,
                          const uint64_t* a2, const int64_t* rows, size_t n,
                          uint64_t* o0, uint64_t* o1, uint64_t* o2) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    GatherRerandCombineAvx2(a0, a1, a2, rows, n, o0, o1, o2);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    const size_t row = static_cast<size_t>(rows[i]);
-    const uint64_t r0 = o0[i];
-    const uint64_t r1 = o1[i];
-    o2[i] = a2[row] - r0 - r1;
-    o0[i] = a0[row] + r0;
-    o1[i] = a1[row] + r1;
-  }
+  Dispatch([=] {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t row = static_cast<size_t>(rows[i]);
+      const uint64_t r0 = o0[i];
+      const uint64_t r1 = o1[i];
+      o2[i] = a2[row] - r0 - r1;
+      o0[i] = a0[row] + r0;
+      o1[i] = a1[row] + r1;
+    }
+  });
 }
 
 uint64_t SumU64(const uint64_t* v, size_t n) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    return SumU64Avx2(v, n);
-  }
-#endif
-  uint64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) {
-    sum += v[i];
-  }
-  return sum;
+  return Dispatch([=] {
+    uint64_t sum = 0;
+    for (size_t i = 0; i < n; ++i) {
+      sum += v[i];
+    }
+    return sum;
+  });
 }
 
 // --- Fixed-key AES-128 ------------------------------------------------------

@@ -1,21 +1,28 @@
 // Runtime CPU dispatch for the data plane's innermost loops (DESIGN.md §13).
 //
-// Every kernel here has two implementations selected at runtime: a portable
-// scalar reference and an AVX2 (or AES-NI, for the counter randomness) variant
-// compiled with function-level target attributes — no per-file compile flags,
-// so one binary runs correctly on any x86-64 and uses the wide units when the
-// host has them. The two variants are bit-identical by construction: all
+// Every kernel here is one portable loop compiled twice: once for the build's
+// baseline ISA, and once inlined into a function-level target("avx2") clone
+// that the compiler vectorizes with 256-bit lanes. A runtime check picks the
+// clone — no per-file -m flags, so one binary runs correctly on any x86-64 and
+// uses the wide units when the host has them. The compaction loops
+// (SelectCompare, MaskToIndices) and the gathers (GatherI64,
+// GatherRerandCombine) stay scalar in both builds. The AES-128 counter fill is
+// the one kernel with a second source: AES-NI intrinsics beside the portable
+// cipher, because no compiler derives the former from the latter.
+//
+// Both builds compute the same bits because the source fixes them: all
 // arithmetic is performed in uint64 (defined wrap, matching the engine's
 // two's-complement ring semantics), division follows the engine's truncating
 // rule (divisor 0 -> 0, INT64_MIN / -1 wraps to itself instead of trapping),
-// and reductions use order-independent wrap addition. The differential suite
-// (tests/simd_kernels_test.cc) pins scalar == SIMD on adversarial shapes.
+// and reductions are wrap sums, min/max and OR, which no lane order changes.
+// The differential suite (tests/simd_kernels_test.cc) runs both builds on
+// adversarial shapes and requires equal outputs.
 //
 // Dispatch is hardware capability AND the CONCLAVE_SIMD knob: CONCLAVE_SIMD=0
-// (or "off"/"false", or SetSimdEnabled(false)) forces the scalar paths even on
-// AVX2 hardware, which is how CI proves the fallback and how the differential
-// fuzzer runs its simd {on,off} axis. The knob never changes results, only
-// which instructions compute them.
+// (or "off"/"false", or SetSimdEnabled(false)) forces the baseline build and
+// the portable cipher even on AVX2/AES-NI hardware, which is how CI runs the
+// fallback and how the differential fuzzer runs its simd {on,off} axis. The
+// knob never changes results, only which instructions compute them.
 //
 // Layering: common/ must not see relational/ types, so the compare/arith kinds
 // are mirrored here as cpu::Cmp / cpu::Arith; ops.cc static_asserts that the
@@ -87,7 +94,7 @@ void CompareMask(Cmp op, const int64_t* lhs, const int64_t* rhs,
 size_t CountMask(const uint8_t* mask, size_t n);
 
 // Writes `base + i` for every nonzero mask byte to out (ascending); returns
-// the count.
+// the count. out must have room for CountMask(mask, n) indices.
 size_t MaskToIndices(const uint8_t* mask, size_t n, int64_t base, int64_t* out);
 
 // --- Arithmetic kernels -----------------------------------------------------

@@ -25,7 +25,8 @@
 // sequential counter, and element i derives its words from the (stream, i) pair —
 // and per-call temporaries (masked openings, ideal-functionality reconstructions)
 // live in a recycling scratch arena. The combine loops themselves run through the
-// cpu:: ring kernels (AVX2 with a bit-identical scalar fallback). Together these
+// cpu:: ring kernels (each one loop, compiled for the baseline ISA and as an AVX2
+// clone that computes the same bits). Together these
 // make every kernel a pure function of its operands and stream, so shares are
 // bit-identical at every pool size.
 //

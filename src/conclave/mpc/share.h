@@ -15,8 +15,9 @@
 // generation uses counter-based randomness (AesCounterRng — batched fixed-key AES
 // counter blocks, AES-NI when available): element i of a sharing draws words 2i and
 // 2i+1 of the operation's stream (the two halves of block i), independent of
-// evaluation order. The loops themselves dispatch through common/cpu.h, so they run
-// AVX2 on hardware that has it and a bit-identical scalar path everywhere else.
+// evaluation order. The loops themselves dispatch through common/cpu.h: each is one
+// loop compiled twice, run as its AVX2 build on hardware that has it and as its
+// baseline build everywhere else, with the same bits either way.
 #ifndef CONCLAVE_MPC_SHARE_H_
 #define CONCLAVE_MPC_SHARE_H_
 

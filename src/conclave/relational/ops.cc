@@ -256,16 +256,21 @@ void JoinRowPairs(const Relation& left, const Relation& right,
                   std::span<const int> left_keys, std::span<const int> right_keys,
                   std::vector<int64_t>* left_rows, std::vector<int64_t>* right_rows) {
   CONCLAVE_CHECK_EQ(left_keys.size(), right_keys.size());
+  JoinRowPairs(left, left_keys, HashIndex(right, right_keys), left_rows, right_rows);
+}
+
+void JoinRowPairs(const Relation& left, std::span<const int> left_keys,
+                  const HashIndex& right_index, std::vector<int64_t>* left_rows,
+                  std::vector<int64_t>* right_rows) {
   left_rows->clear();
   right_rows->clear();
-  const HashIndex index(right, right_keys);
   const auto probe = ColumnPtrs(left, left_keys);
   for (int64_t lr = 0; lr < left.NumRows(); ++lr) {
-    const int64_t group = index.Find(probe, lr);
+    const int64_t group = right_index.Find(probe, lr);
     if (group < 0) {
       continue;
     }
-    for (int64_t rr : index.Rows(group)) {
+    for (int64_t rr : right_index.Rows(group)) {
       left_rows->push_back(lr);
       right_rows->push_back(rr);
     }

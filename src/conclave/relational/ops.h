@@ -20,6 +20,8 @@
 
 namespace conclave {
 
+class HashIndex;
+
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 const char* CompareOpName(CompareOp op);
@@ -130,6 +132,12 @@ Relation Join(const Relation& left, const Relation& right,
 void JoinRowPairs(const Relation& left, const Relation& right,
                   std::span<const int> left_keys, std::span<const int> right_keys,
                   std::vector<int64_t>* left_rows, std::vector<int64_t>* right_rows);
+// The same pairs against an index built over the right side's key columns: the
+// relation form above builds one and forwards here, and a Grace leaf probing
+// several left batches against one build side builds it once.
+void JoinRowPairs(const Relation& left, std::span<const int> left_keys,
+                  const HashIndex& right_index, std::vector<int64_t>* left_rows,
+                  std::vector<int64_t>* right_rows);
 
 // Join's output over the given (left row, right row) pairs, in JoinOutputSchema
 // layout: one contiguous gather per output column. Join and the spilling join

@@ -12,6 +12,7 @@
 #include "conclave/common/rng.h"
 #include "conclave/common/strings.h"
 #include "conclave/common/tempfile.h"
+#include "conclave/relational/hash_index.h"
 
 namespace conclave {
 
@@ -757,6 +758,7 @@ void SolveGraceBucket(SpillRun left, SpillRun right, const Schema& schema,
     bucket_keys[static_cast<size_t>(c)] = c;
   }
   const auto right_gids = build.ColumnSpan(key_cols);
+  const HashIndex index(build, bucket_keys);
   std::vector<std::pair<int64_t, int64_t>> pairs;
   SpillRunReader left_reader(left, schema);
   const int64_t batch_rows = std::max<int64_t>(1, budget);
@@ -766,12 +768,10 @@ void SolveGraceBucket(SpillRun left, SpillRun right, const Schema& schema,
     Relation probe = left_reader.ReadBatch(batch_rows);
     meter.Add(probe.NumRows());
     const auto left_gids = probe.ColumnSpan(key_cols);
-    lrows.clear();
-    rrows.clear();
     // ops::JoinRowPairs probes left rows in order and lists right matches
     // ascending by build position; positions map to ascending gids because the
     // scatter preserved row order at every level.
-    ops::JoinRowPairs(probe, build, bucket_keys, bucket_keys, &lrows, &rrows);
+    ops::JoinRowPairs(probe, bucket_keys, index, &lrows, &rrows);
     pairs.reserve(pairs.size() + lrows.size());
     for (size_t i = 0; i < lrows.size(); ++i) {
       pairs.emplace_back(left_gids[lrows[i]], right_gids[rrows[i]]);

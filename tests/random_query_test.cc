@@ -23,28 +23,31 @@
 namespace conclave {
 namespace {
 
-// Cleartext reference: evaluate the *uncompiled* DAG by running every node through
-// the cleartext operator library on the combined inputs.
+// Cleartext reference: evaluate the *uncompiled* DAG on the combined inputs by
+// running every node through the row-major reference operators
+// (row_major_reference.h). They share no kernel and no cpu:: loop with the
+// engine, so a bug every engine configuration shares still shows here.
 Relation EvalReference(const ir::Dag& dag,
                        const std::map<std::string, Relation>& inputs,
                        const std::string& collect_name) {
-  std::unordered_map<int, Relation> values;
+  std::unordered_map<int, rowmajor::RowMajorRelation> values;
   Relation output;
   for (const ir::OpNode* node : dag.TopoOrder()) {
     if (node->kind == ir::OpKind::kCreate) {
-      values[node->id] = inputs.at(node->Params<ir::CreateParams>().name);
+      values[node->id] = rowmajor::RowMajorRelation::FromColumnar(
+          inputs.at(node->Params<ir::CreateParams>().name));
       continue;
     }
-    std::vector<const Relation*> rels;
+    std::vector<const rowmajor::RowMajorRelation*> rels;
     rels.reserve(node->inputs.size());
     for (const ir::OpNode* input : node->inputs) {
       rels.push_back(&values.at(input->id));
     }
-    auto result = backends::ExecuteLocal(*node, rels);
+    auto result = rowmajor::ref::ExecuteLocal(*node, rels);
     CONCLAVE_CHECK(result.ok());
     if (node->kind == ir::OpKind::kCollect &&
         node->Params<ir::CollectParams>().name == collect_name) {
-      output = *result;
+      output = result->ToColumnar();
     }
     values[node->id] = *std::move(result);
   }

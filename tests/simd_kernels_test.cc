@@ -1,14 +1,18 @@
 // Differential suite for the runtime-dispatched kernels (common/cpu.{h,cc}).
 //
-// Every kernel runs twice on the same adversarial inputs — once with the SIMD
-// knob off (scalar reference) and once with it on (AVX2/AES-NI when the host
-// has them) — and the outputs must match bit for bit. Shapes deliberately
-// include 0/1-row columns, tails of every residue mod the vector width, and
-// INT64_MIN/INT64_MAX wrap cases. The AES section additionally pins the block
+// Every kernel is one loop compiled twice: for the build's baseline ISA and as
+// an AVX2 clone. Each runs twice on the same adversarial inputs — once with the
+// SIMD knob off (the baseline build) and once with it on (the AVX2 clone, and
+// AES-NI, when the host has them) — and the outputs must match bit for bit.
+// Shapes deliberately include 0/1-row columns, tails of every residue mod the
+// vector width, and INT64_MIN/INT64_MAX wrap cases. The compaction kernels
+// write into outputs of exactly their documented capacity, so a loop that
+// stores past it fails under ASan. The AES section additionally pins the block
 // cipher to the FIPS-197 vector and the AesCounterRng stream to golden words
 // so the (seed, stream, index) pure-function contract is machine-checked, not
 // just self-consistent.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -88,8 +92,9 @@ TEST(SimdKernels, SelectCompareMatchesScalar) {
     const auto rhs = AdversarialColumn(n, 2);
     for (Cmp op : kCmps) {
       for (int with_rhs = 0; with_rhs < 2; ++with_rhs) {
-        std::vector<int64_t> got(n + 1, -7);
-        std::vector<int64_t> want(n + 1, -7);
+        // Room for exactly n indices, the documented capacity.
+        std::vector<int64_t> got(n, -7);
+        std::vector<int64_t> want(n, -7);
         const int64_t* rp = with_rhs ? rhs.data() : nullptr;
         size_t want_count;
         size_t got_count;
@@ -157,8 +162,11 @@ TEST(SimdKernels, CountMaskAndMaskToIndicesMatchScalar) {
     }
     size_t want_count;
     size_t got_count;
-    std::vector<int64_t> want_idx(n + 1, -9);
-    std::vector<int64_t> got_idx(n + 1, -9);
+    // Room for exactly CountMask(mask, n) indices, the documented capacity.
+    const size_t matches =
+        static_cast<size_t>(std::count(mask.begin(), mask.end(), uint8_t{1}));
+    std::vector<int64_t> want_idx(matches, -9);
+    std::vector<int64_t> got_idx(matches, -9);
     {
       ScopedSimd off(false);
       want_count = cpu::CountMask(mask.data(), n);
