@@ -1,5 +1,6 @@
 #include "conclave/mpc/secret_share_engine.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "conclave/common/cpu.h"
@@ -150,20 +151,15 @@ SharedColumn SecretShareEngine::Mul(const SharedColumn& a, const SharedColumn& b
     return SharedColumn(0);
   }
 
-  // Operands must not alias the dealer's scratch batch: DealBatch below refills it.
-  CONCLAVE_CHECK(!dealer_.OwnsBatchColumn(a) && !dealer_.OwnsBatchColumn(b));
-  const TripleBatch& triples = dealer_.DealBatch(n);
-
+  const AesCounterRng triples = dealer_.ClaimBatch(n);
   SharedColumn out(n);
-  auto d_buf = arena_.Acquire(n);
-  auto e_buf = arena_.Acquire(n);
-  Ring* const d = d_buf.u64();
-  Ring* const e = e_buf.u64();
   ForRows(n, [&](int64_t lo, int64_t hi) {
-    const size_t i = static_cast<size_t>(lo);
-    BeaverStep(RunOf(a, i), RunOf(b, i),
-               {RunOf(triples.a, i), RunOf(triples.b, i), RunOf(triples.c, i)},
-               static_cast<size_t>(hi - lo), d + i, e + i, RunOf(out, i));
+    BeaverBlock beaver;
+    for (int64_t first = lo; first < hi; first += static_cast<int64_t>(kFusedBlockRows)) {
+      const size_t i = static_cast<size_t>(first);
+      const size_t len = std::min(kFusedBlockRows, static_cast<size_t>(hi - first));
+      beaver.Mul(triples, i, len, RunOf(a, i), RunOf(b, i), RunOf(out, i));
+    }
   });
   ChargeMul(*network_, n);
   return out;

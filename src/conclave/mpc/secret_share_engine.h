@@ -30,11 +30,12 @@
 // make every kernel a pure function of its operands and stream, so shares are
 // bit-identical at every pool size.
 //
-// Mul's and Compare's morsel bodies are chunk kernels (BeaverStep,
-// ShareComparison): the fused kernels — one Batcher compare-exchange layer
-// (mpc/oblivious.cc) and one segmented-scan level (mpc/protocols.cc) per pass —
-// claim the same streams and run the same bodies over chunk-local buffers
-// (BeaverBlock), with no column allocated per layer or level.
+// Every multiplication runs through BeaverBlock: Mul and the fused kernels — one
+// Batcher compare-exchange layer (mpc/oblivious.cc) and one segmented-scan level
+// (mpc/protocols.cc) per pass — claim a triple batch's stream and unpack each
+// block's triples into stack buffers, so no triple column is ever allocated. The
+// fused kernels share Compare's morsel body (ShareComparison) the same way, with
+// no column allocated per layer or level.
 //
 // Every charge is one free function over SimNetwork& (ChargeMul below; the others
 // in oblivious.h, protocols.h and hybrid/stp.h). The operations charge through
@@ -204,17 +205,16 @@ void ChargeDiv(SimNetwork& network, uint64_t n);
 // Opening n elements: traffic and one round, no seconds.
 void ChargeOpen(SimNetwork& network, uint64_t n);
 
-// Chunk-local shares of one block of a fused kernel, on the morsel's stack.
+// Chunk-local shares of one block, on the morsel's stack.
 inline constexpr size_t kFusedBlockRows = 256;
 struct ShareBlock {
   Ring s[kNumShareParties][kFusedBlockRows] = {};
   ShareRun run() { return {{s[0], s[1], s[2]}}; }
 };
 
-// Beaver multiplication over one block of a fused kernel: unpacks the block's
-// triples from a claimed batch stream (TripleDealer::ClaimBatch) into local buffers
-// and runs the engine's BeaverStep, so a fused pass multiplies without a column or
-// a dealt batch.
+// Beaver multiplication over one block: unpacks the block's triples from a claimed
+// batch stream (TripleDealer::ClaimBatch) into local buffers and runs BeaverStep.
+// Mul and the fused kernels multiply through it, one block at a time.
 class BeaverBlock {
  public:
   // z = x * y for elements [first, first + len) of the batch whose triple stream

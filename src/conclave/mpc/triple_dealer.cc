@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "conclave/common/thread_pool.h"
-
 namespace conclave {
 
 void TripleDealer::Unpack(const AesCounterRng& stream, uint64_t first,
@@ -31,32 +29,6 @@ void TripleDealer::Unpack(const AesCounterRng& stream, uint64_t first,
       c.p[2][i] = secret_a * secret_b - w[6] - w[7];
     }
   }
-}
-
-void TripleDealer::Fill(TripleBatch& batch, size_t count) {
-  batch.a.Resize(count);
-  batch.b.Resize(count);
-  batch.c.Resize(count);
-  const AesCounterRng stream = ClaimBatch(count);
-  ParallelFor(
-      0, static_cast<int64_t>(count),
-      [&](int64_t lo, int64_t hi) {
-        const size_t offset = static_cast<size_t>(lo);
-        Unpack(stream, offset, static_cast<size_t>(hi - lo), RunOf(batch.a, offset),
-               RunOf(batch.b, offset), RunOf(batch.c, offset));
-      },
-      kMpcGrainRows);
-}
-
-const TripleBatch& TripleDealer::DealBatch(size_t count) {
-  Fill(scratch_, count);
-  return scratch_;
-}
-
-TripleBatch TripleDealer::Deal(size_t count) {
-  TripleBatch batch;
-  Fill(batch, count);
-  return batch;
 }
 
 }  // namespace conclave

@@ -7,12 +7,10 @@
 //
 // Randomness is counter-based (AesCounterRng — batched fixed-key AES counter
 // blocks): triple i of a batch draws words [8i, 8i+8) of the batch's stream
-// (Unpack, the one definition of the layout), so columns fill in one
-// morsel-parallel pass with a pool-size-independent result. DealBatch writes into
-// a dealer-owned scratch batch (borrowed until the next call), so steady-state
-// multiplication consumes no allocations for triples at all. Fused kernels claim a
-// batch's stream without materializing it (ClaimBatch) and unpack each chunk's
-// triples into chunk-local buffers.
+// (Unpack, the one definition of the layout). The dealer only claims streams
+// (ClaimBatch); every multiplication — the engine's Mul and the fused kernels —
+// unpacks each block's triples into BeaverBlock's stack buffers, so no triple is
+// ever materialized in a column and the result is pool-size independent.
 #ifndef CONCLAVE_MPC_TRIPLE_DEALER_H_
 #define CONCLAVE_MPC_TRIPLE_DEALER_H_
 
@@ -23,15 +21,7 @@
 
 namespace conclave {
 
-// A batch of shared triples, column-major like SharedColumn.
-struct TripleBatch {
-  SharedColumn a;
-  SharedColumn b;
-  SharedColumn c;
-};
-
-// A run of consecutive triples: a morsel of a TripleBatch, or one chunk that a
-// fused kernel unpacked into local buffers.
+// A run of consecutive triples, unpacked into local buffers (BeaverBlock).
 struct TripleRun {
   ConstShareRun a;
   ConstShareRun b;
@@ -42,16 +32,9 @@ class TripleDealer {
  public:
   explicit TripleDealer(uint64_t seed) : seed_(seed) {}
 
-  // Fills the dealer's scratch batch with `count` fresh triples in one pass and
-  // returns it; the reference is valid until the next DealBatch/Deal call.
-  const TripleBatch& DealBatch(size_t count);
-
-  // Copying convenience for callers that keep the batch (tests).
-  TripleBatch Deal(size_t count);
-
-  // Claims the stream of a batch of `count` triples without materializing it; the
-  // caller unpacks triples [first, first + len) of it with Unpack, chunk by chunk.
-  // Counts as dealt, exactly as DealBatch(count) would.
+  // Deals a batch of `count` triples: claims its stream and counts the triples as
+  // dealt. The caller unpacks triples [first, first + len) of it with Unpack,
+  // block by block.
   AesCounterRng ClaimBatch(size_t count) {
     triples_dealt_ += count;
     return AesCounterRng(seed_, next_stream_++);
@@ -67,9 +50,7 @@ class TripleDealer {
 
   // Replay checkpoint for fault-injected frontier rollback: restoring rewinds the
   // stream counter (and the dealt-triples meter), so a re-executed node consumes
-  // the same triples and reproduces the same openings (DESIGN.md §11). The
-  // scratch batch needs no snapshot — it is borrowed per call and refilled from
-  // the (restored) stream counter.
+  // the same triples and reproduces the same openings (DESIGN.md §11).
   struct Checkpoint {
     uint64_t next_stream = 0;
     uint64_t triples_dealt = 0;
@@ -80,20 +61,10 @@ class TripleDealer {
     triples_dealt_ = checkpoint.triples_dealt;
   }
 
-  // True when `column` is one of the dealer-owned scratch columns. The engine
-  // rejects such operands: the next DealBatch would refill them mid-protocol.
-  bool OwnsBatchColumn(const SharedColumn& column) const {
-    return &column == &scratch_.a || &column == &scratch_.b ||
-           &column == &scratch_.c;
-  }
-
  private:
-  void Fill(TripleBatch& batch, size_t count);
-
   uint64_t seed_;
   uint64_t next_stream_ = 0;
   uint64_t triples_dealt_ = 0;
-  TripleBatch scratch_;
 };
 
 }  // namespace conclave

@@ -156,10 +156,16 @@ Trace RunKernels(int pool_parallelism) {
   trace.columns.push_back(GatherColumn(a, rows));
   trace.columns.push_back(engine.GatherRerandomize(a, rows));
 
-  const TripleBatch& triples = engine.dealer().DealBatch(static_cast<size_t>(n));
-  trace.columns.push_back(triples.a);
-  trace.columns.push_back(triples.b);
-  trace.columns.push_back(triples.c);
+  // A claimed triple batch, unpacked into three columns.
+  const size_t count = static_cast<size_t>(n);
+  SharedColumn triple_a(count);
+  SharedColumn triple_b(count);
+  SharedColumn triple_c(count);
+  TripleDealer::Unpack(engine.dealer().ClaimBatch(count), 0, count, RunOf(triple_a),
+                       RunOf(triple_b), RunOf(triple_c));
+  trace.columns.push_back(triple_a);
+  trace.columns.push_back(triple_b);
+  trace.columns.push_back(triple_c);
 
   Relation rel = data::UniformInts(n, {"k", "v"}, 1 << 16, /*seed=*/5);
   const auto shared = mpc::InputRelation(engine, rel);

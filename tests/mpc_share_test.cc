@@ -86,12 +86,12 @@ TEST(ShareTest, GatherSlice) {
 
 TEST(TripleDealerTest, TriplesSatisfyBeaverRelation) {
   TripleDealer dealer(7);
-  TripleBatch batch = dealer.Deal(50);
+  SharedColumn a(50);
+  SharedColumn b(50);
+  SharedColumn c(50);
+  TripleDealer::Unpack(dealer.ClaimBatch(50), 0, 50, RunOf(a), RunOf(b), RunOf(c));
   for (size_t i = 0; i < 50; ++i) {
-    const Ring a = batch.a.ReconstructAt(i);
-    const Ring b = batch.b.ReconstructAt(i);
-    const Ring c = batch.c.ReconstructAt(i);
-    EXPECT_EQ(c, a * b);
+    EXPECT_EQ(c.ReconstructAt(i), a.ReconstructAt(i) * b.ReconstructAt(i));
   }
   EXPECT_EQ(dealer.triples_dealt(), 50u);
 }
