@@ -5,7 +5,7 @@
 // Unlike bench/parallel_speedup (which overlaps independent *jobs*), this bench
 // drives the secret-sharing engine directly, the way the dispatcher's MPC lane does:
 // one serialized operation stream whose kernels fan morsels out over the pool bound
-// to the calling thread. Counter-based randomness (common/rng.h AesCounterRng) makes
+// to the calling thread. Counter-based randomness (common/rng.h CounterRng) makes
 // every sharing a pure function of its operation stream, so the bench asserts the
 // strong form of DESIGN.md §5: not just equal reconstructed outputs but bit-identical
 // *shares*, plus identical virtual seconds and cost counters, at every pool size.

@@ -204,7 +204,7 @@ void RunKernelSweep(const bench::BenchFilter& filter,
                      "*_peak_rows and spill_bytes are counts, not seconds)",
                      {"column_scan", "filter_sel10", "filter_sel50", "filter_sel90",
                       "filter_scalar", "arith_simd", "arith_scalar",
-                      "share_ingest", "rng_aesni", "rng_splitmix",
+                      "share_ingest", "rng_splitmix",
                       "chain_materialized", "chain_fused",
                       "chain_peak_rows", "reveal_materialized", "reveal_streamed",
                       "reveal_peak_rows", "sort_in_mem", "sort_external",
@@ -264,23 +264,16 @@ void RunKernelSweep(const bench::BenchFilter& filter,
       benchmark::DoNotOptimize(ops::Arithmetic(rel, mul_arith));
     }));
 
-    const AesCounterRng rng(/*seed=*/7, /*stream=*/11);
+    const CounterRng rng(/*seed=*/7, /*stream=*/11);
     cells.push_back(timed("share_ingest", [&] {
       benchmark::DoNotOptimize(ShareValues(rel.ColumnSpan(0), rng));
     }));
 
-    // A/B (DESIGN.md §13): n counter words drawn through the batched AES
-    // generator vs. the SplitMix64-finalizer generator it replaced on the MPC
-    // hot path — the words/s record behind the share-randomness switch.
+    // n counter words of the share-randomness generator (DESIGN.md §13).
     std::vector<uint64_t> words(static_cast<size_t>(n));
-    cells.push_back(timed("rng_aesni", [&] {
-      rng.FillWords(/*first_word=*/0, words.size(), words.data());
-      benchmark::DoNotOptimize(words.data());
-    }));
-    const CounterRng splitmix(/*seed=*/7, /*stream=*/11);
     cells.push_back(timed("rng_splitmix", [&] {
       for (size_t i = 0; i < words.size(); ++i) {
-        words[i] = splitmix.At(i);
+        words[i] = rng.At(i);
       }
       benchmark::DoNotOptimize(words.data());
     }));

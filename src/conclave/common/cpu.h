@@ -6,9 +6,8 @@
 // clone — no per-file -m flags, so one binary runs correctly on any x86-64 and
 // uses the wide units when the host has them. The compaction loops
 // (SelectCompare, MaskToIndices) and the gathers (GatherI64,
-// GatherRerandCombine) stay scalar in both builds. The AES-128 counter fill is
-// the one kernel with a second source: AES-NI intrinsics beside the portable
-// cipher, because no compiler derives the former from the latter.
+// GatherRerandCombine) stay scalar in both builds. No kernel has a second
+// source.
 //
 // Both builds compute the same bits because the source fixes them: all
 // arithmetic is performed in uint64 (defined wrap, matching the engine's
@@ -19,10 +18,10 @@
 // adversarial shapes and requires equal outputs.
 //
 // Dispatch is hardware capability AND the CONCLAVE_SIMD knob: CONCLAVE_SIMD=0
-// (or "off"/"false", or SetSimdEnabled(false)) forces the baseline build and
-// the portable cipher even on AVX2/AES-NI hardware, which is how CI runs the
-// fallback and how the differential fuzzer runs its simd {on,off} axis. The
-// knob never changes results, only which instructions compute them.
+// (or "off"/"false", or SetSimdEnabled(false)) forces the baseline build even on
+// AVX2 hardware, which is how CI runs the fallback and how the differential
+// fuzzer runs its simd {on,off} axis. The knob selects only the kernel clones;
+// it never changes results, only which instructions compute them.
 //
 // Layering: common/ must not see relational/ types, so the compare/arith kinds
 // are mirrored here as cpu::Cmp / cpu::Arith; ops.cc static_asserts that the
@@ -38,9 +37,8 @@ namespace cpu {
 
 // --- Dispatch state ---------------------------------------------------------
 
-// Hardware capability (cached cpuid probes; independent of the knob).
+// Hardware capability (a cached cpuid probe; independent of the knob).
 bool HardwareAvx2();
-bool HardwareAes();
 
 // The CONCLAVE_SIMD knob: unset or any value other than "0"/"off"/"false"
 // means enabled. SetSimdEnabled overrides the environment for the process.
@@ -49,7 +47,6 @@ void SetSimdEnabled(bool enabled);
 
 // Effective dispatch: hardware capability AND the knob.
 inline bool UsingAvx2() { return SimdEnabled() && HardwareAvx2(); }
-inline bool UsingAesNi() { return SimdEnabled() && HardwareAes(); }
 
 // "avx2" or "scalar" — for bench labels and logs.
 const char* SimdLevelName();
@@ -165,30 +162,6 @@ void GatherRerandCombine(const uint64_t* a0, const uint64_t* a1,
                          uint64_t* o0, uint64_t* o1, uint64_t* o2);
 // Wrapping sum of v[0..n) (RingSum's per-morsel partial).
 uint64_t SumU64(const uint64_t* v, size_t n);
-
-// --- Fixed-key AES-128 counter blocks (AesCounterRng's engine) --------------
-//
-// Block b of a stream is AES-128(kFixedKey, base + b) where base is the
-// stream's 128-bit counter base and + is 128-bit little-endian addition; word
-// w of the stream is half (w & 1) of block (w >> 1). AES-NI when available
-// and enabled, bit-identical portable AES otherwise.
-
-// Words [first_word, first_word + n) of the stream into out.
-void AesFillWords(uint64_t base_lo, uint64_t base_hi, uint64_t first_word,
-                  size_t n, uint64_t* out);
-// Blocks [first_block, first_block + n), deinterleaved: lo halves (even words)
-// to lo_out, hi halves (odd words) to hi_out — the share-generation layout
-// (element i draws words 2i, 2i+1 == both halves of block i).
-void AesFillBlocksSplit(uint64_t base_lo, uint64_t base_hi,
-                        uint64_t first_block, size_t n, uint64_t* lo_out,
-                        uint64_t* hi_out);
-// Single word (one block computed, one half returned).
-uint64_t AesWordAt(uint64_t base_lo, uint64_t base_hi, uint64_t word_index);
-
-// Raw single-block AES-128 with a caller key, portable path only — lets tests
-// validate the block cipher against the FIPS-197 vector.
-void AesEncryptBlockPortable(const uint8_t key[16], const uint8_t in[16],
-                             uint8_t out[16]);
 
 }  // namespace cpu
 }  // namespace conclave

@@ -1,8 +1,9 @@
 // Deterministic, seedable pseudo-random generators.
 //
-// SplitMix64 seeds Xoshiro256**, the workhorse generator for share randomization,
-// oblivious shuffles, and workload synthesis. Determinism matters: every test and bench
-// in this repo is reproducible from its seed.
+// SplitMix64 seeds Xoshiro256**, the sequential generator for oblivious shuffles and
+// workload synthesis; CounterRng addresses its words by (seed, stream, index) for
+// share randomness and fault schedules. Determinism matters: every test and bench in
+// this repo is reproducible from its seed.
 #ifndef CONCLAVE_COMMON_RNG_H_
 #define CONCLAVE_COMMON_RNG_H_
 
@@ -40,72 +41,44 @@ inline uint64_t HashChainStep(uint64_t h, uint64_t value) {
 
 inline constexpr uint64_t kHashChainSeed = 0x9e3779b97f4a7c15ULL;
 
-// Counter-based generator: word `index` of stream `stream` is a pure function of
-// (seed, stream, index) — SplitMix64's finalizer over a per-stream base. Unlike the
-// sequential generators below, any subset of a stream can be evaluated in any order
-// (or in parallel) and still produce the same words, which is what makes share
-// generation embarrassingly parallel while staying bit-identical at every pool size
-// (DESIGN.md §5). Consumers claim one stream per logical operation from a sequential
-// counter and index words within it.
-// SplitMix64's output finalizer: a bijective avalanche over the counter word.
-// Shared by CounterRng and AesCounterRng's counter-base derivation.
+// SplitMix64's output finalizer: a bijective avalanche over a 64-bit word.
 inline uint64_t SplitMixFinalize(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
 
+// Counter-based generator: word `index` of stream `stream` is a pure function of
+// (seed, stream, index) — SplitMix64's finalizer over a per-stream base. Unlike the
+// sequential generators, any subset of a stream can be evaluated in any order (or
+// in parallel) and still produce the same words, which is what makes share
+// generation embarrassingly parallel while staying bit-identical at every pool size
+// (DESIGN.md §5). Consumers claim one stream per logical operation from a
+// sequential counter and index words within it. It is the one generator behind the
+// MPC plane's masks and Beaver triples and the fault plan's schedules.
 class CounterRng {
  public:
   CounterRng() = default;
   CounterRng(uint64_t seed, uint64_t stream)
-      : base_(Mix(seed ^ Mix(stream ^ 0x6a09e667f3bcc909ULL))) {}
+      : base_(SplitMixFinalize(seed ^
+                               SplitMixFinalize(stream ^ 0x6a09e667f3bcc909ULL))) {}
 
   uint64_t At(uint64_t index) const {
-    return Mix(base_ + (index + 1) * 0x9e3779b97f4a7c15ULL);
+    return SplitMixFinalize(base_ + (index + 1) * 0x9e3779b97f4a7c15ULL);
+  }
+
+  // The two mask words of elements [first, first + n), split: even[i] = At(2e) and
+  // odd[i] = At(2e + 1) for element e = first + i — how a sharing lays out its
+  // first two shares.
+  void FillPairs(uint64_t first, size_t n, uint64_t* even, uint64_t* odd) const {
+    for (size_t i = 0; i < n; ++i) {
+      even[i] = At(2 * (first + i));
+      odd[i] = At(2 * (first + i) + 1);
+    }
   }
 
  private:
-  static uint64_t Mix(uint64_t z) { return SplitMixFinalize(z); }
-
   uint64_t base_ = 0;
-};
-
-// AES-backed counter generator with the same (seed, stream, index) addressing
-// and purity contract as CounterRng, but the word at `index` is a half of
-// AES-128(fixed key, base + (index >> 1)) — batched through AES-NI on hardware
-// that has it (common/cpu.{h,cc}), a bit-identical portable AES otherwise.
-// The MPC data plane draws its share randomness here; the raw share bits
-// therefore differ from the SplitMix CounterRng era, but everything derived
-// from *reconstructed* values (relations, virtual clocks, counters) is
-// unchanged because shares stay uniform masks that cancel on reconstruction
-// (DESIGN.md §13). FillWords/FillBlocksSplit are the batched hot paths:
-// FillBlocksSplit writes element i's two mask words (2i, 2i+1 — the two halves
-// of block i) directly into split r0/r1 arrays, which is exactly the
-// share-generation access pattern.
-class AesCounterRng {
- public:
-  AesCounterRng() = default;
-  AesCounterRng(uint64_t seed, uint64_t stream)
-      : base_lo_(SplitMixFinalize(
-            seed ^ SplitMixFinalize(stream ^ 0x6a09e667f3bcc909ULL))),
-        base_hi_(SplitMixFinalize(
-            seed ^ SplitMixFinalize(stream ^ 0xbb67ae8584caa73bULL))) {}
-
-  // Word `index` of the stream (pure; any order, any subset).
-  uint64_t At(uint64_t index) const;
-
-  // Words [first_word, first_word + n) into out.
-  void FillWords(uint64_t first_word, size_t n, uint64_t* out) const;
-
-  // Blocks [first_block, first_block + n) deinterleaved: even words (lo
-  // halves) to lo_out, odd words (hi halves) to hi_out.
-  void FillBlocksSplit(uint64_t first_block, size_t n, uint64_t* lo_out,
-                       uint64_t* hi_out) const;
-
- private:
-  uint64_t base_lo_ = 0;
-  uint64_t base_hi_ = 0;
 };
 
 class Rng {

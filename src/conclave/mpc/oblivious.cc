@@ -19,7 +19,7 @@ std::vector<SharedColumn> GatherRerandomizeColumns(SecretShareEngine& engine,
                                                    const SharedRelation& input,
                                                    std::span<const int64_t> rows) {
   const int num_columns = input.NumColumns();
-  std::vector<AesCounterRng> streams;
+  std::vector<CounterRng> streams;
   streams.reserve(static_cast<size_t>(num_columns));
   for (int c = 0; c < num_columns; ++c) {
     streams.push_back(engine.NewStream());
@@ -44,13 +44,13 @@ std::vector<SharedColumn> GatherRerandomizeColumns(SecretShareEngine& engine,
 // Then one triple batch per column for the swap itself.
 struct LayerStreams {
   struct Key {
-    AesCounterRng compare_masks;
-    AesCounterRng equal_masks;
-    AesCounterRng greater_triples;
-    AesCounterRng equal_triples;
+    CounterRng compare_masks;
+    CounterRng equal_masks;
+    CounterRng greater_triples;
+    CounterRng equal_triples;
   };
   std::vector<Key> keys;
-  std::vector<AesCounterRng> swap_triples;
+  std::vector<CounterRng> swap_triples;
 };
 
 // Claims the streams of a layer of `m` comparators in the order of the comparison
@@ -76,7 +76,7 @@ LayerStreams ClaimLayer(SecretShareEngine& engine, size_t m, size_t num_keys,
     }
   }
   streams.swap_triples.resize(static_cast<size_t>(num_columns));
-  for (AesCounterRng& triples : streams.swap_triples) {
+  for (CounterRng& triples : streams.swap_triples) {
     triples = dealer.ClaimBatch(m);
   }
   return streams;

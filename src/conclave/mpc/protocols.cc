@@ -107,16 +107,16 @@ void SegmentedScan(SecretShareEngine& engine, SharedColumn& values,
   for (int64_t d = 1; d < n; d *= 2) {
     // Each level's randomness, claimed in the order of its charges.
     const size_t len = static_cast<size_t>(n - d);
-    AesCounterRng pick_masks;
-    AesCounterRng combine_triples;
+    CounterRng pick_masks;
+    CounterRng combine_triples;
     if (ordered) {
       pick_masks = engine.NewStream();
     }
     if (combine != ScanCombine::kAdd) {
       combine_triples = dealer.ClaimBatch(len);
     }
-    const AesCounterRng mux_triples = dealer.ClaimBatch(len);
-    const AesCounterRng flag_triples = dealer.ClaimBatch(len);
+    const CounterRng mux_triples = dealer.ClaimBatch(len);
+    const CounterRng flag_triples = dealer.ClaimBatch(len);
 
     ParallelFor(
         0, n,

@@ -151,7 +151,7 @@ SharedColumn SecretShareEngine::Mul(const SharedColumn& a, const SharedColumn& b
     return SharedColumn(0);
   }
 
-  const AesCounterRng triples = dealer_.ClaimBatch(n);
+  const CounterRng triples = dealer_.ClaimBatch(n);
   SharedColumn out(n);
   ForRows(n, [&](int64_t lo, int64_t hi) {
     BeaverBlock beaver;
@@ -173,7 +173,7 @@ std::vector<int64_t> SecretShareEngine::Open(const SharedColumn& a) {
 SharedColumn SecretShareEngine::Rerandomize(const SharedColumn& a) {
   const size_t n = a.size();
   SharedColumn out(n);
-  const AesCounterRng rng = NewStream();
+  const CounterRng rng = NewStream();
   const Ring* const a0 = a.shares[0].data();
   const Ring* const a1 = a.shares[1].data();
   const Ring* const a2 = a.shares[2].data();
@@ -184,7 +184,7 @@ SharedColumn SecretShareEngine::Rerandomize(const SharedColumn& a) {
     // o0/o1 hold the fresh masks r0/r1 until the zero-sharing combine: o2 is
     // computed from them first, then they absorb the input shares.
     const size_t len = static_cast<size_t>(hi - lo);
-    rng.FillBlocksSplit(static_cast<uint64_t>(lo), len, o0 + lo, o1 + lo);
+    rng.FillPairs(static_cast<uint64_t>(lo), len, o0 + lo, o1 + lo);
     cpu::SubSubU64(a2 + lo, o0 + lo, o1 + lo, len, o2 + lo);
     cpu::AddU64(o0 + lo, a0 + lo, len, o0 + lo);
     cpu::AddU64(o1 + lo, a1 + lo, len, o1 + lo);
@@ -194,7 +194,7 @@ SharedColumn SecretShareEngine::Rerandomize(const SharedColumn& a) {
 
 SharedColumn SecretShareEngine::GatherRerandomizeWith(const SharedColumn& column,
                                                       std::span<const int64_t> rows,
-                                                      const AesCounterRng& rng) {
+                                                      const CounterRng& rng) {
   const size_t n = rows.size();
   SharedColumn out(n);
   const Ring* const a0 = column.shares[0].data();
@@ -212,7 +212,7 @@ SharedColumn SecretShareEngine::GatherRerandomizeWith(const SharedColumn& column
     }
 #endif
     const size_t len = static_cast<size_t>(hi - lo);
-    rng.FillBlocksSplit(static_cast<uint64_t>(lo), len, o0 + lo, o1 + lo);
+    rng.FillPairs(static_cast<uint64_t>(lo), len, o0 + lo, o1 + lo);
     cpu::GatherRerandCombine(a0, a1, a2, rows.data() + lo, len, o0 + lo,
                              o1 + lo, o2 + lo);
   });
@@ -221,12 +221,12 @@ SharedColumn SecretShareEngine::GatherRerandomizeWith(const SharedColumn& column
 
 void SecretShareEngine::ShareComparison(CompareOp op, const int64_t* lhs,
                                         const int64_t* rhs, size_t len,
-                                        const AesCounterRng& masks, uint64_t first,
+                                        const CounterRng& masks, uint64_t first,
                                         uint8_t* bits, ShareRun out) {
   // One vector compare into 0/1 bytes, one batched mask fill, one combine.
   cpu::CompareMask(static_cast<cpu::Cmp>(op), lhs, rhs, 0, len, cpu::MaskMode::kSet,
                    bits);
-  masks.FillBlocksSplit(first, len, out.p[0], out.p[1]);
+  masks.FillPairs(first, len, out.p[0], out.p[1]);
   cpu::MaskSubSub(bits, out.p[0], out.p[1], len, out.p[2]);
 }
 
@@ -244,7 +244,7 @@ SharedColumn SecretShareEngine::Compare(CompareOp op, const SharedColumn& a,
 
   // Fresh sharing of the comparison bits, fused with their computation.
   SharedColumn out(n);
-  const AesCounterRng masks = NewStream();
+  const CounterRng masks = NewStream();
   auto bits_buf = arena_.Acquire((n + 7) / 8);
   uint8_t* const bits = reinterpret_cast<uint8_t*>(bits_buf.u64());
   ForRows(n, [&](int64_t lo, int64_t hi) {
@@ -274,7 +274,7 @@ SharedColumn SecretShareEngine::Div(const SharedColumn& a, const SharedColumn& b
   const int64_t* const den = den_buf.i64();
 
   SharedColumn out(n);
-  const AesCounterRng rng = NewStream();
+  const CounterRng rng = NewStream();
   auto q_buf = arena_.Acquire(n);
   int64_t* const q = q_buf.i64();
   Ring* const o0 = out.shares[0].data();
@@ -286,7 +286,7 @@ SharedColumn SecretShareEngine::Div(const SharedColumn& a, const SharedColumn& b
     // the MPC lane and the cleartext Arithmetic kernel can never drift.
     cpu::ArithColumn(cpu::Arith::kDiv, num + lo, den + lo, 0, scale, len,
                      q + lo);
-    rng.FillBlocksSplit(static_cast<uint64_t>(lo), len, o0 + lo, o1 + lo);
+    rng.FillPairs(static_cast<uint64_t>(lo), len, o0 + lo, o1 + lo);
     cpu::SubSubU64(reinterpret_cast<const uint64_t*>(q) + lo, o0 + lo, o1 + lo,
                    len, o2 + lo);
   });

@@ -20,15 +20,13 @@
 //
 // Data-plane layout (DESIGN.md §5, §13): every primitive is a structure-of-arrays
 // morsel loop over rows (ParallelFor on the pool bound to the MPC lane), randomness
-// is counter-based — each operation claims one AesCounterRng stream (batched
-// fixed-key AES counter blocks, AES-NI dispatched via common/cpu.h) from a
-// sequential counter, and element i derives its words from the (stream, i) pair —
-// and per-call temporaries (masked openings, ideal-functionality reconstructions)
-// live in a recycling scratch arena. The combine loops themselves run through the
-// cpu:: ring kernels (each one loop, compiled for the baseline ISA and as an AVX2
-// clone that computes the same bits). Together these
-// make every kernel a pure function of its operands and stream, so shares are
-// bit-identical at every pool size.
+// is counter-based — each operation claims one CounterRng stream from a sequential
+// counter, and element i derives its words from the (stream, i) pair — and
+// per-call temporaries (ideal-functionality reconstructions) live in a recycling
+// scratch arena. The combine loops themselves run through the cpu:: ring kernels
+// (each one loop, compiled for the baseline ISA and as an AVX2 clone that computes
+// the same bits). Together these make every kernel a pure function of its operands
+// and stream, so shares are bit-identical at every pool size.
 //
 // Every multiplication runs through BeaverBlock: Mul and the fused kernels — one
 // Batcher compare-exchange layer (mpc/oblivious.cc) and one segmented-scan level
@@ -99,7 +97,7 @@ class SecretShareEngine {
   // stream per column up front (in column order, on the lane) and fan the moves out.
   static SharedColumn GatherRerandomizeWith(const SharedColumn& column,
                                             std::span<const int64_t> rows,
-                                            const AesCounterRng& rng);
+                                            const CounterRng& rng);
 
   // --- Ideal-functionality protocols (full cost charged) -----------------------------
   // Element-wise comparison; returns a shared 0/1 column. kEq/kNe use the cheap
@@ -144,15 +142,15 @@ class SecretShareEngine {
   static void BeaverStep(ConstShareRun x, ConstShareRun y, const TripleRun& triples,
                          size_t len, Ring* d, Ring* e, ShareRun z);
   // Fresh sharing of the 0/1 results lhs[i] op rhs[i] for `len` elements whose
-  // masks are blocks [first, first + len) of `masks` (element i's two mask words
-  // are the halves of one block); `bits` is caller scratch of `len` bytes.
+  // masks are elements [first, first + len) of `masks` (element e draws words 2e
+  // and 2e + 1); `bits` is caller scratch of `len` bytes.
   static void ShareComparison(CompareOp op, const int64_t* lhs, const int64_t* rhs,
-                              size_t len, const AesCounterRng& masks, uint64_t first,
+                              size_t len, const CounterRng& masks, uint64_t first,
                               uint8_t* bits, ShareRun out);
   // Claims the next randomness stream. Streams are claimed in a fixed sequence on
   // the serialized MPC lane, so stream assignment — and therefore every sharing —
   // is independent of the pool size.
-  AesCounterRng NewStream() { return AesCounterRng(seed_, next_stream_++); }
+  CounterRng NewStream() { return CounterRng(seed_, next_stream_++); }
 
   // Replay checkpoint for fault-injected frontier rollback (backends/dispatcher,
   // DESIGN.md §11): restoring rewinds the stream counter, the sequential
@@ -219,7 +217,7 @@ class BeaverBlock {
  public:
   // z = x * y for elements [first, first + len) of the batch whose triple stream
   // is `triples` (len <= kFusedBlockRows); z may alias x or y.
-  void Mul(const AesCounterRng& triples, uint64_t first, size_t len,
+  void Mul(const CounterRng& triples, uint64_t first, size_t len,
            ConstShareRun x, ConstShareRun y, ShareRun z) {
     TripleDealer::Unpack(triples, first, len, a_.run(), b_.run(), c_.run());
     SecretShareEngine::BeaverStep(x, y, {a_.run(), b_.run(), c_.run()}, len, d_, e_,

@@ -19,7 +19,7 @@ SharedColumn ShareValues(std::span<const int64_t> values, Rng& rng) {
   return column;
 }
 
-SharedColumn ShareValues(std::span<const int64_t> values, const AesCounterRng& rng) {
+SharedColumn ShareValues(std::span<const int64_t> values, const CounterRng& rng) {
   SharedColumn column(values.size());
   Ring* const s0 = column.shares[0].data();
   Ring* const s1 = column.shares[1].data();
@@ -28,11 +28,10 @@ SharedColumn ShareValues(std::span<const int64_t> values, const AesCounterRng& r
   ParallelFor(
       0, static_cast<int64_t>(values.size()),
       [&](int64_t lo, int64_t hi) {
-        // Element i's mask words are the two halves of AES counter block i, so
-        // a morsel is one contiguous batched fill straight into s0/s1 followed
-        // by one vector combine — no per-element finalizer calls.
+        // Element i's mask words are stream words 2i and 2i+1, so a morsel is
+        // one fill straight into s0/s1 followed by one vector combine.
         const size_t n = static_cast<size_t>(hi - lo);
-        rng.FillBlocksSplit(static_cast<uint64_t>(lo), n, s0 + lo, s1 + lo);
+        rng.FillPairs(static_cast<uint64_t>(lo), n, s0 + lo, s1 + lo);
         cpu::SubSubU64(reinterpret_cast<const uint64_t*>(v) + lo, s0 + lo,
                        s1 + lo, n, s2 + lo);
       },

@@ -12,10 +12,9 @@
 // The bulk helpers here are the data plane's innermost loops: they run structure-of-
 // arrays passes over morsels of rows (common/thread_pool.h ParallelFor), writing
 // disjoint elements, so they produce bit-identical shares at every pool size. Share
-// generation uses counter-based randomness (AesCounterRng — batched fixed-key AES
-// counter blocks, AES-NI when available): element i of a sharing draws words 2i and
-// 2i+1 of the operation's stream (the two halves of block i), independent of
-// evaluation order. The loops themselves dispatch through common/cpu.h: each is one
+// generation uses counter-based randomness (CounterRng): element i of a sharing
+// draws words 2i and 2i+1 of the operation's stream, independent of evaluation
+// order. The loops themselves dispatch through common/cpu.h: each is one
 // loop compiled twice, run as its AVX2 build on hardware that has it and as its
 // baseline build everywhere else, with the same bits either way.
 #ifndef CONCLAVE_MPC_SHARE_H_
@@ -47,7 +46,7 @@ inline constexpr int64_t kMpcGrainRows = 8 * 1024;
 
 // Morsel size of the fused kernels (one Batcher compare-exchange layer, one
 // segmented-scan level per pass; DESIGN.md §5). A fused element costs tens of
-// nanoseconds (AES mask and triple blocks plus a Beaver step per column) against
+// nanoseconds (mask and triple words plus a Beaver step per column) against
 // about one for an Add element, so a morsel this size still amortizes its dispatch
 // while a 17k-comparator layer spreads over 17 morsels. Chosen by measurement
 // (4-vCPU host, pool 4, hhi_mpc_only's query p50, median of 6 interleaved runs):
@@ -106,18 +105,18 @@ inline ConstShareRun RunOf(const SharedColumn& column, size_t offset = 0) {
 }
 
 // Splits cleartext values into fresh random additive shares (sequential generator;
-// test/fixture convenience). The engine's data plane uses the AesCounterRng overload.
+// test/fixture convenience). The engine's data plane uses the CounterRng overload.
 SharedColumn ShareValues(std::span<const int64_t> values, Rng& rng);
 
 // Counter-based, morsel-parallel sharing: element i draws stream words 2i and 2i+1,
 // so the result is a pure function of (values, rng) at every pool size. The mask
-// words come out of batched AES counter fills straight into the share vectors.
-SharedColumn ShareValues(std::span<const int64_t> values, const AesCounterRng& rng);
+// words are written straight into the share vectors (CounterRng::FillPairs).
+SharedColumn ShareValues(std::span<const int64_t> values, const CounterRng& rng);
 
 // Shares one relation column zero-copy: the columnar layout makes this exactly
 // ShareValues over the column's contiguous cell span — no strided gather, no copy.
 inline SharedColumn ShareColumn(const Relation& relation, int col,
-                                const AesCounterRng& rng) {
+                                const CounterRng& rng) {
   CONCLAVE_CHECK_GE(col, 0);
   CONCLAVE_CHECK_LT(col, relation.NumColumns());
   return ShareValues(relation.ColumnSpan(col), rng);

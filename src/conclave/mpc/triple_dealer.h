@@ -5,12 +5,12 @@
 // standard simulation stand-in for Sharemind's correlated-randomness preprocessing; the
 // number of triples dealt is exposed so tests can assert multiplication counts.
 //
-// Randomness is counter-based (AesCounterRng — batched fixed-key AES counter
-// blocks): triple i of a batch draws words [8i, 8i+8) of the batch's stream
-// (Unpack, the one definition of the layout). The dealer only claims streams
-// (ClaimBatch); every multiplication — the engine's Mul and the fused kernels —
-// unpacks each block's triples into BeaverBlock's stack buffers, so no triple is
-// ever materialized in a column and the result is pool-size independent.
+// The dealer is the preprocessing phase reduced to a pure function of (stream,
+// index): triple i of a batch draws words [8i, 8i+8) of the batch's CounterRng
+// stream (Unpack, the one definition of the layout). The dealer only claims
+// streams (ClaimBatch); every multiplication — the engine's Mul and the fused
+// kernels — unpacks each block's triples into BeaverBlock's stack buffers, so the
+// engine materializes no triple column and the result is pool-size independent.
 #ifndef CONCLAVE_MPC_TRIPLE_DEALER_H_
 #define CONCLAVE_MPC_TRIPLE_DEALER_H_
 
@@ -35,15 +35,15 @@ class TripleDealer {
   // Deals a batch of `count` triples: claims its stream and counts the triples as
   // dealt. The caller unpacks triples [first, first + len) of it with Unpack,
   // block by block.
-  AesCounterRng ClaimBatch(size_t count) {
+  CounterRng ClaimBatch(size_t count) {
     triples_dealt_ += count;
-    return AesCounterRng(seed_, next_stream_++);
+    return CounterRng(seed_, next_stream_++);
   }
 
   // The triple layout: triple i of a batch is words [8i, 8i+8) of its stream — the
   // secrets a and b, then the first two shares of a, of b and of c = a*b (the third
   // share completes each sharing). Writes triples [first, first + count) to a, b, c.
-  static void Unpack(const AesCounterRng& stream, uint64_t first, size_t count,
+  static void Unpack(const CounterRng& stream, uint64_t first, size_t count,
                      ShareRun a, ShareRun b, ShareRun c);
 
   uint64_t triples_dealt() const { return triples_dealt_; }

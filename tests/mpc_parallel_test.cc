@@ -351,14 +351,14 @@ TEST(MpcParallelTest, ProtocolSharesBitIdenticalAcrossPoolSizes) {
 // or of the building blocks beneath them must leave this number unchanged. Update it
 // only for a deliberate change of a protocol's randomness or charges.
 TEST(MpcParallelTest, ProtocolFingerprintIsPinned) {
-  EXPECT_EQ(RunProtocols(1).Fingerprint(), 0xa7a9c8af61dd921fULL);
+  EXPECT_EQ(RunProtocols(1).Fingerprint(), 0xb9a1bb40b0d611faULL);
 }
 
 // The multi-morsel sorts and scans, pinned the same way: bit-identical at every pool
 // size, and one fingerprint across code changes.
 TEST(MpcParallelTest, NetworkTraceIsPinnedAtEveryPoolSize) {
   const Trace serial = RunNetworks(1);
-  EXPECT_EQ(serial.Fingerprint(), 0x68548975af2641d5ULL);
+  EXPECT_EQ(serial.Fingerprint(), 0x237c667e08472a0fULL);
   EXPECT_TRUE(serial.BitIdentical(RunNetworks(2)));
   EXPECT_TRUE(serial.BitIdentical(RunNetworks(4)));
 }

@@ -2,19 +2,15 @@
 //
 // Every kernel is one loop compiled twice: for the build's baseline ISA and as
 // an AVX2 clone. Each runs twice on the same adversarial inputs — once with the
-// SIMD knob off (the baseline build) and once with it on (the AVX2 clone, and
-// AES-NI, when the host has them) — and the outputs must match bit for bit.
-// Shapes deliberately include 0/1-row columns, tails of every residue mod the
-// vector width, and INT64_MIN/INT64_MAX wrap cases. The compaction kernels
-// write into outputs of exactly their documented capacity, so a loop that
-// stores past it fails under ASan. The AES section additionally pins the block
-// cipher to the FIPS-197 vector and the AesCounterRng stream to golden words
-// so the (seed, stream, index) pure-function contract is machine-checked, not
-// just self-consistent.
+// SIMD knob off (the baseline build) and once with it on (the AVX2 clone, when
+// the host has it) — and the outputs must match bit for bit. Shapes
+// deliberately include 0/1-row columns, tails of every residue mod the vector
+// width, and INT64_MIN/INT64_MAX wrap cases. The compaction kernels write into
+// outputs of exactly their documented capacity, so a loop that stores past it
+// fails under ASan.
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -387,100 +383,12 @@ TEST(SimdKernels, InPlaceArithAndAddAllowed) {
   }
 }
 
-// --- AES --------------------------------------------------------------------
-
-TEST(AesCounter, Fips197KnownAnswer) {
-  // FIPS-197 appendix B: AES-128 of 00112233..eeff under key 000102..0f.
-  const uint8_t key[16] = {0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
-                           0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f};
-  const uint8_t pt[16] = {0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77,
-                          0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff};
-  const uint8_t want[16] = {0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30,
-                            0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5, 0x5a};
-  uint8_t got[16];
-  cpu::AesEncryptBlockPortable(key, pt, got);
-  EXPECT_EQ(0, std::memcmp(got, want, 16));
-}
-
-TEST(AesCounter, NiMatchesPortable) {
-  if (!cpu::HardwareAes()) {
-    GTEST_SKIP() << "no AES-NI hardware";
-  }
-  const AesCounterRng rng(0x1234567890abcdefULL, 42);
-  for (size_t n : kLengths) {
-    std::vector<uint64_t> want_lo(n), want_hi(n), got_lo(n), got_hi(n);
-    std::vector<uint64_t> want_w(n), got_w(n);
-    {
-      ScopedSimd off(false);
-      rng.FillBlocksSplit(/*first_block=*/3, n, want_lo.data(),
-                          want_hi.data());
-      rng.FillWords(/*first_word=*/5, n, want_w.data());
-    }
-    {
-      ScopedSimd on(true);
-      rng.FillBlocksSplit(3, n, got_lo.data(), got_hi.data());
-      rng.FillWords(5, n, got_w.data());
-    }
-    ASSERT_EQ(want_lo, got_lo) << "n=" << n;
-    ASSERT_EQ(want_hi, got_hi) << "n=" << n;
-    ASSERT_EQ(want_w, got_w) << "n=" << n;
-  }
-}
-
-TEST(AesCounter, PureFunctionAddressing) {
-  // At(), FillWords(), and FillBlocksSplit() are three views of one pure
-  // function of (seed, stream, index): word w == half (w & 1) of block
-  // (w >> 1), regardless of fill order, batching, or starting offset.
-  const AesCounterRng rng(77, 5);
-  constexpr size_t kN = 300;
-  std::vector<uint64_t> words(kN);
-  rng.FillWords(0, kN, words.data());
-  for (uint64_t w = 0; w < kN; ++w) {
-    ASSERT_EQ(rng.At(w), words[w]) << "w=" << w;
-  }
-  std::vector<uint64_t> lo(kN / 2), hi(kN / 2);
-  rng.FillBlocksSplit(0, kN / 2, lo.data(), hi.data());
-  for (size_t b = 0; b < kN / 2; ++b) {
-    ASSERT_EQ(lo[b], words[2 * b]) << "b=" << b;
-    ASSERT_EQ(hi[b], words[2 * b + 1]) << "b=" << b;
-  }
-  // Offset fills agree with the absolute addressing.
-  std::vector<uint64_t> tail(kN - 13);
-  rng.FillWords(13, tail.size(), tail.data());
-  for (size_t i = 0; i < tail.size(); ++i) {
-    ASSERT_EQ(tail[i], words[13 + i]) << "i=" << i;
-  }
-  // Distinct streams and seeds decorrelate.
-  const AesCounterRng other_stream(77, 6);
-  const AesCounterRng other_seed(78, 5);
-  EXPECT_NE(other_stream.At(0), rng.At(0));
-  EXPECT_NE(other_seed.At(0), rng.At(0));
-}
-
-TEST(AesCounter, GoldenVectors) {
-  // Pinned draws by (seed, stream, index): a change to the fixed key, the
-  // counter-base derivation, the block layout, or the cipher itself breaks
-  // these exact words. Values come from the portable cipher (whose own ground
-  // truth is the FIPS-197 test above) and must hold on both dispatch paths.
-  for (bool simd : {false, true}) {
-    ScopedSimd guard(simd);
-    const AesCounterRng rng(0xc0ffee, 9);
-    EXPECT_EQ(rng.At(0), 0x7c11c03159a2678dULL) << "simd=" << simd;
-    EXPECT_EQ(rng.At(1), 0xd68fed51f06df0f8ULL) << "simd=" << simd;
-    EXPECT_EQ(rng.At(1000), 0x6449cecdbe49a805ULL) << "simd=" << simd;
-    const AesCounterRng other(1, 0);
-    EXPECT_EQ(other.At(0), 0x3de2f745245e8efdULL) << "simd=" << simd;
-    EXPECT_EQ(other.At(7), 0x2523d7be8286d65bULL) << "simd=" << simd;
-  }
-}
-
 TEST(SimdKernels, KnobAndLevelNames) {
   const bool initial = cpu::SimdEnabled();
   {
     ScopedSimd off(false);
     EXPECT_FALSE(cpu::SimdEnabled());
     EXPECT_FALSE(cpu::UsingAvx2());
-    EXPECT_FALSE(cpu::UsingAesNi());
     EXPECT_STREQ(cpu::SimdLevelName(), "scalar");
     {
       ScopedSimd on(true);
