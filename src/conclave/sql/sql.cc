@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <optional>
+#include <system_error>
 #include <vector>
 
 #include "conclave/common/strings.h"
@@ -50,7 +52,14 @@ StatusOr<std::vector<Token>> Lex(const std::string& input) {
         ++j;
       }
       Token token{TokenKind::kNumber, input.substr(i, j - i), 0};
-      token.number = std::stoll(token.text);
+      const char* const end = token.text.data() + token.text.size();
+      const auto [stop, error] =
+          std::from_chars(token.text.data(), end, token.number);
+      if (error != std::errc() || stop != end) {
+        return InvalidArgumentError(
+            StrFormat("sql: integer literal %s at offset %zu is out of range",
+                      token.text.c_str(), i));
+      }
       tokens.push_back(token);
       i = j;
       continue;
@@ -138,8 +147,8 @@ class Parser {
       current = current.SortBy({column}, ascending);
     }
     if (ConsumeKeyword("LIMIT")) {
-      if (Peek().kind != TokenKind::kNumber) {
-        return InvalidArgumentError("sql: LIMIT expects a number");
+      if (Peek().kind != TokenKind::kNumber || Peek().number < 0) {
+        return InvalidArgumentError("sql: LIMIT expects a non-negative number");
       }
       current = current.Limit(Next().number);
     }

@@ -135,10 +135,28 @@ TEST(SqlParserTest, UserErrorsAreStatusesNotAborts) {
       {"SELECT * FROM diag0 LIMIT x", StatusCode::kInvalidArgument},
       {"SELECT * FROM diag0 extra", StatusCode::kInvalidArgument},
       {"SELECT * FROM diag0 WHERE pid @ 3", StatusCode::kInvalidArgument},
+      {"SELECT * FROM diag0 LIMIT 99999999999999999999", StatusCode::kInvalidArgument},
+      {"SELECT * FROM diag0 WHERE pid > -99999999999999999999",
+       StatusCode::kInvalidArgument},
+      {"SELECT * FROM diag0 WHERE pid > 9223372036854775808",
+       StatusCode::kInvalidArgument},
+      {"SELECT * FROM diag0 LIMIT -1", StatusCode::kInvalidArgument},
   };
   for (const auto& test : cases) {
     const auto result = ParseQuery(f.query, f.tables, test.statement);
     EXPECT_EQ(result.status().code(), test.code) << test.statement;
+  }
+}
+
+// Literals at the int64 bounds still parse.
+TEST(SqlParserTest, Int64BoundLiteralsParse) {
+  Fixture f;
+  for (const char* statement :
+       {"SELECT * FROM diag0 WHERE pid > -9223372036854775808",
+        "SELECT * FROM diag0 WHERE pid < 9223372036854775807",
+        "SELECT * FROM diag0 LIMIT 9223372036854775807"}) {
+    const auto result = ParseQuery(f.query, f.tables, statement);
+    EXPECT_TRUE(result.ok()) << statement << ": " << result.status().ToString();
   }
 }
 
