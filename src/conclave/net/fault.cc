@@ -1,7 +1,11 @@
 #include "conclave/net/fault.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <system_error>
+#include <type_traits>
 
 #include "conclave/common/rng.h"
 #include "conclave/common/strings.h"
@@ -40,6 +44,20 @@ const char* KindName(FaultEvent::Kind kind) {
 
 double UnitDouble(uint64_t word) {
   return static_cast<double>(word >> 11) * 0x1.0p-53;
+}
+
+// Parses all of `text` as a T: a base-10 integer in T's range, or a finite double.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, *out);
+  if (error != std::errc() || stop != end) {
+    return false;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::isfinite(*out);
+  }
+  return true;
 }
 
 }  // namespace
@@ -87,35 +105,34 @@ StatusOr<FaultPlan> FaultPlan::Parse(const std::string& spec) {
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
-    char* parse_end = nullptr;
-    const double number = std::strtod(value.c_str(), &parse_end);
-    if (parse_end == value.c_str() || *parse_end != '\0') {
-      return InvalidArgumentError(StrFormat("fault plan value '%s' for key '%s'",
-                                            value.c_str(), key.c_str()));
-    }
+    bool parsed = false;
     if (key == "seed") {
-      plan.seed = static_cast<uint64_t>(number);
+      parsed = ParseNumber(value, &plan.seed);
     } else if (key == "drop") {
-      plan.drop_rate = number;
+      parsed = ParseNumber(value, &plan.drop_rate);
     } else if (key == "corrupt") {
-      plan.corrupt_rate = number;
+      parsed = ParseNumber(value, &plan.corrupt_rate);
     } else if (key == "crash") {
-      plan.crash_rate = number;
+      parsed = ParseNumber(value, &plan.crash_rate);
     } else if (key == "latency") {
-      plan.latency_rate = number;
+      parsed = ParseNumber(value, &plan.latency_rate);
     } else if (key == "latency_s") {
-      plan.latency_seconds = number;
+      parsed = ParseNumber(value, &plan.latency_seconds);
     } else if (key == "drops") {
-      plan.max_consecutive_drops = static_cast<int>(number);
+      parsed = ParseNumber(value, &plan.max_consecutive_drops);
     } else if (key == "crash_times") {
-      plan.crash_times = static_cast<int>(number);
+      parsed = ParseNumber(value, &plan.crash_times);
     } else if (key == "corrupt_times") {
-      plan.corrupt_times = static_cast<int>(number);
+      parsed = ParseNumber(value, &plan.corrupt_times);
     } else if (key == "retries") {
-      plan.job_retries = static_cast<int>(number);
+      parsed = ParseNumber(value, &plan.job_retries);
     } else {
       return InvalidArgumentError(
           StrFormat("unknown fault plan key '%s'", key.c_str()));
+    }
+    if (!parsed) {
+      return InvalidArgumentError(StrFormat("fault plan value '%s' for key '%s'",
+                                            value.c_str(), key.c_str()));
     }
   }
   const bool rate_ok = [&] {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 
 #include "conclave/api/conclave.h"
+#include "conclave/common/strings.h"
 #include "conclave/compiler/plan_cost.h"
 #include "conclave/data/generators.h"
 #include "conclave/net/fault.h"
@@ -519,6 +521,18 @@ TEST(FaultPlanTest, ParseRoundTripsThroughToString) {
   const auto reparsed = FaultPlan::Parse(plan->ToString());
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(reparsed->ToString(), plan->ToString());
+
+  // Seeds are integers: every uint64 reads back exactly, past double precision too.
+  for (uint64_t seed : {(uint64_t{1} << 53) + 1, std::numeric_limits<uint64_t>::max()}) {
+    const auto seeded = FaultPlan::Parse(StrFormat(
+        "seed=%llu,drop=0.5", static_cast<unsigned long long>(seed)));
+    ASSERT_TRUE(seeded.ok()) << seed;
+    EXPECT_EQ(seeded->seed, seed);
+    const auto again = FaultPlan::Parse(seeded->ToString());
+    ASSERT_TRUE(again.ok()) << seeded->ToString();
+    EXPECT_EQ(again->seed, seed);
+    EXPECT_EQ(again->ToString(), seeded->ToString());
+  }
 }
 
 TEST(FaultPlanTest, ParseRejectsMalformedSpecs) {
@@ -530,6 +544,16 @@ TEST(FaultPlanTest, ParseRejectsMalformedSpecs) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(FaultPlan::Parse("drop=1.5").status().code(),
             StatusCode::kInvalidArgument);
+  // Non-finite doubles, and integer keys given a value no integer field can hold
+  // (negative, fractional, exponent or out of range), are rejected, never cast.
+  for (const char* spec :
+       {"drop=nan", "corrupt=-nan", "crash=inf", "latency_s=inf", "latency_s=nan",
+        "seed=-1", "seed=1e300", "seed=18446744073709551616", "seed=7.5", "drops=1e10",
+        "drops=2.5", "retries=99999999999", "crash_times=-2147483649",
+        "corrupt_times=", "seed="}) {
+    EXPECT_EQ(FaultPlan::Parse(spec).status().code(), StatusCode::kInvalidArgument)
+        << spec;
+  }
   const auto off = FaultPlan::Parse("off");
   ASSERT_TRUE(off.ok());
   EXPECT_FALSE(off->enabled);
