@@ -97,21 +97,20 @@ SharedColumn SecretShareEngine::PublicConst(size_t n, int64_t value) {
   return out;
 }
 
-void SecretShareEngine::BeaverStep(ConstShareRun x, ConstShareRun y,
-                                   const TripleRun& triples, size_t len, Ring* d,
-                                   Ring* e, ShareRun z) {
+void BeaverBlock::Mul(const CounterRng& triples, uint64_t first, size_t len,
+                      ConstShareRun x, ConstShareRun y, ShareRun z) {
+  TripleDealer::Unpack(triples, first, len, a_.run(), b_.run(), c_.run());
   // Party-major passes so every inner loop streams over dense arrays.
-  std::memset(d, 0, len * sizeof(Ring));
-  std::memset(e, 0, len * sizeof(Ring));
+  std::memset(d_, 0, len * sizeof(Ring));
+  std::memset(e_, 0, len * sizeof(Ring));
   for (int p = 0; p < kNumShareParties; ++p) {
-    cpu::AccumDiffU64(x.p[p], triples.a.p[p], len, d);
-    cpu::AccumDiffU64(y.p[p], triples.b.p[p], len, e);
+    cpu::AccumDiffU64(x.p[p], a_.s[p], len, d_);
+    cpu::AccumDiffU64(y.p[p], b_.s[p], len, e_);
   }
   for (int p = 0; p < kNumShareParties; ++p) {
-    cpu::BeaverCombineU64(triples.c.p[p], d, triples.b.p[p], e, triples.a.p[p], len,
-                          z.p[p]);
+    cpu::BeaverCombineU64(c_.s[p], d_, b_.s[p], e_, a_.s[p], len, z.p[p]);
   }
-  cpu::AccumMulU64(d, e, len, z.p[0]);
+  cpu::AccumMulU64(d_, e_, len, z.p[0]);
 }
 
 void ChargeSsBatch(SimNetwork& network, SsPrimitive primitive, uint64_t units) {

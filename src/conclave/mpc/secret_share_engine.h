@@ -135,12 +135,6 @@ class SecretShareEngine {
   }
 
   // --- Chunk kernels and charges -------------------------------------------------------
-  // Beaver's online step over `len` elements: opens d = x - ta and e = y - tb into
-  // the caller's scratch d and e, then writes z = tc + d*tb + e*ta + d*e (the d*e
-  // term folded into party 0's share). z may alias x or y: both openings are
-  // complete before z is written.
-  static void BeaverStep(ConstShareRun x, ConstShareRun y, const TripleRun& triples,
-                         size_t len, Ring* d, Ring* e, ShareRun z);
   // Fresh sharing of the 0/1 results lhs[i] op rhs[i] for `len` elements whose
   // masks are elements [first, first + len) of `masks` (element e draws words 2e
   // and 2e + 1); `bits` is caller scratch of `len` bytes.
@@ -210,19 +204,18 @@ struct ShareBlock {
   ShareRun run() { return {{s[0], s[1], s[2]}}; }
 };
 
-// Beaver multiplication over one block: unpacks the block's triples from a claimed
-// batch stream (TripleDealer::ClaimBatch) into local buffers and runs BeaverStep.
-// Mul and the fused kernels multiply through it, one block at a time.
+// Beaver multiplication over one block, the one multiplication path: Mul and the
+// fused kernels run it block by block. It unpacks the block's triples (a, b, c)
+// from a claimed batch stream (TripleDealer::ClaimBatch) into local buffers, opens
+// d = x - a and e = y - b, then writes z = c + d*b + e*a + d*e (the d*e term folded
+// into party 0's share).
 class BeaverBlock {
  public:
   // z = x * y for elements [first, first + len) of the batch whose triple stream
-  // is `triples` (len <= kFusedBlockRows); z may alias x or y.
-  void Mul(const CounterRng& triples, uint64_t first, size_t len,
-           ConstShareRun x, ConstShareRun y, ShareRun z) {
-    TripleDealer::Unpack(triples, first, len, a_.run(), b_.run(), c_.run());
-    SecretShareEngine::BeaverStep(x, y, {a_.run(), b_.run(), c_.run()}, len, d_, e_,
-                                  z);
-  }
+  // is `triples` (len <= kFusedBlockRows). z may alias x or y: both openings are
+  // complete before z is written.
+  void Mul(const CounterRng& triples, uint64_t first, size_t len, ConstShareRun x,
+           ConstShareRun y, ShareRun z);
 
  private:
   ShareBlock a_;

@@ -84,8 +84,8 @@ struct SharedColumn {
 
 // The three parties' shares of a run of consecutive elements: a morsel of a
 // SharedColumn, or a fused kernel's chunk-local buffer. The chunk kernels
-// (SecretShareEngine::BeaverStep and ShareComparison, TripleDealer::Unpack) read
-// and write through these, so whole-column ops and fused kernels run one body.
+// (BeaverBlock, SecretShareEngine::ShareComparison, TripleDealer::Unpack) read and
+// write through these, so whole-column ops and fused kernels run one body.
 struct ConstShareRun {
   std::array<const Ring*, kNumShareParties> p;
 };

@@ -21,13 +21,6 @@
 
 namespace conclave {
 
-// A run of consecutive triples, unpacked into local buffers (BeaverBlock).
-struct TripleRun {
-  ConstShareRun a;
-  ConstShareRun b;
-  ConstShareRun c;
-};
-
 class TripleDealer {
  public:
   explicit TripleDealer(uint64_t seed) : seed_(seed) {}
