@@ -60,6 +60,13 @@ bool ParseNumber(const std::string& text, T* out) {
   return true;
 }
 
+// The shortest text that ParseNumber reads back as exactly `value`.
+std::string ShortestDouble(double value) {
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  return std::string(buffer, result.ptr);
+}
+
 }  // namespace
 
 std::string FormatFaultEvents(const std::vector<FaultEvent>& events) {
@@ -166,11 +173,12 @@ std::string FaultPlan::ToString() const {
     return "off";
   }
   std::string out = StrFormat(
-      "seed=%llu,drop=%g,corrupt=%g,crash=%g,latency=%g,latency_s=%g,drops=%d,"
+      "seed=%llu,drop=%s,corrupt=%s,crash=%s,latency=%s,latency_s=%s,drops=%d,"
       "crash_times=%d,corrupt_times=%d,retries=%d",
-      static_cast<unsigned long long>(seed), drop_rate, corrupt_rate, crash_rate,
-      latency_rate, latency_seconds, max_consecutive_drops, crash_times,
-      corrupt_times, job_retries);
+      static_cast<unsigned long long>(seed), ShortestDouble(drop_rate).c_str(),
+      ShortestDouble(corrupt_rate).c_str(), ShortestDouble(crash_rate).c_str(),
+      ShortestDouble(latency_rate).c_str(), ShortestDouble(latency_seconds).c_str(),
+      max_consecutive_drops, crash_times, corrupt_times, job_retries);
   if (!events.empty()) {
     out += StrFormat(" events=[%s]", FormatFaultEvents(events).c_str());
   }

@@ -522,6 +522,14 @@ TEST(FaultPlanTest, ParseRoundTripsThroughToString) {
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(reparsed->ToString(), plan->ToString());
 
+  // Rates print with every digit they need: the reparsed plan is the same plan.
+  const auto precise = FaultPlan::Parse("drop=0.1234567,latency_s=0.00123456789");
+  ASSERT_TRUE(precise.ok());
+  const auto precise_again = FaultPlan::Parse(precise->ToString());
+  ASSERT_TRUE(precise_again.ok()) << precise->ToString();
+  EXPECT_EQ(precise_again->drop_rate, 0.1234567);
+  EXPECT_EQ(precise_again->latency_seconds, 0.00123456789);
+
   // Seeds are integers: every uint64 reads back exactly, past double precision too.
   for (uint64_t seed : {(uint64_t{1} << 53) + 1, std::numeric_limits<uint64_t>::max()}) {
     const auto seeded = FaultPlan::Parse(StrFormat(
