@@ -306,6 +306,57 @@ TEST(BatchPipelineTest, AggregateTailMatchesKernelOverMaterializedPrefix) {
   }
 }
 
+// A filter -> aggregate chain over three full morsels plus a partial one, with
+// one key per morsel (k = row / kDefaultGrainRows). The filter drops every row
+// of key 1 and every fifth row of the others. At batch_rows 0 the tail takes
+// the whole input as one range, so each of its morsels holds one key, and key
+// 1's morsel holds no surviving row: that key must not become a group. The
+// values include INT64_MIN, INT64_MAX, -1 and 0, so sums wrap. Every kind,
+// over one group column and over none, must equal ops::Aggregate of the
+// materialized prefix and the row-major reference.
+TEST(BatchPipelineTest, AggregateTailOverOneKeyMorsels) {
+  const int64_t rows = 3 * kDefaultGrainRows + 257;
+  Relation input{Schema::Of({"k", "v", "f"})};
+  input.Resize(rows);
+  Rng rng(29);
+  constexpr int64_t kExtremes[] = {std::numeric_limits<int64_t>::min(),
+                                   std::numeric_limits<int64_t>::max(), -1, 0};
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t key = r / kDefaultGrainRows;
+    input.Set(r, 0, key);
+    input.Set(r, 1, r % 3 == 0 ? kExtremes[(r / 3) % 4] : rng.NextInRange(-1000, 1000));
+    input.Set(r, 2, key == 1 || r % 5 == 0 ? 0 : 1);
+  }
+  const FilterPredicate keep = FilterPredicate::ColumnVsLiteral(2, CompareOp::kGt, 0);
+  const Relation materialized = ops::Filter(input, keep);
+  const rowmajor::RowMajorRelation reference_input =
+      rowmajor::RowMajorRelation::FromColumnar(materialized);
+  for (const std::vector<int>& groups : {std::vector<int>{0}, std::vector<int>{}}) {
+    for (AggKind kind : {AggKind::kSum, AggKind::kCount, AggKind::kMin, AggKind::kMax,
+                         AggKind::kMean}) {
+      PipelineSpec spec;
+      spec.input_schema = input.schema();
+      spec.ops = {PipelineOp::Filter(keep),
+                  PipelineOp::Aggregate(groups, kind, /*agg_column=*/1, "agg")};
+      const Relation expected = ops::Aggregate(materialized, groups, kind, 1, "agg");
+      const Relation reference =
+          rowmajor::ref::Aggregate(reference_input, groups, kind, 1, "agg").ToColumnar();
+      ASSERT_TRUE(expected.RowsEqual(reference)) << AggKindName(kind);
+      ASSERT_EQ(expected.NumRows(), groups.empty() ? 1 : 3);  // Keys 0, 2 and 3.
+      for (int64_t batch_rows : {int64_t{0}, int64_t{7}, kDefaultBatchRows}) {
+        SCOPED_TRACE(testing::Message() << "groups=" << groups.size() << " "
+                                        << AggKindName(kind)
+                                        << " batch_rows=" << batch_rows);
+        BatchPipeline pipeline(spec);
+        const Relation got = pipeline.Run(input, batch_rows);
+        EXPECT_TRUE(got.RowsEqual(expected)) << got.ToString();
+        EXPECT_TRUE(got.RowsEqual(reference));
+        EXPECT_EQ(pipeline.stats().op_input_rows.back(), materialized.NumRows());
+      }
+    }
+  }
+}
+
 TEST(BatchPipelineTest, ResidencyStaysBoundedByDepthTimesBatch) {
   // The bounded-memory claim, asserted: pushing N rows through a depth-3 chain
   // holds O(depth x batch) pipeline-owned rows at peak, not O(N).
@@ -608,8 +659,9 @@ TEST(PipelineQueryTest, FusedMembersPricedFromKernelRowCounts) {
 
 // A chain's aggregate tail under a memory budget cuts the sorted partial runs
 // spill::Aggregate cuts over the materialized prefix, at the same consumed-row
-// boundaries. The same aggregate runs fused (filter -> aggregate) and unfused
-// (a free same-party Collect of the filter's output keeps it materialized):
+// boundaries. For every kind, the same aggregate runs fused (filter ->
+// aggregate) and unfused (a free same-party Collect of the filter's output
+// keeps it materialized):
 // rows, clocks, per-node meters, the priced spill report and the physical
 // run/byte/pass counters agree, and the fused run holds no more rows.
 TEST(PipelineQueryTest, AggregateTailSpillsLikeTheUnfusedAggregate) {
@@ -646,7 +698,8 @@ TEST(PipelineQueryTest, AggregateTailSpillsLikeTheUnfusedAggregate) {
     return std::move(*result);
   };
 
-  for (AggKind kind : {AggKind::kSum, AggKind::kMean}) {
+  for (AggKind kind : {AggKind::kSum, AggKind::kCount, AggKind::kMin, AggKind::kMax,
+                       AggKind::kMean}) {
     for (int64_t budget : {int64_t{16}, int64_t{64}}) {
       const backends::ExecutionResult unfused =
           run(/*fused=*/false, kind, budget, kDefaultBatchRows);
