@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <functional>
+#include <limits>
 
 #include "conclave/common/env.h"
 
@@ -91,6 +92,30 @@ auto WithRhs(const int64_t* rhs, int64_t literal, const Loop& loop) {
     return loop(rhs);
   }
   return loop(Broadcast{literal});
+}
+
+// Every row selected: what a null mask means.
+struct AllRows {
+  bool operator[](size_t) const { return true; }
+};
+
+// Calls loop(keep) with keep[i] nonzero for the rows the mask selects, or with
+// every row selected when mask is null, so the null test stays outside the
+// loop.
+template <typename Loop>
+auto WithMask(const uint8_t* mask, const Loop& loop) {
+  if (mask != nullptr) {
+    return loop(mask);
+  }
+  return loop(AllRows{});
+}
+
+// v for a selected row, else the reduction's identity. It is a bitwise select,
+// not a branch: GCC vectorizes no loop whose loads the mask guards.
+inline int64_t KeptOr(bool keep, int64_t v, int64_t identity) {
+  const uint64_t all = uint64_t{0} - static_cast<uint64_t>(keep);
+  return static_cast<int64_t>((static_cast<uint64_t>(v) & all) |
+                              (static_cast<uint64_t>(identity) & ~all));
 }
 
 // Calls loop(cmp) with op as a comparison functor, so the operator's switch
@@ -251,27 +276,43 @@ bool AllEqual(const int64_t* v, size_t n) {
   });
 }
 
-int64_t SumWrap(const int64_t* v, size_t n) {
-  return static_cast<int64_t>(SumU64(reinterpret_cast<const uint64_t*>(v), n));
-}
-
-int64_t MinOf(const int64_t* v, size_t n) {
+int64_t SumWrap(const int64_t* v, const uint8_t* mask, size_t n) {
   return Dispatch([=] {
-    int64_t best = v[0];
-    for (size_t i = 1; i < n; ++i) {
-      best = v[i] < best ? v[i] : best;
-    }
-    return best;
+    return WithMask(mask, [&](auto keep) {
+      uint64_t sum = 0;
+      for (size_t i = 0; i < n; ++i) {
+        sum += static_cast<uint64_t>(KeptOr(keep[i] != 0, v[i], 0));
+      }
+      return static_cast<int64_t>(sum);
+    });
   });
 }
 
-int64_t MaxOf(const int64_t* v, size_t n) {
+int64_t MinOf(const int64_t* v, const uint8_t* mask, size_t n) {
   return Dispatch([=] {
-    int64_t best = v[0];
-    for (size_t i = 1; i < n; ++i) {
-      best = v[i] > best ? v[i] : best;
-    }
-    return best;
+    return WithMask(mask, [&](auto keep) {
+      constexpr int64_t kIdentity = std::numeric_limits<int64_t>::max();
+      int64_t best = kIdentity;
+      for (size_t i = 0; i < n; ++i) {
+        const int64_t x = KeptOr(keep[i] != 0, v[i], kIdentity);
+        best = x < best ? x : best;
+      }
+      return best;
+    });
+  });
+}
+
+int64_t MaxOf(const int64_t* v, const uint8_t* mask, size_t n) {
+  return Dispatch([=] {
+    return WithMask(mask, [&](auto keep) {
+      constexpr int64_t kIdentity = std::numeric_limits<int64_t>::min();
+      int64_t best = kIdentity;
+      for (size_t i = 0; i < n; ++i) {
+        const int64_t x = KeptOr(keep[i] != 0, v[i], kIdentity);
+        best = x > best ? x : best;
+      }
+      return best;
+    });
   });
 }
 
@@ -390,13 +431,8 @@ void GatherRerandCombine(const uint64_t* a0, const uint64_t* a1,
 }
 
 uint64_t SumU64(const uint64_t* v, size_t n) {
-  return Dispatch([=] {
-    uint64_t sum = 0;
-    for (size_t i = 0; i < n; ++i) {
-      sum += v[i];
-    }
-    return sum;
-  });
+  return static_cast<uint64_t>(
+      SumWrap(reinterpret_cast<const int64_t*>(v), /*mask=*/nullptr, n));
 }
 
 }  // namespace cpu

@@ -109,17 +109,19 @@ void ArithColumn(Arith op, const int64_t* lhs, const int64_t* rhs,
 // True if v[0..n) are all equal (vacuously true for n <= 1).
 bool AllEqual(const int64_t* v, size_t n);
 
-// Wrapping sum of v[0..n) (uint64 addition — order-independent, so the SIMD
-// lane fold is bit-identical to the serial loop).
-int64_t SumWrap(const int64_t* v, size_t n);
+// Reductions over the rows of v[0..n) whose mask byte is nonzero; a null mask
+// selects every row. This is how an aggregate reads a filter's survivors in
+// place. With no row selected they return their identities: 0, INT64_MAX and
+// INT64_MIN. The sum wraps (uint64 addition), and like min and max it is
+// order-independent, so the SIMD lane fold is bit-identical to the serial
+// loop.
+int64_t SumWrap(const int64_t* v, const uint8_t* mask, size_t n);
+int64_t MinOf(const int64_t* v, const uint8_t* mask, size_t n);
+int64_t MaxOf(const int64_t* v, const uint8_t* mask, size_t n);
 // a + b, wrapping like the MPC ring (a signed overflow would be undefined).
 inline int64_t AddWrap(int64_t a, int64_t b) {
   return static_cast<int64_t>(static_cast<uint64_t>(a) + static_cast<uint64_t>(b));
 }
-
-// Min / max of v[0..n); n must be > 0.
-int64_t MinOf(const int64_t* v, size_t n);
-int64_t MaxOf(const int64_t* v, size_t n);
 
 // --- Gather -----------------------------------------------------------------
 
@@ -160,7 +162,8 @@ void AccumMulU64(const uint64_t* d, const uint64_t* e, size_t n, uint64_t* acc);
 void GatherRerandCombine(const uint64_t* a0, const uint64_t* a1,
                          const uint64_t* a2, const int64_t* rows, size_t n,
                          uint64_t* o0, uint64_t* o1, uint64_t* o2);
-// Wrapping sum of v[0..n) (RingSum's per-morsel partial).
+// Wrapping sum of v[0..n) (RingSum's per-morsel partial): SumWrap over the
+// same bits.
 uint64_t SumU64(const uint64_t* v, size_t n);
 
 }  // namespace cpu

@@ -63,52 +63,104 @@ AggAccumulator AggAccumulator::FromPartial(AggKind kind, const int64_t* cells) {
   return acc;
 }
 
+BatchView BatchView::Of(const Relation& relation) {
+  BatchView view;
+  view.columns.reserve(static_cast<size_t>(relation.NumColumns()));
+  for (int c = 0; c < relation.NumColumns(); ++c) {
+    view.columns.push_back(relation.ColumnSpan(c).data());
+  }
+  view.rows = relation.NumRows();
+  view.counted = view.rows;
+  return view;
+}
+
 namespace {
 
-// Adds row `r` to `acc`; `vals` is null for kCount, which reads no column.
-inline void AddRow(AggAccumulator& acc, const int64_t* vals, int64_t r) {
-  acc.count += 1;
-  if (vals != nullptr) {
-    const int64_t v = vals[r];
-    acc.sum = cpu::AddWrap(acc.sum, v);
-    acc.min = std::min(acc.min, v);
-    acc.max = std::max(acc.max, v);
+// Adds row `r` to the fields `kind` finalizes from; `vals` is null for kCount,
+// which reads no column.
+inline void AddRow(AggAccumulator& acc, AggKind kind, const int64_t* vals, int64_t r) {
+  switch (kind) {
+    case AggKind::kSum:
+      acc.sum = cpu::AddWrap(acc.sum, vals[r]);
+      return;
+    case AggKind::kCount:
+      acc.count += 1;
+      return;
+    case AggKind::kMin:
+      acc.min = std::min(acc.min, vals[r]);
+      return;
+    case AggKind::kMax:
+      acc.max = std::max(acc.max, vals[r]);
+      return;
+    case AggKind::kMean:
+      acc.sum = cpu::AddWrap(acc.sum, vals[r]);
+      acc.count += 1;
+      return;
+  }
+}
+
+// Adds the `counted` rows of vals[0, n) that `mask` keeps (all of them when it
+// is null) to `acc` with the kind's one reduction: the same wrap sum, count,
+// min or max as adding them row by row.
+void AddRun(AggAccumulator& acc, AggKind kind, const int64_t* vals,
+            const uint8_t* mask, size_t n, int64_t counted) {
+  switch (kind) {
+    case AggKind::kSum:
+      acc.sum = cpu::AddWrap(acc.sum, cpu::SumWrap(vals, mask, n));
+      return;
+    case AggKind::kCount:
+      acc.count += counted;
+      return;
+    case AggKind::kMin:
+      acc.min = std::min(acc.min, cpu::MinOf(vals, mask, n));
+      return;
+    case AggKind::kMax:
+      acc.max = std::max(acc.max, cpu::MaxOf(vals, mask, n));
+      return;
+    case AggKind::kMean:
+      acc.sum = cpu::AddWrap(acc.sum, cpu::SumWrap(vals, mask, n));
+      acc.count += counted;
+      return;
   }
 }
 
 // Single group column fast path: int64 keys scanned contiguously. Sorted or
-// low-cardinality inputs often present whole ranges of one group: those
-// collapse to vector reductions (same wrap-sum and min/max as the per-row
-// updates, so the result bits cannot differ).
+// low-cardinality inputs often present whole ranges of one group. Keys equal
+// over a whole range are equal among its counted rows, so such a range
+// collapses to one masked reduction.
 void AccumulateSingleKey(std::unordered_map<int64_t, AggAccumulator>& groups,
-                         const int64_t* keys, const int64_t* vals, int64_t lo,
-                         int64_t hi) {
+                         AggKind kind, const int64_t* keys, const int64_t* vals,
+                         const uint8_t* mask, int64_t lo, int64_t hi) {
   const size_t n = static_cast<size_t>(hi - lo);
   if (cpu::AllEqual(keys + lo, n)) {
-    AggAccumulator& acc = groups[keys[lo]];
-    acc.count += hi - lo;
-    if (vals != nullptr) {
-      acc.sum = cpu::AddWrap(acc.sum, cpu::SumWrap(vals + lo, n));
-      acc.min = std::min(acc.min, cpu::MinOf(vals + lo, n));
-      acc.max = std::max(acc.max, cpu::MaxOf(vals + lo, n));
+    const int64_t counted =
+        mask == nullptr ? hi - lo : static_cast<int64_t>(cpu::CountMask(mask + lo, n));
+    if (counted > 0) {  // No counting row, no group.
+      AddRun(groups[keys[lo]], kind, vals == nullptr ? nullptr : vals + lo,
+             mask == nullptr ? nullptr : mask + lo, n, counted);
     }
     return;
   }
   for (int64_t r = lo; r < hi; ++r) {
-    AddRow(groups[keys[r]], vals, r);
+    if (mask == nullptr || mask[r] != 0) {
+      AddRow(groups[keys[r]], kind, vals, r);
+    }
   }
 }
 
 void AccumulateMultiKey(
     std::unordered_map<std::vector<int64_t>, AggAccumulator, GroupKeyHash>& groups,
-    std::span<const int64_t* const> keys, const int64_t* vals, int64_t lo,
-    int64_t hi) {
+    AggKind kind, std::span<const int64_t* const> keys, const int64_t* vals,
+    const uint8_t* mask, int64_t lo, int64_t hi) {
   std::vector<int64_t> key(keys.size());
   for (int64_t r = lo; r < hi; ++r) {
+    if (mask != nullptr && mask[r] == 0) {
+      continue;
+    }
     for (size_t c = 0; c < keys.size(); ++c) {
       key[c] = keys[c][r];
     }
-    AddRow(groups[key], vals, r);
+    AddRow(groups[key], kind, vals, r);
   }
 }
 
@@ -156,26 +208,28 @@ GroupAggregator::GroupAggregator(const Schema& input_schema,
   partial_schema_ = Schema(std::move(defs));
 }
 
-void GroupAggregator::Consume(const Relation& input, int64_t lo, int64_t hi) {
+void GroupAggregator::Consume(const BatchView& batch, int64_t lo, int64_t hi) {
   if (hi <= lo) {
     return;
   }
-  const int64_t* const vals =
-      kind_ == AggKind::kCount ? nullptr : input.ColumnSpan(agg_column_).data();
+  const int64_t* const vals = kind_ == AggKind::kCount
+                                  ? nullptr
+                                  : batch.columns[static_cast<size_t>(agg_column_)];
+  const uint8_t* const mask = batch.mask;
   if (group_columns_.size() == 1) {
-    const int64_t* const keys = input.ColumnSpan(group_columns_[0]).data();
+    const int64_t* const keys = batch.columns[static_cast<size_t>(group_columns_[0])];
     ConsumeRange(single_, lo, hi, [&](SingleKeyMap& groups, int64_t a, int64_t b) {
-      AccumulateSingleKey(groups, keys, vals, a, b);
+      AccumulateSingleKey(groups, kind_, keys, vals, mask, a, b);
     });
     return;
   }
   std::vector<const int64_t*> keys;
   keys.reserve(group_columns_.size());
   for (int c : group_columns_) {
-    keys.push_back(input.ColumnSpan(c).data());
+    keys.push_back(batch.columns[static_cast<size_t>(c)]);
   }
   ConsumeRange(multi_, lo, hi, [&](MultiKeyMap& groups, int64_t a, int64_t b) {
-    AccumulateMultiKey(groups, keys, vals, a, b);
+    AccumulateMultiKey(groups, kind_, keys, vals, mask, a, b);
   });
 }
 

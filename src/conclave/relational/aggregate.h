@@ -1,9 +1,13 @@
 // Hash group-by aggregation as a consume/finish operator: the one aggregation
 // core. ops::Aggregate consumes its whole input at once, spill::Aggregator
 // consumes it chunk by chunk and cuts a sorted partial per chunk, and a fused
-// chain's aggregate tail (relational/pipeline.h) consumes the batches its
-// streaming prefix emits. Every path accumulates into the same per-group state
-// and finalizes through the same switch, so they agree bit for bit.
+// chain's aggregate tail (relational/pipeline.h) consumes its streaming
+// prefix's output batch by batch. Every path reads a BatchView: a fused filter
+// run hands over its columns in place together with its filter mask, and the
+// aggregator reduces the rows the mask keeps, so no survivor is gathered. Every
+// path accumulates into the same per-group state, updating only the fields its
+// kind finalizes from, and finalizes through the same switch, so they agree bit
+// for bit.
 #ifndef CONCLAVE_RELATIONAL_AGGREGATE_H_
 #define CONCLAVE_RELATIONAL_AGGREGATE_H_
 
@@ -20,9 +24,25 @@
 
 namespace conclave {
 
-// Running state of one group. Every AggKind finalizes from it; merging is
-// associative and commutative, so any partition of the rows gives the same
-// state.
+// Rows of a batch as the aggregator reads them: borrowed pointers to its
+// columns, each `rows` long, and the rows that count. Those are the rows whose
+// mask byte is nonzero, or every row when the mask is null. A fused filter
+// run's output (relational/expr.h) is such a view; a relation is the unmasked
+// case.
+struct BatchView {
+  std::vector<const int64_t*> columns;
+  int64_t rows = 0;
+  const uint8_t* mask = nullptr;
+  int64_t counted = 0;  // Rows that count: the mask's popcount, or `rows`.
+
+  // Every row of `relation`.
+  static BatchView Of(const Relation& relation);
+};
+
+// Running state of one group. Each AggKind updates and finalizes only its own
+// fields (sum, count, min or max; sum and count for kMean) and leaves the rest
+// at their identities. Merging is associative and commutative, so any
+// partition of the rows gives the same state.
 struct AggAccumulator {
   int64_t sum = 0;
   int64_t count = 0;
@@ -64,10 +84,15 @@ class GroupAggregator {
   // Group columns, then AggAccumulator::PartialWidth(kind) partial columns.
   const Schema& partial_schema() const { return partial_schema_; }
 
-  // Accumulates rows [lo, hi) of `input`, whose schema is the constructor's.
-  // A range longer than one morsel accumulates morsel-parallel into private
-  // maps merged in range order.
-  void Consume(const Relation& input, int64_t lo, int64_t hi);
+  // Accumulates the counted rows among rows [lo, hi) of `batch`, whose columns
+  // follow the constructor's schema. A range that counts no row of a group
+  // adds no group. A range longer than one morsel accumulates morsel-parallel
+  // into private maps merged in range order.
+  void Consume(const BatchView& batch, int64_t lo, int64_t hi);
+  // Rows [lo, hi) of `input`, read through its unmasked view.
+  void Consume(const Relation& input, int64_t lo, int64_t hi) {
+    Consume(BatchView::Of(input), lo, hi);
+  }
 
   int64_t NumGroups() const;
 

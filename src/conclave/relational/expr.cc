@@ -110,8 +110,8 @@ const int64_t* FusedExprProgram::Resolve(const Relation& src, int64_t lo,
   return src.ColumnSpan(ref.src).data() + lo;
 }
 
-Relation FusedExprProgram::Eval(const Relation& src, int64_t lo, int64_t hi,
-                                std::span<int64_t> op_rows) {
+const BatchView& FusedExprProgram::Select(const Relation& src, int64_t lo,
+                                          int64_t hi, std::span<int64_t> op_rows) {
   const int64_t n = hi - lo;
   const size_t un = static_cast<size_t>(n);
   for (auto& slot : slots_) {
@@ -140,8 +140,8 @@ Relation FusedExprProgram::Eval(const Relation& src, int64_t lo, int64_t hi,
       }
       case PipelineOp::Kind::kArithmetic: {
         // Computed over the full batch, filtered or not: the kernel is total
-        // (wrap semantics, divisor 0 -> 0), and rows the final gather drops
-        // never surface, so the result matches per-op execution bit for bit.
+        // (wrap semantics, divisor 0 -> 0), and rows the mask drops never
+        // surface, so the result matches per-op execution bit for bit.
         const int64_t* lhs = Resolve(src, lo, instr.lhs);
         const int64_t* rhs =
             instr.rhs_is_column ? Resolve(src, lo, instr.rhs) : nullptr;
@@ -154,23 +154,36 @@ Relation FusedExprProgram::Eval(const Relation& src, int64_t lo, int64_t hi,
     }
   }
 
+  view_.columns.resize(output_cols_.size());
+  for (size_t c = 0; c < output_cols_.size(); ++c) {
+    view_.columns[c] = Resolve(src, lo, output_cols_[c]);
+  }
+  view_.rows = n;
+  view_.mask = masked && surviving < n ? mask_.data() : nullptr;
+  view_.counted = surviving;
+  return view_;
+}
+
+Relation FusedExprProgram::Eval(const Relation& src, int64_t lo, int64_t hi,
+                                std::span<int64_t> op_rows) {
+  const BatchView& view = Select(src, lo, hi, op_rows);
   Relation out{output_schema_};
-  if (surviving == 0) {
+  if (view.counted == 0) {
     return out;
   }
-  out.Resize(surviving);
-  if (masked && surviving < n) {
-    indices_.resize(static_cast<size_t>(surviving));
-    cpu::MaskToIndices(mask_.data(), un, /*base=*/0, indices_.data());
-    for (size_t c = 0; c < output_cols_.size(); ++c) {
-      cpu::GatherI64(Resolve(src, lo, output_cols_[c]), indices_.data(),
-                     static_cast<size_t>(surviving),
+  out.Resize(view.counted);
+  const size_t rows = static_cast<size_t>(view.rows);
+  if (view.mask != nullptr) {
+    indices_.resize(static_cast<size_t>(view.counted));
+    cpu::MaskToIndices(view.mask, rows, /*base=*/0, indices_.data());
+    for (size_t c = 0; c < view.columns.size(); ++c) {
+      cpu::GatherI64(view.columns[c], indices_.data(), indices_.size(),
                      out.ColumnData(static_cast<int>(c)));
     }
   } else {
-    for (size_t c = 0; c < output_cols_.size(); ++c) {
-      const int64_t* column = Resolve(src, lo, output_cols_[c]);
-      std::copy(column, column + n, out.ColumnData(static_cast<int>(c)));
+    for (size_t c = 0; c < view.columns.size(); ++c) {
+      std::copy(view.columns[c], view.columns[c] + rows,
+                out.ColumnData(static_cast<int>(c)));
     }
   }
   return out;

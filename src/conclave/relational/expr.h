@@ -3,21 +3,24 @@
 // A maximal run (>= 1 op) of adjacent filter / project / arithmetic pipeline
 // ops compiles into one FusedExprProgram: a short instruction list evaluated in
 // a single pass per batch. Arithmetic results live in register-resident scratch
-// columns, filters AND into one progressive byte mask (cpu::CompareMask), and
-// the survivors are gathered exactly once at the end of the run — no
-// per-operator batch materialization, no per-operator virtual dispatch.
-// Projects cost nothing at runtime: they are compiled away into column
-// remappings.
+// columns, and filters AND into one progressive byte mask (cpu::CompareMask).
+// Select stops there and returns the run's output columns in place with that
+// mask: an aggregate tail reads the survivors through the mask, so nothing is
+// compacted or gathered. Eval is Select plus one gather of the survivors into
+// an owned batch, for every other consumer. Either way there is no per-operator
+// batch materialization and no per-operator virtual dispatch. Projects cost
+// nothing at runtime: they are compiled away into column remappings.
 //
 // Semantics contract: a fused run is bit-identical — values AND row order — to
 // executing its ops one at a time, at every batch size. Two properties make
 // this safe to fuse:
 //   * Every kernel is a total function with the engine's wrap semantics
 //     (cpu::ArithColumn: int64 wrap via uint64; kDiv: divisor 0 -> 0,
-//     INT64_MIN / -1 wraps), so arithmetic may be computed on rows a later
-//     gather discards.
+//     INT64_MIN / -1 wraps), so arithmetic may be computed on rows the mask
+//     later drops.
 //   * Filters only remove rows and never reorder them, so one deferred gather
-//     of the intersected mask equals the composition of per-filter gathers.
+//     of the intersected mask equals the composition of per-filter gathers,
+//     and reading the rows the mask keeps reads exactly those rows.
 //
 // Accounting contract: the program reports, per original op, exactly the row
 // count that op would have consumed in the unfused execution (the mask
@@ -60,9 +63,9 @@ std::vector<ExprSlot> FuseExprSlots(std::span<const PipelineOp> ops);
 // A compiled fused run. Construction resolves every op's column references
 // against the evolving intermediate schema, so evaluation touches only raw
 // column pointers. The program owns reusable per-batch scratch (the arithmetic
-// value columns, the filter mask, the survivor index list); Eval is therefore
-// not const and a program must not be shared across threads — each
-// BatchPipeline builds its own.
+// value columns, the filter mask, the survivor index list, the view Select
+// returns); Select and Eval are therefore not const and a program must not be
+// shared across threads — each BatchPipeline builds its own.
 class FusedExprProgram {
  public:
   // Compiles `ops` (all FusibleExprOp, size >= 1) against `input`.
@@ -75,11 +78,19 @@ class FusedExprProgram {
   // Number of compiled ops.
   size_t num_ops() const { return instrs_.size(); }
 
-  // Evaluates rows [lo, hi) of `src` through the whole run and returns the
-  // surviving rows as one owned batch (0 rows -> emit nothing upstream).
-  // Adds to op_rows[j] (size num_ops()) the rows entering relative op j —
-  // op_rows[0] grows by hi - lo, later ops by the survivor count of the
-  // filters before them, matching the unfused execution's per-op input rows.
+  // Evaluates rows [lo, hi) of `src` through the whole run without moving a
+  // row. The view holds hi - lo rows: its columns point into `src` at `lo` or
+  // into the program's scratch, its mask selects the survivors (null when
+  // every row survives), and `counted` is their number. It stays valid until
+  // the next Select or Eval. Adds to op_rows[j] (size num_ops()) the rows
+  // entering relative op j — op_rows[0] grows by hi - lo, later ops by the
+  // survivor count of the filters before them, matching the unfused
+  // execution's per-op input rows.
+  const BatchView& Select(const Relation& src, int64_t lo, int64_t hi,
+                          std::span<int64_t> op_rows);
+
+  // Select, then the survivors gathered into one owned batch (0 rows -> emit
+  // nothing upstream).
   Relation Eval(const Relation& src, int64_t lo, int64_t hi,
                 std::span<int64_t> op_rows);
 
@@ -115,6 +126,7 @@ class FusedExprProgram {
   std::vector<std::vector<int64_t>> slots_;
   std::vector<uint8_t> mask_;
   std::vector<int64_t> indices_;
+  BatchView view_;
 };
 
 }  // namespace conclave

@@ -90,6 +90,8 @@ class BatchOperator {
 
  protected:
   void Emit(Relation&& batch) { pipeline_->Push(index_ + 1, std::move(batch)); }
+  // The last slot's output handed to the aggregate tail in place.
+  void EmitToTail(const BatchView& batch) { pipeline_->FeedTail(batch); }
   // Fused-slot accounting hook (see BatchPipeline::AddOpInputRows).
   void AddOpInputRows(size_t op_index, int64_t rows) {
     pipeline_->AddOpInputRows(op_index, rows);
@@ -206,14 +208,17 @@ class DistinctOnSortedOperator : public BatchOperator {
 // register-resident pass per batch. Push attributes the batch's rows to the
 // run's FIRST original op; the interior ops' per-op input rows come from the
 // program's accounting and flow through AddOpInputRows, so op_input_rows equals
-// one-op-at-a-time execution's at every batch size.
+// one-op-at-a-time execution's at every batch size. A run feeding the
+// aggregate tail hands it the program's view (Select) and forms no batch;
+// any other run emits the gathered survivors (Eval).
 class FusedExprOperator : public BatchOperator {
  public:
   FusedExprOperator(BatchPipeline* pipeline, size_t slot, Schema output_schema,
-                    FusedExprProgram program, size_t first_op)
+                    FusedExprProgram program, size_t first_op, bool feeds_tail)
       : BatchOperator(pipeline, slot, std::move(output_schema)),
         program_(std::move(program)),
         first_op_(first_op),
+        feeds_tail_(feeds_tail),
         op_rows_(program_.num_ops()) {}
 
   void Consume(Relation&& batch) override { ConsumeSlice(batch, 0, batch.NumRows()); }
@@ -223,18 +228,31 @@ class FusedExprOperator : public BatchOperator {
       return;
     }
     std::fill(op_rows_.begin(), op_rows_.end(), 0);
-    Relation out = program_.Eval(src, lo, hi, op_rows_);
-    for (size_t j = 1; j < op_rows_.size(); ++j) {
-      AddOpInputRows(first_op_ + j, op_rows_[j]);
+    if (feeds_tail_) {
+      const BatchView& view = program_.Select(src, lo, hi, op_rows_);
+      AddInteriorRows();
+      if (view.counted > 0) {
+        EmitToTail(view);
+      }
+      return;
     }
+    Relation out = program_.Eval(src, lo, hi, op_rows_);
+    AddInteriorRows();
     if (out.NumRows() > 0) {
       Emit(std::move(out));
     }
   }
 
  private:
+  void AddInteriorRows() {
+    for (size_t j = 1; j < op_rows_.size(); ++j) {
+      AddOpInputRows(first_op_ + j, op_rows_[j]);
+    }
+  }
+
   FusedExprProgram program_;
   size_t first_op_;
+  bool feeds_tail_;
   std::vector<int64_t> op_rows_;  // Per-batch relative-op row counts; reused.
 };
 
@@ -302,8 +320,9 @@ BatchPipeline::BatchPipeline(const PipelineSpec& spec)
       case PipelineOp::Kind::kArithmetic: {
         FusedExprProgram program(schema, streaming.subspan(slot.begin, slot.size()));
         out = program.output_schema();
+        const bool feeds_tail = tail_op_.has_value() && slot.end == streaming.size();
         built = std::make_unique<pipeline_internal::FusedExprOperator>(
-            this, i, out, std::move(program), slot.begin);
+            this, i, out, std::move(program), slot.begin, feeds_tail);
         break;
       }
     }
@@ -327,9 +346,8 @@ void BatchPipeline::Push(size_t slot, Relation&& batch) {
   stats_.peak_batches_resident = std::max(stats_.peak_batches_resident, live_batches_);
   stats_.peak_rows_resident = std::max(stats_.peak_rows_resident, live_rows_);
   if (slot == operators_.size() && tail_ != nullptr) {
-    // The chain's emitted batch, consumed in place by the aggregate tail.
-    stats_.op_input_rows[num_ops_ - 1] += rows;
-    tail_->Consume(batch, 0, rows);
+    // A limit's or distinct's emitted batch, read in place by the tail.
+    FeedTail(BatchView::Of(batch));
   } else if (slot == operators_.size()) {
     // The chain's emitted batch, live until it is appended to the output.
     const int64_t start = output_.NumRows();
@@ -346,6 +364,11 @@ void BatchPipeline::Push(size_t slot, Relation&& batch) {
   }
   --live_batches_;
   live_rows_ -= rows;
+}
+
+void BatchPipeline::FeedTail(const BatchView& batch) {
+  stats_.op_input_rows[num_ops_ - 1] += batch.counted;
+  tail_->Consume(batch);
 }
 
 Status BatchPipeline::RunBatches(

@@ -12,12 +12,16 @@
 // high-water marks in PipelineStats record the batches, and tests assert it.
 //
 // The aggregate tail is the one blocking operator a pipeline admits, and only
-// as its last op after at least one streaming op. The chain's emitted batches
-// go to it (spill::Aggregator) instead of into a materialized output, so its
-// group state replaces the chain's output: a filter -> aggregate chain reads
-// its input once and never materializes the filtered rows. Under a memory
-// budget the tail cuts the same sorted partial runs, at the same consumed-row
-// boundaries, as spill::Aggregate over the materialized prefix output.
+// as its last op after at least one streaming op. The chain's output goes to
+// it (spill::Aggregator) instead of into a materialized output, so its group
+// state replaces the chain's output. A fused expression run before the tail
+// hands over its output columns in place with its filter mask (a BatchView),
+// and the tail reduces the rows the mask keeps: a filter -> aggregate chain
+// reads its input once, and forms, compacts and gathers no batch. A limit or
+// distinct-on-sorted slot before the tail hands over its owned batch through
+// the same call with a null mask. Under a memory budget the tail cuts the
+// same sorted partial runs, at the same counted-row boundaries, as
+// spill::Aggregate over the materialized prefix output.
 //
 // Batch-invariance contract: for every operator and every batch size (including
 // one row per batch and the whole relation in one batch), the concatenation of the
@@ -115,11 +119,13 @@ struct PipelineSpec {
 };
 
 // Instrumentation captured by one BatchPipeline::Run. The peaks are high-water
-// marks over pipeline-owned batches only — parsed or revealed source batches,
-// batches between slots, and the batch the chain emits into its output — not
-// borrowed source slices or the materialized output, which exist regardless of
-// batching; a non-blocking chain keeps them O(depth x batch_rows), never
-// O(input rows).
+// marks over the batches that form and that the pipeline owns: parsed or
+// revealed source batches, batches between slots, and each batch a chain
+// without an aggregate tail emits into its output. Borrowed source slices, the
+// view a fused run hands an aggregate tail (it forms no batch) and the
+// materialized output are not counted. A chain keeps the peaks O(depth x
+// batch_rows), never O(input rows); a filter -> aggregate chain over a
+// borrowed relation reads 0.
 struct PipelineStats {
   int64_t batches_pushed = 0;       // Source batches entering the pipeline.
   int64_t rows_pushed = 0;          // Source rows entering the pipeline.
@@ -185,6 +191,12 @@ class BatchPipeline {
   // Input rows are attributed to the slot's FIRST original op; a fused slot
   // reports its interior ops' rows itself via AddOpInputRows.
   void Push(size_t slot, Relation&& batch);
+
+  // Hands the aggregate tail one batch of the chain's output: the last fused
+  // run's view, mask and all, which forms no batch, or an owned batch's
+  // unmasked view from Push. The tail's op_input_rows entry grows by the rows
+  // the view counts.
+  void FeedTail(const BatchView& batch);
 
   // Fused-slot hook: adds to stats_.op_input_rows[op_index] (an ORIGINAL op
   // index) the rows a fused run's interior op consumed this batch.

@@ -542,16 +542,40 @@ Aggregator::Aggregator(const Schema& input_schema, std::span<const int> group_co
 
 Aggregator::~Aggregator() = default;
 
-void Aggregator::Consume(const Relation& input, int64_t lo, int64_t hi) {
-  while (lo < hi) {
-    if (budget_ > 0 && chunk_rows_ == budget_) {
+void Aggregator::Consume(const BatchView& batch) {
+  if (budget_ <= 0) {
+    groups_.Consume(batch, 0, batch.rows);
+    return;
+  }
+  const uint8_t* const mask = batch.mask;
+  int64_t lo = 0;
+  while (true) {
+    // A cut waits for a further counted row, so rows the mask drops between
+    // two chunks never start one.
+    while (lo < batch.rows && mask != nullptr && mask[lo] == 0) {
+      ++lo;
+    }
+    if (lo == batch.rows) {
+      return;
+    }
+    if (chunk_rows_ == budget_) {
       CutRun();
     }
-    const int64_t take =
-        budget_ > 0 ? std::min(hi - lo, budget_ - chunk_rows_) : hi - lo;
-    groups_.Consume(input, lo, lo + take);
-    chunk_rows_ += take;
-    lo += take;
+    // The chunk ends right after its budget-th counted row.
+    const int64_t want = budget_ - chunk_rows_;
+    int64_t hi = lo;
+    int64_t took = 0;
+    if (mask == nullptr) {
+      hi = std::min(batch.rows, lo + want);
+      took = hi - lo;
+    } else {
+      for (; hi < batch.rows && took < want; ++hi) {
+        took += mask[hi] != 0 ? 1 : 0;
+      }
+    }
+    groups_.Consume(batch, lo, hi);
+    chunk_rows_ += took;
+    lo = hi;
   }
 }
 
@@ -603,7 +627,7 @@ Relation Aggregate(const Relation& input, std::span<const int> group_columns,
                    int64_t budget, SpillStats* stats) {
   Aggregator aggregator(input.schema(), group_columns, kind, agg_column, output_name,
                         budget, stats);
-  aggregator.Consume(input, 0, input.NumRows());
+  aggregator.Consume(BatchView::Of(input));
   return aggregator.Finish();
 }
 

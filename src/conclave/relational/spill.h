@@ -102,12 +102,14 @@ Relation Join(const Relation& left, const Relation& right,
               int64_t budget, SpillStats* stats);
 
 // Aggregate as a consume/finish operator. Rows arrive in input order through
-// Consume; every `budget` consumed rows (Aggregate's chunk boundaries) become
-// one sorted partial run, cut only when a further row arrives, so an input of
-// at most `budget` rows never spills. Finish returns ops::Aggregate's output
-// over every consumed row. Aggregate drives it over one relation and a fused chain's
-// aggregate tail batch by batch (relational/pipeline.h): the same rows give the
-// same runs, bytes and merge passes however they are batched.
+// Consume; every `budget` counted rows (Aggregate's chunk boundaries) become
+// one sorted partial run, cut only when a further counted row arrives, so an
+// input of at most `budget` counted rows never spills. Finish returns
+// ops::Aggregate's output over every counted row. Aggregate drives it over one
+// relation's unmasked view, and a fused chain's aggregate tail over each
+// batch's view (relational/pipeline.h), whose mask drops the filtered rows in
+// place: the same counted rows give the same runs, bytes and merge passes
+// however they are batched and masked.
 class Aggregator {
  public:
   Aggregator(const Schema& input_schema, std::span<const int> group_columns,
@@ -117,8 +119,9 @@ class Aggregator {
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
 
-  // Consumes rows [lo, hi) of `input`, whose schema is the constructor's.
-  void Consume(const Relation& input, int64_t lo, int64_t hi);
+  // Consumes the counted rows of `batch`, whose columns follow the
+  // constructor's schema.
+  void Consume(const BatchView& batch);
   // Call once, after the last Consume.
   Relation Finish();
 
@@ -131,7 +134,7 @@ class Aggregator {
   GroupAggregator groups_;
   int64_t budget_;
   SpillStats* stats_;
-  int64_t chunk_rows_ = 0;       // Rows consumed since the last cut.
+  int64_t chunk_rows_ = 0;       // Counted rows consumed since the last cut.
   std::unique_ptr<Runs> runs_;   // Created by the first cut.
 };
 

@@ -4,7 +4,8 @@
 // distinct runs spanning batch boundaries), an aggregate tail against
 // ops::Aggregate over the materialized prefix and against the unfused
 // aggregate's spill under a budget, bounded-memory high-water marks
-// proving O(depth x batch) residency, the CONCLAVE_BATCH_ROWS knob, per-node
+// proving O(depth x batch) residency (and none for a fused run's masked
+// handoff to its aggregate tail), the CONCLAVE_BATCH_ROWS knob, per-node
 // pricing of fused members, end-to-end {pool, batch} invariance of a fused
 // chain feeding a blocking operator through the public Query API, and
 // single-party plans whose limit, distinct and window run on the cleartext
@@ -249,7 +250,7 @@ TEST(BatchPipelineTest, ChainedOperatorsComposeAtEveryBatchSize) {
   ExpectPipelineMatches(spec, input, expected);
 }
 
-// A hash aggregate ending a chain consumes the prefix's emitted batches: for
+// A hash aggregate ending a chain consumes the prefix's output: for
 // every AggKind over 0, 1 and 2 group columns, behind each kind of streaming
 // prefix, its output is ops::Aggregate's over the materialized prefix bit for
 // bit, and its op_input_rows entry is the prefix's output rows. The inputs
@@ -1030,6 +1031,35 @@ TEST(RevealStreamTest, ResidencyStaysAtBatchSize) {
   const Relation got = pipeline.Run(source, 256).value();
   EXPECT_GT(got.NumRows(), 0);
   EXPECT_EQ(source.MaxMaterializedRows(), 256);
+}
+
+// The residency witness counts only batches that form. A fused run hands the
+// aggregate tail its columns and mask in place, so a filter -> aggregate chain
+// over a borrowed relation owns no batch at any point, and one fed by a
+// RowSource owns only the batch it pulled.
+TEST(RevealStreamTest, MaskedTailHandoffFormsNoBatch) {
+  constexpr int64_t kRows = 10000;
+  constexpr int64_t kBatch = 512;
+  const Relation input = data::UniformInts(kRows, {"k", "v"}, 100, /*seed=*/33);
+  Rng rng(/*seed=*/34);
+  const mpc::RevealSource source(ShareRelation(input, rng));
+  PipelineSpec spec;
+  spec.input_schema = input.schema();
+  spec.ops.push_back(PipelineOp::Filter(
+      FilterPredicate::ColumnVsLiteral(1, CompareOp::kLt, 50)));
+  spec.ops.push_back(PipelineOp::Aggregate({0}, AggKind::kSum, 1, "agg"));
+
+  BatchPipeline pipeline(spec);
+  const Relation borrowed = pipeline.Run(input, kBatch);
+  EXPECT_EQ(pipeline.stats().batches_pushed, (kRows + kBatch - 1) / kBatch);
+  EXPECT_EQ(pipeline.stats().peak_batches_resident, 0);
+  EXPECT_EQ(pipeline.stats().peak_rows_resident, 0);
+
+  const Relation pulled = pipeline.Run(source, kBatch).value();
+  EXPECT_TRUE(pulled.RowsEqual(borrowed));
+  EXPECT_GT(pulled.NumRows(), 0);
+  EXPECT_EQ(pipeline.stats().peak_batches_resident, 1);
+  EXPECT_EQ(pipeline.stats().peak_rows_resident, kBatch);
 }
 
 // End-to-end through the public API: an MPC aggregate whose arithmetic tail the

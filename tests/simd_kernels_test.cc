@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,34 +226,67 @@ TEST(SimdKernels, DivisionRuleEdgeCases) {
   }
 }
 
+// A mask the masked reductions run under; `all` stands for the null mask.
+struct MaskPattern {
+  const char* name;
+  bool all;
+  std::vector<uint8_t> bytes;
+
+  const uint8_t* data() const { return all ? nullptr : bytes.data(); }
+  bool Keeps(size_t i) const { return all || bytes[i] != 0; }
+};
+
+// Null (every row), all-zero, all-one, alternating, and random bytes that are
+// zero or any nonzero value.
+std::vector<MaskPattern> MaskPatterns(size_t n, uint64_t salt) {
+  std::vector<uint8_t> alternating(n);
+  std::vector<uint8_t> random(n);
+  Rng rng(0xa5c + salt);
+  for (size_t i = 0; i < n; ++i) {
+    alternating[i] = static_cast<uint8_t>(i & 1);
+    random[i] = rng.NextBelow(2) == 0 ? 0 : static_cast<uint8_t>(1 + rng.NextBelow(255));
+  }
+  return {{"null", true, {}},
+          {"all-zero", false, std::vector<uint8_t>(n, 0)},
+          {"all-one", false, std::vector<uint8_t>(n, 1)},
+          {"alternating", false, std::move(alternating)},
+          {"random", false, std::move(random)}};
+}
+
 TEST(SimdKernels, ReductionsMatchScalar) {
   if (!cpu::HardwareAvx2()) {
     GTEST_SKIP() << "no AVX2 hardware";
   }
   for (size_t n : kLengths) {
-    if (n == 0) {
-      continue;  // Min/Max require n > 0.
-    }
     const auto v = AdversarialColumn(n, 7);
-    int64_t want_sum, got_sum, want_min, got_min, want_max, got_max;
+    for (const MaskPattern& pattern : MaskPatterns(n, 7)) {
+      const uint8_t* mask = pattern.data();
+      int64_t want_sum, got_sum, want_min, got_min, want_max, got_max;
+      {
+        ScopedSimd off(false);
+        want_sum = cpu::SumWrap(v.data(), mask, n);
+        want_min = cpu::MinOf(v.data(), mask, n);
+        want_max = cpu::MaxOf(v.data(), mask, n);
+      }
+      {
+        ScopedSimd on(true);
+        got_sum = cpu::SumWrap(v.data(), mask, n);
+        got_min = cpu::MinOf(v.data(), mask, n);
+        got_max = cpu::MaxOf(v.data(), mask, n);
+      }
+      EXPECT_EQ(want_sum, got_sum) << "n=" << n << " mask=" << pattern.name;
+      EXPECT_EQ(want_min, got_min) << "n=" << n << " mask=" << pattern.name;
+      EXPECT_EQ(want_max, got_max) << "n=" << n << " mask=" << pattern.name;
+    }
     bool want_eq, got_eq;
     {
       ScopedSimd off(false);
-      want_sum = cpu::SumWrap(v.data(), n);
-      want_min = cpu::MinOf(v.data(), n);
-      want_max = cpu::MaxOf(v.data(), n);
       want_eq = cpu::AllEqual(v.data(), n);
     }
     {
       ScopedSimd on(true);
-      got_sum = cpu::SumWrap(v.data(), n);
-      got_min = cpu::MinOf(v.data(), n);
-      got_max = cpu::MaxOf(v.data(), n);
       got_eq = cpu::AllEqual(v.data(), n);
     }
-    EXPECT_EQ(want_sum, got_sum) << "n=" << n;
-    EXPECT_EQ(want_min, got_min) << "n=" << n;
-    EXPECT_EQ(want_max, got_max) << "n=" << n;
     EXPECT_EQ(want_eq, got_eq) << "n=" << n;
 
     // AllEqual positive case (the adversarial column is almost never equal).
@@ -260,6 +294,44 @@ TEST(SimdKernels, ReductionsMatchScalar) {
     for (bool simd : {false, true}) {
       ScopedSimd guard(simd);
       EXPECT_TRUE(cpu::AllEqual(same.data(), n)) << "n=" << n;
+    }
+  }
+}
+
+// The masked reductions against plain loops written here, at both dispatch
+// levels: comparing the two builds of one source cannot catch a bug in that
+// source. An all-zero mask (and n = 0) must return the identities 0,
+// INT64_MAX and INT64_MIN.
+TEST(SimdKernels, MaskedReductionsMatchPlainLoops) {
+  for (size_t n : kLengths) {
+    const auto v = AdversarialColumn(n, 12);
+    for (const MaskPattern& pattern : MaskPatterns(n, 12)) {
+      const char* const name = pattern.name;
+      const uint8_t* mask = pattern.data();
+      uint64_t sum = 0;
+      int64_t min = kMax;
+      int64_t max = kMin;
+      for (size_t i = 0; i < n; ++i) {
+        if (pattern.Keeps(i)) {
+          sum += static_cast<uint64_t>(v[i]);
+          min = std::min(min, v[i]);
+          max = std::max(max, v[i]);
+        }
+      }
+      if (std::string(name) == "all-zero" || n == 0) {
+        ASSERT_EQ(sum, 0u);
+        ASSERT_EQ(min, kMax);
+        ASSERT_EQ(max, kMin);
+      }
+      for (bool simd : {false, true}) {
+        ScopedSimd guard(simd);
+        EXPECT_EQ(cpu::SumWrap(v.data(), mask, n), static_cast<int64_t>(sum))
+            << "n=" << n << " mask=" << name << " simd=" << simd;
+        EXPECT_EQ(cpu::MinOf(v.data(), mask, n), min)
+            << "n=" << n << " mask=" << name << " simd=" << simd;
+        EXPECT_EQ(cpu::MaxOf(v.data(), mask, n), max)
+            << "n=" << n << " mask=" << name << " simd=" << simd;
+      }
     }
   }
 }
