@@ -6,6 +6,7 @@
 #define CONCLAVE_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -37,10 +38,12 @@ inline void TuneAllocatorForBench() {
 #endif
 }
 
-// One measured cell: seconds, or a marker (DNF / OOM / skipped).
+// One measured cell: seconds, a count (rows, bytes), or a marker (DNF / OOM /
+// skipped).
 struct Cell {
-  enum class Kind { kSeconds, kDnf, kOom, kSkip } kind = Kind::kSkip;
+  enum class Kind { kSeconds, kCount, kDnf, kOom, kSkip } kind = Kind::kSkip;
   double seconds = 0;
+  int64_t count = 0;
   bool modeled = false;  // Analytic extrapolation, not an executed run.
   // Priced spill I/O charge (DESIGN.md §12), recorded separately from the
   // spill-free base clock in `seconds`: clock(budget) = clock(unbounded) +
@@ -65,6 +68,12 @@ struct Cell {
     cell.spill_seconds = spill_charge;
     return cell;
   }
+  static Cell Count(int64_t n) {
+    Cell cell;
+    cell.kind = Kind::kCount;
+    cell.count = n;
+    return cell;
+  }
   static Cell Dnf() {
     Cell cell;
     cell.kind = Kind::kDnf;
@@ -81,6 +90,8 @@ struct Cell {
     switch (kind) {
       case Kind::kSeconds:
         return StrFormat(modeled ? "%.1f*" : "%.1f", seconds);
+      case Kind::kCount:
+        return StrFormat("%lld", static_cast<long long>(count));
       case Kind::kDnf:
         return "DNF";
       case Kind::kOom:
@@ -95,6 +106,8 @@ struct Cell {
     switch (kind) {
       case Kind::kSeconds:
         return "seconds";
+      case Kind::kCount:
+        return "count";
       case Kind::kDnf:
         return "dnf";
       case Kind::kOom:
@@ -135,9 +148,9 @@ class Table {
   }
 
   // Machine-readable dump: BENCH_<name>.json in the working directory (override the
-  // directory with CONCLAVE_BENCH_JSON_DIR). Cells carry the simulated (virtual)
-  // seconds; wall_clock_seconds is the bench's real elapsed time, establishing the
-  // perf trajectory across PRs.
+  // directory with CONCLAVE_BENCH_JSON_DIR). Seconds cells carry the simulated
+  // (virtual) seconds and count cells their value; wall_clock_seconds is the
+  // bench's real elapsed time, establishing the perf trajectory across PRs.
   void WriteJson(const std::string& bench_name, double wall_clock_seconds) const {
     std::string dir = ".";
     if (const char* env = std::getenv("CONCLAVE_BENCH_JSON_DIR")) {
@@ -171,6 +184,8 @@ class Table {
           if (cell.spill_seconds != 0) {
             std::fprintf(f, ", \"spill_seconds\": %.6f", cell.spill_seconds);
           }
+        } else if (cell.kind == Cell::Kind::kCount) {
+          std::fprintf(f, ", \"value\": %lld", static_cast<long long>(cell.count));
         }
         std::fprintf(f, "}");
       }

@@ -178,10 +178,11 @@ void BM_ColumnScanRowMajorLayout(benchmark::State& state) {
 BENCHMARK(BM_ColumnScanRowMajorLayout)->Range(1 << 12, 1 << 22);
 
 // --- Columnar-kernel sweep with a JSON record ---------------------------------------
-// Each cell is the best-of-N wall seconds for one kernel pass at the given row
-// count over a 4-column relation: a contiguous column-scan reduction, ops::Filter
-// at three literal selectivities, and the zero-copy counter-based share ingest of
-// one column.
+// Each timed cell is the best-of-N wall seconds for one kernel pass at the given
+// row count over a 4-column relation: a contiguous column-scan reduction,
+// ops::Filter at three literal selectivities, the zero-copy counter-based share
+// ingest of one column, and the pipeline, reveal and spill A/Bs below. The
+// *_peak_rows and spill_bytes cells are counts, typed as such in the JSON.
 
 double BestOfRuns(int reps, const std::function<void()>& body) {
   double best = std::numeric_limits<double>::infinity();
@@ -200,13 +201,13 @@ void RunKernelSweep(const bench::BenchFilter& filter,
       small ? std::vector<int64_t>{1 << 14, 1 << 16}
             : std::vector<int64_t>{1 << 18, 1 << 20, 1 << 22};
   const int reps = small ? 3 : 5;
-  bench::Table table("primitives: columnar kernel sweep (wall seconds per pass; "
-                     "*_peak_rows and spill_bytes are counts, not seconds)",
+  bench::Table table("primitives: columnar kernel sweep (wall seconds per pass)",
                      {"column_scan", "filter_sel10", "filter_sel50", "filter_sel90",
                       "filter_scalar", "arith_simd", "arith_scalar",
                       "share_ingest", "rng_splitmix",
                       "chain_materialized", "chain_fused",
-                      "chain_peak_rows", "reveal_materialized", "reveal_streamed",
+                      "chain_peak_rows", "agg_tail_fused",
+                      "reveal_materialized", "reveal_streamed",
                       "reveal_peak_rows", "sort_in_mem", "sort_external",
                       "groupby_in_mem", "groupby_spill", "spill_peak_rows",
                       "spill_bytes"});
@@ -310,9 +311,27 @@ void RunKernelSweep(const bench::BenchFilter& filter,
       benchmark::DoNotOptimize(fused_pipeline.Run(rel, kDefaultBatchRows));
     }));
     cells.push_back(fused_ran
-                        ? bench::Cell::Seconds(static_cast<double>(
-                              fused_pipeline.stats().peak_rows_resident))
+                        ? bench::Cell::Count(fused_pipeline.stats().peak_rows_resident)
                         : bench::Cell::Skip());
+
+    // The HHI pushdown's local step (Fig. 4): a filter keeping 95% of rows
+    // feeding a sum over long key runs (64Ki rows per key). The fused run
+    // hands the aggregate tail its columns and mask in place, so nothing is
+    // gathered and each batch reduces with one masked sum.
+    Relation runs = rel;
+    for (int64_t r = 0; r < n; ++r) {
+      runs.Set(r, 3, r >> 16);
+    }
+    PipelineSpec agg_tail_spec;
+    agg_tail_spec.input_schema = runs.schema();
+    agg_tail_spec.ops.push_back(
+        PipelineOp::Filter(FilterPredicate::ColumnVsLiteral(0, CompareOp::kLt, 950)));
+    agg_tail_spec.ops.push_back(
+        PipelineOp::Aggregate({3}, AggKind::kSum, /*agg_column=*/1, "s"));
+    BatchPipeline agg_tail_pipeline(agg_tail_spec);
+    cells.push_back(timed("agg_tail_fused", [&] {
+      benchmark::DoNotOptimize(agg_tail_pipeline.Run(runs, kDefaultBatchRows));
+    }));
 
     // A/B (DESIGN.md §14): the same chain consuming an MPC reveal two ways —
     // reveal the whole shared relation in one shot and push the materialized
@@ -341,8 +360,7 @@ void RunKernelSweep(const bench::BenchFilter& filter,
           reveal_streamed_pipeline.Run(streamed_source, kDefaultBatchRows));
     }));
     cells.push_back(reveal_ran
-                        ? bench::Cell::Seconds(static_cast<double>(
-                              streamed_source.MaxMaterializedRows()))
+                        ? bench::Cell::Count(streamed_source.MaxMaterializedRows())
                         : bench::Cell::Skip());
 
     // A/B (DESIGN.md §12): the blocking kernels in-memory vs. through the spill
@@ -378,14 +396,12 @@ void RunKernelSweep(const bench::BenchFilter& filter,
     const bool spill_ran =
         filter.Enabled("sort_external") && filter.Enabled("groupby_spill");
     cells.push_back(spill_ran
-                        ? bench::Cell::Seconds(static_cast<double>(std::max(
-                              sort_stats.peak_resident_rows,
-                              groupby_stats.peak_resident_rows)))
+                        ? bench::Cell::Count(std::max(sort_stats.peak_resident_rows,
+                                                      groupby_stats.peak_resident_rows))
                         : bench::Cell::Skip());
     cells.push_back(spill_ran
-                        ? bench::Cell::Seconds(static_cast<double>(
-                              sort_stats.spilled_bytes +
-                              groupby_stats.spilled_bytes))
+                        ? bench::Cell::Count(sort_stats.spilled_bytes +
+                                             groupby_stats.spilled_bytes)
                         : bench::Cell::Skip());
 
     table.AddRow(static_cast<uint64_t>(n), std::move(cells));
