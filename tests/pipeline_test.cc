@@ -3,7 +3,8 @@
 // boundary edge cases (0-row inputs, 1-row batches, limits cut mid-batch,
 // distinct runs spanning batch boundaries), an aggregate tail against
 // ops::Aggregate over the materialized prefix and against the unfused
-// aggregate's spill under a budget, bounded-memory high-water marks
+// aggregate's spill under a budget, limits and a sorted distinct between
+// filters and arithmetic in one run, bounded-memory high-water marks
 // proving O(depth x batch) residency (and none for a fused run's masked
 // handoff to its aggregate tail), the CONCLAVE_BATCH_ROWS knob, per-node
 // pricing of fused members, end-to-end {pool, batch} invariance of a fused
@@ -19,6 +20,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -356,6 +358,145 @@ TEST(BatchPipelineTest, AggregateTailOverOneKeyMorsels) {
       }
     }
   }
+}
+
+// Each op's ops.h kernel over the whole relation, in order: the output of
+// one-op-at-a-time execution. Appends to `op_rows` the rows entering each op.
+Relation RunKernelsOneAtATime(const Relation& input, std::span<const PipelineOp> chain,
+                              std::vector<int64_t>* op_rows) {
+  Relation out = input;
+  for (const PipelineOp& op : chain) {
+    op_rows->push_back(out.NumRows());
+    switch (op.kind) {
+      case PipelineOp::Kind::kFilter:
+        out = ops::Filter(out, op.filter);
+        break;
+      case PipelineOp::Kind::kProject:
+        out = ops::Project(out, op.columns);
+        break;
+      case PipelineOp::Kind::kArithmetic:
+        out = ops::Arithmetic(out, op.arith);
+        break;
+      case PipelineOp::Kind::kLimit:
+        out = ops::Limit(out, op.limit_count);
+        break;
+      case PipelineOp::Kind::kDistinctOnSorted:
+        out = ops::Distinct(out, op.columns);
+        break;
+      case PipelineOp::Kind::kAggregate:
+        out = ops::Aggregate(out, op.columns, op.agg_kind, op.agg_column,
+                             op.output_name);
+        break;
+    }
+  }
+  return out;
+}
+
+// Limits and a distinct between filters and arithmetic in one run, two limits
+// in one chain: filter -> limit -> arithmetic -> distinct-on-sorted({k}) ->
+// filter -> limit over input sorted by (k, v) whose equal-key runs (about 15
+// rows) cross batch boundaries. Both limits are satisfied before the input
+// ends, so the ops before each keep consuming rows after it. Alone, the chain's
+// output, schema and per-op input rows equal the kernels'. Ending in an
+// aggregate tail of every kind over 0 and 1 group columns, it equals the
+// row-major reference over the materialized prefix; under a budget the tail
+// writes the runs, bytes and merge passes of the unfused spill::Aggregate.
+TEST(BatchPipelineTest, StatefulOpsInsideOneRun) {
+  const std::string spill_dir =
+      (std::filesystem::temp_directory_path() / "conclave-stateful-run").string();
+  std::filesystem::remove_all(spill_dir);
+  std::filesystem::create_directories(spill_dir);
+  const test::ScopedEnvVar dir("CONCLAVE_SPILL_DIR", spill_dir.c_str());
+
+  const Relation input =
+      ops::SortBy(data::UniformInts(3000, {"k", "v", "w"}, 200, /*seed=*/37),
+                  std::vector<int>{0, 1}, /*ascending=*/true);
+  ArithSpec add;  // x = v + w.
+  add.kind = ArithKind::kAdd;
+  add.lhs_column = 1;
+  add.rhs_is_column = true;
+  add.rhs_column = 2;
+  add.result_name = "x";
+  const std::vector<PipelineOp> chain = {
+      PipelineOp::Filter(FilterPredicate::ColumnVsLiteral(2, CompareOp::kLt, 160)),
+      PipelineOp::Limit(2000),
+      PipelineOp::Arithmetic(add),
+      PipelineOp::DistinctOnSorted({0}),
+      PipelineOp::Filter(FilterPredicate::ColumnVsLiteral(0, CompareOp::kNe, 3)),
+      PipelineOp::Limit(150),
+  };
+  std::vector<int64_t> chain_rows;
+  const Relation prefix = RunKernelsOneAtATime(input, chain, &chain_rows);
+  // Both limits cut: each sees more rows than it keeps.
+  ASSERT_GT(chain_rows[2], 0);
+  ASSERT_LT(chain_rows[2], chain_rows[1]);
+  ASSERT_EQ(prefix.NumRows(), 150);
+  ASSERT_LT(prefix.NumRows(), chain_rows[5]);
+  const rowmajor::RowMajorRelation reference_prefix =
+      rowmajor::RowMajorRelation::FromColumnar(prefix);
+
+  const int64_t kBatches[] = {0, 1, 7, 13, kDefaultBatchRows};
+  const auto expect_run = [&](const PipelineSpec& spec, const Relation& want,
+                              const std::vector<int64_t>& want_rows) {
+    for (int64_t batch_rows : kBatches) {
+      SCOPED_TRACE(testing::Message() << "batch_rows=" << batch_rows);
+      BatchPipeline pipeline(spec);
+      const Relation got = pipeline.Run(input, batch_rows);
+      EXPECT_TRUE(got.RowsEqual(want)) << got.NumRows() << " rows, want "
+                                       << want.NumRows();
+      EXPECT_EQ(got.schema().ToString(), want.schema().ToString());
+      EXPECT_EQ(pipeline.stats().op_input_rows, want_rows);
+    }
+  };
+
+  {
+    SCOPED_TRACE("chain alone");
+    PipelineSpec spec;
+    spec.input_schema = input.schema();
+    spec.ops = chain;
+    expect_run(spec, prefix, chain_rows);
+  }
+
+  for (const std::vector<int>& groups : {std::vector<int>{}, std::vector<int>{0}}) {
+    for (AggKind kind : {AggKind::kSum, AggKind::kCount, AggKind::kMin, AggKind::kMax,
+                         AggKind::kMean}) {
+      SCOPED_TRACE(testing::Message() << "groups=" << groups.size() << " "
+                                      << AggKindName(kind));
+      PipelineSpec spec;
+      spec.input_schema = input.schema();
+      spec.ops = chain;
+      spec.ops.push_back(PipelineOp::Aggregate(groups, kind, /*agg_column=*/0, "agg"));
+      std::vector<int64_t> want_rows;
+      const Relation want = RunKernelsOneAtATime(input, spec.ops, &want_rows);
+      const Relation reference =
+          rowmajor::ref::Aggregate(reference_prefix, groups, kind, 0, "agg").ToColumnar();
+      ASSERT_TRUE(want.RowsEqual(reference));
+      expect_run(spec, reference, want_rows);
+
+      for (int64_t budget : {int64_t{16}, int64_t{64}}) {
+        SCOPED_TRACE(testing::Message() << "budget=" << budget);
+        spill::SpillStats unfused;
+        const Relation unfused_out =
+            spill::Aggregate(prefix, groups, kind, 0, "agg", budget, &unfused);
+        ASSERT_TRUE(unfused_out.RowsEqual(reference));
+        ASSERT_GT(unfused.runs_written, 0);
+        spec.mem_budget_rows = budget;
+        for (int64_t batch_rows : kBatches) {
+          SCOPED_TRACE(testing::Message() << "batch_rows=" << batch_rows);
+          BatchPipeline pipeline(spec);
+          const Relation got = pipeline.Run(input, batch_rows);
+          EXPECT_TRUE(got.RowsEqual(reference));
+          EXPECT_EQ(pipeline.stats().op_input_rows, want_rows);
+          const spill::SpillStats& spilled = pipeline.stats().spill;
+          EXPECT_EQ(spilled.runs_written, unfused.runs_written);
+          EXPECT_EQ(spilled.spilled_bytes, unfused.spilled_bytes);
+          EXPECT_EQ(spilled.merge_passes, unfused.merge_passes);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(spill_dir));
+  std::filesystem::remove_all(spill_dir);
 }
 
 TEST(BatchPipelineTest, ResidencyStaysBoundedByDepthTimesBatch) {
