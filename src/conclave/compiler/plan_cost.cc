@@ -292,10 +292,6 @@ std::string PlanCostReport::ToString() const {
       fused_pipeline_chains, fused_pipeline_nodes, longest_pipeline_chain,
       static_cast<long long>(pipeline_batch_rows));
   out += StrFormat(
-      "expr-advice: %d fused expression group(s) over %d node(s) (one "
-      "register-resident pass per batch; per-node pricing unchanged)\n",
-      fused_expr_groups, fused_expr_nodes);
-  out += StrFormat(
       "reveal-advice: %d chain(s) stream their reveal boundary "
       "(batch-at-a-time reconstruction; boundary charge unchanged)\n",
       streamed_reveal_chains);
@@ -456,17 +452,7 @@ void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
   report.fused_pipeline_chains = 0;
   report.fused_pipeline_nodes = 0;
   report.longest_pipeline_chain = 0;
-  report.fused_expr_groups = 0;
-  report.fused_expr_nodes = 0;
   report.streamed_reveal_chains = 0;
-  // Mirrors relational/expr.h's FusibleExprOp at the plan level: the
-  // dispatcher's PipelineOps map 1:1 to these node kinds, so counting runs
-  // here predicts the executor's slots exactly.
-  const auto expr_fusible = [](const ir::OpNode& node) {
-    return node.kind == ir::OpKind::kFilter ||
-           node.kind == ir::OpKind::kProject ||
-           node.kind == ir::OpKind::kArithmetic;
-  };
   const std::vector<ir::OpNode*> order = dag.TopoOrder();
   const std::vector<const ir::OpNode*> topo(order.begin(), order.end());
   for (const PipelineChain& pipeline : PipelineChains(topo, backend)) {
@@ -478,18 +464,6 @@ void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
     if (pipeline.streams_input &&
         chain.front()->inputs[0]->kind != ir::OpKind::kCreate) {
       ++report.streamed_reveal_chains;
-    }
-    size_t i = 0;
-    while (i < chain.size()) {
-      size_t end = i + 1;
-      if (expr_fusible(*chain[i])) {
-        while (end < chain.size() && expr_fusible(*chain[end])) {
-          ++end;
-        }
-        ++report.fused_expr_groups;
-        report.fused_expr_nodes += static_cast<int>(end - i);
-      }
-      i = end;
     }
   }
 }

@@ -78,16 +78,6 @@ struct PlanCostReport {
   // are untouched.
   int streamed_reveal_chains = 0;
 
-  // Fused-expression advice (filled by AnnotatePipelineAdvice alongside the
-  // chain counts): within the fused chains, how many maximal runs of >= 1
-  // adjacent filter / project / arithmetic nodes the executor compiles into
-  // single-pass FusedExprPrograms (relational/expr.h), and how many nodes
-  // those runs cover. Advisory only — a fused run reports per-node input rows
-  // identical to one-op-at-a-time execution, so per-node pricing (and the
-  // estimate==meter identities) are unchanged.
-  int fused_expr_groups = 0;
-  int fused_expr_nodes = 0;
-
   // Fault-injection advice (filled by AnnotateFaultAdvice from the resolved
   // FaultPlan): whether injection is armed, the plan's compact knob summary,
   // the recovery budgets, and the worst-case backoff envelope one send can

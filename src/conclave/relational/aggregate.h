@@ -2,8 +2,8 @@
 // core. ops::Aggregate consumes its whole input at once, spill::Aggregator
 // consumes it chunk by chunk and cuts a sorted partial per chunk, and a fused
 // chain's aggregate tail (relational/pipeline.h) consumes its streaming
-// prefix's output batch by batch. Every path reads a BatchView: a fused filter
-// run hands over its columns in place together with its filter mask, and the
+// prefix's output batch by batch. Every path reads a BatchView: a chain's
+// program hands over its columns in place together with its mask, and the
 // aggregator reduces the rows the mask keeps, so no survivor is gathered. Every
 // path accumulates into the same per-group state, updating only the fields its
 // kind finalizes from, and finalizes through the same switch, so they agree bit
@@ -26,9 +26,8 @@ namespace conclave {
 
 // Rows of a batch as the aggregator reads them: borrowed pointers to its
 // columns, each `rows` long, and the rows that count. Those are the rows whose
-// mask byte is nonzero, or every row when the mask is null. A fused filter
-// run's output (relational/expr.h) is such a view; a relation is the unmasked
-// case.
+// mask byte is nonzero, or every row when the mask is null. A chain's program
+// output (relational/expr.h) is such a view; a relation is the unmasked case.
 struct BatchView {
   std::vector<const int64_t*> columns;
   int64_t rows = 0;

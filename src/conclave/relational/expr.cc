@@ -6,38 +6,6 @@
 
 namespace conclave {
 
-// --- Slot partitioning ------------------------------------------------------
-
-bool FusibleExprOp(const PipelineOp& op) {
-  switch (op.kind) {
-    case PipelineOp::Kind::kFilter:
-    case PipelineOp::Kind::kProject:
-    case PipelineOp::Kind::kArithmetic:
-      return true;
-    case PipelineOp::Kind::kLimit:
-    case PipelineOp::Kind::kDistinctOnSorted:
-    case PipelineOp::Kind::kAggregate:
-      return false;
-  }
-  return false;
-}
-
-std::vector<ExprSlot> FuseExprSlots(std::span<const PipelineOp> ops) {
-  std::vector<ExprSlot> slots;
-  size_t i = 0;
-  while (i < ops.size()) {
-    size_t end = i + 1;
-    if (FusibleExprOp(ops[i])) {
-      while (end < ops.size() && FusibleExprOp(ops[end])) {
-        ++end;
-      }
-    }
-    slots.push_back({i, end});
-    i = end;
-  }
-  return slots;
-}
-
 // --- Program compilation ----------------------------------------------------
 
 // ops.cc static_asserts that cpu::Cmp / cpu::Arith mirror CompareOp /
@@ -53,7 +21,6 @@ FusedExprProgram::FusedExprProgram(const Schema& input,
   Schema schema = input;
   instrs_.reserve(ops.size());
   for (const PipelineOp& op : ops) {
-    CONCLAVE_CHECK(FusibleExprOp(op));
     Instr instr;
     instr.kind = op.kind;
     switch (op.kind) {
@@ -65,7 +32,7 @@ FusedExprProgram::FusedExprProgram(const Schema& input,
           instr.rhs = current[static_cast<size_t>(op.filter.rhs_column)];
         }
         instr.literal = op.filter.rhs_literal;
-        has_filter_ = true;
+        writes_mask_ = true;
         break;
       case PipelineOp::Kind::kProject: {
         // Compiled away: the remap happens here, at compile time.
@@ -89,7 +56,19 @@ FusedExprProgram::FusedExprProgram(const Schema& input,
         instr.out_slot = num_slots_++;
         current.push_back(ColRef{/*src=*/-1, /*slot=*/instr.out_slot});
         break;
-      default:
+      case PipelineOp::Kind::kLimit:
+        instr.literal = op.limit_count;
+        break;
+      case PipelineOp::Kind::kDistinctOnSorted:
+        // Its output is its keys: a project, compiled away like one.
+        for (int c : op.columns) {
+          instr.keys.push_back(current[static_cast<size_t>(c)]);
+        }
+        current = instr.keys;
+        writes_mask_ = true;
+        break;
+      case PipelineOp::Kind::kAggregate:
+        CONCLAVE_CHECK(false);  // A pipeline's tail, never an instruction.
         break;
     }
     instrs_.push_back(instr);
@@ -98,6 +77,14 @@ FusedExprProgram::FusedExprProgram(const Schema& input,
   output_cols_ = std::move(current);
   output_schema_ = std::move(schema);
   slots_.resize(static_cast<size_t>(num_slots_));
+  Reset();
+}
+
+void FusedExprProgram::Reset() {
+  for (Instr& instr : instrs_) {
+    instr.remaining = instr.literal;
+    instr.has_last = false;
+  }
 }
 
 // --- Evaluation -------------------------------------------------------------
@@ -110,22 +97,54 @@ const int64_t* FusedExprProgram::Resolve(const Relation& src, int64_t lo,
   return src.ColumnSpan(ref.src).data() + lo;
 }
 
+int64_t FusedExprProgram::KeepFirstOfEachKey(Instr& instr, const Relation& src,
+                                             int64_t lo, int64_t rows, bool masked) {
+  const size_t width = instr.keys.size();
+  keys_.resize(width);
+  for (size_t k = 0; k < width; ++k) {
+    keys_[k] = Resolve(src, lo, instr.keys[k]);
+  }
+  instr.last.resize(width);
+  int64_t kept = 0;
+  for (int64_t r = 0; r < rows; ++r) {
+    const size_t i = static_cast<size_t>(r);
+    if (masked && mask_[i] == 0) {
+      continue;
+    }
+    bool is_new = !instr.has_last;
+    for (size_t k = 0; k < width && !is_new; ++k) {
+      is_new = keys_[k][r] != instr.last[k];
+    }
+    mask_[i] = is_new ? 1 : 0;
+    if (is_new) {
+      for (size_t k = 0; k < width; ++k) {
+        instr.last[k] = keys_[k][r];
+      }
+      instr.has_last = true;
+      ++kept;
+    }
+  }
+  return kept;
+}
+
 const BatchView& FusedExprProgram::Select(const Relation& src, int64_t lo,
                                           int64_t hi, std::span<int64_t> op_rows) {
-  const int64_t n = hi - lo;
-  const size_t un = static_cast<size_t>(n);
+  // The rows the instructions still scan: a limit that runs out cuts the
+  // batch right after its last kept row.
+  int64_t n = hi - lo;
   for (auto& slot : slots_) {
-    slot.resize(un);
+    slot.resize(static_cast<size_t>(n));
   }
-  if (has_filter_) {
-    mask_.resize(un);
+  if (writes_mask_) {
+    mask_.resize(static_cast<size_t>(n));
   }
 
   bool masked = false;
   int64_t surviving = n;
-  for (size_t j = 0; j < instrs_.size(); ++j) {
+  for (size_t j = 0; j < instrs_.size() && surviving > 0; ++j) {
     op_rows[j] += surviving;
-    const Instr& instr = instrs_[j];
+    Instr& instr = instrs_[j];
+    const size_t un = static_cast<size_t>(n);
     switch (instr.kind) {
       case PipelineOp::Kind::kFilter: {
         const int64_t* lhs = Resolve(src, lo, instr.lhs);
@@ -149,7 +168,31 @@ const BatchView& FusedExprProgram::Select(const Relation& src, int64_t lo,
                          slots_[static_cast<size_t>(instr.out_slot)].data());
         break;
       }
-      default:
+      case PipelineOp::Kind::kLimit: {
+        // No early exit: a satisfied limit keeps nothing, and the ops before
+        // it still read every batch.
+        const int64_t take = std::min(instr.remaining, surviving);
+        instr.remaining -= take;
+        if (take < surviving) {
+          // Cut after the take-th counted row.
+          int64_t end = take;
+          if (masked && take > 0) {
+            int64_t seen = 0;
+            for (end = 0; seen < take; ++end) {
+              seen += mask_[static_cast<size_t>(end)] != 0 ? 1 : 0;
+            }
+          }
+          n = end;
+          surviving = take;
+        }
+        break;
+      }
+      case PipelineOp::Kind::kDistinctOnSorted:
+        surviving = KeepFirstOfEachKey(instr, src, lo, n, masked);
+        masked = true;
+        break;
+      case PipelineOp::Kind::kProject:
+      case PipelineOp::Kind::kAggregate:
         break;  // kProject: compiled away.
     }
   }
@@ -164,13 +207,8 @@ const BatchView& FusedExprProgram::Select(const Relation& src, int64_t lo,
   return view_;
 }
 
-Relation FusedExprProgram::Eval(const Relation& src, int64_t lo, int64_t hi,
-                                std::span<int64_t> op_rows) {
-  const BatchView& view = Select(src, lo, hi, op_rows);
+Relation FusedExprProgram::Gather(const BatchView& view) {
   Relation out{output_schema_};
-  if (view.counted == 0) {
-    return out;
-  }
   out.Resize(view.counted);
   const size_t rows = static_cast<size_t>(view.rows);
   if (view.mask != nullptr) {

@@ -3,25 +3,24 @@
 // A BatchPipeline streams fixed-size row batches from its input — a materialized
 // relation, or a RowSource pulled batch-at-a-time — through a chain of streaming
 // operators (filter / project / arithmetic / limit / distinct-on-sorted),
-// optionally ending in a hash aggregate. Each streaming operator implements a
-// Carnot-style consume/flush contract: it receives one input batch at a time,
-// emits zero or more output batches downstream, and may hold only O(1) rows of
-// cross-batch state (the limit cursor, the last distinct row). The pipeline
-// therefore holds O(pipeline depth x batch_rows) rows of intermediate state
+// optionally ending in a hash aggregate. One program per chain: the streaming
+// ops compile into a single FusedExprProgram (relational/expr.h), which runs
+// each batch in one pass and narrows one mask; a limit and a distinct carry
+// O(1) rows of state across batches (the remaining count, the last kept key).
+// The pipeline therefore holds O(batch_rows) rows of intermediate state
 // regardless of input size, plus an aggregate tail's group state — the
 // high-water marks in PipelineStats record the batches, and tests assert it.
 //
 // The aggregate tail is the one blocking operator a pipeline admits, and only
 // as its last op after at least one streaming op. The chain's output goes to
 // it (spill::Aggregator) instead of into a materialized output, so its group
-// state replaces the chain's output. A fused expression run before the tail
-// hands over its output columns in place with its filter mask (a BatchView),
-// and the tail reduces the rows the mask keeps: a filter -> aggregate chain
-// reads its input once, and forms, compacts and gathers no batch. A limit or
-// distinct-on-sorted slot before the tail hands over its owned batch through
-// the same call with a null mask. Under a memory budget the tail cuts the
-// same sorted partial runs, at the same counted-row boundaries, as
-// spill::Aggregate over the materialized prefix output.
+// state replaces the chain's output. The program hands the tail its output
+// columns in place with its mask (a BatchView), and the tail reduces the rows
+// the mask keeps: a filter -> aggregate chain reads its input once, and forms,
+// compacts and gathers no batch. Under a memory budget the tail cuts the same
+// sorted partial runs, at the same counted-row boundaries, as spill::Aggregate
+// over the materialized prefix output. A chain without a tail gathers each
+// batch's survivors into an owned batch and appends it to the output.
 //
 // Batch-invariance contract: for every operator and every batch size (including
 // one row per batch and the whole relation in one batch), the concatenation of the
@@ -33,20 +32,13 @@
 // pad, and an aggregate that is not a chain's tail) never enter a pipeline and
 // keep materializing through ops.h.
 //
-// Streaming limit deliberately does NOT early-exit: upstream operators consume
+// Streaming limit deliberately does NOT early-exit: the ops before it consume
 // every batch even after the limit is satisfied, so per-operator row counts — and
 // with them the dispatcher's cost-model charges and counters — are identical to
-// the unfused execution at every batch size.
-//
-// Executor slots: the constructor partitions the op chain into slots (see
-// relational/expr.h). Every maximal run of >= 1 adjacent filter / project /
-// arithmetic ops becomes ONE operator — a FusedExprProgram evaluated in a
-// single register-resident pass per batch; limit and distinct-on-sorted are
-// slots of their own. PipelineStats::op_input_rows stays indexed by ORIGINAL
-// op position, the aggregate tail's entry included: expression slots report
-// their interior ops' per-op input rows through the program's accounting, so
-// the dispatcher prices every node from the rows one-op-at-a-time execution
-// would have fed it.
+// the unfused execution at every batch size. PipelineStats::op_input_rows is
+// indexed by op position, the aggregate tail's entry included, and holds the
+// rows one-op-at-a-time execution would have fed each op, so the dispatcher
+// prices every node from them.
 #ifndef CONCLAVE_RELATIONAL_PIPELINE_H_
 #define CONCLAVE_RELATIONAL_PIPELINE_H_
 
@@ -120,11 +112,11 @@ struct PipelineSpec {
 
 // Instrumentation captured by one BatchPipeline::Run. The peaks are high-water
 // marks over the batches that form and that the pipeline owns: parsed or
-// revealed source batches, batches between slots, and each batch a chain
-// without an aggregate tail emits into its output. Borrowed source slices, the
-// view a fused run hands an aggregate tail (it forms no batch) and the
-// materialized output are not counted. A chain keeps the peaks O(depth x
-// batch_rows), never O(input rows); a filter -> aggregate chain over a
+// revealed source batches, and each batch a chain without an aggregate tail
+// emits into its output. Borrowed source slices, the view the program hands an
+// aggregate tail (it forms no batch) and the materialized output are not
+// counted. The peaks are therefore at most two batches (a pulled batch and the
+// batch it emits), never O(input rows); a filter -> aggregate chain over a
 // borrowed relation reads 0.
 struct PipelineStats {
   int64_t batches_pushed = 0;       // Source batches entering the pipeline.
@@ -140,9 +132,7 @@ struct PipelineStats {
   spill::SpillStats spill;
 };
 
-namespace pipeline_internal {
-class BatchOperator;
-}  // namespace pipeline_internal
+class FusedExprProgram;
 
 class BatchPipeline {
  public:
@@ -156,7 +146,8 @@ class BatchPipeline {
   // Streams `input` through the chain in batches of at most `batch_rows` rows
   // (<= 0 streams the whole relation as one batch) and returns the materialized
   // result. The head reads borrowed slices of `input`, so no source row is
-  // copied. Resets operator state and stats first, so a pipeline may run again.
+  // copied. Resets the program's state and the stats first, so a pipeline may
+  // run again.
   Relation Run(const Relation& input, int64_t batch_rows);
 
   // Source-driven variant (DESIGN.md §12, §14): pulls `source` batch-at-a-time
@@ -176,39 +167,26 @@ class BatchPipeline {
   static Schema DeriveSchema(const Schema& input, const PipelineOp& op);
 
  private:
-  friend class pipeline_internal::BatchOperator;
-
-  // The batch loop both Run overloads share: resets operator state and stats,
-  // then hands each [lo, hi) range of a `rows`-row input to `push_head`, which
-  // feeds it to the head operator. Stops at the first failing push. An empty
-  // chain pushes nothing; its callers return the input itself.
+  // The batch loop both Run overloads share: resets the program's state and
+  // the stats, then hands each [lo, hi) range of a `rows`-row input to
+  // `run_batch`. Stops at the first failing batch. An empty chain runs
+  // nothing; its callers return the input itself.
   Status RunBatches(int64_t rows, int64_t batch_rows,
-                    const std::function<Status(int64_t lo, int64_t hi)>& push_head);
+                    const std::function<Status(int64_t lo, int64_t hi)>& run_batch);
 
-  // Delivers one owned batch to the operator at `slot` (== operators_.size()
-  // feeds the aggregate tail, or else appends to the output), tracking batch
-  // residency around the delivery.
-  // Input rows are attributed to the slot's FIRST original op; a fused slot
-  // reports its interior ops' rows itself via AddOpInputRows.
-  void Push(size_t slot, Relation&& batch);
+  // Runs rows [lo, hi) of `src` through the program, then hands the view to
+  // the aggregate tail (its op_input_rows entry grows by the rows the view
+  // counts) or gathers the survivors into an owned batch appended to the
+  // output.
+  void RunProgram(const Relation& src, int64_t lo, int64_t hi);
 
-  // Hands the aggregate tail one batch of the chain's output: the last fused
-  // run's view, mask and all, which forms no batch, or an owned batch's
-  // unmasked view from Push. The tail's op_input_rows entry grows by the rows
-  // the view counts.
-  void FeedTail(const BatchView& batch);
-
-  // Fused-slot hook: adds to stats_.op_input_rows[op_index] (an ORIGINAL op
-  // index) the rows a fused run's interior op consumed this batch.
-  void AddOpInputRows(size_t op_index, int64_t rows) {
-    stats_.op_input_rows[op_index] += rows;
-  }
+  // Residency accounting of one pipeline-owned batch of `rows` rows: Hold
+  // counts it toward the peaks while it lives, Release drops it.
+  void Hold(int64_t rows);
+  void Release(int64_t rows);
 
   Schema output_schema_;
-  std::vector<std::unique_ptr<pipeline_internal::BatchOperator>> operators_;
-  // Original op index each executor slot starts at (operators_ is shorter
-  // than the spec's op list wherever an expression run spans several ops).
-  std::vector<size_t> slot_first_op_;
+  std::unique_ptr<FusedExprProgram> program_;  // Null for an empty chain.
   size_t num_ops_ = 0;  // spec.ops.size(); sizes stats_.op_input_rows.
   // The aggregate tail's op, its input schema and the spec's budget; the
   // aggregator itself is rebuilt by every run.

@@ -32,7 +32,6 @@
 #include "conclave/data/generators.h"
 #include "conclave/mpc/reveal_source.h"
 #include "conclave/mpc/share.h"
-#include "conclave/relational/expr.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/relation.h"
 #include "row_major_reference.h"
@@ -499,6 +498,34 @@ TEST(BatchPipelineTest, StatefulOpsInsideOneRun) {
   std::filesystem::remove_all(spill_dir);
 }
 
+// Every Run reads a fresh stream: it restarts the limit's count and forgets
+// the distinct's last key, whether it borrows a relation or pulls a RowSource.
+// All rows share one key, so a distinct that kept its key across runs, or a
+// limit that kept its count, would return nothing the second time.
+TEST(BatchPipelineTest, StatefulOpsRestartEveryRun) {
+  Relation input = data::UniformInts(200, {"k", "v"}, 50, /*seed=*/43);
+  for (int64_t r = 0; r < input.NumRows(); ++r) {
+    input.Set(r, 0, 7);
+  }
+  input = ops::SortBy(input, std::vector<int>{0, 1}, /*ascending=*/true);
+  Rng rng(/*seed=*/44);
+  const mpc::RevealSource source(ShareRelation(input, rng));
+  PipelineSpec spec;
+  spec.input_schema = input.schema();
+  spec.ops = {PipelineOp::Limit(150), PipelineOp::DistinctOnSorted({0})};
+  std::vector<int64_t> want_rows;
+  const Relation want = RunKernelsOneAtATime(input, spec.ops, &want_rows);
+  ASSERT_EQ(want.NumRows(), 1);
+  BatchPipeline pipeline(spec);
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(testing::Message() << "run " << run);
+    EXPECT_TRUE(pipeline.Run(input, /*batch_rows=*/7).RowsEqual(want));
+    EXPECT_EQ(pipeline.stats().op_input_rows, want_rows);
+    EXPECT_TRUE(pipeline.Run(source, /*batch_rows=*/7).value().RowsEqual(want));
+    EXPECT_EQ(pipeline.stats().op_input_rows, want_rows);
+  }
+}
+
 TEST(BatchPipelineTest, ResidencyStaysBoundedByDepthTimesBatch) {
   // The bounded-memory claim, asserted: pushing N rows through a depth-3 chain
   // holds O(depth x batch) pipeline-owned rows at peak, not O(N).
@@ -578,35 +605,6 @@ TEST(DefaultBatchRowsDeathTest, RetiredFusionOffSpellingsAbort) {
   }
 }
 
-TEST(FusedExprTest, SlotPartitioning) {
-  const FilterPredicate pred = FilterPredicate::ColumnVsLiteral(0, CompareOp::kGt, 0);
-  ArithSpec arith;
-  arith.kind = ArithKind::kAdd;
-  arith.lhs_column = 0;
-  arith.rhs_is_column = false;
-  arith.rhs_literal = 1;
-  arith.result_name = "x";
-  std::vector<PipelineOp> ops;
-  ops.push_back(PipelineOp::Filter(pred));           // 0: fused with 1.
-  ops.push_back(PipelineOp::Arithmetic(arith));      // 1.
-  ops.push_back(PipelineOp::Limit(10));              // 2: standalone.
-  ops.push_back(PipelineOp::Project({0}));           // 3: a singleton run.
-  ops.push_back(PipelineOp::Limit(5));               // 4: standalone.
-  ops.push_back(PipelineOp::Filter(pred));           // 5: fused with 6, 7.
-  ops.push_back(PipelineOp::Project({0}));           // 6.
-  ops.push_back(PipelineOp::Filter(pred));           // 7.
-  ops.push_back(PipelineOp::DistinctOnSorted({0}));  // 8: standalone.
-
-  const std::vector<ExprSlot> slots = FuseExprSlots(ops);
-  const std::vector<std::pair<size_t, size_t>> want = {
-      {0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 8}, {8, 9}};
-  ASSERT_EQ(slots.size(), want.size());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_EQ(slots[i].begin, want[i].first) << "slot " << i;
-    EXPECT_EQ(slots[i].end, want[i].second) << "slot " << i;
-  }
-}
-
 // The fused evaluator's core contract: a gnarly run — computed columns feeding
 // later filters and divisions, projects reordering computed and source columns,
 // division by zero — produces bit-identical outputs AND per-op input rows to
@@ -675,9 +673,10 @@ TEST(FusedExprTest, FusedRunMatchesKernelsOutputsAndAccounting) {
   }
 }
 
-// A fused run downstream of a standalone operator (limit) consumes owned
-// batches rather than borrowed head slices; both routes must agree.
-TEST(FusedExprTest, FusedRunAfterStandaloneOperator) {
+// A limit ahead of filter / arithmetic / project ops in one program: the cut
+// it makes mid-stream shortens the rows the later ops scan, and the batches
+// after it reach them with no counted row.
+TEST(FusedExprTest, LimitAheadOfExpressionsInOneProgram) {
   const Relation input = data::UniformInts(800, {"a", "b"}, 64, /*seed=*/91);
   ArithSpec add;
   add.kind = ArithKind::kAdd;

@@ -910,26 +910,6 @@ TEST(PlanCostTest, ExplainListsNodesAndDecision) {
   EXPECT_NE(listing.find("obliv-c"), std::string::npos);
 }
 
-TEST(PlanCostTest, ExplainReportsFusedExprAdvice) {
-  api::Query query;
-  auto a = query.AddParty("a");
-  auto b = query.AddParty("b");
-  auto ta = query.NewTable("ta", {{"k"}, {"v"}}, a, 100);
-  auto tb = query.NewTable("tb", {{"k"}, {"v"}}, b, 100);
-  query.Concat({ta, tb})
-      .Filter("v", CompareOp::kGe, 10)
-      .Aggregate("total", AggKind::kSum, {"k"}, "v")
-      .WriteToCsv("out", {a});
-  const auto report = query.ExplainPlan();
-  ASSERT_TRUE(report.ok());
-  EXPECT_NE(report->ToString().find("expr-advice:"), std::string::npos)
-      << report->ToString();
-  // Every expression group lives inside a fused chain, so its node count is
-  // bounded by the chains' and a group needs at least one node.
-  EXPECT_LE(report->fused_expr_nodes, report->fused_pipeline_nodes);
-  EXPECT_GE(report->fused_expr_nodes, report->fused_expr_groups);
-}
-
 // The pipeline advice lists exactly the chains a run fuses, however large the
 // row hints: a sorted distinct heads a chain and a limit fuses mid-chain.
 TEST(PlanCostTest, ExplainListsTheChainsARunFuses) {
