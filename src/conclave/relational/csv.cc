@@ -13,14 +13,19 @@
 namespace conclave {
 namespace {
 
+// Splits one line at its commas. Only the line's final '\r', a CRLF ending's,
+// is dropped: any other CR stays in its cell, which then fails ParseInt.
 std::vector<std::string> SplitLine(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') {
+    line.remove_suffix(1);
+  }
   std::vector<std::string> fields;
   std::string field;
   for (char c : line) {
     if (c == ',') {
       fields.push_back(field);
       field.clear();
-    } else if (c != '\r') {
+    } else {
       field.push_back(c);
     }
   }

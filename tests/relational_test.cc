@@ -6,8 +6,10 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "conclave/common/rng.h"
@@ -15,6 +17,7 @@
 #include "conclave/relational/csv.h"
 #include "conclave/relational/hash_index.h"
 #include "conclave/relational/ops.h"
+#include "conclave/relational/pipeline.h"
 #include "conclave/relational/relation.h"
 #include "row_major_reference.h"
 
@@ -814,6 +817,210 @@ TEST(CsvTest, SkipsEmptyLines) {
   const auto parsed = ParseCsv("a\n1\n\n2\n");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->NumRows(), 2);
+}
+
+TEST(CsvTest, ParsesCrlfLines) {
+  const auto parsed = ParseCsv("a,b\r\n1,-2\r\n3,4\r\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->schema().ToString(), Schema::Of({"a", "b"}).ToString());
+  EXPECT_TRUE(parsed->RowsEqual(MakeRelation({"a", "b"}, {{1, -2}, {3, 4}})));
+}
+
+// Only a line's final CR is its line ending. A CR inside a cell, before the
+// first cell, or ahead of a CRLF ending stays in its cell and is rejected.
+TEST(CsvTest, RejectsCarriageReturnInsideALine) {
+  for (const char* text : {"a,b\n4\r2,7\n", "a,b\n\r1,2\n", "a,b\r\n1,2\r\r\n"}) {
+    const auto parsed = ParseCsv(text);
+    ASSERT_FALSE(parsed.ok()) << parsed->ToString();
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
+// A strict reader of the CSV format written from its rules alone, sharing no
+// code with csv.cc. The first line names the columns, none empty. Every other
+// non-empty line holds one [+-]?[0-9]+ int64 cell per column, separated by
+// commas. Any line may end in one CR, the CR of a CRLF ending.
+struct StrictCsv {
+  std::vector<std::string> names;
+  std::vector<std::vector<int64_t>> rows;
+  size_t rejected_line = 0;  // 1-based line the reader rejects; 0 = accepted.
+};
+
+std::vector<std::string_view> SplitOn(std::string_view text, char separator) {
+  std::vector<std::string_view> pieces;
+  size_t start = 0;
+  for (size_t i = 0; i <= text.size(); ++i) {
+    if (i == text.size() || text[i] == separator) {
+      pieces.push_back(text.substr(start, i - start));
+      start = i + 1;
+    }
+  }
+  return pieces;
+}
+
+std::optional<int64_t> StrictInt(std::string_view cell) {
+  size_t i = 0;
+  const bool negative = !cell.empty() && cell[0] == '-';
+  if (!cell.empty() && (cell[0] == '+' || cell[0] == '-')) {
+    i = 1;
+  }
+  if (i == cell.size()) {
+    return std::nullopt;
+  }
+  const uint64_t limit = negative ? uint64_t{1} << 63 : (uint64_t{1} << 63) - 1;
+  uint64_t magnitude = 0;
+  for (; i < cell.size(); ++i) {
+    if (cell[i] < '0' || cell[i] > '9') {
+      return std::nullopt;
+    }
+    const uint64_t digit = static_cast<uint64_t>(cell[i] - '0');
+    if (magnitude > (limit - digit) / 10) {
+      return std::nullopt;
+    }
+    magnitude = magnitude * 10 + digit;
+  }
+  return static_cast<int64_t>(negative ? 0 - magnitude : magnitude);
+}
+
+StrictCsv StrictParse(std::string_view text) {
+  StrictCsv csv;
+  const auto without_cr = [](std::string_view line) {
+    return !line.empty() && line.back() == '\r' ? line.substr(0, line.size() - 1)
+                                                : line;
+  };
+  const std::vector<std::string_view> lines = SplitOn(text, '\n');
+  for (std::string_view name : SplitOn(without_cr(lines[0]), ',')) {
+    if (name.empty()) {
+      csv.rejected_line = 1;
+      return csv;
+    }
+    csv.names.emplace_back(name);
+  }
+  for (size_t l = 1; l < lines.size(); ++l) {
+    if (lines[l].empty()) {
+      continue;
+    }
+    const std::vector<std::string_view> cells = SplitOn(without_cr(lines[l]), ',');
+    std::vector<int64_t>& row = csv.rows.emplace_back();
+    for (std::string_view cell : cells) {
+      const std::optional<int64_t> value = StrictInt(cell);
+      if (cells.size() != csv.names.size() || !value.has_value()) {
+        csv.rejected_line = l + 1;
+        return csv;
+      }
+      row.push_back(*value);
+    }
+  }
+  return csv;
+}
+
+// Seeded one-byte mutations (insert, replace or delete) of an LF and a CRLF
+// file, drawn from the bytes that matter to the format. ParseCsv must accept
+// exactly the texts the strict reader accepts, with its rows, and reject the
+// rest as InvalidArgument naming the reader's line. A fused filter -> project
+// chain streamed from the same text in batches of 7 must return the rows after
+// the chain's ops, or ParseCsv's Status.
+TEST(CsvTest, MutatedTextMatchesStrictReader) {
+  const std::string kBytes(",\r\n-+0123456789 x\0", 18);
+  const auto file = [](const std::string& eol) {
+    Rng rng(/*seed=*/23);
+    std::string text = "k,v,w" + eol;
+    for (int r = 0; r < 20; ++r) {
+      text += std::to_string(rng.NextInRange(-50, 50)) + "," +
+              std::to_string(rng.NextInRange(-50, 50)) + ",+" +
+              std::to_string(rng.NextInRange(0, 50)) + eol;
+    }
+    return text + "9223372036854775807,-9223372036854775808,-0" + eol;
+  };
+  std::string lf = file("\n");
+  lf.insert(lf.find('\n', lf.size() / 2) + 1, "\n");  // One empty line.
+  Rng rng(/*seed=*/41);
+  int accepted = 0;
+  int rejected = 0;
+  for (const std::string& base : {lf, file("\r\n")}) {
+    for (int m = 0; m < 1200; ++m) {
+      std::string text = base;
+      const size_t at = rng.NextBelow(text.size());
+      const char byte = kBytes[rng.NextBelow(kBytes.size())];
+      switch (rng.NextBelow(3)) {
+        case 0:
+          text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), byte);
+          break;
+        case 1:
+          text[at] = byte;
+          break;
+        default:
+          text.erase(at, 1);
+          break;
+      }
+      SCOPED_TRACE(testing::Message() << "mutation " << m << " at byte " << at);
+      const StrictCsv want = StrictParse(text);
+      const StatusOr<Relation> parsed = ParseCsv(text);
+      if (want.rejected_line != 0) {
+        ++rejected;
+        ASSERT_FALSE(parsed.ok()) << parsed->ToString();
+        EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+        if (want.rejected_line > 1) {
+          const std::string line = "line " + std::to_string(want.rejected_line);
+          const std::string& message = parsed.status().message();
+          const size_t found = message.find(line);
+          ASSERT_NE(found, std::string::npos) << message;
+          const size_t next = found + line.size();
+          EXPECT_TRUE(next == message.size() || message[next] == ' ') << message;
+        }
+      } else {
+        ++accepted;
+        ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+        ASSERT_EQ(parsed->NumColumns(), static_cast<int>(want.names.size()));
+        ASSERT_EQ(parsed->NumRows(), static_cast<int64_t>(want.rows.size()));
+        for (int c = 0; c < parsed->NumColumns(); ++c) {
+          EXPECT_EQ(parsed->schema().Column(c).name, want.names[static_cast<size_t>(c)]);
+          for (int64_t r = 0; r < parsed->NumRows(); ++r) {
+            EXPECT_EQ(parsed->At(r, c),
+                      want.rows[static_cast<size_t>(r)][static_cast<size_t>(c)]);
+          }
+        }
+      }
+
+      StatusOr<CsvSource> source = CsvSource::FromText(text);
+      if (!source.ok()) {
+        ASSERT_FALSE(parsed.ok());
+        EXPECT_EQ(source.status().ToString(), parsed.status().ToString());
+        continue;
+      }
+      const int columns = source->schema().NumColumns();
+      const FilterPredicate keep = FilterPredicate::ColumnVsLiteral(0, CompareOp::kGe, 0);
+      const std::vector<int> projected =
+          columns > 1 ? std::vector<int>{columns - 1, 0} : std::vector<int>{0};
+      PipelineSpec spec;
+      spec.input_schema = source->schema();
+      spec.ops = {PipelineOp::Filter(keep), PipelineOp::Project(projected)};
+      BatchPipeline pipeline(spec);
+      const StatusOr<Relation> streamed = pipeline.Run(*source, /*batch_rows=*/7);
+      if (!parsed.ok()) {
+        ASSERT_FALSE(streamed.ok());
+        EXPECT_EQ(streamed.status().ToString(), parsed.status().ToString());
+        continue;
+      }
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      std::vector<ColumnDef> defs;
+      for (const std::string& name : want.names) {
+        defs.emplace_back(name);
+      }
+      Relation reference{Schema(std::move(defs))};
+      for (const std::vector<int64_t>& row : want.rows) {
+        reference.AppendRow(row);
+      }
+      const Relation expected = ops::Project(ops::Filter(reference, keep), projected);
+      EXPECT_TRUE(streamed->RowsEqual(expected));
+      EXPECT_EQ(streamed->schema().ToString(), expected.schema().ToString());
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 200);
+  EXPECT_GT(rejected, 200);
 }
 
 TEST(CsvTest, FileRoundTrip) {
