@@ -13,18 +13,13 @@ StatusOr<Relation> OblivcBackend::Execute(
                             ir::ResolveOp(node, ir::SchemasOf(inputs)));
   switch (node.kind) {
     case ir::OpKind::kConcat: {
-      std::vector<Relation> rels;
-      rels.reserve(inputs.size());
-      for (const Relation* rel : inputs) {
-        rels.push_back(*rel);
-      }
       if (!op.columns.empty()) {
         // Sorted-merge concat: costed as concat + sort (no merge network in the GC
         // engine's cost model; conservative).
-        CONCLAVE_ASSIGN_OR_RETURN(Relation merged, engine_.Concat(rels));
+        CONCLAVE_ASSIGN_OR_RETURN(Relation merged, engine_.Concat(inputs));
         return engine_.Sort(merged, op.columns);
       }
-      return engine_.Concat(rels);
+      return engine_.Concat(inputs);
     }
     case ir::OpKind::kProject:
       return engine_.Project(*inputs[0], op.columns);

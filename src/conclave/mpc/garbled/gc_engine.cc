@@ -112,12 +112,12 @@ StatusOr<Relation> GcEngine::Distinct(const Relation& input,
   return ops::Distinct(input, columns);
 }
 
-StatusOr<Relation> GcEngine::Concat(std::span<const Relation> inputs) {
+StatusOr<Relation> GcEngine::Concat(std::span<const Relation* const> inputs) {
   uint64_t rows = 0;
-  for (const Relation& rel : inputs) {
-    rows += Rows(rel);
+  for (const Relation* rel : inputs) {
+    rows += Rows(*rel);
   }
-  const uint64_t cols = inputs.empty() ? 0 : Cols(inputs[0]);
+  const uint64_t cols = inputs.empty() ? 0 : Cols(*inputs[0]);
   CONCLAVE_RETURN_IF_ERROR(
       Charge(LinearPassCost(model(), rows, cols, cols, 0), "concat"));
   return ops::Concat(inputs);

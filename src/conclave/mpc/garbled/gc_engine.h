@@ -63,7 +63,7 @@ class GcEngine {
                           bool ascending = true, bool assume_sorted = false);
   StatusOr<Relation> Distinct(const Relation& input, std::span<const int> columns,
                               bool assume_sorted = false);
-  StatusOr<Relation> Concat(std::span<const Relation> inputs);
+  StatusOr<Relation> Concat(std::span<const Relation* const> inputs);
   StatusOr<Relation> Arithmetic(const Relation& input, const ArithSpec& spec);
   StatusOr<Relation> Limit(const Relation& input, int64_t count);
 

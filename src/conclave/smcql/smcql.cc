@@ -294,9 +294,8 @@ StatusOr<RunResult> SmcqlComorbidity(const Relation& diag0, const Relation& diag
   // ObliVM MPC: combine partials, re-aggregate, order by count desc, take the top k.
   CONCLAVE_RETURN_IF_ERROR(engine.ChargeInput(partial0));
   CONCLAVE_RETURN_IF_ERROR(engine.ChargeInput(partial1));
-  CONCLAVE_ASSIGN_OR_RETURN(
-      Relation combined,
-      engine.Concat(std::vector<Relation>{std::move(partial0), std::move(partial1)}));
+  const Relation* const partials[] = {&partial0, &partial1};
+  CONCLAVE_ASSIGN_OR_RETURN(Relation combined, engine.Concat(partials));
   const int diag_col[] = {0};
   CONCLAVE_ASSIGN_OR_RETURN(Relation totals,
                             engine.Aggregate(combined, diag_col, AggKind::kSum,
