@@ -38,11 +38,12 @@ inline void TuneAllocatorForBench() {
 #endif
 }
 
-// One measured cell: seconds, a count (rows, bytes), or a marker (DNF / OOM /
-// skipped).
+// One measured cell: seconds of simulated (virtual) time, wall-clock seconds,
+// a count (rows, bytes), or a marker (DNF / OOM / skipped).
 struct Cell {
-  enum class Kind { kSeconds, kCount, kDnf, kOom, kSkip } kind = Kind::kSkip;
-  double seconds = 0;
+  enum class Kind { kSeconds, kWallSeconds, kCount, kDnf, kOom, kSkip };
+  Kind kind = Kind::kSkip;
+  double seconds = 0;  // kSeconds: virtual seconds; kWallSeconds: wall seconds.
   int64_t count = 0;
   bool modeled = false;  // Analytic extrapolation, not an executed run.
   // Priced spill I/O charge (DESIGN.md §12), recorded separately from the
@@ -68,6 +69,13 @@ struct Cell {
     cell.spill_seconds = spill_charge;
     return cell;
   }
+  // A real elapsed time, such as a kernel microbench's best pass.
+  static Cell WallSeconds(double s) {
+    Cell cell;
+    cell.kind = Kind::kWallSeconds;
+    cell.seconds = s;
+    return cell;
+  }
   static Cell Count(int64_t n) {
     Cell cell;
     cell.kind = Kind::kCount;
@@ -90,6 +98,8 @@ struct Cell {
     switch (kind) {
       case Kind::kSeconds:
         return StrFormat(modeled ? "%.1f*" : "%.1f", seconds);
+      case Kind::kWallSeconds:
+        return StrFormat("%.6f", seconds);
       case Kind::kCount:
         return StrFormat("%lld", static_cast<long long>(count));
       case Kind::kDnf:
@@ -106,6 +116,8 @@ struct Cell {
     switch (kind) {
       case Kind::kSeconds:
         return "seconds";
+      case Kind::kWallSeconds:
+        return "wall_seconds";
       case Kind::kCount:
         return "count";
       case Kind::kDnf:
@@ -142,15 +154,30 @@ class Table {
       }
       std::printf("\n");
     }
-    std::printf("(seconds of simulated time; * = modeled point; DNF = exceeds %.0f s "
-                "budget; OOM = simulated memory exhaustion)\n",
-                kTimeBudgetSeconds);
+    // Each table names the units its cells are in.
+    bool simulated = false;
+    bool wall = false;
+    for (const auto& row : rows_) {
+      for (const auto& cell : row.cells) {
+        simulated = simulated || cell.kind == Cell::Kind::kSeconds;
+        wall = wall || cell.kind == Cell::Kind::kWallSeconds;
+      }
+    }
+    if (simulated) {
+      std::printf("(seconds of simulated time; * = modeled point; DNF = exceeds %.0f s "
+                  "budget; OOM = simulated memory exhaustion)\n",
+                  kTimeBudgetSeconds);
+    }
+    if (wall) {
+      std::printf("(wall-clock seconds)\n");
+    }
   }
 
   // Machine-readable dump: BENCH_<name>.json in the working directory (override the
   // directory with CONCLAVE_BENCH_JSON_DIR). Seconds cells carry the simulated
-  // (virtual) seconds and count cells their value; wall_clock_seconds is the
-  // bench's real elapsed time, establishing the perf trajectory across PRs.
+  // (virtual) seconds, wall-seconds cells their real elapsed seconds and count
+  // cells their value; wall_clock_seconds is the bench's real elapsed time,
+  // establishing the perf trajectory across PRs.
   void WriteJson(const std::string& bench_name, double wall_clock_seconds) const {
     std::string dir = ".";
     if (const char* env = std::getenv("CONCLAVE_BENCH_JSON_DIR")) {
@@ -184,6 +211,8 @@ class Table {
           if (cell.spill_seconds != 0) {
             std::fprintf(f, ", \"spill_seconds\": %.6f", cell.spill_seconds);
           }
+        } else if (cell.kind == Cell::Kind::kWallSeconds) {
+          std::fprintf(f, ", \"value\": %.6f", cell.seconds);
         } else if (cell.kind == Cell::Kind::kCount) {
           std::fprintf(f, ", \"value\": %lld", static_cast<long long>(cell.count));
         }

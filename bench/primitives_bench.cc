@@ -215,7 +215,7 @@ void RunKernelSweep(const bench::BenchFilter& filter,
   // Timed cell, or a '-' skip when --filter excludes the column.
   const auto timed = [&](const char* name, const std::function<void()>& body) {
     return filter.Enabled(name)
-               ? bench::Cell::Seconds(BestOfRuns(reps, body))
+               ? bench::Cell::WallSeconds(BestOfRuns(reps, body))
                : bench::Cell::Skip();
   };
   for (int64_t n : sizes) {
