@@ -4,12 +4,15 @@
 // and must leave no temp files behind (RAII leak assertions).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "conclave/common/rng.h"
+#include "conclave/common/strings.h"
 #include "conclave/common/tempfile.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/relation.h"
@@ -181,6 +184,127 @@ TEST(SpillJoinTest, MultiKeyAndDuplicateHeavyKeys) {
     const Relation got = spill::Join(left, right, lk, rk, budget, nullptr);
     ASSERT_TRUE(got.RowsEqual(expected)) << "budget=" << budget;
   }
+  EXPECT_EQ(TempDir::LiveCount(), 0);
+  EXPECT_EQ(SpillFile::LiveCount(), 0);
+}
+
+// The pin grid's budgets for an input that spills above `rows` rows: one and
+// two rows, a small odd budget, one that cuts more than kSpillMergeFanIn runs,
+// and the spill threshold's edges.
+std::vector<int64_t> PinBudgets(int64_t rows) {
+  return {1, 2, 7, rows / (2 * spill::kSpillMergeFanIn), rows - 1, rows, rows + 1};
+}
+
+// One case of the pin grid: a kernel at one budget, and the stats it reported.
+struct PinCase {
+  std::string label;
+  int64_t budget = 0;
+  spill::SpillStats stats;
+  // Joins only: the most right rows that share one key. A Grace bucket that the
+  // depth cap stops from splitting is built whole, whatever the budget.
+  int64_t max_rows_per_key = 0;
+};
+
+// Runs every kernel of the pin grid and expects each output to equal its ops::
+// kernel's: SortBy both ways, Distinct, Aggregate for every kind over zero, one
+// and two group columns, and Join on one key and on two duplicate-heavy keys
+// whose buckets reach the Grace depth cap.
+std::vector<PinCase> RunPinGrid() {
+  std::vector<PinCase> cases;
+  const auto run = [&cases](const std::string& label, int64_t rows,
+                            int64_t max_rows_per_key, const Relation& expected,
+                            const auto& kernel) {
+    for (int64_t budget : PinBudgets(rows)) {
+      PinCase c{label, budget, {}, max_rows_per_key};
+      const Relation got = kernel(budget, &c.stats);
+      EXPECT_TRUE(got.RowsEqual(expected)) << label << " budget=" << budget;
+      EXPECT_EQ(got.schema(), expected.schema()) << label << " budget=" << budget;
+      cases.push_back(std::move(c));
+    }
+  };
+
+  const Relation input = RandomRelation(/*seed=*/21, /*rows=*/300, /*cols=*/3,
+                                        /*key_range=*/11);
+  const int64_t rows = input.NumRows();
+  const std::vector<int> sort_columns = {1, 0};
+  for (bool ascending : {true, false}) {
+    run(ascending ? "sort asc" : "sort desc", rows, 0,
+        ops::SortBy(input, sort_columns, ascending),
+        [&](int64_t budget, spill::SpillStats* stats) {
+          return spill::SortBy(input, sort_columns, ascending, budget, stats);
+        });
+  }
+  const std::vector<int> distinct_columns = {2, 0};
+  run("distinct", rows, 0, ops::Distinct(input, distinct_columns),
+      [&](int64_t budget, spill::SpillStats* stats) {
+        return spill::Distinct(input, distinct_columns, budget, stats);
+      });
+  for (const std::vector<int>& group : std::vector<std::vector<int>>{{}, {0}, {0, 1}}) {
+    for (AggKind kind : {AggKind::kSum, AggKind::kCount, AggKind::kMin, AggKind::kMax,
+                         AggKind::kMean}) {
+      run(StrFormat("aggregate %s over %zu", AggKindName(kind), group.size()), rows, 0,
+          ops::Aggregate(input, group, kind, 2, "agg"),
+          [&](int64_t budget, spill::SpillStats* stats) {
+            return spill::Aggregate(input, group, kind, 2, "agg", budget, stats);
+          });
+    }
+  }
+
+  struct JoinShape {
+    const char* label;
+    uint64_t seed;
+    int64_t left_rows;
+    int64_t right_rows;
+    int64_t key_range;
+    std::vector<int> left_keys;
+    std::vector<int> right_keys;
+  };
+  for (const JoinShape& shape :
+       {JoinShape{"join 1 key", 22, 200, 160, 40, {0}, {0}},
+        JoinShape{"join 2 keys", 24, 120, 100, 2, {0, 1}, {1, 0}}}) {
+    const Relation left = RandomRelation(shape.seed, shape.left_rows, /*cols=*/3,
+                                         shape.key_range);
+    const Relation right = RandomRelation(shape.seed + 1, shape.right_rows,
+                                          /*cols=*/3, shape.key_range);
+    std::map<std::vector<int64_t>, int64_t> rows_per_key;
+    int64_t max_rows_per_key = 0;
+    for (int64_t r = 0; r < right.NumRows(); ++r) {
+      std::vector<int64_t> key;
+      for (int c : shape.right_keys) {
+        key.push_back(right.ColumnSpan(c)[r]);
+      }
+      max_rows_per_key = std::max(max_rows_per_key, ++rows_per_key[key]);
+    }
+    run(shape.label, right.NumRows(), max_rows_per_key,
+        ops::Join(left, right, shape.left_keys, shape.right_keys),
+        [&](int64_t budget, spill::SpillStats* stats) {
+          return spill::Join(left, right, shape.left_keys, shape.right_keys, budget,
+                             stats);
+        });
+  }
+  return cases;
+}
+
+TEST(SpillPinTest, EveryKernelMatchesOpsAndKeepsItsStats) {
+  // FNV-1a over the five SpillStats counters of every case, in grid order: it
+  // pins every run, byte, merge pass and residency peak across code changes.
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (static_cast<uint64_t>(value) >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const std::vector<PinCase> cases = RunPinGrid();
+  EXPECT_EQ(cases.size(), 7u * (3 + 15 + 2));
+  for (const PinCase& c : cases) {
+    mix(c.stats.spilled_rows);
+    mix(c.stats.spilled_bytes);
+    mix(c.stats.runs_written);
+    mix(c.stats.merge_passes);
+    mix(c.stats.peak_resident_rows);
+  }
+  EXPECT_EQ(hash, 0x5260646a55e232e5ULL);
   EXPECT_EQ(TempDir::LiveCount(), 0);
   EXPECT_EQ(SpillFile::LiveCount(), 0);
 }
