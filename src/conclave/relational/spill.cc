@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "conclave/common/check.h"
@@ -64,7 +64,26 @@ class ResidencyMeter {
   int64_t current_ = 0;
 };
 
-// One spilled run (or Grace partition) on disk: row-major int64 cells.
+// The leading `n` column indices of a run, [0, n).
+std::vector<int> LeadingColumns(int n) {
+  std::vector<int> columns(static_cast<size_t>(n));
+  std::iota(columns.begin(), columns.end(), 0);
+  return columns;
+}
+
+struct CloseFile {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+using FilePtr = std::unique_ptr<std::FILE, CloseFile>;
+
+FilePtr OpenFile(const SpillFile& file, const char* mode) {
+  FilePtr f(std::fopen(file.path().c_str(), mode));
+  CONCLAVE_CHECK(f != nullptr);
+  return f;
+}
+
+// One spilled run (or Grace partition) on disk: row-major int64 cells. Cells
+// carry no column names; a kernel names its output columns itself.
 struct SpillRun {
   SpillFile file;
   int64_t rows = 0;
@@ -75,23 +94,13 @@ class SpillRunWriter {
  public:
   SpillRunWriter(const TempDir& dir, int sequence, int cols, SpillStats* stats)
       : file_(StrFormat("%s/run-%d", dir.path().c_str(), sequence)),
+        f_(OpenFile(file_, "wb")),
         cols_(cols),
-        stats_(stats) {
-    f_ = std::fopen(file_.path().c_str(), "wb");
-    CONCLAVE_CHECK(f_ != nullptr);
-  }
-  ~SpillRunWriter() {
-    if (f_ != nullptr) {
-      std::fclose(f_);
-    }
-  }
-  SpillRunWriter(const SpillRunWriter&) = delete;
-  SpillRunWriter& operator=(const SpillRunWriter&) = delete;
+        stats_(stats) {}
 
   void AppendRow(std::span<const int64_t> row) {
     CONCLAVE_DCHECK(static_cast<int>(row.size()) == cols_);
-    const size_t written = std::fwrite(row.data(), sizeof(int64_t), row.size(), f_);
-    CONCLAVE_CHECK_EQ(written, row.size());
+    Write(row);
     ++rows_;
   }
 
@@ -105,32 +114,29 @@ class SpillRunWriter {
         scratch_[static_cast<size_t>(r) * cols_ + c] = column[r];
       }
     }
-    const size_t written =
-        std::fwrite(scratch_.data(), sizeof(int64_t), scratch_.size(), f_);
-    CONCLAVE_CHECK_EQ(written, scratch_.size());
+    Write(scratch_);
     rows_ += n;
   }
 
-  int64_t rows() const { return rows_; }
-
   SpillRun Finish() {
-    CONCLAVE_CHECK_EQ(std::fclose(f_), 0);
-    f_ = nullptr;
+    CONCLAVE_CHECK_EQ(std::fclose(f_.release()), 0);
     if (stats_ != nullptr) {
       stats_->spilled_rows += rows_;
       stats_->spilled_bytes += rows_ * cols_ * static_cast<int64_t>(sizeof(int64_t));
       ++stats_->runs_written;
     }
-    SpillRun run;
-    run.file = std::move(file_);
-    run.rows = rows_;
-    run.cols = cols_;
-    return run;
+    return SpillRun{std::move(file_), rows_, cols_};
   }
 
  private:
+  void Write(std::span<const int64_t> cells) {
+    const size_t written =
+        std::fwrite(cells.data(), sizeof(int64_t), cells.size(), f_.get());
+    CONCLAVE_CHECK_EQ(written, cells.size());
+  }
+
   SpillFile file_;
-  std::FILE* f_ = nullptr;
+  FilePtr f_;
   int cols_;
   int64_t rows_ = 0;
   SpillStats* stats_;
@@ -139,24 +145,16 @@ class SpillRunWriter {
 
 class SpillRunReader {
  public:
-  SpillRunReader(const SpillRun& run, Schema schema)
-      : schema_(std::move(schema)), cols_(run.cols), remaining_(run.rows) {
-    CONCLAVE_CHECK_EQ(schema_.NumColumns(), cols_);
-    f_ = std::fopen(run.file.path().c_str(), "rb");
-    CONCLAVE_CHECK(f_ != nullptr);
-  }
-  ~SpillRunReader() {
-    if (f_ != nullptr) {
-      std::fclose(f_);
-    }
-  }
-  SpillRunReader(const SpillRunReader&) = delete;
-  SpillRunReader& operator=(const SpillRunReader&) = delete;
+  explicit SpillRunReader(const SpillRun& run)
+      : f_(OpenFile(run.file, "rb")),
+        schema_(std::vector<ColumnDef>(static_cast<size_t>(run.cols))),
+        cols_(run.cols),
+        remaining_(run.rows) {}
 
   int64_t remaining() const { return remaining_; }
 
-  // De-interleaves the next <= max_rows rows into a columnar batch; empty batch
-  // at end of stream.
+  // De-interleaves the next <= max_rows rows into a columnar batch with
+  // nameless columns; empty batch at end of stream.
   Relation ReadBatch(int64_t max_rows) {
     const int64_t n = std::min(remaining_, max_rows);
     Relation batch{schema_};
@@ -165,7 +163,8 @@ class SpillRunReader {
       return batch;
     }
     scratch_.resize(static_cast<size_t>(n) * cols_);
-    const size_t read = std::fread(scratch_.data(), sizeof(int64_t), scratch_.size(), f_);
+    const size_t read =
+        std::fread(scratch_.data(), sizeof(int64_t), scratch_.size(), f_.get());
     CONCLAVE_CHECK_EQ(read, scratch_.size());
     for (int c = 0; c < cols_; ++c) {
       int64_t* const dst = batch.ColumnData(c);
@@ -178,12 +177,32 @@ class SpillRunReader {
   }
 
  private:
+  FilePtr f_;
   Schema schema_;
-  std::FILE* f_ = nullptr;
   int cols_;
   int64_t remaining_;
   std::vector<int64_t> scratch_;
 };
+
+// Cuts `input` into chunks of `budget` rows and writes `kernel(chunk)` of each
+// as one run. A chunk and its kernel's output coexist while the run forms, so
+// the meter charges twice the chunk.
+template <typename Kernel>
+std::vector<SpillRun> FormRuns(const Relation& input, int64_t budget, const TempDir& dir,
+                               SpillStats* stats, ResidencyMeter& meter,
+                               const Kernel& kernel) {
+  std::vector<SpillRun> runs;
+  for (int64_t lo = 0; lo < input.NumRows(); lo += budget) {
+    const int64_t chunk = std::min(input.NumRows() - lo, budget);
+    meter.Add(2 * chunk);
+    const Relation run = kernel(ops::Slice(input, lo, lo + chunk));
+    SpillRunWriter writer(dir, static_cast<int>(runs.size()), run.NumColumns(), stats);
+    writer.Append(run);
+    runs.push_back(writer.Finish());
+    meter.Sub(2 * chunk);
+  }
+  return runs;
+}
 
 // --- K-way merge over spilled runs -------------------------------------------------
 //
@@ -192,7 +211,9 @@ class SpillRunReader {
 // global stable sort.
 
 struct MergeSource {
-  std::unique_ptr<SpillRunReader> reader;
+  explicit MergeSource(const SpillRun& run) : reader(run) {}
+
+  SpillRunReader reader;
   Relation batch;
   int64_t pos = 0;
 
@@ -201,7 +222,7 @@ struct MergeSource {
       return true;
     }
     meter.Sub(batch.NumRows());
-    batch = reader->ReadBatch(batch_rows);
+    batch = reader.ReadBatch(batch_rows);
     meter.Add(batch.NumRows());
     pos = 0;
     return batch.NumRows() > 0;
@@ -228,13 +249,13 @@ int CompareHeads(const MergeSource& a, const MergeSource& b,
 // invoking `emit(source)` once per row in merged order. `emit` must consume the
 // source's current head before it advances.
 template <typename Emit>
-void MergeRunStream(std::vector<SpillRun>& runs, const Schema& schema,
-                    std::span<const int> key_columns, bool ascending,
-                    int64_t batch_rows, ResidencyMeter& meter, Emit&& emit) {
-  const size_t k = runs.size();
-  std::vector<MergeSource> sources(k);
-  for (size_t i = 0; i < k; ++i) {
-    sources[i].reader = std::make_unique<SpillRunReader>(runs[i], schema);
+void MergeRunStream(std::span<const SpillRun> runs, std::span<const int> key_columns,
+                    bool ascending, int64_t batch_rows, ResidencyMeter& meter,
+                    Emit&& emit) {
+  std::vector<MergeSource> sources;
+  sources.reserve(runs.size());
+  for (const SpillRun& run : runs) {
+    sources.emplace_back(run);
   }
   // comes_before(a, b): strict ordering with lower-index tie-break.
   auto comes_before = [&](size_t a, size_t b) {
@@ -244,9 +265,9 @@ void MergeRunStream(std::vector<SpillRun>& runs, const Schema& schema,
   // Binary min-heap of live source indices (std::priority_queue is a max-heap;
   // invert the comparator).
   std::vector<size_t> heap;
-  heap.reserve(k);
+  heap.reserve(sources.size());
   auto heap_cmp = [&](size_t a, size_t b) { return comes_before(b, a); };
-  for (size_t i = 0; i < k; ++i) {
+  for (size_t i = 0; i < sources.size(); ++i) {
     if (sources[i].Refill(batch_rows, meter)) {
       heap.push_back(i);
     }
@@ -268,62 +289,40 @@ void MergeRunStream(std::vector<SpillRun>& runs, const Schema& schema,
   }
 }
 
-// Row destinations for merge output: an intermediate run file or the final
-// relation. The final relation is the operator's output and therefore outside
-// the residency meter; the `buffered` row buffer inside sinks is O(1) rows.
-class RowSink {
- public:
-  virtual ~RowSink() = default;
-  virtual void Append(std::span<const int64_t> row) = 0;
-};
-
-class FileSink : public RowSink {
- public:
-  explicit FileSink(SpillRunWriter* writer) : writer_(writer) {}
-  void Append(std::span<const int64_t> row) override { writer_->AppendRow(row); }
-
- private:
-  SpillRunWriter* writer_;
-};
-
-class RelationSink : public RowSink {
- public:
-  explicit RelationSink(Relation* out) : out_(out) {}
-  void Append(std::span<const int64_t> row) override { out_->AppendRow(row); }
-
- private:
-  Relation* out_;
-};
-
-// Reduces `runs` level by level until at most kSpillMergeFanIn remain, merging
-// adjacent groups (preserving run order, hence stability), then merges the
-// final group into `final_emit`. `per_row` post-processes the merged stream
-// (identity for sort, dedup for distinct, combine for aggregate); it receives
-// the sink to write surviving rows to and must flush its own O(1) tail state
-// when the sink changes — we re-create the processor per merge for that.
+// Merges `runs`, each sorted by `key_columns`, into `out`. While more than
+// kSpillMergeFanIn runs remain, a level merges each group of kSpillMergeFanIn
+// adjacent runs into one run (keeping run order, hence stability); the last
+// merge appends to `out`, which as the operator's output sits outside the
+// residency meter. Every merge gets a fresh processor, make_processor(final),
+// with `final` set only for the last merge: Row(source, emit) sees each merged
+// row in order, Flush(emit) follows the last one, and `emit(row)` writes a
+// surviving row to the merge's destination.
 template <typename MakeProcessor>
 void MultiLevelMerge(std::vector<SpillRun> runs, const TempDir& dir,
-                     const Schema& schema, std::span<const int> key_columns,
-                     bool ascending, int64_t budget, SpillStats* stats,
-                     ResidencyMeter& meter, Relation* out,
-                     MakeProcessor&& make_processor) {
+                     std::span<const int> key_columns, bool ascending, int64_t budget,
+                     SpillStats* stats, ResidencyMeter& meter, Relation* out,
+                     const MakeProcessor& make_processor) {
   const int64_t batch_rows = std::max<int64_t>(1, budget / (kSpillMergeFanIn + 1));
-  int sequence = 1 << 20;  // Distinct from run-formation sequence numbers.
+  const auto merge = [&](std::span<const SpillRun> group, bool final, const auto& emit) {
+    auto processor = make_processor(final);
+    MergeRunStream(group, key_columns, ascending, batch_rows, meter,
+                   [&](const MergeSource& s) { processor.Row(s, emit); });
+    processor.Flush(emit);
+  };
+  int sequence = static_cast<int>(runs.size());  // Past the formed runs' names.
   while (static_cast<int64_t>(runs.size()) > kSpillMergeFanIn) {
     if (stats != nullptr) {
       ++stats->merge_passes;
     }
     std::vector<SpillRun> next;
     for (size_t lo = 0; lo < runs.size(); lo += kSpillMergeFanIn) {
+      // Moved out, so the group's files unlink once it is merged.
       const size_t hi = std::min(runs.size(), lo + kSpillMergeFanIn);
-      std::vector<SpillRun> group(std::make_move_iterator(runs.begin() + lo),
-                                  std::make_move_iterator(runs.begin() + hi));
-      SpillRunWriter writer(dir, sequence++, schema.NumColumns(), stats);
-      FileSink sink(&writer);
-      auto processor = make_processor(&sink);
-      MergeRunStream(group, schema, key_columns, ascending, batch_rows, meter,
-                     [&](const MergeSource& s) { processor->Row(s); });
-      processor->Finish();
+      const std::vector<SpillRun> group(std::make_move_iterator(runs.begin() + lo),
+                                        std::make_move_iterator(runs.begin() + hi));
+      SpillRunWriter writer(dir, sequence++, group.front().cols, stats);
+      merge(group, /*final=*/false,
+            [&writer](std::span<const int64_t> row) { writer.AppendRow(row); });
       next.push_back(writer.Finish());
     }
     runs = std::move(next);
@@ -331,74 +330,57 @@ void MultiLevelMerge(std::vector<SpillRun> runs, const TempDir& dir,
   if (stats != nullptr) {
     ++stats->merge_passes;
   }
-  RelationSink sink(out);
-  auto processor = make_processor(&sink);
-  MergeRunStream(runs, schema, key_columns, ascending, batch_rows, meter,
-                 [&](const MergeSource& s) { processor->Row(s); });
-  processor->Finish();
+  merge(runs, /*final=*/true,
+        [out](std::span<const int64_t> row) { out->AppendRow(row); });
 }
 
-// --- Per-row merge processors ------------------------------------------------------
+// --- Merge processors --------------------------------------------------------------
 
-// Passes every merged row through (external sort).
-class PassThroughProcessor {
+// Emits every merged row (external sort) or, with `dedup`, each row that
+// differs from the one before (external distinct: runs are deduped within, so
+// duplicates across runs meet in the merge).
+class CopyRows {
  public:
-  PassThroughProcessor(RowSink* sink, int cols) : sink_(sink), row_(cols) {}
-  void Row(const MergeSource& s) {
+  CopyRows(int cols, bool dedup) : row_(static_cast<size_t>(cols)), dedup_(dedup) {}
+
+  template <typename Emit>
+  void Row(const MergeSource& s, const Emit& emit) {
     for (size_t c = 0; c < row_.size(); ++c) {
       row_[c] = s.Cell(static_cast<int>(c));
     }
-    sink_->Append(row_);
-  }
-  void Finish() {}
-
- private:
-  RowSink* sink_;
-  std::vector<int64_t> row_;
-};
-
-// Drops rows equal to the previously emitted row (external distinct; runs are
-// already internally deduped, so cross-run duplicates are adjacent after merge).
-class DedupProcessor {
- public:
-  DedupProcessor(RowSink* sink, int cols) : sink_(sink), row_(cols) {}
-  void Row(const MergeSource& s) {
-    bool is_new = !has_last_;
-    for (size_t c = 0; c < row_.size(); ++c) {
-      row_[c] = s.Cell(static_cast<int>(c));
-      if (!is_new && row_[c] != last_[c]) {
-        is_new = true;
+    if (dedup_) {
+      if (has_last_ && row_ == last_) {
+        return;
       }
-    }
-    if (is_new) {
-      sink_->Append(row_);
       last_ = row_;
       has_last_ = true;
     }
+    emit(row_);
   }
-  void Finish() {}
+  template <typename Emit>
+  void Flush(const Emit& /*emit*/) {}
 
  private:
-  RowSink* sink_;
   std::vector<int64_t> row_;
+  bool dedup_;
   std::vector<int64_t> last_;
   bool has_last_ = false;
 };
 
 // Combines adjacent equal-key rows (external aggregate). Rows carry the group
 // key in columns [0, group_cols) and one group's AggAccumulator partial after
-// it; the final level finalizes each group, intermediate levels keep the
-// partial layout.
-class CombineProcessor {
+// it; the final merge finalizes each group, earlier levels keep the partial
+// layout.
+class CombineGroups {
  public:
-  CombineProcessor(RowSink* sink, int group_cols, AggKind kind, bool finalize)
-      : sink_(sink),
-        group_cols_(group_cols),
+  CombineGroups(int group_cols, AggKind kind, bool final)
+      : group_cols_(group_cols),
         kind_(kind),
-        finalize_(finalize),
+        final_(final),
         row_(static_cast<size_t>(group_cols + AggAccumulator::PartialWidth(kind))) {}
 
-  void Row(const MergeSource& s) {
+  template <typename Emit>
+  void Row(const MergeSource& s, const Emit& emit) {
     bool same = has_current_;
     for (int c = 0; same && c < group_cols_; ++c) {
       same = s.Cell(c) == row_[static_cast<size_t>(c)];
@@ -412,7 +394,7 @@ class CombineProcessor {
       current_.Merge(partial);
       return;
     }
-    Finish();
+    Flush(emit);
     for (int c = 0; c < group_cols_; ++c) {
       row_[static_cast<size_t>(c)] = s.Cell(c);
     }
@@ -420,26 +402,25 @@ class CombineProcessor {
     has_current_ = true;
   }
 
-  void Finish() {
+  template <typename Emit>
+  void Flush(const Emit& emit) {
     if (!has_current_) {
       return;
     }
     has_current_ = false;
-    if (finalize_) {
+    if (final_) {
       row_[static_cast<size_t>(group_cols_)] = current_.Finalize(kind_);
-      sink_->Append(std::span<const int64_t>(row_.data(),
-                                             static_cast<size_t>(group_cols_) + 1));
+      emit(std::span<const int64_t>(row_.data(), static_cast<size_t>(group_cols_) + 1));
     } else {
       current_.ToPartial(kind_, row_.data() + group_cols_);
-      sink_->Append(row_);
+      emit(std::span<const int64_t>(row_));
     }
   }
 
  private:
-  RowSink* sink_;
   int group_cols_;
   AggKind kind_;
-  bool finalize_;
+  bool final_;
   std::vector<int64_t> row_;  // The current group's key, then its output cells.
   AggAccumulator current_;
   bool has_current_ = false;
@@ -447,7 +428,7 @@ class CombineProcessor {
 
 }  // namespace
 
-// --- External sort -----------------------------------------------------------------
+// --- External sort and distinct ---------------------------------------------------
 
 Relation SortBy(const Relation& input, std::span<const int> columns, bool ascending,
                 int64_t budget, SpillStats* stats) {
@@ -457,30 +438,17 @@ Relation SortBy(const Relation& input, std::span<const int> columns, bool ascend
   }
   ResidencyMeter meter(stats);
   TempDir dir;
-  std::vector<SpillRun> runs;
-  for (int64_t lo = 0; lo < rows; lo += budget) {
-    const int64_t hi = std::min(rows, lo + budget);
-    meter.Add(hi - lo);
-    Relation chunk = ops::Slice(input, lo, hi);
-    meter.Add(hi - lo);  // Sorted copy coexists with the slice: 2x chunk peak.
-    Relation sorted = ops::SortBy(chunk, columns, ascending);
-    SpillRunWriter writer(dir, static_cast<int>(runs.size()), input.NumColumns(),
-                          stats);
-    writer.Append(sorted);
-    runs.push_back(writer.Finish());
-    meter.Sub(2 * (hi - lo));
-  }
+  std::vector<SpillRun> runs =
+      FormRuns(input, budget, dir, stats, meter, [&](const Relation& chunk) {
+        return ops::SortBy(chunk, columns, ascending);
+      });
   Relation out{input.schema()};
   out.Reserve(rows);
-  MultiLevelMerge(std::move(runs), dir, input.schema(), columns, ascending, budget,
-                  stats, meter, &out, [&](RowSink* sink) {
-                    return std::make_unique<PassThroughProcessor>(
-                        sink, input.NumColumns());
-                  });
+  const int cols = input.NumColumns();
+  MultiLevelMerge(std::move(runs), dir, columns, ascending, budget, stats, meter, &out,
+                  [cols](bool /*final*/) { return CopyRows(cols, /*dedup=*/false); });
   return out;
 }
-
-// --- External distinct -------------------------------------------------------------
 
 Relation Distinct(const Relation& input, std::span<const int> columns,
                   int64_t budget, SpillStats* stats) {
@@ -490,36 +458,15 @@ Relation Distinct(const Relation& input, std::span<const int> columns,
   }
   ResidencyMeter meter(stats);
   TempDir dir;
-  std::vector<SpillRun> runs;
-  Schema run_schema;
-  std::vector<int> merge_columns;
-  for (int64_t lo = 0; lo < rows; lo += budget) {
-    const int64_t hi = std::min(rows, lo + budget);
-    meter.Add(hi - lo);
-    Relation chunk = ops::Slice(input, lo, hi);
-    meter.Add(hi - lo);
-    // Each run is ops::Distinct of its chunk: projected, sorted, deduped.
-    Relation run = ops::Distinct(chunk, columns);
-    if (runs.empty()) {
-      run_schema = run.schema();
-      merge_columns.resize(static_cast<size_t>(run.NumColumns()));
-      for (size_t c = 0; c < merge_columns.size(); ++c) {
-        merge_columns[c] = static_cast<int>(c);
-      }
-    }
-    SpillRunWriter writer(dir, static_cast<int>(runs.size()), run.NumColumns(),
-                          stats);
-    writer.Append(run);
-    runs.push_back(writer.Finish());
-    meter.Sub(2 * (hi - lo));
-  }
-  Relation out{run_schema};
-  const int cols = run_schema.NumColumns();
-  MultiLevelMerge(std::move(runs), dir, run_schema, merge_columns,
-                  /*ascending=*/true, budget, stats, meter, &out,
-                  [&](RowSink* sink) {
-                    return std::make_unique<DedupProcessor>(sink, cols);
-                  });
+  // Each run is ops::Distinct of its chunk: projected, sorted, deduped.
+  std::vector<SpillRun> runs =
+      FormRuns(input, budget, dir, stats, meter,
+               [&](const Relation& chunk) { return ops::Distinct(chunk, columns); });
+  Relation out = ops::Distinct(ops::Slice(input, 0, 0), columns);  // Its schema.
+  const int cols = out.NumColumns();
+  MultiLevelMerge(std::move(runs), dir, LeadingColumns(cols), /*ascending=*/true, budget,
+                  stats, meter, &out,
+                  [cols](bool /*final*/) { return CopyRows(cols, /*dedup=*/true); });
   return out;
 }
 
@@ -601,23 +548,11 @@ Relation Aggregator::Finish() {
   }
   CutRun();  // The last chunk, never empty: a cut waits for a further row.
   const int group_cols = groups_.output_schema().NumColumns() - 1;
-  std::vector<int> key_columns(static_cast<size_t>(group_cols));
-  for (int c = 0; c < group_cols; ++c) {
-    key_columns[static_cast<size_t>(c)] = c;
-  }
-  // Intermediate merge levels combine partials but keep the run layout; only
-  // the final level (into `out`) finalizes. MultiLevelMerge hands FileSinks to
-  // intermediate levels and the RelationSink last, so the processor
-  // distinguishes them by sink identity.
-  Relation out{groups_.output_schema()};
   const AggKind kind = groups_.kind();
-  MultiLevelMerge(std::move(runs_->files), runs_->dir, groups_.partial_schema(),
-                  key_columns, /*ascending=*/true, budget_, stats_, runs_->meter,
-                  &out, [&](RowSink* sink) {
-                    const bool is_final = dynamic_cast<RelationSink*>(sink) != nullptr;
-                    return std::make_unique<CombineProcessor>(sink, group_cols, kind,
-                                                              is_final);
-                  });
+  Relation out{groups_.output_schema()};
+  MultiLevelMerge(std::move(runs_->files), runs_->dir, LeadingColumns(group_cols),
+                  /*ascending=*/true, budget_, stats_, runs_->meter, &out,
+                  [&](bool final) { return CombineGroups(group_cols, kind, final); });
   runs_.reset();
   return out;
 }
@@ -640,173 +575,136 @@ namespace {
 // uniformly distributed keys.
 constexpr int kGraceFanOut = static_cast<int>(kSpillMergeFanIn);
 
-uint64_t GraceHashRow(const std::vector<std::span<const int64_t>>& key_cols,
-                      int64_t row, int level) {
-  uint64_t h = 0x436f6e636c617665ULL ^ (0x9e3779b97f4a7c15ULL * (level + 1));
-  for (const auto& col : key_cols) {
-    // One SplitMix64 step (same mixer family as ops.cc's KeyHash), salted per
-    // recursion level so a bucket re-partitions under an independent hash.
-    h = SplitMixFinalize((h ^ static_cast<uint64_t>(col[row])) +
-                         0x9e3779b97f4a7c15ULL);
-  }
-  return h;
-}
+// One Grace join's state while it partitions both sides and solves the leaves.
+struct GraceJoin {
+  // Where a left row's matched right ids sit in `right_ids`: they are
+  // contiguous and ascending, because the row is probed in one leaf only.
+  struct Matches {
+    int64_t begin = 0;
+    int64_t count = 0;
+  };
 
-// A Grace partition file holds (key columns..., global row id) rows. The scatter
-// walks rows in order, so ids ascend within every partition at every level.
-Schema GracePartitionSchema(int key_cols) {
-  std::vector<ColumnDef> defs;
-  defs.reserve(static_cast<size_t>(key_cols) + 1);
-  for (int c = 0; c < key_cols; ++c) {
-    defs.emplace_back(StrFormat("__spill_key%d", c));
-  }
-  defs.emplace_back("__spill_gid");
-  return Schema(std::move(defs));
-}
+  GraceJoin(int64_t left_rows, int64_t budget, SpillStats* stats)
+      : budget(budget), stats(stats), meter(stats),
+        matches(static_cast<size_t>(left_rows)) {}
 
-struct GraceBuckets {
-  std::vector<SpillRun> runs;  // kGraceFanOut partitions.
-};
-
-// Scatters (key, id) rows from `reader` (a parent partition file) into
-// kGraceFanOut child partition files under the level-salted hash.
-GraceBuckets PartitionFromRun(const SpillRun& parent, const Schema& schema,
-                              const TempDir& dir, int* sequence, int level,
-                              int64_t budget, SpillStats* stats,
-                              ResidencyMeter& meter) {
-  const int key_cols = schema.NumColumns() - 1;
-  std::vector<std::unique_ptr<SpillRunWriter>> writers;
-  writers.reserve(kGraceFanOut);
-  for (int b = 0; b < kGraceFanOut; ++b) {
-    writers.push_back(
-        std::make_unique<SpillRunWriter>(dir, (*sequence)++, key_cols + 1, stats));
-  }
-  SpillRunReader reader(parent, schema);
-  const int64_t batch_rows = std::max<int64_t>(1, budget);
-  std::vector<int64_t> row(static_cast<size_t>(key_cols) + 1);
-  while (reader.remaining() > 0) {
-    Relation batch = reader.ReadBatch(batch_rows);
-    meter.Add(batch.NumRows());
-    std::vector<std::span<const int64_t>> key_spans;
-    key_spans.reserve(static_cast<size_t>(key_cols));
-    for (int c = 0; c < key_cols; ++c) {
-      key_spans.push_back(batch.ColumnSpan(c));
-    }
-    const auto ids = batch.ColumnSpan(key_cols);
-    for (int64_t r = 0; r < batch.NumRows(); ++r) {
-      const int bucket =
-          static_cast<int>(GraceHashRow(key_spans, r, level) % kGraceFanOut);
-      for (int c = 0; c < key_cols; ++c) {
-        row[static_cast<size_t>(c)] = key_spans[static_cast<size_t>(c)][r];
-      }
-      row[static_cast<size_t>(key_cols)] = ids[r];
-      writers[static_cast<size_t>(bucket)]->AppendRow(row);
-    }
-    meter.Sub(batch.NumRows());
-  }
-  GraceBuckets buckets;
-  buckets.runs.reserve(kGraceFanOut);
-  for (auto& writer : writers) {
-    buckets.runs.push_back(writer->Finish());
-  }
-  return buckets;
-}
-
-// Scatters (key, id) rows straight from a borrowed input relation (level 0).
-GraceBuckets PartitionFromRelation(const Relation& input,
-                                   std::span<const int> key_columns,
-                                   const TempDir& dir, int* sequence,
-                                   int64_t /*budget*/, SpillStats* stats) {
-  const int key_cols = static_cast<int>(key_columns.size());
-  std::vector<std::unique_ptr<SpillRunWriter>> writers;
-  writers.reserve(kGraceFanOut);
-  for (int b = 0; b < kGraceFanOut; ++b) {
-    writers.push_back(
-        std::make_unique<SpillRunWriter>(dir, (*sequence)++, key_cols + 1, stats));
-  }
-  std::vector<std::span<const int64_t>> key_spans;
-  key_spans.reserve(static_cast<size_t>(key_cols));
-  for (int c : key_columns) {
-    key_spans.push_back(input.ColumnSpan(c));
-  }
-  std::vector<int64_t> row(static_cast<size_t>(key_cols) + 1);
-  for (int64_t r = 0; r < input.NumRows(); ++r) {
-    const int bucket = static_cast<int>(GraceHashRow(key_spans, r, 0) % kGraceFanOut);
-    for (int c = 0; c < key_cols; ++c) {
-      row[static_cast<size_t>(c)] = key_spans[static_cast<size_t>(c)][r];
-    }
-    row[static_cast<size_t>(key_cols)] = r;
-    writers[static_cast<size_t>(bucket)]->AppendRow(row);
-  }
-  GraceBuckets buckets;
-  buckets.runs.reserve(kGraceFanOut);
-  for (auto& writer : writers) {
-    buckets.runs.push_back(writer->Finish());
-  }
-  return buckets;
-}
-
-// Joins one (left partition, right partition) pair. Appends a pair vector
-// (sorted by left gid, right gid ascending within) per solved leaf into `leaf_pairs`.
-void SolveGraceBucket(SpillRun left, SpillRun right, const Schema& schema,
-                      const TempDir& dir, int* sequence, int level, int64_t budget,
-                      SpillStats* stats, ResidencyMeter& meter,
-                      std::vector<std::vector<std::pair<int64_t, int64_t>>>* leaf_pairs) {
-  if (left.rows == 0 || right.rows == 0) {
-    return;
-  }
-  const int key_cols = schema.NumColumns() - 1;
-  if (right.rows > budget && level < kMaxGraceDepth) {
-    GraceBuckets lb =
-        PartitionFromRun(left, schema, dir, sequence, level + 1, budget, stats, meter);
-    GraceBuckets rb =
-        PartitionFromRun(right, schema, dir, sequence, level + 1, budget, stats, meter);
-    // Parent files are no longer needed; let them unlink before recursing so
-    // disk usage stays bounded by two live levels.
-    left = SpillRun{};
-    right = SpillRun{};
+  // Scatters rows into kGraceFanOut partitions by the level-salted hash of
+  // their key cells. A partition row holds the key cells, then the row's id,
+  // and rows keep their order, so ids ascend within every partition. Level 0
+  // scatters the borrowed `input` on `keys`, and a row's id is its index.
+  // Deeper levels re-read the partition `parent` in budget-row batches.
+  std::vector<SpillRun> Scatter(int level, const SpillRun* parent,
+                                const Relation* input = nullptr,
+                                std::span<const int> keys = {}) {
+    const int key_cols =
+        parent != nullptr ? parent->cols - 1 : static_cast<int>(keys.size());
+    std::vector<SpillRunWriter> parts;
+    parts.reserve(kGraceFanOut);
     for (int b = 0; b < kGraceFanOut; ++b) {
-      SolveGraceBucket(std::move(lb.runs[static_cast<size_t>(b)]),
-                       std::move(rb.runs[static_cast<size_t>(b)]), schema, dir,
-                       sequence, level + 1, budget, stats, meter, leaf_pairs);
+      parts.emplace_back(dir, sequence++, key_cols + 1, stats);
     }
-    return;
+    const uint64_t salt = 0x436f6e636c617665ULL ^ (0x9e3779b97f4a7c15ULL * (level + 1));
+    std::vector<const int64_t*> key_data(static_cast<size_t>(key_cols));
+    std::vector<int64_t> row(static_cast<size_t>(key_cols) + 1);
+    const auto scatter = [&](const Relation& rows, std::span<const int> row_keys,
+                             const int64_t* ids) {
+      for (int c = 0; c < key_cols; ++c) {
+        key_data[static_cast<size_t>(c)] = rows.ColumnSpan(row_keys[c]).data();
+      }
+      for (int64_t r = 0; r < rows.NumRows(); ++r) {
+        uint64_t h = salt;
+        for (int c = 0; c < key_cols; ++c) {
+          row[static_cast<size_t>(c)] = key_data[static_cast<size_t>(c)][r];
+          // One SplitMix64 step per key cell (the finalizer under rng.h's
+          // HashChainStep); the salt re-partitions a bucket under an
+          // independent hash at every level.
+          h = SplitMixFinalize((h ^ static_cast<uint64_t>(row[static_cast<size_t>(c)])) +
+                               0x9e3779b97f4a7c15ULL);
+        }
+        row[static_cast<size_t>(key_cols)] = ids != nullptr ? ids[r] : r;
+        parts[h % kGraceFanOut].AppendRow(row);
+      }
+    };
+    if (parent == nullptr) {
+      scatter(*input, keys, nullptr);
+    } else {
+      SpillRunReader reader(*parent);
+      const std::vector<int> run_keys = LeadingColumns(key_cols);
+      while (reader.remaining() > 0) {
+        const Relation batch = reader.ReadBatch(budget);
+        meter.Add(batch.NumRows());
+        scatter(batch, run_keys, batch.ColumnSpan(key_cols).data());
+        meter.Sub(batch.NumRows());
+      }
+    }
+    std::vector<SpillRun> runs;
+    runs.reserve(kGraceFanOut);
+    for (SpillRunWriter& part : parts) {
+      runs.push_back(part.Finish());
+    }
+    return runs;
   }
-  // Build on the right partition (<= budget rows, or a duplicate-heavy key at
-  // the depth cap), probe the left partition streamed in budget-sized batches.
-  SpillRunReader right_reader(right, schema);
-  meter.Add(right.rows);
-  Relation build = right_reader.ReadBatch(right.rows);
-  std::vector<int> bucket_keys(static_cast<size_t>(key_cols));
-  for (int c = 0; c < key_cols; ++c) {
-    bucket_keys[static_cast<size_t>(c)] = c;
+
+  // Joins one (left partition, right partition) pair at `level`. A solved
+  // leaf appends its matched right ids to `right_ids`, left row by left row,
+  // and records each left row's run of them in `matches`.
+  void Solve(SpillRun left, SpillRun right, int level) {
+    if (left.rows == 0 || right.rows == 0) {
+      return;
+    }
+    if (right.rows > budget && level < kMaxGraceDepth) {
+      std::vector<SpillRun> lb = Scatter(level + 1, &left);
+      std::vector<SpillRun> rb = Scatter(level + 1, &right);
+      // The parent files unlink before the recursion, so disk usage stays
+      // bounded by two live levels.
+      left = SpillRun{};
+      right = SpillRun{};
+      for (size_t b = 0; b < lb.size(); ++b) {
+        Solve(std::move(lb[b]), std::move(rb[b]), level + 1);
+      }
+      return;
+    }
+    // Build on the right partition (<= budget rows, or at the depth cap a
+    // bucket of duplicate-heavy keys, whatever its size), probe the left
+    // partition streamed in budget-row batches.
+    const int key_cols = right.cols - 1;
+    const std::vector<int> keys = LeadingColumns(key_cols);
+    meter.Add(right.rows);
+    const Relation build = SpillRunReader(right).ReadBatch(right.rows);
+    const auto build_ids = build.ColumnSpan(key_cols);
+    const HashIndex index(build, keys);
+    SpillRunReader left_reader(left);
+    while (left_reader.remaining() > 0) {
+      const Relation probe = left_reader.ReadBatch(budget);
+      meter.Add(probe.NumRows());
+      const auto probe_ids = probe.ColumnSpan(key_cols);
+      // ops::JoinRowPairs probes left rows in order and lists right matches
+      // ascending by build position; positions map to ascending ids because
+      // the scatter kept row order at every level.
+      ops::JoinRowPairs(probe, keys, index, &lrows, &rrows);
+      for (size_t i = 0; i < lrows.size(); ++i) {
+        Matches& m = matches[static_cast<size_t>(probe_ids[lrows[i]])];
+        if (m.count++ == 0) {
+          m.begin = static_cast<int64_t>(right_ids.size());
+        }
+        right_ids.push_back(build_ids[rrows[i]]);
+      }
+      meter.Sub(probe.NumRows());
+    }
+    meter.Sub(right.rows);
   }
-  const auto right_gids = build.ColumnSpan(key_cols);
-  const HashIndex index(build, bucket_keys);
-  std::vector<std::pair<int64_t, int64_t>> pairs;
-  SpillRunReader left_reader(left, schema);
-  const int64_t batch_rows = std::max<int64_t>(1, budget);
+
+  int64_t budget;
+  SpillStats* stats;
+  ResidencyMeter meter;
+  TempDir dir;
+  int sequence = 0;
+  std::vector<Matches> matches;    // One per left row.
+  std::vector<int64_t> right_ids;  // Every leaf's matches, leaf after leaf.
+  // A probe batch's pair positions; kept across leaves to reuse the buffers.
   std::vector<int64_t> lrows;
   std::vector<int64_t> rrows;
-  while (left_reader.remaining() > 0) {
-    Relation probe = left_reader.ReadBatch(batch_rows);
-    meter.Add(probe.NumRows());
-    const auto left_gids = probe.ColumnSpan(key_cols);
-    // ops::JoinRowPairs probes left rows in order and lists right matches
-    // ascending by build position; positions map to ascending gids because the
-    // scatter preserved row order at every level.
-    ops::JoinRowPairs(probe, bucket_keys, index, &lrows, &rrows);
-    pairs.reserve(pairs.size() + lrows.size());
-    for (size_t i = 0; i < lrows.size(); ++i) {
-      pairs.emplace_back(left_gids[lrows[i]], right_gids[rrows[i]]);
-    }
-    meter.Sub(probe.NumRows());
-  }
-  meter.Sub(right.rows);
-  if (!pairs.empty()) {
-    leaf_pairs->push_back(std::move(pairs));
-  }
-}
+};
 
 // The join's (left row, right row) pair stream in exactly ops::JoinRowPairs
 // order, Grace-partitioned because the build (right) side exceeds the budget.
@@ -815,58 +713,28 @@ void GraceJoinRowPairs(const Relation& left, const Relation& right,
                        std::span<const int> right_keys, int64_t budget,
                        SpillStats* stats, std::vector<int64_t>* left_rows,
                        std::vector<int64_t>* right_rows) {
-  ResidencyMeter meter(stats);
-  TempDir dir;
-  int sequence = 0;
-  const Schema schema = GracePartitionSchema(static_cast<int>(left_keys.size()));
-  GraceBuckets lb = PartitionFromRelation(left, left_keys, dir, &sequence, budget, stats);
-  GraceBuckets rb =
-      PartitionFromRelation(right, right_keys, dir, &sequence, budget, stats);
+  GraceJoin grace(left.NumRows(), budget, stats);
+  std::vector<SpillRun> lb = grace.Scatter(0, nullptr, &left, left_keys);
+  std::vector<SpillRun> rb = grace.Scatter(0, nullptr, &right, right_keys);
   if (stats != nullptr) {
     ++stats->merge_passes;
   }
-  std::vector<std::vector<std::pair<int64_t, int64_t>>> leaf_pairs;
-  for (int b = 0; b < kGraceFanOut; ++b) {
-    SolveGraceBucket(std::move(lb.runs[static_cast<size_t>(b)]),
-                     std::move(rb.runs[static_cast<size_t>(b)]), schema, dir,
-                     &sequence, 1, budget, stats, meter, &leaf_pairs);
+  for (size_t b = 0; b < lb.size(); ++b) {
+    grace.Solve(std::move(lb[b]), std::move(rb[b]), /*level=*/1);
   }
-  // Every left gid lives in exactly one leaf, so a k-way merge by (left gid,
-  // right gid) across the leaf pair vectors reproduces ops::JoinRowPairs'
-  // order. The pair vectors are output-sized and, like the output, sit outside the
-  // residency meter.
-  size_t total = 0;
-  for (const auto& pairs : leaf_pairs) {
-    total += pairs.size();
-  }
+  // Each left row's matches sit in one leaf, ascending by right row, so
+  // placing them by left row restores ops::JoinRowPairs' order in O(pairs +
+  // left rows). The pair lists are output-sized and, like the output, sit
+  // outside the residency meter.
   left_rows->clear();
   right_rows->clear();
-  left_rows->reserve(total);
-  right_rows->reserve(total);
-  std::vector<size_t> pos(leaf_pairs.size(), 0);
-  auto comes_before = [&](size_t a, size_t b) {
-    const auto& pa = leaf_pairs[a][pos[a]];
-    const auto& pb = leaf_pairs[b][pos[b]];
-    return pa != pb ? pa < pb : a < b;
-  };
-  std::vector<size_t> heap;
-  auto heap_cmp = [&](size_t a, size_t b) { return comes_before(b, a); };
-  for (size_t i = 0; i < leaf_pairs.size(); ++i) {
-    if (!leaf_pairs[i].empty()) {
-      heap.push_back(i);
-    }
-  }
-  std::make_heap(heap.begin(), heap.end(), heap_cmp);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-    const size_t i = heap.back();
-    heap.pop_back();
-    const auto& pair = leaf_pairs[i][pos[i]];
-    left_rows->push_back(pair.first);
-    right_rows->push_back(pair.second);
-    if (++pos[i] < leaf_pairs[i].size()) {
-      heap.push_back(i);
-      std::push_heap(heap.begin(), heap.end(), heap_cmp);
+  left_rows->reserve(grace.right_ids.size());
+  right_rows->reserve(grace.right_ids.size());
+  for (int64_t l = 0; l < left.NumRows(); ++l) {
+    const GraceJoin::Matches& m = grace.matches[static_cast<size_t>(l)];
+    for (int64_t i = m.begin; i < m.begin + m.count; ++i) {
+      left_rows->push_back(l);
+      right_rows->push_back(grace.right_ids[static_cast<size_t>(i)]);
     }
   }
 }

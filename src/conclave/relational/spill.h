@@ -10,24 +10,33 @@
 //  * SortBy    — external merge sort: contiguous <=budget-row chunks, each
 //                stable-sorted by ops::SortBy, k-way merged with lower-run-index
 //                tie-break == std::stable_sort of the whole input.
-//  * Distinct  — per-chunk project+dedup runs, k-way merged with dedup.
+//  * Distinct  — per-chunk ops::Distinct runs, k-way merged with dedup.
 //  * Aggregate — per-chunk partial aggregates (kMean keeps exact (sum, count)
 //                partials), runs merged by group key combining equal keys;
 //                sum/count/min/max are associative, so chunking is invisible.
 //                Aggregator is the same kernel as a consume/finish operator,
 //                which a fused chain's aggregate tail feeds batch by batch.
-//  * Join      — Grace-style: both sides hash-partitioned on the key into
-//                bucket files holding (key columns, global row id) only,
-//                level-salted rehash recursion for skewed buckets, per-bucket
-//                build+probe emitting (left gid, right gid) pairs, k-way merged
-//                across buckets by (lgid, rgid) == ops::Join's pair order, then
-//                gathered from the original in-memory inputs.
+//  * Join      — Grace-style: one scatter hash-partitions both sides on the key
+//                into bucket files holding (key columns, row id) only, at every
+//                level of a level-salted rehash recursion for skewed buckets.
+//                Each leaf builds on its right bucket and probes its left one.
+//                A left row's matches all come from one leaf, ascending by right
+//                row, so placing the pairs by left row restores ops::Join's pair
+//                order; the rows are then gathered from the in-memory inputs.
+//
+// SortBy and Distinct form runs through one helper, and the three run kernels
+// merge through one multi-level driver.
 //
 // Budget semantics: rows <= budget (or budget <= 0) short-circuits to the
 // in-memory kernel — 0 is "unbounded", today's behavior. The budget bounds the
 // operator's OWN working set (runs being formed, merge heads, partial maps);
 // borrowed inputs and the final output are excluded, matching the PipelineStats
-// residency convention. Peak resident rows stay <= ~2x budget.
+// residency convention. Peak resident rows stay within 2 x budget, with two
+// exceptions. A merge holds a batch of at least one row per run, so below a
+// budget of kSpillMergeFanIn / 2 rows the peak can reach kSpillMergeFanIn rows.
+// And a Grace bucket that the depth cap stops from splitting (one key with more
+// right rows than the budget) is built whole, so a join keeps the bound only
+// when every key's right rows fit the budget.
 //
 // Merges use fan-in kSpillMergeFanIn; more runs than that forces multi-level
 // merges. SpillMergePasses is the closed-form pass count the cost model prices
