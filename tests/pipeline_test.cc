@@ -526,12 +526,16 @@ TEST(BatchPipelineTest, StatefulOpsRestartEveryRun) {
   }
 }
 
-TEST(BatchPipelineTest, ResidencyStaysBoundedByDepthTimesBatch) {
-  // The bounded-memory claim, asserted: pushing N rows through a depth-3 chain
-  // holds O(depth x batch) pipeline-owned rows at peak, not O(N).
+TEST(BatchPipelineTest, ResidencyStaysWithinTwoBatches) {
+  // The bounded-memory claim, asserted (DESIGN.md §10): a chain owns at most
+  // the batch it pulled and the batch it emits, never O(input rows). Over a
+  // borrowed relation only the emitted batch forms; a RowSource adds the
+  // pulled one.
   constexpr int64_t kRows = 100000;
   constexpr int64_t kBatch = 512;
   const Relation input = data::UniformInts(kRows, {"a", "b"}, 1000, /*seed=*/31);
+  Rng rng(/*seed=*/32);
+  const mpc::RevealSource source(ShareRelation(input, rng));
   ArithSpec arith;
   arith.kind = ArithKind::kAdd;
   arith.lhs_column = 0;
@@ -545,8 +549,8 @@ TEST(BatchPipelineTest, ResidencyStaysBoundedByDepthTimesBatch) {
   spec.ops.push_back(PipelineOp::Project({0}));
   spec.ops.push_back(PipelineOp::Arithmetic(arith));
 
-  // The same chain behind a limit: the expression run then consumes owned
-  // batches from the limit instead of borrowed source slices.
+  // The same chain behind a limit, which is one more instruction of the same
+  // program: the depth of a chain adds no batch.
   PipelineSpec limited = spec;
   limited.ops.insert(limited.ops.begin(), PipelineOp::Limit(kRows - 1));
 
@@ -557,15 +561,15 @@ TEST(BatchPipelineTest, ResidencyStaysBoundedByDepthTimesBatch) {
     EXPECT_GT(got.NumRows(), 0);
     EXPECT_EQ(stats.rows_pushed, kRows);
     EXPECT_EQ(stats.batches_pushed, (kRows + kBatch - 1) / kBatch);
-    const int64_t depth = static_cast<int64_t>(chain.ops.size());
-    // One batch may be live per stage plus the one in flight between stages.
-    // The witness must measure something: the emitted batches count too.
-    EXPECT_GT(stats.peak_batches_resident, 0);
-    EXPECT_LE(stats.peak_batches_resident, depth + 1);
+    EXPECT_EQ(stats.peak_batches_resident, 1);
     EXPECT_GT(stats.peak_rows_resident, 0);
-    EXPECT_LE(stats.peak_rows_resident, (depth + 1) * kBatch);
-    // The point of the exercise: peak residency is a tiny fraction of the input.
-    EXPECT_LT(stats.peak_rows_resident, kRows / 10);
+    EXPECT_LE(stats.peak_rows_resident, kBatch);
+
+    EXPECT_TRUE(pipeline.Run(source, kBatch).value().RowsEqual(got));
+    EXPECT_GT(stats.peak_batches_resident, 0);
+    EXPECT_LE(stats.peak_batches_resident, 2);
+    EXPECT_GT(stats.peak_rows_resident, 0);
+    EXPECT_LE(stats.peak_rows_resident, 2 * kBatch);
   }
 }
 

@@ -309,6 +309,24 @@ TEST(SpillPinTest, EveryKernelMatchesOpsAndKeepsItsStats) {
   EXPECT_EQ(SpillFile::LiveCount(), 0);
 }
 
+TEST(SpillResidencyTest, PeakStaysWithinTheDocumentedBounds) {
+  // DESIGN.md §12's residency bounds at every budget of the pin grid. A kernel
+  // keeps at most twice its budget, except that a merge holds a batch of at
+  // least one row per run, so small budgets peak at kSpillMergeFanIn rows. A
+  // Grace bucket stopped by the depth cap is built whole, so a join keeps the
+  // bound only when every key's right rows fit the budget.
+  for (const PinCase& c : RunPinGrid()) {
+    if (c.max_rows_per_key == 0) {
+      EXPECT_LE(c.stats.peak_resident_rows,
+                std::max(2 * c.budget, spill::kSpillMergeFanIn))
+          << c.label << " budget=" << c.budget;
+    } else if (c.max_rows_per_key <= c.budget) {
+      EXPECT_LE(c.stats.peak_resident_rows, 2 * c.budget)
+          << c.label << " budget=" << c.budget;
+    }
+  }
+}
+
 TEST(SpillEdgeCaseTest, EmptyAndSingleRowInputs) {
   const Relation empty = RandomRelation(/*seed=*/10, /*rows=*/0, /*cols=*/2, 5);
   const Relation one = RandomRelation(/*seed=*/11, /*rows=*/1, /*cols=*/2, 5);
