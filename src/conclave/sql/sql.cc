@@ -303,6 +303,13 @@ class Parser {
         CONCLAVE_RETURN_IF_ERROR(ExpectKeyword("ALL"));
         CONCLAVE_ASSIGN_OR_RETURN(const std::string name, ExpectIdentifier());
         CONCLAVE_ASSIGN_OR_RETURN(api::Table branch, LookupTable(name));
+        const Schema& want = first.node()->schema;
+        const Schema& got = branch.node()->schema;
+        if (!want.NamesMatch(got)) {
+          return InvalidArgumentError(
+              StrFormat("sql: UNION ALL of mismatched tables: %s vs %s",
+                        want.ToString().c_str(), got.ToString().c_str()));
+        }
         branches.push_back(branch);
       }
       return query_.Concat(branches);

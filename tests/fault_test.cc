@@ -6,6 +6,9 @@
 
 #include <cstdlib>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "conclave/api/conclave.h"
 #include "conclave/common/strings.h"
@@ -566,6 +569,59 @@ TEST(FaultPlanTest, ParseRejectsMalformedSpecs) {
   ASSERT_TRUE(off.ok());
   EXPECT_FALSE(off->enabled);
   EXPECT_EQ(off->ToString(), "off");
+}
+
+// Seeded one-byte mutations (insert, replace or delete) of valid specs, with
+// bytes drawn from the spec alphabet plus a few that never belong. A mutated
+// spec either fails to parse or is a plan that reads back, field for field,
+// from its own ToString.
+TEST(FaultPlanTest, MutatedSpecsRejectOrRoundTrip) {
+  const std::vector<std::string> seeds = {
+      "seed=7,drop=0.05,corrupt=0.02,crash=0.1,latency=0.2,latency_s=0.002,"
+      "drops=2,crash_times=1,corrupt_times=1,retries=3",
+      "drop=0.1234567 latency_s=0.00123456789",
+      "seed=18446744073709551615,drop=0.5,retries=2147483647",
+      "off",
+      "",
+  };
+  std::string bytes = "0123456789.,= -+eExnaif_\t/";
+  bytes.push_back('\0');
+  std::mt19937_64 rng(/*seed=*/20261021);
+  const auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  int parsed = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string spec = seeds[pick(seeds.size())];
+    const char byte = bytes[pick(bytes.size())];
+    const size_t kind = spec.empty() ? 0 : pick(3);
+    if (kind == 0) {
+      spec.insert(spec.begin() + static_cast<std::ptrdiff_t>(pick(spec.size() + 1)), byte);
+    } else if (kind == 1) {
+      spec[pick(spec.size())] = byte;
+    } else {
+      spec.erase(spec.begin() + static_cast<std::ptrdiff_t>(pick(spec.size())));
+    }
+    const auto plan = FaultPlan::Parse(spec);
+    if (!plan.ok()) {
+      EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << spec;
+      continue;
+    }
+    ++parsed;
+    const auto again = FaultPlan::Parse(plan->ToString());
+    ASSERT_TRUE(again.ok()) << spec << " -> " << plan->ToString();
+    EXPECT_EQ(again->ToString(), plan->ToString()) << spec;
+    EXPECT_EQ(again->enabled, plan->enabled) << spec;
+    EXPECT_EQ(again->seed, plan->seed) << spec;
+    EXPECT_EQ(again->drop_rate, plan->drop_rate) << spec;
+    EXPECT_EQ(again->corrupt_rate, plan->corrupt_rate) << spec;
+    EXPECT_EQ(again->crash_rate, plan->crash_rate) << spec;
+    EXPECT_EQ(again->latency_rate, plan->latency_rate) << spec;
+    EXPECT_EQ(again->latency_seconds, plan->latency_seconds) << spec;
+    EXPECT_EQ(again->max_consecutive_drops, plan->max_consecutive_drops) << spec;
+    EXPECT_EQ(again->crash_times, plan->crash_times) << spec;
+    EXPECT_EQ(again->corrupt_times, plan->corrupt_times) << spec;
+    EXPECT_EQ(again->job_retries, plan->job_retries) << spec;
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 TEST(FaultPlanTest, FromEnvResolvesTheKnob) {

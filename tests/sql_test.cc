@@ -3,6 +3,12 @@
 // paper query executes end-to-end identically to its LINQ twin.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "conclave/compiler/compiler.h"
 #include "conclave/data/generators.h"
 #include "conclave/sql/sql.h"
 
@@ -141,6 +147,7 @@ TEST(SqlParserTest, UserErrorsAreStatusesNotAborts) {
       {"SELECT * FROM diag0 WHERE pid > 9223372036854775808",
        StatusCode::kInvalidArgument},
       {"SELECT * FROM diag0 LIMIT -1", StatusCode::kInvalidArgument},
+      {"SELECT * FROM diag0 UNION ALL meds", StatusCode::kInvalidArgument},
   };
   for (const auto& test : cases) {
     const auto result = ParseQuery(f.query, f.tables, test.statement);
@@ -158,6 +165,70 @@ TEST(SqlParserTest, Int64BoundLiteralsParse) {
     const auto result = ParseQuery(f.query, f.tables, statement);
     EXPECT_TRUE(result.ok()) << statement << ": " << result.status().ToString();
   }
+}
+
+// Seeded token-level mutations of valid statements: each inserts, replaces or
+// deletes tokens drawn from the keywords, the table and column names, symbols
+// and literals at and past the int64 bounds. Every mutated statement returns a
+// Status (never an abort), a rejected one says it is the user's error, and one
+// that parses compiles.
+TEST(SqlParserTest, MutatedStatementsReturnStatuses) {
+  const std::vector<std::string> seeds = {
+      "SELECT * FROM diag0",
+      "SELECT pid FROM diag0 WHERE diag = 414 AND pid > 100",
+      "SELECT * FROM diag0 JOIN meds ON diag0 . pid = meds . pid",
+      "SELECT diag , COUNT ( * ) AS cnt FROM diag0 UNION ALL diag1 "
+      "GROUP BY diag ORDER BY cnt DESC LIMIT 10 ;",
+      "SELECT pid , AVG ( diag ) AS x FROM diag0 GROUP BY pid",
+      "SELECT DISTINCT pid FROM diag0 WHERE pid != diag ORDER BY pid ASC",
+  };
+  const std::vector<std::string> vocabulary = {
+      "SELECT", "DISTINCT", "FROM", "WHERE", "AND", "GROUP", "BY", "ORDER", "ASC",
+      "DESC", "LIMIT", "JOIN", "ON", "UNION", "ALL", "AS", "SUM", "COUNT", "MIN",
+      "MAX", "AVG", "diag0", "diag1", "meds", "nope", "pid", "diag", "med", "cnt",
+      "x", "*", ",", "(", ")", ".", "=", "!=", "<>", "<", "<=", ">", ">=", ";", "0",
+      "1", "-1", "9223372036854775807", "-9223372036854775808",
+      "9223372036854775808", "-9223372036854775809"};
+  std::mt19937_64 rng(/*seed=*/20261021);
+  const auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  int parsed = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<std::string> tokens;
+    std::istringstream words(seeds[pick(seeds.size())]);
+    for (std::string word; words >> word;) {
+      tokens.push_back(word);
+    }
+    for (size_t edits = 1 + pick(3); edits > 0; --edits) {
+      const std::string& token = vocabulary[pick(vocabulary.size())];
+      const size_t kind = tokens.empty() ? 0 : pick(3);
+      if (kind == 0) {
+        tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(pick(tokens.size() + 1)),
+                      token);
+      } else if (kind == 1) {
+        tokens[pick(tokens.size())] = token;
+      } else {
+        tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(pick(tokens.size())));
+      }
+    }
+    std::string statement;
+    for (const std::string& token : tokens) {
+      statement += token + " ";
+    }
+    Fixture f;
+    const auto table = ParseQuery(f.query, f.tables, statement);
+    if (!table.ok()) {
+      const StatusCode code = table.status().code();
+      EXPECT_TRUE(code == StatusCode::kInvalidArgument || code == StatusCode::kNotFound)
+          << statement << ": " << table.status().ToString();
+      continue;
+    }
+    ++parsed;
+    table->WriteToCsv("out", {f.h0});
+    const auto compiled = f.query.Compile(compiler::CompilerOptions{});
+    EXPECT_TRUE(compiled.ok()) << statement << ": " << compiled.status().ToString();
+  }
+  // Some mutants are valid statements, so the compile check runs.
+  EXPECT_GT(parsed, 0);
 }
 
 // The comorbidity query written in SQL runs end-to-end and matches its LINQ twin.
