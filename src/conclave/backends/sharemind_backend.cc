@@ -17,12 +17,7 @@ StatusOr<SharedRelation> SharemindBackend::Execute(
       if (!op.columns.empty()) {
         return mpc::MergeConcat(engine_, inputs, op.columns);
       }
-      std::vector<SharedRelation> rels;
-      rels.reserve(inputs.size());
-      for (const SharedRelation* rel : inputs) {
-        rels.push_back(*rel);
-      }
-      return mpc::Concat(rels);
+      return mpc::Concat(inputs);
     }
     case ir::OpKind::kProject:
       return mpc::Project(*inputs[0], op.columns);

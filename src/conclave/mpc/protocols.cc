@@ -303,31 +303,30 @@ SharedRelation Project(const SharedRelation& input, std::span<const int> columns
   return SharedRelation(Schema(std::move(defs)), std::move(data));
 }
 
-SharedRelation Concat(std::span<const SharedRelation> inputs) {
+SharedRelation Concat(std::span<const SharedRelation* const> inputs) {
   CONCLAVE_CHECK_GT(inputs.size(), 0u);
-  for (const SharedRelation& rel : inputs.subspan(1)) {
-    CONCLAVE_CHECK(inputs[0].schema().NamesMatch(rel.schema()));
-  }
+  const SharedRelation& first = *inputs[0];
   int64_t total = 0;
-  for (const SharedRelation& rel : inputs) {
-    total += rel.NumRows();
+  for (const SharedRelation* rel : inputs) {
+    CONCLAVE_CHECK(first.schema().NamesMatch(rel->schema()));
+    total += rel->NumRows();
   }
   std::vector<SharedColumn> columns;
-  columns.reserve(static_cast<size_t>(inputs[0].NumColumns()));
-  for (int c = 0; c < inputs[0].NumColumns(); ++c) {
+  columns.reserve(static_cast<size_t>(first.NumColumns()));
+  for (int c = 0; c < first.NumColumns(); ++c) {
     SharedColumn merged(static_cast<size_t>(total));
     size_t offset = 0;
-    for (const SharedRelation& rel : inputs) {
+    for (const SharedRelation* rel : inputs) {
       for (int p = 0; p < kNumShareParties; ++p) {
-        const auto& src = rel.Column(c).shares[p];
+        const auto& src = rel->Column(c).shares[p];
         std::copy(src.begin(), src.end(),
                   merged.shares[p].begin() + static_cast<int64_t>(offset));
       }
-      offset += rel.Column(c).size();
+      offset += rel->Column(c).size();
     }
     columns.push_back(std::move(merged));
   }
-  return SharedRelation(inputs[0].schema(), std::move(columns));
+  return SharedRelation(first.schema(), std::move(columns));
 }
 
 SharedRelation MergeConcat(SecretShareEngine& engine,

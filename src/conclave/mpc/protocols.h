@@ -62,8 +62,9 @@ void ChargeRevealMeters(SimNetwork& network, uint64_t cells);
 // Column selection/reordering: share-local, no protocol cost.
 SharedRelation Project(const SharedRelation& input, std::span<const int> columns);
 
-// Share-wise concatenation of same-schema relations.
-SharedRelation Concat(std::span<const SharedRelation> inputs);
+// Share-wise concatenation of same-schema relations, read through pointers so
+// callers need not copy their inputs into a contiguous vector first.
+SharedRelation Concat(std::span<const SharedRelation* const> inputs);
 
 // Sorted-merge concat (§5.4): folds same-schema relations, each sorted by
 // `key_columns`, through ObliviousMerge.

@@ -247,10 +247,10 @@ StatusOr<RunResult> ConclaveAspirinCount(const Relation& diag0, const Relation& 
     CONCLAVE_ASSIGN_OR_RETURN(SharedRelation d1s, mpc::InputRelation(engine, d_sh1));
     CONCLAVE_ASSIGN_OR_RETURN(SharedRelation m0s, mpc::InputRelation(engine, m_sh0));
     CONCLAVE_ASSIGN_OR_RETURN(SharedRelation m1s, mpc::InputRelation(engine, m_sh1));
-    SharedRelation diag_all =
-        mpc::Concat(std::vector<SharedRelation>{std::move(d0s), std::move(d1s)});
-    SharedRelation med_all =
-        mpc::Concat(std::vector<SharedRelation>{std::move(m0s), std::move(m1s)});
+    const SharedRelation* const diags[] = {&d0s, &d1s};
+    const SharedRelation* const meds[] = {&m0s, &m1s};
+    SharedRelation diag_all = mpc::Concat(diags);
+    SharedRelation med_all = mpc::Concat(meds);
     const int keys[] = {0};
     CONCLAVE_ASSIGN_OR_RETURN(
         SharedRelation joined,
@@ -472,8 +472,8 @@ StatusOr<RunResult> ConclaveRecurrentCdiff(const Relation& diag0,
   if (result.mpc_input_rows > 0) {
     CONCLAVE_ASSIGN_OR_RETURN(SharedRelation s0, mpc::InputRelation(engine, sh0));
     CONCLAVE_ASSIGN_OR_RETURN(SharedRelation s1, mpc::InputRelation(engine, sh1));
-    SharedRelation all =
-        mpc::Concat(std::vector<SharedRelation>{std::move(s0), std::move(s1)});
+    const SharedRelation* const parts[] = {&s0, &s1};
+    SharedRelation all = mpc::Concat(parts);
     CONCLAVE_ASSIGN_OR_RETURN(
         SharedRelation cdiff,
         mpc::Filter(engine, all,

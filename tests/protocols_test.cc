@@ -70,8 +70,10 @@ TEST_F(ProtocolsTest, ProjectMatchesCleartext) {
 TEST_F(ProtocolsTest, ConcatMatchesCleartext) {
   Relation a = RandomRelation({"x", "y"}, 10, 5, 4);
   Relation b = RandomRelation({"x", "y"}, 15, 5, 5);
-  SharedRelation merged =
-      mpc::Concat(std::vector<SharedRelation>{Share(a), Share(b)});
+  const SharedRelation shared_a = Share(a);
+  const SharedRelation shared_b = Share(b);
+  const SharedRelation* const inputs[] = {&shared_a, &shared_b};
+  SharedRelation merged = mpc::Concat(inputs);
   EXPECT_TRUE(ReconstructRelation(merged).RowsEqual(
       ops::Concat(std::vector<Relation>{a, b})));
 }
