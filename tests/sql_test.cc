@@ -170,8 +170,8 @@ TEST(SqlParserTest, Int64BoundLiteralsParse) {
 // Seeded token-level mutations of valid statements: each inserts, replaces or
 // deletes tokens drawn from the keywords, the table and column names, symbols
 // and literals at and past the int64 bounds. Every mutated statement returns a
-// Status (never an abort), a rejected one says it is the user's error, and one
-// that parses compiles.
+// Status (never an abort), a rejected one carries one of the parser's user-error
+// codes, and one that parses compiles.
 TEST(SqlParserTest, MutatedStatementsReturnStatuses) {
   const std::vector<std::string> seeds = {
       "SELECT * FROM diag0",
@@ -218,7 +218,8 @@ TEST(SqlParserTest, MutatedStatementsReturnStatuses) {
     const auto table = ParseQuery(f.query, f.tables, statement);
     if (!table.ok()) {
       const StatusCode code = table.status().code();
-      EXPECT_TRUE(code == StatusCode::kInvalidArgument || code == StatusCode::kNotFound)
+      EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
+                  code == StatusCode::kNotFound || code == StatusCode::kUnimplemented)
           << statement << ": " << table.status().ToString();
       continue;
     }
