@@ -724,8 +724,9 @@ void GraceJoinRowPairs(const Relation& left, const Relation& right,
   }
   // Each left row's matches sit in one leaf, ascending by right row, so
   // placing them by left row restores ops::JoinRowPairs' order in O(pairs +
-  // left rows). The pair lists are output-sized and, like the output, sit
-  // outside the residency meter.
+  // left rows). The pair lists are output-sized and `matches` is sized by the
+  // borrowed left input, so, like the output and the inputs, they sit outside
+  // the residency meter.
   left_rows->clear();
   right_rows->clear();
   left_rows->reserve(grace.right_ids.size());

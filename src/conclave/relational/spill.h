@@ -2,10 +2,10 @@
 //
 // A memory budget of `mem_budget_rows` bounds the rows any single blocking
 // operator instance keeps resident at once. When an input exceeds the budget,
-// the kernels here spill sorted runs / hash partitions to RAII-owned temp files
-// (common/tempfile.h) and merge them back with a stable k-way merge (ties
-// resolve to the lower stream), so every result is bit-identical to the
-// in-memory ops:: kernel:
+// the kernels here spill sorted runs or hash partitions to RAII-owned temp
+// files (common/tempfile.h). Runs merge back with a stable k-way merge (ties
+// resolve to the lower stream) and partitions join leaf by leaf, so every
+// result is bit-identical to the in-memory ops:: kernel:
 //
 //  * SortBy    — external merge sort: contiguous <=budget-row chunks, each
 //                stable-sorted by ops::SortBy, k-way merged with lower-run-index
