@@ -6,6 +6,7 @@
 
 #include "conclave/api/conclave.h"
 #include "conclave/data/generators.h"
+#include "conclave/relational/ops.h"
 
 namespace conclave {
 namespace {
@@ -173,6 +174,49 @@ TEST(ParallelExecTest, EarliestOfSeveralFailuresWinsAtEveryPoolSize) {
   }
   EXPECT_NE(messages[0].find("demo"), std::string::npos) << messages[0];
   EXPECT_EQ(messages[0], messages[1]);
+}
+
+TEST(ParallelExecTest, SharedValueFeedsAPoolTaskAndTheLane) {
+  // One party's filtered value has two consumers: a local sort, which runs as a
+  // pool task, and an MPC join, whose inputToMPC moves the value into the
+  // engine on the lane. The sort is topo-earlier, so it acquires the value
+  // first; the join may then take the value while the sort task still reads
+  // its rows. The task's own handle keeps the relation alive (the sanitizer
+  // jobs check that), and every pool size gives the pool-1 run's bits.
+  constexpr int64_t kFilteredRows = 200000;
+  std::map<std::string, Relation> inputs;
+  Relation a = data::UniformInts(2 * kFilteredRows, {"k", "v"}, 4096, 11);
+  for (int64_t row = 0; row < a.NumRows(); ++row) {
+    a.Set(row, 1, row);  // v < kFilteredRows keeps exactly the first rows.
+  }
+  inputs["a"] = std::move(a);
+  inputs["b"] = data::UniformInts(64, {"k", "w"}, 4096, 12);
+  Relation filtered(inputs.at("a").schema());
+  for (int64_t row = 0; row < kFilteredRows; ++row) {
+    filtered.AppendRow({inputs.at("a").At(row, 0), row});
+  }
+  const int sort_column[1] = {0};
+  const Relation want_sorted = ops::SortBy(filtered, sort_column);
+
+  backends::ExecutionResult results[4];
+  const int pool_sizes[4] = {1, 2, 4, 8};
+  for (int i = 0; i < 4; ++i) {
+    Query query;
+    Party alice = query.AddParty("alice");
+    Party bob = query.AddParty("bob");
+    Table kept = query.NewTable("a", {{"k"}, {"v"}}, alice)
+                     .Filter("v", CompareOp::kLt, kFilteredRows);
+    kept.SortBy({"k"}).WriteToCsv("sorted", {alice});
+    kept.Join(query.NewTable("b", {{"k"}, {"w"}}, bob), {"k"}, {"k"})
+        .WriteToCsv("joined", {alice});
+    auto result = query.Run(inputs, {}, CostModel{}, 42,
+                            {.pool_parallelism = pool_sizes[i]});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    results[i] = std::move(*result);
+    ExpectBitIdentical(results[0], results[i]);
+  }
+  EXPECT_TRUE(results[0].outputs.at("sorted").RowsEqual(want_sorted));
+  EXPECT_GT(results[0].outputs.at("joined").NumRows(), 0);
 }
 
 }  // namespace
