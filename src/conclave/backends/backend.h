@@ -1,66 +1,25 @@
-// Shared execution-time types for the backends and the dispatcher.
+// Execution-time result types shared by the backends and the dispatcher.
 //
-// During plan execution every DAG node materializes to one of four value kinds,
-// mirroring where the data lives in a real deployment:
-//   * kCleartext — a relation held in the clear by one party (local jobs),
-//                  behind one immutable shared handle; an in-memory Create's
-//                  handle borrows the caller's input relation;
-//   * kShared    — a secret-shared relation inside the Sharemind-style backend;
-//   * kGarbled   — a relation inside the garbled-circuit backend (payload evaluated
-//                  in the ideal model, costs and memory fully accounted; see
-//                  mpc/garbled/gc_engine.h);
-//   * kSource    — a cleartext relation not yet materialized (a RowSource: a
-//                  party's CSV file or an opened reveal) that a fused chain
-//                  streams batch-at-a-time (see MaterializedValue).
+// During plan execution every DAG node materializes to a value that is either
+// held in the clear by one party (local jobs), secret-shared inside the
+// Sharemind-style backend, held inside the garbled-circuit backend, or streamed
+// from a party's CSV file or an opened reveal; the dispatcher keeps that value
+// in its record of the node (dispatcher.cc) and reports the run through the
+// types below.
 #ifndef CONCLAVE_BACKENDS_BACKEND_H_
 #define CONCLAVE_BACKENDS_BACKEND_H_
 
 #include <map>
-#include <memory>
 #include <string>
 
-#include "conclave/common/party.h"
 #include "conclave/common/status.h"
 #include "conclave/common/virtual_clock.h"
-#include "conclave/mpc/share.h"
 #include "conclave/net/fault.h"
 #include "conclave/relational/relation.h"
-#include "conclave/relational/row_source.h"
 #include "conclave/relational/spill.h"
 
 namespace conclave {
 namespace backends {
-
-struct MaterializedValue {
-  // kSource is the streaming form (DESIGN.md §12, §14): when compiler::
-  // PipelineChains marks a fused chain as streaming its input, the input's
-  // value stays a RowSource — a CSV-backed Create keeps only its indexed text,
-  // a shared value keeps its shares — and the chain's pipeline pulls row
-  // ranges batch-at-a-time, so the relation never exists in memory.
-  enum class Kind { kCleartext, kShared, kGarbled, kSource };
-
-  Kind kind = Kind::kCleartext;
-  // kCleartext / kGarbled payload, one immutable handle that every reader
-  // (local jobs, inputToMPC, reveals, lane checkpoints) reads in place. An
-  // in-memory Create's handle borrows the caller's relation: it aliases the
-  // entry of Dispatcher::Run's `inputs`, which outlive the run and are never
-  // written.
-  std::shared_ptr<const Relation> clear;
-  PartyId location = kNoParty;  // kCleartext / kSource: holder.
-  SharedRelation shared;   // kShared.
-  std::shared_ptr<const RowSource> source;  // kSource (shared with in-flight tasks).
-
-  int64_t NumRows() const {
-    switch (kind) {
-      case Kind::kShared:
-        return shared.NumRows();
-      case Kind::kSource:
-        return source->NumRows();
-      default:
-        return clear->NumRows();
-    }
-  }
-};
 
 // Beyond-RAM execution outcome (DESIGN.md §12). The priced fields are closed
 // forms over node-total row counts (compiler::NodeSpillSeconds), priced by the

@@ -8,166 +8,67 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "conclave/backends/local_backend.h"
 #include "conclave/common/logging.h"
+#include "conclave/common/party.h"
 #include "conclave/common/strings.h"
 #include "conclave/compiler/partition.h"
 #include "conclave/compiler/plan_cost.h"
 #include "conclave/mpc/malicious/commitment.h"
 #include "conclave/mpc/reveal_source.h"
+#include "conclave/mpc/share.h"
 #include "conclave/relational/csv.h"
 #include "conclave/relational/pipeline.h"
+#include "conclave/relational/row_source.h"
 
 namespace conclave {
 namespace backends {
 namespace {
 
-// Per-run execution state shared by the coordinator and (read-only) the pool tasks.
-struct RunState {
-  SimNetwork net;
-  SharemindBackend sharemind;
-  OblivcBackend oblivc;
-  bool use_gc_backend;
-  bool use_spark;
-  bool malicious;
-  int num_parties;
-  uint64_t seed;
-  uint64_t next_nonce = 0;
-  // Batch size of the push-based pipeline executor. Batching changes wall clock
-  // and memory only: fused chains are priced per node from row totals that are
-  // identical at every batch size (DESIGN.md §10).
-  int64_t batch_rows = kDefaultBatchRows;
-  // Per-operator-instance memory budget of the blocking cleartext kernels
-  // (DESIGN.md §12; 0 = unbounded). The physical spill work changes wall clock
-  // and disk only; the virtual clock carries the priced closed form
-  // (compiler::NodeSpillSeconds over node-total rows), identical at every
-  // {pool, batch} point and added once in the final accounting pass.
-  int64_t mem_budget_rows = 0;
+// A DAG node's value during a run. Its four kinds mirror where the data lives
+// in a real deployment:
+//   * kCleartext — a relation held in the clear by one party (local jobs);
+//   * kShared    — a secret-shared relation inside the Sharemind-style backend;
+//   * kGarbled   — a relation inside the garbled-circuit backend (payload
+//                  evaluated in the ideal model, costs and memory fully
+//                  accounted; see mpc/garbled/gc_engine.h);
+//   * kSource    — the streaming form (DESIGN.md §12, §14): when compiler::
+//                  PipelineChains marks a fused chain as streaming its input,
+//                  the input's value stays a RowSource — a CSV-backed Create
+//                  keeps only its indexed text, a shared value keeps its shares
+//                  — and the chain's pipeline pulls row ranges batch-at-a-time,
+//                  so the relation never exists in memory.
+struct MaterializedValue {
+  enum class Kind { kCleartext, kShared, kGarbled, kSource };
 
-  std::vector<MaterializedValue> values;  // Indexed by node id; slots never move.
-  std::unordered_map<int, int> node_job;  // node id -> job id
+  Kind kind = Kind::kCleartext;
+  // kCleartext / kGarbled payload, one immutable handle. inputToMPC, reveals
+  // and lane checkpoints read it in place; a pool task holds its own copy of
+  // the handle, so a later transition may drop this one while the task still
+  // reads. An in-memory Create's handle borrows the caller's relation: it
+  // aliases the entry of Dispatcher::Run's `inputs`, which outlive the run and
+  // are never written.
+  std::shared_ptr<const Relation> clear;
+  PartyId location = kNoParty;  // kCleartext / kSource: holder.
+  SharedRelation shared;   // kShared.
+  std::shared_ptr<const RowSource> source;  // kSource (shared with in-flight tasks).
 
-  // Active fault injector (nullptr = injection off). Coordinator-owned, like the
-  // network and engines it perturbs (net/fault.h, DESIGN.md §11); pool tasks
-  // never consult it.
-  FaultInjector* fault = nullptr;
-
-  RunState(const CostModel& model, uint64_t run_seed, int parties, bool gc,
-           bool spark, bool malicious_mode)
-      : net(model),
-        sharemind(&net, run_seed, parties),
-        oblivc(&net),
-        use_gc_backend(gc),
-        use_spark(spark),
-        malicious(malicious_mode),
-        num_parties(parties),
-        seed(run_seed) {}
-
-  // Active-adversary protocols cost a constant factor more (§2.2); applied to the
-  // MPC/hybrid portions of the virtual time.
-  double MpcScale() const {
-    return malicious ? net.model().malicious_overhead_factor : 1.0;
+  int64_t NumRows() const {
+    switch (kind) {
+      case Kind::kShared:
+        return shared.NumRows();
+      case Kind::kSource:
+        return source->NumRows();
+      default:
+        return clear->NumRows();
+    }
   }
 };
-
-// Moves a value into the secure domain (inputToMPC), charging ingest on the engine.
-// Under malicious security, every cleartext relation entering the MPC first runs the
-// Appendix-A.5 commit + ZK-consistency phase; a rejected proof aborts the query.
-// Callers must hold exclusive access to the value (no concurrent pool readers) —
-// the executor guarantees this by treating lane acquisitions as
-// payload-overwriting.
-Status EnsureSecure(RunState& state, MaterializedValue& value) {
-  if (state.malicious && value.kind == MaterializedValue::Kind::kCleartext) {
-    const PartyId owner = value.location == kNoParty ? 0 : value.location;
-    CONCLAVE_RETURN_IF_ERROR(malicious::InputConsistencyPhase(
-        state.net, *value.clear, owner, state.num_parties,
-        state.seed ^ (0x9e3779b97f4a7c15ULL + state.next_nonce++)));
-  }
-  if (state.use_gc_backend) {
-    if (value.kind == MaterializedValue::Kind::kGarbled) {
-      return Status::Ok();
-    }
-    CONCLAVE_CHECK(value.kind == MaterializedValue::Kind::kCleartext);
-    CONCLAVE_RETURN_IF_ERROR(state.oblivc.Input(*value.clear));
-    value.kind = MaterializedValue::Kind::kGarbled;
-    return Status::Ok();
-  }
-  if (value.kind == MaterializedValue::Kind::kShared) {
-    return Status::Ok();
-  }
-  CONCLAVE_CHECK(value.kind == MaterializedValue::Kind::kCleartext);
-  CONCLAVE_ASSIGN_OR_RETURN(value.shared, state.sharemind.Input(*value.clear));
-  value.clear.reset();
-  value.kind = MaterializedValue::Kind::kShared;
-  return Status::Ok();
-}
-
-// Opens a shared value for reading in the clear (DESIGN.md §14): charges the
-// reveal's meters once for the whole relation and, under fault injection,
-// schedules its corruptions, which the source detects as pulls reach the
-// corrupted rows. Materializing and streaming consumers both open through
-// here, so clocks, counters and fault reports do not depend on which one a
-// value has.
-std::shared_ptr<const RowSource> OpenReveal(RunState& state, SharedRelation shared) {
-  mpc::ChargeRevealMeters(state.net, shared.NumCells());
-  uint64_t nonce = 0;
-  std::vector<FaultInjector::RevealCorruption> schedule;
-  if (state.fault != nullptr) {
-    schedule = state.fault->ScheduleRevealFaults(shared.NumRows(),
-                                                 shared.NumColumns(), &nonce);
-  }
-  return std::make_shared<mpc::RevealSource>(std::move(shared), nonce,
-                                             std::move(schedule));
-}
-
-// Moves a value into the clear at `party` (reveal / party-to-party transfer).
-void EnsureCleartextAt(RunState& state, MaterializedValue& value, PartyId party) {
-  switch (value.kind) {
-    case MaterializedValue::Kind::kShared: {
-      // A materializing reveal: the whole-range pull of the source a
-      // streaming chain head would pull batch by batch. Reveals never fail.
-      const std::shared_ptr<const RowSource> source =
-          OpenReveal(state, std::move(value.shared));
-      value.clear =
-          std::make_shared<const Relation>(source->Rows(0, source->NumRows()).value());
-      value.shared = SharedRelation{};
-      value.kind = MaterializedValue::Kind::kCleartext;
-      value.location = party;
-      break;
-    }
-    case MaterializedValue::Kind::kGarbled:
-      // Output labels decode at both parties; transfer of decoded rows is cheap.
-      state.net.CountAggregateBytes(value.clear->ByteSize());
-      state.net.Rounds(1);
-      value.kind = MaterializedValue::Kind::kCleartext;
-      value.location = party;
-      break;
-    case MaterializedValue::Kind::kCleartext:
-      if (value.location != party && value.location != kNoParty) {
-        state.net.Send(value.location, party, value.clear->ByteSize());
-        state.net.Rounds(1);
-        value.location = party;
-      }
-      break;
-    case MaterializedValue::Kind::kSource:
-      // Unreachable: a value stays a source only for its sole consumer, a
-      // streaming chain head, which reads it without a frontier transition.
-      CONCLAVE_CHECK(false);
-      break;
-  }
-}
-
-// Cost-model seconds a cleartext backend spends processing `records` input records
-// (Spark stage throughput or sequential Python scan; the formula lives on CostModel,
-// shared with the planner). The per-job Spark startup charge is added once per job
-// in the final accounting pass.
-double LocalComputeSeconds(const RunState& state, uint64_t records) {
-  return state.net.model().CleartextScanSeconds(records, state.use_spark);
-}
 
 // A Create's input must arrive with the column names it declares.
 Status CheckInputSchema(const std::string& name, const Schema& schema,
@@ -196,21 +97,36 @@ NodeClass ClassOf(const ir::OpNode& node) {
                                                 : NodeClass::kLane;
 }
 
-// Runs one compiled plan as a parallel job graph. The coordinator (the thread that
-// calls Run) owns every piece of shared mutable simulation state — the SimNetwork,
-// the MPC engines, and all value-form transitions — while pure cleartext compute
-// (Create ingest, local operator chains) runs as pool tasks. See DESIGN.md §5 for
-// the determinism contract this layout enforces.
+// Runs one compiled plan as a parallel job graph, and owns the run's state.
+// The coordinator (the thread that calls Run) owns every piece of shared
+// mutable simulation state — the SimNetwork, the MPC engines, the fault
+// injector, and all value-form transitions — while pure cleartext compute
+// (Create ingest, local operator chains) runs as pool tasks, each holding
+// handles to the rows it reads. See DESIGN.md §5 for the determinism contract
+// this layout enforces.
 class JobGraphExecutor {
  public:
-  JobGraphExecutor(RunState& state, const compiler::Compilation& compilation,
+  JobGraphExecutor(const CostModel& model, uint64_t seed,
+                   const compiler::ExecOptions& exec,
+                   const compiler::Compilation& compilation,
                    const std::map<std::string, Relation>& inputs, ThreadPool& pool,
                    std::vector<const ir::OpNode*> topo)
-      : state_(state),
-        compilation_(compilation),
+      : compilation_(compilation),
         inputs_(inputs),
         pool_(pool),
-        topo_(std::move(topo)) {}
+        topo_(std::move(topo)),
+        net_(model),
+        sharemind_(&net_, seed, compilation.num_parties),
+        oblivc_(&net_),
+        seed_(seed),
+        batch_rows_(exec.batch_rows),
+        mem_budget_rows_(exec.mem_budget_rows) {
+    // Fault injection (DESIGN.md §11), armed by the resolved plan.
+    if (exec.fault_plan->enabled) {
+      fault_.emplace(*exec.fault_plan, model);
+      net_.set_fault_injector(&*fault_);
+    }
+  }
 
   StatusOr<ExecutionResult> Run();
 
@@ -218,13 +134,11 @@ class JobGraphExecutor {
   struct NodeExec {
     const ir::OpNode* node = nullptr;
     NodeClass klass = NodeClass::kLocalCompute;
-    int remaining_inputs = 0;
     bool dispatched = false;
     bool materialized = false;
-    // Pool tasks currently reading this node's materialized value. A transition
-    // that overwrites the value's payload (inputToMPC moves the cleartext into the
-    // engine) must wait until this drops to zero.
-    int active_readers = 0;
+    // The node's value once materialized. A fused chain's interior members
+    // never store one: the chain's pipeline consumes it.
+    MaterializedValue value;
     // Consumers (as topo indices, ascending, one entry per use) and how many of
     // those uses have performed their input acquisition. Acquisitions happen in
     // this fixed order so value-form transitions (reveal, transfer, inputToMPC)
@@ -269,7 +183,9 @@ class JobGraphExecutor {
   struct Completion {
     int topo_index = 0;
     Status status;
-    std::shared_ptr<const Relation> output;
+    // The job's output: a relation, or (streaming CSV ingest, DESIGN.md §12)
+    // a Create's indexed source. DrainCompletions sets its location.
+    MaterializedValue value;
     // Fused-chain completions: rows consumed by each chain member. Equals the
     // unfused execution's per-node input cardinalities at every batch size;
     // DrainCompletions records the interior members' input rows from these.
@@ -277,9 +193,6 @@ class JobGraphExecutor {
     // Physical spill counters from the task's kernels (zero when nothing
     // spilled).
     spill::SpillStats spill_stats;
-    // Streaming CSV ingest (DESIGN.md §12): a Create completing as an indexed
-    // source instead of a materialized relation.
-    std::shared_ptr<const RowSource> source_output;
   };
 
   // A fault escalation (net/fault.h): the node whose step exhausted a recovery
@@ -292,9 +205,35 @@ class JobGraphExecutor {
   int TopoIndex(int node_id) const { return topo_index_.at(node_id); }
   NodeExec& ExecOf(const ir::OpNode& node) { return execs_[TopoIndex(node.id)]; }
 
-  // True when every input value may be acquired by `exec` right now: inputs are
-  // materialized, this node is the next acquirer of each, and payload-overwriting
-  // transitions have no concurrent readers.
+  // Active-adversary protocols cost a constant factor more (§2.2); applied to
+  // the MPC/hybrid portions of the virtual time.
+  double MpcScale() const {
+    return compilation_.options.malicious_security
+               ? net_.model().malicious_overhead_factor
+               : 1.0;
+  }
+  bool Garbled() const {
+    return compilation_.options.mpc_backend == compiler::MpcBackendKind::kOblivC;
+  }
+
+  // Moves a value into the secure domain (inputToMPC), charging ingest on the
+  // engine. Under malicious security, every cleartext relation entering the
+  // MPC first runs the Appendix-A.5 commit + ZK-consistency phase; a rejected
+  // proof aborts the query. Dropping the cleartext handle frees no rows a pool
+  // task still reads: each task holds its own handles.
+  Status EnsureSecure(MaterializedValue& value);
+  // Opens a shared value for reading in the clear (DESIGN.md §14): charges the
+  // reveal's meters once for the whole relation and, under fault injection,
+  // schedules its corruptions, which the source detects as pulls reach the
+  // corrupted rows. Materializing and streaming consumers both open through
+  // here, so clocks, counters and fault reports do not depend on which one a
+  // value has.
+  std::shared_ptr<const RowSource> OpenReveal(SharedRelation shared);
+  // Moves a value into the clear at `party` (reveal / party-to-party transfer).
+  void EnsureCleartextAt(MaterializedValue& value, PartyId party);
+
+  // True when every input value may be acquired by `exec` right now: each
+  // producer is materialized and this node is the next acquirer of its value.
   bool CanAcquireInputs(const NodeExec& exec) const;
   // Advances the per-value acquisition cursors for `exec`'s input edges. Called
   // alongside the frontier transitions (EnsureCleartextAt / EnsureSecure), which
@@ -307,17 +246,15 @@ class JobGraphExecutor {
   // status; `what` names the task in the exception's message.
   void SubmitTask(int topo_index, const char* what,
                   std::function<Status(Completion&)> body);
-  // Drops the reader registrations DispatchLocalJob made for `exec`'s inputs:
-  // on completion, or when a dispatch is abandoned before submitting.
-  void ReleaseReaders(const NodeExec& exec);
 
   void DispatchCreate(NodeExec& exec);
   // Dispatches the local job `exec` heads, lone node or fused chain: acquires
   // its inputs at its party (frontier transitions), records the rows it reads,
   // resolves a chain's operators against the runtime input schema, and
-  // submits one pool task, which runs ExecuteLocal for a lone node and one
-  // BatchPipeline for a chain. The completion is posted under the head's topo
-  // index and carries the tail's output.
+  // submits one pool task, which holds its inputs' handles and runs
+  // ExecuteLocal for a lone node and one BatchPipeline for a chain. The
+  // completion is posted under the head's topo index and carries the tail's
+  // output.
   void DispatchLocalJob(NodeExec& exec);
   Status RunCollect(NodeExec& exec, ExecutionResult& result);
   Status RunLaneNode(NodeExec& exec);
@@ -328,15 +265,15 @@ class JobGraphExecutor {
 
   // Frontier checkpoint for lane-node crash recovery (DESIGN.md §11): enough
   // coordinator state to re-execute the node bit-identically — the network
-  // snapshot, the engine's randomness cursors, the malicious-input nonce, copies
-  // of the node's input values (EnsureSecure drops cleartext handles; a copy
-  // shares the handle, not the rows), and the producers' acquisition cursors.
+  // snapshot, the engine's randomness cursors, the malicious-input nonce, and
+  // per input edge the producer's value (EnsureSecure drops cleartext handles;
+  // a copy shares the handle, not the rows) and acquisition cursor.
   struct LaneCheckpoint {
     SimNetwork::Snapshot net;
     SecretShareEngine::ReplayCheckpoint engine;
     uint64_t next_nonce = 0;
-    std::vector<std::pair<int, MaterializedValue>> inputs;  // node id -> copy
-    std::vector<std::pair<int, int>> acquired;  // topo index -> acquired_uses
+    // Per input edge: producer topo index, value copy, acquired_uses.
+    std::vector<std::tuple<int, MaterializedValue, int>> inputs;
   };
   LaneCheckpoint TakeLaneCheckpoint(const NodeExec& exec);
   void RestoreLaneCheckpoint(const LaneCheckpoint& checkpoint);
@@ -352,7 +289,6 @@ class JobGraphExecutor {
   bool EscalatePendingFault(NodeExec& exec);
   std::vector<int> TopoNodeIds() const;
 
-  void MarkMaterialized(NodeExec& exec);
   // Records a failure at `topo_index`; `fault` is set for a fault escalation,
   // which ends the run in a structured abort rather than an error. Keeps the
   // earliest failure in topo order (the one a sequential walk meets first);
@@ -368,7 +304,6 @@ class JobGraphExecutor {
   void PriceNodes(ExecutionResult& result);
   StatusOr<ExecutionResult> FinalizeAccounting(ExecutionResult result);
 
-  RunState& state_;
   const compiler::Compilation& compilation_;
   const std::map<std::string, Relation>& inputs_;
   ThreadPool& pool_;
@@ -378,8 +313,27 @@ class JobGraphExecutor {
   std::vector<NodeExec> execs_;
   std::vector<int> lane_;  // Topo indices of MPC/hybrid nodes, in topo order.
   size_t lane_next_ = 0;
-  size_t materialized_count_ = 0;
   int in_flight_ = 0;
+
+  // Coordinator-owned simulation state: the network and engines the lane
+  // drives, and the active fault injector (empty = injection off), which
+  // perturbs them (net/fault.h, DESIGN.md §11); pool tasks never touch these.
+  SimNetwork net_;
+  SharemindBackend sharemind_;
+  OblivcBackend oblivc_;
+  uint64_t seed_;
+  uint64_t next_nonce_ = 0;  // Malicious-input proof nonces, in lane order.
+  // Batch size of the push-based pipeline executor. Batching changes wall clock
+  // and memory only: fused chains are priced per node from row totals that are
+  // identical at every batch size (DESIGN.md §10).
+  int64_t batch_rows_;
+  // Per-operator-instance memory budget of the blocking cleartext kernels
+  // (DESIGN.md §12; 0 = unbounded). The physical spill work changes wall clock
+  // and disk only; the virtual clock carries the priced closed form
+  // (compiler::NodeSpillSeconds over node-total rows), identical at every
+  // {pool, batch} point and added once in the final accounting pass.
+  int64_t mem_budget_rows_;
+  std::optional<FaultInjector> fault_;
 
   // The run's one failure record (RecordFailure). Nothing at or past
   // failed_topo_ may dispatch.
@@ -392,11 +346,83 @@ class JobGraphExecutor {
   std::vector<Completion> completions_;
 };
 
+Status JobGraphExecutor::EnsureSecure(MaterializedValue& value) {
+  if (compilation_.options.malicious_security &&
+      value.kind == MaterializedValue::Kind::kCleartext) {
+    const PartyId owner = value.location == kNoParty ? 0 : value.location;
+    CONCLAVE_RETURN_IF_ERROR(malicious::InputConsistencyPhase(
+        net_, *value.clear, owner, compilation_.num_parties,
+        seed_ ^ (0x9e3779b97f4a7c15ULL + next_nonce_++)));
+  }
+  if (Garbled()) {
+    if (value.kind == MaterializedValue::Kind::kGarbled) {
+      return Status::Ok();
+    }
+    CONCLAVE_CHECK(value.kind == MaterializedValue::Kind::kCleartext);
+    CONCLAVE_RETURN_IF_ERROR(oblivc_.Input(*value.clear));
+    value.kind = MaterializedValue::Kind::kGarbled;
+    return Status::Ok();
+  }
+  if (value.kind == MaterializedValue::Kind::kShared) {
+    return Status::Ok();
+  }
+  CONCLAVE_CHECK(value.kind == MaterializedValue::Kind::kCleartext);
+  CONCLAVE_ASSIGN_OR_RETURN(value.shared, sharemind_.Input(*value.clear));
+  value.clear.reset();
+  value.kind = MaterializedValue::Kind::kShared;
+  return Status::Ok();
+}
+
+std::shared_ptr<const RowSource> JobGraphExecutor::OpenReveal(SharedRelation shared) {
+  mpc::ChargeRevealMeters(net_, shared.NumCells());
+  uint64_t nonce = 0;
+  std::vector<FaultInjector::RevealCorruption> schedule;
+  if (fault_) {
+    schedule =
+        fault_->ScheduleRevealFaults(shared.NumRows(), shared.NumColumns(), &nonce);
+  }
+  return std::make_shared<mpc::RevealSource>(std::move(shared), nonce,
+                                             std::move(schedule));
+}
+
+void JobGraphExecutor::EnsureCleartextAt(MaterializedValue& value, PartyId party) {
+  switch (value.kind) {
+    case MaterializedValue::Kind::kShared: {
+      // A materializing reveal: the whole-range pull of the source a
+      // streaming chain head would pull batch by batch. Reveals never fail.
+      const std::shared_ptr<const RowSource> source =
+          OpenReveal(std::move(value.shared));
+      value.clear =
+          std::make_shared<const Relation>(source->Rows(0, source->NumRows()).value());
+      value.shared = SharedRelation{};
+      value.kind = MaterializedValue::Kind::kCleartext;
+      value.location = party;
+      break;
+    }
+    case MaterializedValue::Kind::kGarbled:
+      // Output labels decode at both parties; transfer of decoded rows is cheap.
+      net_.CountAggregateBytes(value.clear->ByteSize());
+      net_.Rounds(1);
+      value.kind = MaterializedValue::Kind::kCleartext;
+      value.location = party;
+      break;
+    case MaterializedValue::Kind::kCleartext:
+      if (value.location != party && value.location != kNoParty) {
+        net_.Send(value.location, party, value.clear->ByteSize());
+        net_.Rounds(1);
+        value.location = party;
+      }
+      break;
+    case MaterializedValue::Kind::kSource:
+      // Unreachable: a value stays a source only for its sole consumer, a
+      // streaming chain head, which reads it without a frontier transition.
+      CONCLAVE_CHECK(false);
+      break;
+  }
+}
+
 bool JobGraphExecutor::CanAcquireInputs(const NodeExec& exec) const {
   const int my_topo = TopoIndex(exec.node->id);
-  // inputToMPC moves the cleartext payload into the engine; it may not overlap
-  // with pool tasks still reading the old payload.
-  const bool overwrites_payload = exec.klass == NodeClass::kLane;
   for (const ir::OpNode* in : exec.node->inputs) {
     const NodeExec& producer = execs_[TopoIndex(in->id)];
     if (!producer.materialized) {
@@ -405,9 +431,6 @@ bool JobGraphExecutor::CanAcquireInputs(const NodeExec& exec) const {
     if (producer.consumer_uses[static_cast<size_t>(producer.acquired_uses)] !=
         my_topo) {
       return false;  // An earlier consumer has not taken its turn yet.
-    }
-    if (overwrites_payload && producer.active_readers > 0) {
-      return false;
     }
   }
   return true;
@@ -423,18 +446,6 @@ void JobGraphExecutor::AdvanceAcquisition(NodeExec& exec) {
         producer.consumer_uses[static_cast<size_t>(producer.acquired_uses)],
         my_topo);
     ++producer.acquired_uses;
-  }
-}
-
-void JobGraphExecutor::MarkMaterialized(NodeExec& exec) {
-  exec.materialized = true;
-  ++materialized_count_;
-  for (const ir::OpNode* out : exec.node->outputs) {
-    // Detached nodes are unreachable and never in topo order.
-    auto it = topo_index_.find(out->id);
-    if (it != topo_index_.end()) {
-      --execs_[static_cast<size_t>(it->second)].remaining_inputs;
-    }
   }
 }
 
@@ -459,20 +470,20 @@ std::vector<int> JobGraphExecutor::TopoNodeIds() const {
 }
 
 bool JobGraphExecutor::PrepareJobFaults(NodeExec& exec) {
-  if (state_.fault == nullptr) {
+  if (!fault_) {
     return true;
   }
-  state_.fault->EnterScope(exec.node->id);
-  exec.fault_crashes = state_.fault->JobCrashes(exec.node->id);
+  fault_->EnterScope(exec.node->id);
+  exec.fault_crashes = fault_->JobCrashes(exec.node->id);
   return !EscalatePendingFault(exec);
 }
 
 bool JobGraphExecutor::EscalatePendingFault(NodeExec& exec) {
-  if (state_.fault == nullptr || !state_.fault->has_pending_failure()) {
+  if (!fault_ || !fault_->has_pending_failure()) {
     return false;
   }
   FaultEscalation fault;
-  fault.provenance = state_.fault->TakePendingFailure(&fault.node_id);
+  fault.provenance = fault_->TakePendingFailure(&fault.node_id);
   Status status = ResourceExhaustedError(
       StrFormat("fault recovery budget exhausted at node #%d: %s", fault.node_id,
                 fault.provenance.c_str()));
@@ -485,28 +496,25 @@ bool JobGraphExecutor::EscalatePendingFault(NodeExec& exec) {
 JobGraphExecutor::LaneCheckpoint JobGraphExecutor::TakeLaneCheckpoint(
     const NodeExec& exec) {
   LaneCheckpoint checkpoint;
-  checkpoint.net = state_.net.TakeSnapshot();
-  checkpoint.engine = state_.sharemind.engine().TakeCheckpoint();
-  checkpoint.next_nonce = state_.next_nonce;
+  checkpoint.net = net_.TakeSnapshot();
+  checkpoint.engine = sharemind_.engine().TakeCheckpoint();
+  checkpoint.next_nonce = next_nonce_;
   for (const ir::OpNode* in : exec.node->inputs) {
-    checkpoint.inputs.emplace_back(in->id,
-                                   state_.values[static_cast<size_t>(in->id)]);
-    const int producer_topo = TopoIndex(in->id);
-    checkpoint.acquired.emplace_back(
-        producer_topo, execs_[static_cast<size_t>(producer_topo)].acquired_uses);
+    const NodeExec& producer = ExecOf(*in);
+    checkpoint.inputs.emplace_back(TopoIndex(in->id), producer.value,
+                                   producer.acquired_uses);
   }
   return checkpoint;
 }
 
 void JobGraphExecutor::RestoreLaneCheckpoint(const LaneCheckpoint& checkpoint) {
-  state_.net.RestoreSnapshot(checkpoint.net);
-  state_.sharemind.engine().Restore(checkpoint.engine);
-  state_.next_nonce = checkpoint.next_nonce;
-  for (const auto& [node_id, value] : checkpoint.inputs) {
-    state_.values[static_cast<size_t>(node_id)] = value;
-  }
-  for (const auto& [producer_topo, acquired_uses] : checkpoint.acquired) {
-    execs_[static_cast<size_t>(producer_topo)].acquired_uses = acquired_uses;
+  net_.RestoreSnapshot(checkpoint.net);
+  sharemind_.engine().Restore(checkpoint.engine);
+  next_nonce_ = checkpoint.next_nonce;
+  for (const auto& [producer_topo, value, acquired_uses] : checkpoint.inputs) {
+    NodeExec& producer = execs_[static_cast<size_t>(producer_topo)];
+    producer.value = value;
+    producer.acquired_uses = acquired_uses;
   }
 }
 
@@ -527,12 +535,6 @@ void JobGraphExecutor::SubmitTask(int topo_index, const char* what,
     completions_.push_back(std::move(completion));
     completions_cv_.notify_all();
   });
-}
-
-void JobGraphExecutor::ReleaseReaders(const NodeExec& exec) {
-  for (const ir::OpNode* in : exec.node->inputs) {
-    --ExecOf(*in).active_readers;
-  }
 }
 
 void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
@@ -560,7 +562,7 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
                  CONCLAVE_RETURN_IF_ERROR(
                      CheckInputSchema(params.name, it->second.schema(), *node));
                  // Borrowed, not copied: the caller's inputs outlive the run.
-                 completion.output = std::shared_ptr<const Relation>(
+                 completion.value.clear = std::shared_ptr<const Relation>(
                      std::shared_ptr<const Relation>(), &it->second);
                  return Status::Ok();
                }
@@ -569,13 +571,15 @@ void JobGraphExecutor::DispatchCreate(NodeExec& exec) {
                CONCLAVE_RETURN_IF_ERROR(
                    CheckInputSchema(params.name, source.schema(), *node));
                if (stream) {
-                 completion.source_output =
+                 completion.value.kind = MaterializedValue::Kind::kSource;
+                 completion.value.source =
                      std::make_shared<CsvSource>(std::move(source));
                  return Status::Ok();
                }
                CONCLAVE_ASSIGN_OR_RETURN(Relation rows,
                                          source.Rows(0, source.NumRows()));
-               completion.output = std::make_shared<const Relation>(std::move(rows));
+               completion.value.clear =
+                   std::make_shared<const Relation>(std::move(rows));
                return Status::Ok();
              });
 }
@@ -585,17 +589,19 @@ void JobGraphExecutor::DispatchLocalJob(NodeExec& exec) {
   if (!PrepareJobFaults(exec)) {
     return;
   }
-  std::vector<const Relation*> rels;
+  // The task's own handles: a later consumer's transition may drop the
+  // value's handle while the task still reads.
+  std::vector<std::shared_ptr<const Relation>> rels;
   std::shared_ptr<const RowSource> source;
   for (const ir::OpNode* in : node->inputs) {
-    MaterializedValue& value = state_.values[static_cast<size_t>(in->id)];
+    MaterializedValue& value = ExecOf(*in).value;
     if (exec.streams_input) {
       // A streaming chain head (DESIGN.md §12, §14), marked at compile time.
       // A shared input opens here, on the coordinator at the head's
       // acquisition turn, and keeps its shares: the chain's pipeline
       // reconstructs the row ranges itself. A CSV input completed as a source.
       if (value.kind == MaterializedValue::Kind::kShared) {
-        value.source = OpenReveal(state_, std::move(value.shared));
+        value.source = OpenReveal(std::move(value.shared));
         value.shared = SharedRelation{};
         value.kind = MaterializedValue::Kind::kSource;
         value.location = node->exec_party;
@@ -604,17 +610,15 @@ void JobGraphExecutor::DispatchLocalJob(NodeExec& exec) {
                      value.location == node->exec_party);
       source = value.source;
     } else {
-      EnsureCleartextAt(state_, value, node->exec_party);
-      rels.push_back(value.clear.get());
+      EnsureCleartextAt(value, node->exec_party);
+      rels.push_back(value.clear);
     }
     exec.input_rows.push_back(value.NumRows());
-    ++ExecOf(*in).active_readers;
   }
   AdvanceAcquisition(exec);
   // Reveal/transfer time for this node's frontier inputs.
-  exec.boundary_scaled_seconds = state_.net.TakeMeterSeconds() * state_.MpcScale();
+  exec.boundary_scaled_seconds = net_.TakeMeterSeconds() * MpcScale();
   if (EscalatePendingFault(exec)) {
-    ReleaseReaders(exec);  // No task was submitted.
     return;
   }
   // Every member is spoken for the moment the job dispatches: the acquisition
@@ -629,7 +633,7 @@ void JobGraphExecutor::DispatchLocalJob(NodeExec& exec) {
   // topo index — the canonical error a sequential unfused walk would report.
   const bool fused = exec.chain_members.size() > 1;
   PipelineSpec spec;
-  spec.mem_budget_rows = state_.mem_budget_rows;
+  spec.mem_budget_rows = mem_budget_rows_;
   if (fused) {
     spec.input_schema = source != nullptr ? source->schema() : rels[0]->schema();
     Schema schema = spec.input_schema;
@@ -637,7 +641,6 @@ void JobGraphExecutor::DispatchLocalJob(NodeExec& exec) {
       const ir::OpNode& member = *execs_[static_cast<size_t>(member_topo)].node;
       StatusOr<PipelineOp> op = ResolvePipelineOp(schema, member);
       if (!op.ok()) {
-        ReleaseReaders(exec);  // No task was submitted.
         RecordFailure(member_topo, op.status());
         return;
       }
@@ -646,17 +649,22 @@ void JobGraphExecutor::DispatchLocalJob(NodeExec& exec) {
     }
   }
 
-  const int64_t batch_rows = state_.batch_rows;
   SubmitTask(TopoIndex(node->id), fused ? "fused chain task" : "local job",
-             [node, batch_rows, spec = std::move(spec), source = std::move(source),
+             [node, batch_rows = batch_rows_, spec = std::move(spec),
+              source = std::move(source),
               rels = std::move(rels)](Completion& completion) -> Status {
                if (spec.ops.empty()) {
                  LocalExecOptions options;
                  options.mem_budget_rows = spec.mem_budget_rows;
                  options.spill_stats = &completion.spill_stats;
+                 std::vector<const Relation*> inputs;
+                 for (const std::shared_ptr<const Relation>& rel : rels) {
+                   inputs.push_back(rel.get());
+                 }
                  CONCLAVE_ASSIGN_OR_RETURN(Relation output,
-                                           ExecuteLocal(*node, rels, options));
-                 completion.output = std::make_shared<const Relation>(std::move(output));
+                                           ExecuteLocal(*node, inputs, options));
+                 completion.value.clear =
+                     std::make_shared<const Relation>(std::move(output));
                  return Status::Ok();
                }
                // A streamed input is pulled batch-at-a-time and never
@@ -667,7 +675,8 @@ void JobGraphExecutor::DispatchLocalJob(NodeExec& exec) {
                    Relation output,
                    source != nullptr ? pipeline.Run(*source, batch_rows)
                                      : pipeline.Run(*rels[0], batch_rows));
-               completion.output = std::make_shared<const Relation>(std::move(output));
+               completion.value.clear =
+                   std::make_shared<const Relation>(std::move(output));
                completion.chain_op_rows = pipeline.stats().op_input_rows;
                completion.spill_stats = pipeline.stats().spill;
                return Status::Ok();
@@ -678,19 +687,19 @@ Status JobGraphExecutor::RunCollect(NodeExec& exec, ExecutionResult& result) {
   const ir::OpNode* node = exec.node;
   const auto& params = node->Params<ir::CollectParams>();
   exec.dispatched = true;
-  if (state_.fault != nullptr) {
+  if (fault_) {
     // Collect runs on the coordinator with no compute to restart; its reveal and
     // fan-out sends are the faultable operations.
-    state_.fault->EnterScope(node->id);
+    fault_->EnterScope(node->id);
   }
 
-  MaterializedValue& input = state_.values[static_cast<size_t>(node->inputs[0]->id)];
-  EnsureCleartextAt(state_, input, params.recipients.First());
+  MaterializedValue& input = ExecOf(*node->inputs[0]).value;
+  EnsureCleartextAt(input, params.recipients.First());
   AdvanceAcquisition(exec);
   // Fan out to the remaining recipients.
   for (PartyId p : params.recipients.ToVector()) {
     if (p != input.location) {
-      state_.net.Send(input.location, p, input.clear->ByteSize());
+      net_.Send(input.location, p, input.clear->ByteSize());
     }
   }
   // Recipients drop the sentinel rows that adaptive padding introduced.
@@ -700,14 +709,14 @@ Status JobGraphExecutor::RunCollect(NodeExec& exec, ExecutionResult& result) {
   if (params.dp.enabled) {
     // Recipients perturb locally; each noisy output consumes its epsilon
     // (sequential composition).
-    Rng noise_rng(state_.seed ^
+    Rng noise_rng(seed_ ^
                   (0xd1b54a32d192ed03ULL + static_cast<uint64_t>(node->id)));
     CONCLAVE_RETURN_IF_ERROR(dp::PerturbRelation(output, params.dp, noise_rng));
     exec.dp_epsilon = params.dp.epsilon;
   }
   result.outputs[params.name] = std::move(output);
-  exec.boundary_scaled_seconds = state_.net.TakeMeterSeconds() * state_.MpcScale();
-  MarkMaterialized(exec);
+  exec.boundary_scaled_seconds = net_.TakeMeterSeconds() * MpcScale();
+  exec.materialized = true;
   // An unrecoverable drop/corruption during the reveal or fan-out escalates;
   // the abort discards this Collect's (already stored) output.
   EscalatePendingFault(exec);
@@ -719,11 +728,10 @@ Status JobGraphExecutor::RunLaneNode(NodeExec& exec) {
   exec.dispatched = true;
   ++lane_next_;
 
-  FaultInjector* fault = state_.fault;
   int crashes = 0;
-  if (fault != nullptr) {
-    fault->EnterScope(node->id);
-    crashes = fault->JobCrashes(node->id);
+  if (fault_) {
+    fault_->EnterScope(node->id);
+    crashes = fault_->JobCrashes(node->id);
     if (EscalatePendingFault(exec)) {
       return Status::Ok();  // Crash budget exhausted: nothing materializes.
     }
@@ -737,14 +745,14 @@ Status JobGraphExecutor::RunLaneNode(NodeExec& exec) {
     if (crash_after) {
       checkpoint = TakeLaneCheckpoint(exec);
     }
-    if (fault != nullptr && attempt > 0) {
-      fault->BeginAttempt(attempt);
+    if (fault_ && attempt > 0) {
+      fault_->BeginAttempt(attempt);
     }
     CONCLAVE_RETURN_IF_ERROR(ExecuteLaneOnce(exec));
     if (EscalatePendingFault(exec)) {
       // Unrecoverable send loss inside this attempt. Drain the attempt's meter
       // so no charge leaks into a later step.
-      state_.net.TakeMeterSeconds();
+      net_.TakeMeterSeconds();
       return Status::Ok();
     }
     if (!crash_after) {
@@ -755,48 +763,43 @@ Status JobGraphExecutor::RunLaneNode(NodeExec& exec) {
     // frontier checkpoint, and replay. The replayed attempt re-claims the same
     // randomness streams, so its bits are identical to the crashed one's.
     const double wasted =
-        (state_.net.TakeMeterSeconds() - checkpoint.net.meter_seconds) *
-        state_.MpcScale();
-    fault->ChargeJobRestart(node->id, wasted);
+        (net_.TakeMeterSeconds() - checkpoint.net.meter_seconds) * MpcScale();
+    fault_->ChargeJobRestart(node->id, wasted);
     RestoreLaneCheckpoint(checkpoint);
   }
-  exec.boundary_scaled_seconds = state_.net.TakeMeterSeconds() * state_.MpcScale();
-  MarkMaterialized(exec);
+  exec.boundary_scaled_seconds = net_.TakeMeterSeconds() * MpcScale();
+  exec.materialized = true;
   return Status::Ok();
 }
 
 Status JobGraphExecutor::ExecuteLaneOnce(NodeExec& exec) {
   const ir::OpNode* node = exec.node;
-  if (state_.use_gc_backend) {
+  MaterializedValue out;
+  if (Garbled()) {
     std::vector<const Relation*> rels;
     rels.reserve(node->inputs.size());
     for (const ir::OpNode* in : node->inputs) {
-      MaterializedValue& value = state_.values[static_cast<size_t>(in->id)];
-      CONCLAVE_RETURN_IF_ERROR(EnsureSecure(state_, value));
+      MaterializedValue& value = ExecOf(*in).value;
+      CONCLAVE_RETURN_IF_ERROR(EnsureSecure(value));
       rels.push_back(value.clear.get());
     }
     AdvanceAcquisition(exec);
-    CONCLAVE_ASSIGN_OR_RETURN(Relation out, state_.oblivc.Execute(*node, rels));
-    MaterializedValue value;
-    value.kind = MaterializedValue::Kind::kGarbled;
-    value.clear = std::make_shared<const Relation>(std::move(out));
-    state_.values[static_cast<size_t>(node->id)] = std::move(value);
+    CONCLAVE_ASSIGN_OR_RETURN(Relation rows, oblivc_.Execute(*node, rels));
+    out.kind = MaterializedValue::Kind::kGarbled;
+    out.clear = std::make_shared<const Relation>(std::move(rows));
   } else {
     std::vector<const SharedRelation*> rels;
     rels.reserve(node->inputs.size());
     for (const ir::OpNode* in : node->inputs) {
-      MaterializedValue& value = state_.values[static_cast<size_t>(in->id)];
-      CONCLAVE_RETURN_IF_ERROR(EnsureSecure(state_, value));
+      MaterializedValue& value = ExecOf(*in).value;
+      CONCLAVE_RETURN_IF_ERROR(EnsureSecure(value));
       rels.push_back(&value.shared);
     }
     AdvanceAcquisition(exec);
-    CONCLAVE_ASSIGN_OR_RETURN(SharedRelation out,
-                              state_.sharemind.Execute(*node, rels));
-    MaterializedValue value;
-    value.kind = MaterializedValue::Kind::kShared;
-    value.shared = std::move(out);
-    state_.values[static_cast<size_t>(node->id)] = std::move(value);
+    out.kind = MaterializedValue::Kind::kShared;
+    CONCLAVE_ASSIGN_OR_RETURN(out.shared, sharemind_.Execute(*node, rels));
   }
+  exec.value = std::move(out);
   return Status::Ok();
 }
 
@@ -812,18 +815,9 @@ void JobGraphExecutor::DrainCompletions(bool wait) {
   for (Completion& completion : drained) {
     --in_flight_;
     NodeExec& exec = execs_[static_cast<size_t>(completion.topo_index)];
-    ReleaseReaders(exec);
     if (!completion.status.ok()) {
       RecordFailure(completion.topo_index, std::move(completion.status));
       continue;
-    }
-    MaterializedValue value;
-    if (completion.source_output != nullptr) {
-      value.kind = MaterializedValue::Kind::kSource;
-      value.source = std::move(completion.source_output);
-    } else {
-      value.kind = MaterializedValue::Kind::kCleartext;
-      value.clear = std::move(completion.output);
     }
     // A job stores its tail's output: the node itself for a Create or a lone
     // node.
@@ -832,11 +826,11 @@ void JobGraphExecutor::DrainCompletions(bool wait) {
                          : execs_[static_cast<size_t>(exec.chain_members.back())];
     // Only a job's tail spills: a lone blocking node or a chain's aggregate.
     tail.spill_stats = completion.spill_stats;
-    value.location = exec.klass == NodeClass::kCreate
-                         ? exec.node->Params<ir::CreateParams>().party
-                         : tail.node->exec_party;
-    state_.values[static_cast<size_t>(tail.node->id)] = std::move(value);
-    MarkMaterialized(exec);
+    tail.value = std::move(completion.value);
+    tail.value.location = exec.klass == NodeClass::kCreate
+                              ? exec.node->Params<ir::CreateParams>().party
+                              : tail.node->exec_party;
+    exec.materialized = true;
     // Fused members, in chain order, record the rows the pipeline metered for
     // them (equal to the unfused intermediate cardinalities at every batch
     // size: streaming limits consume their whole input; chain_op_rows[0] is
@@ -846,25 +840,21 @@ void JobGraphExecutor::DrainCompletions(bool wait) {
       member.input_rows = {completion.chain_op_rows[k]};
       // Each member's sole use of its predecessor's (never-stored) value.
       AdvanceAcquisition(member);
-      MarkMaterialized(member);
+      member.materialized = true;
     }
   }
 }
 
 StatusOr<ExecutionResult> JobGraphExecutor::Run() {
-  // --- Plan-time indexing: topo positions, in-degrees, consumer orders, lane. ------
-  int max_id = -1;
+  // --- Plan-time indexing: topo positions, consumer orders, lane. -----------------
   for (size_t i = 0; i < topo_.size(); ++i) {
     topo_index_[topo_[i]->id] = static_cast<int>(i);
-    max_id = std::max(max_id, topo_[i]->id);
   }
-  state_.values.resize(static_cast<size_t>(max_id) + 1);
   execs_.resize(topo_.size());
   for (size_t i = 0; i < topo_.size(); ++i) {
     NodeExec& exec = execs_[i];
     exec.node = topo_[i];
     exec.klass = ClassOf(*topo_[i]);
-    exec.remaining_inputs = static_cast<int>(topo_[i]->inputs.size());
     if (exec.klass == NodeClass::kLane) {
       lane_.push_back(static_cast<int>(i));
     } else if (exec.klass == NodeClass::kLocalCompute) {
@@ -903,6 +893,9 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
 
   // --- Event loop: dispatch everything ready, then wait for pool completions. ------
   //
+  // A node is ready once every producer is materialized and its turn at each
+  // input value has come (CanAcquireInputs); a Create is ready at once.
+  //
   // On failure, dispatch continues — but only for nodes topo-earlier than the
   // earliest failure seen so far (their dependency chains lie entirely below it, so
   // they can always run to completion). A sequential walk would have executed
@@ -916,7 +909,7 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
         break;  // execs_ is topo-ordered; nothing past the failure may dispatch.
       }
       NodeExec& exec = execs_[i];
-      if (exec.dispatched || exec.remaining_inputs > 0) {
+      if (exec.dispatched) {
         continue;
       }
       switch (exec.klass) {
@@ -968,33 +961,34 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
   // run's; the pass's other totals are discarded with the run.
   if (failure_fault_.has_value()) {
     PriceNodes(result);
-    state_.fault->RecordFirstFailure(failure_fault_->node_id,
-                                     std::move(failure_fault_->provenance));
+    fault_->RecordFirstFailure(failure_fault_->node_id,
+                               std::move(failure_fault_->provenance));
     ExecutionResult aborted;
     aborted.aborted = true;
     aborted.abort_status = std::move(failure_);
-    aborted.fault_report = state_.fault->Report(TopoNodeIds());
+    aborted.fault_report = fault_->Report(TopoNodeIds());
     return aborted;
   }
   if (failed_topo_ >= 0) {
     return failure_;
   }
   // No failure: quiescence with unmaterialized nodes would be a plan bug.
-  CONCLAVE_CHECK_EQ(materialized_count_, topo_.size());
+  CONCLAVE_CHECK(std::ranges::all_of(execs_, &NodeExec::materialized));
   return FinalizeAccounting(std::move(result));
 }
 
 void JobGraphExecutor::PriceNodes(ExecutionResult& result) {
-  const CostModel& model = state_.net.model();
-  const int64_t budget = state_.mem_budget_rows;
+  const CostModel& model = net_.model();
+  const bool spark = compilation_.options.use_spark;
+  const int64_t budget = mem_budget_rows_;
   result.spill_report.mem_budget_rows = budget;
   for (const NodeExec& exec : execs_) {
     const ir::OpNode& node = *exec.node;
     double compute_seconds = 0;
     if (exec.klass == NodeClass::kLocalCompute && !exec.input_rows.empty()) {
       const uint64_t records = exec.Records();
-      compute_seconds = LocalComputeSeconds(state_, records);
-      state_.net.mutable_counters().cleartext_records += records;
+      compute_seconds = model.CleartextScanSeconds(records, spark);
+      net_.mutable_counters().cleartext_records += records;
       // Beyond-RAM spill (DESIGN.md §12): the closed form over the node-total
       // input rows, never physical batch layout, so the charge is
       // grid-invariant; 0 when the budget is unbounded or the inputs fit.
@@ -1020,14 +1014,14 @@ void JobGraphExecutor::PriceNodes(ExecutionResult& result) {
     // nodes replay their crashes physically instead (RunLaneNode).
     if (exec.fault_crashes > 0) {
       for (int k = 0; k < exec.fault_crashes; ++k) {
-        state_.fault->ChargeJobRestart(node.id, compute_seconds);
+        fault_->ChargeJobRestart(node.id, compute_seconds);
       }
       for (size_t k = 1; k < exec.chain_members.size(); ++k) {
         const NodeExec& member = execs_[static_cast<size_t>(exec.chain_members[k])];
         if (!member.input_rows.empty()) {  // The chain completed.
-          state_.fault->AddRecoverySeconds(
+          fault_->AddRecoverySeconds(
               node.id, static_cast<double>(exec.fault_crashes) *
-                           LocalComputeSeconds(state_, member.Records()));
+                           model.CleartextScanSeconds(member.Records(), spark));
         }
       }
     }
@@ -1043,14 +1037,22 @@ StatusOr<ExecutionResult> JobGraphExecutor::FinalizeAccounting(
   // scheduling-dependent. This is what keeps every reported number bit-identical
   // across pool sizes.
   PriceNodes(result);
+  std::unordered_map<int, int> node_job;  // node id -> job id
+  std::unordered_map<int, const compiler::Job*> job_by_id;
+  for (const compiler::Job& job : compilation_.plan.jobs) {
+    job_by_id[job.id] = &job;
+    for (const ir::OpNode* node : job.nodes) {
+      node_job[node->id] = job.id;
+    }
+  }
   std::unordered_map<int, double> job_duration;
   std::unordered_set<int> jobs_started;  // Spark startup charged once per job.
   for (const NodeExec& exec : execs_) {
-    const int job = state_.node_job.at(exec.node->id);
+    const int job = node_job.at(exec.node->id);
     double seconds = result.node_seconds.at(exec.node->id);
-    if (exec.klass == NodeClass::kLocalCompute && state_.use_spark &&
+    if (exec.klass == NodeClass::kLocalCompute && compilation_.options.use_spark &&
         jobs_started.insert(job).second) {
-      seconds += state_.net.model().spark_job_startup_seconds;
+      seconds += net_.model().spark_job_startup_seconds;
     }
     job_duration[job] += seconds;
     switch (exec.klass) {
@@ -1085,7 +1087,7 @@ StatusOr<ExecutionResult> JobGraphExecutor::FinalizeAccounting(
     std::unordered_set<int> deps;
     for (const ir::OpNode* node : job.nodes) {
       for (const ir::OpNode* in : node->inputs) {
-        const int dep_job = state_.node_job.at(in->id);
+        const int dep_job = node_job.at(in->id);
         if (dep_job != job.id) {
           deps.insert(dep_job);
         }
@@ -1102,10 +1104,6 @@ StatusOr<ExecutionResult> JobGraphExecutor::FinalizeAccounting(
       ready.push_back(job.id);
     }
   }
-  std::unordered_map<int, const compiler::Job*> job_by_id;
-  for (const compiler::Job& job : compilation_.plan.jobs) {
-    job_by_id[job.id] = &job;
-  }
   while (!ready.empty()) {
     const int id = ready.back();
     ready.pop_back();
@@ -1113,7 +1111,7 @@ StatusOr<ExecutionResult> JobGraphExecutor::FinalizeAccounting(
     double start = 0;
     for (const ir::OpNode* node : job.nodes) {
       for (const ir::OpNode* in : node->inputs) {
-        const int dep_job = state_.node_job.at(in->id);
+        const int dep_job = node_job.at(in->id);
         if (dep_job != id) {
           start = std::max(start, finish.at(dep_job));
         }
@@ -1137,13 +1135,13 @@ StatusOr<ExecutionResult> JobGraphExecutor::FinalizeAccounting(
   for (const compiler::Job& job : compilation_.plan.jobs) {
     result.virtual_seconds = std::max(result.virtual_seconds, finish[job.id]);
   }
-  result.counters = state_.net.counters();
-  if (state_.fault != nullptr) {
+  result.counters = net_.counters();
+  if (fault_) {
     // Recovery rides the critical path: everything up to here is bit-identical
     // to the fault-free run (fault charges never touch the meter or counters),
     // so the faulted total is exactly the fault-free total plus the priced
     // recovery time — the chaos fuzzer's headline identity.
-    result.fault_report = state_.fault->Report(TopoNodeIds());
+    result.fault_report = fault_->Report(TopoNodeIds());
     result.virtual_seconds += result.fault_report.recovery_seconds;
   }
   // Beyond-RAM accounting (DESIGN.md §12): the priced spill charge joins the
@@ -1151,10 +1149,10 @@ StatusOr<ExecutionResult> JobGraphExecutor::FinalizeAccounting(
   // budget the total is exactly the unbounded run's clock plus spill_seconds;
   // with none, the report stays zero and the clock is untouched.
   result.virtual_seconds += result.spill_report.spill_seconds;
-  for (const MaterializedValue& value : state_.values) {
-    if (value.kind == MaterializedValue::Kind::kSource) {
+  for (const NodeExec& exec : execs_) {
+    if (exec.value.kind == MaterializedValue::Kind::kSource) {
       result.source_peak_rows = std::max(result.source_peak_rows,
-                                         value.source->MaxMaterializedRows());
+                                         exec.value.source->MaxMaterializedRows());
     }
   }
   return result;
@@ -1167,28 +1165,6 @@ StatusOr<ExecutionResult> Dispatcher::Run(
     const std::map<std::string, Relation>& inputs) {
   CONCLAVE_ASSIGN_OR_RETURN(const compiler::ExecOptions exec,
                             compiler::ResolveExecOptions(exec_));
-  const bool use_gc =
-      compilation.options.mpc_backend == compiler::MpcBackendKind::kOblivC;
-  RunState state(model_, seed_, compilation.num_parties, use_gc,
-                 compilation.options.use_spark,
-                 compilation.options.malicious_security);
-  state.batch_rows = exec.batch_rows;
-  state.mem_budget_rows = exec.mem_budget_rows;
-
-  for (const compiler::Job& job : compilation.plan.jobs) {
-    for (const ir::OpNode* node : job.nodes) {
-      state.node_job[node->id] = job.id;
-    }
-  }
-
-  // Fault injection (DESIGN.md §11), armed by the resolved plan.
-  std::optional<FaultInjector> injector;
-  if (exec.fault_plan->enabled) {
-    injector.emplace(*exec.fault_plan, model_);
-    state.fault = &*injector;
-    state.net.set_fault_injector(&*injector);
-  }
-
   std::vector<ir::OpNode*> order = dag.TopoOrder();
   // Bind the run's pool to this thread: this is what hands the dispatcher's pool to
   // the MPC lane. Lane nodes execute on the coordinator, and every engine kernel's
@@ -1197,7 +1173,7 @@ StatusOr<ExecutionResult> Dispatcher::Run(
   // themselves in WorkerLoop) and pool_parallelism=1 stays serial all the way down.
   ThreadPool::Scope scope(&pool());
   JobGraphExecutor executor(
-      state, compilation, inputs, pool(),
+      model_, seed_, exec, compilation, inputs, pool(),
       std::vector<const ir::OpNode*>(order.begin(), order.end()));
   return executor.Run();
 }

@@ -1,11 +1,13 @@
 // The dispatcher executes a compiled plan end-to-end (§4.1's per-party Conclave
 // agents, collapsed into one in-process orchestrator).
 //
-// Execution is a parallel job-graph walk: every DAG node's in-degree is tracked and
-// each node is dispatched the moment its inputs are materialized. Cleartext work
-// (Create ingest and local operator chains) runs on a thread pool, so independent
-// per-party preprocessing overlaps in *real* time the way the virtual-clock schedule
-// always said it did; MPC and hybrid nodes stay serialized on a dedicated lane in a
+// Execution is a parallel job-graph walk over one record per DAG node, which holds
+// the node's value: a node dispatches once its producers are materialized and its
+// turn at each input value has come (consumers take a value in topo order).
+// Cleartext work (Create ingest and local operator chains) runs on a thread pool,
+// so independent per-party preprocessing overlaps in *real* time the way the
+// virtual-clock schedule always said it did; each pool task holds handles to the
+// rows it reads. MPC and hybrid nodes stay serialized on a dedicated lane in a
 // fixed topological order, because the secret-sharing and garbling engines consume a
 // stateful RNG and charge a shared SimNetwork. Frontier crossings insert the data
 // movement the paper's generated code performs: inputToMPC (secret-share / garble a
@@ -71,9 +73,8 @@ class Dispatcher {
 
   // Executes the compiled plan. `inputs` maps each Create node's name to the relation
   // its owning party contributes. The DAG must be the one `compilation` was built
-  // from. Creates borrow their relations rather than copy them (backend.h's
-  // MaterializedValue): `inputs` must outlive the call, and the run never
-  // writes them.
+  // from. Creates borrow their relations rather than copy them: `inputs` must
+  // outlive the call, and the run never writes them.
   StatusOr<ExecutionResult> Run(const ir::Dag& dag,
                                 const compiler::Compilation& compilation,
                                 const std::map<std::string, Relation>& inputs);
