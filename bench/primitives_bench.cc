@@ -285,7 +285,7 @@ void RunKernelSweep(const bench::BenchFilter& filter,
     // compiles the whole chain into one register-resident pass per batch
     // (DESIGN.md §13). chain_peak_rows records the pipeline's peak resident
     // rows — the bounded-memory (peak-RSS) proxy: materializing peaks at O(n)
-    // rows, the pipeline at O(depth x batch), independent of n.
+    // rows, the pipeline at two batches at most, independent of n.
     const FilterPredicate chain_predicate =
         FilterPredicate::ColumnVsLiteral(0, CompareOp::kLt, 500);
     const std::vector<int> chain_columns = {0, 1};

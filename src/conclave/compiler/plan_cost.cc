@@ -287,7 +287,7 @@ std::string PlanCostReport::ToString() const {
   }
   out += StrFormat(
       "pipeline-advice: %d fused chain(s) over %d node(s), longest %d "
-      "(batch %lld rows; resident rows per chain <= depth x batch + an "
+      "(batch %lld rows; resident rows per chain <= 2 x batch + an "
       "aggregate tail's groups)\n",
       fused_pipeline_chains, fused_pipeline_nodes, longest_pipeline_chain,
       static_cast<long long>(pipeline_batch_rows));

@@ -5,7 +5,7 @@
 // ops::Aggregate over the materialized prefix and against the unfused
 // aggregate's spill under a budget, limits and a sorted distinct between
 // filters and arithmetic in one run, bounded-memory high-water marks
-// proving O(depth x batch) residency (and none for a fused run's masked
+// proving at most two batches resident (and none for a fused run's masked
 // handoff to its aggregate tail), the CONCLAVE_BATCH_ROWS knob, per-node
 // pricing of fused members, end-to-end {pool, batch} invariance of a fused
 // chain feeding a blocking operator through the public Query API, and

@@ -936,6 +936,10 @@ TEST(PlanCostTest, ExplainListsTheChainsARunFuses) {
   EXPECT_EQ(report.fused_pipeline_chains, 1);
   EXPECT_EQ(report.fused_pipeline_nodes, 4);
   EXPECT_EQ(report.longest_pipeline_chain, 4);
+  // A chain holds a pulled batch and the batch it emits, whatever its depth.
+  EXPECT_NE(report.ToString().find("resident rows per chain <= 2 x batch"),
+            std::string::npos)
+      << report.ToString();
 }
 
 // Explain and run agree on streaming by construction. For each query and MPC
