@@ -40,7 +40,6 @@ struct CostCounters {
   uint64_t mpc_multiplications = 0;
   uint64_t mpc_comparisons = 0;
   uint64_t gc_and_gates = 0;      // Non-free garbled gates.
-  uint64_t gc_xor_gates = 0;      // Free gates (tracked for completeness).
   uint64_t cleartext_records = 0; // Records processed by cleartext backends.
   uint64_t zk_proofs = 0;         // Input-consistency proofs (malicious security).
 
@@ -50,7 +49,6 @@ struct CostCounters {
     mpc_multiplications += other.mpc_multiplications;
     mpc_comparisons += other.mpc_comparisons;
     gc_and_gates += other.gc_and_gates;
-    gc_xor_gates += other.gc_xor_gates;
     cleartext_records += other.cleartext_records;
     zk_proofs += other.zk_proofs;
   }

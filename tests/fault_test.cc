@@ -71,7 +71,6 @@ void ExpectCountersEqual(const CostCounters& a, const CostCounters& b) {
   EXPECT_EQ(a.mpc_multiplications, b.mpc_multiplications);
   EXPECT_EQ(a.mpc_comparisons, b.mpc_comparisons);
   EXPECT_EQ(a.gc_and_gates, b.gc_and_gates);
-  EXPECT_EQ(a.gc_xor_gates, b.gc_xor_gates);
   EXPECT_EQ(a.cleartext_records, b.cleartext_records);
   EXPECT_EQ(a.zk_proofs, b.zk_proofs);
 }

@@ -782,7 +782,6 @@ std::string CountersDiff(const CostCounters& want, const CostCounters& got) {
       {"mpc_multiplications", want.mpc_multiplications, got.mpc_multiplications},
       {"mpc_comparisons", want.mpc_comparisons, got.mpc_comparisons},
       {"gc_and_gates", want.gc_and_gates, got.gc_and_gates},
-      {"gc_xor_gates", want.gc_xor_gates, got.gc_xor_gates},
       {"cleartext_records", want.cleartext_records, got.cleartext_records},
       {"zk_proofs", want.zk_proofs, got.zk_proofs},
   };
