@@ -276,23 +276,8 @@ SharedRelation ObliviousSort(SecretShareEngine& engine, const SharedRelation& in
 SharedRelation ObliviousMerge(SecretShareEngine& engine, const SharedRelation& a,
                               const SharedRelation& b,
                               std::span<const int> key_columns) {
-  CONCLAVE_CHECK(a.schema().NamesMatch(b.schema()));
-  // Column-wise concatenation of shares.
-  std::vector<SharedColumn> columns;
-  columns.reserve(static_cast<size_t>(a.NumColumns()));
-  for (int c = 0; c < a.NumColumns(); ++c) {
-    SharedColumn merged(a.Column(c).size() + b.Column(c).size());
-    for (int p = 0; p < kNumShareParties; ++p) {
-      auto& dest = merged.shares[p];
-      const auto& first = a.Column(c).shares[p];
-      const auto& second = b.Column(c).shares[p];
-      std::copy(first.begin(), first.end(), dest.begin());
-      std::copy(second.begin(), second.end(),
-                dest.begin() + static_cast<int64_t>(first.size()));
-    }
-    columns.push_back(std::move(merged));
-  }
-  SharedRelation rel(a.schema(), std::move(columns));
+  const SharedRelation* both[2] = {&a, &b};
+  SharedRelation rel = ConcatShares(both);
   RunNetwork(engine, rel, ObliviousMergeLayers(a.NumRows(), b.NumRows()), key_columns,
              /*ascending=*/true);
   return rel;

@@ -62,8 +62,8 @@ void ChargeRevealMeters(SimNetwork& network, uint64_t cells);
 // Column selection/reordering: share-local, no protocol cost.
 SharedRelation Project(const SharedRelation& input, std::span<const int> columns);
 
-// Share-wise concatenation of same-schema relations, read through pointers so
-// callers need not copy their inputs into a contiguous vector first.
+// Share-wise concatenation of same-schema relations (ConcatShares; no
+// protocol cost).
 SharedRelation Concat(std::span<const SharedRelation* const> inputs);
 
 // Sorted-merge concat (§5.4): folds same-schema relations, each sorted by

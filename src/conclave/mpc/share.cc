@@ -169,6 +169,32 @@ SharedColumn SliceColumn(const SharedColumn& column, size_t start, size_t length
   return out;
 }
 
+SharedRelation ConcatShares(std::span<const SharedRelation* const> inputs) {
+  CONCLAVE_CHECK_GT(inputs.size(), 0u);
+  const SharedRelation& first = *inputs[0];
+  int64_t total = 0;
+  for (const SharedRelation* rel : inputs) {
+    CONCLAVE_CHECK(first.schema().NamesMatch(rel->schema()));
+    total += rel->NumRows();
+  }
+  std::vector<SharedColumn> columns;
+  columns.reserve(static_cast<size_t>(first.NumColumns()));
+  for (int c = 0; c < first.NumColumns(); ++c) {
+    SharedColumn merged(static_cast<size_t>(total));
+    size_t offset = 0;
+    for (const SharedRelation* rel : inputs) {
+      for (int p = 0; p < kNumShareParties; ++p) {
+        const auto& src = rel->Column(c).shares[p];
+        std::copy(src.begin(), src.end(),
+                  merged.shares[p].begin() + static_cast<int64_t>(offset));
+      }
+      offset += rel->Column(c).size();
+    }
+    columns.push_back(std::move(merged));
+  }
+  return SharedRelation(first.schema(), std::move(columns));
+}
+
 Relation ReconstructRelation(const SharedRelation& shared) {
   Relation relation{shared.schema()};
   relation.Resize(shared.NumRows());

@@ -187,6 +187,10 @@ Relation ReconstructRelation(const SharedRelation& shared);
 // pass that moves all three shares of each row.
 SharedColumn GatherColumn(const SharedColumn& column, std::span<const int64_t> rows);
 SharedColumn SliceColumn(const SharedColumn& column, size_t start, size_t length);
+// Same-schema relations end to end, in input order: each column's three share
+// vectors are the inputs' copied one after another. Read through pointers, so
+// callers need not copy their inputs into a contiguous vector first.
+SharedRelation ConcatShares(std::span<const SharedRelation* const> inputs);
 
 }  // namespace conclave
 
