@@ -44,6 +44,10 @@ struct Cell {
   enum class Kind { kSeconds, kWallSeconds, kCount, kDnf, kOom, kSkip };
   Kind kind = Kind::kSkip;
   double seconds = 0;  // kSeconds: virtual seconds; kWallSeconds: wall seconds.
+  // kWallSeconds: `seconds` is the median of the timed runs, and these are
+  // their first and third quartiles.
+  double q1 = 0;
+  double q3 = 0;
   int64_t count = 0;
   bool modeled = false;  // Analytic extrapolation, not an executed run.
   // Priced spill I/O charge (DESIGN.md §12), recorded separately from the
@@ -69,11 +73,15 @@ struct Cell {
     cell.spill_seconds = spill_charge;
     return cell;
   }
-  // A real elapsed time, such as a kernel microbench's best pass.
-  static Cell WallSeconds(double s) {
+  // A real elapsed time over repeated runs, such as a kernel microbench's
+  // passes: their median and quartiles.
+  static Cell WallSeconds(double median, double first_quartile,
+                          double third_quartile) {
     Cell cell;
     cell.kind = Kind::kWallSeconds;
-    cell.seconds = s;
+    cell.seconds = median;
+    cell.q1 = first_quartile;
+    cell.q3 = third_quartile;
     return cell;
   }
   static Cell Count(int64_t n) {
@@ -99,7 +107,9 @@ struct Cell {
       case Kind::kSeconds:
         return StrFormat(modeled ? "%.1f*" : "%.1f", seconds);
       case Kind::kWallSeconds:
-        return StrFormat("%.6f", seconds);
+        // The median, then the interquartile range as a share of it.
+        return StrFormat("%.6f [%.0f%%]", seconds,
+                         seconds > 0 ? 100 * (q3 - q1) / seconds : 0.0);
       case Kind::kCount:
         return StrFormat("%lld", static_cast<long long>(count));
       case Kind::kDnf:
@@ -169,15 +179,17 @@ class Table {
                   kTimeBudgetSeconds);
     }
     if (wall) {
-      std::printf("(wall-clock seconds)\n");
+      std::printf("(wall-clock seconds: median of the runs [interquartile range "
+                  "as a %% of the median])\n");
     }
   }
 
   // Machine-readable dump: BENCH_<name>.json in the working directory (override the
   // directory with CONCLAVE_BENCH_JSON_DIR). Seconds cells carry the simulated
-  // (virtual) seconds, wall-seconds cells their real elapsed seconds and count
-  // cells their value; wall_clock_seconds is the bench's real elapsed time,
-  // establishing the perf trajectory across PRs.
+  // (virtual) seconds, wall-seconds cells their runs' median real elapsed
+  // seconds with its quartiles, and count cells their value;
+  // wall_clock_seconds is the bench's real elapsed time, establishing the perf
+  // trajectory across PRs.
   void WriteJson(const std::string& bench_name, double wall_clock_seconds) const {
     std::string dir = ".";
     if (const char* env = std::getenv("CONCLAVE_BENCH_JSON_DIR")) {
@@ -212,7 +224,8 @@ class Table {
             std::fprintf(f, ", \"spill_seconds\": %.6f", cell.spill_seconds);
           }
         } else if (cell.kind == Cell::Kind::kWallSeconds) {
-          std::fprintf(f, ", \"value\": %.6f", cell.seconds);
+          std::fprintf(f, ", \"value\": %.6f, \"q1\": %.6f, \"q3\": %.6f",
+                       cell.seconds, cell.q1, cell.q3);
         } else if (cell.kind == Cell::Kind::kCount) {
           std::fprintf(f, ", \"value\": %lld", static_cast<long long>(cell.count));
         }

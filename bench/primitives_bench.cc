@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 
 #include "bench/bench_util.h"
 #include "conclave/common/cpu.h"
@@ -178,20 +177,30 @@ void BM_ColumnScanRowMajorLayout(benchmark::State& state) {
 BENCHMARK(BM_ColumnScanRowMajorLayout)->Range(1 << 12, 1 << 22);
 
 // --- Columnar-kernel sweep with a JSON record ---------------------------------------
-// Each timed cell is the best-of-N wall seconds for one kernel pass at the given
-// row count over a 4-column relation: a contiguous column-scan reduction,
+// Each timed cell is the median wall seconds of N kernel passes, with their
+// first and third quartiles, so a ledger diff can tell a kernel's change from
+// the host's run-to-run spread. The passes run at the given row count over a
+// 4-column relation: a contiguous column-scan reduction,
 // ops::Filter at three literal selectivities, the zero-copy counter-based share
 // ingest of one column, and the pipeline, reveal and spill A/Bs below. The
 // *_peak_rows and spill_bytes cells are counts, typed as such in the JSON.
 
-double BestOfRuns(int reps, const std::function<void()>& body) {
-  double best = std::numeric_limits<double>::infinity();
+bench::Cell TimeRuns(int reps, const std::function<void()>& body) {
+  std::vector<double> runs;
   for (int i = 0; i < reps; ++i) {
     bench::WallTimer timer;
     body();
-    best = std::min(best, timer.Seconds());
+    runs.push_back(timer.Seconds());
   }
-  return best;
+  std::sort(runs.begin(), runs.end());
+  // Linear interpolation between the two nearest ranks.
+  const auto quantile = [&runs](double q) {
+    const double rank = q * static_cast<double>(runs.size() - 1);
+    const size_t lo = static_cast<size_t>(rank);
+    const size_t hi = std::min(lo + 1, runs.size() - 1);
+    return runs[lo] + (rank - static_cast<double>(lo)) * (runs[hi] - runs[lo]);
+  };
+  return bench::Cell::WallSeconds(quantile(0.5), quantile(0.25), quantile(0.75));
 }
 
 void RunKernelSweep(const bench::BenchFilter& filter,
@@ -201,7 +210,7 @@ void RunKernelSweep(const bench::BenchFilter& filter,
       small ? std::vector<int64_t>{1 << 14, 1 << 16}
             : std::vector<int64_t>{1 << 18, 1 << 20, 1 << 22};
   const int reps = small ? 3 : 5;
-  bench::Table table("primitives: columnar kernel sweep (wall seconds per pass)",
+  bench::Table table("primitives: columnar kernel sweep (median wall seconds per pass)",
                      {"column_scan", "filter_sel10", "filter_sel50", "filter_sel90",
                       "filter_scalar", "arith_simd", "arith_scalar",
                       "share_ingest", "rng_splitmix",
@@ -214,9 +223,7 @@ void RunKernelSweep(const bench::BenchFilter& filter,
   bench::WallTimer timer;
   // Timed cell, or a '-' skip when --filter excludes the column.
   const auto timed = [&](const char* name, const std::function<void()>& body) {
-    return filter.Enabled(name)
-               ? bench::Cell::WallSeconds(BestOfRuns(reps, body))
-               : bench::Cell::Skip();
+    return filter.Enabled(name) ? TimeRuns(reps, body) : bench::Cell::Skip();
   };
   for (int64_t n : sizes) {
     // Uniform values in [0, 999]: literal thresholds 100/500/900 give ~10/50/90%
